@@ -185,8 +185,9 @@ func Open(doc *pxml.Tree, cfg Config) (*Database, error) {
 }
 
 // buildIndex constructs the query index for a tree. It runs outside mu —
-// index construction is the expensive part of a swap and must never block
-// readers — and the caller installs the result together with the tree.
+// it summarizes every node the tree does not share with its predecessor,
+// which must never block readers — and the caller installs the result
+// together with the tree.
 func (db *Database) buildIndex(t *pxml.Tree) *queryindex.Index {
 	return queryindex.Build(t)
 }
@@ -551,7 +552,9 @@ type IndexStats struct {
 	// LastBuild and TotalBuild are wall-clock construction times.
 	LastBuild  time.Duration
 	TotalBuild time.Duration
-	// Tags and Elements describe the current index.
+	// Tags and Elements describe the current index: distinct element
+	// tags, and element occurrences counted per path (an element shared
+	// by k alternatives counts k times — see queryindex.TagInfo).
 	Tags     int
 	Elements int
 }

@@ -1,0 +1,129 @@
+package integrate_test
+
+import (
+	"errors"
+	"math/rand"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/integrate"
+	"repro/internal/oracle"
+	"repro/internal/pxml"
+	"repro/internal/pxmltest"
+)
+
+// keyless is a rule stripped of its blocking keys: every pair reaches it.
+type keyless struct{ oracle.Rule }
+
+func (keyless) BlockKey(*pxml.Node) string { return "" }
+
+func withoutKeys(rules []oracle.Rule) []oracle.Rule {
+	out := make([]oracle.Rule, len(rules))
+	for i, r := range rules {
+		out[i] = keyless{r}
+	}
+	return out
+}
+
+const (
+	jaws1975 = `<catalog><movie><title>Jaws</title><year>1975</year></movie></catalog>`
+	jaws1978 = `<catalog><movie><title>Jaws</title><year>1978</year></movie></catalog>`
+)
+
+// sameTitle is a must-match rule that contradicts the year rule on the two
+// Jaws catalogs above.
+var sameTitle = oracle.NewRule("same-title", func(a, b *pxml.Node) oracle.Verdict {
+	if a.Tag() == "movie" && pxml.CertainText(a, "title") == pxml.CertainText(b, "title") {
+		return oracle.Verdict{Decision: oracle.MustMatch, P: 1}
+	}
+	return oracle.Verdict{}
+})
+
+// TestStrictOracleSeesBlockedPairs: under Strict a must/cannot conflict is
+// an error, not a verdict, so a pair the year keys rule out must still
+// reach the conflicting rule.
+func TestStrictOracleSeesBlockedPairs(t *testing.T) {
+	rules := []oracle.Rule{oracle.YearRule(), sameTitle}
+	_, _, err := integrate.Integrate(mustDecode(t, jaws1975), mustDecode(t, jaws1978),
+		integrate.Config{Oracle: oracle.New(rules, oracle.Strict())})
+	var conflict *oracle.ConflictError
+	if !errors.As(err, &conflict) {
+		t.Fatalf("strict integration of a year/title conflict: err = %v, want a *oracle.ConflictError", err)
+	}
+}
+
+// TestBlockedPairIsNotAnOracleCall: without Strict the same conflict
+// resolves to cannot-match; with keys the pair is never put to the Oracle,
+// without them it is, and the results are the same document.
+func TestBlockedPairIsNotAnOracleCall(t *testing.T) {
+	rules := []oracle.Rule{oracle.YearRule(), sameTitle}
+	blocked, stB, err := integrate.Integrate(mustDecode(t, jaws1975), mustDecode(t, jaws1978),
+		integrate.Config{Oracle: oracle.New(rules)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked, stA, err := integrate.Integrate(mustDecode(t, jaws1975), mustDecode(t, jaws1978),
+		integrate.Config{Oracle: oracle.New(withoutKeys(rules))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pxml.Equal(blocked.Root(), asked.Root()) {
+		t.Fatalf("results differ:\nwith keys:\n%s\nwithout:\n%s", blocked, asked)
+	}
+	if stB.OracleCalls != 0 || stB.CannotPairs != 0 {
+		t.Fatalf("with keys the pair should not be an Oracle call: %+v", stB)
+	}
+	if stA.OracleCalls != 1 || stA.CannotPairs != 1 {
+		t.Fatalf("without keys the pair should be one cannot-match call: %+v", stA)
+	}
+}
+
+// TestBlockedEqualsUnblocked is the soundness property of blocking: over
+// seeded random catalogs whose key field is present, absent, duplicated or
+// under a choice point — folded one into the next, so that later sources
+// meet movies merged and left uncertain by earlier ones — integrating with
+// the stock rules and with the same rules stripped of their keys gives the
+// same document, for sequential and parallel runs. The pairs blocking skips
+// are all cannot-match, so the other pair counters agree too.
+func TestBlockedEqualsUnblocked(t *testing.T) {
+	schema := datagen.MovieDTD()
+	var integrations, skipped int
+	for seed := int64(0); seed < 200; seed++ {
+		for _, workers := range []int{1, 4} {
+			rng := rand.New(rand.NewSource(seed))
+			stock := integrate.Config{Oracle: oracle.MovieOracle(oracle.SetGenreTitleYear), Schema: schema, Workers: workers}
+			bare := stock
+			bare.Oracle = oracle.New(withoutKeys(oracle.SetGenreTitleYear.Rules()), oracle.WithEstimator("movie", oracle.TitleEstimator()))
+			doc := pxmltest.RandomCatalog(rng, 2+rng.Intn(5))
+			for step := 0; step < 3; step++ {
+				src := pxmltest.RandomCatalog(rng, 2+rng.Intn(5))
+				got, stB, errB := integrate.Integrate(doc, src, stock)
+				want, stA, errA := integrate.Integrate(doc, src, bare)
+				if (errB == nil) != (errA == nil) || (errB != nil && errB.Error() != errA.Error()) {
+					t.Fatalf("seed %d workers %d step %d: with keys err %v, without %v", seed, workers, step, errB, errA)
+				}
+				if errB != nil {
+					continue // the document stays; the next source may integrate
+				}
+				if !pxml.Equal(got.Root(), want.Root()) {
+					t.Fatalf("seed %d workers %d step %d: documents differ\nwith keys:\n%s\nwithout:\n%s", seed, workers, step, got, want)
+				}
+				if got.WorldCount().Cmp(want.WorldCount()) != 0 {
+					t.Fatalf("seed %d workers %d step %d: %s worlds with keys, %s without", seed, workers, step, got.WorldCount(), want.WorldCount())
+				}
+				if stB.MustPairs != stA.MustPairs || stB.UndecidedPairs != stA.UndecidedPairs {
+					t.Fatalf("seed %d workers %d step %d: pair counters differ\nwith keys: %+v\nwithout:   %+v", seed, workers, step, stB, stA)
+				}
+				if d := stA.OracleCalls - stB.OracleCalls; d < 0 || d != stA.CannotPairs-stB.CannotPairs {
+					t.Fatalf("seed %d workers %d step %d: blocking should skip cannot-match pairs only\nwith keys: %+v\nwithout:   %+v", seed, workers, step, stB, stA)
+				}
+				integrations++
+				skipped += stA.OracleCalls - stB.OracleCalls
+				doc = got
+			}
+		}
+	}
+	if integrations < 1000 || skipped < integrations {
+		t.Fatalf("property too thin: %d integrations, %d pairs skipped", integrations, skipped)
+	}
+}

@@ -19,34 +19,45 @@ type edge struct {
 // integrateChildren integrates the child sequences of two matched elements
 // and returns the choice-point children of the merged element.
 func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
-	certA, uncA := splitChildren(x)
-	certB, uncB := splitChildren(y)
+	certA, wrapA, uncA := splitChildren(x)
+	certB, wrapB, uncB := splitChildren(y)
 
 	// Candidate pairs: cross-source, same tag, not ruled out. Within-source
-	// siblings are never candidates (the paper's second generic rule). The
-	// Oracle is consulted for every same-tag cross pair in a fan-out pass
-	// first — verdicts are independent, and on wide child lists the
-	// cross-product of rule evaluations dominates — then read back from the
-	// memo in deterministic order. Sequential mode runs the same pass
-	// inline, so both modes decide exactly the same pair set.
+	// siblings are never candidates (the paper's second generic rule), and
+	// neither is a pair the rules' blocking keys — derived once per child
+	// here, not per pair — prove cannot-match: it is never put to the
+	// Oracle. The rest is decided in a fan-out pass first (verdicts are
+	// independent, and on wide child lists the rule evaluations dominate),
+	// one task per A child with candidates, each writing the slots of its
+	// own pairs, and read back in candidate order. Sequential mode runs the
+	// same pass inline, so both modes decide exactly the same pair set.
 	type candidate struct{ i, j int }
-	var cands []candidate
+	var (
+		cands       []candidate
+		verdicts    []verdictResult // index-aligned with cands
+		decideTasks []func()
+	)
+	block := it.cfg.Oracle.Block(certA, certB)
 	for i, xa := range certA {
+		first := len(cands)
 		for j, yb := range certB {
-			if xa.Tag() == yb.Tag() {
+			if xa.Tag() == yb.Tag() && !block.Blocked(i, j) {
 				cands = append(cands, candidate{i, j})
 			}
 		}
+		if end := len(cands); end > first {
+			decideTasks = append(decideTasks, func() {
+				for k := first; k < end; k++ {
+					verdicts[k] = it.decide(certA[cands[k].i], certB[cands[k].j])
+				}
+			})
+		}
 	}
-	decideTasks := make([]func(), len(cands))
-	for ti, cand := range cands {
-		xa, yb := certA[cand.i], certB[cand.j]
-		decideTasks[ti] = func() { _, _ = it.decide(xa, yb) }
-	}
+	verdicts = make([]verdictResult, len(cands))
 	it.pool.runAll(decideTasks)
 	var edges []edge
-	for _, cand := range cands {
-		v, err := it.decide(certA[cand.i], certB[cand.j])
+	for k, cand := range cands {
+		v, err := verdicts[k].v, verdicts[k].err
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +114,7 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 		if !ok {
 			// Untouched by the other source: spliced verbatim, no merge.
 			it.stats.splicedChildren.Add(1)
-			out = append(out, pxml.Certain(xa))
+			out = append(out, splice(wrapA[i], xa))
 			continue
 		}
 		if emitted[ci] {
@@ -117,7 +128,7 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 			continue
 		}
 		it.stats.splicedChildren.Add(1)
-		out = append(out, pxml.Certain(yb))
+		out = append(out, splice(wrapB[j], yb))
 	}
 	// Genuine choice points of the inputs are preserved, not re-matched:
 	// integration of probabilistic inputs keeps their uncertainty intact.
@@ -127,16 +138,36 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 }
 
 // splitChildren separates an element's certainly-present child elements
-// from its genuine choice points.
-func splitChildren(elem *pxml.Node) (certain []*pxml.Node, uncertain []*pxml.Node) {
+// from its genuine choice points. wrap[i] is the trivial choice point that
+// holds certain[i] and nothing else, nil when the element shares its choice
+// point with siblings.
+func splitChildren(elem *pxml.Node) (certain, wrap, uncertain []*pxml.Node) {
 	for _, prob := range elem.Children() {
-		if len(prob.Children()) == 1 {
-			certain = append(certain, prob.Child(0).Children()...)
-		} else {
+		if len(prob.Children()) != 1 {
 			uncertain = append(uncertain, prob)
+			continue
+		}
+		poss := prob.Child(0)
+		var own *pxml.Node
+		if poss.NumChildren() == 1 && poss.Prob() == 1 {
+			own = prob
+		}
+		for _, el := range poss.Children() {
+			certain = append(certain, el)
+			wrap = append(wrap, own)
 		}
 	}
-	return certain, uncertain
+	return certain, wrap, uncertain
+}
+
+// splice carries a certain child into the result inside the choice point it
+// came in, so that what an earlier pass cached on that node (normal form,
+// summary) is found again; a child without one of its own gets a new one.
+func splice(wrap, elem *pxml.Node) *pxml.Node {
+	if wrap != nil {
+		return wrap
+	}
+	return pxml.Certain(elem)
 }
 
 // component is a connected group of candidate edges; it becomes one choice
@@ -406,5 +437,3 @@ func maxMatchingSize(c component, tag string, certA []*pxml.Node) int {
 	}
 	return size
 }
-
-var _ = fmt.Sprintf // reserved for debug helpers

@@ -130,10 +130,17 @@ func (c Config) workers() int {
 
 // Stats reports what the integration did; the paper's Table I and Figure 5
 // are computed from the node counts of the result plus these counters.
+//
+// The four pair counters count pairs put to the Oracle. A same-tag pair the
+// rules' blocking keys rule out (oracle.Rule.BlockKey — two movies with
+// different certain years) is a certain cannot-match that never becomes a
+// candidate: it is in none of them, so OracleCalls and CannotPairs are
+// smaller than the same-tag cross product by the number of blocked pairs,
+// while MustPairs and UndecidedPairs are what they would be without keys.
 type Stats struct {
 	OracleCalls    int // distinct pairs put to the Oracle
 	MustPairs      int // pairs decided must-match
-	CannotPairs    int // pairs decided cannot-match
+	CannotPairs    int // pairs the Oracle decided cannot-match (blocked pairs are not asked)
 	UndecidedPairs int // pairs the Oracle could not decide absolutely
 
 	Components          int // candidate components (choice points created)
@@ -208,7 +215,7 @@ func Integrate(a, b *pxml.Tree, cfg Config) (*pxml.Tree, *Stats, error) {
 	it := &integrator{
 		cfg:       cfg,
 		mergeMemo: newMemoTable[pair, mergeResult](),
-		verdicts:  newMemoTable[pair, verdictResult](),
+		verdicts:  newVerdictTable[pair](),
 		shared:    cfg.Memo,
 		pool:      newPool(cfg.workers()),
 	}
@@ -265,7 +272,7 @@ type integrator struct {
 	cfg       Config
 	stats     atomicStats
 	mergeMemo *memoTable[pair, mergeResult]
-	verdicts  *memoTable[pair, verdictResult]
+	verdicts  *verdictTable[pair]
 	// shared is the optional cross-call memo (Config.Memo). The per-call
 	// tables above stay in front of it: they key by pointer (no digest
 	// computation on the per-call hot path) and keep the existing
@@ -274,46 +281,61 @@ type integrator struct {
 	pool   *pool
 }
 
-// decide consults the Oracle once per distinct pair, across all workers
-// and — when a cross-call memo is attached — across integrations.
-func (it *integrator) decide(a, b *pxml.Node) (oracle.Verdict, error) {
-	r, _ := it.verdicts.do(pair{a, b}, func() verdictResult {
-		compute := func() verdictResult {
-			v, err := it.cfg.Oracle.Decide(a, b)
-			return verdictResult{v: v, err: err}
+// decide returns the Oracle's verdict on a pair, asking it once per
+// distinct pair across all workers and — when a cross-call memo is
+// attached — across integrations. Whoever settles a key in a table accounts
+// for it: the first to settle the pointer pair in this call's table counts
+// it, as an Oracle call if it also settled the digest pair in the shared
+// table and as a memo hit if that was settled before. Which goroutine that
+// is depends on scheduling; how many of each there are does not.
+func (it *integrator) decide(a, b *pxml.Node) verdictResult {
+	k := pair{a, b}
+	if r, ok := it.verdicts.get(k); ok {
+		return r
+	}
+	var (
+		dk     digestPair
+		r      verdictResult
+		cached bool
+	)
+	if it.shared != nil {
+		dk = digestPair{a.Summary().Digest, b.Summary().Digest}
+		r, cached = it.shared.verdicts.get(dk)
+	}
+	if !cached {
+		r.v, r.err = it.cfg.Oracle.Decide(a, b)
+	}
+	r, settled := it.verdicts.put(k, r)
+	if !settled {
+		return r
+	}
+	if it.shared != nil {
+		if !cached {
+			r, settled = it.shared.verdicts.put(dk, r)
+			cached = !settled
 		}
-		var res verdictResult
-		computed := true
-		if it.shared != nil {
-			res, computed = it.shared.verdicts.do(digestPair{a.Summary().Digest, b.Summary().Digest}, compute)
-		} else {
-			res = compute()
-		}
-		if !computed {
+		if cached {
 			// Served from the cross-call memo: the work was accounted by
 			// the integration that performed it.
 			it.stats.verdictMemoHits.Add(1)
 			it.shared.hits.Add(1)
-			return res
+			return r
 		}
-		if it.shared != nil {
-			it.shared.misses.Add(1)
-		}
-		if res.err != nil {
-			return res
-		}
-		it.stats.oracleCalls.Add(1)
-		switch res.v.Decision {
-		case oracle.MustMatch:
-			it.stats.mustPairs.Add(1)
-		case oracle.CannotMatch:
-			it.stats.cannotPairs.Add(1)
-		default:
-			it.stats.undecidedPairs.Add(1)
-		}
-		return res
-	})
-	return r.v, r.err
+		it.shared.misses.Add(1)
+	}
+	if r.err != nil {
+		return r
+	}
+	it.stats.oracleCalls.Add(1)
+	switch r.v.Decision {
+	case oracle.MustMatch:
+		it.stats.mustPairs.Add(1)
+	case oracle.CannotMatch:
+		it.stats.cannotPairs.Add(1)
+	default:
+		it.stats.undecidedPairs.Add(1)
+	}
+	return r
 }
 
 // mergePair integrates two elements that are assumed to refer to the same

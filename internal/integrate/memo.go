@@ -15,12 +15,14 @@
 // query result cache already does (a collision needs two distinct
 // subtrees with equal FNV-based digests inside one memo lifetime).
 //
-// Concurrency: the underlying tables are compute-once, so two workers —
-// even from the same integration — racing on one digest pair block on a
-// single computation and share its result. That also keeps per-call Stats
-// deterministic for every worker count: for any fixed memo state at call
-// start, the set of digest pairs computed (vs served) by the call is
-// fixed, whichever goroutine happens to run each compute.
+// Concurrency: pair merges are compute-once, so two workers — even from
+// the same integration — racing on one digest pair block on a single
+// computation and share its result (and its nodes). Verdicts are
+// first-put-wins: racing workers may each ask the Oracle, which is pure, and
+// the one whose answer settles the key accounts for it. Either way per-call
+// Stats are deterministic for every worker count: for any fixed memo state
+// at call start, the set of digest pairs settled (vs found settled) by the
+// call is fixed, whichever goroutine happens to settle each.
 package integrate
 
 import "sync/atomic"
@@ -32,7 +34,7 @@ const DefaultMemoEntries = 1 << 18
 // Memo is a cross-call verdict and merge cache shared by every
 // integration of one database. The zero value is not useful; use NewMemo.
 type Memo struct {
-	verdicts *memoTable[digestPair, verdictResult]
+	verdicts *verdictTable[digestPair]
 	merges   *memoTable[digestPair, mergeResult]
 	max      int
 
@@ -55,7 +57,7 @@ func NewMemo(maxEntries int) *Memo {
 		maxEntries = DefaultMemoEntries
 	}
 	return &Memo{
-		verdicts: newMemoTable[digestPair, verdictResult](),
+		verdicts: newVerdictTable[digestPair](),
 		merges:   newMemoTable[digestPair, mergeResult](),
 		max:      maxEntries,
 	}

@@ -9,8 +9,9 @@ import (
 // engine. The paper's compactness argument (§III) — independent candidate
 // components multiply world counts but only add node counts — also means
 // component matchings can be enumerated and merged with no coordination:
-// the only shared state is memoization (compute-once tables) and counters
-// (atomics). Everything that orders the output (component order, matching
+// the only shared state is memoization (a compute-once table for pair
+// merges, a first-put-wins table for verdicts) and counters (atomics).
+// Everything that orders the output (component order, matching
 // enumeration, cartesian expansion) stays sequential, so the result tree
 // and the Stats are identical for any worker count.
 
@@ -66,6 +67,55 @@ func (t *memoTable[K, V]) size() int {
 func (t *memoTable[K, V]) purge() {
 	t.mu.Lock()
 	t.m = make(map[K]*memoCell[V])
+	t.mu.Unlock()
+}
+
+// verdictTable memoizes Oracle verdicts. A verdict is a small pure value
+// and one is looked up for every candidate pair, so — unlike a pair merge,
+// which builds nodes whose identity the result shares — it gets no
+// compute-once cell: racing workers may each ask the Oracle, the first to
+// put its answer settles the key, and every later get or put returns that
+// answer.
+type verdictTable[K comparable] struct {
+	mu sync.Mutex
+	m  map[K]verdictResult
+}
+
+func newVerdictTable[K comparable]() *verdictTable[K] {
+	return &verdictTable[K]{m: make(map[K]verdictResult)}
+}
+
+func (t *verdictTable[K]) get(k K) (verdictResult, bool) {
+	t.mu.Lock()
+	v, ok := t.m[k]
+	t.mu.Unlock()
+	return v, ok
+}
+
+// put settles k to v unless it is settled already. It returns the settled
+// verdict and whether this call settled it — true for exactly one put per
+// key, which is what per-call statistics attribute the work by.
+func (t *verdictTable[K]) put(k K, v verdictResult) (verdictResult, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if old, ok := t.m[k]; ok {
+		return old, false
+	}
+	t.m[k] = v
+	return v, true
+}
+
+func (t *verdictTable[K]) size() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
+}
+
+// purge drops every verdict; like memoTable.purge it runs only between
+// integrations.
+func (t *verdictTable[K]) purge() {
+	t.mu.Lock()
+	t.m = make(map[K]verdictResult)
 	t.mu.Unlock()
 }
 
@@ -135,8 +185,8 @@ type workerPanic struct{ val any }
 
 // atomicStats mirrors Stats with atomic counters so concurrent workers
 // account without locking. Every increment happens inside a compute-once
-// memo computation or a deterministic sequential section, so the totals
-// are identical for any worker count.
+// memo computation, on settling a verdict key, or in a deterministic
+// sequential section, so the totals are identical for any worker count.
 type atomicStats struct {
 	oracleCalls    atomic.Int64
 	mustPairs      atomic.Int64

@@ -63,6 +63,16 @@ type Rule interface {
 	// Apply returns a verdict; Decision == Unknown means the rule
 	// abstains (its P is then ignored).
 	Apply(a, b *pxml.Node) Verdict
+	// BlockKey returns the element's blocking key under this rule, or ""
+	// when the rule has none for it. The contract is soundness: whenever
+	// the keys of two elements are both non-empty and differ, Apply
+	// decides the pair CannotMatch. That lets a caller with two lists of
+	// elements derive the keys once per element and skip the pairs they
+	// rule out without calling Apply (see Oracle.Block). An element
+	// whose key field is missing or uncertain has no one value to stand
+	// for it — it denotes every value it could take — so its key is ""
+	// and it is still compared with everyone.
+	BlockKey(e *pxml.Node) string
 }
 
 // Estimator produces a match-probability estimate for an undecided pair.
@@ -152,6 +162,74 @@ func New(rules []Rule, opts ...Option) *Oracle {
 		opt(o)
 	}
 	return o
+}
+
+// Blocker holds the blocking keys of two lists of elements about to be
+// paired. The nil Blocker blocks nothing.
+type Blocker struct {
+	// One entry per rule that has a key for some element of both lists:
+	// as[r][i] is the key of the i-th element of the first list under it,
+	// bs[r][j] that of the j-th element of the second.
+	as, bs [][]string
+}
+
+// Block derives every rule's blocking key for every element of the two
+// lists, once each. The pairs the result reports as blocked are exactly
+// pairs Decide would answer CannotMatch: some rule's keys differ, that rule
+// decides cannot-match (the BlockKey contract), and a cannot-match prevails
+// over whatever the other rules say. Under Strict that last step does not
+// hold — a must-match from another rule makes the pair a ConflictError, not
+// a verdict — so every pair has to reach every rule and Block returns nil.
+func (o *Oracle) Block(as, bs []*pxml.Node) *Blocker {
+	if o.strict {
+		return nil
+	}
+	var bl *Blocker
+	for _, r := range o.rules {
+		ka := blockKeys(r, as)
+		if ka == nil {
+			continue
+		}
+		kb := blockKeys(r, bs)
+		if kb == nil {
+			continue
+		}
+		if bl == nil {
+			bl = &Blocker{}
+		}
+		bl.as, bl.bs = append(bl.as, ka), append(bl.bs, kb)
+	}
+	return bl
+}
+
+// blockKeys lists the rule's key of every element, or returns nil when it
+// has none for any of them.
+func blockKeys(r Rule, elems []*pxml.Node) []string {
+	var keys []string
+	for i, e := range elems {
+		if k := r.BlockKey(e); k != "" {
+			if keys == nil {
+				keys = make([]string, len(elems))
+			}
+			keys[i] = k
+		}
+	}
+	return keys
+}
+
+// Blocked reports whether the i-th element of the first list and the j-th
+// of the second cannot match: some rule has a key for both and the keys
+// differ.
+func (bl *Blocker) Blocked(i, j int) bool {
+	if bl == nil {
+		return false
+	}
+	for r, ka := range bl.as {
+		if a, b := ka[i], bl.bs[r][j]; a != "" && b != "" && a != b {
+			return true
+		}
+	}
+	return false
 }
 
 // Rules returns the names of the installed rules, in application order.

@@ -255,3 +255,93 @@ func TestDecisionString(t *testing.T) {
 		t.Fatalf("unknown decision string")
 	}
 }
+
+// TestBlockKeyContract: wherever two keys of a rule are both present and
+// differ, that rule's Apply says cannot-match; an element without a single
+// certain key value (field absent, duplicated, under a choice point, or an
+// element of another tag) has no key. Only KeyField has keys.
+func TestBlockKeyContract(t *testing.T) {
+	elems := []*pxml.Node{
+		elem(t, `<movie><title>Jaws</title><year>1975</year></movie>`),
+		elem(t, `<movie><title>Jaws</title><year>1978</year></movie>`),
+		elem(t, `<movie><title>Jaws</title></movie>`),
+		elem(t, `<movie><title>Jaws</title><year>1975</year><year>1978</year></movie>`),
+		pxml.NewElem("movie", "", pxml.NewProb(
+			pxml.NewPoss(0.5, pxml.NewLeaf("year", "1975")),
+			pxml.NewPoss(0.5, pxml.NewLeaf("year", "1978")))),
+		elem(t, `<person><year>1975</year></person>`),
+	}
+	wantKeys := []string{"1975", "1978", "", "", "", ""}
+	year := oracle.YearRule()
+	for i, e := range elems {
+		if got := year.BlockKey(e); got != wantKeys[i] {
+			t.Errorf("element %d: year key %q, want %q", i, got, wantKeys[i])
+		}
+		for _, r := range []oracle.Rule{oracle.DeepEqual(), oracle.GenreRule(), oracle.TitleRule(), oracle.DirectorRule(),
+			oracle.NewRule("custom", func(a, b *pxml.Node) oracle.Verdict { return oracle.Verdict{} })} {
+			if k := r.BlockKey(e); k != "" {
+				t.Errorf("element %d: rule %s has key %q, want none", i, r.Name(), k)
+			}
+		}
+	}
+	for i, a := range elems {
+		for j, b := range elems {
+			ka, kb := year.BlockKey(a), year.BlockKey(b)
+			if ka != "" && kb != "" && ka != kb && year.Apply(a, b).Decision != oracle.CannotMatch {
+				t.Errorf("pair %d/%d: keys %q and %q differ but the rule says %v", i, j, ka, kb, year.Apply(a, b).Decision)
+			}
+		}
+	}
+}
+
+// TestBlockSkipsOnlyCannotMatchPairs: every pair Block reports is one
+// Decide answers cannot-match, key-less elements are blocked against no
+// one, and a strict oracle blocks nothing at all.
+func TestBlockSkipsOnlyCannotMatchPairs(t *testing.T) {
+	as := []*pxml.Node{
+		elem(t, `<movie><title>Jaws</title><year>1975</year></movie>`),
+		elem(t, `<movie><title>Alien</title></movie>`),
+		elem(t, `<genre>Horror</genre>`),
+	}
+	bs := []*pxml.Node{
+		elem(t, `<movie><title>Jaws</title><year>1975</year></movie>`),
+		elem(t, `<movie><title>Jaws</title><year>1978</year></movie>`),
+		elem(t, `<movie><title>Jaws</title></movie>`),
+	}
+	o := oracle.MovieOracle(oracle.SetGenreTitleYear)
+	bl := o.Block(as, bs)
+	blocked := 0
+	for i, a := range as {
+		for j, b := range bs {
+			if !bl.Blocked(i, j) {
+				continue
+			}
+			blocked++
+			if v, err := o.Decide(a, b); err != nil || v.Decision != oracle.CannotMatch {
+				t.Errorf("pair %d/%d is blocked but decided %+v (err %v)", i, j, v, err)
+			}
+		}
+	}
+	if blocked != 1 || !bl.Blocked(0, 1) {
+		t.Fatalf("%d pairs blocked, want only the 1975/1978 pair", blocked)
+	}
+	if bl := oracle.MovieOracle(oracle.SetGenreTitleYear, oracle.Strict()).Block(as, bs); bl != nil || bl.Blocked(0, 1) {
+		t.Fatalf("a strict oracle must put every pair to every rule, got %+v", bl)
+	}
+	if bl := o.Block(as[1:], bs); bl != nil {
+		t.Fatalf("no element of the first list has a key, yet Block returned %+v", bl)
+	}
+}
+
+// TestDeepEqualRuleIgnoresTrivialGrouping: the digest shortcut must not
+// turn the rule into structural equality.
+func TestDeepEqualRuleIgnoresTrivialGrouping(t *testing.T) {
+	split := pxml.NewElem("person", "", pxml.Certain(pxml.NewLeaf("nm", "John")), pxml.Certain(pxml.NewLeaf("tel", "1111")))
+	joint := pxml.NewElem("person", "", pxml.Certain(pxml.NewLeaf("nm", "John"), pxml.NewLeaf("tel", "1111")))
+	if split.Summary().Digest == joint.Summary().Digest {
+		t.Fatal("fixture: the two groupings should have different digests")
+	}
+	if v := oracle.DeepEqual().Apply(split, joint); v.Decision != oracle.MustMatch {
+		t.Fatalf("differently grouped equal persons: %+v", v)
+	}
+}

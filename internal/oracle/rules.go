@@ -8,15 +8,23 @@ import (
 	"repro/internal/strsim"
 )
 
-// funcRule adapts a function to the Rule interface.
+// funcRule adapts a function to the Rule interface. key is nil for a rule
+// without blocking keys.
 type funcRule struct {
 	name string
 	fn   func(a, b *pxml.Node) Verdict
+	key  func(e *pxml.Node) string
 }
 
 func (r funcRule) Name() string                  { return r.name }
 func (r funcRule) Apply(a, b *pxml.Node) Verdict { return r.fn(a, b) }
-func abstain() Verdict                           { return Verdict{Decision: Unknown} }
+func (r funcRule) BlockKey(e *pxml.Node) string {
+	if r.key == nil {
+		return ""
+	}
+	return r.key(e)
+}
+func abstain() Verdict { return Verdict{Decision: Unknown} }
 func decide(d Decision, name string) Verdict {
 	p := 0.0
 	if d == MustMatch {
@@ -25,16 +33,22 @@ func decide(d Decision, name string) Verdict {
 	return Verdict{Decision: d, P: p, Rule: name}
 }
 
-// NewRule builds a custom rule from a function.
+// NewRule builds a custom rule from a function. It has no blocking keys:
+// every pair reaches fn.
 func NewRule(name string, fn func(a, b *pxml.Node) Verdict) Rule {
 	return funcRule{name: name, fn: fn}
 }
 
 // DeepEqual is the paper's generic rule: two deep-equal elements refer to
-// the same real-world object. It never decides cannot-match.
+// the same real-world object. It never decides cannot-match. Equal digests
+// settle it without a walk (structurally equal subtrees are deep-equal; the
+// verdict memo is keyed by the same digests and accepts the same collision
+// odds); unequal ones still need it, because deep equality ignores how
+// certain children are grouped into trivial choice points and the digest
+// does not.
 func DeepEqual() Rule {
 	return funcRule{name: "deep-equal", fn: func(a, b *pxml.Node) Verdict {
-		if pxml.DeepEqualElems(a, b) {
+		if a.Summary().Digest == b.Summary().Digest || pxml.DeepEqualElems(a, b) {
 			return decide(MustMatch, "deep-equal")
 		}
 		return abstain()
@@ -78,19 +92,19 @@ func isLeafish(e *pxml.Node) bool {
 // — the paper's year rule ("movies of different years cannot match"). It
 // compares the certain text of the field child and decides cannot-match on
 // inequality; it abstains when either side's field is absent or uncertain,
-// and on equality (same year does not imply same movie).
+// and on equality (same year does not imply same movie). The certain field
+// text is the element's blocking key: two present, different keys are
+// exactly the pairs the rule decides.
 func KeyField(elemTag, fieldTag string) Rule {
 	name := fmt.Sprintf("key-field(%s/%s)", elemTag, fieldTag)
-	return funcRule{name: name, fn: func(a, b *pxml.Node) Verdict {
-		if a.Tag() != elemTag || b.Tag() != elemTag {
-			return abstain()
+	key := func(e *pxml.Node) string {
+		if e.Tag() != elemTag {
+			return ""
 		}
-		va := pxml.CertainText(a, fieldTag)
-		vb := pxml.CertainText(b, fieldTag)
-		if va == "" || vb == "" {
-			return abstain()
-		}
-		if va != vb {
+		return pxml.CertainText(e, fieldTag)
+	}
+	return funcRule{name: name, key: key, fn: func(a, b *pxml.Node) Verdict {
+		if va, vb := key(a), key(b); va != "" && vb != "" && va != vb {
 			return decide(CannotMatch, name)
 		}
 		return abstain()

@@ -59,23 +59,11 @@ func maxDepth(n *Node, memo map[*Node]int) int {
 }
 
 // NodeCount returns the logical node count (each occurrence of a shared
-// subtree counted separately), the paper's size measure.
-func (t *Tree) NodeCount() int64 {
-	memo := map[*Node]int64{}
-	var rec func(n *Node) int64
-	rec = func(n *Node) int64 {
-		if c, ok := memo[n]; ok {
-			return c
-		}
-		c := int64(1)
-		for _, k := range n.kids {
-			c += rec(k)
-		}
-		memo[n] = c
-		return c
-	}
-	return rec(t.root)
-}
+// subtree counted separately), the paper's size measure. It is a sum over
+// children, so it comes from the cached subtree summaries: after the first
+// call on a document it is O(1), and on a document built around
+// carried-over subtrees only the new nodes are visited.
+func (t *Tree) NodeCount() int64 { return t.root.Summary().Nodes }
 
 // PhysicalNodeCount returns the number of distinct nodes in memory.
 func (t *Tree) PhysicalNodeCount() int64 {
@@ -95,10 +83,15 @@ func (t *Tree) WorldCount() *big.Int {
 }
 
 // ChoicePoints returns the number of genuine choice points: distinct
-// ProbNodes with more than one alternative.
+// ProbNodes with more than one alternative. A distinct-node count does not
+// compose over shared subtrees, so this stays a walk; it skips every
+// subtree with a single possible world, which cannot hold a choice point.
 func (t *Tree) ChoicePoints() int {
 	n := 0
 	WalkUnique(t.root, func(nd *Node) bool {
+		if w := nd.Summary().Worlds; w.IsInt64() && w.Int64() == 1 {
+			return false
+		}
 		if nd.kind == KindProb && len(nd.kids) > 1 {
 			n++
 		}

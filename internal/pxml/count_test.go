@@ -131,3 +131,61 @@ func TestRandomTreesValidateAndCount(t *testing.T) {
 		}
 	}
 }
+
+// TestSummaryCountsMatchWalks pins the counts that come from the cached
+// subtree summaries (NodeCount, the tag set's stats) and the pruned ChoicePoints walk
+// against plain walks of the same definitions, on random documents in
+// which one subtree is shared by two alternatives.
+func TestSummaryCountsMatchWalks(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	cfg := pxmltest.DefaultGenConfig()
+	for i := 0; i < 60; i++ {
+		shared := pxmltest.RandomTree(rng, cfg).RootElements()[0]
+		other := pxmltest.RandomTree(rng, cfg).RootElements()[0]
+		tr := pxml.CertainTree(pxml.NewElem("root", "", pxml.NewProb(
+			pxml.NewPoss(0.5, shared, other),
+			pxml.NewPoss(0.5, shared, shared),
+		)))
+
+		var nodes int64
+		count := map[string]int64{}
+		maxWorlds := map[string]*big.Int{}
+		pxml.Walk(tr.Root(), func(n *pxml.Node) bool {
+			nodes++
+			if n.Kind() == pxml.KindElem {
+				count[n.Tag()]++
+				if w := n.Summary().Worlds; maxWorlds[n.Tag()] == nil || w.Cmp(maxWorlds[n.Tag()]) > 0 {
+					maxWorlds[n.Tag()] = w
+				}
+			}
+			return true
+		})
+		choices := 0
+		pxml.WalkUnique(tr.Root(), func(n *pxml.Node) bool {
+			if n.Kind() == pxml.KindProb && n.NumChildren() > 1 {
+				choices++
+			}
+			return true
+		})
+
+		if got := tr.NodeCount(); got != nodes {
+			t.Fatalf("tree %d: NodeCount = %d, a walk counts %d", i, got, nodes)
+		}
+		if got := tr.ChoicePoints(); got != choices {
+			t.Fatalf("tree %d: ChoicePoints = %d, an unpruned walk counts %d", i, got, choices)
+		}
+		stats := tr.Summary().Tags.Stats()
+		if len(stats) != len(count) {
+			t.Fatalf("tree %d: %d tags in the set, %d walked", i, len(stats), len(count))
+		}
+		for j, st := range stats {
+			if j > 0 && stats[j-1].Tag >= st.Tag {
+				t.Fatalf("tree %d: tag stats not sorted: %q before %q", i, stats[j-1].Tag, st.Tag)
+			}
+			if st.Count != count[st.Tag] || st.MaxWorlds.Cmp(maxWorlds[st.Tag]) != 0 {
+				t.Fatalf("tree %d: <%s> count %d max worlds %s, a walk gives %d and %s",
+					i, st.Tag, st.Count, st.MaxWorlds, count[st.Tag], maxWorlds[st.Tag])
+			}
+		}
+	}
+}

@@ -61,16 +61,16 @@ func DeepEqualElems(a, b *Node) bool {
 	if a.tag != b.tag || a.text != b.text {
 		return false
 	}
-	ac, bc := deepChildren(a), deepChildren(b)
-	if len(ac) != len(bc) {
-		return false
-	}
-	for i := range ac {
-		if !deepEqualAny(ac[i], bc[i]) {
+	ia, ib := deepIter{elem: a}, deepIter{elem: b}
+	for {
+		ca, cb := ia.next(), ib.next()
+		if ca == nil || cb == nil {
+			return ca == cb
+		}
+		if !deepEqualAny(ca, cb) {
 			return false
 		}
 	}
-	return true
 }
 
 // deepEqualAny compares two nodes that are either elements or genuine
@@ -106,19 +106,30 @@ func deepEqualAny(a, b *Node) bool {
 	}
 }
 
-// deepChildren flattens trivial choice points: for each ProbNode child with
-// a single alternative it yields the alternative's elements; genuine choice
-// points are yielded as-is.
-func deepChildren(elem *Node) []*Node {
-	var out []*Node
-	for _, p := range elem.kids {
-		if len(p.kids) == 1 {
-			out = append(out, p.kids[0].kids...)
-		} else {
-			out = append(out, p)
+// deepIter yields an element's children with trivial choice points
+// flattened: for each ProbNode child with a single alternative the
+// alternative's elements, genuine choice points as-is; nil at the end. The
+// deep-equal rule runs on every pair put to the Oracle, so the flattening
+// is a cursor, not a slice.
+type deepIter struct {
+	elem *Node
+	p, e int // next prob child; next element inside it when it is trivial
+}
+
+func (it *deepIter) next() *Node {
+	for it.p < len(it.elem.kids) {
+		prob := it.elem.kids[it.p]
+		if len(prob.kids) != 1 {
+			it.p++
+			return prob
 		}
+		if elems := prob.kids[0].kids; it.e < len(elems) {
+			it.e++
+			return elems[it.e-1]
+		}
+		it.p, it.e = it.p+1, 0
 	}
-	return out
+	return nil
 }
 
 // Hash returns a structural FNV-1a hash consistent with Equal: equal

@@ -151,3 +151,19 @@ func TestEqualQuickProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestDeepEqualElemsChildCountMismatch(t *testing.T) {
+	short := pxml.NewElem("person", "", pxml.Certain(pxml.NewLeaf("nm", "John")))
+	long := pxml.NewElem("person", "",
+		pxml.Certain(pxml.NewLeaf("nm", "John")),
+		pxml.Certain(), // an empty trivial choice point adds nothing
+		pxml.Certain(pxml.NewLeaf("tel", "1111")),
+	)
+	if pxml.DeepEqualElems(short, long) || pxml.DeepEqualElems(long, short) {
+		t.Fatalf("a prefix of the children is not deep-equal to the whole list")
+	}
+	padded := pxml.NewElem("person", "", pxml.Certain(), pxml.Certain(pxml.NewLeaf("nm", "John")), pxml.Certain())
+	if !pxml.DeepEqualElems(short, padded) {
+		t.Fatalf("empty trivial choice points should not affect deep equality")
+	}
+}

@@ -5,24 +5,45 @@ import (
 	"sort"
 )
 
-// TagSet is an immutable set of element tags. The zero value is the empty
-// set. Sets are shared freely between node summaries, so they must never
-// be mutated after construction.
+// TagSet is the immutable set of element tags occurring in a subtree, with
+// what the subtree holds of each. The zero value is the empty set. Sets
+// share their storage freely between node summaries, so they must never be
+// mutated after construction.
 type TagSet struct {
-	m map[string]struct{}
+	stats []TagStat // sorted by Tag
+}
+
+// TagStat aggregates the elements of one tag at or below a node. Both
+// fields compose over children (a sum and a maximum), which is what lets a
+// document built around carried-over subtrees take them from those
+// subtrees' cached summaries without walking them again.
+type TagStat struct {
+	Tag string
+	// Count is the number of occurrences of the tag: one per path from the
+	// summarized node down to an element carrying it. Like Summary.Nodes it
+	// is a logical count — an element shared by k alternatives counts k
+	// times — not a count of distinct nodes.
+	Count int64
+	// MaxWorlds is the largest possible-world count of the subtree of any
+	// element with the tag. Read-only.
+	MaxWorlds *big.Int
+}
+
+// find returns the position of tag in the sorted stats, or where it would
+// be inserted.
+func (s TagSet) find(tag string) (int, bool) {
+	i := sort.Search(len(s.stats), func(i int) bool { return s.stats[i].Tag >= tag })
+	return i, i < len(s.stats) && s.stats[i].Tag == tag
 }
 
 // Has reports whether tag is in the set.
-func (s *TagSet) Has(tag string) bool {
-	if s == nil {
-		return false
-	}
-	_, ok := s.m[tag]
+func (s TagSet) Has(tag string) bool {
+	_, ok := s.find(tag)
 	return ok
 }
 
 // HasAll reports whether every tag of the given set-as-map is present.
-func (s *TagSet) HasAll(tags map[string]bool) bool {
+func (s TagSet) HasAll(tags map[string]bool) bool {
 	for t := range tags {
 		if !s.Has(t) {
 			return false
@@ -32,28 +53,29 @@ func (s *TagSet) HasAll(tags map[string]bool) bool {
 }
 
 // Len returns the number of tags in the set.
-func (s *TagSet) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.m)
-}
+func (s TagSet) Len() int { return len(s.stats) }
 
 // Tags returns the tags in sorted order.
-func (s *TagSet) Tags() []string {
-	if s == nil {
-		return nil
+func (s TagSet) Tags() []string {
+	out := make([]string, len(s.stats))
+	for i, st := range s.stats {
+		out[i] = st.Tag
 	}
-	out := make([]string, 0, len(s.m))
-	for t := range s.m {
-		out = append(out, t)
-	}
-	sort.Strings(out)
 	return out
 }
 
-// emptyTagSet is shared by all summaries of tag-free subtrees.
-var emptyTagSet = &TagSet{}
+// Stats returns the per-tag aggregates, sorted by tag. Read-only.
+func (s TagSet) Stats() []TagStat { return s.stats }
+
+// Stat returns the aggregates of one tag; ok is false when it is not in the
+// set.
+func (s TagSet) Stat(tag string) (TagStat, bool) {
+	i, ok := s.find(tag)
+	if !ok {
+		return TagStat{}, false
+	}
+	return s.stats[i], true
+}
 
 // Summary is the cached static summary of one subtree: everything the
 // query planner needs to reason about the subtree without walking it.
@@ -67,14 +89,19 @@ type Summary struct {
 	// Worlds is the number of possible worlds of the subtree. Read-only.
 	Worlds *big.Int
 	// Tags is the set of element tags occurring at or below this node
-	// (including the node's own tag for elements). Read-only.
-	Tags *TagSet
+	// (including the node's own tag for elements), with each tag's
+	// occurrence count and world bound. Read-only.
+	Tags TagSet
 	// TextBloom is a 64-bit Bloom fingerprint of the element texts at or
 	// below this node (TextBloomBits per text, OR-combined). A query
 	// engine may conclude that a text t does NOT occur in the subtree
 	// when TextBloom misses any bit of TextBloomBits(t); the converse
 	// (bits present) proves nothing.
 	TextBloom uint64
+	// Nodes is the logical node count of the subtree, this node included:
+	// a subtree shared by several parents counts once per occurrence (the
+	// paper's #nodes measure, see Tree.NodeCount).
+	Nodes int64
 }
 
 // TextBloomBits returns the Bloom mask of one text value: two bits
@@ -114,16 +141,47 @@ func computeSummary(n *Node) *Summary {
 	s := &Summary{
 		Digest: combineHash(n, func(k *Node) uint64 { return k.Summary().Digest }),
 		Worlds: summaryWorlds(n, kidSums),
-		Tags:   summaryTags(n, kidSums),
+		Nodes:  1,
 	}
+	s.Tags = summaryTags(n, kidSums, s.Worlds)
 	if n.text != "" {
 		s.TextBloom = TextBloomBits(n.text)
 	}
 	for _, k := range kidSums {
 		s.TextBloom |= k.TextBloom
+		s.Nodes += k.Nodes
 	}
 	n.summary.Store(s)
 	return s
+}
+
+// summaryTags merges the children's tag sets and, for an element, its own
+// occurrence (whose subtree spans worlds worlds). A wrapper node shares its
+// only child's set, so long chains of them hold a single one.
+func summaryTags(n *Node, kids []*Summary, worlds *big.Int) TagSet {
+	if n.kind != KindElem && len(kids) == 1 {
+		return kids[0].Tags
+	}
+	var out TagSet
+	if n.kind == KindElem {
+		out.stats = append(out.stats, TagStat{Tag: n.tag, Count: 1, MaxWorlds: worlds})
+	}
+	for _, k := range kids {
+		for _, st := range k.Tags.stats {
+			i, ok := out.find(st.Tag)
+			if !ok {
+				out.stats = append(out.stats, TagStat{})
+				copy(out.stats[i+1:], out.stats[i:])
+				out.stats[i] = st
+				continue
+			}
+			out.stats[i].Count += st.Count
+			if st.MaxWorlds.Cmp(out.stats[i].MaxWorlds) > 0 {
+				out.stats[i].MaxWorlds = st.MaxWorlds
+			}
+		}
+	}
+	return out
 }
 
 // summaryWorlds computes the world count from child summaries, sharing
@@ -154,41 +212,6 @@ func summaryWorlds(n *Node, kids []*Summary) *big.Int {
 		}
 		return c
 	}
-}
-
-// summaryTags unions the children's tag sets plus the node's own tag,
-// reusing a child's set whenever the union adds nothing — long chains of
-// wrapper nodes then share a single set.
-func summaryTags(n *Node, kids []*Summary) *TagSet {
-	own := ""
-	if n.kind == KindElem {
-		own = n.tag
-	}
-	var base *TagSet
-	allSame := true
-	for _, k := range kids {
-		if base == nil {
-			base = k.Tags
-		} else if k.Tags != base {
-			allSame = false
-		}
-	}
-	if base != nil && allSame && (own == "" || base.Has(own)) {
-		return base
-	}
-	if base == nil && own == "" {
-		return emptyTagSet
-	}
-	m := make(map[string]struct{})
-	if own != "" {
-		m[own] = struct{}{}
-	}
-	for _, k := range kids {
-		for t := range k.Tags.m {
-			m[t] = struct{}{}
-		}
-	}
-	return &TagSet{m: m}
 }
 
 // Summary returns the cached static summary of the document root.

@@ -55,15 +55,25 @@ func ElementChildren(elem *Node) []*Node {
 }
 
 // CertainChild returns the unique certainly-existing child element with the
-// given tag, or nil if there is none or it is uncertain.
+// given tag, or nil if there is none or it is uncertain. It runs once per
+// rule per element pair on the integration hot path, so it scans the
+// children in place instead of materialising ElementChildren.
 func CertainChild(elem *Node, tag string) *Node {
+	if elem.kind != KindElem {
+		return nil
+	}
 	var found *Node
-	for _, c := range ElementChildren(elem) {
-		if c.tag == tag {
-			if found != nil {
-				return nil
+	for _, p := range elem.kids {
+		if len(p.kids) != 1 {
+			continue
+		}
+		for _, c := range p.kids[0].kids {
+			if c.tag == tag {
+				if found != nil {
+					return nil
+				}
+				found = c
 			}
-			found = c
 		}
 	}
 	return found

@@ -126,3 +126,50 @@ func RandomCertainElem(rng *rand.Rand, depth, fanout int) *pxml.Node {
 	}
 	return pxml.NewElem(tag, "", kids...)
 }
+
+// The movie vocabulary of RandomCatalog: small pools, so that records of
+// different catalogs collide. The titles hold near-duplicates on both
+// sides of the Oracle's title threshold.
+var (
+	catalogTitles    = []string{"Jaws", "Jawz", "Jaws 2", "Alien", "Aliens", "Alien 3", "Heat", "Solaris", "The Thing", "Thing, The"}
+	catalogYears     = []string{"1975", "1978", "1979", "1995"}
+	catalogGenres    = []string{"Horror", "Thriller", "Drama"}
+	catalogDirectors = []string{"Steven Spielberg", "Spielberg, Steven", "Ridley Scott", "Michael Mann"}
+)
+
+// RandomCatalog generates a small movie catalog (<catalog><movie>…) shaped
+// like a decoded source: deep-interned as xmlcodec.Decode leaves it, so
+// equal leaves — and the record that now and then occurs twice — are one
+// shared node. The year, the key field of the Oracle's year rule, is in
+// turn present, absent, duplicated (two certain <year> children) or under a
+// choice point; in the last three cases the movie has no certain year.
+// Folding a few catalogs with the integrator gives documents whose movies
+// sit under choice points of their own. The same rng seed yields the same
+// catalog.
+func RandomCatalog(rng *rand.Rand, movies int) *pxml.Tree {
+	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
+	year := func() *pxml.Node { return pxml.NewLeaf("year", pick(catalogYears)) }
+	kids := make([]*pxml.Node, 0, movies)
+	for len(kids) < movies {
+		if len(kids) > 0 && rng.Intn(8) == 0 {
+			kids = append(kids, kids[rng.Intn(len(kids))])
+			continue
+		}
+		fields := []*pxml.Node{pxml.Certain(pxml.NewLeaf("title", pick(catalogTitles)))}
+		switch rng.Intn(6) {
+		case 0: // absent
+		case 1: // duplicated
+			fields = append(fields, pxml.Certain(year()), pxml.Certain(year()))
+		case 2: // under a choice point
+			fields = append(fields, pxml.NewProb(pxml.NewPoss(0.5, year()), pxml.NewPoss(0.5, year())))
+		default:
+			fields = append(fields, pxml.Certain(year()))
+		}
+		for g := rng.Intn(3); g > 0; g-- {
+			fields = append(fields, pxml.Certain(pxml.NewLeaf("genre", pick(catalogGenres))))
+		}
+		fields = append(fields, pxml.Certain(pxml.NewLeaf("director", pick(catalogDirectors))))
+		kids = append(kids, pxml.Certain(pxml.NewElem("movie", "", fields...)))
+	}
+	return pxml.InternTree(pxml.CertainTree(pxml.NewElem("catalog", "", kids...)))
+}

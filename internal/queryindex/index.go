@@ -1,9 +1,13 @@
-// Package queryindex builds immutable per-tree indexes for the query
-// planner. An Index is computed once when a document is installed in the
-// database (alongside the copy-on-write tree swap) and then consulted on
-// every query, so all the per-tree aggregation — which tags exist, how
-// many worlds the largest subtree of each tag spans, how much probability
-// mass each tag carries — happens off the per-query hot path.
+// Package queryindex holds the per-tree index the query planner consults:
+// which tags exist, how many worlds the largest subtree of each tag spans,
+// how many element occurrences each tag has. An Index is taken when a
+// document is installed in the database (alongside the copy-on-write tree
+// swap) and then read on every query.
+//
+// Everything in it is a union, a maximum or a sum over subtrees, so it is
+// read off the document root's cached pxml.Summary: Build walks only the
+// nodes that have no summary yet, and the subtrees an integration carried
+// over verbatim contribute theirs untouched.
 //
 // Indexes are immutable after Build and safe for concurrent use. They are
 // tied to a document by its structural digest: a planner handed an index
@@ -12,201 +16,53 @@ package queryindex
 
 import (
 	"math/big"
-	"sort"
 	"time"
 
 	"repro/internal/pxml"
 )
 
-// MaxPathSignatures caps the number of distinct root-to-element tag paths
-// an index records; documents with more mark the path table truncated.
-const MaxPathSignatures = 4096
-
 // TagInfo aggregates everything the index knows about one element tag.
 type TagInfo struct {
-	// Occurrences is the number of distinct element nodes carrying the
-	// tag (physical count — shared subtrees counted once).
+	// Occurrences is the number of occurrences of the tag, one per path
+	// from the root to an element carrying it: an element shared by k
+	// alternatives of a choice point counts k times (a logical count, as
+	// Tree.NodeCount is — not the number of distinct nodes, which does
+	// not compose over shared subtrees and would need a walk of the whole
+	// document per build). It feeds only the planner's pruned-fraction
+	// hint and /stats.
 	Occurrences int
-	// MinDepth is the element depth of the shallowest occurrence; root
-	// elements have depth 1.
-	MinDepth int
 	// MaxSubtreeWorlds is the largest possible-world count of any
 	// occurrence's subtree — the planner's upper bound on the local
 	// enumeration cost of anchoring a query at this tag. Read-only.
 	MaxSubtreeWorlds *big.Int
-	// ExpectedOccurrences is the expected number of logical occurrences
-	// of the tag over all possible worlds — the tag's probability mass.
-	ExpectedOccurrences float64
 }
 
 // Index is an immutable per-tree query index.
 type Index struct {
-	digest         uint64
-	worlds         *big.Int
-	tags           map[string]TagInfo
-	paths          map[string]int
-	pathsTruncated bool
-	elements       int
-	maxElemWorlds  *big.Int
-	buildTime      time.Duration
+	digest        uint64
+	worlds        *big.Int
+	tags          pxml.TagSet
+	elements      int
+	maxElemWorlds *big.Int
+	buildTime     time.Duration
 }
 
 // Build constructs the index for a document. Cost is proportional to the
-// physical size of the document (plus the capped path enumeration), and
-// it warms the document's node summaries as a side effect, so queries
-// arriving after the swap find every per-node summary already cached.
+// nodes of the document that carry no cached summary yet, and it leaves
+// every node summarized, so queries arriving after the swap find every
+// per-node summary already cached.
 func Build(t *pxml.Tree) *Index {
 	start := time.Now()
-	root := t.Root()
-	sum := root.Summary()
-	ix := &Index{
-		digest:        sum.Digest,
-		worlds:        new(big.Int).Set(sum.Worlds),
-		tags:          make(map[string]TagInfo),
-		paths:         make(map[string]int),
-		maxElemWorlds: big.NewInt(1),
-	}
-
-	// One pass over distinct nodes: occurrences, world bounds, min depth.
-	// Shared nodes can be reachable at several element depths (the BFS
-	// order counts prob/poss wrappers, element depth does not), so a
-	// node is re-expanded whenever it is reached at a strictly smaller
-	// element depth — a shortest-path relaxation; counters are bumped on
-	// the first visit only.
-	type item struct {
-		n     *pxml.Node
-		depth int // element depth: number of enclosing elements incl. self
-	}
-	best := make(map[*pxml.Node]int) // minimal element depth seen so far
-	queue := []item{{n: root, depth: 0}}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		prev, visited := best[it.n]
-		if visited && prev <= it.depth {
-			continue
-		}
-		best[it.n] = it.depth
-		depth := it.depth
-		if it.n.Kind() == pxml.KindElem {
-			depth++
-			info, ok := ix.tags[it.n.Tag()]
-			w := it.n.Summary().Worlds
-			if !ok {
-				info = TagInfo{MinDepth: depth, MaxSubtreeWorlds: w}
-			}
-			if depth < info.MinDepth {
-				info.MinDepth = depth
-			}
-			if !visited {
-				ix.elements++
-				info.Occurrences++
-				if w.Cmp(info.MaxSubtreeWorlds) > 0 {
-					info.MaxSubtreeWorlds = w
-				}
-				if w.Cmp(ix.maxElemWorlds) > 0 {
-					ix.maxElemWorlds = w
-				}
-			}
-			ix.tags[it.n.Tag()] = info
-		}
-		for _, k := range it.n.Children() {
-			if b, ok := best[k]; !ok || depth < b {
-				queue = append(queue, item{n: k, depth: depth})
-			}
+	sum := t.Summary()
+	ix := &Index{digest: sum.Digest, worlds: sum.Worlds, tags: sum.Tags, maxElemWorlds: big.NewInt(1)}
+	for _, st := range sum.Tags.Stats() {
+		ix.elements += int(st.Count)
+		if st.MaxWorlds.Cmp(ix.maxElemWorlds) > 0 {
+			ix.maxElemWorlds = st.MaxWorlds
 		}
 	}
-	// MaxSubtreeWorlds entries alias node summaries; copy so the index
-	// owns its numbers outright.
-	for tag, info := range ix.tags {
-		info.MaxSubtreeWorlds = new(big.Int).Set(info.MaxSubtreeWorlds)
-		ix.tags[tag] = info
-	}
-
-	// Probability mass: expected logical occurrences per tag, computed
-	// bottom-up with per-node memoization (exact under the tree-factorized
-	// distribution).
-	for tag, exp := range expectedCounts(root) {
-		info := ix.tags[tag]
-		info.ExpectedOccurrences = exp
-		ix.tags[tag] = info
-	}
-
-	// Path signatures: distinct (element, root-path) combinations, capped.
-	ix.collectPaths(root, "")
-
 	ix.buildTime = time.Since(start)
 	return ix
-}
-
-// expectedCounts returns, per tag, the expected number of logical element
-// occurrences below n (given n exists), by linearity of expectation:
-// alternatives contribute probability-weighted sums, independent siblings
-// add.
-func expectedCounts(root *pxml.Node) map[string]float64 {
-	memo := make(map[*pxml.Node]map[string]float64)
-	var rec func(n *pxml.Node) map[string]float64
-	rec = func(n *pxml.Node) map[string]float64 {
-		if m, ok := memo[n]; ok {
-			return m
-		}
-		m := make(map[string]float64)
-		switch n.Kind() {
-		case pxml.KindProb:
-			for _, poss := range n.Children() {
-				w := poss.Prob()
-				for tag, c := range rec(poss) {
-					m[tag] += w * c
-				}
-			}
-		default: // poss or elem: children independent, counts add
-			if n.Kind() == pxml.KindElem {
-				m[n.Tag()] = 1
-			}
-			for _, k := range n.Children() {
-				for tag, c := range rec(k) {
-					m[tag] += c
-				}
-			}
-		}
-		memo[n] = m
-		return m
-	}
-	return rec(root)
-}
-
-type pathKey struct {
-	n    *pxml.Node
-	path string
-}
-
-// collectPaths records the distinct root-to-element tag paths, visiting
-// each (node, incoming path) pair once and stopping at the signature cap.
-func (ix *Index) collectPaths(root *pxml.Node, base string) {
-	seen := make(map[pathKey]bool)
-	var rec func(n *pxml.Node, path string)
-	rec = func(n *pxml.Node, path string) {
-		if ix.pathsTruncated {
-			return
-		}
-		key := pathKey{n: n, path: path}
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		if n.Kind() == pxml.KindElem {
-			path = path + "/" + n.Tag()
-			if _, ok := ix.paths[path]; !ok && len(ix.paths) >= MaxPathSignatures {
-				ix.pathsTruncated = true
-				return
-			}
-			ix.paths[path]++
-		}
-		for _, k := range n.Children() {
-			rec(k, path)
-		}
-	}
-	rec(root, base)
 }
 
 // Digest returns the structural digest of the indexed document.
@@ -216,54 +72,28 @@ func (ix *Index) Digest() uint64 { return ix.digest }
 func (ix *Index) Worlds() *big.Int { return new(big.Int).Set(ix.worlds) }
 
 // HasTag reports whether any element with the tag occurs in the document.
-func (ix *Index) HasTag(tag string) bool {
-	_, ok := ix.tags[tag]
-	return ok
-}
+func (ix *Index) HasTag(tag string) bool { return ix.tags.Has(tag) }
 
 // Tag returns the aggregate information for a tag. The TagInfo's
 // MaxSubtreeWorlds must be treated as read-only.
 func (ix *Index) Tag(tag string) (TagInfo, bool) {
-	info, ok := ix.tags[tag]
-	return info, ok
+	st, ok := ix.tags.Stat(tag)
+	return TagInfo{Occurrences: int(st.Count), MaxSubtreeWorlds: st.MaxWorlds}, ok
 }
 
 // Tags returns all indexed tags in sorted order.
-func (ix *Index) Tags() []string {
-	out := make([]string, 0, len(ix.tags))
-	for t := range ix.tags {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
+func (ix *Index) Tags() []string { return ix.tags.Tags() }
 
 // NumTags returns the number of distinct element tags.
-func (ix *Index) NumTags() int { return len(ix.tags) }
+func (ix *Index) NumTags() int { return ix.tags.Len() }
 
-// Elements returns the number of distinct element nodes.
+// Elements returns the number of element occurrences in the document: the
+// sum of every tag's Occurrences, a logical count like them.
 func (ix *Index) Elements() int { return ix.elements }
 
 // MaxElementWorlds returns the largest subtree world count over all
 // elements — the planner's anchor bound for wildcard steps. Read-only.
 func (ix *Index) MaxElementWorlds() *big.Int { return ix.maxElemWorlds }
-
-// Paths returns the recorded root-to-element tag paths in sorted order.
-func (ix *Index) Paths() []string {
-	out := make([]string, 0, len(ix.paths))
-	for p := range ix.paths {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PathCount returns the number of distinct (element, path) occurrences
-// recorded for one path signature.
-func (ix *Index) PathCount(path string) int { return ix.paths[path] }
-
-// PathsTruncated reports whether the path table hit MaxPathSignatures.
-func (ix *Index) PathsTruncated() bool { return ix.pathsTruncated }
 
 // BuildDuration returns how long Build took.
 func (ix *Index) BuildDuration() time.Duration { return ix.buildTime }

@@ -518,7 +518,10 @@ type BatchIntegrateRequest struct {
 	Sources []string `json:"sources"`
 }
 
-// SourceStats reports the integration counters of one batch source.
+// SourceStats reports the integration counters of one source. The four
+// pair counters count pairs put to the Oracle: a pair the rules' blocking
+// keys rule out (two movies with different certain years) is never asked
+// and is in none of them (see integrate.Stats).
 type SourceStats struct {
 	OracleCalls         int `json:"oracle_calls"`
 	MustPairs           int `json:"must_pairs"`
@@ -781,7 +784,9 @@ type CacheCounters struct {
 	Capacity int   `json:"capacity"`
 }
 
-// IndexStats reports query-index construction work.
+// IndexStats reports query-index construction work. Elements counts
+// element occurrences per path — an element shared by k alternatives of a
+// choice point counts k times — not distinct nodes.
 type IndexStats struct {
 	Builds          int64   `json:"builds"`
 	LastBuildMicros float64 `json:"last_build_us"`

@@ -5,6 +5,7 @@
 package strsim
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -17,9 +18,9 @@ func Normalize(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
 	space := true
-	for _, r := range strings.ToLower(s) {
+	for _, r := range s {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(r)
+			b.WriteRune(unicode.ToLower(r))
 			space = false
 			continue
 		}
@@ -33,7 +34,11 @@ func Normalize(s string) string {
 
 // Tokens splits a string into normalized word tokens.
 func Tokens(s string) []string {
-	n := Normalize(s)
+	return splitNormalized(Normalize(s))
+}
+
+// splitNormalized splits an already normalized string into its tokens.
+func splitNormalized(n string) []string {
 	if n == "" {
 		return nil
 	}
@@ -43,54 +48,51 @@ func Tokens(s string) []string {
 // Levenshtein returns the edit distance (insert/delete/substitute, unit
 // cost) between two strings, computed over runes.
 func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
+	return levenshteinRunes([]rune(a), []rune(b))
+}
+
+func levenshteinRunes(ra, rb []rune) int {
 	if len(ra) == 0 {
 		return len(rb)
 	}
 	if len(rb) == 0 {
 		return len(ra)
 	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
+	// One row of the table, updated in place: row[j] is the distance of
+	// ra[:i] to rb[:j]; up and diag are the values row[j] and row[j-1] held
+	// for ra[:i-1], left is the new row[j-1].
+	var buf [64]int
+	row := buf[:]
+	if len(rb) >= len(buf) {
+		row = make([]int, len(rb)+1)
 	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
+	row = row[:len(rb)+1]
+	for j := range row {
+		row[j] = j
+	}
+	for i, ca := range ra {
+		diag, left := row[0], i+1
+		row[0] = left
+		for j, cb := range rb {
+			up := row[j+1]
+			if ca != cb {
+				diag++
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			left = min(up+1, left+1, diag)
+			diag, row[j+1] = up, left
 		}
-		prev, cur = cur, prev
 	}
-	return prev[len(rb)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
+	return row[len(rb)]
 }
 
 // LevenshteinSim maps edit distance to a similarity in [0,1]:
 // 1 − dist/max(len). Equal strings score 1; disjoint strings approach 0.
 func LevenshteinSim(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
+	ra, rb := []rune(a), []rune(b)
+	if len(ra) == 0 && len(rb) == 0 {
 		return 1
 	}
-	max := la
-	if lb > max {
-		max = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(max)
+	return 1 - float64(levenshteinRunes(ra, rb))/float64(max(len(ra), len(rb)))
 }
 
 // Jaro returns the Jaro similarity in [0,1].
@@ -170,25 +172,29 @@ func JaroWinkler(a, b string) float64 {
 // TokenJaccard returns the Jaccard similarity of the normalized token sets
 // of the two strings.
 func TokenJaccard(a, b string) float64 {
-	ta, tb := Tokens(a), Tokens(b)
+	return jaccard(Tokens(a), Tokens(b))
+}
+
+// jaccard is the Jaccard similarity of two token lists read as sets. Titles
+// and names have a handful of tokens, so membership is a scan of the list,
+// not a map built per pair.
+func jaccard(ta, tb []string) float64 {
 	if len(ta) == 0 && len(tb) == 0 {
 		return 1
 	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	set := make(map[string]uint8, len(ta)+len(tb))
-	for _, t := range ta {
-		set[t] |= 1
-	}
-	for _, t := range tb {
-		set[t] |= 2
-	}
 	inter, union := 0, 0
-	for _, m := range set {
+	for i, t := range ta {
+		if slices.Contains(ta[:i], t) {
+			continue
+		}
 		union++
-		if m == 3 {
+		if slices.Contains(tb, t) {
 			inter++
+		}
+	}
+	for i, t := range tb {
+		if !slices.Contains(tb[:i], t) && !slices.Contains(ta, t) {
+			union++
 		}
 	}
 	return float64(inter) / float64(union)
@@ -197,18 +203,14 @@ func TokenJaccard(a, b string) float64 {
 // TitleSim is the combined title similarity used by the Oracle's title
 // rule: the maximum of normalized-string edit similarity and token Jaccard,
 // so both misspellings ("Jaws" / "Jawz") and word-order variations
-// ("Mission Impossible" / "Impossible Mission") score high.
+// ("Mission Impossible" / "Impossible Mission") score high. Each side is
+// normalized once; both measures read the normalized form.
 func TitleSim(a, b string) float64 {
 	na, nb := Normalize(a), Normalize(b)
 	if na == nb {
 		return 1
 	}
-	lev := LevenshteinSim(na, nb)
-	jac := TokenJaccard(a, b)
-	if jac > lev {
-		return jac
-	}
-	return lev
+	return max(LevenshteinSim(na, nb), jaccard(splitNormalized(na), splitNormalized(nb)))
 }
 
 // NameKey canonicalizes a person name so that convention variants collide:

@@ -2,6 +2,7 @@ package strsim_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,8 @@ func TestLevenshtein(t *testing.T) {
 		{"jaws", "jawz", 1},
 		{"flaw", "lawn", 2},
 		{"über", "uber", 1}, // rune-based, not byte-based
+		// Longer than the stack-allocated table row: 70 deletions, one substitution.
+		{strings.Repeat("ab", 70) + "x", strings.Repeat("ab", 35) + "y", 71},
 	}
 	for _, tc := range cases {
 		if got := strsim.Levenshtein(tc.a, tc.b); got != tc.want {
@@ -170,6 +173,29 @@ func TestTitleSim(t *testing.T) {
 	}
 	if strsim.TitleSim("Jaws", "Jaws") != 1 {
 		t.Fatalf("identical titles != 1")
+	}
+}
+
+// TestTitleSimMatchesItsDefinition: TitleSim normalizes each side once and
+// shares the result between its two measures; the value must be exactly
+// what the public measures give when each normalizes for itself, on strings
+// with mixed case, punctuation, repeated tokens, non-ASCII letters and
+// titles longer than the edit distance's stack row.
+func TestTitleSimMatchesItsDefinition(t *testing.T) {
+	titles := []string{"", "---", "Jaws", "JAWS!", "Jawz", "Jaws 2", "The Thing", "Thing, The", "the the thing",
+		"L'été indien", "L'ETE INDIEN", "Ǆungla", "Mission: Impossible", "Impossible Mission II",
+		"A Very Long Engagement of Many Words That Outgrows Sixty-Four Runes by a Comfortable Margin",
+		"A Very Long Engagement of Many Words That Outgrows Sixty Four Runes by an Uncomfortable Margin"}
+	for _, a := range titles {
+		for _, b := range titles {
+			want := 1.0
+			if na, nb := strsim.Normalize(a), strsim.Normalize(b); na != nb {
+				want = max(strsim.LevenshteinSim(na, nb), strsim.TokenJaccard(a, b))
+			}
+			if got := strsim.TitleSim(a, b); got != want {
+				t.Errorf("TitleSim(%q, %q) = %v, its definition gives %v", a, b, got, want)
+			}
+		}
 	}
 }
 
