@@ -307,7 +307,8 @@ func EvalQueryIndexedCtx(ctx context.Context, t *Tree, q *Query, opts QueryOptio
 var ErrQueryBudgetExhausted = query.ErrBudgetExhausted
 
 // QueryExecStats reports how one evaluation ran: resolved worker count,
-// pool scheduling, and the budget meter reading.
+// pool scheduling, the budget meter reading, and the anchor subtrees the
+// exact executor enumerated or skipped.
 type QueryExecStats = query.ExecStats
 
 // ExpectedCount returns the expected number of result nodes of the query

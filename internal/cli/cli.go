@@ -440,7 +440,7 @@ func runServe(args []string, w io.Writer) error {
 	cacheSize := fs.Int("query-cache", 0, "compiled-query LRU cache capacity (0 = default)")
 	resultCacheSize := fs.Int("result-cache", 0, "evaluated-result LRU cache capacity (0 = default)")
 	workers := fs.Int("workers", 0, "integration worker goroutines (0 = all CPUs, 1 = sequential)")
-	queryWorkers := fs.Int("query-workers", 0, "per-query evaluation worker goroutines (0 = all CPUs, 1 = sequential; override per request with ?workers=)")
+	queryWorkers := fs.Int("query-workers", 1, "per-query evaluation worker goroutines (1 = sequential, 0 = all CPUs; override per request with ?workers=)")
 	queryBudget := fs.Duration("query-budget", 0, "per-query wall-clock budget (0 = unlimited; exhausted queries return 408 with budget_exhausted)")
 	ingestQueue := fs.Int("ingest-queue", 0, "async ingest queue depth per database (0 disables POST /integrate?async=1)")
 	memoEntries := fs.Int("memo-entries", 0, "cross-call integration memo entry cap (0 = default, negative disables the memo)")

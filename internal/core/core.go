@@ -155,6 +155,8 @@ type Database struct {
 	queryBudgetAborts atomic.Int64
 	queryPooledTasks  atomic.Int64
 	queryInlineTasks  atomic.Int64
+	queryAnchorsEnum  atomic.Int64
+	queryAnchorsSkip  atomic.Int64
 }
 
 // Open creates a database over an initial document.
@@ -484,6 +486,8 @@ func (db *Database) evalCached(ctx context.Context, q *query.Query, opts query.O
 	if outcome == query.DoExecuted {
 		db.queryPooledTasks.Add(res.Exec.PooledTasks)
 		db.queryInlineTasks.Add(res.Exec.InlineTasks)
+		db.queryAnchorsEnum.Add(res.Exec.AnchorsEnumerated)
+		db.queryAnchorsSkip.Add(res.Exec.AnchorsSkipped)
 	}
 	if outcome != query.DoExecuted && res.Plan != nil {
 		// Flag results served without running an evaluation (a cache hit
@@ -500,8 +504,9 @@ func (db *Database) evalCached(ctx context.Context, q *query.Query, opts query.O
 // evaluations are in flight right now, how many ever started, how many
 // aborted early (client cancellation vs. budget exhaustion), and how the
 // parallel executors' fan-out units were scheduled (pool goroutine vs.
-// inline on a saturated pool). Singleflight collapses live in
-// ResultCacheStats.
+// inline on a saturated pool), and how many anchor subtrees the exact
+// executor enumerated or skipped (query.ExecStats). Singleflight collapses
+// live in ResultCacheStats.
 type QueryRuntimeStats struct {
 	Active       int64 `json:"active"`
 	Started      int64 `json:"started"`
@@ -509,17 +514,23 @@ type QueryRuntimeStats struct {
 	BudgetAborts int64 `json:"budget_aborts"`
 	PooledTasks  int64 `json:"pooled_tasks"`
 	InlineTasks  int64 `json:"inline_tasks"`
+	// AnchorsEnumerated/AnchorsSkipped sum the executed evaluations'
+	// query.ExecStats counters of the same names.
+	AnchorsEnumerated int64 `json:"anchors_enumerated"`
+	AnchorsSkipped    int64 `json:"anchors_skipped"`
 }
 
 // QueryStats returns a snapshot of the query concurrency counters.
 func (db *Database) QueryStats() QueryRuntimeStats {
 	return QueryRuntimeStats{
-		Active:       db.queryActive.Load(),
-		Started:      db.queryStarted.Load(),
-		Canceled:     db.queryCanceled.Load(),
-		BudgetAborts: db.queryBudgetAborts.Load(),
-		PooledTasks:  db.queryPooledTasks.Load(),
-		InlineTasks:  db.queryInlineTasks.Load(),
+		Active:            db.queryActive.Load(),
+		Started:           db.queryStarted.Load(),
+		Canceled:          db.queryCanceled.Load(),
+		BudgetAborts:      db.queryBudgetAborts.Load(),
+		PooledTasks:       db.queryPooledTasks.Load(),
+		InlineTasks:       db.queryInlineTasks.Load(),
+		AnchorsEnumerated: db.queryAnchorsEnum.Load(),
+		AnchorsSkipped:    db.queryAnchorsSkip.Load(),
 	}
 }
 

@@ -135,7 +135,8 @@ func TestRandomTreesValidateAndCount(t *testing.T) {
 // TestSummaryCountsMatchWalks pins the counts that come from the cached
 // subtree summaries (NodeCount, the tag set's stats) and the pruned ChoicePoints walk
 // against plain walks of the same definitions, on random documents in
-// which one subtree is shared by two alternatives.
+// which one subtree is shared by two alternatives; and that no node's text
+// fingerprint misses a text beneath it.
 func TestSummaryCountsMatchWalks(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	cfg := pxmltest.DefaultGenConfig()
@@ -148,12 +149,15 @@ func TestSummaryCountsMatchWalks(t *testing.T) {
 		)))
 
 		var nodes int64
-		count := map[string]int64{}
+		count, inner := map[string]int64{}, map[string]int64{}
 		maxWorlds := map[string]*big.Int{}
 		pxml.Walk(tr.Root(), func(n *pxml.Node) bool {
 			nodes++
 			if n.Kind() == pxml.KindElem {
 				count[n.Tag()]++
+				if !n.IsLeaf() {
+					inner[n.Tag()]++
+				}
 				if w := n.Summary().Worlds; maxWorlds[n.Tag()] == nil || w.Cmp(maxWorlds[n.Tag()]) > 0 {
 					maxWorlds[n.Tag()] = w
 				}
@@ -182,10 +186,13 @@ func TestSummaryCountsMatchWalks(t *testing.T) {
 			if j > 0 && stats[j-1].Tag >= st.Tag {
 				t.Fatalf("tree %d: tag stats not sorted: %q before %q", i, stats[j-1].Tag, st.Tag)
 			}
-			if st.Count != count[st.Tag] || st.MaxWorlds.Cmp(maxWorlds[st.Tag]) != 0 {
-				t.Fatalf("tree %d: <%s> count %d max worlds %s, a walk gives %d and %s",
-					i, st.Tag, st.Count, st.MaxWorlds, count[st.Tag], maxWorlds[st.Tag])
+			if st.Count != count[st.Tag] || st.Inner != inner[st.Tag] || st.MaxWorlds.Cmp(maxWorlds[st.Tag]) != 0 {
+				t.Fatalf("tree %d: <%s> count %d (%d with children) max worlds %s, a walk gives %d (%d) and %s",
+					i, st.Tag, st.Count, st.Inner, st.MaxWorlds, count[st.Tag], inner[st.Tag], maxWorlds[st.Tag])
 			}
+		}
+		if s := pxmltest.UncoveredText(tr.Root()); s != "" {
+			t.Fatalf("tree %d: a text fingerprint misses %q beneath its node", i, s)
 		}
 	}
 }

@@ -13,9 +13,9 @@ type TagSet struct {
 	stats []TagStat // sorted by Tag
 }
 
-// TagStat aggregates the elements of one tag at or below a node. Both
-// fields compose over children (a sum and a maximum), which is what lets a
-// document built around carried-over subtrees take them from those
+// TagStat aggregates the elements of one tag at or below a node. Every
+// field composes over children (two sums and a maximum), which is what lets
+// a document built around carried-over subtrees take them from those
 // subtrees' cached summaries without walking them again.
 type TagStat struct {
 	Tag string
@@ -24,6 +24,10 @@ type TagStat struct {
 	// is a logical count — an element shared by k alternatives counts k
 	// times — not a count of distinct nodes.
 	Count int64
+	// Inner is the number of those occurrences that have children. Where it
+	// is 0 every element of the tag is a leaf, whose string value in every
+	// possible world is its own text — which Summary.TextBloom covers.
+	Inner int64
 	// MaxWorlds is the largest possible-world count of the subtree of any
 	// element with the tag. Read-only.
 	MaxWorlds *big.Int
@@ -164,7 +168,11 @@ func summaryTags(n *Node, kids []*Summary, worlds *big.Int) TagSet {
 	}
 	var out TagSet
 	if n.kind == KindElem {
-		out.stats = append(out.stats, TagStat{Tag: n.tag, Count: 1, MaxWorlds: worlds})
+		own := TagStat{Tag: n.tag, Count: 1, MaxWorlds: worlds}
+		if len(n.kids) > 0 {
+			own.Inner = 1
+		}
+		out.stats = append(out.stats, own)
 	}
 	for _, k := range kids {
 		for _, st := range k.Tags.stats {
@@ -176,6 +184,7 @@ func summaryTags(n *Node, kids []*Summary, worlds *big.Int) TagSet {
 				continue
 			}
 			out.stats[i].Count += st.Count
+			out.stats[i].Inner += st.Inner
 			if st.MaxWorlds.Cmp(out.stats[i].MaxWorlds) > 0 {
 				out.stats[i].MaxWorlds = st.MaxWorlds
 			}

@@ -43,6 +43,35 @@ func Fig2Tree() *pxml.Tree {
 	return pxml.CertainTree(book)
 }
 
+// UncoveredText checks Summary.TextBloom for false negatives, the one thing
+// a query engine may not meet in it: it returns a non-empty element text at
+// or below some node of the subtree whose bits that node's summary lacks,
+// and "" when every node's fingerprint covers every text beneath it. It
+// reads each node's summary as cached, so a stale one carried over from an
+// earlier document shows.
+func UncoveredText(root *pxml.Node) string {
+	uncovered := ""
+	var texts func(n *pxml.Node) []string
+	texts = func(n *pxml.Node) []string {
+		var below []string
+		if n.Text() != "" {
+			below = append(below, n.Text())
+		}
+		for _, k := range n.Children() {
+			below = append(below, texts(k)...)
+		}
+		bloom := n.Summary().TextBloom
+		for _, s := range below {
+			if bits := pxml.TextBloomBits(s); bloom&bits != bits {
+				uncovered = s
+			}
+		}
+		return below
+	}
+	texts(root)
+	return uncovered
+}
+
 // GenConfig bounds the shape of randomly generated documents.
 type GenConfig struct {
 	MaxDepth      int // element nesting depth

@@ -31,23 +31,33 @@ var ErrTooComplex = errors.New("query: conditioning exceeds enumeration limits")
 // by local enumeration. It returns the conditioned tree and the prior
 // probability of the event.
 func ConditionAbsent(t *pxml.Tree, q *Query, value string, localLimit int) (*pxml.Tree, float64, error) {
+	c, err := newConditioner(q, value, localLimit)
+	if err != nil {
+		return nil, 0, err
+	}
+	return c.run(t)
+}
+
+func newConditioner(q *Query, value string, localLimit int) (*conditioner, error) {
 	if localLimit <= 0 {
 		localLimit = DefaultLocalWorldLimit
 	}
 	if len(q.Steps) == 0 || q.Steps[0].IsText {
-		return nil, 0, fmt.Errorf("%w: unsupported query shape", ErrTooComplex)
+		return nil, fmt.Errorf("%w: unsupported query shape", ErrTooComplex)
 	}
-	c := &conditioner{
+	return &conditioner{
 		ev: &exactEval{
 			q:          q,
 			anchorIdx:  anchorIndex(q),
 			localLimit: localLimit,
-			localMemo:  make(map[localKey]map[string]float64),
-			failMemo:   make(map[failKey]float64),
+			need:       stepNeeds(q),
 		},
 		value: value,
 		memo:  make(map[localKey]condResult),
-	}
+	}, nil
+}
+
+func (c *conditioner) run(t *pxml.Tree) (*pxml.Tree, float64, error) {
 	root, p, err := c.cond(t.Root(), stateSet(1))
 	if err != nil {
 		return nil, 0, err
@@ -149,6 +159,11 @@ func (c *conditioner) condUncached(n *pxml.Node, states stateSet) (*pxml.Node, f
 	default: // element
 		next, hit := c.ev.advance(n, states)
 		if hit {
+			if !c.ev.anchorCanMatch(n) {
+				// No world of the anchor yields any answer, the rejected
+				// one included: what condAnchor finds by enumerating them.
+				return n, 1, nil
+			}
 			return c.condAnchor(n, states)
 		}
 		if next == 0 {

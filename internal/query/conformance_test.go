@@ -35,57 +35,60 @@ const conformanceDoc = `
 	</shelf>
 </library>`
 
+// conformanceCases are queries over conformanceDoc with the values each
+// selects; FuzzParseQuery seeds its corpus from them as well.
+var conformanceCases = []struct {
+	q    string
+	want []string
+}{
+	// Axis combinations.
+	{`/library/shelf/book/title`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations"}},
+	{`//book/title`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations", "Nested"}},
+	{`//box//title`, []string{"Nested"}},
+	{`/library//title`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations", "Nested"}},
+	{`//shelf/book/box/book/title`, []string{"Nested"}},
+	{`/shelf/book/title`, nil}, // shelf is not the document element
+	// Wildcards.
+	{`//author/*`, []string{"Suciu", "Koch", "de Keijzer", "Inner"}},
+	{`/library/*/book/title`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations"}},
+	// Attributes as @-tags.
+	{`//book/@lang`, []string{"en", "nl", "fr"}},
+	{`//shelf/@id`, []string{"s1", "s2"}},
+	{`/library/@city`, []string{"Enschede"}},
+	{`//book[@lang="nl"]/title`, []string{"Goed Genoeg"}},
+	// Predicates: existence, equality, contains.
+	{`//book[tag]/title`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations"}},
+	{`//book[tag="uncertainty"]/title`, []string{"Probabilistic Databases"}},
+	{`//book[contains(title,"XML")]/title`, []string{"XML Foundations"}},
+	{`//book[author/nm="Suciu"]/title`, []string{"Probabilistic Databases", "XML Foundations"}},
+	// Both the outer book (via its box) and the nested book itself
+	// have a descendant nm="Inner".
+	{`//book[.//nm="Inner"]/title`, []string{"XML Foundations", "Nested"}},
+	{`//shelf[book/tag="integration"]/@id`, []string{"s1"}},
+	// Boolean connectives and not().
+	{`//book[tag="databases" and @lang="en"]/title`, []string{"Probabilistic Databases", "XML Foundations"}},
+	{`//book[tag="integration" or tag="uncertainty"]/title`, []string{"Probabilistic Databases", "Goed Genoeg"}},
+	{`//book[not(tag)]/title`, []string{"Nested"}},
+	{`//book[not(author/nm="Suciu")]/title`, []string{"Goed Genoeg", "Nested"}},
+	{`//book[(tag="databases" or tag="integration") and not(@lang="nl")]/title`,
+		[]string{"Probabilistic Databases", "XML Foundations"}},
+	// some … satisfies.
+	{`//book[some $a in author/nm satisfies contains($a, "Keijzer")]/title`, []string{"Goed Genoeg"}},
+	{`//book[some $a in .//nm satisfies $a = "Koch"]/title`, []string{"Probabilistic Databases"}},
+	// text() steps.
+	{`//book/title/text()`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations", "Nested"}},
+	{`//author/nm/text()`, []string{"Suciu", "Koch", "de Keijzer", "Inner"}},
+	// Self path and string values.
+	{`//book[contains(., "Suciu")]/@lang`, []string{"en"}},
+	{`//nm[.="Koch"]`, []string{"Koch"}},
+	// Predicates on intermediate steps.
+	{`//shelf[@id="s2"]/book/title`, []string{"XML Foundations"}},
+	{`//shelf[@id="s2"]//title`, []string{"XML Foundations", "Nested"}},
+}
+
 func TestXPathConformanceCertain(t *testing.T) {
-	cases := []struct {
-		q    string
-		want []string
-	}{
-		// Axis combinations.
-		{`/library/shelf/book/title`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations"}},
-		{`//book/title`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations", "Nested"}},
-		{`//box//title`, []string{"Nested"}},
-		{`/library//title`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations", "Nested"}},
-		{`//shelf/book/box/book/title`, []string{"Nested"}},
-		{`/shelf/book/title`, nil}, // shelf is not the document element
-		// Wildcards.
-		{`//author/*`, []string{"Suciu", "Koch", "de Keijzer", "Inner"}},
-		{`/library/*/book/title`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations"}},
-		// Attributes as @-tags.
-		{`//book/@lang`, []string{"en", "nl", "fr"}},
-		{`//shelf/@id`, []string{"s1", "s2"}},
-		{`/library/@city`, []string{"Enschede"}},
-		{`//book[@lang="nl"]/title`, []string{"Goed Genoeg"}},
-		// Predicates: existence, equality, contains.
-		{`//book[tag]/title`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations"}},
-		{`//book[tag="uncertainty"]/title`, []string{"Probabilistic Databases"}},
-		{`//book[contains(title,"XML")]/title`, []string{"XML Foundations"}},
-		{`//book[author/nm="Suciu"]/title`, []string{"Probabilistic Databases", "XML Foundations"}},
-		// Both the outer book (via its box) and the nested book itself
-		// have a descendant nm="Inner".
-		{`//book[.//nm="Inner"]/title`, []string{"XML Foundations", "Nested"}},
-		{`//shelf[book/tag="integration"]/@id`, []string{"s1"}},
-		// Boolean connectives and not().
-		{`//book[tag="databases" and @lang="en"]/title`, []string{"Probabilistic Databases", "XML Foundations"}},
-		{`//book[tag="integration" or tag="uncertainty"]/title`, []string{"Probabilistic Databases", "Goed Genoeg"}},
-		{`//book[not(tag)]/title`, []string{"Nested"}},
-		{`//book[not(author/nm="Suciu")]/title`, []string{"Goed Genoeg", "Nested"}},
-		{`//book[(tag="databases" or tag="integration") and not(@lang="nl")]/title`,
-			[]string{"Probabilistic Databases", "XML Foundations"}},
-		// some … satisfies.
-		{`//book[some $a in author/nm satisfies contains($a, "Keijzer")]/title`, []string{"Goed Genoeg"}},
-		{`//book[some $a in .//nm satisfies $a = "Koch"]/title`, []string{"Probabilistic Databases"}},
-		// text() steps.
-		{`//book/title/text()`, []string{"Probabilistic Databases", "Goed Genoeg", "XML Foundations", "Nested"}},
-		{`//author/nm/text()`, []string{"Suciu", "Koch", "de Keijzer", "Inner"}},
-		// Self path and string values.
-		{`//book[contains(., "Suciu")]/@lang`, []string{"en"}},
-		{`//nm[.="Koch"]`, []string{"Koch"}},
-		// Predicates on intermediate steps.
-		{`//shelf[@id="s2"]/book/title`, []string{"XML Foundations"}},
-		{`//shelf[@id="s2"]//title`, []string{"XML Foundations", "Nested"}},
-	}
 	tr := decode(t, conformanceDoc)
-	for _, tc := range cases {
+	for _, tc := range conformanceCases {
 		t.Run(tc.q, func(t *testing.T) {
 			q, err := query.Compile(tc.q)
 			if err != nil {
@@ -121,6 +124,13 @@ func TestXPathConformanceCertain(t *testing.T) {
 				t.Fatalf("EvalEnumerate: %v", err)
 			}
 			compareAnswers(t, tc.q, exact, enum, 1e-9)
+			// So does the planned executor, whose literal gate stands in
+			// front of every subtree and anchor.
+			planned, err := query.EvalIndexed(tr, q, query.Options{Method: query.MethodExact}, nil)
+			if err != nil {
+				t.Fatalf("EvalIndexed: %v", err)
+			}
+			compareAnswers(t, tc.q, planned.Answers, enum, 1e-9)
 		})
 	}
 }

@@ -117,9 +117,11 @@ type exactEval struct {
 	// equality literals); subtrees that cannot satisfy any pending chain
 	// are pruned without a visit.
 	need []stepNeed
-	// visited/prunedSubtrees count discovery-pass work for plan stats.
-	visited        int
-	prunedSubtrees int
+	// visited/prunedSubtrees count discovery-pass work for plan stats;
+	// anchorsEnumerated/anchorsSkipped the anchor hits it reached, by
+	// whether anchorCanMatch let them through to local enumeration.
+	visited, prunedSubtrees           int
+	anchorsEnumerated, anchorsSkipped int64
 
 	// budget meters node visits and enumerated worlds and carries
 	// cancellation; nil in the legacy evaluator.
@@ -259,56 +261,110 @@ type stepNeed struct {
 	// inside the same subtree, so a subtree lacking one of the tags
 	// cannot contribute an answer through state i.
 	tags map[string]bool
-	// litMask is the combined Bloom mask of all positively required
-	// equality literals (conjoined [path = "lit"] predicates with
-	// space-free literals) of steps i..last. A space-free literal can
-	// only match as a single element's own text, so a subtree whose
-	// summary TextBloom misses any of these bits cannot satisfy the
-	// predicates and contributes exactly nothing.
+	// litMask is the combined Bloom mask of the space-free literals among
+	// the positively required [path = "lit"] predicates of steps i..last,
+	// whatever the path ends in. A string value without a space is a
+	// single element's own text (joined texts are space-separated), so a
+	// subtree whose summary TextBloom misses any of these bits cannot
+	// satisfy the predicates and contributes exactly nothing.
 	litMask uint64
+	// lits are those of the required predicates whose path ends in a named
+	// tag, spaces in the literal or not; see tagLit.
+	lits []tagLit
+}
+
+// tagLit is one positively required [path = "lit"] whose path ends in the
+// named tag: the predicate holds only in worlds where some <tag> inside the
+// subtree has the string value lit. mask is the literal's Bloom mask.
+type tagLit struct {
+	tag, lit string
+	mask     uint64
+}
+
+// admits is the summary half of the requirement: a subtree needs a <tag>
+// at all, and where every <tag> in it is a leaf (TagStat.Inner == 0) the
+// string value of each is its own text in every world, so the subtree's
+// text fingerprint must cover the literal.
+func (tl tagLit) admits(sum *pxml.Summary) bool {
+	st, ok := sum.Tags.Stat(tl.tag)
+	return ok && (st.Inner > 0 || sum.TextBloom&tl.mask == tl.mask)
+}
+
+// occursIn is the exact half: it reports whether the uncertain subtree of n
+// holds a <tag> that can have the string value lit — one with children
+// (its value depends on the world) or a leaf whose text is lit. Summaries
+// keep the scan off the branches that cannot.
+func (tl tagLit) occursIn(n *pxml.Node) bool {
+	if !tl.admits(n.Summary()) {
+		return false
+	}
+	if n.Kind() == pxml.KindElem && n.Tag() == tl.tag && (!n.IsLeaf() || n.Text() == tl.lit) {
+		return true
+	}
+	for _, k := range n.Children() {
+		if tl.occursIn(k) {
+			return true
+		}
+	}
+	return false
 }
 
 // stepNeeds computes the per-step chain requirements, shared backwards:
-// need[i] accumulates tags and literal masks of steps i..last.
+// need[i] accumulates the tags, literal mask and tag literals of steps
+// i..last.
 func stepNeeds(q *Query) []stepNeed {
 	need := make([]stepNeed, len(q.Steps))
 	var tags map[string]bool
 	var mask uint64
+	var lits []tagLit
 	for i := len(q.Steps) - 1; i >= 0; i-- {
 		s := q.Steps[i]
-		lits := requiredEqLiterals(s)
-		if !s.IsText && s.Name != "*" || len(lits) > 0 {
+		if !s.IsText && s.Name != "*" {
 			m := make(map[string]bool, len(tags)+1)
 			for t := range tags {
 				m[t] = true
 			}
-			if !s.IsText && s.Name != "*" {
-				m[s.Name] = true
-			}
+			m[s.Name] = true
 			tags = m
-			for _, lit := range lits {
-				mask |= pxml.TextBloomBits(lit)
+		}
+		for _, tl := range requiredEqLiterals(s) {
+			if !strings.ContainsRune(tl.lit, ' ') {
+				mask |= tl.mask
+			}
+			if tl.tag != "" {
+				// need[i+1..] keep their shorter prefix of the same array.
+				lits = append(lits, tl)
 			}
 		}
-		if tags == nil {
-			tags = map[string]bool{}
-		}
-		need[i] = stepNeed{tags: tags, litMask: mask}
+		need[i] = stepNeed{tags: tags, litMask: mask, lits: lits}
 	}
 	return need
 }
 
-// requiredEqLiterals collects the space-free equality literals a step's
-// predicates positively require: conjuncts of the form [path = "lit"].
-// Literals under not(…) or or(…) are not required and contribute nothing.
-func requiredEqLiterals(s Step) []string {
-	var out []string
+// requiredEqLiterals collects the non-empty equality literals a step's
+// predicates positively require — conjuncts of the form [path = "lit"] —
+// that a subtree can be tested for: tag is the path's last step when that
+// is a named tag, and empty for a path ending in *, . or text(), where only
+// a space-free literal is kept. Literals under not(…) or or(…) are not
+// required and contribute nothing.
+func requiredEqLiterals(s Step) []tagLit {
+	var out []tagLit
 	var rec func(p Pred)
 	rec = func(p Pred) {
 		switch p := p.(type) {
 		case PredExists:
-			if eq, ok := p.Cond.(CondEq); ok && eq.Lit != "" && !strings.ContainsRune(eq.Lit, ' ') {
-				out = append(out, eq.Lit)
+			eq, ok := p.Cond.(CondEq)
+			if !ok || eq.Lit == "" {
+				return
+			}
+			tl := tagLit{lit: eq.Lit, mask: pxml.TextBloomBits(eq.Lit)}
+			if n := len(p.Path.Steps); n > 0 {
+				if last := p.Path.Steps[n-1]; !last.IsText && last.Name != "*" {
+					tl.tag = last.Name
+				}
+			}
+			if tl.tag != "" || !strings.ContainsRune(eq.Lit, ' ') {
+				out = append(out, tl)
 			}
 		case PredAnd:
 			rec(p.A)
@@ -329,6 +385,7 @@ func (e *exactEval) canMatch(n *pxml.Node, states stateSet) bool {
 		return true
 	}
 	sum := n.Summary()
+chains:
 	for i := 0; i <= e.anchorIdx; i++ {
 		if !states.has(i) {
 			continue
@@ -337,18 +394,38 @@ func (e *exactEval) canMatch(n *pxml.Node, states stateSet) bool {
 		if sum.TextBloom&nd.litMask != nd.litMask {
 			continue
 		}
-		ok := true
-		for t := range nd.tags {
-			if !sum.Tags.Has(t) {
-				ok = false
-				break
+		for _, tl := range nd.lits {
+			if !tl.admits(sum) {
+				continue chains
 			}
 		}
-		if ok {
-			return true
+		for t := range nd.tags {
+			if !sum.Tags.Has(t) {
+				continue chains
+			}
 		}
+		return true
 	}
 	return false
+}
+
+// anchorCanMatch is the exact check in front of a local enumeration: the
+// anchor is enumerated only if its subtree holds every tag literal its
+// predicates require. Steps above the anchor carry no predicates, so every
+// pending chain requires the anchor step's literals, inside this subtree.
+// An anchor that fails the check produces no value in any world: skipping
+// it contributes what enumerating it would, an empty value set and failure
+// probability 1. Always true in legacy mode.
+func (e *exactEval) anchorCanMatch(n *pxml.Node) bool {
+	if e.need == nil {
+		return true
+	}
+	for _, tl := range e.need[e.anchorIdx].lits {
+		if !tl.occursIn(n) {
+			return false
+		}
+	}
+	return true
 }
 
 // values is the planned-mode discovery pass: it returns the set of answer
@@ -406,7 +483,10 @@ func (e *exactEval) values(n *pxml.Node, states stateSet) (map[string]bool, erro
 		}
 	default: // element
 		next, hit := e.advance(n, states)
-		if hit {
+		if hit && !e.anchorCanMatch(n) {
+			e.anchorsSkipped++
+		} else if hit {
+			e.anchorsEnumerated++
 			m, err := e.localEval(n, states)
 			if err != nil {
 				return nil, err
@@ -526,8 +606,9 @@ func (e *exactEval) fail(n *pxml.Node, states stateSet, v string, memo map[failK
 }
 
 // collectAnchors mirrors the values() walk — the same advance transitions,
-// the same canMatch pruning, the same per-(node, state set) dedup — but
-// collects anchor hits in document order instead of evaluating them. It
+// the same canMatch pruning and anchorCanMatch check, the same per-(node,
+// state set) dedup — but collects the anchor hits values() will enumerate,
+// in document order, instead of evaluating them. It
 // touches no counters, so the discovery pass that follows still reports
 // visit statistics identical to a sequential run.
 func (e *exactEval) collectAnchors(n *pxml.Node, states stateSet, seen map[localKey]bool, out *[]localKey) {
@@ -550,7 +631,9 @@ func (e *exactEval) collectAnchors(n *pxml.Node, states stateSet, seen map[local
 	default: // element
 		next, hit := e.advance(n, states)
 		if hit {
-			*out = append(*out, key)
+			if e.anchorCanMatch(n) {
+				*out = append(*out, key)
+			}
 			return
 		}
 		if next == 0 {
@@ -616,19 +699,26 @@ func (e *exactEval) precomputeLocal(root *pxml.Node, workers int) error {
 // summation orders are fixed per value, so the answers are bit-identical
 // to a sequential run for every worker count.
 func evalExactPlanned(t *pxml.Tree, q *Query, localLimit, workers int, b *budget) ([]Answer, *exactEval, error) {
+	e, err := newPlannedEval(q, localLimit, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	answers, err := e.run(t, workers)
+	return answers, e, err
+}
+
+// newPlannedEval sets up the planned executor for one evaluation of q.
+func newPlannedEval(q *Query, localLimit int, b *budget) (*exactEval, error) {
 	if localLimit <= 0 {
 		localLimit = DefaultLocalWorldLimit
 	}
-	if workers <= 0 {
-		workers = 1
-	}
 	if len(q.Steps) == 0 {
-		return nil, nil, fmt.Errorf("%w: empty query", ErrNotExact)
+		return nil, fmt.Errorf("%w: empty query", ErrNotExact)
 	}
 	if q.Steps[0].IsText {
-		return nil, nil, fmt.Errorf("%w: text() cannot be the first step", ErrNotExact)
+		return nil, fmt.Errorf("%w: text() cannot be the first step", ErrNotExact)
 	}
-	e := &exactEval{
+	return &exactEval{
 		q:          q,
 		anchorIdx:  anchorIndex(q),
 		localLimit: localLimit,
@@ -637,15 +727,19 @@ func evalExactPlanned(t *pxml.Tree, q *Query, localLimit, workers int, b *budget
 		valueSets:  make(map[localKey]map[string]bool),
 		need:       stepNeeds(q),
 		budget:     b,
-	}
+	}, nil
+}
+
+// run evaluates the query over t; see evalExactPlanned.
+func (e *exactEval) run(t *pxml.Tree, workers int) ([]Answer, error) {
 	if workers > 1 {
 		if err := e.precomputeLocal(t.Root(), workers); err != nil {
-			return nil, e, err
+			return nil, err
 		}
 	}
 	values, err := e.values(t.Root(), stateSet(1))
 	if err != nil {
-		return nil, e, err
+		return nil, err
 	}
 	// Fix the fan-out order: per-value results land in slots, so answer
 	// assembly does not depend on scheduling (or map iteration) order.
@@ -673,7 +767,7 @@ func evalExactPlanned(t *pxml.Tree, q *Query, localLimit, workers int, b *budget
 	e.inlineTasks += inline
 	for _, err := range errs {
 		if err != nil {
-			return nil, e, err
+			return nil, err
 		}
 	}
 	answers := make([]Answer, 0, len(vals))
@@ -683,7 +777,7 @@ func evalExactPlanned(t *pxml.Tree, q *Query, localLimit, workers int, b *budget
 		}
 	}
 	sortAnswers(answers)
-	return answers, e, nil
+	return answers, nil
 }
 
 func sortAnswers(answers []Answer) {

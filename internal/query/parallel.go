@@ -31,6 +31,12 @@ type ExecStats struct {
 	// NodeVisits is the budget meter reading: node visits plus enumerated
 	// worlds plus drawn samples.
 	NodeVisits int64
+	// AnchorsEnumerated counts the anchor subtrees whose local worlds the
+	// exact executor enumerated; AnchorsSkipped those it reached but did
+	// not enumerate, because no element in them can carry a literal the
+	// predicates require. Anchors inside a subtree the summaries pruned
+	// whole are never reached and count in neither.
+	AnchorsEnumerated, AnchorsSkipped int64
 }
 
 // workers resolves Options.Workers: 0 means one worker per CPU.

@@ -276,6 +276,21 @@ func failedResult(pl Plan, m Method, err error) (Result, error) {
 	return Result{}, err
 }
 
+// result wraps the exact executor's answers with the plan — its estimate
+// refined by what the discovery pass saw — and the execution counters.
+func (e *exactEval) result(answers []Answer, pl Plan, workers int) Result {
+	if e.visited > 0 {
+		pl.Reason += fmt.Sprintf(" (discovery pruned %d of %d subtree visits, enumerated %d of %d anchors reached)",
+			e.prunedSubtrees, e.visited, e.anchorsEnumerated, e.anchorsEnumerated+e.anchorsSkipped)
+	}
+	res := newResult(answers, MethodExact, 0, &pl)
+	res.Exec = ExecStats{
+		Workers: workers, PooledTasks: e.pooledTasks, InlineTasks: e.inlineTasks, NodeVisits: e.budget.spent(),
+		AnchorsEnumerated: e.anchorsEnumerated, AnchorsSkipped: e.anchorsSkipped,
+	}
+	return res
+}
+
 // executePlanned runs exactly the given method with the planned executor.
 func executePlanned(t *pxml.Tree, q *Query, opts Options, m Method, pl Plan, workers int, b *budget) (Result, error) {
 	pl.Method = m
@@ -286,13 +301,7 @@ func executePlanned(t *pxml.Tree, q *Query, opts Options, m Method, pl Plan, wor
 		if err != nil {
 			return failedResult(pl, m, err)
 		}
-		if e.visited > 0 {
-			// Refine the estimate with what the discovery pass saw.
-			pl.Reason += fmt.Sprintf(" (discovery pruned %d of %d subtree visits)", e.prunedSubtrees, e.visited)
-		}
-		res := newResult(answers, MethodExact, 0, &pl)
-		res.Exec = ExecStats{Workers: workers, PooledTasks: e.pooledTasks, InlineTasks: e.inlineTasks, NodeVisits: b.spent()}
-		return res, nil
+		return e.result(answers, pl, workers), nil
 	case MethodEnumerate:
 		answers, err := evalEnumerate(t, q, opts.enumLimit(), b)
 		if err != nil {
@@ -325,12 +334,7 @@ func executeLadder(t *pxml.Tree, q *Query, opts Options, pl Plan, workers int, b
 	if err == nil {
 		pl.Method = MethodExact
 		pl.Reason = "exact evaluation applicable"
-		if e.visited > 0 {
-			pl.Reason += fmt.Sprintf(" (discovery pruned %d of %d subtree visits)", e.prunedSubtrees, e.visited)
-		}
-		res := newResult(answers, MethodExact, 0, &pl)
-		res.Exec = ExecStats{Workers: workers, PooledTasks: e.pooledTasks, InlineTasks: e.inlineTasks, NodeVisits: b.spent()}
-		return res, nil
+		return e.result(answers, pl, workers), nil
 	}
 	if !errors.Is(err, ErrNotExact) {
 		return failedResult(pl, MethodExact, err)

@@ -1,9 +1,12 @@
 package query_test
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/pxml"
 	"repro/internal/query"
 	"repro/internal/queryindex"
 )
@@ -56,5 +59,133 @@ func TestBloomPruningSoundness(t *testing.T) {
 	}
 	if !reflect.DeepEqual(years, map[string]bool{"1988": true, "1900": true}) {
 		t.Fatalf("Die Hard years = %v, want both the plain and the concatenated title", years)
+	}
+}
+
+// limitFixture holds one certain record and one whose five independent
+// year choices span 32 local worlds. The second carries the first's title
+// as its director, so its text fingerprint has the title and only the exact
+// check tells them apart.
+func limitFixture() *pxml.Tree {
+	wide := []*pxml.Node{pxml.Certain(pxml.NewLeaf("title", "Wide Film")), pxml.Certain(pxml.NewLeaf("director", "Die Hard"))}
+	for i := 0; i < 5; i++ {
+		wide = append(wide, pxml.NewProb(
+			pxml.NewPoss(0.5, pxml.NewLeaf("year", fmt.Sprint(1990+i))),
+			pxml.NewPoss(0.5, pxml.NewLeaf("year", fmt.Sprint(2000+i)))))
+	}
+	return pxml.CertainTree(pxml.NewElem("catalog", "",
+		pxml.Certain(pxml.NewElem("movie", "", pxml.Certain(pxml.NewLeaf("title", "Die Hard")), pxml.Certain(pxml.NewLeaf("year", "1988")))),
+		pxml.Certain(pxml.NewElem("movie", "", wide...))))
+}
+
+// TestLocalWorldLimitCountsMatchingAnchorsOnly: an anchor that cannot match
+// is skipped before its worlds are counted against LocalWorldLimit, so an
+// explicit exact evaluation answers where only such an anchor exceeds the
+// limit — for every worker count, the parallel precompute included. An
+// anchor that can match and exceeds it is ErrNotExact as before; so is the
+// ungated legacy evaluator on either.
+func TestLocalWorldLimitCountsMatchingAnchorsOnly(t *testing.T) {
+	tr := limitFixture()
+	idx := queryindex.Build(tr)
+	narrow := query.MustCompile(`//movie[title="Die Hard"]/year`)
+	wide := query.MustCompile(`//movie[title="Wide Film"]/year`)
+	for _, workers := range []int{1, 4} {
+		opts := query.Options{Method: query.MethodExact, LocalWorldLimit: 8, Workers: workers}
+		res, err := query.EvalIndexed(tr, narrow, opts, idx)
+		if err != nil {
+			t.Fatalf("%d workers: the only anchor over the limit cannot match, want an answer, got %v", workers, err)
+		}
+		if want := []query.Answer{{Value: "1988", P: 1}}; !reflect.DeepEqual(res.Answers, want) {
+			t.Fatalf("%d workers: answers %v, want %v", workers, res.Answers, want)
+		}
+		if res.Exec.AnchorsEnumerated != 1 || res.Exec.AnchorsSkipped != 1 {
+			t.Fatalf("%d workers: %+v, want 1 anchor enumerated and 1 skipped", workers, res.Exec)
+		}
+		if _, err := query.EvalIndexed(tr, wide, opts, idx); !errors.Is(err, query.ErrNotExact) {
+			t.Fatalf("%d workers: the matching anchor spans 32 worlds (limit 8): got %v, want ErrNotExact", workers, err)
+		}
+	}
+	if _, err := query.EvalExact(tr, narrow, 8); !errors.Is(err, query.ErrNotExact) {
+		t.Fatalf("legacy exact enumerates every anchor: got %v, want ErrNotExact", err)
+	}
+}
+
+// TestPlannerBoundStaysPerTagMaximum: the planner does not look at literals.
+// Its anchor bound is the index's maximum over every <movie>, a true upper
+// bound for whichever of them the gate lets through, so auto still avoids
+// exact when any movie exceeds the limit — and answers by the method it
+// names.
+func TestPlannerBoundStaysPerTagMaximum(t *testing.T) {
+	tr := limitFixture()
+	idx := queryindex.Build(tr)
+	q := query.MustCompile(`//movie[title="Die Hard"]/year`)
+	res, err := query.EvalIndexed(tr, q, query.Options{LocalWorldLimit: 8}, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Plan.AnchorWorldBound != "32" || res.Plan.Method != query.MethodEnumerate || res.Method != query.MethodEnumerate {
+		t.Fatalf("plan %+v ran %s, want bound 32 and enumeration", *res.Plan, res.Method)
+	}
+	if res.P("1988") != 1 {
+		t.Fatalf("answers %v", res.Answers)
+	}
+	res, err = query.EvalIndexed(tr, q, query.Options{LocalWorldLimit: 32}, idx)
+	if err != nil || res.Plan.Method != query.MethodExact {
+		t.Fatalf("limit 32: plan %+v, err %v, want exact", res.Plan, err)
+	}
+}
+
+// TestReadPathWorkCounts is the regression test of the read path's gain
+// that needs no clock: a look-up by a value with a space in it enumerates
+// the records that can carry the value and visits little more than one
+// node per top-level child of a 200-record catalog, a quarter of whose
+// records are uncertain.
+func TestReadPathWorkCounts(t *testing.T) {
+	const records = 200
+	movie := func(i int, title string) *pxml.Node {
+		return pxml.NewElem("movie", "",
+			pxml.Certain(pxml.NewLeaf("title", title)),
+			pxml.Certain(pxml.NewLeaf("year", fmt.Sprint(1950+i%60))),
+			pxml.Certain(pxml.NewLeaf("director", fmt.Sprintf("Director %02d", i%40))))
+	}
+	var top []*pxml.Node
+	for i := 0; i < records; i++ {
+		title := fmt.Sprintf("Film %03d", i)
+		if i%4 == 0 {
+			top = append(top, pxml.NewProb(pxml.NewPoss(0.6, movie(i, title)), pxml.NewPoss(0.4, movie(i+1, title+" Redux"))))
+		} else {
+			top = append(top, pxml.Certain(movie(i, title)))
+		}
+	}
+	tr := pxml.CertainTree(pxml.NewElem("catalog", "", top...))
+	idx := queryindex.Build(tr)
+	for _, c := range []struct{ tag, lit, result string }{
+		{"title", "Film 017", "year"},
+		{"title", "Film 016", "year"},       // under a choice point
+		{"title", "Film 016 Redux", "year"}, // its other alternative
+		{"director", "Director 07", "title"},
+		{"title", "Film 999", "year"}, // absent
+	} {
+		canCarry := int64(0)
+		pxml.Walk(tr.Root(), func(n *pxml.Node) bool {
+			if n.Kind() == pxml.KindElem && n.Tag() == c.tag && (!n.IsLeaf() || n.Text() == c.lit) {
+				canCarry++
+			}
+			return true
+		})
+		src := fmt.Sprintf(`//movie[%s=%q]/%s`, c.tag, c.lit, c.result)
+		res, err := query.EvalIndexed(tr, query.MustCompile(src), query.Options{Workers: 1}, idx)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if res.Method != query.MethodExact || (len(res.Answers) == 0) != (canCarry == 0) {
+			t.Fatalf("%s: method %s, answers %v, %d records can carry the value", src, res.Method, res.Answers, canCarry)
+		}
+		if got := res.Exec.AnchorsEnumerated; got < canCarry || got > canCarry+2 || (canCarry == 0 && got != 0) {
+			t.Errorf("%s: %d anchors enumerated, %d records can carry the value", src, got, canCarry)
+		}
+		if got, limit := res.Exec.NodeVisits, int64(2*len(top)+50); got > limit {
+			t.Errorf("%s: %d node visits, want at most %d for %d top-level children", src, got, limit, len(top))
+		}
 	}
 }

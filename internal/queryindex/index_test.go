@@ -110,12 +110,13 @@ func TestBuildRandomTreesConsistent(t *testing.T) {
 type reference struct {
 	worlds        *big.Int
 	tags          map[string]queryindex.TagInfo
+	inner         map[string]int64 // occurrences that have children
 	elements      int
 	maxElemWorlds *big.Int
 }
 
 func buildReference(tr *pxml.Tree) reference {
-	ref := reference{tags: map[string]queryindex.TagInfo{}, maxElemWorlds: big.NewInt(1)}
+	ref := reference{tags: map[string]queryindex.TagInfo{}, inner: map[string]int64{}, maxElemWorlds: big.NewInt(1)}
 	var worlds func(n *pxml.Node) *big.Int
 	worlds = func(n *pxml.Node) *big.Int {
 		w := big.NewInt(1)
@@ -136,6 +137,9 @@ func buildReference(tr *pxml.Tree) reference {
 			}
 			info.Occurrences++
 			ref.tags[n.Tag()] = info
+			if !n.IsLeaf() {
+				ref.inner[n.Tag()]++
+			}
 			ref.elements++
 			if w.Cmp(ref.maxElemWorlds) > 0 {
 				ref.maxElemWorlds = w
@@ -148,7 +152,9 @@ func buildReference(tr *pxml.Tree) reference {
 }
 
 // checkAgainstReference compares an index with the reference walk of its
-// document field for field.
+// document field for field, and with it what the query engine's literal
+// gate reads off the same cached summaries: the per-tag count of elements
+// with children, and text fingerprints without a false negative.
 func checkAgainstReference(t *testing.T, label string, tr *pxml.Tree, ix *queryindex.Index) {
 	t.Helper()
 	ref := buildReference(tr)
@@ -173,6 +179,12 @@ func checkAgainstReference(t *testing.T, label string, tr *pxml.Tree, ix *queryi
 			t.Fatalf("%s: <%s> index %d occurrences, max %s worlds; reference %d, %s",
 				label, tag, got.Occurrences, got.MaxSubtreeWorlds, want.Occurrences, want.MaxSubtreeWorlds)
 		}
+		if st, _ := tr.Summary().Tags.Stat(tag); st.Inner != ref.inner[tag] {
+			t.Fatalf("%s: <%s> summary counts %d occurrences with children, reference %d", label, tag, st.Inner, ref.inner[tag])
+		}
+	}
+	if s := pxmltest.UncoveredText(tr.Root()); s != "" {
+		t.Fatalf("%s: a text fingerprint misses %q beneath its node", label, s)
 	}
 }
 

@@ -97,4 +97,22 @@ func TestStatsQuerySection(t *testing.T) {
 	if stats.Query.CacheShards < 1 {
 		t.Fatalf("query.cache_shards = %d, want >= 1", stats.Query.CacheShards)
 	}
+	// The anchors a look-up enumerated show in its plan and add up in
+	// /stats, once per evaluation that ran: a cache hit adds nothing.
+	enumerated := stats.Query.AnchorsEnumerated
+	if enumerated < 1 {
+		t.Fatalf("query.anchors_enumerated = %d after a cold //person/tel, want >= 1", enumerated)
+	}
+	lookup := ts.URL + "/query?explain=1&q=" + url.QueryEscape(`//person[nm="John"]/tel`)
+	for i := 0; i < 2; i++ {
+		var resp server.QueryResponse
+		doJSON(t, "GET", lookup, "", nil, http.StatusOK, &resp)
+		if resp.Plan == nil || !strings.Contains(resp.Plan.Reason, "enumerated 3 of 3 anchors reached") {
+			t.Fatalf("plan = %+v, want the reason to count the three <person> anchors", resp.Plan)
+		}
+	}
+	doJSON(t, "GET", ts.URL+"/stats", "", nil, http.StatusOK, &stats)
+	if got := stats.Query.AnchorsEnumerated - enumerated; got != 3 || stats.Query.AnchorsSkipped != 0 {
+		t.Fatalf("query = %+v: the look-up ran once and enumerated 3 anchors, /stats added %d", stats.Query, got)
+	}
 }

@@ -956,6 +956,12 @@ type QueryRuntime struct {
 	// saturated.
 	PooledTasks int64 `json:"pooled_tasks"`
 	InlineTasks int64 `json:"inline_tasks"`
+	// AnchorsEnumerated/AnchorsSkipped sum, over the evaluations that ran,
+	// the anchor subtrees whose local worlds the exact executor enumerated
+	// and those it reached but skipped because no element in them can
+	// carry a literal the predicates require.
+	AnchorsEnumerated int64 `json:"anchors_enumerated"`
+	AnchorsSkipped    int64 `json:"anchors_skipped"`
 	// CacheShards is the result cache's lock-striping width.
 	CacheShards int `json:"cache_shards"`
 }
@@ -986,6 +992,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 		SingleflightCollapses: rs.Collapses,
 		PooledTasks:           qs.PooledTasks,
 		InlineTasks:           qs.InlineTasks,
+		AnchorsEnumerated:     qs.AnchorsEnumerated,
+		AnchorsSkipped:        qs.AnchorsSkipped,
 		CacheShards:           rs.Shards,
 	}
 	resp.Memo = t.core.MemoStats()
