@@ -1048,7 +1048,7 @@ func BenchmarkReplicationShip(b *testing.B) {
 					var page *replica.WALPage
 					switch {
 					case gotDeflate:
-						page, err = replica.DecodeWALPageDeflate(bytes.NewReader(body))
+						page, err = replica.DecodeWALPageDeflate(bytes.NewReader(body), new(codec.StrTab))
 					case gotBinary:
 						page, err = replica.DecodeWALPage(bytes.NewReader(body))
 					default:

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/codec"
 	"repro/internal/dtd"
 	"repro/internal/feedback"
 	"repro/internal/integrate"
@@ -56,9 +57,11 @@ func (d *DB) OpsSince(after uint64, limit int) ([]WALRecord, error) {
 // prefix is the interned-string table the first shipped record's strtab
 // delta is based on (the cumulative deltas of the same-segment records
 // before it); the wire ships it ahead of the page so the receiver can
-// resolve string refs without holding per-peer decode state.
-func (d *DB) RawOpsSince(after uint64, limit int) ([]RawWALRecord, []string, error) {
-	return d.wal.rawOpsSince(after, limit)
+// resolve string refs without holding per-peer decode state — unless the
+// receiver kept the table of the page that ended at after and have, its
+// mark, is the first record's in the log's index: then prefix is empty.
+func (d *DB) RawOpsSince(after uint64, limit int, have codec.TabMark) ([]RawWALRecord, []string, error) {
+	return d.wal.rawOpsSince(after, limit, have)
 }
 
 // WaitOps is OpsSince with long-poll semantics: when no records past
@@ -85,10 +88,10 @@ func (d *DB) WaitOps(ctx context.Context, after uint64, limit int) ([]WALRecord,
 
 // WaitRawOps is RawOpsSince with the same long-poll semantics as
 // WaitOps.
-func (d *DB) WaitRawOps(ctx context.Context, after uint64, limit int) ([]RawWALRecord, []string, error) {
+func (d *DB) WaitRawOps(ctx context.Context, after uint64, limit int, have codec.TabMark) ([]RawWALRecord, []string, error) {
 	for {
 		ch := d.commitSignal()
-		recs, prefix, err := d.RawOpsSince(after, limit)
+		recs, prefix, err := d.RawOpsSince(after, limit, have)
 		if err != nil || len(recs) > 0 {
 			return recs, prefix, err
 		}

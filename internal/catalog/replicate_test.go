@@ -142,7 +142,7 @@ func TestRawOpsSinceMatchesDecoded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			raws, prefix, err := db.RawOpsSince(2, 0)
+			raws, prefix, err := db.RawOpsSince(2, 0, codec.TabMark{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,10 +183,13 @@ func TestRawOpsSinceMatchesDecoded(t *testing.T) {
 			// The long-poll form serves the same raw page.
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
-			waited, _, err := db.WaitRawOps(ctx, 2, 0)
+			waited, _, err := db.WaitRawOps(ctx, 2, 0, codec.TabMark{})
 			if err != nil || len(waited) != len(raws) {
 				t.Fatalf("WaitRawOps = %d records (err %v), want %d", len(waited), err, len(raws))
 			}
+			// And at every position, not only 2, the indexed read serves
+			// what a scan from the start of the segment does.
+			checkIndexedEqualsScan(t, db.wal)
 		})
 	}
 }

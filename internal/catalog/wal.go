@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -119,6 +120,23 @@ type WALStats struct {
 	// for the active segment (0 when strtab records are disabled or the
 	// segment is fresh).
 	StrTabEntries int `json:"strtab_entries,omitempty"`
+	ShipStats
+}
+
+// ShipStats count the log pages served (OpsSince, RawOpsSince), those of
+// them that began in a closed segment and scanned it from its first
+// record, and the segment bytes read for them.
+type ShipStats struct {
+	ShipPages     int64 `json:"ship_pages"`
+	ShipScans     int64 `json:"ship_scans"`
+	ShipReadBytes int64 `json:"ship_read_bytes"`
+}
+
+// segEntry indexes one committed record of the active segment: where its
+// frame starts and the string table its strtab delta extends.
+type segEntry struct {
+	off int64
+	tab codec.TabMark
 }
 
 // wal is an open write-ahead log positioned to append.
@@ -156,6 +174,13 @@ type wal struct {
 	// deltas rebuild the table from zero, and recovery reseeds it by
 	// replaying the reopened last segment.
 	tab codec.SharedStrings
+	// index has one entry per committed record of the active segment, in
+	// order, and tabMark is tab's mark. Appends extend both once durable,
+	// recovery's scan rebuilds them, rotation starts a fresh slice (a
+	// reader keeps the old header past mu). ship is guarded by mu.
+	index   []segEntry
+	tabMark codec.TabMark
+	ship    ShipStats
 }
 
 func segName(start uint64) string {
@@ -227,12 +252,13 @@ func recoverWAL(dir string, segLimit int64, after uint64, snapEpoch uint64, fn f
 	// holds the last segment's cumulative table, which seeds the append
 	// side so the next record's delta continues where the log left off.
 	var replayTab codec.StrTab
+	var index []segEntry
 	for i, start := range starts {
 		if start != next {
 			return nil, fmt.Errorf("%w: segment %s does not continue at sequence %d", ErrCorrupt, segName(start), next)
 		}
 		last := i == len(starts)-1
-		n, size, err := replaySegment(filepath.Join(dir, segName(start)), start, last, after, snapEpoch, &epochSeen, &replayTab, fn)
+		n, size, err := replaySegment(filepath.Join(dir, segName(start)), start, last, after, snapEpoch, &epochSeen, &replayTab, &index, fn)
 		if err != nil {
 			return nil, err
 		}
@@ -276,6 +302,7 @@ func recoverWAL(dir string, segLimit int64, after uint64, snapEpoch uint64, fn f
 	for _, s := range replayTab.Strings() {
 		w.tab.Intern(s)
 	}
+	w.index, w.tabMark = index, replayTab.Mark()
 	f, err := os.OpenFile(filepath.Join(dir, segName(starts[len(starts)-1])), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -290,14 +317,16 @@ func recoverWAL(dir string, segLimit int64, after uint64, snapEpoch uint64, fn f
 // the running high-water mark, carried across segments by the caller).
 // For the last segment a bad frame is treated as the torn tail and
 // truncated away; anywhere else it is corruption. It returns the number
-// of committed records and the (post-truncation) file size.
-func replaySegment(path string, start uint64, isLast bool, after uint64, snapEpoch uint64, epochSeen *uint64, tab *codec.StrTab, fn func(WALRecord) error) (records uint64, size int64, err error) {
+// of committed records and the (post-truncation) file size, and leaves
+// the segment's index (see wal.index) in *index.
+func replaySegment(path string, start uint64, isLast bool, after uint64, snapEpoch uint64, epochSeen *uint64, tab *codec.StrTab, index *[]segEntry, fn func(WALRecord) error) (records uint64, size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	// Strtab deltas are segment-scoped: every segment rebuilds from zero.
 	tab.Reset()
+	*index = (*index)[:0]
 	off := 0
 	torn := func(reason string) (uint64, int64, error) {
 		if !isLast {
@@ -328,10 +357,12 @@ func replaySegment(path string, start uint64, isLast bool, after uint64, snapEpo
 		// A torn record commits nothing to tab (DecodeWALRecordShared
 		// applies the delta only after a full decode), so the reseeded
 		// append table always matches what this replay accepted.
+		before := tab.Mark()
 		e, err := DecodeWALRecordShared(payload, tab)
 		if err != nil {
 			return torn("undecodable record")
 		}
+		*index = append(*index, segEntry{int64(off), before})
 		if e.Seq != seq {
 			return 0, 0, fmt.Errorf("%w: record sequence %d where %d expected in %s", ErrCorrupt, e.Seq, seq, filepath.Base(path))
 		}
@@ -453,6 +484,8 @@ func (w *wal) append(op core.Op) (uint64, error) {
 		w.tab.Truncate(prevTabLen)
 		return 0, err
 	}
+	w.index = append(w.index, segEntry{w.fileSize, w.tabMark})
+	w.tabMark = w.tabMark.Extend(w.tab.Strings()[prevTabLen:])
 	w.fileSize += int64(len(frame))
 	w.nextSeq++
 	w.appends++
@@ -467,6 +500,7 @@ func (w *wal) append(op core.Op) (uint64, error) {
 		// A fresh segment starts a fresh table: its first record's delta
 		// is based at 0, keeping every segment self-contained.
 		w.tab.Reset()
+		w.index, w.tabMark = nil, codec.TabMark{}
 	}
 	return seq, nil
 }
@@ -516,7 +550,7 @@ type RawWALRecord struct {
 // rawOpsSince reports seeds the decode table, so a page starting
 // mid-segment resolves shared records exactly as a follower would.
 func (w *wal) opsSince(after uint64, limit int) ([]WALRecord, error) {
-	raws, prefix, err := w.rawOpsSince(after, limit)
+	raws, prefix, err := w.rawOpsSince(after, limit, codec.TabMark{})
 	if err != nil || raws == nil {
 		return nil, err
 	}
@@ -553,7 +587,15 @@ func (w *wal) opsSince(after uint64, limit int) ([]WALRecord, error) {
 // bounds is ErrCorrupt, never a torn tail. A segment deleted between
 // snapshot and read (compaction racing us) reports ErrSeqGone, exactly
 // as if compaction had won the race outright.
-func (w *wal) rawOpsSince(after uint64, limit int) ([]RawWALRecord, []string, error) {
+//
+// A page that starts inside the active segment — where every caught-up
+// follower reads — costs what it ships: the index gives the byte range of
+// exactly the frames wanted (limit bounds the read) and the append-side
+// table the prefix, copied under mu unless have, the mark of the table
+// the consumer says it holds, is the first record's: then the prefix is
+// empty. A page that starts in a closed segment scans it from its first
+// record through the same reader, replaying the skipped records' deltas.
+func (w *wal) rawOpsSince(after uint64, limit int, have codec.TabMark) ([]RawWALRecord, []string, error) {
 	if limit <= 0 {
 		limit = defaultReadBatch
 	}
@@ -561,6 +603,14 @@ func (w *wal) rawOpsSince(after uint64, limit int) ([]RawWALRecord, []string, er
 	next := w.nextSeq
 	starts := append([]uint64(nil), w.segStarts...)
 	activeSize := w.fileSize
+	index := w.index
+	var prefix []string
+	if n := len(starts); n > 0 && starts[n-1] <= after+1 && after+1 < next {
+		// A copy: SharedStrings.Reset reuses the array at the next rotation.
+		if e := index[after+1-starts[n-1]]; e.tab != have {
+			prefix = append(prefix, w.tab.Strings()[:e.tab.Len]...)
+		}
+	}
 	w.mu.Unlock()
 	last := next - 1
 	if after >= last {
@@ -577,24 +627,30 @@ func (w *wal) rawOpsSince(after uint64, limit int) ([]RawWALRecord, []string, er
 		return nil, nil, fmt.Errorf("%w: records after %d were compacted away (oldest on disk is %d)", ErrSeqGone, after, oldest)
 	}
 	var out []RawWALRecord
-	var prefix []string
 	var prefixTab codec.StrTab
+	var read, scans int64 // scans: 1 once the page has read a closed segment
 	for i, start := range starts {
 		end := next // the last snapshotted segment covers [start, next)
 		if i+1 < len(starts) {
 			end = starts[i+1]
 		}
-		if end <= after+1 {
+		first := max(start, after+1) // first record wanted from this segment
+		if first >= end {
 			continue
 		}
-		committed := int64(-1) // whole file
+		seq, from, to := start, int64(0), int64(-1) // a closed segment: whole file
 		if i == len(starts)-1 {
-			committed = activeSize
+			seq, from, to = first, index[first-start].off, activeSize
+			if k := first - start + uint64(limit-len(out)); k < uint64(len(index)) {
+				to = index[k].off
+			}
+		} else {
+			scans = 1
 		}
 		var scanErr error
-		err := readSegment(filepath.Join(w.dir, segName(start)), start, committed, func(e RawWALRecord) bool {
+		err := readSegment(filepath.Join(w.dir, segName(start)), seq, from, to, &read, func(e RawWALRecord) bool {
 			if e.Seq > after {
-				if len(out) == 0 {
+				if len(out) == 0 && scans > 0 {
 					// First shipped record: freeze the skipped records'
 					// cumulative table as the page prefix.
 					prefix = append([]string(nil), prefixTab.Strings()...)
@@ -627,44 +683,57 @@ func (w *wal) rawOpsSince(after uint64, limit int) ([]RawWALRecord, []string, er
 			break
 		}
 	}
+	w.mu.Lock()
+	w.ship.ShipPages++
+	w.ship.ShipScans += scans
+	w.ship.ShipReadBytes += read
+	w.mu.Unlock()
 	return out, prefix, nil
 }
 
 // readSegment scans the committed frames of one segment in order, calling
-// fn per raw record until it returns false. committed >= 0 bounds the
-// scan to that prefix (the durable part of the active segment); -1 scans
-// the whole file. Unlike replaySegment this never truncates: every byte
+// fn per raw record until it returns false. It reads bytes [from, to)
+// only, adding their number to *read: from is the offset of record seq's
+// frame, to a later frame boundary of the committed part (-1: the end of
+// the file). Unlike replaySegment this never truncates: every byte
 // in range is supposed to be committed, so any bad frame is ErrCorrupt.
 // Records are verified by CRC and a header peek, not a full decode —
 // shipping payloads stay exactly the bytes on disk. The handed-out
 // payload slices alias the segment read buffer; callers may retain them
 // (the buffer is fresh per call and never mutated).
-func readSegment(path string, start uint64, committed int64, fn func(RawWALRecord) bool) error {
-	data, err := os.ReadFile(path)
+func readSegment(path string, seq uint64, from, to int64, read *int64, fn func(RawWALRecord) bool) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	if committed >= 0 && int64(len(data)) > committed {
-		data = data[:committed]
+	defer f.Close()
+	if to < 0 {
+		if to, err = f.Seek(0, io.SeekEnd); err != nil {
+			return err
+		}
 	}
+	data := make([]byte, to-from)
+	if _, err := f.ReadAt(data, from); err != nil {
+		return fmt.Errorf("%w: reading bytes %d to %d of %s: %v", ErrCorrupt, from, to, filepath.Base(path), err)
+	}
+	*read += to - from
 	off := 0
-	seq := start
 	for off < len(data) {
 		if len(data)-off < frameHeaderLen {
-			return fmt.Errorf("%w: short frame header at offset %d of %s", ErrCorrupt, off, filepath.Base(path))
+			return fmt.Errorf("%w: short frame header at offset %d of %s", ErrCorrupt, from+int64(off), filepath.Base(path))
 		}
 		length := binary.LittleEndian.Uint32(data[off:])
 		sum := binary.LittleEndian.Uint32(data[off+4:])
 		if length == 0 || length > maxRecordBytes || len(data)-off-frameHeaderLen < int(length) {
-			return fmt.Errorf("%w: bad frame at offset %d of %s", ErrCorrupt, off, filepath.Base(path))
+			return fmt.Errorf("%w: bad frame at offset %d of %s", ErrCorrupt, from+int64(off), filepath.Base(path))
 		}
 		payload := data[off+frameHeaderLen : off+frameHeaderLen+int(length)]
 		if crc32.Checksum(payload, crcTable) != sum {
-			return fmt.Errorf("%w: checksum mismatch at offset %d of %s", ErrCorrupt, off, filepath.Base(path))
+			return fmt.Errorf("%w: checksum mismatch at offset %d of %s", ErrCorrupt, from+int64(off), filepath.Base(path))
 		}
 		rseq, epoch, err := peekRecordHeader(payload)
 		if err != nil {
-			return fmt.Errorf("%w: undecodable record at offset %d of %s", ErrCorrupt, off, filepath.Base(path))
+			return fmt.Errorf("%w: undecodable record at offset %d of %s", ErrCorrupt, from+int64(off), filepath.Base(path))
 		}
 		if rseq != seq {
 			return fmt.Errorf("%w: record sequence %d where %d expected in %s", ErrCorrupt, rseq, seq, filepath.Base(path))
@@ -723,6 +792,7 @@ func (w *wal) stats() WALStats {
 		SegmentLimitBytes: w.segLimit,
 		Encoding:          w.encodingName(),
 		StrTabEntries:     w.tab.Len(),
+		ShipStats:         w.ship,
 	}
 }
 

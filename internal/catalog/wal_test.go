@@ -128,7 +128,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	info, _ := os.Stat(seg)
 	var epochSeen uint64
 	var tab codec.StrTab
-	if _, _, err := replaySegment(seg, 1, true, 0, 0, &epochSeen, &tab, nil); err != nil {
+	if _, _, err := replaySegment(seg, 1, true, 0, 0, &epochSeen, &tab, new([]segEntry), nil); err != nil {
 		t.Fatalf("re-scan after truncation: %v", err)
 	}
 	if next, err := w2.append(testOp(9)); err != nil || next != 3 {

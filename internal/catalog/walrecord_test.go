@@ -199,17 +199,22 @@ func TestWALStrTabReseedAcrossReopen(t *testing.T) {
 	if reseeded := w2.stats().StrTabEntries; reseeded != entries {
 		t.Fatalf("recovery reseeded %d strtab entries, append side left %d", reseeded, entries)
 	}
+	// So is the segment index: recovery's scan rebuilt it.
+	checkIndexedEqualsScan(t, w2)
 	for i := 3; i < 6; i++ {
 		if _, err := w2.append(treeOp(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Entries appended onto a rebuilt index continue it.
+	checkIndexedEqualsScan(t, w2)
 	w2.close()
 	all, w3 := collect(t, dir, 0)
 	defer w3.close()
 	if len(all) != 6 {
 		t.Fatalf("replayed %d records after reopen-append, want 6", len(all))
 	}
+	checkIndexedEqualsScan(t, w3)
 	for i, e := range all {
 		want := mustTree(t, docs[i%len(docs)])
 		if e.Seq != uint64(i+1) || e.Op.TreeValue == nil || !pxml.Equal(e.Op.TreeValue.Root(), want.Root()) {

@@ -22,7 +22,9 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"unsafe"
 )
 
@@ -82,10 +84,45 @@ func (t *SharedStrings) AppendDelta(dst []byte, base int) []byte {
 	return AppendStrTabPayload(dst, uint64(base), t.list[min(base, len(t.list)):])
 }
 
+// TabMark names a table state by its length and the running CRC-32C of
+// its entries (the frames' polynomial). On one delta stream equal marks
+// mean the same table; across streams, as surely as a 32-bit checksum
+// says. A log shipper uses it to skip a table its peer already holds.
+type TabMark struct {
+	Len int
+	Sum uint32
+}
+
+// Extend returns the mark of the table grown by entries. Every entry is
+// summed behind its length, so where one entry ends counts too.
+func (m TabMark) Extend(entries []string) TabMark {
+	var n [binary.MaxVarintLen64]byte
+	for _, s := range entries {
+		m.Sum = crc32.Update(m.Sum, crcTable, n[:binary.PutUvarint(n[:], uint64(len(s)))])
+		m.Sum = crc32.Update(m.Sum, crcTable, unsafe.Slice(unsafe.StringData(s), len(s)))
+	}
+	m.Len += len(entries)
+	return m
+}
+
+// String renders the mark as "<len>-<sum, 8 hex digits>", the tab=
+// parameter of a log-shipping request.
+func (m TabMark) String() string { return fmt.Sprintf("%d-%08x", m.Len, m.Sum) }
+
+// ParseTabMark reads exactly what String renders; "" is the empty table.
+func ParseTabMark(s string) (m TabMark, err error) {
+	fmt.Sscanf(s, "%d-%x", &m.Len, &m.Sum) // judged by the round trip, not the error
+	if s != "" && (m.Len < 0 || m.String() != s) {
+		return TabMark{}, fmt.Errorf("%w: bad string-table mark %q", ErrInvalid, s)
+	}
+	return m, nil
+}
+
 // StrTab is the decode-side table: a replay of the append side built by
 // applying deltas in order.
 type StrTab struct {
 	list []string
+	mark TabMark
 }
 
 // Apply merges one decoded delta. A base of 0 resets the table — the
@@ -97,8 +134,10 @@ func (t *StrTab) Apply(base uint64, entries []string) error {
 	switch {
 	case base == 0:
 		t.list = append(t.list[:0:0], entries...)
+		t.mark = TabMark{}.Extend(entries)
 	case base == uint64(len(t.list)):
 		t.list = append(t.list, entries...)
+		t.mark = t.mark.Extend(entries)
 	default:
 		return fmt.Errorf("%w: strtab delta based at %d, table holds %d entries", ErrInvalid, base, len(t.list))
 	}
@@ -112,8 +151,11 @@ func (t *StrTab) Len() int { return len(t.list) }
 // the StrTab; callers must not modify it.
 func (t *StrTab) Strings() []string { return t.list }
 
+// Mark names the table's current state.
+func (t *StrTab) Mark() TabMark { return t.mark }
+
 // Reset empties the table (a segment boundary on the replay side).
-func (t *StrTab) Reset() { t.list = t.list[:0] }
+func (t *StrTab) Reset() { t.list, t.mark = t.list[:0], TabMark{} }
 
 // AppendStrTabPayload appends a strtab delta payload: entries extending a
 // table of length base.

@@ -131,3 +131,54 @@ func FuzzDecodeStrTab(f *testing.F) {
 		}
 	})
 }
+
+// TestTabMark: a mark is a function of the entries and of where each one
+// ends, grows the same whether the table arrived in one delta or in many,
+// follows a StrTab through Apply and Reset, and survives its rendering —
+// which ParseTabMark reads strictly.
+func TestTabMark(t *testing.T) {
+	whole := TabMark{}.Extend([]string{"ab", "c", ""})
+	if whole.Len != 3 || whole == (TabMark{}.Extend([]string{"a", "bc", ""})) || whole == (TabMark{}.Extend([]string{"ab", "", "c"})) {
+		t.Fatalf("mark %v does not tell entry boundaries or order apart", whole)
+	}
+	if step := (TabMark{}).Extend([]string{"ab"}).Extend(nil).Extend([]string{"c", ""}); step != whole {
+		t.Fatalf("extended in steps: %v, at once: %v", step, whole)
+	}
+	var tab StrTab
+	if tab.Mark() != (TabMark{}) {
+		t.Fatalf("empty table has mark %v", tab.Mark())
+	}
+	for _, d := range []struct {
+		base    uint64
+		entries []string
+	}{{0, []string{"ab"}}, {1, []string{"c", ""}}} {
+		if err := tab.Apply(d.base, d.entries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tab.Mark() != whole {
+		t.Fatalf("table of two deltas has mark %v, want %v", tab.Mark(), whole)
+	}
+	if err := tab.Apply(7, []string{"x"}); err == nil || tab.Mark() != whole {
+		t.Fatalf("a refused delta (err %v) moved the mark to %v", err, tab.Mark())
+	}
+	if err := tab.Apply(0, []string{"z"}); err != nil || tab.Mark() != (TabMark{}.Extend([]string{"z"})) {
+		t.Fatalf("a base-0 delta leaves mark %v (err %v)", tab.Mark(), err)
+	}
+	if tab.Reset(); tab.Mark() != (TabMark{}) {
+		t.Fatalf("reset table has mark %v", tab.Mark())
+	}
+	for _, m := range []TabMark{{}, whole, {Len: 1 << 20, Sum: 0xffffffff}, {Len: 7}} {
+		if got, err := ParseTabMark(m.String()); err != nil || got != m {
+			t.Fatalf("%v renders as %q and parses as %v (err %v)", m, m.String(), got, err)
+		}
+	}
+	if m, err := ParseTabMark(""); err != nil || m != (TabMark{}) {
+		t.Fatalf(`"" parses as %v (err %v)`, m, err)
+	}
+	for _, bad := range []string{"x", "3", "3-", "-3-00000000", "3-0", "3-0000000g", "3-00000000 ", "03-00000000", "3-0000000A", "3 -00000000"} {
+		if m, err := ParseTabMark(bad); err == nil {
+			t.Fatalf("%q parsed as %v", bad, m)
+		}
+	}
+}

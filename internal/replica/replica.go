@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/codec"
 	"repro/internal/dtd"
 	"repro/internal/xmlcodec"
 )
@@ -156,6 +157,13 @@ type tailer struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 	st     DBStatus // guarded by Replica.mu
+	// tab is the string table the wal2 page stream of primary tabFrom
+	// left behind after record tabSeq: the prefix of the page that
+	// continues there, named in that request (tab=) so that the primary
+	// need not send it again. The tailer's own goroutine only.
+	tab     codec.StrTab
+	tabSeq  uint64
+	tabFrom string
 }
 
 // Open opens (creating if needed) the follower catalog rooted at dir —
@@ -460,7 +468,7 @@ func (r *Replica) tailOnce(t *tailer) error {
 	}
 	since := db.LastSeq()
 	localEpoch := db.Epoch()
-	page, err := r.fetchWAL(t.ctx, t.name, since, localEpoch)
+	page, err := r.fetchWAL(t, since, localEpoch)
 	if errors.Is(err, errGone) {
 		// The primary compacted past us, or reset below us: full resync.
 		r.logf("replica: %s: position %d gone on primary, resynchronizing from snapshot", t.name, since)
@@ -527,6 +535,7 @@ func (r *Replica) tailOnce(t *tailer) error {
 // bootstrap installs a fresh primary snapshot for t's database — the join
 // and divergence-recovery path.
 func (r *Replica) bootstrap(t *tailer) (*catalog.DB, error) {
+	t.tabFrom = "" // whatever comes next continues no page stream
 	payload, err := r.fetchSnapshot(t.ctx, t.name)
 	if err != nil {
 		return nil, err
@@ -688,8 +697,16 @@ func (r *Replica) noteWire(enc string) {
 
 // fetchWAL long-polls one page of the primary's op log past since. The
 // follower's own epoch rides along so a deposed primary learns of its
-// deposition from the very followers it tries to keep shipping to.
-func (r *Replica) fetchWAL(ctx context.Context, name string, since, epoch uint64) (*WALPage, error) {
+// deposition from the very followers it tries to keep shipping to. So
+// does the mark of t.tab if this page continues the stream the table
+// came from — which only a decoded wal2 page does: after an error, a
+// JSON or a wal1 reply the next request starts from an empty table.
+func (r *Replica) fetchWAL(t *tailer, since, epoch uint64) (*WALPage, error) {
+	primary := r.Primary()
+	if t.tabSeq != since || t.tabFrom != primary {
+		t.tab.Reset()
+	}
+	t.tabFrom = ""
 	q := url.Values{
 		"since": {strconv.FormatUint(since, 10)},
 		"wait":  {strconv.FormatInt(r.opts.PollWait.Milliseconds(), 10)},
@@ -698,8 +715,11 @@ func (r *Replica) fetchWAL(ctx context.Context, name string, since, epoch uint64
 	if r.opts.BatchLimit > 0 {
 		q.Set("limit", strconv.Itoa(r.opts.BatchLimit))
 	}
-	path := "/dbs/" + url.PathEscape(name) + "/wal"
-	resp, cancel, err := r.get(ctx, path, q, r.opts.PollWait+15*time.Second, r.offersBinary())
+	if t.tab.Len() > 0 {
+		q.Set("tab", t.tab.Mark().String())
+	}
+	path := "/dbs/" + url.PathEscape(t.name) + "/wal"
+	resp, cancel, err := r.get(t.ctx, path, q, r.opts.PollWait+15*time.Second, r.offersBinary())
 	if err != nil {
 		return nil, err
 	}
@@ -708,14 +728,18 @@ func (r *Replica) fetchWAL(ctx context.Context, name string, since, epoch uint64
 	if isBinary(resp) {
 		var page *WALPage
 		if isDeflate(resp) {
-			page, err = DecodeWALPageDeflate(resp.Body)
+			page, err = DecodeWALPageDeflate(resp.Body, &t.tab)
 		} else {
-			page, err = DecodeWALPage(resp.Body)
+			page, err = DecodeWALPageFrom(resp.Body, &t.tab)
 		}
 		if err != nil {
 			return nil, err
 		}
-		r.noteWire(binaryWireName(resp))
+		enc := binaryWireName(resp)
+		r.noteWire(enc)
+		if enc != WireBinaryV1 {
+			t.tabSeq, t.tabFrom = since+uint64(len(page.Records)), primary
+		}
 		return page, nil
 	}
 	var page WALPage

@@ -6,11 +6,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/pxml"
 	"repro/internal/replica"
@@ -24,7 +29,7 @@ const (
 	abC = `<addressbook><person><nm>Mary</nm><tel>3333</tel></person></addressbook>`
 )
 
-func mustDecode(t *testing.T, src string) *pxml.Tree {
+func mustDecode(t testing.TB, src string) *pxml.Tree {
 	t.Helper()
 	tree, err := xmlcodec.DecodeString(src)
 	if err != nil {
@@ -365,5 +370,104 @@ func TestReplicaOfStandaloneKeepsData(t *testing.T) {
 	// The replicated database survived the misconfiguration.
 	if _, err := rep2.Catalog().Get("x"); err != nil {
 		t.Fatalf("local database dropped after syncing against a standalone server: %v", err)
+	}
+}
+
+// TestReplicationTableDroppedOnDesync: a follower names the string table
+// it holds only while the page stream it was built from continues. Here
+// the primary answers one such request with a string-table frame based
+// where the follower's table does not end — a desynchronised stream. The
+// follower must drop its table (the next request carries no tab=, and is
+// served a page that stands alone), must not take the failure for
+// divergence (no second snapshot), and once a page has decoded again,
+// name its table again.
+func TestReplicationTableDroppedOnDesync(t *testing.T) {
+	cat, ts := startPrimary(t)
+	pdb, err := cat.Create("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pdb.Core().IntegrateXMLString(abA); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var tabs []string // tab= of every /wal request from the bad answer on
+	front := frontPrimary(t, ts.URL, func(w http.ResponseWriter, q url.Values) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(tabs) > 0 || !q.Has("tab") {
+			if len(tabs) > 0 {
+				tabs = append(tabs, q.Get("tab"))
+			}
+			return false
+		}
+		tabs = append(tabs, q.Get("tab"))
+		since, _ := strconv.ParseUint(q.Get("since"), 10, 64)
+		var hdr []byte
+		hdr = codec.AppendString(hdr, "x")
+		hdr = codec.AppendUvarint(hdr, since)
+		hdr = codec.AppendUvarint(hdr, since)
+		hdr = codec.AppendString(hdr, "")
+		hdr = codec.AppendUvarint(hdr, 0)
+		w.Header().Set("Content-Type", replica.ContentTypeBinary2)
+		fw := codec.NewFrameWriter(w)
+		fw.Write(codec.KindPageHeader, 1, hdr)
+		fw.Write(codec.KindStrTab, codec.StrTabVersion, codec.AppendStrTabPayload(nil, 7777, []string{"stray"}))
+		fw.Write(codec.KindEnd, 1, codec.AppendUvarint(nil, 0))
+		return true
+	})
+	rep, err := replica.Open(t.TempDir(), fastOptions(front.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	fdb := func() *core.Database {
+		waitCaughtUp(t, rep)
+		db, err := rep.Catalog().Get("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db.Core()
+	}
+	fdb() // bootstrapped: what follows arrives as pages
+	// The page carrying abB leaves the follower a table; its next request
+	// names it and gets the bad answer; abC then travels on a page asked
+	// for without one; and the request after that names a table again.
+	for _, src := range []string{abB, abC, abA} {
+		if _, err := pdb.Core().IntegrateXMLString(src); err != nil {
+			t.Fatal(err)
+		}
+		assertConverged(t, pdb.Core(), fdb())
+		deadline := time.Now().Add(10 * time.Second)
+		for n := 0; src == abB && n == 0; time.Sleep(5 * time.Millisecond) {
+			mu.Lock()
+			n = len(tabs)
+			mu.Unlock()
+			if time.Now().After(deadline) {
+				t.Fatal("the follower never named its table")
+			}
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		seen := slices.Clone(tabs)
+		mu.Unlock()
+		if len(seen) >= 2 && seen[1] != "" {
+			t.Fatalf("request after the desynchronised page still carried tab=%s", seen[1])
+		}
+		if n := len(seen); n > 2 && seen[n-1] != "" {
+			if seen[n-1] == seen[0] {
+				t.Fatalf("follower names table %s again, two records later", seen[0])
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the follower never named a table again: %q", seen)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if d := rep.Status().Databases[0]; d.SnapshotsInstalled != 1 || d.Divergences != 0 {
+		t.Fatalf("%d snapshot(s), %d divergence(s); a dropped table is neither", d.SnapshotsInstalled, d.Divergences)
 	}
 }

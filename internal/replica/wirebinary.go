@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/codec"
@@ -140,12 +141,13 @@ func EncodeRawWALPage(w io.Writer, page *WALPage, raws []catalog.RawWALRecord, p
 	return fw.Write(codec.KindEnd, wireVersion, codec.AppendUvarint(nil, uint64(len(raws))))
 }
 
-// DecodeWALPage reads one binary WAL page stream, wal1 or wal2. A
+// DecodeWALPageFrom reads one binary WAL page stream, wal1 or wal2. A
 // stream that ends before the E trailer — a connection cut mid-page —
-// is an error, never a short page. The page-scoped string table starts
+// is an error, never a short page. The string table is tab, what the
+// stream left behind so far (after an error: reset it); it restarts
 // from the optional I frame and advances through each shared record's
 // embedded delta, exactly as the primary's log reader would.
-func DecodeWALPage(r io.Reader) (*WALPage, error) {
+func DecodeWALPageFrom(r io.Reader, tab *codec.StrTab) (*WALPage, error) {
 	fr := codec.NewFrameReader(r, 0)
 	f, err := fr.Read()
 	if err != nil {
@@ -164,7 +166,7 @@ func DecodeWALPage(r io.Reader) (*WALPage, error) {
 	if err := hr.Finish(); err != nil {
 		return nil, fmt.Errorf("replica: page header: %w", err)
 	}
-	var tab codec.StrTab
+	sawTab := false
 	for {
 		f, err := fr.Read()
 		if err != nil {
@@ -174,9 +176,10 @@ func DecodeWALPage(r io.Reader) (*WALPage, error) {
 		case codec.KindStrTab:
 			// The prefix table: legal only before the first record (it is
 			// what the FIRST record's delta is based on).
-			if len(page.Records) > 0 || tab.Len() > 0 {
+			if len(page.Records) > 0 || sawTab {
 				return nil, fmt.Errorf("%w: string-table frame after record(s)", codec.ErrInvalid)
 			}
+			sawTab = true
 			base, entries, err := codec.DecodeStrTabPayload(f.Payload, false)
 			if err != nil {
 				return nil, fmt.Errorf("replica: page string table: %w", err)
@@ -185,7 +188,7 @@ func DecodeWALPage(r io.Reader) (*WALPage, error) {
 				return nil, fmt.Errorf("replica: page string table: %w", err)
 			}
 		case codec.KindRecord:
-			rec, err := catalog.DecodeWALRecordShared(f.Payload, &tab)
+			rec, err := catalog.DecodeWALRecordShared(f.Payload, tab)
 			if err != nil {
 				return nil, fmt.Errorf("replica: record %d of page: %w", len(page.Records)+1, err)
 			}
@@ -206,19 +209,29 @@ func DecodeWALPage(r io.Reader) (*WALPage, error) {
 	}
 }
 
-// DecodeWALPageDeflate is DecodeWALPage over a flate-compressed stream
-// (Content-Encoding: deflate) — the follower's read half of wire
-// compression.
-func DecodeWALPageDeflate(r io.Reader) (*WALPage, error) {
-	zr := flate.NewReader(r)
-	defer zr.Close()
-	page, err := DecodeWALPage(zr)
-	if err != nil {
-		return nil, err
-	}
-	// The E trailer already proved the page complete; a broken DEFLATE
-	// tail after it would be noise, not data loss.
-	return page, nil
+// DecodeWALPage reads a page that stands alone: its table starts empty.
+func DecodeWALPage(r io.Reader) (*WALPage, error) {
+	return DecodeWALPageFrom(r, new(codec.StrTab))
+}
+
+// DecodeWALPageDeflate is DecodeWALPageFrom over a flate-compressed
+// stream (Content-Encoding: deflate) — the follower's read half of wire
+// compression. The E trailer proves the page complete; a broken DEFLATE
+// tail after it would be noise, not data loss.
+func DecodeWALPageDeflate(r io.Reader, tab *codec.StrTab) (*WALPage, error) {
+	zr, done := inflate(r)
+	defer done()
+	return DecodeWALPageFrom(zr, tab)
+}
+
+// flateReaders keeps decompressor state across pages and snapshots.
+var flateReaders = sync.Pool{New: func() any { return flate.NewReader(nil) }}
+
+// inflate returns a pooled flate reader over r; done hands it back.
+func inflate(r io.Reader) (zr io.Reader, done func()) {
+	zr = flateReaders.Get().(io.Reader)
+	_ = zr.(flate.Resetter).Reset(r, nil) // a decompressor's Reset has no failure
+	return zr, func() { flateReaders.Put(zr) }
 }
 
 // appendSnapshotHeader renders the S frame payload.
@@ -386,7 +399,7 @@ func DecodeSnapshot(r io.Reader) (*SnapshotPayload, error) {
 // DecodeSnapshotDeflate is DecodeSnapshot over a flate-compressed
 // stream (Content-Encoding: deflate).
 func DecodeSnapshotDeflate(r io.Reader) (*SnapshotPayload, error) {
-	zr := flate.NewReader(r)
-	defer zr.Close()
+	zr, done := inflate(r)
+	defer done()
 	return DecodeSnapshot(zr)
 }

@@ -4,9 +4,16 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/json"
+	"io"
+	"log"
 	"math/big"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +24,7 @@ import (
 	"repro/internal/integrate"
 	"repro/internal/pxml"
 	"repro/internal/replica"
+	"repro/internal/server"
 )
 
 // wireTrees collects the document(s) an op carries, decoding the XML
@@ -209,7 +217,7 @@ func TestWALPageDeflateRoundTrip(t *testing.T) {
 	if comp.Len() >= raw.Len() {
 		t.Fatalf("redundant page did not compress: %d vs %d raw bytes", comp.Len(), raw.Len())
 	}
-	got, err := replica.DecodeWALPageDeflate(bytes.NewReader(comp.Bytes()))
+	got, err := replica.DecodeWALPageDeflate(bytes.NewReader(comp.Bytes()), new(codec.StrTab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,15 +229,77 @@ func TestWALPageDeflateRoundTrip(t *testing.T) {
 	// the full page — never a silently shortened one (the E trailer count
 	// guards the content).
 	for cut := 0; cut < comp.Len(); cut++ {
-		p, err := replica.DecodeWALPageDeflate(bytes.NewReader(comp.Bytes()[:cut]))
+		p, err := replica.DecodeWALPageDeflate(bytes.NewReader(comp.Bytes()[:cut]), new(codec.StrTab))
 		if err == nil && (p.LastSeq != 3 || len(p.Records) != 3) {
 			t.Fatalf("compressed stream cut at byte %d decoded as a partial page: %+v", cut, p)
 		}
 	}
 }
 
-// FuzzDecompressPage: arbitrary bytes fed to the compressed-wire
-// decoders must error or produce a valid page — never panic, never hang.
+// tailPage is a wal2 page the way a tailing follower meets it: its one
+// record (sequence 2, replacing the document with abC) has a strtab delta
+// based past the entries of record 1, which the page does not ship.
+// carried is the table record 1 left behind, after the table once record
+// 2 has been decoded. stream renders the page with the given prefix;
+// frames renders it frame by frame in the order named — H(eader),
+// I (the prefix carried), R(ecord), E(nd) — so that a test can misplace
+// one.
+type tailPage struct {
+	carried, after []string
+	raws           []catalog.RawWALRecord
+}
+
+func newTailPage(t testing.TB) *tailPage {
+	t.Helper()
+	var shared codec.SharedStrings
+	if _, err := catalog.EncodeWALRecordShared(catalog.WALRecord{Seq: 1, Epoch: 1,
+		Op: core.Op{Kind: core.OpReplace, TreeValue: mustDecode(t, abA)}}, &shared); err != nil {
+		t.Fatal(err)
+	}
+	carried := slices.Clone(shared.Strings())
+	payload, err := catalog.EncodeWALRecordShared(catalog.WALRecord{Seq: 2, Epoch: 1,
+		Op: core.Op{Kind: core.OpReplace, TreeValue: mustDecode(t, abC)}}, &shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &tailPage{carried, slices.Clone(shared.Strings()), []catalog.RawWALRecord{{Seq: 2, Epoch: 1, Payload: payload}}}
+}
+
+func (p *tailPage) stream(t testing.TB, prefix []string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	page := &replica.WALPage{Database: "x", Since: 1, LastSeq: 2, Digest: "d", Epoch: 1}
+	if err := replica.EncodeRawWALPage(&buf, page, p.raws, prefix); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func (p *tailPage) frames(t testing.TB, order string) []byte {
+	t.Helper()
+	byKind := map[rune][]byte{}
+	for rest, i := p.stream(t, p.carried), 0; len(rest) > 0; i++ {
+		fr, next, err := codec.ParseFrame(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byKind[rune("HIRE"[i])] = rest[:len(rest)-len(next)]
+		if rest = next; fr.Kind == codec.KindEnd {
+			break
+		}
+	}
+	var out []byte
+	for _, k := range order {
+		out = append(out, byKind[k]...)
+	}
+	return out
+}
+
+// FuzzDecompressPage: arbitrary bytes fed to the page and snapshot
+// decoders, compressed or not, over an empty table or over the table a
+// tailing follower carries in from the page before, must error or produce
+// a valid page — never panic, never hang, and never take a string-table
+// frame once a record (or another table) has gone by.
 func FuzzDecompressPage(f *testing.F) {
 	page := &replica.WALPage{Database: "x", Since: 0, LastSeq: 1, Digest: "d", Epoch: 1,
 		Records: []catalog.WALRecord{{Seq: 1, Epoch: 1,
@@ -238,17 +308,103 @@ func FuzzDecompressPage(f *testing.F) {
 	if err := replica.EncodeWALPage(&raw, page); err != nil {
 		f.Fatal(err)
 	}
-	var comp bytes.Buffer
-	fw, _ := flate.NewWriter(&comp, flate.BestSpeed)
-	fw.Write(raw.Bytes())
-	fw.Close()
-	f.Add(comp.Bytes())
-	f.Add(raw.Bytes()) // uncompressed bytes on the compressed path
-	f.Add([]byte{0x00})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		replica.DecodeWALPageDeflate(bytes.NewReader(data))
+	deflate := func(b []byte) []byte {
+		var comp bytes.Buffer
+		fw, _ := flate.NewWriter(&comp, flate.BestSpeed)
+		fw.Write(b)
+		fw.Close()
+		return comp.Bytes()
+	}
+	tail := newTailPage(f)
+	f.Add(deflate(raw.Bytes()), false)
+	f.Add(raw.Bytes(), false) // uncompressed bytes on the compressed path
+	f.Add([]byte{0x00}, false)
+	f.Add(tail.stream(f, nil), true) // decodes over the carried table only
+	f.Add(deflate(tail.stream(f, nil)), true)
+	f.Add(tail.stream(f, tail.carried), true) // stands alone
+	f.Add(tail.stream(f, tail.carried), false)
+	f.Add(tail.frames(f, "HRIE"), true) // malformed: the table behind the record
+	f.Fuzz(func(t *testing.T, data []byte, seeded bool) {
+		table := func() *codec.StrTab {
+			var tab codec.StrTab
+			if seeded {
+				tab.Apply(0, tail.carried)
+			}
+			return &tab
+		}
+		replica.DecodeWALPageDeflate(bytes.NewReader(data), table())
 		replica.DecodeSnapshotDeflate(bytes.NewReader(data))
+		if _, err := replica.DecodeWALPageFrom(bytes.NewReader(data), table()); err != nil {
+			return
+		}
+		// Accepted: the frames up to the trailer must have the shape
+		// H I? R* E.
+		records, tables := 0, 0
+		for rest := data; ; {
+			fr, next, err := codec.ParseFrame(rest)
+			if err != nil {
+				t.Fatalf("accepted a stream whose frames do not parse: %v", err)
+			}
+			switch rest = next; fr.Kind {
+			case codec.KindRecord:
+				records++
+			case codec.KindStrTab:
+				if tables++; records > 0 || tables > 1 {
+					t.Fatalf("accepted string-table frame %d after %d record(s)", tables, records)
+				}
+			case codec.KindEnd:
+				return
+			}
+		}
 	})
+}
+
+// TestWALPageCarriedTable pins what the fuzzer's seeds stand for: a page
+// without its prefix decodes over the table the page before left behind
+// and over nothing else; a prefix frame replaces whatever was carried in;
+// either way the table left behind is the primary's; and a prefix frame
+// behind a record, or a second one, is refused.
+func TestWALPageCarriedTable(t *testing.T) {
+	tail := newTailPage(t)
+	decode := func(stream []byte, have []string) (*replica.WALPage, codec.TabMark, error) {
+		var tab codec.StrTab
+		if err := tab.Apply(0, have); err != nil {
+			t.Fatal(err)
+		}
+		p, err := replica.DecodeWALPageFrom(bytes.NewReader(stream), &tab)
+		return p, tab.Mark(), err
+	}
+	want := mustDecode(t, abC)
+	for name, c := range map[string]struct {
+		prefix, have []string
+	}{
+		"carried, no prefix":        {nil, tail.carried},
+		"prefix, nothing carried":   {tail.carried, nil},
+		"prefix over a stale table": {tail.carried, []string{"left", "over", "from", "another", "stream", "entirely"}},
+	} {
+		got, left, err := decode(tail.stream(t, c.prefix), c.have)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got.Records) != 1 || !pxml.Equal(got.Records[0].Op.TreeValue.Root(), want.Root()) {
+			t.Fatalf("%s: decoded %+v", name, got.Records)
+		}
+		if primary := (codec.TabMark{}).Extend(tail.after); left != primary {
+			t.Fatalf("%s: table left behind is %v, the primary's is %v", name, left, primary)
+		}
+	}
+	if _, _, err := decode(tail.stream(t, nil), tail.carried[:len(tail.carried)-1]); err == nil {
+		t.Fatal("a record based past the carried table decoded")
+	}
+	if _, _, err := decode(tail.frames(t, "HRIE"), tail.carried); err == nil {
+		t.Fatal("a string-table frame behind a record was accepted")
+	}
+	if _, _, err := decode(tail.frames(t, "HIIRE"), nil); err == nil {
+		t.Fatal("a second string-table frame was accepted")
+	}
+	if _, _, err := decode(tail.frames(t, "HIRE"), nil); err != nil {
+		t.Fatalf("the frames in their own order: %v", err)
+	}
 }
 
 // TestWALPageEmpty: a caught-up page (no records) is a legal stream.
@@ -494,11 +650,57 @@ func TestReplicationWireNegotiationBinary(t *testing.T) {
 	}
 }
 
-// TestReplicationWireNegotiationMixedVersions: one primary feeding three
-// generations of follower at once — a current one (compressed wal2), a
-// binary-v1 one (what an older build sends), and a wal2-no-compression
-// one — each negotiates its own wire and all three converge on the same
-// document and histories.
+// frontPrimary puts a proxy in front of a primary. Every /wal request
+// passes through hook first, with its parsed query: hook may rewrite the
+// query in place, or answer the request itself and report true.
+func frontPrimary(t *testing.T, primary string, hook func(w http.ResponseWriter, q url.Values) bool) *httptest.Server {
+	t.Helper()
+	u, err := url.Parse(primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(u)
+	rp.ErrorLog = log.New(io.Discard, "", 0) // long-polls cut at Close
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/wal") {
+			q := r.URL.Query()
+			if hook(w, q) {
+				return
+			}
+			r.URL.RawQuery = q.Encode()
+		}
+		rp.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// wireCounters reads the wire section of a primary's /stats.
+func wireCounters(t *testing.T, url string) server.WireStats {
+	t.Helper()
+	resp, err := http.Get(url + "/dbs/x/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st server.StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.Wire == nil {
+		t.Fatalf("stats: wire section %v, err %v", st.Wire, err)
+	}
+	return *st.Wire
+}
+
+// TestReplicationWireNegotiationMixedVersions: one primary feeding every
+// generation of follower at once — a current one (compressed wal2, naming
+// the table it holds), a binary-v1 one (what an older build sends), a
+// wal2-no-compression one, a current one whose primary is older than the
+// tab= parameter (a proxy strips it: the prefix always comes), and one
+// whose tab= names the right length with the wrong checksum — each
+// negotiates its own wire, all converge on the same document and
+// histories, and none needs a second snapshot to get there. A follower
+// that keeps no table at all still gets pages that stand alone. Then the
+// primary is deposed: a follower that built its table from the old
+// primary's stream re-points to the promoted node and converges there.
 func TestReplicationWireNegotiationMixedVersions(t *testing.T) {
 	cat, ts := startPrimary(t)
 	pdb, err := cat.Create("x")
@@ -508,18 +710,42 @@ func TestReplicationWireNegotiationMixedVersions(t *testing.T) {
 	if _, err := pdb.Core().IntegrateXMLString(abA); err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	stripped, flipped := 0, 0
+	noTab := frontPrimary(t, ts.URL, func(_ http.ResponseWriter, q url.Values) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if q.Has("tab") {
+			stripped++
+		}
+		q.Del("tab")
+		return false
+	})
+	wrongSum := frontPrimary(t, ts.URL, func(_ http.ResponseWriter, q url.Values) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if m, err := codec.ParseTabMark(q.Get("tab")); err == nil && m.Len > 0 {
+			m.Sum ^= 1
+			q.Set("tab", m.String())
+			flipped++
+		}
+		return false
+	})
 	variants := []struct {
-		name string
-		mut  func(*replica.Options)
-		want string
+		name    string
+		primary string
+		mut     func(*replica.Options)
+		want    string
 	}{
-		{"current", func(o *replica.Options) {}, replica.WireBinaryFlate},
-		{"binary1", func(o *replica.Options) { o.WireEncoding = replica.WireBinaryV1 }, replica.WireBinaryV1},
-		{"uncompressed", func(o *replica.Options) { o.NoCompression = true }, replica.WireBinary},
+		{"current", ts.URL, func(o *replica.Options) {}, replica.WireBinaryFlate},
+		{"binary1", ts.URL, func(o *replica.Options) { o.WireEncoding = replica.WireBinaryV1 }, replica.WireBinaryV1},
+		{"uncompressed", ts.URL, func(o *replica.Options) { o.NoCompression = true }, replica.WireBinary},
+		{"primary-ignores-tab", noTab.URL, func(o *replica.Options) {}, replica.WireBinaryFlate},
+		{"wrong-checksum", wrongSum.URL, func(o *replica.Options) {}, replica.WireBinaryFlate},
 	}
 	var reps []*replica.Replica
 	for _, v := range variants {
-		opts := fastOptions(ts.URL)
+		opts := fastOptions(v.primary)
 		v.mut(&opts)
 		rep, err := replica.Open(t.TempDir(), opts)
 		if err != nil {
@@ -529,23 +755,106 @@ func TestReplicationWireNegotiationMixedVersions(t *testing.T) {
 		reps = append(reps, rep)
 	}
 	// More traffic after the bootstrap, so every follower also exercises
-	// its WAL tail path.
-	if _, err := pdb.Core().IntegrateXMLString(abB); err != nil {
-		t.Fatal(err)
+	// its WAL tail path — in three rounds, so that the later pages go to
+	// followers that hold a table from the earlier ones.
+	writes := []func() error{
+		func() error { _, err := pdb.Core().IntegrateXMLString(abB); return err },
+		func() error { _, err := pdb.Core().Feedback(`//person[nm="John"]/tel`, "2222", false); return err },
+		func() error { _, err := pdb.Core().IntegrateXMLString(abC); return err },
 	}
-	if _, err := pdb.Core().Feedback(`//person[nm="John"]/tel`, "2222", false); err != nil {
-		t.Fatal(err)
+	for _, write := range writes {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range variants {
+			waitCaughtUp(t, reps[i])
+		}
 	}
 	for i, v := range variants {
-		waitCaughtUp(t, reps[i])
 		fdb, err := reps[i].Catalog().Get("x")
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		assertConverged(t, pdb.Core(), fdb.Core())
-		if st := reps[i].Status(); st.WireEncoding != v.want {
+		st := reps[i].Status()
+		if st.WireEncoding != v.want {
 			t.Fatalf("%s follower negotiated %q, want %q", v.name, st.WireEncoding, v.want)
 		}
+		if d := st.Databases[0]; d.SnapshotsInstalled != 1 || d.Divergences != 0 {
+			t.Fatalf("%s follower: %d snapshot(s), %d divergence(s); want the bootstrap alone", v.name, d.SnapshotsInstalled, d.Divergences)
+		}
+	}
+	mu.Lock()
+	if stripped == 0 || flipped == 0 {
+		t.Fatalf("proxies saw %d and %d tab= parameters: the followers are not naming their tables", stripped, flipped)
+	}
+	mu.Unlock()
+	// Only the current and the uncompressed follower can have been spared
+	// a prefix — and after the first round they were.
+	if w := wireCounters(t, ts.URL); w.PrefixSkipped == 0 {
+		t.Fatalf("no page went out without its prefix: %+v", w)
+	}
+
+	// A wal2 follower that sends no tab= (one built before this parameter)
+	// gets, mid-segment, a page that decodes over an empty table.
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/dbs/x/wal?since=3", nil)
+	req.Header.Set("Accept", replica.ContentTypeBinary2)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := replica.DecodeWALPage(resp.Body)
+	resp.Body.Close()
+	if err != nil || len(page.Records) != 1 || page.Records[0].Seq != 4 {
+		t.Fatalf("page for a follower without a table: %+v, err %v", page, err)
+	}
+
+	// Failover. reps[0] ("current") holds the table of the old primary's
+	// stream; reps[2] is promoted and fences the old primary, which then
+	// names its successor. The promoted node journaled the same ops into
+	// its own segments — it bootstrapped at 1, so its table lacks what the
+	// old primary's record 1 interned — and the follower's mark cannot be
+	// taken for one of its own.
+	promoted := server.NewReplica(reps[2], server.Options{})
+	defer promoted.Close()
+	pts := httptest.NewServer(promoted.Handler())
+	defer pts.Close()
+	post := func(path, body string) {
+		t.Helper()
+		resp, err := http.Post(pts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if msg, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %s: %s", path, resp.Status, msg)
+		}
+	}
+	post("/promote", `{"advertise_url":"`+pts.URL+`"}`)
+	post("/dbs/x/integrate", `<addressbook><person><nm>Rita</nm><tel>4444</tel></person></addressbook>`)
+	post("/dbs/x/feedback", `{"query":"//person[nm=\"Mary\"]/tel","value":"3333","correct":false}`)
+	deadline := time.Now().Add(30 * time.Second)
+	for reps[0].Primary() != pts.URL {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower still follows %s, the promoted node is %s", reps[0].Primary(), pts.URL)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	waitCaughtUp(t, reps[0])
+	ndb, err := reps[2].Catalog().Get("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fdb, err := reps[0].Catalog().Get("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConverged(t, ndb.Core(), fdb.Core())
+	if p, f := replica.DigestString(ndb.Core().Tree()), replica.DigestString(fdb.Core().Tree()); p != f || fdb.LastSeq() != 6 {
+		t.Fatalf("after failover: digests %s and %s, follower at %d (want 6)", p, f, fdb.LastSeq())
+	}
+	if d := reps[0].Status().Databases[0]; d.SnapshotsInstalled != 1 || d.Divergences != 0 {
+		t.Fatalf("after failover: %d snapshot(s), %d divergence(s); want neither to have moved", d.SnapshotsInstalled, d.Divergences)
 	}
 }
 

@@ -16,10 +16,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/replica"
 	"repro/internal/store"
@@ -57,6 +59,7 @@ func negotiateWire(r *http.Request) string {
 // win /stats reports).
 type wireCounters struct {
 	pages, pagesCompressed         atomic.Int64
+	prefixSkipped                  atomic.Int64 // wal2 pages with records and no I frame
 	snapshots, snapshotsCompressed atomic.Int64
 	payloadBytes, wireBytes        atomic.Int64
 }
@@ -90,9 +93,17 @@ func (s *Server) compressIfOffered(w http.ResponseWriter, r *http.Request) (out 
 	// BestSpeed: the wire is latency-sensitive and the framed binary
 	// payloads are already compact; the win is mostly repeated tags and
 	// text, which the fastest level captures too.
-	fw, _ := flate.NewWriter(wireW, flate.BestSpeed)
-	return &countingWriter{w: fw, n: &s.wire.payloadBytes}, func() { fw.Close() }, true
+	fw := flateWriters.Get().(*flate.Writer)
+	fw.Reset(wireW)
+	return &countingWriter{w: fw, n: &s.wire.payloadBytes}, func() { fw.Close(); flateWriters.Put(fw) }, true
 }
+
+// flateWriters keeps compressor state (≈ 0.9 MB a flate.Writer, far more
+// than the page it deflates) across responses.
+var flateWriters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, flate.BestSpeed)
+	return fw
+}}
 
 // notePeer records the wire encoding served to a replication peer, keyed
 // by remote host — the per-peer negotiation surface /replication and
@@ -188,18 +199,27 @@ func (s *Server) role() string {
 // follower's cluster epoch; a value above this node's means this node
 // was deposed — it steps down and answers 409). A position the log
 // cannot serve incrementally (compacted away, or beyond the log) is
-// 410 Gone: the follower must bootstrap from /snapshot.
+// 410 Gone: the follower must bootstrap from /snapshot. tab is the mark
+// of the string table the follower holds from the page that ended at
+// since; if record since+1 extends that very table, no I frame is sent.
 func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, t target) {
 	if t.cdb == nil {
 		writeError(w, http.StatusServiceUnavailable, "wal: log shipping requires a durable catalog (start the server with a data directory)")
 		return
 	}
-	since, err := uintParam(r, "since", 0)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "wal: %v", err)
-		return
+	q := r.URL.Query() // parsed once: r.URL.Query() builds a map per call
+	have, err := codec.ParseTabMark(q.Get("tab"))
+	num := func(name string) (n uint64) {
+		if v := q.Get(name); v != "" && err == nil {
+			if n, err = strconv.ParseUint(v, 10, 64); err != nil {
+				err = fmt.Errorf("bad %s parameter %q", name, v)
+			}
+		}
+		return n
 	}
-	followerEpoch, err := uintParam(r, "epoch", 0)
+	since, followerEpoch := num("since"), num("epoch")
+	limit := int(min(num("limit"), maxWALLimit))
+	wait := time.Duration(min(num("wait"), uint64(maxWALWait/time.Millisecond))) * time.Millisecond
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "wal: %v", err)
 		return
@@ -211,23 +231,6 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, t target) {
 		s.stepDown(local, followerEpoch, "")
 		writeError(w, http.StatusConflict, "wal: this node is at epoch %d, the cluster has moved to %d (stepping down)", local, followerEpoch)
 		return
-	}
-	limit, err := intParam(r, "limit", 0)
-	if err != nil || limit < 0 {
-		writeError(w, http.StatusBadRequest, "wal: bad limit parameter")
-		return
-	}
-	if limit > maxWALLimit {
-		limit = maxWALLimit
-	}
-	waitMS, err := intParam(r, "wait", 0)
-	if err != nil || waitMS < 0 {
-		writeError(w, http.StatusBadRequest, "wal: bad wait parameter")
-		return
-	}
-	wait := time.Duration(waitMS) * time.Millisecond
-	if wait > maxWALWait {
-		wait = maxWALWait
 	}
 	// The wire encoding decides how records are read: the wal2 binary
 	// wire ships raw on-disk payload bytes (no decode, no re-encode) plus
@@ -243,13 +246,13 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, t target) {
 	if wait > 0 {
 		ctx, cancel := context.WithTimeout(r.Context(), wait)
 		if rawWire {
-			raws, prefix, err = t.cdb.WaitRawOps(ctx, since, limit)
+			raws, prefix, err = t.cdb.WaitRawOps(ctx, since, limit, have)
 		} else {
 			recs, err = t.cdb.WaitOps(ctx, since, limit)
 		}
 		cancel()
 	} else if rawWire {
-		raws, prefix, err = t.cdb.RawOpsSince(since, limit)
+		raws, prefix, err = t.cdb.RawOpsSince(since, limit, have)
 	} else {
 		recs, err = t.cdb.OpsSince(since, limit)
 	}
@@ -284,6 +287,9 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, t target) {
 			s.wire.pagesCompressed.Add(1)
 		}
 		s.wire.pages.Add(1)
+		if len(raws) > 0 && len(prefix) == 0 {
+			s.wire.prefixSkipped.Add(1)
+		}
 		s.notePeer(r, enc)
 		w.Header().Set("Content-Type", replica.ContentTypeBinary2)
 		// Headers are out once the first frame is written; a mid-stream
@@ -539,17 +545,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// uintParam parses an unsigned integer query parameter.
-func uintParam(r *http.Request, name string, def uint64) (uint64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s parameter %q", name, v)
-	}
-	return n, nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/pxml"
 	"repro/internal/replica"
@@ -133,6 +135,106 @@ func TestWALEndpoint(t *testing.T) {
 	// Bad parameters are 400.
 	getJSON(t, ts.URL+"/dbs/x/wal?since=-1", http.StatusBadRequest, nil)
 	getJSON(t, ts.URL+"/dbs/x/wal?wait=x", http.StatusBadRequest, nil)
+	getJSON(t, ts.URL+"/dbs/x/wal?limit=-1", http.StatusBadRequest, nil)
+	getJSON(t, ts.URL+"/dbs/x/wal?epoch=1e3", http.StatusBadRequest, nil)
+	for _, tab := range []string{"x", "3", "3-", "3-zz", "-3-00000000", "3-0", "3-00000000x", "3-0000000G"} {
+		getJSON(t, ts.URL+"/dbs/x/wal?since=1&tab="+tab, http.StatusBadRequest, nil)
+	}
+}
+
+// TestReplicationShipCostCounters drives the wal2 wire the way a tailing
+// follower does — keep the table a page leaves behind, name it in the
+// next request — and reads back what /stats says it cost: a page whose
+// table the follower named carries no I frame and counts under
+// wire.prefix_skipped, a table named with the wrong checksum is sent
+// whole, and wal.ship_pages / ship_scans / ship_read_bytes say that every
+// page was read through the index.
+func TestReplicationShipCostCounters(t *testing.T) {
+	cat, ts := newPrimaryServer(t, catalog.Options{})
+	db, err := cat.Get("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{abookA, abookB, abookC} {
+		if _, err := db.Core().IntegrateXMLString(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tab codec.StrTab
+	fetch := func(query string) (page *replica.WALPage, prefixed bool) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/dbs/x/wal?"+query, nil)
+		req.Header.Set("Accept", replica.ContentTypeBinary2)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET wal?%s: %s, err %v", query, resp.Status, err)
+		}
+		_, rest, err := codec.ParseFrame(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, _, err := codec.ParseFrame(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if page, err = replica.DecodeWALPageFrom(bytes.NewReader(body), &tab); err != nil {
+			t.Fatalf("GET wal?%s: %v", query, err)
+		}
+		return page, second.Kind == codec.KindStrTab
+	}
+	if page, prefixed := fetch("since=1&limit=1"); !prefixed || len(page.Records) != 1 {
+		t.Fatalf("first page of a follower without a table: %d record(s), prefix sent: %v", len(page.Records), prefixed)
+	}
+	held := tab.Mark()
+	if held.Len == 0 {
+		t.Fatal("the first page left no table behind")
+	}
+	wrong := held
+	wrong.Sum++
+	if page, prefixed := fetch("since=2&tab=" + wrong.String()); !prefixed || len(page.Records) != 1 {
+		t.Fatalf("table named with a wrong checksum: %d record(s), prefix sent: %v", len(page.Records), prefixed)
+	}
+	tab.Reset() // and once more, from the start
+	fetch("since=1&limit=1")
+	page, prefixed := fetch("since=2&tab=" + held.String())
+	if prefixed || len(page.Records) != 1 || page.Records[0].Seq != 3 {
+		t.Fatalf("table named correctly: %+v, prefix sent: %v", page.Records, prefixed)
+	}
+	want, err := xmlcodec.DecodeString(abookC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := page.Records[0].Op.SourceTrees; len(got) != 1 || !pxml.Equal(got[0].Root(), want.Root()) {
+		t.Fatalf("record decoded over the held table: %+v", page.Records[0].Op)
+	}
+
+	var raw struct {
+		WAL  map[string]any `json:"wal"`
+		Wire map[string]any `json:"wire"`
+	}
+	getJSON(t, ts.URL+"/dbs/x/stats", http.StatusOK, &raw)
+	if raw.WAL["ship_pages"] != 4.0 || raw.WAL["ship_scans"] != 0.0 || raw.WAL["appended_bytes"] == nil {
+		t.Fatalf("wal section: %v", raw.WAL)
+	}
+	// Pages 2, 3, 2, 3 of a three-record segment: frames 2 and 3, twice.
+	st := db.Stats().WAL
+	var first catalog.RawWALRecord
+	if raws, _, err := db.RawOpsSince(0, 1, codec.TabMark{}); err != nil || len(raws) != 1 {
+		t.Fatal(err)
+	} else {
+		first = raws[0]
+	}
+	if want := 2 * (st.AppendedBytes - int64(len(first.Payload)) - 8); raw.WAL["ship_read_bytes"] != float64(want) {
+		t.Fatalf("ship_read_bytes %v, frames 2 and 3 twice are %d bytes", raw.WAL["ship_read_bytes"], want)
+	}
+	if raw.Wire["pages"] != 4.0 || raw.Wire["prefix_skipped"] != 1.0 {
+		t.Fatalf("wire section: %v", raw.Wire)
+	}
 }
 
 // TestWALEndpointGoneAfterCompaction: positions compacted out of the log

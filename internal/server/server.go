@@ -827,6 +827,8 @@ type DurabilityStats struct {
 	// StrTabEntries is the size of the live segment's interned-string
 	// table (0 when strtab appends are disabled or the segment is fresh).
 	StrTabEntries int `json:"strtab_entries"`
+	// ShipStats: log pages served to followers and what reading them cost.
+	catalog.ShipStats
 }
 
 func durabilityStats(db *catalog.DB) *DurabilityStats {
@@ -848,6 +850,7 @@ func durabilityStats(db *catalog.DB) *DurabilityStats {
 		StoreFormat:       st.StoreFormat,
 		Encoding:          st.WAL.Encoding,
 		StrTabEntries:     st.WAL.StrTabEntries,
+		ShipStats:         st.WAL.ShipStats,
 	}
 }
 
@@ -884,6 +887,7 @@ func storeRuntimeStats() *StoreRuntimeStats {
 type WireStats struct {
 	Pages               int64 `json:"pages"`
 	PagesCompressed     int64 `json:"pages_compressed"`
+	PrefixSkipped       int64 `json:"prefix_skipped"`
 	Snapshots           int64 `json:"snapshots"`
 	SnapshotsCompressed int64 `json:"snapshots_compressed"`
 	PayloadBytes        int64 `json:"payload_bytes"`
@@ -894,6 +898,7 @@ func (s *Server) wireStats() *WireStats {
 	return &WireStats{
 		Pages:               s.wire.pages.Load(),
 		PagesCompressed:     s.wire.pagesCompressed.Load(),
+		PrefixSkipped:       s.wire.prefixSkipped.Load(),
 		Snapshots:           s.wire.snapshots.Load(),
 		SnapshotsCompressed: s.wire.snapshotsCompressed.Load(),
 		PayloadBytes:        s.wire.payloadBytes.Load(),
