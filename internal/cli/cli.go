@@ -194,7 +194,7 @@ func runIntegrate(args []string, w io.Writer) error {
 	s := res.CollectStats()
 	fmt.Fprintf(w, "nodes:           %d (physical %d)\n", s.LogicalNodes, s.PhysicalNodes)
 	fmt.Fprintf(w, "possible worlds: %s\n", s.Worlds)
-	fmt.Fprintf(w, "choice points:   %d\n", res.ChoicePoints())
+	fmt.Fprintf(w, "choice points:   %d\n", s.ChoicePoints)
 	fmt.Fprintf(w, "oracle:          %d pairs, %d must, %d cannot, %d undecided\n",
 		stats.OracleCalls, stats.MustPairs, stats.CannotPairs, stats.UndecidedPairs)
 	fmt.Fprintf(w, "matchings:       %d enumerated, %d pruned by schema\n",
@@ -336,7 +336,7 @@ func runStats(args []string, w io.Writer) error {
 		s.LogicalNodes, s.LogicalProb, s.LogicalPoss, s.LogicalElem)
 	fmt.Fprintf(w, "physical nodes:  %d\n", s.PhysicalNodes)
 	fmt.Fprintf(w, "possible worlds: %s\n", s.Worlds)
-	fmt.Fprintf(w, "choice points:   %d\n", t.ChoicePoints())
+	fmt.Fprintf(w, "choice points:   %d\n", s.ChoicePoints)
 	fmt.Fprintf(w, "max depth:       %d\n", s.MaxDepth)
 	fmt.Fprintf(w, "certain:         %v\n", t.IsCertain())
 	return nil

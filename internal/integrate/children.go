@@ -2,6 +2,7 @@ package integrate
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dtd"
 	"repro/internal/oracle"
@@ -61,10 +62,10 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v.Decision == oracle.CannotMatch {
+		if v.decision == oracle.CannotMatch {
 			continue
 		}
-		edges = append(edges, edge{i: cand.i, j: cand.j, p: v.P, must: v.Decision == oracle.MustMatch})
+		edges = append(edges, edge{i: cand.i, j: cand.j, p: v.p, must: v.decision == oracle.MustMatch})
 	}
 
 	comps := it.components(edges, len(certA))
@@ -199,8 +200,8 @@ func (it *integrator) components(edges []edge, nA int) []component {
 				c.bIdx = append(c.bIdx, e.j)
 			}
 		}
-		sortInts(c.aIdx)
-		sortInts(c.bIdx)
+		slices.Sort(c.aIdx)
+		slices.Sort(c.bIdx)
 		it.noteComponent(c)
 		return []component{c}
 	}
@@ -247,8 +248,8 @@ func (it *integrator) components(edges []edge, nA int) []component {
 				c.bIdx = append(c.bIdx, e.j)
 			}
 		}
-		sortInts(c.aIdx)
-		sortInts(c.bIdx)
+		slices.Sort(c.aIdx)
+		slices.Sort(c.bIdx)
 		it.noteComponent(*c)
 		out = append(out, *c)
 	}
@@ -258,14 +259,6 @@ func (it *integrator) components(edges []edge, nA int) []component {
 func (it *integrator) noteComponent(c component) {
 	it.stats.components.Add(1)
 	it.stats.noteLargest(len(c.edges))
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // tagBudgets computes, for every tag whose maximum occurrence under the

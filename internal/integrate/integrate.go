@@ -138,7 +138,7 @@ func (c Config) workers() int {
 // smaller than the same-tag cross product by the number of blocked pairs,
 // while MustPairs and UndecidedPairs are what they would be without keys.
 type Stats struct {
-	OracleCalls    int // distinct pairs put to the Oracle
+	OracleCalls    int // distinct pairs (by subtree digests) put to the Oracle
 	MustPairs      int // pairs decided must-match
 	CannotPairs    int // pairs the Oracle decided cannot-match (blocked pairs are not asked)
 	UndecidedPairs int // pairs the Oracle could not decide absolutely
@@ -152,11 +152,13 @@ type Stats struct {
 	TruncatedComponents int // components cut off by budget (truncate mode)
 	ValueConflicts      int // matched leaf pairs with conflicting text
 
-	// VerdictMemoHits and MergeMemoHits count distinct pairs this call
-	// resolved from the cross-call memo (Config.Memo) instead of
-	// computing. The compute counters above only count work actually
-	// performed by this call, so a memo hit never double-counts
-	// OracleCalls or MatchingsEnumerated.
+	// VerdictMemoHits counts the verdict look-ups this call answered from
+	// the table instead of the Oracle: a pair an earlier integration settled
+	// in the cross-call memo (Config.Memo) and, equally, one this call met
+	// before (two nodes under two parents, two pairs of equal digests).
+	// MergeMemoHits counts distinct pairs merged by the cross-call memo.
+	// The compute counters above only count work this call performed, so a
+	// memo hit never double-counts OracleCalls or MatchingsEnumerated.
 	VerdictMemoHits int
 	MergeMemoHits   int
 	// SplicedChildren counts certain child elements carried into the
@@ -215,9 +217,12 @@ func Integrate(a, b *pxml.Tree, cfg Config) (*pxml.Tree, *Stats, error) {
 	it := &integrator{
 		cfg:       cfg,
 		mergeMemo: newMemoTable[pair, mergeResult](),
-		verdicts:  newVerdictTable[pair](),
+		verdicts:  newVerdictTable(),
 		shared:    cfg.Memo,
 		pool:      newPool(cfg.workers()),
+	}
+	if cfg.Memo != nil {
+		it.verdicts = cfg.Memo.verdicts
 	}
 	alts, err := it.mergePair(rootA, rootB)
 	if err != nil {
@@ -249,7 +254,7 @@ func certainRoot(t *pxml.Tree, label string) (*pxml.Node, error) {
 	return elems[0], nil
 }
 
-// pair keys memo tables by the identity of the two source elements.
+// pair keys the per-call merge table by the two source elements' identity.
 type pair struct{ a, b *pxml.Node }
 
 // weightedElem is one alternative form of a merged element.
@@ -263,8 +268,10 @@ type mergeResult struct {
 	err  error
 }
 
+// verdictResult is one candidate pair's verdict, or the error (a rule
+// conflict under oracle.Strict) that aborts the integration.
 type verdictResult struct {
-	v   oracle.Verdict
+	v   verdict
 	err error
 }
 
@@ -272,62 +279,40 @@ type integrator struct {
 	cfg       Config
 	stats     atomicStats
 	mergeMemo *memoTable[pair, mergeResult]
-	verdicts  *verdictTable[pair]
-	// shared is the optional cross-call memo (Config.Memo). The per-call
-	// tables above stay in front of it: they key by pointer (no digest
-	// computation on the per-call hot path) and keep the existing
-	// guarantee that one call consults each pointer pair exactly once.
+	// verdicts is the one verdict table: the cross-call memo's when there
+	// is one, else a table that lives for this call.
+	verdicts *verdictTable
+	// shared is the optional cross-call memo (Config.Memo). Pair merges
+	// keep the pointer-keyed mergeMemo in front of it: one call builds each
+	// pointer pair's subtree exactly once.
 	shared *Memo
 	pool   *pool
 }
 
-// decide returns the Oracle's verdict on a pair, asking it once per
-// distinct pair across all workers and — when a cross-call memo is
-// attached — across integrations. Whoever settles a key in a table accounts
-// for it: the first to settle the pointer pair in this call's table counts
-// it, as an Oracle call if it also settled the digest pair in the shared
-// table and as a memo hit if that was settled before. Which goroutine that
-// is depends on scheduling; how many of each there are does not.
+// decide returns the Oracle's verdict on a pair: one look-up by digest pair,
+// the Oracle on a miss. Whoever settles a key accounts for it, as an Oracle
+// call in its bucket; every look-up the table answers — settled by an
+// earlier integration, earlier in this one, or by the worker that won the
+// race — is a memo hit. Which goroutine settles a key depends on scheduling;
+// the numbers of look-ups and of settled keys do not. An error is returned,
+// not cached: the same call fails the same way again.
 func (it *integrator) decide(a, b *pxml.Node) verdictResult {
-	k := pair{a, b}
-	if r, ok := it.verdicts.get(k); ok {
-		return r
-	}
-	var (
-		dk     digestPair
-		r      verdictResult
-		cached bool
-	)
-	if it.shared != nil {
-		dk = digestPair{a.Summary().Digest, b.Summary().Digest}
-		r, cached = it.shared.verdicts.get(dk)
-	}
-	if !cached {
-		r.v, r.err = it.cfg.Oracle.Decide(a, b)
-	}
-	r, settled := it.verdicts.put(k, r)
-	if !settled {
-		return r
-	}
-	if it.shared != nil {
-		if !cached {
-			r, settled = it.shared.verdicts.put(dk, r)
-			cached = !settled
+	k := digestPair{a.Summary().Digest, b.Summary().Digest}
+	v, hit := it.verdicts.get(k)
+	if !hit {
+		ov, err := it.cfg.Oracle.Decide(a, b)
+		if err != nil {
+			return verdictResult{err: err}
 		}
-		if cached {
-			// Served from the cross-call memo: the work was accounted by
-			// the integration that performed it.
-			it.stats.verdictMemoHits.Add(1)
-			it.shared.hits.Add(1)
-			return r
-		}
-		it.shared.misses.Add(1)
+		v, hit = it.verdicts.put(k, verdict{ov.Decision, ov.P})
 	}
-	if r.err != nil {
-		return r
+	it.shared.count(hit)
+	if hit {
+		it.stats.verdictMemoHits.Add(1)
+		return verdictResult{v: v}
 	}
 	it.stats.oracleCalls.Add(1)
-	switch r.v.Decision {
+	switch v.decision {
 	case oracle.MustMatch:
 		it.stats.mustPairs.Add(1)
 	case oracle.CannotMatch:
@@ -335,7 +320,7 @@ func (it *integrator) decide(a, b *pxml.Node) verdictResult {
 	default:
 		it.stats.undecidedPairs.Add(1)
 	}
-	return r
+	return verdictResult{v: v}
 }
 
 // mergePair integrates two elements that are assumed to refer to the same
@@ -358,16 +343,13 @@ func (it *integrator) mergePair(x, y *pxml.Node) ([]weightedElem, error) {
 		} else {
 			res = compute()
 		}
+		it.shared.count(!computed)
 		if !computed {
 			// The cached subtree (built by an earlier integration) is
 			// shared into this result; none of its construction work is
 			// re-counted in this call's stats.
 			it.stats.mergeMemoHits.Add(1)
-			it.shared.hits.Add(1)
 			return res
-		}
-		if it.shared != nil {
-			it.shared.misses.Add(1)
 		}
 		if res.err != nil && errors.Is(res.err, ErrIncompatible) {
 			it.stats.incompatibleMerges.Add(1)

@@ -1,10 +1,12 @@
-// Cross-call memoization. The per-call memo tables (parallel.go) die with
-// their integration; under sustained ingest that means N integrations of
-// overlapping sources ask the Oracle the same questions N times. A Memo
-// promotes both tables — verdicts and pair merges — to database lifetime,
-// keyed by the structural digests of the two elements instead of their
-// pointers (node identity is per-construction-pass; digests are stable
-// across calls and across the hash-consing builders).
+// Cross-call memoization. An integration's own tables die with it; under
+// sustained ingest that means N integrations of overlapping sources ask the
+// Oracle the same questions and merge the same pairs N times. A Memo keeps
+// both tables for the database's lifetime, keyed by the structural digests
+// of the two elements instead of their pointers (node identity is per-
+// construction-pass; digests are stable across calls and across the hash-
+// consing builders). Verdicts have this one table (a call without a Memo
+// has one of its own); pair merges keep a per-call pointer-keyed table in
+// front, so that one call builds each pointer pair's subtree exactly once.
 //
 // Soundness: a verdict/merge is a pure function of the two subtrees given
 // a fixed oracle, schema and trust weight, all of which are per-database
@@ -19,10 +21,11 @@
 // the same integration — racing on one digest pair block on a single
 // computation and share its result (and its nodes). Verdicts are
 // first-put-wins: racing workers may each ask the Oracle, which is pure, and
-// the one whose answer settles the key accounts for it. Either way per-call
-// Stats are deterministic for every worker count: for any fixed memo state
-// at call start, the set of digest pairs settled (vs found settled) by the
-// call is fixed, whichever goroutine happens to settle each.
+// the one whose answer settles the key accounts for it; every other look-up
+// is a hit. Either way per-call Stats are deterministic for every worker
+// count: for any fixed memo state at call start, the look-ups the call makes
+// and the set of digest pairs it settles are fixed, whichever goroutine
+// happens to settle each.
 package integrate
 
 import "sync/atomic"
@@ -34,7 +37,7 @@ const DefaultMemoEntries = 1 << 18
 // Memo is a cross-call verdict and merge cache shared by every
 // integration of one database. The zero value is not useful; use NewMemo.
 type Memo struct {
-	verdicts *verdictTable[digestPair]
+	verdicts *verdictTable
 	merges   *memoTable[digestPair, mergeResult]
 	max      int
 
@@ -57,7 +60,7 @@ func NewMemo(maxEntries int) *Memo {
 		maxEntries = DefaultMemoEntries
 	}
 	return &Memo{
-		verdicts: newVerdictTable[digestPair](),
+		verdicts: newVerdictTable(),
 		merges:   newMemoTable[digestPair, mergeResult](),
 		max:      maxEntries,
 	}
@@ -80,13 +83,19 @@ func (m *Memo) Purge() {
 // runs at integration start (under the writer lock), so a single call's
 // working set is never evicted mid-flight.
 func (m *Memo) enforceCap() {
-	if m == nil {
-		return
+	if m != nil && m.verdicts.size()+m.merges.size() > m.max {
+		m.Purge()
 	}
-	if m.verdicts.size()+m.merges.size() > m.max {
-		m.verdicts.purge()
-		m.merges.purge()
-		m.purges.Add(1)
+}
+
+// count records one look-up: a hit, or a miss this integration then filled.
+func (m *Memo) count(hit bool) {
+	switch {
+	case m == nil:
+	case hit:
+		m.hits.Add(1)
+	default:
+		m.misses.Add(1)
 	}
 }
 
@@ -97,7 +106,8 @@ type MemoStats struct {
 	// Capacity is the configured entry cap.
 	Capacity int `json:"capacity"`
 	// Hits and Misses count lookups served from (vs inserted into) the
-	// memo over its lifetime, across all integrations.
+	// memo over its lifetime, across all integrations (a verdict look-up
+	// one integration repeats is a hit too).
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Purges counts whole-table drops (invalidations plus cap overflows).

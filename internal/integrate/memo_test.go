@@ -1,6 +1,7 @@
 package integrate_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -100,6 +101,29 @@ func TestMemoSecondRunHitsWithoutDoubleCounting(t *testing.T) {
 	if st3.OracleCalls != 8 || st3.OracleCalls >= st1.OracleCalls {
 		t.Fatalf("grown run should decide only the 8 pairs of the new person: cold=%d grown=%d",
 			st1.OracleCalls, st3.OracleCalls)
+	}
+
+	// A verdict error — a rule conflict under oracle.Strict — is returned,
+	// not cached: the same call fails the same way twice, and the one entry
+	// the memo holds afterwards is the root pair's failed merge.
+	for _, memo := range []*integrate.Memo{nil, integrate.NewMemo(0)} {
+		strict := integrate.Config{Oracle: oracle.New([]oracle.Rule{oracle.YearRule(), sameTitle}, oracle.Strict()), Memo: memo}
+		var first string
+		for run := 0; run < 2; run++ {
+			_, _, err := integrate.Integrate(mustDecode(t, jaws1975), mustDecode(t, jaws1978), strict)
+			var conflict *oracle.ConflictError
+			if !errors.As(err, &conflict) {
+				t.Fatalf("strict run %d: err = %v, want a *oracle.ConflictError", run, err)
+			}
+			if run == 0 {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Fatalf("second strict run failed differently: %q, first %q", err, first)
+			}
+			if memo != nil && memo.Stats().Entries != 1 {
+				t.Fatalf("strict run %d: memo holds %d entries, want the failed root merge alone", run, memo.Stats().Entries)
+			}
+		}
 	}
 }
 

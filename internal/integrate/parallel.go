@@ -3,6 +3,8 @@ package integrate
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/oracle"
 )
 
 // This file holds the concurrency plumbing of the parallel integration
@@ -54,7 +56,7 @@ func (t *memoTable[K, V]) do(k K, compute func() V) (V, bool) {
 	return c.v, computed
 }
 
-// len reports the number of cells (including in-flight computations).
+// size reports the number of cells (including in-flight computations).
 func (t *memoTable[K, V]) size() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -70,22 +72,31 @@ func (t *memoTable[K, V]) purge() {
 	t.mu.Unlock()
 }
 
-// verdictTable memoizes Oracle verdicts. A verdict is a small pure value
-// and one is looked up for every candidate pair, so — unlike a pair merge,
-// which builds nodes whose identity the result shares — it gets no
-// compute-once cell: racing workers may each ask the Oracle, the first to
-// put its answer settles the key, and every later get or put returns that
-// answer.
-type verdictTable[K comparable] struct {
+// verdict is what integration keeps of an oracle.Verdict: 16 bytes, no
+// pointer.
+type verdict struct {
+	decision oracle.Decision
+	p        float64
+}
+
+// verdictTable memoizes Oracle verdicts by the digests of the two elements,
+// inside a Memo for the database's lifetime, otherwise for one call. A
+// verdict is a small pure value and one is looked up for every candidate
+// pair, so — unlike a pair merge, which builds nodes whose identity the
+// result shares — it gets no compute-once cell: racing workers may each ask
+// the Oracle, the first to put its answer settles the key, and every later
+// get or put returns that answer. Key and value hold no pointer, so the
+// collector never scans the buckets.
+type verdictTable struct {
 	mu sync.Mutex
-	m  map[K]verdictResult
+	m  map[digestPair]verdict
 }
 
-func newVerdictTable[K comparable]() *verdictTable[K] {
-	return &verdictTable[K]{m: make(map[K]verdictResult)}
+func newVerdictTable() *verdictTable {
+	return &verdictTable{m: make(map[digestPair]verdict)}
 }
 
-func (t *verdictTable[K]) get(k K) (verdictResult, bool) {
+func (t *verdictTable) get(k digestPair) (verdict, bool) {
 	t.mu.Lock()
 	v, ok := t.m[k]
 	t.mu.Unlock()
@@ -93,19 +104,19 @@ func (t *verdictTable[K]) get(k K) (verdictResult, bool) {
 }
 
 // put settles k to v unless it is settled already. It returns the settled
-// verdict and whether this call settled it — true for exactly one put per
-// key, which is what per-call statistics attribute the work by.
-func (t *verdictTable[K]) put(k K, v verdictResult) (verdictResult, bool) {
+// verdict and whether it found one — false for exactly one put per key,
+// which is what per-call statistics attribute the work by.
+func (t *verdictTable) put(k digestPair, v verdict) (verdict, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if old, ok := t.m[k]; ok {
-		return old, false
+		return old, true
 	}
 	t.m[k] = v
-	return v, true
+	return v, false
 }
 
-func (t *verdictTable[K]) size() int {
+func (t *verdictTable) size() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.m)
@@ -113,9 +124,9 @@ func (t *verdictTable[K]) size() int {
 
 // purge drops every verdict; like memoTable.purge it runs only between
 // integrations.
-func (t *verdictTable[K]) purge() {
+func (t *verdictTable) purge() {
 	t.mu.Lock()
-	t.m = make(map[K]verdictResult)
+	t.m = make(map[digestPair]verdict)
 	t.mu.Unlock()
 }
 
@@ -185,8 +196,9 @@ type workerPanic struct{ val any }
 
 // atomicStats mirrors Stats with atomic counters so concurrent workers
 // account without locking. Every increment happens inside a compute-once
-// memo computation, on settling a verdict key, or in a deterministic
-// sequential section, so the totals are identical for any worker count.
+// memo computation, on a verdict look-up (whose number, and how many of them
+// settle a key, the inputs fix), or in a deterministic sequential section,
+// so the totals are identical for any worker count.
 type atomicStats struct {
 	oracleCalls    atomic.Int64
 	mustPairs      atomic.Int64

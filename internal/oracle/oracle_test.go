@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/oracle"
 	"repro/internal/pxml"
+	"repro/internal/strsim"
 	"repro/internal/xmlcodec"
 )
 
@@ -117,6 +118,43 @@ func TestTitleRule(t *testing.T) {
 	noTitle := elem(t, `<movie><year>1975</year></movie>`)
 	if v, _ := o.Decide(jaws, noTitle); v.Decision != oracle.Unknown {
 		t.Fatalf("missing title should abstain: %+v", v)
+	}
+}
+
+// TestSimilarityPredicateIsTheTitleRule: TitleRule decides through
+// strsim.TitleBelow, the public constructor through the similarity itself;
+// it is one rule — same name, same verdict on every pair of titles, the same
+// abstentions on a missing or uncertain title and on other elements.
+func TestSimilarityPredicateIsTheTitleRule(t *testing.T) {
+	predicate := oracle.TitleRule()
+	similarity := oracle.Similarity("movie", "title", strsim.TitleSim, oracle.TitleThreshold)
+	if predicate.Name() != similarity.Name() {
+		t.Fatalf("rule names differ: %q, %q", predicate.Name(), similarity.Name())
+	}
+	elems := []*pxml.Node{
+		elem(t, `<movie><year>1975</year></movie>`),
+		elem(t, `<show><title>Jaws</title></show>`),
+		pxml.NewElem("movie", "", pxml.NewProb(
+			pxml.NewPoss(0.5, pxml.NewLeaf("title", "Jaws")), pxml.NewPoss(0.5, pxml.NewLeaf("title", "Heat")))),
+	}
+	for _, title := range []string{"Jaws", "JAWS!", "Jawz", "Jaws 2", "Die Hard", "Die Hard 2", "Hard, Die", "Mission: Impossible",
+		"Impossible Mission", "Mission Impossible II", "The Thing", "Thing", "L'été indien", "L'ete indien", "---", "Heat"} {
+		elems = append(elems, pxml.NewElem("movie", "", pxml.Certain(pxml.NewLeaf("title", title))))
+	}
+	cannot := 0
+	for _, a := range elems {
+		for _, b := range elems {
+			got, want := predicate.Apply(a, b), similarity.Apply(a, b)
+			if got != want {
+				t.Fatalf("pair\n%s\n%s\npredicate rule says %+v, similarity rule %+v", pxml.Sketch(a), pxml.Sketch(b), got, want)
+			}
+			if got.Decision == oracle.CannotMatch {
+				cannot++
+			}
+		}
+	}
+	if cannot < len(elems) || cannot > len(elems)*len(elems)-len(elems) {
+		t.Fatalf("fixture too thin: %d of %d pairs cannot-match", cannot, len(elems)*len(elems))
 	}
 }
 

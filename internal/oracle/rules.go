@@ -116,6 +116,14 @@ func KeyField(elemTag, fieldTag string) Rule {
 // similarity falls below the threshold are cannot-match; otherwise the rule
 // abstains. Absent or uncertain fields abstain.
 func Similarity(elemTag, fieldTag string, sim func(a, b string) float64, threshold float64) Rule {
+	return similarity(elemTag, fieldTag, threshold, func(a, b string) bool { return sim(a, b) < threshold })
+}
+
+// similarity is the one body of every Similarity rule. All it needs of the
+// measure is below — whether two field values fall short of the threshold —
+// which a measure can often say for less than its value costs (see
+// strsim.TitleBelow).
+func similarity(elemTag, fieldTag string, threshold float64, below func(a, b string) bool) Rule {
 	name := fmt.Sprintf("similarity(%s/%s<%.2g)", elemTag, fieldTag, threshold)
 	return funcRule{name: name, fn: func(a, b *pxml.Node) Verdict {
 		if a.Tag() != elemTag || b.Tag() != elemTag {
@@ -126,7 +134,7 @@ func Similarity(elemTag, fieldTag string, sim func(a, b string) float64, thresho
 		if va == "" || vb == "" {
 			return abstain()
 		}
-		if sim(va, vb) < threshold {
+		if below(va, vb) {
 			return decide(CannotMatch, name)
 		}
 		return abstain()
@@ -168,7 +176,9 @@ const TitleThreshold = 0.55
 // TitleRule is the paper's "two movies cannot match if their titles are
 // not sufficiently similar".
 func TitleRule() Rule {
-	return Similarity("movie", "title", strsim.TitleSim, TitleThreshold)
+	return similarity("movie", "title", TitleThreshold, func(a, b string) bool {
+		return strsim.TitleBelow(a, b, TitleThreshold)
+	})
 }
 
 // YearRule is the paper's "movies of different years cannot match".

@@ -12,50 +12,48 @@ type Stats struct {
 	LogicalPoss   int64
 	LogicalElem   int64
 	PhysicalNodes int64 // distinct nodes in memory
+	ChoicePoints  int   // distinct choice points with more than one alternative (Tree.ChoicePoints)
 	MaxDepth      int   // layers from root to deepest leaf
 	Worlds        *big.Int
 }
 
-// CollectStats computes all size measures in one pass each.
+// CollectStats computes all size measures in one traversal: every distinct
+// node is visited once, and the one visited map remembers what its subtree
+// adds per occurrence.
 func (t *Tree) CollectStats() Stats {
+	type subtree struct {
+		count [3]int64 // per-occurrence (prob, poss, elem) nodes
+		depth int
+	}
 	s := Stats{Worlds: t.WorldCount()}
-	counts := map[*Node][3]int64{} // per-occurrence (prob, poss, elem) of the subtree
-	var rec func(n *Node) [3]int64
-	rec = func(n *Node) [3]int64 {
-		if c, ok := counts[n]; ok {
-			return c
+	seen := map[*Node]subtree{}
+	var rec func(n *Node) subtree
+	rec = func(n *Node) subtree {
+		if st, ok := seen[n]; ok {
+			return st
 		}
-		var c [3]int64
-		c[n.kind] = 1
+		var st subtree
+		st.count[n.kind] = 1
 		for _, k := range n.kids {
-			kc := rec(k)
-			c[0] += kc[0]
-			c[1] += kc[1]
-			c[2] += kc[2]
+			ks := rec(k)
+			for i, c := range ks.count {
+				st.count[i] += c
+			}
+			st.depth = max(st.depth, ks.depth)
 		}
-		counts[n] = c
-		return c
+		st.depth++
+		if n.kind == KindProb && len(n.kids) > 1 {
+			s.ChoicePoints++
+		}
+		seen[n] = st
+		return st
 	}
-	c := rec(t.root)
-	s.LogicalProb, s.LogicalPoss, s.LogicalElem = c[KindProb], c[KindPoss], c[KindElem]
-	s.LogicalNodes = c[0] + c[1] + c[2]
-	s.PhysicalNodes = int64(len(counts))
-	s.MaxDepth = maxDepth(t.root, map[*Node]int{})
+	st := rec(t.root)
+	s.LogicalProb, s.LogicalPoss, s.LogicalElem = st.count[KindProb], st.count[KindPoss], st.count[KindElem]
+	s.LogicalNodes = s.LogicalProb + s.LogicalPoss + s.LogicalElem
+	s.PhysicalNodes = int64(len(seen))
+	s.MaxDepth = st.depth
 	return s
-}
-
-func maxDepth(n *Node, memo map[*Node]int) int {
-	if d, ok := memo[n]; ok {
-		return d
-	}
-	d := 1
-	for _, k := range n.kids {
-		if kd := maxDepth(k, memo) + 1; kd > d {
-			d = kd
-		}
-	}
-	memo[n] = d
-	return d
 }
 
 // NodeCount returns the logical node count (each occurrence of a shared

@@ -196,3 +196,29 @@ func TestSummaryCountsMatchWalks(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsOneWalk: CollectStats' single traversal reports what the separate
+// walks do, on random catalogs (interned: equal leaves and repeated records
+// are shared nodes) and random uncertain trees. The documents a database
+// goes through in integrate → reject-feedback → replace sequences get the
+// same check in queryindex's TestBuildOnCarriedOverNodesMatchesReference.
+func TestStatsOneWalk(t *testing.T) {
+	uncertain := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for label, tr := range map[string]*pxml.Tree{
+			"random catalog": pxmltest.RandomCatalog(rng, 2+rng.Intn(8)),
+			"random tree":    pxmltest.RandomTree(rng, pxmltest.DefaultGenConfig()),
+		} {
+			if diff := pxmltest.StatsWalkMismatch(tr); diff != "" {
+				t.Fatalf("seed %d, %s: %s", seed, label, diff)
+			}
+			if tr.ChoicePoints() > 0 {
+				uncertain++
+			}
+		}
+	}
+	if uncertain < 100 {
+		t.Fatalf("fixtures too thin: %d documents with a choice point", uncertain)
+	}
+}

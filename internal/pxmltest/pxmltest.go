@@ -5,6 +5,7 @@
 package pxmltest
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/pxml"
@@ -70,6 +71,30 @@ func UncoveredText(root *pxml.Node) string {
 	}
 	texts(root)
 	return uncovered
+}
+
+// StatsWalkMismatch compares Tree.CollectStats, which takes every figure
+// from one traversal, with the walks that compute them one at a time —
+// NodeCount (from the cached summaries), PhysicalNodeCount, ChoicePoints
+// (which skips one-world subtrees), WorldCount and a plain recursive depth.
+// It returns "" when they agree and a description of both otherwise.
+func StatsWalkMismatch(tr *pxml.Tree) string {
+	var depth func(n *pxml.Node) int
+	depth = func(n *pxml.Node) int {
+		d := 0
+		for _, k := range n.Children() {
+			d = max(d, depth(k))
+		}
+		return d + 1
+	}
+	st := tr.CollectStats()
+	if st.LogicalNodes == tr.NodeCount() && st.LogicalNodes == st.LogicalProb+st.LogicalPoss+st.LogicalElem &&
+		st.PhysicalNodes == tr.PhysicalNodeCount() && st.ChoicePoints == tr.ChoicePoints() &&
+		st.MaxDepth == depth(tr.Root()) && st.Worlds.Cmp(tr.WorldCount()) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("one walk gives %+v; the separate walks %d logical, %d physical, %d choice points, depth %d, %s worlds",
+		st, tr.NodeCount(), tr.PhysicalNodeCount(), tr.ChoicePoints(), depth(tr.Root()), tr.WorldCount())
 }
 
 // GenConfig bounds the shape of randomly generated documents.

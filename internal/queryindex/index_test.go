@@ -154,7 +154,8 @@ func buildReference(tr *pxml.Tree) reference {
 // checkAgainstReference compares an index with the reference walk of its
 // document field for field, and with it what the query engine's literal
 // gate reads off the same cached summaries: the per-tag count of elements
-// with children, and text fingerprints without a false negative.
+// with children, and text fingerprints without a false negative; and the
+// one-walk size figures of /stats with the separate walks.
 func checkAgainstReference(t *testing.T, label string, tr *pxml.Tree, ix *queryindex.Index) {
 	t.Helper()
 	ref := buildReference(tr)
@@ -185,6 +186,9 @@ func checkAgainstReference(t *testing.T, label string, tr *pxml.Tree, ix *queryi
 	}
 	if s := pxmltest.UncoveredText(tr.Root()); s != "" {
 		t.Fatalf("%s: a text fingerprint misses %q beneath its node", label, s)
+	}
+	if diff := pxmltest.StatsWalkMismatch(tr); diff != "" {
+		t.Fatalf("%s: CollectStats: %s", label, diff)
 	}
 }
 

@@ -530,8 +530,10 @@ type SourceStats struct {
 	MatchingsEnumerated int `json:"matchings_enumerated"`
 	MatchingsPruned     int `json:"matchings_pruned"`
 	TruncatedComponents int `json:"truncated_components,omitempty"`
-	// VerdictMemoHits and MergeMemoHits count oracle decisions and subtree
-	// merges answered from the cross-call memo instead of recomputed;
+	// VerdictMemoHits counts the verdict look-ups this integration answered
+	// from the verdict table instead of asking the Oracle — settled by an
+	// earlier integration or earlier in this one; MergeMemoHits counts
+	// subtree merges taken from the cross-call memo instead of recomputed;
 	// SplicedChildren counts top-level components spliced verbatim because
 	// the other source never touched them (the delta-integration path).
 	VerdictMemoHits int `json:"verdict_memo_hits,omitempty"`
@@ -978,7 +980,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 		LogicalNodes:  st.LogicalNodes,
 		PhysicalNodes: st.PhysicalNodes,
 		Worlds:        st.Worlds.String(),
-		ChoicePoints:  tr.ChoicePoints(),
+		ChoicePoints:  st.ChoicePoints,
 		MaxDepth:      st.MaxDepth,
 		Certain:       tr.IsCertain(),
 		Integrations:  t.core.IntegrationCount(),

@@ -493,7 +493,7 @@ func (s *Shell) stats() error {
 	}
 	st := s.tree.CollectStats()
 	fmt.Fprintf(s.out, "nodes: %d logical (%d physical), choice points: %d, worlds: %s, certain: %v\n",
-		st.LogicalNodes, st.PhysicalNodes, s.tree.ChoicePoints(), st.Worlds, s.tree.IsCertain())
+		st.LogicalNodes, st.PhysicalNodes, st.ChoicePoints, st.Worlds, s.tree.IsCertain())
 	if s.db != nil {
 		ds := s.db.Stats()
 		fmt.Fprintf(s.out, "durability: db %s, wal seq %d (%d op(s) past snapshot), %d compaction(s)\n",

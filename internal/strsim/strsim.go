@@ -5,40 +5,51 @@
 package strsim
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize lower-cases the string, maps punctuation to spaces and
 // collapses whitespace runs: "Mission:  Impossible II" → "mission
 // impossible ii".
 func Normalize(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	space := true
+	var buf [64]rune
+	return string(normalizeInto(buf[:0], s))
+}
+
+// normalizeInto appends the normal form of s to dst, one rune per element:
+// letters and digits lower-cased, every run of anything else one space, no
+// space at either end. Callers pass a stack buffer's [:0]; it is outgrown
+// (and the result heap-allocated) only by a longer string.
+func normalizeInto(dst []rune, s string) []rune {
 	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(unicode.ToLower(r))
-			space = false
+		switch {
+		case 'a' <= r && r <= 'z' || '0' <= r && r <= '9':
+		case 'A' <= r && r <= 'Z':
+			r += 'a' - 'A'
+		case r >= utf8.RuneSelf && (unicode.IsLetter(r) || unicode.IsDigit(r)):
+			r = unicode.ToLower(r)
+		default:
+			if n := len(dst); n > 0 && dst[n-1] != ' ' {
+				dst = append(dst, ' ')
+			}
 			continue
 		}
-		if !space {
-			b.WriteByte(' ')
-			space = true
-		}
+		dst = append(dst, r)
 	}
-	return strings.TrimRight(b.String(), " ")
+	if n := len(dst); n > 0 && dst[n-1] == ' ' {
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // Tokens splits a string into normalized word tokens.
 func Tokens(s string) []string {
-	return splitNormalized(Normalize(s))
-}
-
-// splitNormalized splits an already normalized string into its tokens.
-func splitNormalized(n string) []string {
+	n := Normalize(s)
 	if n == "" {
 		return nil
 	}
@@ -48,20 +59,48 @@ func splitNormalized(n string) []string {
 // Levenshtein returns the edit distance (insert/delete/substitute, unit
 // cost) between two strings, computed over runes.
 func Levenshtein(a, b string) int {
-	return levenshteinRunes([]rune(a), []rune(b))
+	return editDistance([]rune(a), []rune(b), math.MaxInt)
 }
 
-func levenshteinRunes(ra, rb []rune) int {
-	if len(ra) == 0 {
-		return len(rb)
+// editDistance returns the edit distance of ra and rb when it is at most
+// limit, and otherwise some value above limit, found as cheaply as that can
+// be known. Three lower bounds of the distance, each at least the one
+// before, are tried in order of cost: the length difference (every surplus
+// rune is an insertion), the bag distance (max(len) minus the runes the two
+// have in common as multisets — an edit changes the multiset by one rune,
+// and counting runes that differ only above their low seven bits as equal
+// can only lower it), and the minimum of a table row (row i+1 is built from
+// row i by adding non-negative costs, so a row minimum never decreases and
+// the last row holds the distance). A limit of at least max(len) — no
+// cut-off — skips all three.
+func editDistance(ra, rb []rune, limit int) int {
+	if len(ra) < len(rb) {
+		ra, rb = rb, ra
 	}
-	if len(rb) == 0 {
-		return len(ra)
+	if len(rb) == 0 || len(ra)-len(rb) > limit {
+		return len(ra) - len(rb)
+	}
+	bounded := limit < len(ra)
+	if bounded {
+		var bag [128]int32
+		for _, r := range ra {
+			bag[r&127]++
+		}
+		common := 0
+		for _, r := range rb {
+			if bag[r&127] > 0 {
+				bag[r&127]--
+				common++
+			}
+		}
+		if d := len(ra) - common; d > limit {
+			return d
+		}
 	}
 	// One row of the table, updated in place: row[j] is the distance of
 	// ra[:i] to rb[:j]; up and diag are the values row[j] and row[j-1] held
 	// for ra[:i-1], left is the new row[j-1].
-	var buf [64]int
+	var buf [65]int
 	row := buf[:]
 	if len(rb) >= len(buf) {
 		row = make([]int, len(rb)+1)
@@ -73,6 +112,7 @@ func levenshteinRunes(ra, rb []rune) int {
 	for i, ca := range ra {
 		diag, left := row[0], i+1
 		row[0] = left
+		rowMin := left
 		for j, cb := range rb {
 			up := row[j+1]
 			if ca != cb {
@@ -80,6 +120,10 @@ func levenshteinRunes(ra, rb []rune) int {
 			}
 			left = min(up+1, left+1, diag)
 			diag, row[j+1] = up, left
+			rowMin = min(rowMin, left)
+		}
+		if bounded && rowMin > limit {
+			return rowMin
 		}
 	}
 	return row[len(rb)]
@@ -92,7 +136,33 @@ func LevenshteinSim(a, b string) float64 {
 	if len(ra) == 0 && len(rb) == 0 {
 		return 1
 	}
-	return 1 - float64(levenshteinRunes(ra, rb))/float64(max(len(ra), len(rb)))
+	return editSim(editDistance(ra, rb, math.MaxInt), max(len(ra), len(rb)))
+}
+
+// editSim is the similarity of two strings at edit distance d whose longer
+// one has m > 0 runes. maxDistance inverts exactly this expression.
+func editSim(d, m int) float64 { return 1 - float64(d)/float64(m) }
+
+// maxDistance returns the largest edit distance d in [-1, m] at which two
+// strings, the longer of m > 0 runes, are not yet below the threshold:
+// !(editSim(d, m) < threshold), and editSim(d+1, m) < threshold unless
+// d == m. editSim does not increase with d, so an estimate is stepped to
+// the boundary with the float expression itself — ⌊(1−threshold)·m⌋ alone
+// is off by one where the quotient rounds across the threshold.
+func maxDistance(m int, threshold float64) int {
+	d := 0
+	if e := (1 - threshold) * float64(m); e >= float64(m) {
+		d = m
+	} else if e > 0 {
+		d = int(e)
+	}
+	for d < m && !(editSim(d+1, m) < threshold) {
+		d++
+	}
+	for d >= 0 && editSim(d, m) < threshold {
+		d--
+	}
+	return d
 }
 
 // Jaro returns the Jaro similarity in [0,1].
@@ -172,30 +242,56 @@ func JaroWinkler(a, b string) float64 {
 // TokenJaccard returns the Jaccard similarity of the normalized token sets
 // of the two strings.
 func TokenJaccard(a, b string) float64 {
-	return jaccard(Tokens(a), Tokens(b))
+	var ba, bb [64]rune
+	return jaccard(normalizeInto(ba[:0], a), normalizeInto(bb[:0], b))
 }
 
-// jaccard is the Jaccard similarity of two token lists read as sets. Titles
-// and names have a handful of tokens, so membership is a scan of the list,
-// not a map built per pair.
-func jaccard(ta, tb []string) float64 {
-	if len(ta) == 0 && len(tb) == 0 {
+// nextToken returns the token of the normalized runes n that starts at i,
+// and where the one after it starts.
+func nextToken(n []rune, i int) (tok []rune, next int) {
+	end := i
+	for end < len(n) && n[end] != ' ' {
+		end++
+	}
+	return n[i:end], end + 1
+}
+
+// hasToken reports whether tok is one of the tokens of the normalized runes
+// n (which may end in the space before a token that was cut off).
+func hasToken(n, tok []rune) bool {
+	for i := 0; i < len(n); {
+		var t []rune
+		if t, i = nextToken(n, i); slices.Equal(t, tok) {
+			return true
+		}
+	}
+	return false
+}
+
+// jaccard is the Jaccard similarity of the token sets of two normalized rune
+// strings. Tokens are spans of the runes, not strings, and titles and names
+// have a handful of them, so membership is a scan, not a map built per pair.
+func jaccard(na, nb []rune) float64 {
+	if len(na) == 0 && len(nb) == 0 {
 		return 1
 	}
 	inter, union := 0, 0
-	for i, t := range ta {
-		if slices.Contains(ta[:i], t) {
-			continue
+	for i := 0; i < len(na); {
+		tok, next := nextToken(na, i)
+		if !hasToken(na[:i], tok) {
+			union++
+			if hasToken(nb, tok) {
+				inter++
+			}
 		}
-		union++
-		if slices.Contains(tb, t) {
-			inter++
-		}
+		i = next
 	}
-	for i, t := range tb {
-		if !slices.Contains(tb[:i], t) && !slices.Contains(ta, t) {
+	for j := 0; j < len(nb); {
+		tok, next := nextToken(nb, j)
+		if !hasToken(nb[:j], tok) && !hasToken(na, tok) {
 			union++
 		}
+		j = next
 	}
 	return float64(inter) / float64(union)
 }
@@ -206,11 +302,30 @@ func jaccard(ta, tb []string) float64 {
 // ("Mission Impossible" / "Impossible Mission") score high. Each side is
 // normalized once; both measures read the normalized form.
 func TitleSim(a, b string) float64 {
-	na, nb := Normalize(a), Normalize(b)
-	if na == nb {
+	var ba, bb [64]rune
+	na, nb := normalizeInto(ba[:0], a), normalizeInto(bb[:0], b)
+	if slices.Equal(na, nb) {
 		return 1
 	}
-	return max(LevenshteinSim(na, nb), jaccard(splitNormalized(na), splitNormalized(nb)))
+	m := max(len(na), len(nb))
+	return max(editSim(editDistance(na, nb, math.MaxInt), m), jaccard(na, nb))
+}
+
+// TitleBelow reports TitleSim(a, b) < threshold, which is all the title
+// rule asks, without computing the similarity: the edit distance is pursued
+// only as far as the largest one that still reaches the threshold, and the
+// token sets are compared only when it is out of reach. It does not allocate
+// for titles of at most 64 runes.
+func TitleBelow(a, b string, threshold float64) bool {
+	var ba, bb [64]rune
+	na, nb := normalizeInto(ba[:0], a), normalizeInto(bb[:0], b)
+	if slices.Equal(na, nb) {
+		return 1 < threshold
+	}
+	if cut := maxDistance(max(len(na), len(nb)), threshold); editDistance(na, nb, cut) <= cut {
+		return false
+	}
+	return jaccard(na, nb) < threshold
 }
 
 // NameKey canonicalizes a person name so that convention variants collide:
