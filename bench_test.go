@@ -431,45 +431,13 @@ func BenchmarkQueryIndexBuild(b *testing.B) {
 }
 
 // wideBenchQuery is deliberately NON-selective: every movie title is an
-// answer value, so the exact engine's per-value fail pass — the fan-out
-// unit of the parallel executor — has dozens of independent tasks. This is
-// the query where Workers>1 must pay off.
+// answer value.
 const wideBenchQuery = `//movie/title`
-
-// BenchmarkQueryWorkers measures one cold exact evaluation across worker
-// counts on the confusing movie corpus. Answers are bit-identical for
-// every row (the determinism property test pins that); only the wall clock
-// may differ. The acceptance bar is workers=8 >= 2.5x over workers=1 on a
-// multi-core box; on fewer cores the curve flattens at NumCPU, and the
-// inline-fallback design keeps the 1-core overhead marginal.
-func BenchmarkQueryWorkers(b *testing.B) {
-	doc := planBenchDocument(b)
-	q := query.MustCompile(wideBenchQuery)
-	idx := queryindex.Build(doc)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(strconv.Itoa(workers), func(b *testing.B) {
-			var nAnswers int
-			for i := 0; i < b.N; i++ {
-				res, err := query.EvalIndexed(doc, q, query.Options{
-					Method:  query.MethodExact,
-					Workers: workers,
-				}, idx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				nAnswers = len(res.Answers)
-			}
-			b.ReportMetric(float64(nAnswers), "answers")
-			b.ReportMetric(float64(workers), "workers")
-		})
-	}
-}
 
 // BenchmarkQueryConcurrentClients measures the serving path under client
 // concurrency: GOMAXPROCS goroutines issuing the same query against one
-// database. After the first evaluation every request is a result-cache hit
-// on the sharded cache, so this row tracks read-side lock contention — the
-// regression guard for the single-global-mutex cache this PR replaced.
+// database. After the first evaluation every request is a result-cache hit,
+// so this row tracks read-side lock contention on the cache.
 func BenchmarkQueryConcurrentClients(b *testing.B) {
 	doc := planBenchDocument(b)
 	db, err := imprecise.Open(doc, imprecise.Config{})
@@ -487,42 +455,6 @@ func BenchmarkQueryConcurrentClients(b *testing.B) {
 			}
 		}
 	})
-	st := db.ResultCacheStats()
-	b.ReportMetric(float64(st.Shards), "shards")
-}
-
-// BenchmarkResultCacheContention hammers the result cache from parallel
-// goroutines with a hit-heavy mix over many distinct keys — the access
-// pattern of a busy server. Sub-benchmarks compare a sharded cache against
-// a single-shard one of the same capacity, so the sharding payoff (and any
-// regression back toward a global lock) is one ratio in BENCH_query.json.
-func BenchmarkResultCacheContention(b *testing.B) {
-	res := query.Result{Method: query.MethodExact}
-	for _, cfg := range []struct {
-		name string
-		cap  int
-	}{
-		{"sharded", 1024},
-		{"single", 32}, // below the sharding threshold: one global lock
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			c := query.NewResultCache(cfg.cap)
-			const keys = 24
-			for i := 0; i < keys; i++ {
-				c.Put(uint64(i), wideBenchQuery, query.Options{}, res)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, ok := c.Get(uint64(i%keys), wideBenchQuery, query.Options{}); !ok {
-						c.Put(uint64(i%keys), wideBenchQuery, query.Options{}, res)
-					}
-					i++
-				}
-			})
-		})
-	}
 }
 
 // --- micro benchmarks of the core machinery ---

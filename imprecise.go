@@ -296,8 +296,8 @@ func EvalQueryIndexed(t *Tree, q *Query, opts QueryOptions, idx *QueryIndex) (Qu
 // budgets: evaluation aborts when ctx is canceled, and when
 // QueryOptions.TimeBudget or MaxNodeVisits runs out it returns
 // ErrQueryBudgetExhausted with the plan's BudgetExhausted flag set.
-// QueryOptions.Workers fans evaluation out over a bounded worker pool;
-// answers are bit-identical for every worker count.
+// Evaluation runs on the calling goroutine; QueryOptions.Workers is
+// ignored.
 func EvalQueryIndexedCtx(ctx context.Context, t *Tree, q *Query, opts QueryOptions, idx *QueryIndex) (QueryResult, error) {
 	return query.EvalIndexedCtx(ctx, t, q, opts, idx)
 }
@@ -306,9 +306,8 @@ func EvalQueryIndexedCtx(ctx context.Context, t *Tree, q *Query, opts QueryOptio
 // or node-visit budget.
 var ErrQueryBudgetExhausted = query.ErrBudgetExhausted
 
-// QueryExecStats reports how one evaluation ran: resolved worker count,
-// pool scheduling, the budget meter reading, and the anchor subtrees the
-// exact executor enumerated or skipped.
+// QueryExecStats reports how one evaluation ran: the budget meter reading
+// and the anchor subtrees the exact executor enumerated or skipped.
 type QueryExecStats = query.ExecStats
 
 // ExpectedCount returns the expected number of result nodes of the query

@@ -98,19 +98,18 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("integrate response %s (err %v)", data, err)
 	}
 
-	// No -query-workers given: evaluation is sequential by default.
 	data = get("/query?explain=1&q="+url.QueryEscape(`//person/tel`), http.StatusOK)
 	var qr struct {
 		Answers []struct {
 			Value string  `json:"value"`
 			P     float64 `json:"p"`
 		} `json:"answers"`
-		Plan struct {
-			Workers int `json:"workers"`
+		Plan *struct {
+			Method string `json:"method"`
 		} `json:"plan"`
 	}
-	if err := json.Unmarshal(data, &qr); err != nil || len(qr.Answers) != 2 || qr.Plan.Workers != 1 {
-		t.Fatalf("query response %s (err %v), want 2 answers from 1 worker", data, err)
+	if err := json.Unmarshal(data, &qr); err != nil || len(qr.Answers) != 2 || qr.Plan == nil || qr.Plan.Method != "exact" {
+		t.Fatalf("query response %s (err %v), want 2 exact answers with a plan", data, err)
 	}
 
 	post("/feedback", "application/json",

@@ -147,14 +147,12 @@ type Database struct {
 	results *query.ResultCache
 
 	// Query concurrency accounting (see QueryRuntimeStats): a gauge of
-	// in-flight evaluations plus counters for early aborts and worker
-	// pool scheduling, all updated lock-free on the query path.
+	// in-flight evaluations plus counters for early aborts and anchors,
+	// all updated lock-free on the query path.
 	queryActive       atomic.Int64
 	queryStarted      atomic.Int64
 	queryCanceled     atomic.Int64
 	queryBudgetAborts atomic.Int64
-	queryPooledTasks  atomic.Int64
-	queryInlineTasks  atomic.Int64
 	queryAnchorsEnum  atomic.Int64
 	queryAnchorsSkip  atomic.Int64
 }
@@ -484,8 +482,6 @@ func (db *Database) evalCached(ctx context.Context, q *query.Query, opts query.O
 		return res, err
 	}
 	if outcome == query.DoExecuted {
-		db.queryPooledTasks.Add(res.Exec.PooledTasks)
-		db.queryInlineTasks.Add(res.Exec.InlineTasks)
 		db.queryAnchorsEnum.Add(res.Exec.AnchorsEnumerated)
 		db.queryAnchorsSkip.Add(res.Exec.AnchorsSkipped)
 	}
@@ -502,18 +498,15 @@ func (db *Database) evalCached(ctx context.Context, q *query.Query, opts query.O
 
 // QueryRuntimeStats reports query-path concurrency accounting: how many
 // evaluations are in flight right now, how many ever started, how many
-// aborted early (client cancellation vs. budget exhaustion), and how the
-// parallel executors' fan-out units were scheduled (pool goroutine vs.
-// inline on a saturated pool), and how many anchor subtrees the exact
-// executor enumerated or skipped (query.ExecStats). Singleflight collapses
+// aborted early (client cancellation vs. budget exhaustion), and how many
+// anchor subtrees the exact executor enumerated or skipped
+// (query.ExecStats). Singleflight collapses
 // live in ResultCacheStats.
 type QueryRuntimeStats struct {
 	Active       int64 `json:"active"`
 	Started      int64 `json:"started"`
 	Canceled     int64 `json:"canceled"`
 	BudgetAborts int64 `json:"budget_aborts"`
-	PooledTasks  int64 `json:"pooled_tasks"`
-	InlineTasks  int64 `json:"inline_tasks"`
 	// AnchorsEnumerated/AnchorsSkipped sum the executed evaluations'
 	// query.ExecStats counters of the same names.
 	AnchorsEnumerated int64 `json:"anchors_enumerated"`
@@ -527,8 +520,6 @@ func (db *Database) QueryStats() QueryRuntimeStats {
 		Started:           db.queryStarted.Load(),
 		Canceled:          db.queryCanceled.Load(),
 		BudgetAborts:      db.queryBudgetAborts.Load(),
-		PooledTasks:       db.queryPooledTasks.Load(),
-		InlineTasks:       db.queryInlineTasks.Load(),
 		AnchorsEnumerated: db.queryAnchorsEnum.Load(),
 		AnchorsSkipped:    db.queryAnchorsSkip.Load(),
 	}

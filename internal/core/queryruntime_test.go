@@ -28,7 +28,7 @@ func TestQuerySingleflightAccounting(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = db.QueryEval(`//person/tel`, query.Options{Workers: 2})
+			_, errs[i] = db.QueryEval(`//person/tel`, query.Options{})
 		}(i)
 	}
 	wg.Wait()

@@ -1,9 +1,6 @@
 package query
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // DefaultCacheCapacity is the compiled-query capacity of a Cache built
 // with NewCache(0).
@@ -29,17 +26,10 @@ type CacheStats struct {
 // sits in front of Compile on the serving hot path, where the same query
 // strings arrive over and over.
 type Cache struct {
-	mu     sync.Mutex
-	cap    int
-	ll     *list.List               // front = most recently used
-	byText map[string]*list.Element // query text -> entry
-	hits   int64
-	misses int64
-}
-
-type cacheEntry struct {
-	src string
-	q   *Query
+	mu      sync.Mutex
+	entries lru[string, *Query] // query text -> compiled query
+	hits    int64
+	misses  int64
 }
 
 // compileRaceHook, when non-nil, runs after a Compile call has recorded
@@ -53,21 +43,15 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &Cache{
-		cap:    capacity,
-		ll:     list.New(),
-		byText: make(map[string]*list.Element, capacity),
-	}
+	return &Cache{entries: newLRU[string, *Query](capacity)}
 }
 
 // Compile returns the compiled form of src, parsing it only if no cached
 // compilation exists. Errors are returned verbatim and not cached.
 func (c *Cache) Compile(src string) (*Query, error) {
 	c.mu.Lock()
-	if el, ok := c.byText[src]; ok {
-		c.ll.MoveToFront(el)
+	if q, ok := c.entries.get(src); ok {
 		c.hits++
-		q := el.Value.(*cacheEntry).q
 		c.mu.Unlock()
 		return q, nil
 	}
@@ -87,22 +71,16 @@ func (c *Cache) Compile(src string) (*Query, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byText[src]; ok {
+	if first, ok := c.entries.get(src); ok {
 		// Lost the race; keep the first insertion and reclassify the miss
 		// recorded above as a hit — this call was served from the cache
 		// after all, and without the correction Hits+Misses would
 		// over-report the number of parses under contention.
 		c.misses--
 		c.hits++
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).q, nil
+		return first, nil
 	}
-	c.byText[src] = c.ll.PushFront(&cacheEntry{src: src, q: q})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byText, oldest.Value.(*cacheEntry).src)
-	}
+	c.entries.put(src, q)
 	return q, nil
 }
 
@@ -110,13 +88,12 @@ func (c *Cache) Compile(src string) (*Query, error) {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Size: c.ll.Len(), Capacity: c.cap}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Size: c.entries.len(), Capacity: c.entries.cap}
 }
 
 // Purge empties the cache, keeping the hit/miss counters.
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.byText)
+	c.entries.purge()
 }

@@ -126,15 +126,6 @@ type exactEval struct {
 	// budget meters node visits and enumerated worlds and carries
 	// cancellation; nil in the legacy evaluator.
 	budget *budget
-	// sealed marks the transition to the (possibly parallel) failure
-	// pass: every localEval from then on must be a memo hit, because the
-	// discovery pass has visited a superset of the (node, state set)
-	// pairs the failure pass can reach. The guard turns a violated
-	// invariant into an error instead of a data race.
-	sealed bool
-	// pooledTasks/inlineTasks aggregate worker-pool scheduling counts for
-	// ExecStats.
-	pooledTasks, inlineTasks int64
 }
 
 // advance computes the transition of the global NFA at an element: the
@@ -172,26 +163,6 @@ func (e *exactEval) localEval(elem *pxml.Node, states stateSet) (map[string]floa
 	if m, ok := e.localMemo[key]; ok {
 		return m, nil
 	}
-	if e.sealed {
-		// The failure pass only reaches anchor hits the discovery pass
-		// already enumerated; a miss here would mean concurrent writes to
-		// the shared memo. See evalExactPlanned.
-		return nil, fmt.Errorf("%w: internal: local memo miss after discovery (<%s>, states %#x)",
-			ErrNotExact, elem.Tag(), states)
-	}
-	out, err := e.localEvalRaw(elem, states)
-	if err != nil {
-		return nil, err
-	}
-	e.localMemo[key] = out
-	return out, nil
-}
-
-// localEvalRaw is localEval without the memo: a pure function of
-// (element, state set), safe to run concurrently for distinct keys — the
-// parallel precompute phase calls it from pool workers and merges the
-// results into the memo sequentially afterwards.
-func (e *exactEval) localEvalRaw(elem *pxml.Node, states stateSet) (map[string]float64, error) {
 	sub := pxml.CertainTree(elem)
 	wc := sub.WorldCount()
 	if !wc.IsInt64() || wc.Cmp(big.NewInt(int64(e.localLimit))) > 0 {
@@ -216,6 +187,7 @@ func (e *exactEval) localEvalRaw(elem *pxml.Node, states stateSet) (map[string]f
 	if stepErr != nil {
 		return nil, stepErr
 	}
+	e.localMemo[key] = out
 	return out, nil
 }
 
@@ -527,11 +499,9 @@ func mapsShareStorage(a, b map[string]bool) bool {
 
 // fail returns P(no answer with value v arises in the subtree of n), given
 // the NFA state set at n. The memoization table is a parameter so that the
-// parallel failure pass can give every value its own scratch memo: entries
-// are keyed per value anyway, so a private map computes the exact same
-// floats as a shared one, while letting per-value computations run on
-// separate goroutines with no coordination (they only read the immutable
-// valueSets/localMemo tables built by the discovery pass).
+// planned executor can give every value its own scratch memo and drop it
+// once the value's probability is known: entries are keyed per value
+// anyway, so a private map computes the exact same floats as a shared one.
 func (e *exactEval) fail(n *pxml.Node, states stateSet, v string, memo map[failKey]float64) (float64, error) {
 	if states == 0 {
 		return 1, nil
@@ -605,105 +575,18 @@ func (e *exactEval) fail(n *pxml.Node, states stateSet, v string, memo map[failK
 	return f, nil
 }
 
-// collectAnchors mirrors the values() walk — the same advance transitions,
-// the same canMatch pruning and anchorCanMatch check, the same per-(node,
-// state set) dedup — but collects the anchor hits values() will enumerate,
-// in document order, instead of evaluating them. It
-// touches no counters, so the discovery pass that follows still reports
-// visit statistics identical to a sequential run.
-func (e *exactEval) collectAnchors(n *pxml.Node, states stateSet, seen map[localKey]bool, out *[]localKey) {
-	if states == 0 {
-		return
-	}
-	key := localKey{e: n, s: states}
-	if seen[key] {
-		return
-	}
-	seen[key] = true
-	if !e.canMatch(n, states) {
-		return
-	}
-	switch n.Kind() {
-	case pxml.KindProb, pxml.KindPoss:
-		for _, k := range n.Children() {
-			e.collectAnchors(k, states, seen, out)
-		}
-	default: // element
-		next, hit := e.advance(n, states)
-		if hit {
-			if e.anchorCanMatch(n) {
-				*out = append(*out, key)
-			}
-			return
-		}
-		if next == 0 {
-			return
-		}
-		for _, k := range n.Children() {
-			e.collectAnchors(k, next, seen, out)
-		}
-	}
-}
-
-// precomputeLocal runs every anchor-subtree local enumeration the
-// discovery pass will need, fanned out over the pool. Each enumeration is
-// a pure function of its (element, state set) key writing into a private
-// map; the memo merge afterwards is sequential, so the discovery pass sees
-// exactly the maps a sequential run would have computed. On error the
-// lowest-indexed failure wins, matching the walk order a sequential run
-// reports.
-func (e *exactEval) precomputeLocal(root *pxml.Node, workers int) error {
-	var anchors []localKey
-	e.collectAnchors(root, stateSet(1), make(map[localKey]bool), &anchors)
-	if len(anchors) == 0 {
-		return nil
-	}
-	results := make([]map[string]float64, len(anchors))
-	errs := make([]error, len(anchors))
-	tasks := make([]func(), len(anchors))
-	for i := range anchors {
-		i := i
-		tasks[i] = func() {
-			results[i], errs[i] = e.localEvalRaw(anchors[i].e, anchors[i].s)
-		}
-	}
-	pool := newTaskPool(workers)
-	pool.runAll(tasks)
-	pooled, inline := pool.counts()
-	e.pooledTasks += pooled
-	e.inlineTasks += inline
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for i, key := range anchors {
-		e.localMemo[key] = results[i]
-	}
-	return nil
-}
-
 // evalExactPlanned is the planner's exact executor: the same compositional
 // semantics as EvalExact, restructured around a single value-discovery
 // pass that memoizes per-subtree value sets (plus summary-based tag
 // pruning), so the per-value failure pass touches only subtrees that can
 // actually produce the value. It returns the evaluator alongside the
 // answers so the planner can report pruning statistics.
-//
-// With workers > 1 the two expensive stages fan out over a bounded pool,
-// bracketing the sequential discovery pass: first every anchor-subtree
-// local enumeration runs concurrently (precomputeLocal), then — after
-// discovery has fixed the value set and the memo tables — the per-value
-// failure computations run concurrently, each with a private scratch memo.
-// Both fan-out units are independent by construction and all float
-// summation orders are fixed per value, so the answers are bit-identical
-// to a sequential run for every worker count.
-func evalExactPlanned(t *pxml.Tree, q *Query, localLimit, workers int, b *budget) ([]Answer, *exactEval, error) {
+func evalExactPlanned(t *pxml.Tree, q *Query, localLimit int, b *budget) ([]Answer, *exactEval, error) {
 	e, err := newPlannedEval(q, localLimit, b)
 	if err != nil {
 		return nil, nil, err
 	}
-	answers, err := e.run(t, workers)
+	answers, err := e.run(t)
 	return answers, e, err
 }
 
@@ -731,48 +614,25 @@ func newPlannedEval(q *Query, localLimit int, b *budget) (*exactEval, error) {
 }
 
 // run evaluates the query over t; see evalExactPlanned.
-func (e *exactEval) run(t *pxml.Tree, workers int) ([]Answer, error) {
-	if workers > 1 {
-		if err := e.precomputeLocal(t.Root(), workers); err != nil {
-			return nil, err
-		}
-	}
+func (e *exactEval) run(t *pxml.Tree) ([]Answer, error) {
 	values, err := e.values(t.Root(), stateSet(1))
 	if err != nil {
 		return nil, err
 	}
-	// Fix the fan-out order: per-value results land in slots, so answer
-	// assembly does not depend on scheduling (or map iteration) order.
+	// Visit the values in a fixed order, so a budget abort stops at the
+	// same value on every run.
 	vals := make([]string, 0, len(values))
 	for v := range values {
 		vals = append(vals, v)
 	}
 	sort.Strings(vals)
-	e.sealed = true
-	root := t.Root()
-	ps := make([]float64, len(vals))
-	errs := make([]error, len(vals))
-	tasks := make([]func(), len(vals))
-	for i := range vals {
-		i := i
-		tasks[i] = func() {
-			f, ferr := e.fail(root, stateSet(1), vals[i], make(map[failKey]float64))
-			ps[i], errs[i] = 1-f, ferr
-		}
-	}
-	pool := newTaskPool(workers)
-	pool.runAll(tasks)
-	pooled, inline := pool.counts()
-	e.pooledTasks += pooled
-	e.inlineTasks += inline
-	for _, err := range errs {
+	answers := make([]Answer, 0, len(vals))
+	for _, v := range vals {
+		f, err := e.fail(t.Root(), stateSet(1), v, make(map[failKey]float64))
 		if err != nil {
 			return nil, err
 		}
-	}
-	answers := make([]Answer, 0, len(vals))
-	for i, v := range vals {
-		if p := ps[i]; p > 1e-12 {
+		if p := 1 - f; p > 1e-12 {
 			answers = append(answers, Answer{Value: v, P: p})
 		}
 	}

@@ -111,7 +111,7 @@ func gateDocument(rng *rand.Rand) *pxml.Tree {
 // planned runs the planned executor, with its literal gate or — gate false —
 // with the literal requirements taken out of its needs: every subtree that
 // has the tags is walked, every anchor reached is enumerated.
-func planned(t *testing.T, tree *pxml.Tree, q *Query, workers int, gate bool) ([]Answer, *exactEval) {
+func planned(t *testing.T, tree *pxml.Tree, q *Query, gate bool) ([]Answer, *exactEval) {
 	t.Helper()
 	e, err := newPlannedEval(q, 0, newBudget(nil, Options{}))
 	if err != nil {
@@ -122,9 +122,9 @@ func planned(t *testing.T, tree *pxml.Tree, q *Query, workers int, gate bool) ([
 			e.need[i].litMask, e.need[i].lits = 0, nil
 		}
 	}
-	answers, err := e.run(tree, workers)
+	answers, err := e.run(tree)
 	if err != nil {
-		t.Fatalf("%s: gate %v, %d workers: %v", q, gate, workers, err)
+		t.Fatalf("%s: gate %v: %v", q, gate, err)
 	}
 	if !gate && e.anchorsSkipped != 0 {
 		t.Fatalf("%s: the ungated executor skipped %d anchors", q, e.anchorsSkipped)
@@ -154,8 +154,8 @@ func answersWithin(a, b []Answer, tol float64) bool {
 // TestGatedEqualsUngated: the summary gate and the exact check at the
 // anchor only ever skip work whose result is "no value, failure probability
 // 1", which the planned executor short-circuits to exactly 1 anyway — so
-// the gated answers carry the same float64 bits as the ungated ones, for
-// every worker count, and agree with the legacy two-pass evaluator and with
+// the gated answers carry the same float64 bits as the ungated ones, and
+// agree with the legacy two-pass evaluator and with
 // possible-world enumeration. ConditionAbsent shares the gate and must
 // build the same tree with the same prior as the walk that enumerates every
 // anchor.
@@ -167,28 +167,24 @@ func TestGatedEqualsUngated(t *testing.T) {
 		idx := queryindex.Build(tree)
 		for _, src := range gateQueries {
 			q := MustCompile(src)
-			want, gated := planned(t, tree, q, 1, true)
-			for _, workers := range []int{1, 4} {
-				res, err := EvalIndexed(tree, q, Options{Method: MethodExact, Workers: workers}, idx)
-				if err != nil {
-					t.Fatalf("seed %d %s: %d workers: %v", seed, src, workers, err)
-				}
-				if !reflect.DeepEqual(res.Answers, want) {
-					t.Fatalf("seed %d %s: gated answers differ with %d workers:\n%v\n%v", seed, src, workers, res.Answers, want)
-				}
-				if res.Exec.AnchorsEnumerated != gated.anchorsEnumerated || res.Exec.AnchorsSkipped != gated.anchorsSkipped {
-					t.Fatalf("seed %d %s: %d workers report %+v, the sequential executor enumerated %d anchors and skipped %d",
-						seed, src, workers, res.Exec, gated.anchorsEnumerated, gated.anchorsSkipped)
-				}
-				got, ungated := planned(t, tree, q, workers, false)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d %s: gated and ungated (%d workers) differ in a bit:\ngated:   %v\nungated: %v\n%s",
-						seed, src, workers, want, got, tree)
-				}
-				if workers == 1 {
-					visitsSaved += ungated.visited - gated.visited
-				}
+			want, gated := planned(t, tree, q, true)
+			res, err := EvalIndexed(tree, q, Options{Method: MethodExact}, idx)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, src, err)
 			}
+			if !reflect.DeepEqual(res.Answers, want) {
+				t.Fatalf("seed %d %s: EvalIndexed answers differ:\n%v\n%v", seed, src, res.Answers, want)
+			}
+			if res.Exec.AnchorsEnumerated != gated.anchorsEnumerated || res.Exec.AnchorsSkipped != gated.anchorsSkipped {
+				t.Fatalf("seed %d %s: EvalIndexed reports %+v, the executor enumerated %d anchors and skipped %d",
+					seed, src, res.Exec, gated.anchorsEnumerated, gated.anchorsSkipped)
+			}
+			all, ungated := planned(t, tree, q, false)
+			if !reflect.DeepEqual(all, want) {
+				t.Fatalf("seed %d %s: gated and ungated differ in a bit:\ngated:   %v\nungated: %v\n%s",
+					seed, src, want, all, tree)
+			}
+			visitsSaved += ungated.visited - gated.visited
 			skipped += gated.anchorsSkipped
 			if len(want) > 0 {
 				nonEmpty++

@@ -41,13 +41,25 @@ type Plan struct {
 	// CacheHit is set by the database layer when the result was served
 	// from the result cache.
 	CacheHit bool `json:"cache_hit"`
-	// Workers is the resolved fan-out width the executor ran with
-	// (Options.Workers with 0 resolved to GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
 	// BudgetExhausted is set when evaluation aborted on a per-query
 	// budget (Options.TimeBudget / Options.MaxNodeVisits); the result
 	// carrying it is partial and arrives alongside ErrBudgetExhausted.
 	BudgetExhausted bool `json:"budget_exhausted,omitempty"`
+}
+
+// ExecStats reports how one evaluation actually ran: how much work the
+// budget metered and how many anchors the exact executor enumerated.
+// Attached to every Result produced by EvalIndexed.
+type ExecStats struct {
+	// NodeVisits is the budget meter reading: node visits plus enumerated
+	// worlds plus drawn samples.
+	NodeVisits int64
+	// AnchorsEnumerated counts the anchor subtrees whose local worlds the
+	// exact executor enumerated; AnchorsSkipped those it reached but did
+	// not enumerate, because no element in them can carry a literal the
+	// predicates require. Anchors inside a subtree the summaries pruned
+	// whole are never reached and count in neither.
+	AnchorsEnumerated, AnchorsSkipped int64
 }
 
 // queryTags collects the concrete element tags a query mentions: step
@@ -225,8 +237,7 @@ func EvalIndexed(t *pxml.Tree, q *Query, opts Options, idx *queryindex.Index) (R
 // ErrBudgetExhausted when Options.TimeBudget or Options.MaxNodeVisits runs
 // out. On a budget abort the returned Result still carries the Plan, with
 // BudgetExhausted set, so `explain` can show what was attempted.
-// Options.Workers fans the exact and sampling executors out over a bounded
-// worker pool; answers are bit-identical for every worker count.
+// Evaluation runs on the calling goroutine.
 func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, idx *queryindex.Index) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
@@ -235,7 +246,6 @@ func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, i
 		idx = nil
 	}
 	b := newBudget(ctx, opts)
-	workers := opts.workers()
 
 	if m := opts.method(); m != MethodAuto {
 		pl := Plan{
@@ -247,7 +257,7 @@ func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, i
 		if idx != nil {
 			pl.PrunedFraction = estimatePruned(q, idx)
 		}
-		return executePlanned(t, q, opts, m, pl, workers, b)
+		return executePlanned(t, q, opts, m, pl, b)
 	}
 
 	pl := planAuto(t, q, opts, idx)
@@ -259,9 +269,9 @@ func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, i
 		return newResult(make([]Answer, 0), pl.Method, sampled, &pl), nil
 	}
 	if idx == nil {
-		return executeLadder(t, q, opts, pl, workers, b)
+		return executeLadder(t, q, opts, pl, b)
 	}
-	return executePlanned(t, q, opts, pl.Method, pl, workers, b)
+	return executePlanned(t, q, opts, pl.Method, pl, b)
 }
 
 // failedResult wraps an executor error: budget aborts keep the Plan (with
@@ -278,48 +288,49 @@ func failedResult(pl Plan, m Method, err error) (Result, error) {
 
 // result wraps the exact executor's answers with the plan — its estimate
 // refined by what the discovery pass saw — and the execution counters.
-func (e *exactEval) result(answers []Answer, pl Plan, workers int) Result {
+func (e *exactEval) result(answers []Answer, pl Plan) Result {
 	if e.visited > 0 {
 		pl.Reason += fmt.Sprintf(" (discovery pruned %d of %d subtree visits, enumerated %d of %d anchors reached)",
 			e.prunedSubtrees, e.visited, e.anchorsEnumerated, e.anchorsEnumerated+e.anchorsSkipped)
 	}
 	res := newResult(answers, MethodExact, 0, &pl)
 	res.Exec = ExecStats{
-		Workers: workers, PooledTasks: e.pooledTasks, InlineTasks: e.inlineTasks, NodeVisits: e.budget.spent(),
+		NodeVisits:        e.budget.spent(),
 		AnchorsEnumerated: e.anchorsEnumerated, AnchorsSkipped: e.anchorsSkipped,
 	}
 	return res
 }
 
+// meteredResult wraps an enumerated or sampled answer set with the plan
+// and the budget meter reading.
+func meteredResult(answers []Answer, m Method, sampled int, pl Plan, b *budget) Result {
+	res := newResult(answers, m, sampled, &pl)
+	res.Exec = ExecStats{NodeVisits: b.spent()}
+	return res
+}
+
 // executePlanned runs exactly the given method with the planned executor.
-func executePlanned(t *pxml.Tree, q *Query, opts Options, m Method, pl Plan, workers int, b *budget) (Result, error) {
+func executePlanned(t *pxml.Tree, q *Query, opts Options, m Method, pl Plan, b *budget) (Result, error) {
 	pl.Method = m
-	pl.Workers = workers
 	switch m {
 	case MethodExact:
-		answers, e, err := evalExactPlanned(t, q, opts.LocalWorldLimit, workers, b)
+		answers, e, err := evalExactPlanned(t, q, opts.LocalWorldLimit, b)
 		if err != nil {
 			return failedResult(pl, m, err)
 		}
-		return e.result(answers, pl, workers), nil
+		return e.result(answers, pl), nil
 	case MethodEnumerate:
 		answers, err := evalEnumerate(t, q, opts.enumLimit(), b)
 		if err != nil {
 			return failedResult(pl, m, err)
 		}
-		res := newResult(answers, MethodEnumerate, 0, &pl)
-		res.Exec = ExecStats{Workers: workers, NodeVisits: b.spent()}
-		return res, nil
+		return meteredResult(answers, m, 0, pl, b), nil
 	case MethodSample:
-		var ex ExecStats
-		answers, err := evalSampleWorkers(t, q, opts.samples(), opts.seed(), workers, b, &ex)
+		answers, err := evalSample(t, q, opts.samples(), opts.seed(), b)
 		if err != nil {
 			return failedResult(pl, m, err)
 		}
-		ex.Workers, ex.NodeVisits = workers, b.spent()
-		res := newResult(answers, MethodSample, opts.samples(), &pl)
-		res.Exec = ex
-		return res, nil
+		return meteredResult(answers, m, opts.samples(), pl, b), nil
 	default:
 		return Result{}, fmt.Errorf("%w: unknown method %q", ErrBadOptions, m)
 	}
@@ -328,13 +339,12 @@ func executePlanned(t *pxml.Tree, q *Query, opts Options, m Method, pl Plan, wor
 // executeLadder is the unindexed auto path: try exact, fall back to
 // enumeration, then sampling — the planner records which rung ran so the
 // reported plan always matches the executed method.
-func executeLadder(t *pxml.Tree, q *Query, opts Options, pl Plan, workers int, b *budget) (Result, error) {
-	pl.Workers = workers
-	answers, e, err := evalExactPlanned(t, q, opts.LocalWorldLimit, workers, b)
+func executeLadder(t *pxml.Tree, q *Query, opts Options, pl Plan, b *budget) (Result, error) {
+	answers, e, err := evalExactPlanned(t, q, opts.LocalWorldLimit, b)
 	if err == nil {
 		pl.Method = MethodExact
 		pl.Reason = "exact evaluation applicable"
-		return e.result(answers, pl, workers), nil
+		return e.result(answers, pl), nil
 	}
 	if !errors.Is(err, ErrNotExact) {
 		return failedResult(pl, MethodExact, err)
@@ -345,9 +355,7 @@ func executeLadder(t *pxml.Tree, q *Query, opts Options, pl Plan, workers int, b
 		if err == nil {
 			pl.Method = MethodEnumerate
 			pl.Reason = fmt.Sprintf("%v; %s worlds fit the enumeration budget", exactErr, pl.EstimatedWorlds)
-			res := newResult(answers, MethodEnumerate, 0, &pl)
-			res.Exec = ExecStats{Workers: workers, NodeVisits: b.spent()}
-			return res, nil
+			return meteredResult(answers, MethodEnumerate, 0, pl, b), nil
 		}
 		if !errors.Is(err, worlds.ErrTooManyWorlds) {
 			return failedResult(pl, MethodEnumerate, err)
@@ -356,13 +364,9 @@ func executeLadder(t *pxml.Tree, q *Query, opts Options, pl Plan, workers int, b
 	pl.Method = MethodSample
 	pl.Reason = fmt.Sprintf("%v; %s worlds exceed the enumeration budget: Monte-Carlo sampling",
 		exactErr, pl.EstimatedWorlds)
-	var ex ExecStats
-	sampled, err := evalSampleWorkers(t, q, opts.samples(), opts.seed(), workers, b, &ex)
+	sampled, err := evalSample(t, q, opts.samples(), opts.seed(), b)
 	if err != nil {
 		return failedResult(pl, MethodSample, err)
 	}
-	ex.Workers, ex.NodeVisits = workers, b.spent()
-	res := newResult(sampled, MethodSample, opts.samples(), &pl)
-	res.Exec = ex
-	return res, nil
+	return meteredResult(sampled, MethodSample, opts.samples(), pl, b), nil
 }

@@ -81,29 +81,26 @@ func limitFixture() *pxml.Tree {
 // TestLocalWorldLimitCountsMatchingAnchorsOnly: an anchor that cannot match
 // is skipped before its worlds are counted against LocalWorldLimit, so an
 // explicit exact evaluation answers where only such an anchor exceeds the
-// limit — for every worker count, the parallel precompute included. An
-// anchor that can match and exceeds it is ErrNotExact as before; so is the
+// limit. An anchor that can match and exceeds it is ErrNotExact as before; so is the
 // ungated legacy evaluator on either.
 func TestLocalWorldLimitCountsMatchingAnchorsOnly(t *testing.T) {
 	tr := limitFixture()
 	idx := queryindex.Build(tr)
 	narrow := query.MustCompile(`//movie[title="Die Hard"]/year`)
 	wide := query.MustCompile(`//movie[title="Wide Film"]/year`)
-	for _, workers := range []int{1, 4} {
-		opts := query.Options{Method: query.MethodExact, LocalWorldLimit: 8, Workers: workers}
-		res, err := query.EvalIndexed(tr, narrow, opts, idx)
-		if err != nil {
-			t.Fatalf("%d workers: the only anchor over the limit cannot match, want an answer, got %v", workers, err)
-		}
-		if want := []query.Answer{{Value: "1988", P: 1}}; !reflect.DeepEqual(res.Answers, want) {
-			t.Fatalf("%d workers: answers %v, want %v", workers, res.Answers, want)
-		}
-		if res.Exec.AnchorsEnumerated != 1 || res.Exec.AnchorsSkipped != 1 {
-			t.Fatalf("%d workers: %+v, want 1 anchor enumerated and 1 skipped", workers, res.Exec)
-		}
-		if _, err := query.EvalIndexed(tr, wide, opts, idx); !errors.Is(err, query.ErrNotExact) {
-			t.Fatalf("%d workers: the matching anchor spans 32 worlds (limit 8): got %v, want ErrNotExact", workers, err)
-		}
+	opts := query.Options{Method: query.MethodExact, LocalWorldLimit: 8}
+	res, err := query.EvalIndexed(tr, narrow, opts, idx)
+	if err != nil {
+		t.Fatalf("the only anchor over the limit cannot match, want an answer, got %v", err)
+	}
+	if want := []query.Answer{{Value: "1988", P: 1}}; !reflect.DeepEqual(res.Answers, want) {
+		t.Fatalf("answers %v, want %v", res.Answers, want)
+	}
+	if res.Exec.AnchorsEnumerated != 1 || res.Exec.AnchorsSkipped != 1 {
+		t.Fatalf("%+v, want 1 anchor enumerated and 1 skipped", res.Exec)
+	}
+	if _, err := query.EvalIndexed(tr, wide, opts, idx); !errors.Is(err, query.ErrNotExact) {
+		t.Fatalf("the matching anchor spans 32 worlds (limit 8): got %v, want ErrNotExact", err)
 	}
 	if _, err := query.EvalExact(tr, narrow, 8); !errors.Is(err, query.ErrNotExact) {
 		t.Fatalf("legacy exact enumerates every anchor: got %v, want ErrNotExact", err)
@@ -174,7 +171,7 @@ func TestReadPathWorkCounts(t *testing.T) {
 			return true
 		})
 		src := fmt.Sprintf(`//movie[%s=%q]/%s`, c.tag, c.lit, c.result)
-		res, err := query.EvalIndexed(tr, query.MustCompile(src), query.Options{Workers: 1}, idx)
+		res, err := query.EvalIndexed(tr, query.MustCompile(src), query.Options{}, idx)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}

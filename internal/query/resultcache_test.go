@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -61,6 +62,47 @@ func TestResultCacheEvictionLRU(t *testing.T) {
 	if st := c.Stats(); st.Size != 2 {
 		t.Fatalf("size = %d, want 2", st.Size)
 	}
+}
+
+// TestResultCacheHoldsItsCapacity: a cache of capacity N keeps N distinct
+// entries, and the next put evicts the least recently used entry of the
+// whole cache, not of some slice of it.
+func TestResultCacheHoldsItsCapacity(t *testing.T) {
+	for _, n := range []int{8, 64, 512} {
+		c := NewResultCache(n)
+		key := func(i int) (uint64, string) { return uint64(i % 3), fmt.Sprintf("//q%d", i) }
+		for i := 0; i < n; i++ {
+			d, src := key(i)
+			c.Put(d, src, Options{}, cachedResult(src))
+		}
+		hits := 0
+		for i := 0; i < n; i++ { // in put order, so key 0 stays least recent
+			if d, src := key(i); hasEntry(c, d, src) {
+				hits++
+			}
+		}
+		if hits != n {
+			t.Fatalf("capacity %d: %d of %d distinct keys still hit", n, hits, n)
+		}
+		d, src := key(n)
+		c.Put(d, src, Options{}, cachedResult(src))
+		if d, src := key(0); hasEntry(c, d, src) {
+			t.Fatalf("capacity %d: the least recently used key survived put %d", n, n+1)
+		}
+		for i := 1; i <= n; i++ {
+			if d, src := key(i); !hasEntry(c, d, src) {
+				t.Fatalf("capacity %d: key %d evicted in place of the least recently used key", n, i)
+			}
+		}
+		if st := c.Stats(); st.Size != n {
+			t.Fatalf("capacity %d: size %d", n, st.Size)
+		}
+	}
+}
+
+func hasEntry(c *ResultCache, digest uint64, src string) bool {
+	_, ok := c.Get(digest, src, Options{})
+	return ok
 }
 
 func TestResultCachePurge(t *testing.T) {

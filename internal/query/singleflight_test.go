@@ -164,37 +164,3 @@ func TestResultCacheSingleflightWaiterCanceled(t *testing.T) {
 		t.Fatalf("leader err = %v", err)
 	}
 }
-
-// TestResultCacheSharded: large caches split into shards; small ones keep a
-// single shard so the global-LRU eviction order tests stay meaningful.
-func TestResultCacheSharded(t *testing.T) {
-	if st := NewResultCache(256).Stats(); st.Shards != resultCacheShards {
-		t.Fatalf("capacity 256: shards = %d, want %d", st.Shards, resultCacheShards)
-	}
-	if st := NewResultCache(8).Stats(); st.Shards != 1 {
-		t.Fatalf("capacity 8: shards = %d, want 1", st.Shards)
-	}
-
-	// Fill a sharded cache across many keys: entries land in different
-	// shards and remain retrievable; total size respects capacity.
-	c := NewResultCache(minShardedCapacity)
-	for i := 0; i < minShardedCapacity; i++ {
-		c.Put(uint64(i), "//q", Options{}, Result{Method: MethodExact})
-	}
-	found := 0
-	for i := 0; i < minShardedCapacity; i++ {
-		if _, ok := c.Get(uint64(i), "//q", Options{}); ok {
-			found++
-		}
-	}
-	st := c.Stats()
-	if st.Size > st.Capacity {
-		t.Fatalf("size %d exceeds capacity %d", st.Size, st.Capacity)
-	}
-	if found != st.Size {
-		t.Fatalf("found %d entries, stats size %d", found, st.Size)
-	}
-	if found < minShardedCapacity/2 {
-		t.Fatalf("only %d of %d entries retained across shards", found, minShardedCapacity)
-	}
-}

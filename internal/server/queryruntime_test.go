@@ -13,32 +13,42 @@ import (
 	"repro/internal/server"
 )
 
-// TestQueryWorkersParameter: workers= selects the per-request fan-out;
-// bad values are options errors, not crashes.
-func TestQueryWorkersParameter(t *testing.T) {
+// TestQueryParameters: every /query parameter is read from one parse of the
+// query string. A malformed value answers 400 with its own message, and
+// workers= is ignored whatever its value.
+func TestQueryParameters(t *testing.T) {
 	ts, _ := newTestServer(t)
 	integrateB(t, ts)
-	for _, w := range []string{"0", "1", "3", "8"} {
-		var resp server.QueryResponse
-		doJSON(t, "GET", ts.URL+"/query?workers="+w+"&q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &resp)
-		if len(resp.Answers) != 2 {
-			t.Fatalf("workers=%s: answers = %+v, want 2", w, resp.Answers)
+	tel := "q=" + url.QueryEscape(`//person/tel`)
+	for _, tc := range []struct {
+		query, wantErr string
+	}{
+		{tel + "&top=x", `query: bad top parameter "x"`},
+		{tel + "&samples=x", `query: bad samples parameter "x"`},
+		{tel + "&samples=-1", "query: query: invalid options: Samples must be >= 0 (0 means default 20000), got -1"},
+		{tel + "&seed=x", `query: bad seed parameter "x"`},
+		{tel + "&budget_ms=x", `query: bad budget_ms parameter "x"`},
+		{tel + "&budget_ms=-1", `query: bad budget_ms parameter "-1"`},
+		{tel + "&explain=2", `query: bad explain parameter "2" (0 | 1)`},
+		{tel + "&method=bogus", `query: query: invalid options: unknown method "bogus" (auto | exact | enumerate | sample)`},
+		{"top=1", "query: missing q parameter"},
+		{tel + "&workers=3", ""},
+		{tel + "&workers=-1", ""},
+		{tel + "&workers=x&top=1&explain=1", ""},
+	} {
+		if tc.wantErr != "" {
+			var resp struct{ Error string }
+			doJSON(t, "GET", ts.URL+"/query?"+tc.query, "", nil, http.StatusBadRequest, &resp)
+			if resp.Error != tc.wantErr {
+				t.Errorf("%s: error %q, want %q", tc.query, resp.Error, tc.wantErr)
+			}
+			continue
 		}
-	}
-	doJSON(t, "GET", ts.URL+"/query?workers=-1&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/query?workers=x&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/query?budget_ms=-1&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/query?budget_ms=x&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
-}
-
-// TestQueryWorkersExplainPlan: explain surfaces the worker count that ran.
-func TestQueryWorkersExplainPlan(t *testing.T) {
-	ts, _ := newTestServer(t)
-	integrateB(t, ts)
-	var resp server.QueryResponse
-	doJSON(t, "GET", ts.URL+"/query?explain=1&workers=3&q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &resp)
-	if resp.Plan == nil || resp.Plan.Workers != 3 {
-		t.Fatalf("plan = %+v, want workers=3", resp.Plan)
+		var resp server.QueryResponse
+		doJSON(t, "GET", ts.URL+"/query?"+tc.query, "", nil, http.StatusOK, &resp)
+		if len(resp.Answers) == 0 {
+			t.Errorf("%s: no answers", tc.query)
+		}
 	}
 }
 
@@ -93,9 +103,6 @@ func TestStatsQuerySection(t *testing.T) {
 	}
 	if stats.Query.Active != 0 {
 		t.Fatalf("query.active = %d, want 0", stats.Query.Active)
-	}
-	if stats.Query.CacheShards < 1 {
-		t.Fatalf("query.cache_shards = %d, want >= 1", stats.Query.CacheShards)
 	}
 	// The anchors a look-up enumerated show in its plan and add up in
 	// /stats, once per evaluation that ran: a cache hit adds nothing.

@@ -29,10 +29,9 @@
 //	POST /integrate/batch               {"sources":["<xml>…",…]} -> per-source stats
 //	GET  /query?q=…&top=N&seed=S        ranked answers; method=auto|exact|
 //	     &method=M&samples=N&explain=1  enumerate|sample, explain=1 adds
-//	     &workers=W&budget_ms=B         the evaluation plan; workers fans
-//	                                    evaluation over W goroutines (0 =
-//	                                    all CPUs), budget_ms bounds wall
-//	                                    time (408 + budget_exhausted)
+//	     &budget_ms=B                   the evaluation plan, budget_ms
+//	                                    bounds wall time (408 +
+//	                                    budget_exhausted)
 //	POST /feedback                      {"query","value","correct"} -> event
 //	GET  /stats                         document + cache + server statistics
 //	                                    (catalog mode: + WAL/compaction)
@@ -67,6 +66,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -629,23 +629,24 @@ type QueryResponse struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t target) {
-	src := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	src := params.Get("q")
 	if src == "" {
 		writeError(w, http.StatusBadRequest, "query: missing q parameter")
 		return
 	}
-	top, err := intParam(r, "top", 0)
+	top, err := intParam(params, "top", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "query: %v", err)
 		return
 	}
 	opts := t.core.DefaultQueryOptions()
-	if v := r.URL.Query().Get("method"); v != "" {
+	if v := params.Get("method"); v != "" {
 		// auto (the default) lets the planner choose; an explicit method
 		// is used verbatim. Unknown names fail option validation below.
 		opts.Method = query.Method(v)
 	}
-	if v := r.URL.Query().Get("samples"); v != "" {
+	if v := params.Get("samples"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "query: bad samples parameter %q", v)
@@ -655,7 +656,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t target) {
 		// with an explicit error (mapped to 400 below).
 		opts.Samples = n
 	}
-	if v := r.URL.Query().Get("seed"); v != "" {
+	if v := params.Get("seed"); v != "" {
 		// An explicit seed — 0 included — pins the Monte-Carlo sampler
 		// for reproducible sampled answers.
 		n, err := strconv.ParseInt(v, 10, 64)
@@ -665,18 +666,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t target) {
 		}
 		opts.Seed = query.SeedPtr(n)
 	}
-	if v := r.URL.Query().Get("workers"); v != "" {
-		// 0 means one worker per CPU; 1 forces sequential evaluation.
-		// Answers are bit-identical either way — workers only buy speed.
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "query: bad workers parameter %q", v)
-			return
-		}
-		// Negative counts reach option validation (mapped to 400 below).
-		opts.Workers = n
-	}
-	if v := r.URL.Query().Get("budget_ms"); v != "" {
+	if v := params.Get("budget_ms"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, "query: bad budget_ms parameter %q", v)
@@ -685,7 +675,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t target) {
 		opts.TimeBudget = time.Duration(n) * time.Millisecond
 	}
 	explain := false
-	switch v := r.URL.Query().Get("explain"); v {
+	switch v := params.Get("explain"); v {
 	case "", "0", "false":
 	case "1", "true":
 		explain = true
@@ -926,7 +916,7 @@ type StatsResponse struct {
 	ResultCache   CacheCounters `json:"result_cache"`
 	// Query reports query-path concurrency: in-flight evaluations,
 	// early aborts (client disconnects, budget exhaustion), singleflight
-	// collapses, and worker-pool scheduling.
+	// collapses, and anchors enumerated or skipped.
 	Query QueryRuntime `json:"query"`
 	Index IndexStats   `json:"index"`
 	// Memo is the cross-call integration memo (oracle verdicts and
@@ -944,7 +934,7 @@ type StatsResponse struct {
 }
 
 // QueryRuntime is the /stats "query" section: concurrency accounting for
-// the parallel query path.
+// the query path.
 type QueryRuntime struct {
 	// Active is the number of evaluations in flight right now; Started
 	// counts every evaluation ever begun.
@@ -958,19 +948,12 @@ type QueryRuntime struct {
 	// SingleflightCollapses counts queries that waited on an identical
 	// in-flight evaluation instead of running their own.
 	SingleflightCollapses int64 `json:"singleflight_collapses"`
-	// PooledTasks/InlineTasks report worker-pool scheduling: fan-out
-	// units run on pool goroutines vs. inline because the pool was
-	// saturated.
-	PooledTasks int64 `json:"pooled_tasks"`
-	InlineTasks int64 `json:"inline_tasks"`
 	// AnchorsEnumerated/AnchorsSkipped sum, over the evaluations that ran,
 	// the anchor subtrees whose local worlds the exact executor enumerated
 	// and those it reached but skipped because no element in them can
 	// carry a literal the predicates require.
 	AnchorsEnumerated int64 `json:"anchors_enumerated"`
 	AnchorsSkipped    int64 `json:"anchors_skipped"`
-	// CacheShards is the result cache's lock-striping width.
-	CacheShards int `json:"cache_shards"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
@@ -997,11 +980,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 		Canceled:              qs.Canceled,
 		BudgetAborts:          qs.BudgetAborts,
 		SingleflightCollapses: rs.Collapses,
-		PooledTasks:           qs.PooledTasks,
-		InlineTasks:           qs.InlineTasks,
 		AnchorsEnumerated:     qs.AnchorsEnumerated,
 		AnchorsSkipped:        qs.AnchorsSkipped,
-		CacheShards:           rs.Shards,
 	}
 	resp.Memo = t.core.MemoStats()
 	resp.Ingest = t.core.IngestStats()
@@ -1037,7 +1017,7 @@ type World struct {
 }
 
 func (s *Server) handleWorlds(w http.ResponseWriter, r *http.Request, t target) {
-	max, err := intParam(r, "max", 20)
+	max, err := intParam(r.URL.Query(), "max", 20)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "worlds: %v", err)
 		return
@@ -1321,8 +1301,8 @@ func (s *Server) handleDropDB(w http.ResponseWriter, r *http.Request) {
 
 // --- helpers ---
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
+func intParam(params url.Values, name string, def int) (int, error) {
+	v := params.Get(name)
 	if v == "" {
 		return def, nil
 	}
