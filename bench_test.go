@@ -252,40 +252,6 @@ func BenchmarkEvaluators(b *testing.B) {
 	})
 }
 
-// BenchmarkIntegrateWorkers measures the parallel integration engine on a
-// multi-component document across worker counts: the same confusing-movies
-// integration that BenchmarkFigure5 sizes, now timed while the candidate
-// components fan out over the pool. The components and workers metrics
-// land in BENCH_integrate.json via the CI bench job, so the perf
-// trajectory of the hot path accumulates data points per commit.
-func BenchmarkIntegrateWorkers(b *testing.B) {
-	pair := datagen.Confusing(48, 1)
-	schema := datagen.MovieDTD()
-	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		counts = append(counts, n)
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var stats *integrate.Stats
-			for i := 0; i < b.N; i++ {
-				_, st, err := integrate.Integrate(pair.A.Tree, pair.B.Tree, integrate.Config{
-					Oracle:        oracle.MovieOracle(oracle.SetTitle),
-					Schema:        schema,
-					SkipNormalize: true,
-					Workers:       workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				stats = st
-			}
-			b.ReportMetric(float64(stats.Components), "components")
-			b.ReportMetric(float64(workers), "workers")
-		})
-	}
-}
-
 // BenchmarkIntegrateBatch measures the one-writer-lock batch ingest path
 // against N sequential single-source integrations of the same documents.
 func BenchmarkIntegrateBatch(b *testing.B) {
@@ -333,7 +299,7 @@ func BenchmarkIntegrateBatch(b *testing.B) {
 // --- planned query engine benchmarks ---
 //
 // The three benchmarks below track the query-latency trajectory the same
-// way BenchmarkIntegrateWorkers tracks integration: CI converts them into
+// way BenchmarkIntegrateBatch tracks integration: CI converts them into
 // a BENCH_query.json artifact per commit. Cold is the unindexed seed
 // engine (compile-free, but re-walking the tree per query); Indexed is
 // the planned engine against a prebuilt per-tree index (the serving hot
@@ -1222,60 +1188,10 @@ func BenchmarkFailoverCatchup(b *testing.B) {
 
 // --- ingest pipeline benchmarks ---
 //
-// The three benchmarks below size the incremental ingest pipeline: the
-// cross-call memo (cold = every verdict computed, warm = served from the
-// memo; the acceptance bar is warm >= 3x cold) and the async queue under
-// sustained load (ingest throughput plus read p99 during ingest vs idle;
-// the bar is busy p99 within 2x of idle). CI converts them into
-// BENCH_integrate.json per commit.
-
-// memoBenchConfig is the integration the memo benchmarks repeat.
-func memoBenchConfig(memo *integrate.Memo) integrate.Config {
-	return integrate.Config{
-		Oracle:        oracle.MovieOracle(oracle.SetGenreTitleYear),
-		Schema:        datagen.MovieDTD(),
-		SkipNormalize: true,
-		Memo:          memo,
-	}
-}
-
-// BenchmarkIntegrateMemoCold integrates with a fresh memo every
-// iteration: all oracle verdicts and merges are computed.
-func BenchmarkIntegrateMemoCold(b *testing.B) {
-	pair := datagen.Confusing(36, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, st, err := integrate.Integrate(pair.A.Tree, pair.B.Tree, memoBenchConfig(integrate.NewMemo(0)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(st.OracleCalls), "oraclecalls")
-		}
-	}
-}
-
-// BenchmarkIntegrateMemoWarm repeats the same integration against one
-// pre-warmed memo: the repeated work is answered from the digest tables.
-func BenchmarkIntegrateMemoWarm(b *testing.B) {
-	pair := datagen.Confusing(36, 1)
-	memo := integrate.NewMemo(0)
-	if _, _, err := integrate.Integrate(pair.A.Tree, pair.B.Tree, memoBenchConfig(memo)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var st *integrate.Stats
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, st, err = integrate.Integrate(pair.A.Tree, pair.B.Tree, memoBenchConfig(memo))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(st.OracleCalls), "oraclecalls")
-	b.ReportMetric(float64(st.VerdictMemoHits+st.MergeMemoHits), "memohits")
-}
+// The benchmark below sizes the async ingest queue under sustained load
+// (ingest throughput plus read p99 during ingest vs idle; the bar is busy
+// p99 within 2x of idle). CI converts it into BENCH_integrate.json per
+// commit.
 
 // benchPercentile returns the p-th percentile of the sample set.
 func benchPercentile(lat []time.Duration, p float64) time.Duration {

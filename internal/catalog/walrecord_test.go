@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -367,7 +368,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 // TestWALRecordQueueRoundTrip: the v2 kinds — enqueue and apply-queued —
 // and the v2 stats blob on integrate records survive the binary format.
 func TestWALRecordQueueRoundTrip(t *testing.T) {
-	stats := []integrate.Stats{{OracleCalls: 7, VerdictMemoHits: 3, SplicedChildren: 2}}
+	stats := []integrate.Stats{{OracleCalls: 7, UndecidedPairs: 3, SplicedChildren: 2}}
 	recs := []WALRecord{
 		{Seq: 10, Epoch: 2, Op: core.Op{Kind: core.OpEnqueue, Ticket: "t41",
 			SourceTrees: []*pxml.Tree{mustTree(t, abA), mustTree(t, abB)}}},
@@ -443,5 +444,47 @@ func TestWALRecordDecodesV1Payload(t *testing.T) {
 	}
 	if seq, epoch, err := peekRecordHeader(payload); err != nil || seq != 21 || epoch != 4 {
 		t.Fatalf("peek v1 = %d/%d, %v", seq, epoch, err)
+	}
+}
+
+// TestWALRecordRetiredStatsFields: logs written while integration had a
+// cross-call memo carry VerdictMemoHits and MergeMemoHits in their stats
+// blobs. A hand-built binary integrate record and a JSON one with those
+// keys still decode, the keys ignored and every kept counter intact. And
+// new records keep the size of the old: they write every counter, then the
+// two retired keys as zeros.
+func TestWALRecordRetiredStatsFields(t *testing.T) {
+	const blob = `[{"OracleCalls":7,"UndecidedPairs":4,"VerdictMemoHits":3,"MergeMemoHits":1,"SplicedChildren":2}]`
+	want := integrate.Stats{OracleCalls: 7, UndecidedPairs: 4, SplicedChildren: 2}
+	layout := `[{"OracleCalls":7,"MustPairs":0,"CannotPairs":0,"UndecidedPairs":4,"Components":0,"LargestComponent":0,` +
+		`"MatchingsEnumerated":0,"MatchingsPruned":0,"PossibilitiesBuilt":0,"IncompatibleMerges":0,"TruncatedComponents":0,` +
+		`"ValueConflicts":0,"SplicedChildren":2,"VerdictMemoHits":0,"MergeMemoHits":0}]`
+	if got, err := json.Marshal([]integrate.Stats{want}); err != nil || string(got) != layout {
+		t.Fatalf("stats blob %s, %v; want %s", got, err, layout)
+	}
+
+	binary := []byte{walBinaryMarker, walBinaryVersion}
+	binary = codec.AppendUvarint(binary, 31)
+	binary = codec.AppendUvarint(binary, 2)
+	binary = append(binary, opKindCodes[core.OpIntegrate])
+	binary = codec.AppendUvarint(binary, 1)
+	binary, err := appendTree(binary, mustTree(t, abA), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary = codec.AppendBytes(binary, []byte(blob))
+	jsonRec := []byte(`{"seq":31,"epoch":2,"op":{"kind":"integrate","sources":[` + strconv.Quote(abA) + `],"stats":` + blob + `}}`)
+
+	for label, payload := range map[string][]byte{"binary": binary, "json": jsonRec} {
+		got, err := DecodeWALRecord(payload)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", label, err)
+		}
+		if got.Seq != 31 || got.Op.Kind != core.OpIntegrate || len(got.Op.Stats) != 1 || got.Op.Stats[0] != want {
+			t.Fatalf("%s: decoded %+v, stats %+v; want stats %+v", label, got, got.Op.Stats, want)
+		}
+		if trees := opTrees(t, got.Op); len(trees) != 1 || !pxml.Equal(trees[0].Root(), mustTree(t, abA).Root()) {
+			t.Fatalf("%s: source did not survive", label)
+		}
 	}
 }

@@ -127,7 +127,6 @@ func runIntegrate(args []string, w io.Writer) error {
 	raw := fs.Bool("raw", false, "skip normalization (paper-style raw sizes)")
 	truncate := fs.Bool("truncate", false, "truncate instead of failing on possibility explosion")
 	maxMatchings := fs.Int("max-matchings", 0, "matching budget per candidate component (0 = default)")
-	workers := fs.Int("workers", 0, "integration worker goroutines (0 = all CPUs, 1 = sequential)")
 	fs.SetOutput(w)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -168,7 +167,6 @@ func runIntegrate(args []string, w io.Writer) error {
 		SkipNormalize:            *raw,
 		TruncateOnExplosion:      *truncate,
 		MaxMatchingsPerComponent: *maxMatchings,
-		Workers:                  *workers,
 	}
 	res, err := loadTree(paths[0])
 	if err != nil {
@@ -437,10 +435,8 @@ func runServe(args []string, w io.Writer) error {
 	snapDir := fs.String("snapshots", "", "snapshot directory for /save and /load (empty disables them; ignored with -data)")
 	cacheSize := fs.Int("query-cache", 0, "compiled-query LRU cache capacity (0 = default)")
 	resultCacheSize := fs.Int("result-cache", 0, "evaluated-result LRU cache capacity (0 = default)")
-	workers := fs.Int("workers", 0, "integration worker goroutines (0 = all CPUs, 1 = sequential)")
 	queryBudget := fs.Duration("query-budget", 0, "per-query wall-clock budget (0 = unlimited; exhausted queries return 408 with budget_exhausted)")
 	ingestQueue := fs.Int("ingest-queue", 0, "async ingest queue depth per database (0 disables POST /integrate?async=1)")
-	memoEntries := fs.Int("memo-entries", 0, "cross-call integration memo entry cap (0 = default, negative disables the memo)")
 	maxBody := fs.Int64("max-body", 0, "request body limit in bytes (0 = default 8MiB)")
 	wireCompression := fs.Bool("wire-compression", true, "offer/accept flate-compressed replication pages on the binary wire (both roles)")
 	storeMMap := fs.Bool("store-mmap", true, "mmap v5 snapshot documents on load (false forces the read-whole fallback; with -data)")
@@ -473,11 +469,9 @@ func runServe(args []string, w io.Writer) error {
 	cfg := core.Config{
 		Schema:          schema,
 		Rules:           rules,
-		Integration:     integrate.Config{Workers: *workers},
 		Query:           query.Options{TimeBudget: *queryBudget},
 		QueryCacheSize:  *cacheSize,
 		ResultCacheSize: *resultCacheSize,
-		MemoEntries:     *memoEntries,
 		IngestDepth:     *ingestQueue,
 	}
 	var logger *log.Logger
@@ -707,9 +701,6 @@ func runDBCmd(args []string, w io.Writer) error {
 			fmt.Fprintf(w, "ingest queue:    %d pending (cap %d), %d accepted, %d applied, %d failed\n",
 				iq.Depth, iq.Capacity, iq.Accepted, iq.Applied, iq.Failed)
 		}
-		ms := c.MemoStats()
-		fmt.Fprintf(w, "integrate memo:  %d entr%s (cap %d), %d hit(s), %d miss(es), %d purge(s)\n",
-			ms.Entries, plural(ms.Entries, "y", "ies"), ms.Capacity, ms.Hits, ms.Misses, ms.Purges)
 		qs := c.QueryStats()
 		rc := c.ResultCacheStats()
 		fmt.Fprintf(w, "query exec:      %d active, %d started, %d canceled, %d budget abort(s), %d singleflight collapse(s)\n",

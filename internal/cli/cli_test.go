@@ -130,7 +130,7 @@ func TestCLIBatchIntegrate(t *testing.T) {
 		<!ELEMENT tel (#PCDATA)>`)
 
 	batchOut := filepath.Join(dir, "batch.xml")
-	got := mustRun(t, "integrate", "-dtd", d, "-o", batchOut, "-workers", "2", a, b, c)
+	got := mustRun(t, "integrate", "-dtd", d, "-o", batchOut, a, b, c)
 	if !strings.Contains(got, "integrated:") || !strings.Contains(got, "(2/2)") {
 		t.Fatalf("batch output missing per-source progress:\n%s", got)
 	}

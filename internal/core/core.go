@@ -49,14 +49,9 @@ type Config struct {
 	Rules []oracle.Rule
 	// OracleOptions tune the Oracle (prior, estimators, strictness).
 	OracleOptions []oracle.Option
-	// Integration tunes the integration engine. Its Oracle, Schema and
-	// Memo fields are overwritten from this Config.
+	// Integration tunes the integration engine. Its Oracle and Schema
+	// fields are overwritten from this Config.
 	Integration integrate.Config
-	// MemoEntries caps the cross-call integration memo (verdicts and
-	// pair merges reused across integrations). 0 means the default cap
-	// (integrate.DefaultMemoEntries); a negative value disables the memo
-	// entirely, making every integration cold.
-	MemoEntries int
 	// IngestDepth bounds the async ingest queue (Enqueue): how many
 	// accepted-but-unapplied sources the database holds before pushing
 	// back with ErrQueueFull. 0 disables the queue (Enqueue refuses);
@@ -134,12 +129,6 @@ type Database struct {
 	drainStop chan struct{}
 	drainDone chan struct{}
 
-	// memo carries oracle verdicts and pair merges across integrations;
-	// nil when Config.MemoEntries < 0. Purged by feedback, normalize,
-	// replace and snapshot load (the mutations that can invalidate
-	// cached decisions).
-	memo *integrate.Memo
-
 	// Immutable after Open.
 	oracle  *oracle.Oracle
 	cfg     Config
@@ -173,9 +162,6 @@ func Open(doc *pxml.Tree, cfg Config) (*Database, error) {
 		queries:  query.NewCache(cfg.QueryCacheSize),
 		results:  query.NewResultCache(cfg.ResultCacheSize),
 		statuses: make(map[string]*TicketStatus),
-	}
-	if cfg.MemoEntries >= 0 {
-		db.memo = integrate.NewMemo(cfg.MemoEntries)
 	}
 	db.index = db.buildIndex(doc)
 	db.indexBuilds, db.indexBuildLast, db.indexBuildTotal =
@@ -266,19 +252,13 @@ func (db *Database) IntegrateTreeResult(other *pxml.Tree) (*pxml.Tree, *integrat
 }
 
 // integrationConfig assembles the engine config for one run: the
-// database's oracle, current schema and (when enabled) the cross-call
-// memo on top of the opener's tuning.
+// database's oracle and current schema on top of the opener's tuning.
 func (db *Database) integrationConfig() integrate.Config {
 	cfg := db.cfg.Integration
 	cfg.Oracle = db.oracle
 	cfg.Schema = db.Schema()
-	cfg.Memo = db.memo
 	return cfg
 }
-
-// MemoStats reports the cross-call integration memo counters (zero
-// values when the memo is disabled).
-func (db *Database) MemoStats() integrate.MemoStats { return db.memo.Stats() }
 
 // IntegrateBatch integrates a sequence of documents into the database in
 // one writer-lock cycle: the sources fold left-to-right into the current
@@ -296,9 +276,9 @@ func (db *Database) IntegrateBatch(sources []*pxml.Tree) ([]integrate.Stats, *px
 // is non-nil (journal replay, replicated apply), it must hold one Stats
 // per source: the engine's recomputed tree is installed — integration is
 // deterministic, so it is pxml.Equal to the original — but the RECORDED
-// stats go into the history and the journal, because a replay runs
-// against a differently warmed memo and its recomputed counters would
-// not match the original run's.
+// stats go into the history and the journal, because a log written by an
+// older version carries counters its own engine computed (a cross-call memo
+// made them depend on history), which a replay must reproduce as recorded.
 func (db *Database) integrateSources(sources []*pxml.Tree, recorded []integrate.Stats) ([]integrate.Stats, *pxml.Tree, error) {
 	if len(sources) == 0 {
 		return nil, nil, errors.New("core: empty integration batch")
@@ -623,9 +603,6 @@ func (db *Database) feedbackAt(querySrc, value string, correct bool, when time.T
 	db.events = append(db.events, ev)
 	db.mu.Unlock()
 	db.commitMu.Unlock()
-	// Conditioning changed what the accumulated tree means; cached
-	// verdicts and merges may no longer reflect it.
-	db.memo.Purge()
 	return ev, nil
 }
 
@@ -681,7 +658,6 @@ func (db *Database) Normalize() (before, after int64, err error) {
 	}
 	db.mu.Unlock()
 	db.commitMu.Unlock()
-	db.memo.Purge()
 	return before, nt.NodeCount(), nil
 }
 
@@ -712,7 +688,6 @@ func (db *Database) ReplaceTree(t *pxml.Tree) error {
 	db.integrations = nil
 	db.mu.Unlock()
 	db.commitMu.Unlock()
-	db.memo.Purge()
 	return nil
 }
 
@@ -778,9 +753,6 @@ func (db *Database) installSnapshot(t *pxml.Tree, schema *dtd.Schema, ints []int
 	}
 	db.mu.Unlock()
 	db.commitMu.Unlock()
-	// The snapshot may carry a different schema; cached decisions made
-	// under the old one must not leak past the load.
-	db.memo.Purge()
 	return nil
 }
 

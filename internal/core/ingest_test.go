@@ -166,29 +166,6 @@ func TestTicketStatusUnknown(t *testing.T) {
 	}
 }
 
-// TestMemoPurgedByFeedbackAndNormalize: mutations that rewrite node
-// identity drop the cross-call memo so stale verdicts cannot leak into
-// later integrations.
-func TestMemoPurgedByFeedbackAndNormalize(t *testing.T) {
-	db, err := core.OpenXML(strings.NewReader(bookA), core.Config{Schema: personDTD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.IntegrateXMLString(bookB); err != nil {
-		t.Fatal(err)
-	}
-	if db.MemoStats().Entries == 0 {
-		t.Fatalf("integration should populate the memo: %+v", db.MemoStats())
-	}
-	before := db.MemoStats().Purges
-	if _, _, err := db.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.MemoStats(); got.Purges <= before || got.Entries != 0 {
-		t.Fatalf("normalize did not purge the memo: %+v", got)
-	}
-}
-
 // TestSustainedIngestKeepsReadsConsistent is the -race smoke: enqueues
 // stream in while readers query; every observed tree must be a committed
 // prefix of the integration sequence, and the final tree must match the

@@ -70,10 +70,9 @@ type Op struct {
 	// Stats records the per-source integration statistics of an
 	// integrate/batch/apply-queued op as they were at commit time.
 	// Replay installs these instead of its own recomputed counters: the
-	// tree recomputation is deterministic, but the counters depend on
-	// how warm the cross-call memo was, and a replay (cold memo, or a
-	// follower's own memo state) must still reproduce the original
-	// history exactly.
+	// tree recomputation is deterministic, and the history must be the
+	// original one exactly, even for a log whose engine counted
+	// differently (older versions had a cross-call memo).
 	Stats []integrate.Stats `json:"stats,omitempty"`
 	// Ticket names an enqueued source batch (OpEnqueue).
 	Ticket string `json:"ticket,omitempty"`

@@ -1,6 +1,7 @@
 package integrate
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -27,45 +28,30 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 	// siblings are never candidates (the paper's second generic rule), and
 	// neither is a pair the rules' blocking keys — derived once per child
 	// here, not per pair — prove cannot-match: it is never put to the
-	// Oracle. The rest is decided in a fan-out pass first (verdicts are
-	// independent, and on wide child lists the rule evaluations dominate),
-	// one task per A child with candidates, each writing the slots of its
-	// own pairs, and read back in candidate order. Sequential mode runs the
-	// same pass inline, so both modes decide exactly the same pair set.
-	type candidate struct{ i, j int }
-	var (
-		cands       []candidate
-		verdicts    []verdictResult // index-aligned with cands
-		decideTasks []func()
-	)
+	// Oracle. Every other pair is decided when it is met, and becomes an
+	// edge unless the verdict is cannot-match. Under oracle.Strict the first
+	// error in (i, j) order is returned, once every pair is decided and
+	// counted.
+	var edges []edge
+	var firstErr error
 	block := it.cfg.Oracle.Block(certA, certB)
 	for i, xa := range certA {
-		first := len(cands)
 		for j, yb := range certB {
-			if xa.Tag() == yb.Tag() && !block.Blocked(i, j) {
-				cands = append(cands, candidate{i, j})
+			if xa.Tag() != yb.Tag() || block.Blocked(i, j) {
+				continue
+			}
+			v, err := it.decide(xa, yb)
+			if err != nil {
+				firstErr = cmp.Or(firstErr, err)
+				continue
+			}
+			if v.Decision != oracle.CannotMatch {
+				edges = append(edges, edge{i: i, j: j, p: v.P, must: v.Decision == oracle.MustMatch})
 			}
 		}
-		if end := len(cands); end > first {
-			decideTasks = append(decideTasks, func() {
-				for k := first; k < end; k++ {
-					verdicts[k] = it.decide(certA[cands[k].i], certB[cands[k].j])
-				}
-			})
-		}
 	}
-	verdicts = make([]verdictResult, len(cands))
-	it.pool.runAll(decideTasks)
-	var edges []edge
-	for k, cand := range cands {
-		v, err := verdicts[k].v, verdicts[k].err
-		if err != nil {
-			return nil, err
-		}
-		if v.decision == oracle.CannotMatch {
-			continue
-		}
-		edges = append(edges, edge{i: cand.i, j: cand.j, p: v.p, must: v.decision == oracle.MustMatch})
+	if firstErr != nil {
+		return nil, firstErr
 	}
 
 	comps := it.components(edges, len(certA))
@@ -90,22 +76,21 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 	}
 
 	// Components are independent by construction (that is the paper's
-	// compactness argument), so their choice points are built concurrently
-	// and then emitted in component order. Errors are surfaced from the
-	// lowest component index, keeping the reported failure deterministic.
+	// compactness argument): each becomes one choice point, emitted in
+	// component order. Every component is built, and the error of the
+	// lowest failing one is returned: a caller may absorb that error as an
+	// incompatible merge, and the counters must not depend on which
+	// component failed first.
 	choices := make([]*pxml.Node, len(comps))
-	choiceErrs := make([]error, len(comps))
-	buildTasks := make([]func(), len(comps))
-	for ci := range comps {
-		buildTasks[ci] = func() {
-			choices[ci], choiceErrs[ci] = it.buildChoice(comps[ci], certA, certB, budget[ci])
-		}
-	}
-	it.pool.runAll(buildTasks)
-	for _, err := range choiceErrs {
+	for ci, c := range comps {
+		choice, err := it.buildChoice(c, certA, certB, budget[ci])
 		if err != nil {
-			return nil, err
+			firstErr = cmp.Or(firstErr, err)
 		}
+		choices[ci] = choice
+	}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 
 	var out []*pxml.Node
@@ -114,7 +99,7 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 		ci, ok := inCompA[i]
 		if !ok {
 			// Untouched by the other source: spliced verbatim, no merge.
-			it.stats.splicedChildren.Add(1)
+			it.stats.SplicedChildren++
 			out = append(out, splice(wrapA[i], xa))
 			continue
 		}
@@ -128,7 +113,7 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 		if _, ok := inCompB[j]; ok {
 			continue
 		}
-		it.stats.splicedChildren.Add(1)
+		it.stats.SplicedChildren++
 		out = append(out, splice(wrapB[j], yb))
 	}
 	// Genuine choice points of the inputs are preserved, not re-matched:
@@ -257,8 +242,8 @@ func (it *integrator) components(edges []edge, nA int) []component {
 }
 
 func (it *integrator) noteComponent(c component) {
-	it.stats.components.Add(1)
-	it.stats.noteLargest(len(c.edges))
+	it.stats.Components++
+	it.stats.LargestComponent = max(it.stats.LargestComponent, len(c.edges))
 }
 
 // tagBudgets computes, for every tag whose maximum occurrence under the

@@ -22,9 +22,9 @@ func (it *integrator) buildChoice(c component, certA, certB []*pxml.Node, budget
 		return nil, err
 	}
 	if truncated {
-		it.stats.truncatedComponents.Add(1)
+		it.stats.TruncatedComponents++
 	}
-	it.stats.matchingsEnumerated.Add(int64(len(matchings)))
+	it.stats.MatchingsEnumerated += len(matchings)
 
 	// DTD pruning: a matching that leaves too many same-tag items in the
 	// merged element, even under best-case choices elsewhere, is rejected.
@@ -32,7 +32,7 @@ func (it *integrator) buildChoice(c component, certA, certB []*pxml.Node, budget
 	anyDTDPruned := false
 	for _, m := range matchings {
 		if it.violatesBudget(c, m, certA, certB, budget) {
-			it.stats.matchingsPruned.Add(1)
+			it.stats.MatchingsPruned++
 			anyDTDPruned = true
 			continue
 		}
@@ -45,28 +45,15 @@ func (it *integrator) buildChoice(c component, certA, certB []*pxml.Node, budget
 		return nil, fmt.Errorf("%w: in the <%s> group", ErrMustConflict, componentTag(c, certA))
 	}
 
-	// Fan out the recursive pair merges: every distinct pair matched by
-	// any kept matching is computed (and memoized) up front, so the
-	// expansion below only ever reads settled memo entries. Sequential
-	// mode runs the same prefetch inline, which keeps the set of merges
-	// performed — and therefore the Stats — identical across worker
-	// counts.
-	type pairKey struct{ i, j int }
-	prefetched := make(map[pairKey]bool)
-	var mergeTasks []func()
+	// Merge every distinct pair any kept matching matches before expanding:
+	// the expansion below may stop early (an explosion under truncation),
+	// and the merges it would then skip still count in the Stats.
 	for _, m := range kept {
 		for _, ei := range m.chosen {
 			e := c.edges[ei]
-			k := pairKey{e.i, e.j}
-			if prefetched[k] {
-				continue
-			}
-			prefetched[k] = true
-			xa, yb := certA[e.i], certB[e.j]
-			mergeTasks = append(mergeTasks, func() { _, _ = it.mergePair(xa, yb) })
+			_, _ = it.mergePair(certA[e.i], certB[e.j])
 		}
 	}
-	it.pool.runAll(mergeTasks)
 
 	// Expand matchings into possibilities. A matched pair may have several
 	// merged variants (value conflicts); the cartesian product over pairs
@@ -109,7 +96,7 @@ func (it *integrator) buildChoice(c component, certA, certB []*pxml.Node, budget
 		}
 		if incompatible {
 			anyIncompatible = true
-			it.stats.matchingsPruned.Add(1)
+			it.stats.MatchingsPruned++
 			continue
 		}
 		for _, j := range c.bIdx {
@@ -147,7 +134,7 @@ func (it *integrator) buildChoice(c component, certA, certB []*pxml.Node, budget
 		}
 		if err := expand(0, m.w); err != nil {
 			if it.cfg.TruncateOnExplosion {
-				it.stats.truncatedComponents.Add(1)
+				it.stats.TruncatedComponents++
 				break
 			}
 			return nil, err
@@ -159,7 +146,7 @@ func (it *integrator) buildChoice(c component, certA, certB []*pxml.Node, budget
 		}
 		return nil, fmt.Errorf("%w: in the <%s> group", ErrMustConflict, componentTag(c, certA))
 	}
-	it.stats.possibilitiesBuilt.Add(int64(len(poss)))
+	it.stats.PossibilitiesBuilt += len(poss)
 	nodes := make([]*pxml.Node, len(poss))
 	for i, p := range poss {
 		nodes[i] = pxml.NewPoss(p.w/total, p.elems...)

@@ -23,10 +23,10 @@
 package integrate
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/dtd"
 	"repro/internal/oracle"
@@ -59,10 +59,9 @@ type Config struct {
 	// — 1 means full trust in source A — or be zero, which means the
 	// default 0.5. Integrate rejects negative or >1 weights.
 	WeightA float64
-	// Workers bounds the goroutines used to fan out component matching
-	// enumeration and pair merges. Zero means runtime.GOMAXPROCS(0); 1
-	// (or less) integrates sequentially. The result tree and Stats are
-	// identical for every worker count.
+	// Workers is accepted and ignored: integration runs on the calling
+	// goroutine. On two cores a worker pool cost more CPU per integration
+	// than it saved (DESIGN.md, "One-goroutine integration").
 	Workers int
 	// MaxMatchingsPerComponent bounds the matchings enumerated for one
 	// candidate component. Zero means the default (200000).
@@ -82,15 +81,20 @@ type Config struct {
 	// component. Exists for the ablation experiment (DESIGN E8); never
 	// use it otherwise.
 	DisableComponentFactorization bool
-	// Memo, when non-nil, carries verdicts and pair merges across
-	// integrations (see Memo). The result tree is pxml.Equal to a
-	// memo-less (cold) run; only the per-call Stats change shape — work
-	// served from the memo is counted in VerdictMemoHits/MergeMemoHits
-	// instead of the compute counters. The caller owns invalidation
-	// (Memo.Purge) and must not share one Memo across databases with
-	// different oracles, schemas or trust weights.
+	// Memo is accepted and ignored (see Memo).
 	Memo *Memo
 }
+
+// Memo is accepted and ignored: an integration keeps nothing across calls.
+// NewMemo, Purge and Config.Memo are no-ops, kept so that callers written
+// against the retired cross-call verdict and merge cache still compile.
+type Memo struct{}
+
+// NewMemo returns a Memo; maxEntries is ignored.
+func NewMemo(maxEntries int) *Memo { return &Memo{} }
+
+// Purge does nothing.
+func (m *Memo) Purge() {}
 
 const (
 	defaultMaxMatchings    = 200000
@@ -118,16 +122,6 @@ func (c Config) weightA() float64 {
 	return 0.5
 }
 
-func (c Config) workers() int {
-	switch {
-	case c.Workers == 0:
-		return runtime.GOMAXPROCS(0)
-	case c.Workers < 1:
-		return 1
-	}
-	return c.Workers
-}
-
 // Stats reports what the integration did; the paper's Table I and Figure 5
 // are computed from the node counts of the result plus these counters.
 //
@@ -138,7 +132,7 @@ func (c Config) workers() int {
 // smaller than the same-tag cross product by the number of blocked pairs,
 // while MustPairs and UndecidedPairs are what they would be without keys.
 type Stats struct {
-	OracleCalls    int // distinct pairs (by subtree digests) put to the Oracle
+	OracleCalls    int // pairs put to the Oracle
 	MustPairs      int // pairs decided must-match
 	CannotPairs    int // pairs the Oracle decided cannot-match (blocked pairs are not asked)
 	UndecidedPairs int // pairs the Oracle could not decide absolutely
@@ -152,20 +146,24 @@ type Stats struct {
 	TruncatedComponents int // components cut off by budget (truncate mode)
 	ValueConflicts      int // matched leaf pairs with conflicting text
 
-	// VerdictMemoHits counts the verdict look-ups this call answered from
-	// the table instead of the Oracle: a pair an earlier integration settled
-	// in the cross-call memo (Config.Memo) and, equally, one this call met
-	// before (two nodes under two parents, two pairs of equal digests).
-	// MergeMemoHits counts distinct pairs merged by the cross-call memo.
-	// The compute counters above only count work this call performed, so a
-	// memo hit never double-counts OracleCalls or MatchingsEnumerated.
-	VerdictMemoHits int
-	MergeMemoHits   int
 	// SplicedChildren counts certain child elements carried into the
 	// result verbatim because the other source had no candidate for them
 	// — the delta-integration path that makes a small source cost time
 	// proportional to what it touches.
 	SplicedChildren int
+}
+
+// MarshalJSON writes every field, then the retired VerdictMemoHits and
+// MergeMemoHits as zeros: the keys journals, snapshot manifests and
+// replication pages have always carried, so a record keeps the size every
+// log offset is computed from. Decoding needs no counterpart: the retired
+// keys are unknown, and ignored.
+func (s Stats) MarshalJSON() ([]byte, error) {
+	type fields Stats // every field of Stats, without this method
+	return json.Marshal(struct {
+		fields
+		VerdictMemoHits, MergeMemoHits int
+	}{fields: fields(s)})
 }
 
 // Merge folds another run's counters into s — summing, with
@@ -186,8 +184,6 @@ func (s *Stats) Merge(o Stats) {
 	s.IncompatibleMerges += o.IncompatibleMerges
 	s.TruncatedComponents += o.TruncatedComponents
 	s.ValueConflicts += o.ValueConflicts
-	s.VerdictMemoHits += o.VerdictMemoHits
-	s.MergeMemoHits += o.MergeMemoHits
 	s.SplicedChildren += o.SplicedChildren
 }
 
@@ -213,17 +209,7 @@ func Integrate(a, b *pxml.Tree, cfg Config) (*pxml.Tree, *Stats, error) {
 	if rootA.Tag() != rootB.Tag() {
 		return nil, nil, fmt.Errorf("integrate: root tags differ: <%s> vs <%s> (align schemas first)", rootA.Tag(), rootB.Tag())
 	}
-	cfg.Memo.enforceCap()
-	it := &integrator{
-		cfg:       cfg,
-		mergeMemo: newMemoTable[pair, mergeResult](),
-		verdicts:  newVerdictTable(),
-		shared:    cfg.Memo,
-		pool:      newPool(cfg.workers()),
-	}
-	if cfg.Memo != nil {
-		it.verdicts = cfg.Memo.verdicts
-	}
+	it := &integrator{cfg: cfg, merges: make(map[pair]mergeResult)}
 	alts, err := it.mergePair(rootA, rootB)
 	if err != nil {
 		return nil, nil, fmt.Errorf("integrate: root elements: %w", err)
@@ -239,8 +225,7 @@ func Integrate(a, b *pxml.Tree, cfg Config) (*pxml.Tree, *Stats, error) {
 			return nil, nil, fmt.Errorf("integrate: normalize: %w", err)
 		}
 	}
-	stats := it.stats.snapshot()
-	return tree, &stats, nil
+	return tree, &it.stats, nil
 }
 
 func certainRoot(t *pxml.Tree, label string) (*pxml.Node, error) {
@@ -268,95 +253,50 @@ type mergeResult struct {
 	err  error
 }
 
-// verdictResult is one candidate pair's verdict, or the error (a rule
-// conflict under oracle.Strict) that aborts the integration.
-type verdictResult struct {
-	v   verdict
-	err error
-}
-
 type integrator struct {
-	cfg       Config
-	stats     atomicStats
-	mergeMemo *memoTable[pair, mergeResult]
-	// verdicts is the one verdict table: the cross-call memo's when there
-	// is one, else a table that lives for this call.
-	verdicts *verdictTable
-	// shared is the optional cross-call memo (Config.Memo). Pair merges
-	// keep the pointer-keyed mergeMemo in front of it: one call builds each
-	// pointer pair's subtree exactly once.
-	shared *Memo
-	pool   *pool
+	cfg   Config
+	stats Stats
+	// merges holds every pair merge of this call by the two elements'
+	// identity: a pair merged in many matchings is computed — and its
+	// subtree allocated — once, and shared.
+	merges map[pair]mergeResult
 }
 
-// decide returns the Oracle's verdict on a pair: one look-up by digest pair,
-// the Oracle on a miss. Whoever settles a key accounts for it, as an Oracle
-// call in its bucket; every look-up the table answers — settled by an
-// earlier integration, earlier in this one, or by the worker that won the
-// race — is a memo hit. Which goroutine settles a key depends on scheduling;
-// the numbers of look-ups and of settled keys do not. An error is returned,
-// not cached: the same call fails the same way again.
-func (it *integrator) decide(a, b *pxml.Node) verdictResult {
-	k := digestPair{a.Summary().Digest, b.Summary().Digest}
-	v, hit := it.verdicts.get(k)
-	if !hit {
-		ov, err := it.cfg.Oracle.Decide(a, b)
-		if err != nil {
-			return verdictResult{err: err}
-		}
-		v, hit = it.verdicts.put(k, verdict{ov.Decision, ov.P})
+// decide returns the Oracle's verdict on a pair and accounts for it. An
+// error (a rule conflict under oracle.Strict) is returned, not counted.
+func (it *integrator) decide(a, b *pxml.Node) (oracle.Verdict, error) {
+	v, err := it.cfg.Oracle.Decide(a, b)
+	if err != nil {
+		return v, err
 	}
-	it.shared.count(hit)
-	if hit {
-		it.stats.verdictMemoHits.Add(1)
-		return verdictResult{v: v}
-	}
-	it.stats.oracleCalls.Add(1)
-	switch v.decision {
+	it.stats.OracleCalls++
+	switch v.Decision {
 	case oracle.MustMatch:
-		it.stats.mustPairs.Add(1)
+		it.stats.MustPairs++
 	case oracle.CannotMatch:
-		it.stats.cannotPairs.Add(1)
+		it.stats.CannotPairs++
 	default:
-		it.stats.undecidedPairs.Add(1)
+		it.stats.UndecidedPairs++
 	}
-	return verdictResult{v: v}
+	return v, nil
 }
 
 // mergePair integrates two elements that are assumed to refer to the same
 // rwo. It returns the alternative merged forms (more than one when their
 // text values conflict) with weights summing to 1, or ErrIncompatible when
-// no world allows the merge. Results are memoized so a pair merged in many
-// matchings is computed — and allocated — once, and its subtree shared;
-// under parallel integration the memo also guarantees racing workers get
-// the one result computed by whichever arrived first.
+// no world allows the merge. The result, error included, is kept for the
+// rest of the call.
 func (it *integrator) mergePair(x, y *pxml.Node) ([]weightedElem, error) {
-	r, _ := it.mergeMemo.do(pair{x, y}, func() mergeResult {
-		compute := func() mergeResult {
-			alts, err := it.mergePairUncached(x, y)
-			return mergeResult{alts: alts, err: err}
-		}
-		var res mergeResult
-		computed := true
-		if it.shared != nil {
-			res, computed = it.shared.merges.do(digestPair{x.Summary().Digest, y.Summary().Digest}, compute)
-		} else {
-			res = compute()
-		}
-		it.shared.count(!computed)
-		if !computed {
-			// The cached subtree (built by an earlier integration) is
-			// shared into this result; none of its construction work is
-			// re-counted in this call's stats.
-			it.stats.mergeMemoHits.Add(1)
-			return res
-		}
-		if res.err != nil && errors.Is(res.err, ErrIncompatible) {
-			it.stats.incompatibleMerges.Add(1)
-		}
-		return res
-	})
-	return r.alts, r.err
+	k := pair{x, y}
+	if r, ok := it.merges[k]; ok {
+		return r.alts, r.err
+	}
+	alts, err := it.mergePairUncached(x, y)
+	if err != nil && errors.Is(err, ErrIncompatible) {
+		it.stats.IncompatibleMerges++
+	}
+	it.merges[k] = mergeResult{alts, err}
+	return alts, err
 }
 
 func (it *integrator) mergePairUncached(x, y *pxml.Node) ([]weightedElem, error) {
@@ -378,7 +318,7 @@ func (it *integrator) mergePairUncached(x, y *pxml.Node) ([]weightedElem, error)
 		if v, ok := it.cfg.Oracle.Reconcile(x.Tag(), tx, ty); ok {
 			return []weightedElem{{elem: pxml.NewElem(x.Tag(), v, kids...), w: 1}}, nil
 		}
-		it.stats.valueConflicts.Add(1)
+		it.stats.ValueConflicts++
 		wa := it.cfg.weightA()
 		if wa == 1 {
 			// Full trust in source A: the B variant would be a

@@ -129,43 +129,3 @@ func TestSimilarityPredicateEqualsSimilarity(t *testing.T) {
 		t.Fatalf("property too thin: %d integrations, %d cannot-match pairs", integrations, cannot)
 	}
 }
-
-// TestOneVerdictTableAcrossWorkersAndMemo: with the database's Memo or with
-// the table that lives for one call, and for every worker count, a source
-// sequence folds into the same document; per-call Stats are identical
-// across worker counts (look-ups and settled keys are fixed by the inputs,
-// whichever goroutine settles a key). Run under -race this is also the
-// concurrency test of the table.
-func TestOneVerdictTableAcrossWorkersAndMemo(t *testing.T) {
-	sequences := map[string][]*pxml.Tree{"messy sources": messySources(7, 7)}
-	for seed := int64(0); seed < 10; seed++ {
-		sequences["random catalogs"] = append(sequences["random catalogs"], catalogSources(seed, 4)...)
-	}
-	for label, srcs := range sequences {
-		var refDoc *pxml.Tree
-		for _, shared := range []bool{true, false} {
-			var refStats []integrate.Stats
-			for _, workers := range []int{1, 2, 8} {
-				cfg := integrate.Config{Oracle: oracle.MovieOracle(oracle.SetGenreTitleYear), Schema: datagen.MovieDTD(), Workers: workers}
-				if shared {
-					cfg.Memo = integrate.NewMemo(0)
-				}
-				doc, stats := fold(t, srcs, cfg)
-				var total integrate.Stats
-				for _, st := range stats {
-					total.Merge(st)
-				}
-				if len(stats) < 5 || total.VerdictMemoHits == 0 || total.UndecidedPairs == 0 {
-					t.Fatalf("%s: sequence too thin: %d integrations, in all %+v", label, len(stats), total)
-				}
-				if refDoc == nil {
-					refDoc = doc
-				}
-				if refStats == nil {
-					refStats = stats
-				}
-				sameFold(t, label, doc, refDoc, stats, refStats)
-			}
-		}
-	}
-}

@@ -1,6 +1,9 @@
 package pxml
 
-import "math/big"
+import (
+	"math/big"
+	"sync"
+)
 
 // Stats summarizes the size of a probabilistic document. Logical counts
 // weigh shared subtrees once per occurrence — this is the "#nodes" measure
@@ -18,42 +21,49 @@ type Stats struct {
 }
 
 // CollectStats computes all size measures in one traversal: every distinct
-// node is visited once, and the one visited map remembers what its subtree
-// adds per occurrence.
+// node is visited once, and the one visited map — pooled, like
+// WalkUnique's — remembers what its subtree adds per occurrence.
 func (t *Tree) CollectStats() Stats {
-	type subtree struct {
-		count [3]int64 // per-occurrence (prob, poss, elem) nodes
-		depth int
-	}
 	s := Stats{Worlds: t.WorldCount()}
-	seen := map[*Node]subtree{}
-	var rec func(n *Node) subtree
-	rec = func(n *Node) subtree {
-		if st, ok := seen[n]; ok {
-			return st
-		}
-		var st subtree
-		st.count[n.kind] = 1
-		for _, k := range n.kids {
-			ks := rec(k)
-			for i, c := range ks.count {
-				st.count[i] += c
-			}
-			st.depth = max(st.depth, ks.depth)
-		}
-		st.depth++
-		if n.kind == KindProb && len(n.kids) > 1 {
-			s.ChoicePoints++
-		}
-		seen[n] = st
-		return st
-	}
-	st := rec(t.root)
+	seen := subtreeSets.Get().(map[*Node]subtreeCount)
+	st := collect(t.root, seen, &s)
 	s.LogicalProb, s.LogicalPoss, s.LogicalElem = st.count[KindProb], st.count[KindPoss], st.count[KindElem]
 	s.LogicalNodes = s.LogicalProb + s.LogicalPoss + s.LogicalElem
 	s.PhysicalNodes = int64(len(seen))
 	s.MaxDepth = st.depth
+	clear(seen)
+	subtreeSets.Put(seen)
 	return s
+}
+
+// subtreeCount is what one subtree adds per occurrence: its (prob, poss,
+// elem) nodes and its depth.
+type subtreeCount struct {
+	count [3]int64
+	depth int
+}
+
+var subtreeSets = sync.Pool{New: func() any { return make(map[*Node]subtreeCount) }}
+
+func collect(n *Node, seen map[*Node]subtreeCount, s *Stats) subtreeCount {
+	if st, ok := seen[n]; ok {
+		return st
+	}
+	var st subtreeCount
+	st.count[n.kind] = 1
+	for _, k := range n.kids {
+		ks := collect(k, seen, s)
+		for i, c := range ks.count {
+			st.count[i] += c
+		}
+		st.depth = max(st.depth, ks.depth)
+	}
+	st.depth++
+	if n.kind == KindProb && len(n.kids) > 1 {
+		s.ChoicePoints++
+	}
+	seen[n] = st
+	return st
 }
 
 // NodeCount returns the logical node count (each occurrence of a shared

@@ -18,10 +18,7 @@ type Builder struct {
 
 // NewBuilder creates an empty interning builder.
 func NewBuilder() *Builder {
-	return &Builder{
-		table: make(map[uint64][]*Node),
-		memo:  make(map[*Node]*Node),
-	}
+	return &Builder{table: make(map[uint64][]*Node)}
 }
 
 // Size reports the number of distinct nodes interned so far.
@@ -86,6 +83,9 @@ func (b *Builder) InternNode(n *Node) *Node {
 	}
 	if out, ok := b.memo[n]; ok {
 		return out
+	}
+	if b.memo == nil {
+		b.memo = make(map[*Node]*Node)
 	}
 	kids := n.kids
 	var newKids []*Node

@@ -1,5 +1,7 @@
 package pxml
 
+import "sync"
+
 // Walk visits every node occurrence in depth-first pre-order. Shared
 // subtrees are visited once per occurrence. The visit function returns
 // false to skip the node's subtree.
@@ -19,24 +21,34 @@ func Walk(n *Node, visit func(*Node) bool) {
 // depth-first pre-order of first discovery. Returning false from visit
 // skips the node's subtree (the subtree may still be reached via another
 // occurrence). Use this for traversals whose cost must stay proportional to
-// physical size even on heavily shared documents.
+// physical size even on heavily shared documents. The visited set is taken
+// from a pool and cleared, so a walk allocates nothing once the pool holds
+// a set that has grown to the document's size.
 func WalkUnique(n *Node, visit func(*Node) bool) {
-	seen := make(map[*Node]bool)
-	var rec func(*Node)
-	rec = func(n *Node) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		if !visit(n) {
-			return
-		}
-		for _, k := range n.kids {
-			rec(k)
-		}
-	}
-	rec(n)
+	seen := visitedSets.Get().(map[*Node]struct{})
+	walkUnique(n, seen, visit)
+	clear(seen)
+	visitedSets.Put(seen)
 }
+
+func walkUnique(n *Node, seen map[*Node]struct{}, visit func(*Node) bool) {
+	if n == nil {
+		return
+	}
+	if _, ok := seen[n]; ok {
+		return
+	}
+	seen[n] = struct{}{}
+	if !visit(n) {
+		return
+	}
+	for _, k := range n.kids {
+		walkUnique(k, seen, visit)
+	}
+}
+
+// visitedSets pools the visited sets of WalkUnique.
+var visitedSets = sync.Pool{New: func() any { return make(map[*Node]struct{}) }}
 
 // ElementChildren returns the element grandchildren of an element node
 // that exist with certainty, i.e. elements under single-alternative

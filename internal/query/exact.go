@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/pxml"
 	"repro/internal/worlds"
@@ -499,9 +500,7 @@ func mapsShareStorage(a, b map[string]bool) bool {
 
 // fail returns P(no answer with value v arises in the subtree of n), given
 // the NFA state set at n. The memoization table is a parameter so that the
-// planned executor can give every value its own scratch memo and drop it
-// once the value's probability is known: entries are keyed per value
-// anyway, so a private map computes the exact same floats as a shared one.
+// planned executor can clear it once a value's probability is known.
 func (e *exactEval) fail(n *pxml.Node, states stateSet, v string, memo map[failKey]float64) (float64, error) {
 	if states == 0 {
 		return 1, nil
@@ -606,15 +605,34 @@ func newPlannedEval(q *Query, localLimit int, b *budget) (*exactEval, error) {
 		anchorIdx:  anchorIndex(q),
 		localLimit: localLimit,
 		localMemo:  make(map[localKey]map[string]float64),
-		failMemo:   make(map[failKey]float64),
-		valueSets:  make(map[localKey]map[string]bool),
 		need:       stepNeeds(q),
 		budget:     b,
 	}, nil
 }
 
+// plannedMemo is the planned executor's scratch: the per-subtree value sets
+// and the one failure memo every value reuses. Its maps are pooled and
+// cleared between evaluations, so an evaluation does not grow a fresh map
+// for every top-level subtree it prunes.
+type plannedMemo struct {
+	valueSets map[localKey]map[string]bool
+	fail      map[failKey]float64
+}
+
+var plannedMemos = sync.Pool{New: func() any {
+	return &plannedMemo{valueSets: make(map[localKey]map[string]bool), fail: make(map[failKey]float64)}
+}}
+
 // run evaluates the query over t; see evalExactPlanned.
 func (e *exactEval) run(t *pxml.Tree) ([]Answer, error) {
+	m := plannedMemos.Get().(*plannedMemo)
+	e.valueSets = m.valueSets
+	defer func() {
+		e.valueSets = nil
+		clear(m.valueSets)
+		clear(m.fail)
+		plannedMemos.Put(m)
+	}()
 	values, err := e.values(t.Root(), stateSet(1))
 	if err != nil {
 		return nil, err
@@ -628,7 +646,10 @@ func (e *exactEval) run(t *pxml.Tree) ([]Answer, error) {
 	sort.Strings(vals)
 	answers := make([]Answer, 0, len(vals))
 	for _, v := range vals {
-		f, err := e.fail(t.Root(), stateSet(1), v, make(map[failKey]float64))
+		// Entries are keyed per value anyway, so one memo cleared between
+		// values computes the exact same floats as a shared one.
+		clear(m.fail)
+		f, err := e.fail(t.Root(), stateSet(1), v, m.fail)
 		if err != nil {
 			return nil, err
 		}

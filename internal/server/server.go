@@ -405,11 +405,12 @@ type IntegrateResponse struct {
 }
 
 func (s *Server) handleIntegrate(w http.ResponseWriter, r *http.Request, t target) {
-	mode := r.URL.Query().Get("mode")
+	params := r.URL.Query()
+	mode := params.Get("mode")
 	if mode == "" {
 		mode = "merge"
 	}
-	switch v := r.URL.Query().Get("async"); v {
+	switch v := params.Get("async"); v {
 	case "", "0", "false":
 	case "1", "true":
 		if mode != "merge" {
@@ -530,14 +531,8 @@ type SourceStats struct {
 	MatchingsEnumerated int `json:"matchings_enumerated"`
 	MatchingsPruned     int `json:"matchings_pruned"`
 	TruncatedComponents int `json:"truncated_components,omitempty"`
-	// VerdictMemoHits counts the verdict look-ups this integration answered
-	// from the verdict table instead of asking the Oracle — settled by an
-	// earlier integration or earlier in this one; MergeMemoHits counts
-	// subtree merges taken from the cross-call memo instead of recomputed;
 	// SplicedChildren counts top-level components spliced verbatim because
 	// the other source never touched them (the delta-integration path).
-	VerdictMemoHits int `json:"verdict_memo_hits,omitempty"`
-	MergeMemoHits   int `json:"merge_memo_hits,omitempty"`
 	SplicedChildren int `json:"spliced_children,omitempty"`
 }
 
@@ -550,8 +545,6 @@ func sourceStats(st integrate.Stats) SourceStats {
 		MatchingsEnumerated: st.MatchingsEnumerated,
 		MatchingsPruned:     st.MatchingsPruned,
 		TruncatedComponents: st.TruncatedComponents,
-		VerdictMemoHits:     st.VerdictMemoHits,
-		MergeMemoHits:       st.MergeMemoHits,
 		SplicedChildren:     st.SplicedChildren,
 	}
 }
@@ -919,9 +912,6 @@ type StatsResponse struct {
 	// collapses, and anchors enumerated or skipped.
 	Query QueryRuntime `json:"query"`
 	Index IndexStats   `json:"index"`
-	// Memo is the cross-call integration memo (oracle verdicts and
-	// subtree merges shared across integrations).
-	Memo integrate.MemoStats `json:"integrate_memo"`
 	// Ingest reports the async ingest queue.
 	Ingest core.IngestStats `json:"ingest"`
 	// WAL is present in catalog mode only.
@@ -983,7 +973,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 		AnchorsEnumerated:     qs.AnchorsEnumerated,
 		AnchorsSkipped:        qs.AnchorsSkipped,
 	}
-	resp.Memo = t.core.MemoStats()
 	resp.Ingest = t.core.IngestStats()
 	is := t.core.IndexStats()
 	resp.Index = IndexStats{

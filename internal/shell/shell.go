@@ -499,9 +499,6 @@ func (s *Shell) stats() error {
 		fmt.Fprintf(s.out, "durability: db %s, wal seq %d (%d op(s) past snapshot), %d compaction(s)\n",
 			s.db.Name(), ds.WAL.LastSeq, ds.TailOps, ds.Compactions)
 		c := s.db.Core()
-		ms := c.MemoStats()
-		fmt.Fprintf(s.out, "integrate memo: %d entries (cap %d), %d hits, %d misses\n",
-			ms.Entries, ms.Capacity, ms.Hits, ms.Misses)
 		qs := c.QueryStats()
 		rc := c.ResultCacheStats()
 		fmt.Fprintf(s.out, "query exec: %d active, %d started, %d canceled, %d budget aborts, %d collapses\n",

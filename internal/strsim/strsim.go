@@ -256,44 +256,50 @@ func nextToken(n []rune, i int) (tok []rune, next int) {
 	return n[i:end], end + 1
 }
 
-// hasToken reports whether tok is one of the tokens of the normalized runes
-// n (which may end in the space before a token that was cut off).
-func hasToken(n, tok []rune) bool {
-	for i := 0; i < len(n); {
-		var t []rune
-		if t, i = nextToken(n, i); slices.Equal(t, tok) {
-			return true
-		}
-	}
-	return false
-}
-
 // jaccard is the Jaccard similarity of the token sets of two normalized rune
 // strings. Tokens are spans of the runes, not strings, and titles and names
-// have a handful of them, so membership is a scan, not a map built per pair.
+// have a handful of them: each side's distinct tokens are split out once
+// into a stack array (a longer side spills to the heap), and the
+// intersection is counted over those.
 func jaccard(na, nb []rune) float64 {
 	if len(na) == 0 && len(nb) == 0 {
 		return 1
 	}
-	inter, union := 0, 0
-	for i := 0; i < len(na); {
-		tok, next := nextToken(na, i)
-		if !hasToken(na[:i], tok) {
-			union++
-			if hasToken(nb, tok) {
+	var bufA, bufB [16]span
+	ta, tb := distinctTokens(na, bufA[:0]), distinctTokens(nb, bufB[:0])
+	inter := 0
+	for _, a := range ta {
+		for _, b := range tb {
+			if slices.Equal(na[a.lo:a.hi], nb[b.lo:b.hi]) {
 				inter++
+				break
 			}
+		}
+	}
+	return float64(inter) / float64(len(ta)+len(tb)-inter)
+}
+
+// span is one token of a normalized rune string: n[lo:hi].
+type span struct{ lo, hi int }
+
+// distinctTokens appends the spans of n's distinct tokens, in order of first
+// occurrence, to dst.
+func distinctTokens(n []rune, dst []span) []span {
+	for i := 0; i < len(n); {
+		tok, next := nextToken(n, i)
+		seen := false
+		for _, s := range dst {
+			if slices.Equal(n[s.lo:s.hi], tok) {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			dst = append(dst, span{i, i + len(tok)})
 		}
 		i = next
 	}
-	for j := 0; j < len(nb); {
-		tok, next := nextToken(nb, j)
-		if !hasToken(nb[:j], tok) && !hasToken(na, tok) {
-			union++
-		}
-		j = next
-	}
-	return float64(inter) / float64(union)
+	return dst
 }
 
 // TitleSim is the combined title similarity used by the Oracle's title

@@ -1,6 +1,7 @@
 package strsim_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -148,6 +149,55 @@ func TestTokenJaccard(t *testing.T) {
 		if got := strsim.TokenJaccard(tc.a, tc.b); !close(got, tc.want) {
 			t.Errorf("TokenJaccard(%q,%q) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
+	}
+}
+
+// TestTokenJaccardMatchesSetDefinition: the span-array Jaccard gives bit for
+// bit what the definition over token sets gives, on random word lists with
+// repeats, punctuation and case variants, including sides of more than the
+// sixteen distinct tokens its stack arrays hold.
+func TestTokenJaccardMatchesSetDefinition(t *testing.T) {
+	words := []string{"the", "The", "thing", "jaws", "Jaws!", "ii", "2", "été", "mission", "impossible", "a", "of"}
+	for i := 0; i < 40; i++ {
+		words = append(words, fmt.Sprintf("w%d", i))
+	}
+	rng := rand.New(rand.NewSource(11))
+	phrase := func() string {
+		n := rng.Intn(25)
+		ws := make([]string, n)
+		for i := range ws {
+			ws[i] = words[rng.Intn(len(words))]
+		}
+		return strings.Join(ws, []string{" ", ", ", " - "}[rng.Intn(3)])
+	}
+	spilled := 0
+	for i := 0; i < 20000; i++ {
+		a, b := phrase(), phrase()
+		sa, sb := map[string]bool{}, map[string]bool{}
+		for _, tok := range strsim.Tokens(a) {
+			sa[tok] = true
+		}
+		for _, tok := range strsim.Tokens(b) {
+			sb[tok] = true
+		}
+		want, inter := 1.0, 0
+		for tok := range sa {
+			if sb[tok] {
+				inter++
+			}
+		}
+		if union := len(sa) + len(sb) - inter; union > 0 {
+			want = float64(inter) / float64(union)
+		}
+		if got := strsim.TokenJaccard(a, b); got != want {
+			t.Fatalf("TokenJaccard(%q, %q) = %v, the set definition gives %v", a, b, got, want)
+		}
+		if len(sa) > 16 || len(sb) > 16 {
+			spilled++
+		}
+	}
+	if spilled < 1000 {
+		t.Fatalf("only %d pairs had a side of more than 16 distinct tokens", spilled)
 	}
 }
 

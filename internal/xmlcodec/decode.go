@@ -61,18 +61,19 @@ func Decode(r io.Reader) (*pxml.Tree, error) {
 			if name(t.Name) == ProbTag || name(t.Name) == PossTag {
 				return nil, syntaxErrf("document element may not be a %s marker", name(t.Name))
 			}
-			elem, err := decodeElem(dec, t)
+			// The document is hash-consed as it is built: repeated subtrees
+			// (common in catalog-shaped sources) collapse into shared nodes,
+			// which shrinks memory and makes summary/index work proportional
+			// to physical — not logical — size.
+			b := pxml.NewBuilder()
+			elem, err := decodeElem(dec, b, t)
 			if err != nil {
 				return nil, err
 			}
 			if err := skipTrailing(dec); err != nil {
 				return nil, err
 			}
-			// Hash-cons the decoded document: repeated subtrees (common in
-			// catalog-shaped sources) collapse into shared nodes, which
-			// shrinks memory and makes summary/index work proportional to
-			// physical — not logical — size.
-			return pxml.InternTree(pxml.CertainTree(elem)), nil
+			return pxml.MustTree(b.Certain(elem)), nil
 		case xml.CharData:
 			if strings.TrimSpace(string(t)) != "" {
 				return nil, syntaxErrf("text outside document element")
@@ -104,8 +105,6 @@ func skipTrailing(dec *xml.Decoder) error {
 			if strings.TrimSpace(string(t)) != "" {
 				return syntaxErrf("text after document element")
 			}
-		default:
-			_ = t
 		}
 	}
 }
@@ -118,15 +117,16 @@ func name(n xml.Name) string {
 }
 
 // decodeElem parses the contents of a regular element, whose start tag has
-// already been consumed, up to and including its end tag.
-func decodeElem(dec *xml.Decoder, start xml.StartElement) (*pxml.Node, error) {
+// already been consumed, up to and including its end tag. Every node is
+// built through b, children first.
+func decodeElem(dec *xml.Decoder, b *pxml.Builder, start xml.StartElement) (*pxml.Node, error) {
 	tag := name(start.Name)
 	var probKids []*pxml.Node
 	for _, a := range start.Attr {
 		if isNamespaceDecl(a) {
 			continue
 		}
-		probKids = append(probKids, pxml.Certain(pxml.NewLeaf(AttrPrefix+name(a.Name), a.Value)))
+		probKids = append(probKids, b.Certain(b.Leaf(AttrPrefix+name(a.Name), a.Value)))
 	}
 	var text strings.Builder
 	for {
@@ -138,7 +138,7 @@ func decodeElem(dec *xml.Decoder, start xml.StartElement) (*pxml.Node, error) {
 		case xml.StartElement:
 			switch name(t.Name) {
 			case ProbTag:
-				prob, err := decodeProb(dec, t)
+				prob, err := decodeProb(dec, b, t)
 				if err != nil {
 					return nil, err
 				}
@@ -146,22 +146,22 @@ func decodeElem(dec *xml.Decoder, start xml.StartElement) (*pxml.Node, error) {
 			case PossTag:
 				return nil, syntaxErrf("<%s> outside <%s> in <%s>", PossTag, ProbTag, tag)
 			default:
-				kid, err := decodeElem(dec, t)
+				kid, err := decodeElem(dec, b, t)
 				if err != nil {
 					return nil, err
 				}
-				probKids = append(probKids, pxml.Certain(kid))
+				probKids = append(probKids, b.Certain(kid))
 			}
 		case xml.CharData:
 			text.Write(t)
 		case xml.EndElement:
-			return pxml.NewElem(tag, strings.TrimSpace(text.String()), probKids...), nil
+			return b.Elem(tag, strings.TrimSpace(text.String()), probKids...), nil
 		}
 	}
 }
 
 // decodeProb parses a <_prob> marker into a ProbNode.
-func decodeProb(dec *xml.Decoder, start xml.StartElement) (*pxml.Node, error) {
+func decodeProb(dec *xml.Decoder, b *pxml.Builder, start xml.StartElement) (*pxml.Node, error) {
 	if len(start.Attr) != 0 && !allNamespaceDecls(start.Attr) {
 		return nil, syntaxErrf("<%s> takes no attributes", ProbTag)
 	}
@@ -176,7 +176,7 @@ func decodeProb(dec *xml.Decoder, start xml.StartElement) (*pxml.Node, error) {
 			if name(t.Name) != PossTag {
 				return nil, syntaxErrf("<%s> may only contain <%s>, found <%s>", ProbTag, PossTag, name(t.Name))
 			}
-			p, err := decodePoss(dec, t)
+			p, err := decodePoss(dec, b, t)
 			if err != nil {
 				return nil, err
 			}
@@ -189,17 +189,17 @@ func decodeProb(dec *xml.Decoder, start xml.StartElement) (*pxml.Node, error) {
 			if len(poss) == 0 {
 				return nil, syntaxErrf("<%s> without alternatives", ProbTag)
 			}
-			tree := pxml.CertainTree(pxml.NewElem("_check", "", pxml.NewProb(poss...)))
-			if err := tree.Validate(); err != nil {
+			prob := b.Prob(poss...)
+			if err := pxml.CertainTree(pxml.NewElem("_check", "", prob)).Validate(); err != nil {
 				return nil, syntaxErrf("invalid choice point: %v", err)
 			}
-			return pxml.NewProb(poss...), nil
+			return prob, nil
 		}
 	}
 }
 
 // decodePoss parses a <_poss p="..."> marker into a PossNode.
-func decodePoss(dec *xml.Decoder, start xml.StartElement) (*pxml.Node, error) {
+func decodePoss(dec *xml.Decoder, b *pxml.Builder, start xml.StartElement) (*pxml.Node, error) {
 	prob := -1.0
 	for _, a := range start.Attr {
 		if isNamespaceDecl(a) {
@@ -232,7 +232,7 @@ func decodePoss(dec *xml.Decoder, start xml.StartElement) (*pxml.Node, error) {
 			case ProbTag, PossTag:
 				return nil, syntaxErrf("<%s> may not directly contain <%s>", PossTag, name(t.Name))
 			default:
-				kid, err := decodeElem(dec, t)
+				kid, err := decodeElem(dec, b, t)
 				if err != nil {
 					return nil, err
 				}
@@ -243,7 +243,7 @@ func decodePoss(dec *xml.Decoder, start xml.StartElement) (*pxml.Node, error) {
 				return nil, syntaxErrf("text inside <%s>", PossTag)
 			}
 		case xml.EndElement:
-			return pxml.NewPoss(prob, elems...), nil
+			return b.Poss(prob, elems...), nil
 		}
 	}
 }
