@@ -41,14 +41,13 @@ func NewRule(name string, fn func(a, b *pxml.Node) Verdict) Rule {
 
 // DeepEqual is the paper's generic rule: two deep-equal elements refer to
 // the same real-world object. It never decides cannot-match. Equal digests
-// settle it without a walk (structurally equal subtrees are deep-equal; the
-// verdict memo is keyed by the same digests and accepts the same collision
-// odds); unequal ones still need it, because deep equality ignores how
-// certain children are grouped into trivial choice points and the digest
-// does not.
+// settle it without a walk (structurally equal subtrees are deep-equal, up
+// to the digest's collision odds); unequal ones still need it, because deep
+// equality ignores how certain children are grouped into trivial choice
+// points and the digest does not.
 func DeepEqual() Rule {
 	return funcRule{name: "deep-equal", fn: func(a, b *pxml.Node) Verdict {
-		if a.Summary().Digest == b.Summary().Digest || pxml.DeepEqualElems(a, b) {
+		if pxml.Hash(a) == pxml.Hash(b) || pxml.DeepEqualElems(a, b) {
 			return decide(MustMatch, "deep-equal")
 		}
 		return abstain()

@@ -69,14 +69,6 @@ type DecodeArenaOptions struct {
 	// alive. Applies to the local table of self-contained payloads;
 	// shared-table payloads inherit whatever lifetime opts.Strings has.
 	ZeroCopy bool
-	// ExpectDigest, when set, replaces the decode-side digest
-	// recomputation: the trailer digest is compared against this
-	// already-known value instead of re-deriving it from the decoded
-	// tree. Recomputation allocates a Summary per physical node, which
-	// is exactly what the zero-copy load path exists to avoid; a caller
-	// holding the manifest's digest can skip it without losing the
-	// end-to-end check.
-	ExpectDigest *uint64
 	// ExpectLogical, when positive, is checked against the decoder's own
 	// bottom-up logical node count — the manifest cross-check that Load
 	// otherwise pays a full NodeCount() traversal for.
@@ -144,7 +136,7 @@ const (
 	// maxWorldBits caps the magnitude of the world count: the number of
 	// bits of the big.Int Summary would compute. 2^(2^20) worlds is far
 	// beyond any legitimate document; without the cap a small crafted
-	// input could make the digest check allocate megabit integers.
+	// input could make its first summary allocate megabit integers.
 	maxWorldBits = uint64(1) << 20
 )
 
@@ -187,7 +179,7 @@ func DecodeArena(data []byte) (*Tree, error) {
 // DecodeArenaWith decodes a self-contained (BinaryVersion) or
 // shared-table (BinaryVersionShared) arena payload under opts. It keeps
 // every safety property of DecodeArena; the opts only change where
-// strings come from and how the trailer digest is checked.
+// strings come from and add the manifest's logical-count check.
 func DecodeArenaWith(data []byte, opts DecodeArenaOptions) (*Tree, error) {
 	r := codec.NewReader(data)
 	v := r.Byte()
@@ -326,33 +318,30 @@ func DecodeArenaWith(data []byte, opts DecodeArenaOptions) (*Tree, error) {
 	if root.kind != KindProb {
 		return nil, fmt.Errorf("%w: root must be a prob node, got %v", codec.ErrInvalid, root.kind)
 	}
+	if opts.ExpectLogical > 0 && logical[count-1] != uint64(opts.ExpectLogical) {
+		return nil, fmt.Errorf("%w: document holds %d logical nodes, manifest says %d", codec.ErrInvalid, logical[count-1], opts.ExpectLogical)
+	}
 	// Wire up the kids only now that the arena is fully allocated: the
 	// pointers stay valid because the backing array never moves again.
+	// Children precede their parents, so each node's digest is computed
+	// from digests already set.
 	kids := make([]*Node, len(idxBuf))
 	for i, k := range idxBuf {
 		kids[i] = &arena[k]
 	}
 	prev := 0
 	for i := range arena {
+		n := &arena[i]
 		if end := spans[i]; end > prev {
-			arena[i].kids = kids[prev:end:end]
+			n.kids = kids[prev:end:end]
 			prev = end
 		}
+		n.digest = digestOf(n.kind, n.tag, n.text, n.prob, n.kids)
+	}
+	if root.digest != digest {
+		return nil, fmt.Errorf("%w: document digest %016x differs from trailer %016x", codec.ErrInvalid, root.digest, digest)
 	}
 	t := &Tree{root: root}
-	if opts.ExpectLogical > 0 && logical[count-1] != uint64(opts.ExpectLogical) {
-		return nil, fmt.Errorf("%w: document holds %d logical nodes, manifest says %d", codec.ErrInvalid, logical[count-1], opts.ExpectLogical)
-	}
-	if opts.ExpectDigest != nil {
-		// The hot path: the caller already knows the digest (from a
-		// checksummed manifest); comparing trailers skips the per-node
-		// Summary allocation a recomputation would pay.
-		if digest != *opts.ExpectDigest {
-			return nil, fmt.Errorf("%w: document digest trailer %016x differs from expected %016x", codec.ErrInvalid, digest, *opts.ExpectDigest)
-		}
-	} else if got := t.Digest(); got != digest {
-		return nil, fmt.Errorf("%w: document digest %016x differs from trailer %016x", codec.ErrInvalid, got, digest)
-	}
 	arenaDecodes.Add(1)
 	if opts.ZeroCopy {
 		arenaZeroCopy.Add(1)
@@ -361,18 +350,6 @@ func DecodeArenaWith(data []byte, opts DecodeArenaOptions) (*Tree, error) {
 		arenaShared.Add(1)
 	}
 	return t, nil
-}
-
-// childKind returns the only kind the layered model allows below k.
-func childKind(k Kind) Kind {
-	switch k {
-	case KindProb:
-		return KindPoss
-	case KindPoss:
-		return KindElem
-	default:
-		return KindProb
-	}
 }
 
 func satAdd(a, b uint64) uint64 {

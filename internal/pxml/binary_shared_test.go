@@ -56,24 +56,21 @@ func TestBinarySharedRejectsBadIndex(t *testing.T) {
 func TestDecodeArenaExpectedDigestAndLogical(t *testing.T) {
 	tr := binaryFixture()
 	data := tr.AppendBinary(nil)
-	digest := tr.Digest()
 	logical := tr.NodeCount()
 
-	got, err := DecodeArenaWith(data, DecodeArenaOptions{
-		ZeroCopy:      true,
-		ExpectDigest:  &digest,
-		ExpectLogical: logical,
-	})
+	got, err := DecodeArenaWith(data, DecodeArenaOptions{ZeroCopy: true, ExpectLogical: logical})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(tr.Root(), got.Root()) {
+	if !Equal(tr.Root(), got.Root()) || got.Digest() != tr.Digest() {
 		t.Fatal("validated zero-copy decode not Equal")
 	}
 
-	wrong := digest ^ 1
-	if _, err := DecodeArenaWith(data, DecodeArenaOptions{ExpectDigest: &wrong}); err == nil {
-		t.Fatal("wrong expected digest accepted")
+	// Every decode checks the trailer against the digests it computes.
+	wrong := append([]byte(nil), data...)
+	wrong[len(wrong)-1] ^= 1
+	if _, err := DecodeArenaWith(wrong, DecodeArenaOptions{ZeroCopy: true}); err == nil {
+		t.Fatal("wrong trailer digest accepted")
 	}
 	if _, err := DecodeArenaWith(data, DecodeArenaOptions{ExpectLogical: logical + 1}); err == nil {
 		t.Fatal("wrong expected logical count accepted")

@@ -1,9 +1,6 @@
 package pxml
 
-import (
-	"math/big"
-	"sync"
-)
+import "math/big"
 
 // Stats summarizes the size of a probabilistic document. Logical counts
 // weigh shared subtrees once per occurrence — this is the "#nodes" measure
@@ -20,50 +17,27 @@ type Stats struct {
 	Worlds        *big.Int
 }
 
-// CollectStats computes all size measures in one traversal: every distinct
-// node is visited once, and the one visited map — pooled, like
-// WalkUnique's — remembers what its subtree adds per occurrence.
+// CollectStats computes all size measures: the logical counts, depth and
+// world count compose over children, so they come from the root's cached
+// summary, and one WalkUnique counts the distinct nodes and choice points.
 func (t *Tree) CollectStats() Stats {
-	s := Stats{Worlds: t.WorldCount()}
-	seen := subtreeSets.Get().(map[*Node]subtreeCount)
-	st := collect(t.root, seen, &s)
-	s.LogicalProb, s.LogicalPoss, s.LogicalElem = st.count[KindProb], st.count[KindPoss], st.count[KindElem]
-	s.LogicalNodes = s.LogicalProb + s.LogicalPoss + s.LogicalElem
-	s.PhysicalNodes = int64(len(seen))
-	s.MaxDepth = st.depth
-	clear(seen)
-	subtreeSets.Put(seen)
-	return s
-}
-
-// subtreeCount is what one subtree adds per occurrence: its (prob, poss,
-// elem) nodes and its depth.
-type subtreeCount struct {
-	count [3]int64
-	depth int
-}
-
-var subtreeSets = sync.Pool{New: func() any { return make(map[*Node]subtreeCount) }}
-
-func collect(n *Node, seen map[*Node]subtreeCount, s *Stats) subtreeCount {
-	if st, ok := seen[n]; ok {
-		return st
+	sum := t.root.Summary()
+	s := Stats{
+		LogicalNodes: sum.Nodes(),
+		LogicalProb:  sum.Kinds[KindProb],
+		LogicalPoss:  sum.Kinds[KindPoss],
+		LogicalElem:  sum.Kinds[KindElem],
+		MaxDepth:     sum.Depth,
+		Worlds:       t.WorldCount(),
 	}
-	var st subtreeCount
-	st.count[n.kind] = 1
-	for _, k := range n.kids {
-		ks := collect(k, seen, s)
-		for i, c := range ks.count {
-			st.count[i] += c
+	WalkUnique(t.root, func(n *Node) bool {
+		s.PhysicalNodes++
+		if n.kind == KindProb && len(n.kids) > 1 {
+			s.ChoicePoints++
 		}
-		st.depth = max(st.depth, ks.depth)
-	}
-	st.depth++
-	if n.kind == KindProb && len(n.kids) > 1 {
-		s.ChoicePoints++
-	}
-	seen[n] = st
-	return st
+		return true
+	})
+	return s
 }
 
 // NodeCount returns the logical node count (each occurrence of a shared
@@ -71,7 +45,7 @@ func collect(n *Node, seen map[*Node]subtreeCount, s *Stats) subtreeCount {
 // children, so it comes from the cached subtree summaries: after the first
 // call on a document it is O(1), and on a document built around
 // carried-over subtrees only the new nodes are visited.
-func (t *Tree) NodeCount() int64 { return t.root.Summary().Nodes }
+func (t *Tree) NodeCount() int64 { return t.root.Summary().Nodes() }
 
 // PhysicalNodeCount returns the number of distinct nodes in memory.
 func (t *Tree) PhysicalNodeCount() int64 {
@@ -97,7 +71,7 @@ func (t *Tree) WorldCount() *big.Int {
 func (t *Tree) ChoicePoints() int {
 	n := 0
 	WalkUnique(t.root, func(nd *Node) bool {
-		if w := nd.Summary().Worlds; w.IsInt64() && w.Int64() == 1 {
+		if nd.Summary().OneWorld() {
 			return false
 		}
 		if nd.kind == KindProb && len(nd.kids) > 1 {

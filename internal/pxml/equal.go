@@ -1,15 +1,18 @@
 package pxml
 
 import (
-	"hash/fnv"
 	"math"
 	"strconv"
 )
 
 // Equal reports structural equality of two subtrees: same kinds, tags,
-// texts, child order, and probabilities within ProbEpsilon. Shared pointers
-// short-circuit, so comparing heavily shared documents stays cheap.
+// texts, child order, and probabilities within ProbEpsilon that quantize to
+// the same digest. Shared pointers and differing digests short-circuit, so
+// comparing heavily shared documents, or unequal ones, stays cheap.
 func Equal(a, b *Node) bool {
+	if a == b || a == nil || b == nil || a.digest != b.digest {
+		return a == b
+	}
 	return equalMemo(a, b, make(map[[2]*Node]bool))
 }
 
@@ -17,7 +20,7 @@ func equalMemo(a, b *Node, memo map[[2]*Node]bool) bool {
 	if a == b {
 		return true
 	}
-	if a == nil || b == nil {
+	if a == nil || b == nil || a.digest != b.digest {
 		return false
 	}
 	key := [2]*Node{a, b}
@@ -132,50 +135,50 @@ func (it *deepIter) next() *Node {
 	return nil
 }
 
-// Hash returns a structural FNV-1a hash consistent with Equal: equal
-// subtrees hash identically. Probabilities are quantized to ProbEpsilon
-// resolution before hashing.
+// Hash returns the node's structural digest, consistent with Equal: equal
+// subtrees have equal digests. It is set at construction, so Hash is a field
+// read.
 func Hash(n *Node) uint64 {
-	return hashMemo(n, make(map[*Node]uint64))
-}
-
-func hashMemo(n *Node, memo map[*Node]uint64) uint64 {
 	if n == nil {
 		return 0
 	}
-	if s := n.summary.Load(); s != nil {
-		return s.Digest
-	}
-	if h, ok := memo[n]; ok {
-		return h
-	}
-	v := combineHash(n, func(k *Node) uint64 { return hashMemo(k, memo) })
-	memo[n] = v
-	return v
+	return n.digest
 }
 
-// combineHash computes a node's structural hash from its own fields and
-// its children's hashes (obtained through kidHash). It is the single
-// definition of the hash, shared by Hash and the Summary digest so the two
-// can never drift apart.
-func combineHash(n *Node, kidHash func(*Node) uint64) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte{byte(n.kind)})
-	h.Write([]byte(n.tag))
-	h.Write([]byte{0})
-	h.Write([]byte(n.text))
-	h.Write([]byte{0})
-	if n.kind == KindPoss {
-		q := int64(math.Round(n.prob / ProbEpsilon))
-		h.Write([]byte(strconv.FormatInt(q, 16)))
-	}
-	var buf [8]byte
-	for _, k := range n.kids {
-		kh := kidHash(k)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(kh >> (8 * i))
+// digestOf is the one definition of the structural digest: FNV-1a over the
+// kind byte, the tag and the text each followed by a zero byte, a
+// possibility's probability quantized to ProbEpsilon steps as a hexadecimal
+// integer, and each child's digest as 8 little-endian bytes. Snapshots, log
+// trailers, replication and the result cache all carry digests, so this
+// byte sequence must not change.
+func digestOf(kind Kind, tag, text string, prob float64, kids []*Node) uint64 {
+	h := fnvByte(fnvOffset, byte(kind))
+	h = fnvByte(fnvString(h, tag), 0)
+	h = fnvByte(fnvString(h, text), 0)
+	if kind == KindPoss {
+		var buf [24]byte
+		for _, c := range strconv.AppendInt(buf[:0], int64(math.Round(prob/ProbEpsilon)), 16) {
+			h = fnvByte(h, c)
 		}
-		h.Write(buf[:])
 	}
-	return h.Sum64()
+	for _, k := range kids {
+		for i := 0; i < 8; i++ {
+			h = fnvByte(h, byte(k.digest>>(8*i)))
+		}
+	}
+	return h
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * fnvPrime }
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
+	}
+	return h
 }

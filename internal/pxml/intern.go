@@ -1,5 +1,10 @@
 package pxml
 
+import (
+	"math"
+	"slices"
+)
+
 // Builder constructs probabilistic trees with hash-consing: structurally
 // equal subtrees built through the same Builder are physically shared (one
 // allocation, one pointer). The intern table is keyed on the structural
@@ -7,25 +12,28 @@ package pxml
 // ProbEpsilon on possibility probabilities — the same tolerance every
 // other structural comparison in this package uses.
 //
+// Elem, Leaf, Prob and Poss look a node up before they allocate one.
+//
 // A Builder is scoped: typical use is one Builder per decode or per
 // construction pass, discarded afterwards. Builders are not safe for
 // concurrent use; the nodes they return are (they are ordinary immutable
 // nodes).
 type Builder struct {
-	table map[uint64][]*Node
-	memo  map[*Node]*Node // deep-intern memo: original -> canonical
+	table    map[uint64]*Node   // digest -> the first canonical node with it
+	overflow map[uint64][]*Node // digest -> later canonical nodes with it (collisions)
+	memo     map[*Node]*Node    // deep-intern memo: original -> canonical
 }
 
 // NewBuilder creates an empty interning builder.
 func NewBuilder() *Builder {
-	return &Builder{table: make(map[uint64][]*Node)}
+	return &Builder{table: make(map[uint64]*Node), overflow: make(map[uint64][]*Node)}
 }
 
 // Size reports the number of distinct nodes interned so far.
 func (b *Builder) Size() int {
-	n := 0
-	for _, bucket := range b.table {
-		n += len(bucket)
+	n := len(b.table)
+	for _, more := range b.overflow {
+		n += len(more)
 	}
 	return n
 }
@@ -38,34 +46,69 @@ func (b *Builder) Intern(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
-	h := n.Summary().Digest
-	for _, c := range b.table[h] {
-		if c == n || Equal(c, n) {
+	if c := b.lookup(n.digest, func(c *Node) bool { return c == n || Equal(c, n) }); c != nil {
+		return c
+	}
+	if _, ok := b.table[n.digest]; ok {
+		b.overflow[n.digest] = append(b.overflow[n.digest], n)
+	} else {
+		b.table[n.digest] = n
+	}
+	return n
+}
+
+// lookup returns the canonical node with digest h that match accepts, or
+// nil.
+func (b *Builder) lookup(h uint64, match func(*Node) bool) *Node {
+	c, ok := b.table[h]
+	if !ok || match(c) {
+		return c
+	}
+	for _, c := range b.overflow[h] {
+		if match(c) {
 			return c
 		}
 	}
-	b.table[h] = append(b.table[h], n)
-	return n
+	return nil
+}
+
+// build returns the canonical node of the given parts. Children built by b
+// are canonical, so a hit is a node with equal fields and the very same
+// children, and allocates nothing. A miss copies kids, so callers may reuse
+// the slice, and falls back to Intern for children not built by b.
+func (b *Builder) build(kind Kind, tag, text string, prob float64, kids []*Node) *Node {
+	prob = check(kind, prob, kids)
+	h := digestOf(kind, tag, text, prob, kids)
+	if c := b.lookup(h, func(c *Node) bool {
+		return c.kind == kind && c.tag == tag && c.text == text && math.Abs(c.prob-prob) <= ProbEpsilon && slices.Equal(c.kids, kids)
+	}); c != nil {
+		return c
+	}
+	n := &Node{kind: kind, tag: tag, text: text, prob: prob, digest: h}
+	if len(kids) > 0 {
+		n.kids = append(make([]*Node, 0, len(kids)), kids...)
+	}
+	return b.Intern(n)
 }
 
 // Elem constructs an interned element node (see NewElem).
 func (b *Builder) Elem(tag, text string, kids ...*Node) *Node {
-	return b.Intern(NewElem(tag, text, kids...))
+	return b.build(KindElem, tag, text, 0, kids)
 }
 
 // Leaf constructs an interned leaf element (see NewLeaf).
 func (b *Builder) Leaf(tag, text string) *Node {
-	return b.Intern(NewLeaf(tag, text))
+	return b.build(KindElem, tag, text, 0, nil)
 }
 
 // Prob constructs an interned probability node (see NewProb).
 func (b *Builder) Prob(poss ...*Node) *Node {
-	return b.Intern(NewProb(poss...))
+	return b.build(KindProb, "", "", 0, poss)
 }
 
 // Poss constructs an interned possibility node (see NewPoss).
 func (b *Builder) Poss(p float64, elems ...*Node) *Node {
-	return b.Intern(NewPoss(p, elems...))
+	return b.build(KindPoss, "", "", p, elems)
 }
 
 // Certain wraps elements into an interned certain choice point.
@@ -99,18 +142,12 @@ func (b *Builder) InternNode(n *Node) *Node {
 			newKids[i] = nk
 		}
 	}
-	rebuilt := n
-	if newKids != nil {
-		switch n.kind {
-		case KindElem:
-			rebuilt = NewElem(n.tag, n.text, newKids...)
-		case KindPoss:
-			rebuilt = NewPoss(n.prob, newKids...)
-		default:
-			rebuilt = NewProb(newKids...)
-		}
+	var out *Node
+	if newKids == nil {
+		out = b.Intern(n)
+	} else {
+		out = b.build(n.kind, n.tag, n.text, n.prob, newKids)
 	}
-	out := b.Intern(rebuilt)
 	b.memo[n] = out
 	return out
 }

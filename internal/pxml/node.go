@@ -71,20 +71,24 @@ type Node struct {
 	prob float64 // KindPoss only: the probability of this alternative
 	kids []*Node
 
-	// summary caches the subtree's static summary (structural digest,
-	// world count, descendant tag set). It is computed lazily on first
-	// use; see Summary. Immutability of the node makes the cached value
-	// valid forever.
+	// digest is the structural digest of the subtree (see Hash), set once
+	// at construction from the node's own fields and its children's
+	// digests.
+	digest uint64
+
+	// summary caches the subtree's static summary (world count, descendant
+	// tag set, counts). It is computed lazily on first use; see Summary.
+	// Immutability of the node makes the cached value valid forever.
 	summary atomic.Pointer[Summary]
 
-	// normalized caches a proven normalization fixpoint: it is set once
-	// Normalize has returned this very node as its own canonical form.
-	// Normalization is a pure function of the (immutable) structure, so
-	// the flag is valid forever and lets later Normalize calls skip
-	// entire already-canonical subtrees — the delta-integration property
-	// that makes ingesting a small source cost time proportional to what
-	// it touches instead of to the accumulated tree.
-	normalized atomic.Bool
+	// canon caches the node's normal form once Normalize has computed it:
+	// the node itself when it is a fixpoint. Normalization is a pure
+	// function of the (immutable) structure, so the pointer is valid
+	// forever and lets later Normalize calls skip entire already-canonical
+	// subtrees — the delta-integration property that makes ingesting a
+	// small source cost time proportional to what it touches instead of to
+	// the accumulated tree.
+	canon atomic.Pointer[Node]
 }
 
 // Kind reports the node kind.
@@ -120,34 +124,20 @@ func (n *Node) Child(i int) *Node { return n.kids[i] }
 func (n *Node) IsLeaf() bool { return len(n.kids) == 0 }
 
 // NewElem constructs an element node with the given tag, text value and
-// probability-node children. It panics if any child is not a ProbNode;
-// layering violations are programming errors, not data errors.
+// probability-node children. It panics if any child is not a ProbNode.
 func NewElem(tag, text string, kids ...*Node) *Node {
-	for _, k := range kids {
-		if k == nil || k.kind != KindProb {
-			panic(fmt.Sprintf("pxml: element %q child must be a prob node, got %v", tag, kindOf(k)))
-		}
-	}
-	return &Node{kind: KindElem, tag: tag, text: text, kids: kids}
+	return newNode(KindElem, tag, text, 0, kids)
 }
 
 // NewLeaf constructs a leaf element carrying a text value.
 func NewLeaf(tag, text string) *Node {
-	return &Node{kind: KindElem, tag: tag, text: text}
+	return newNode(KindElem, tag, text, 0, nil)
 }
 
 // NewProb constructs a probability node from its possibility alternatives.
 // It panics if any child is not a PossNode or if there are no alternatives.
 func NewProb(poss ...*Node) *Node {
-	if len(poss) == 0 {
-		panic("pxml: prob node needs at least one possibility")
-	}
-	for _, p := range poss {
-		if p == nil || p.kind != KindPoss {
-			panic(fmt.Sprintf("pxml: prob node child must be a poss node, got %v", kindOf(p)))
-		}
-	}
-	return &Node{kind: KindProb, kids: poss}
+	return newNode(KindProb, "", "", 0, poss)
 }
 
 // NewPoss constructs a possibility node with probability p and the given
@@ -155,18 +145,42 @@ func NewProb(poss ...*Node) *Node {
 // alternative in which none of the elements exist. It panics on
 // probabilities outside (0, 1+ProbEpsilon] or non-element children.
 func NewPoss(p float64, elems ...*Node) *Node {
-	if math.IsNaN(p) || p <= 0 || p > 1+ProbEpsilon {
-		panic(fmt.Sprintf("pxml: possibility probability %g out of range (0,1]", p))
+	return newNode(KindPoss, "", "", p, elems)
+}
+
+func newNode(kind Kind, tag, text string, prob float64, kids []*Node) *Node {
+	prob = check(kind, prob, kids)
+	return &Node{kind: kind, tag: tag, text: text, prob: prob, kids: kids, digest: digestOf(kind, tag, text, prob, kids)}
+}
+
+// check panics unless the parts make a node of the layered model — layering
+// violations are programming errors, not data errors — and returns the
+// probability clamped to 1. It reads the children without keeping them.
+func check(kind Kind, prob float64, kids []*Node) float64 {
+	if kind == KindProb && len(kids) == 0 {
+		panic("pxml: prob node needs at least one possibility")
 	}
-	if p > 1 {
-		p = 1
+	if kind == KindPoss && (math.IsNaN(prob) || prob <= 0 || prob > 1+ProbEpsilon) {
+		panic(fmt.Sprintf("pxml: possibility probability %g out of range (0,1]", prob))
 	}
-	for _, e := range elems {
-		if e == nil || e.kind != KindElem {
-			panic(fmt.Sprintf("pxml: poss node child must be an element, got %v", kindOf(e)))
+	for _, k := range kids {
+		if k == nil || k.kind != childKind(kind) {
+			panic(fmt.Sprintf("pxml: %v node child must be a %v node, got %v", kind, childKind(kind), kindOf(k)))
 		}
 	}
-	return &Node{kind: KindPoss, prob: p, kids: elems}
+	return min(prob, 1)
+}
+
+// childKind returns the only kind the layered model allows below k.
+func childKind(k Kind) Kind {
+	switch k {
+	case KindProb:
+		return KindPoss
+	case KindPoss:
+		return KindElem
+	default:
+		return KindProb
+	}
 }
 
 // Certain wraps element nodes into the canonical certain choice point:

@@ -1,8 +1,9 @@
 package pxml
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Normalize returns an equivalent document in canonical form:
@@ -16,13 +17,16 @@ import (
 //   - trivial nested structure is preserved (the layered form is already
 //     canonical for certain data).
 //
-// Normalization is applied bottom-up with memoization, so shared subtrees
-// are normalized once and sharing is preserved.
+// Normalization is applied bottom-up, and every node remembers its normal
+// form, so shared subtrees are normalized once — in this call or any
+// earlier one — and sharing is preserved.
 func (t *Tree) Normalize() (*Tree, error) {
-	memo := make(map[*Node]*Node)
-	root, err := normalizeNode(t.root, memo)
+	root, err := normalizeNode(t.root)
 	if err != nil {
 		return nil, err
+	}
+	if root == t.root {
+		return t, nil
 	}
 	return NewTree(root)
 }
@@ -37,21 +41,16 @@ func (t *Tree) MustNormalize() *Tree {
 	return nt
 }
 
-func normalizeNode(n *Node, memo map[*Node]*Node) (*Node, error) {
-	// A proven fixpoint short-circuits the whole subtree: the flag is
-	// only ever set after a full walk returned the node unchanged, and
-	// normalization is deterministic over immutable nodes, so the answer
-	// cannot differ now.
-	if n.normalized.Load() {
-		return n, nil
-	}
-	if out, ok := memo[n]; ok {
-		return out, nil
+func normalizeNode(n *Node) (*Node, error) {
+	// Normalization is deterministic over immutable nodes, so a normal form
+	// once computed cannot differ now.
+	if c := n.canon.Load(); c != nil {
+		return c, nil
 	}
 	var out *Node
 	switch n.kind {
 	case KindElem:
-		kids, changed, err := normalizeKids(n.kids, memo)
+		kids, changed, err := normalizeKids(n.kids)
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +60,7 @@ func normalizeNode(n *Node, memo map[*Node]*Node) (*Node, error) {
 			out = NewElem(n.tag, n.text, kids...)
 		}
 	case KindPoss:
-		kids, changed, err := normalizeKids(n.kids, memo)
+		kids, changed, err := normalizeKids(n.kids)
 		if err != nil {
 			return nil, err
 		}
@@ -72,25 +71,22 @@ func normalizeNode(n *Node, memo map[*Node]*Node) (*Node, error) {
 		}
 	case KindProb:
 		var err error
-		out, err = normalizeProb(n, memo)
+		out, err = normalizeProb(n)
 		if err != nil {
 			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("pxml: normalize: unknown kind %d", n.kind)
 	}
-	if out == n {
-		n.normalized.Store(true)
-	}
-	memo[n] = out
+	n.canon.Store(out)
 	return out, nil
 }
 
-func normalizeKids(kids []*Node, memo map[*Node]*Node) ([]*Node, bool, error) {
+func normalizeKids(kids []*Node) ([]*Node, bool, error) {
 	changed := false
 	out := kids
 	for i, k := range kids {
-		nk, err := normalizeNode(k, memo)
+		nk, err := normalizeNode(k)
 		if err != nil {
 			return nil, false, err
 		}
@@ -106,23 +102,25 @@ func normalizeKids(kids []*Node, memo map[*Node]*Node) ([]*Node, bool, error) {
 	return out, changed, nil
 }
 
-func normalizeProb(n *Node, memo map[*Node]*Node) (*Node, error) {
+func normalizeProb(n *Node) (*Node, error) {
 	type alt struct {
 		poss *Node
 		hash uint64
 		prob float64
 	}
-	var alts []alt
-	hmemo := make(map[*Node]uint64)
+	// A choice point rarely has more than a handful of alternatives: keep
+	// them on the stack, so a canonical one allocates nothing.
+	var buf [8]alt
+	alts := buf[:0]
 	for _, p := range n.kids {
-		np, err := normalizeNode(p, memo)
+		np, err := normalizeNode(p)
 		if err != nil {
 			return nil, err
 		}
 		if np.prob < ProbEpsilon {
 			continue
 		}
-		h := contentHash(np, hmemo)
+		h := contentHash(np)
 		merged := false
 		for i := range alts {
 			if alts[i].hash == h && sameContent(alts[i].poss, np) {
@@ -142,35 +140,35 @@ func normalizeProb(n *Node, memo map[*Node]*Node) (*Node, error) {
 	for _, a := range alts {
 		sum += a.prob
 	}
-	sort.SliceStable(alts, func(i, j int) bool {
-		if alts[i].prob != alts[j].prob {
-			return alts[i].prob > alts[j].prob
+	slices.SortStableFunc(alts, func(a, b alt) int {
+		if a.prob != b.prob {
+			if a.prob > b.prob {
+				return -1
+			}
+			return 1
 		}
-		return alts[i].hash < alts[j].hash
+		return cmp.Compare(a.hash, b.hash)
 	})
+	prob := func(a alt) float64 {
+		if len(alts) == 1 {
+			return 1
+		}
+		return a.prob / sum
+	}
+	// Reuse the original node if nothing changed.
+	same := len(alts) == len(n.kids)
+	for i := 0; same && i < len(alts); i++ {
+		same = alts[i].poss == n.kids[i] && samePoss(alts[i].poss, prob(alts[i]))
+	}
+	if same {
+		return n, nil
+	}
 	poss := make([]*Node, len(alts))
 	for i, a := range alts {
-		p := a.prob / sum
-		if len(alts) == 1 {
-			p = 1
-		}
-		if samePoss(a.poss, p) {
+		if p := prob(a); samePoss(a.poss, p) {
 			poss[i] = a.poss
 		} else {
 			poss[i] = NewPoss(p, a.poss.kids...)
-		}
-	}
-	// Reuse the original node if nothing changed.
-	if len(poss) == len(n.kids) {
-		same := true
-		for i := range poss {
-			if poss[i] != n.kids[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return n, nil
 		}
 	}
 	return NewProb(poss...), nil
@@ -183,12 +181,11 @@ func samePoss(p *Node, prob float64) bool {
 
 // contentHash hashes a possibility node's contents, ignoring its own
 // probability, so alternatives with equal contents can be merged.
-func contentHash(poss *Node, memo map[*Node]uint64) uint64 {
+func contentHash(poss *Node) uint64 {
 	h := uint64(1469598103934665603) // FNV offset basis
 	for _, k := range poss.kids {
-		kh := hashMemo(k, memo)
-		h ^= kh
-		h *= 1099511628211
+		h ^= k.digest
+		h *= fnvPrime
 	}
 	return h
 }

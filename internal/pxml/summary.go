@@ -87,10 +87,8 @@ func (s TagSet) Stat(tag string) (TagStat, bool) {
 // all fields must be treated as read-only. In particular Worlds is a
 // shared *big.Int that callers must not mutate.
 type Summary struct {
-	// Digest is the structural digest of the subtree, consistent with
-	// Hash and Equal: equal subtrees have equal digests.
-	Digest uint64
 	// Worlds is the number of possible worlds of the subtree. Read-only.
+	// A one-world subtree's count is always one shared value (OneWorld).
 	Worlds *big.Int
 	// Tags is the set of element tags occurring at or below this node
 	// (including the node's own tag for elements), with each tag's
@@ -102,21 +100,27 @@ type Summary struct {
 	// when TextBloom misses any bit of TextBloomBits(t); the converse
 	// (bits present) proves nothing.
 	TextBloom uint64
-	// Nodes is the logical node count of the subtree, this node included:
-	// a subtree shared by several parents counts once per occurrence (the
-	// paper's #nodes measure, see Tree.NodeCount).
-	Nodes int64
+	// Kinds is the logical node count of the subtree per Kind, this node
+	// included: a subtree shared by several parents counts once per
+	// occurrence (the paper's #nodes measure, see Tree.NodeCount).
+	Kinds [3]int64
+	// Depth is the number of layers from this node down to its deepest
+	// leaf, both included.
+	Depth int
 }
+
+// Nodes is the logical node count of the subtree, all kinds together.
+func (s *Summary) Nodes() int64 { return s.Kinds[KindProb] + s.Kinds[KindPoss] + s.Kinds[KindElem] }
+
+// OneWorld reports whether the subtree has exactly one possible world, and
+// so holds no choice point.
+func (s *Summary) OneWorld() bool { return s.Worlds == bigOne }
 
 // TextBloomBits returns the Bloom mask of one text value: two bits
 // derived from independent hash mixes, so a subtree fingerprint with few
 // texts rarely false-positives on an absent value.
 func TextBloomBits(s string) uint64 {
-	h := uint64(14695981039346656037) // FNV-1a
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
+	h := fnvString(fnvOffset, s)
 	// Two bit positions from distant parts of the hash.
 	return 1<<(h&63) | 1<<((h>>32)&63)
 }
@@ -138,23 +142,25 @@ func computeSummary(n *Node) *Summary {
 	if s := n.summary.Load(); s != nil {
 		return s
 	}
-	kidSums := make([]*Summary, len(n.kids))
-	for i, k := range n.kids {
-		kidSums[i] = computeSummary(k)
+	var buf [8]*Summary
+	kidSums := buf[:0]
+	for _, k := range n.kids {
+		kidSums = append(kidSums, computeSummary(k))
 	}
-	s := &Summary{
-		Digest: combineHash(n, func(k *Node) uint64 { return k.Summary().Digest }),
-		Worlds: summaryWorlds(n, kidSums),
-		Nodes:  1,
-	}
+	s := &Summary{Worlds: summaryWorlds(n, kidSums)}
 	s.Tags = summaryTags(n, kidSums, s.Worlds)
 	if n.text != "" {
 		s.TextBloom = TextBloomBits(n.text)
 	}
+	s.Kinds[n.kind] = 1
 	for _, k := range kidSums {
 		s.TextBloom |= k.TextBloom
-		s.Nodes += k.Nodes
+		for i, c := range k.Kinds {
+			s.Kinds[i] += c
+		}
+		s.Depth = max(s.Depth, k.Depth)
 	}
+	s.Depth++
 	n.summary.Store(s)
 	return s
 }
@@ -194,7 +200,8 @@ func summaryTags(n *Node, kids []*Summary, worlds *big.Int) TagSet {
 }
 
 // summaryWorlds computes the world count from child summaries, sharing
-// child big.Ints where the recurrence is the identity.
+// child big.Ints where the recurrence is the identity and bigOne wherever
+// the count is one.
 func summaryWorlds(n *Node, kids []*Summary) *big.Int {
 	switch n.kind {
 	case KindProb:
@@ -209,15 +216,15 @@ func summaryWorlds(n *Node, kids []*Summary) *big.Int {
 		return c
 	default:
 		// Children are independent: counts multiply.
-		if len(kids) == 0 {
-			return bigOne
-		}
-		if len(kids) == 1 {
-			return kids[0].Worlds
-		}
-		c := big.NewInt(1)
+		c := bigOne
 		for _, k := range kids {
-			c.Mul(c, k.Worlds)
+			switch {
+			case k.OneWorld():
+			case c == bigOne:
+				c = k.Worlds
+			default:
+				c = new(big.Int).Mul(c, k.Worlds)
+			}
 		}
 		return c
 	}
@@ -229,4 +236,4 @@ func (t *Tree) Summary() *Summary { return t.root.Summary() }
 // Digest returns the structural digest of the whole document. Equal trees
 // (in the sense of Equal) have equal digests, so the digest identifies the
 // document content — the key the result cache and index invalidation use.
-func (t *Tree) Digest() uint64 { return t.root.Summary().Digest }
+func (t *Tree) Digest() uint64 { return t.root.digest }

@@ -100,3 +100,51 @@ func TestValidationErrorPathMentionsLocation(t *testing.T) {
 		t.Fatalf("path %q should mention the movie element", ve.Path)
 	}
 }
+
+// TestValidateMessages pins Validate's messages, paths included, byte for
+// byte: one case per kind of violation, at depths that exercise every step
+// label (poss[i], an element's tag, elem[i], prob[i]).
+func TestValidateMessages(t *testing.T) {
+	leaf := NewLeaf("a", "")
+	deep := func(bad *Node) *Tree {
+		return &Tree{root: rawNode(KindProb, "", "", 0,
+			rawNode(KindPoss, "", "", 0.5, leaf),
+			rawNode(KindPoss, "", "", 0.5, leaf, rawNode(KindElem, "movie", "", 0, Certain(leaf), bad)))}
+	}
+	cycle := rawNode(KindElem, "loop", "", 0)
+	cycle.kids = []*Node{rawNode(KindProb, "", "", 0, rawNode(KindPoss, "", "", 1, cycle))}
+	cases := []struct {
+		name string
+		tree *Tree
+		want string
+	}{
+		{"nil tree", nil, "pxml: invalid document at /: nil tree"},
+		{"root not prob", &Tree{root: leaf}, "pxml: invalid document at /: root must be prob, got elem"},
+		{"prob without poss", deep(rawNode(KindProb, "", "", 0)),
+			"pxml: invalid document at /poss[1]/movie/prob[1]: prob node without possibilities"},
+		{"prob child not poss", deep(rawNode(KindProb, "", "", 0, leaf)),
+			"pxml: invalid document at /poss[1]/movie/prob[1]/poss[0]: prob child must be poss"},
+		{"prob sum", deep(rawNode(KindProb, "", "", 0, rawNode(KindPoss, "", "", 0.25), rawNode(KindPoss, "", "", 0.5))),
+			"pxml: invalid document at /poss[1]/movie/prob[1]: possibility probabilities sum to 0.75, want 1"},
+		{"poss out of range", deep(rawNode(KindProb, "", "", 0, rawNode(KindPoss, "", "", 1.5), rawNode(KindPoss, "", "", -0.5))),
+			"pxml: invalid document at /poss[1]/movie/prob[1]/poss[0]: probability 1.5 out of range (0,1]"},
+		{"poss child not elem", deep(rawNode(KindProb, "", "", 0, rawNode(KindPoss, "", "", 1, leaf, Certain(leaf)))),
+			"pxml: invalid document at /poss[1]/movie/prob[1]/poss[0]/elem[1]: poss child must be element"},
+		{"empty tag", deep(Certain(rawNode(KindElem, "", "", 0))),
+			"pxml: invalid document at /poss[1]/movie/prob[1]/poss[0]/: element with empty tag"},
+		{"elem child not prob", deep(Certain(rawNode(KindElem, "b", "", 0, Certain(leaf), NewPoss(1)))),
+			"pxml: invalid document at /poss[1]/movie/prob[1]/poss[0]/b/prob[1]: element child must be prob"},
+		{"nil child", deep(Certain(rawNode(KindElem, "b", "", 0, nil))),
+			"pxml: invalid document at /poss[1]/movie/prob[1]/poss[0]/b/prob[0]: element child must be prob"},
+		{"cycle", CertainTree(cycle),
+			"pxml: invalid document at /poss[0]/loop/prob[0]/poss[0]/loop: cycle detected"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.tree.Validate()
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("Validate() = %v\nwant %s", err, tc.want)
+			}
+		})
+	}
+}

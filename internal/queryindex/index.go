@@ -54,7 +54,7 @@ type Index struct {
 func Build(t *pxml.Tree) *Index {
 	start := time.Now()
 	sum := t.Summary()
-	ix := &Index{digest: sum.Digest, worlds: sum.Worlds, tags: sum.Tags, maxElemWorlds: big.NewInt(1)}
+	ix := &Index{digest: t.Digest(), worlds: sum.Worlds, tags: sum.Tags, maxElemWorlds: big.NewInt(1)}
 	for _, st := range sum.Tags.Stats() {
 		ix.elements += int(st.Count)
 		if st.MaxWorlds.Cmp(ix.maxElemWorlds) > 0 {

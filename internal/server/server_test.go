@@ -118,6 +118,20 @@ func TestIntegrateErrors(t *testing.T) {
 		strings.NewReader(bookB), http.StatusBadRequest, nil)
 }
 
+// TestIntegrateDeepBody: a source nested deeper than the XML decoder
+// accepts — a body of nothing but <a>, just under the default body limit,
+// which used to overflow the goroutine stack and kill the process — is
+// answered 422 like any malformed source, and the next request succeeds.
+func TestIntegrateDeepBody(t *testing.T) {
+	ts, _ := newTestServer(t)
+	deep := strings.Repeat("<a>", server.DefaultMaxBodyBytes/3)
+	doJSON(t, "POST", ts.URL+"/integrate", "application/xml",
+		strings.NewReader(deep), http.StatusUnprocessableEntity, nil)
+	if resp := integrateB(t, ts); resp.Worlds != "3" {
+		t.Fatalf("worlds after the refused body = %s, want 3", resp.Worlds)
+	}
+}
+
 // batchBody builds the JSON body of a /integrate/batch request.
 func batchBody(t *testing.T, sources ...string) io.Reader {
 	t.Helper()

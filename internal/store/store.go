@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -439,12 +438,12 @@ func LoadWith(dir string, opts LoadOptions) (*Snapshot, error) {
 		if got := tree.NodeCount(); got != m.LogicalNodes {
 			return nil, fmt.Errorf("%w: node count %d differs from manifest %d", ErrCorrupt, got, m.LogicalNodes)
 		}
-		// Older manifests carry no digest; when present it must match the
-		// decoded tree structurally.
-		if m.TreeDigest != "" {
-			if got := fmt.Sprintf("%016x", tree.Digest()); got != m.TreeDigest {
-				return nil, fmt.Errorf("%w: tree digest %s differs from manifest %s", ErrCorrupt, got, m.TreeDigest)
-			}
+	}
+	// Older manifests carry no digest; when present it must match the
+	// decoded tree structurally.
+	if m.TreeDigest != "" {
+		if got := fmt.Sprintf("%016x", tree.Digest()); got != m.TreeDigest {
+			return nil, fmt.Errorf("%w: tree digest %s differs from manifest %s", ErrCorrupt, got, m.TreeDigest)
 		}
 	}
 	snap := &Snapshot{Tree: tree, Manifest: m}
@@ -465,9 +464,9 @@ func LoadWith(dir string, opts LoadOptions) (*Snapshot, error) {
 // loadDocumentV5 opens and decodes a v5 document: mmap (or read) the
 // file, verify its checksum, then decode the strtab and arena frames
 // zero-copy — node strings stay views into the backing buffer. The
-// digest and node-count cross-checks against the manifest run inside the
-// decoder (trailer compare and its own bottom-up count), so nothing here
-// walks the tree: a v5 load allocates the node arena and little else.
+// decoder computes every node's digest and its own bottom-up node count as
+// it goes, so the manifest cross-checks walk nothing: a v5 load allocates
+// the node arena and little else.
 func loadDocumentV5(path string, m *Manifest, opts LoadOptions) (*pxml.Tree, error) {
 	doc, err := openDocument(path, opts.DisableMMap)
 	if err != nil {
@@ -498,19 +497,11 @@ func loadDocumentV5(path string, m *Manifest, opts LoadOptions) (*pxml.Tree, err
 	if dframe.Kind != codec.KindDocument || len(rest) != 0 {
 		return nil, fmt.Errorf("%w: v5 document is not strtab+document frames", ErrCorrupt)
 	}
-	darena := pxml.DecodeArenaOptions{
+	tree, err := pxml.DecodeArenaWith(dframe.Payload, pxml.DecodeArenaOptions{
 		Strings:       strs,
 		ZeroCopy:      true,
 		ExpectLogical: m.LogicalNodes,
-	}
-	if m.TreeDigest != "" {
-		want, err := strconv.ParseUint(m.TreeDigest, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad manifest tree digest %q", ErrCorrupt, m.TreeDigest)
-		}
-		darena.ExpectDigest = &want
-	}
-	tree, err := pxml.DecodeArenaWith(dframe.Payload, darena)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

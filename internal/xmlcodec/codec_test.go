@@ -1,12 +1,14 @@
 package xmlcodec_test
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/datagen"
 	"repro/internal/pxml"
 	"repro/internal/pxmltest"
 	"repro/internal/xmlcodec"
@@ -122,6 +124,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"poss bad p", `<a><_prob><_poss p="oops"/></_prob></a>`, "oops"},
 		{"poss zero p", `<a><_prob><_poss p="0"/></_prob></a>`, "out of range"},
 		{"poss big p", `<a><_prob><_poss p="1.5"/></_prob></a>`, "out of range"},
+		{"poss NaN p", `<a><_prob><_poss p="NaN"/></_prob></a>`, "out of range"},
 		{"poss extra attr", `<a><_prob><_poss p="1" q="2"/></_prob></a>`, "not allowed"},
 		{"prob attr", `<a><_prob x="1"><_poss p="1"/></_prob></a>`, "takes no attributes"},
 		{"poss nested poss", `<a><_prob><_poss p="1"><_poss p="1"/></_poss></_prob></a>`, "may not directly contain"},
@@ -277,5 +280,72 @@ func TestEncodeIndentIsStable(t *testing.T) {
 	}
 	if !strings.Contains(a, "\n") {
 		t.Fatalf("indented output should be multi-line")
+	}
+}
+
+// messySource renders 30 datagen movies the way the sloppy sources of the
+// ingest workload are written: one record per line, two records repeated
+// (the copy without genres), four without a year, three with a textual year
+// and three with a misspelt title.
+func messySource() string {
+	rng := rand.New(rand.NewSource(1))
+	var pool []datagen.Movie
+	for _, p := range []datagen.Pair{datagen.Confusing(18, 1), datagen.Typical(10, 10, 4, 1)} {
+		pool = append(pool, p.A.Movies...)
+		pool = append(pool, p.B.Movies...)
+	}
+	movies := make([]datagen.Movie, 0, 30)
+	for _, i := range rng.Perm(len(pool))[:28] {
+		movies = append(movies, pool[i])
+	}
+	for _, i := range []int{3, 17} {
+		m := movies[i]
+		m.Genres = nil
+		movies = append(movies, m)
+	}
+	var b strings.Builder
+	b.WriteString("<catalog>\n")
+	for i, m := range movies {
+		title, year := m.Title, fmt.Sprint(m.Year)
+		switch {
+		case i < 4:
+			year = ""
+		case i < 6:
+			year = "c. " + year
+		case i < 7:
+			year = year[2:]
+		case i < 10:
+			r := []rune(title)
+			r[rng.Intn(len(r))] = rune('a' + rng.Intn(26))
+			title = string(r)
+		}
+		b.WriteString("  <movie><title>" + title + "</title>")
+		if year != "" {
+			b.WriteString("<year>" + year + "</year>")
+		}
+		for _, g := range m.Genres {
+			b.WriteString("<genre>" + g + "</genre>")
+		}
+		for _, d := range m.Directors {
+			b.WriteString("<director>" + datagen.FormatDirector(d, datagen.ConvIMDB) + "</director>")
+		}
+		b.WriteString("</movie>\n")
+	}
+	b.WriteString("</catalog>\n")
+	return b.String()
+}
+
+// TestDecodeSharesMaximally: the decoder interns each node before it
+// allocates it, and what it builds is as shared as interning the result
+// again makes it — on a messy source, whose repeated records and field
+// values are the sharing.
+func TestDecodeSharesMaximally(t *testing.T) {
+	tr, err := xmlcodec.DecodeString(messySource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := tr.PhysicalNodeCount(), pxml.InternTree(tr).PhysicalNodeCount()
+	if got != want || got >= tr.NodeCount() {
+		t.Fatalf("%d physical nodes of %d logical, %d after interning again", got, tr.NodeCount(), want)
 	}
 }

@@ -14,9 +14,11 @@
 package xmlcodec
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -43,6 +45,14 @@ func syntaxErrf(format string, args ...any) error {
 	return &SyntaxError{Msg: fmt.Sprintf(format, args...)}
 }
 
+// MaxDepth caps the nesting of regular elements at the depth encoding/xml's
+// own Unmarshal accepts. Decode refuses deeper input with a SyntaxError
+// instead of recursing until the goroutine's stack overflows. Markers do not
+// count: every element they wrap counts instead, so recursion stays within
+// three frames per level, and a document accepted once still decodes after
+// Encode wraps each of its elements in a <_prob><_poss> pair (KeepTrivial).
+const MaxDepth = 10000
+
 // Decode parses an XML document — plain or with probabilistic markers —
 // into a probabilistic tree. The document element becomes the single
 // certain root element of the tree.
@@ -65,17 +75,17 @@ func Decode(r io.Reader) (*pxml.Tree, error) {
 			// (common in catalog-shaped sources) collapse into shared nodes,
 			// which shrinks memory and makes summary/index work proportional
 			// to physical — not logical — size.
-			b := pxml.NewBuilder()
-			elem, err := decodeElem(dec, b, t)
+			d := &decoder{dec: dec, b: pxml.NewBuilder()}
+			elem, err := d.elem(t)
 			if err != nil {
 				return nil, err
 			}
 			if err := skipTrailing(dec); err != nil {
 				return nil, err
 			}
-			return pxml.MustTree(b.Certain(elem)), nil
+			return pxml.MustTree(d.b.Certain(elem)), nil
 		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
+			if len(bytes.TrimSpace(t)) != 0 {
 				return nil, syntaxErrf("text outside document element")
 			}
 		case xml.ProcInst, xml.Comment, xml.Directive:
@@ -102,7 +112,7 @@ func skipTrailing(dec *xml.Decoder) error {
 		case xml.StartElement:
 			return syntaxErrf("multiple document elements")
 		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
+			if len(bytes.TrimSpace(t)) != 0 {
 				return syntaxErrf("text after document element")
 			}
 		}
@@ -116,21 +126,33 @@ func name(n xml.Name) string {
 	return n.Local
 }
 
-// decodeElem parses the contents of a regular element, whose start tag has
-// already been consumed, up to and including its end tag. Every node is
-// built through b, children first.
-func decodeElem(dec *xml.Decoder, b *pxml.Builder, start xml.StartElement) (*pxml.Node, error) {
+// decoder builds one document. Every node goes through b, children first;
+// the children and text of the open elements share one stack each, so no
+// element allocates a child list or a text buffer of its own.
+type decoder struct {
+	dec   *xml.Decoder
+	b     *pxml.Builder
+	depth int          // open regular elements
+	kids  []*pxml.Node // children of the open elements and markers, innermost last
+	text  []byte       // text of the open elements, innermost last
+}
+
+// elem parses the contents of a regular element, whose start tag has
+// already been consumed, up to and including its end tag.
+func (d *decoder) elem(start xml.StartElement) (*pxml.Node, error) {
+	if d.depth++; d.depth > MaxDepth {
+		return nil, syntaxErrf("nesting deeper than %d elements", MaxDepth)
+	}
 	tag := name(start.Name)
-	var probKids []*pxml.Node
+	kids, text := len(d.kids), len(d.text)
 	for _, a := range start.Attr {
 		if isNamespaceDecl(a) {
 			continue
 		}
-		probKids = append(probKids, b.Certain(b.Leaf(AttrPrefix+name(a.Name), a.Value)))
+		d.kids = append(d.kids, d.b.Certain(d.b.Leaf(AttrPrefix+name(a.Name), a.Value)))
 	}
-	var text strings.Builder
 	for {
-		tok, err := dec.Token()
+		tok, err := d.dec.Token()
 		if err != nil {
 			return nil, fmt.Errorf("xmlcodec: in <%s>: %w", tag, err)
 		}
@@ -138,36 +160,39 @@ func decodeElem(dec *xml.Decoder, b *pxml.Builder, start xml.StartElement) (*pxm
 		case xml.StartElement:
 			switch name(t.Name) {
 			case ProbTag:
-				prob, err := decodeProb(dec, b, t)
+				prob, err := d.prob(t)
 				if err != nil {
 					return nil, err
 				}
-				probKids = append(probKids, prob)
+				d.kids = append(d.kids, prob)
 			case PossTag:
 				return nil, syntaxErrf("<%s> outside <%s> in <%s>", PossTag, ProbTag, tag)
 			default:
-				kid, err := decodeElem(dec, b, t)
+				kid, err := d.elem(t)
 				if err != nil {
 					return nil, err
 				}
-				probKids = append(probKids, b.Certain(kid))
+				d.kids = append(d.kids, d.b.Certain(kid))
 			}
 		case xml.CharData:
-			text.Write(t)
+			d.text = append(d.text, t...)
 		case xml.EndElement:
-			return b.Elem(tag, strings.TrimSpace(text.String()), probKids...), nil
+			n := d.b.Elem(tag, string(bytes.TrimSpace(d.text[text:])), d.kids[kids:]...)
+			d.kids, d.text = d.kids[:kids], d.text[:text]
+			d.depth--
+			return n, nil
 		}
 	}
 }
 
-// decodeProb parses a <_prob> marker into a ProbNode.
-func decodeProb(dec *xml.Decoder, b *pxml.Builder, start xml.StartElement) (*pxml.Node, error) {
+// prob parses a <_prob> marker into a ProbNode.
+func (d *decoder) prob(start xml.StartElement) (*pxml.Node, error) {
 	if len(start.Attr) != 0 && !allNamespaceDecls(start.Attr) {
 		return nil, syntaxErrf("<%s> takes no attributes", ProbTag)
 	}
-	var poss []*pxml.Node
+	kids := len(d.kids)
 	for {
-		tok, err := dec.Token()
+		tok, err := d.dec.Token()
 		if err != nil {
 			return nil, fmt.Errorf("xmlcodec: in <%s>: %w", ProbTag, err)
 		}
@@ -176,30 +201,38 @@ func decodeProb(dec *xml.Decoder, b *pxml.Builder, start xml.StartElement) (*pxm
 			if name(t.Name) != PossTag {
 				return nil, syntaxErrf("<%s> may only contain <%s>, found <%s>", ProbTag, PossTag, name(t.Name))
 			}
-			p, err := decodePoss(dec, b, t)
+			p, err := d.poss(t)
 			if err != nil {
 				return nil, err
 			}
-			poss = append(poss, p)
+			d.kids = append(d.kids, p)
 		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
+			if len(bytes.TrimSpace(t)) != 0 {
 				return nil, syntaxErrf("text inside <%s>", ProbTag)
 			}
 		case xml.EndElement:
-			if len(poss) == 0 {
+			alts := d.kids[kids:]
+			if len(alts) == 0 {
 				return nil, syntaxErrf("<%s> without alternatives", ProbTag)
 			}
-			prob := b.Prob(poss...)
-			if err := pxml.CertainTree(pxml.NewElem("_check", "", prob)).Validate(); err != nil {
-				return nil, syntaxErrf("invalid choice point: %v", err)
+			// poss has range-checked each probability and the Builder the
+			// layering, which leaves the sum with Validate's tolerance.
+			sum := 0.0
+			for _, p := range alts {
+				sum += p.Prob()
 			}
+			if math.Abs(sum-1) > pxml.ProbEpsilon*float64(len(alts)+1) {
+				return nil, syntaxErrf("invalid choice point: possibility probabilities sum to %g, want 1", sum)
+			}
+			prob := d.b.Prob(alts...)
+			d.kids = d.kids[:kids]
 			return prob, nil
 		}
 	}
 }
 
-// decodePoss parses a <_poss p="..."> marker into a PossNode.
-func decodePoss(dec *xml.Decoder, b *pxml.Builder, start xml.StartElement) (*pxml.Node, error) {
+// poss parses a <_poss p="..."> marker into a PossNode.
+func (d *decoder) poss(start xml.StartElement) (*pxml.Node, error) {
 	prob := -1.0
 	for _, a := range start.Attr {
 		if isNamespaceDecl(a) {
@@ -217,12 +250,12 @@ func decodePoss(dec *xml.Decoder, b *pxml.Builder, start xml.StartElement) (*pxm
 	if prob < 0 {
 		return nil, syntaxErrf("<%s> requires attribute p", PossTag)
 	}
-	if prob == 0 || prob > 1 {
+	if !(prob > 0 && prob <= 1) { // NaN included
 		return nil, syntaxErrf("<%s p=%g>: probability out of range (0,1]", PossTag, prob)
 	}
-	var elems []*pxml.Node
+	kids := len(d.kids)
 	for {
-		tok, err := dec.Token()
+		tok, err := d.dec.Token()
 		if err != nil {
 			return nil, fmt.Errorf("xmlcodec: in <%s>: %w", PossTag, err)
 		}
@@ -232,18 +265,20 @@ func decodePoss(dec *xml.Decoder, b *pxml.Builder, start xml.StartElement) (*pxm
 			case ProbTag, PossTag:
 				return nil, syntaxErrf("<%s> may not directly contain <%s>", PossTag, name(t.Name))
 			default:
-				kid, err := decodeElem(dec, b, t)
+				kid, err := d.elem(t)
 				if err != nil {
 					return nil, err
 				}
-				elems = append(elems, kid)
+				d.kids = append(d.kids, kid)
 			}
 		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
+			if len(bytes.TrimSpace(t)) != 0 {
 				return nil, syntaxErrf("text inside <%s>", PossTag)
 			}
 		case xml.EndElement:
-			return b.Poss(prob, elems...), nil
+			n := d.b.Poss(prob, d.kids[kids:]...)
+			d.kids = d.kids[:kids]
+			return n, nil
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package xmlcodec_test
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/pxml"
 	"repro/internal/xmlcodec"
 )
 
@@ -81,5 +83,43 @@ func TestEncodeProbDigitsRounding(t *testing.T) {
 	if _, err := xmlcodec.DecodeString(out); err == nil {
 		// Accept either outcome: with 3 digits 0.333+0.667 = 1 exactly.
 		return
+	}
+}
+
+// TestDecodeDepthLimit: nesting beyond MaxDepth regular elements is a
+// SyntaxError — an 8 MiB body of nothing but <a>, the server's default body
+// limit, used to recurse until the goroutine stack overflowed, a fatal error
+// no recover catches. Markers do not count, so a document exactly MaxDepth
+// elements deep decodes, and so does its KeepTrivial encoding, which wraps
+// every element below the root in <_prob><_poss>: the form the journal, the
+// replication wire and snapshot manifests keep an accepted source in.
+func TestDecodeDepthLimit(t *testing.T) {
+	var se *xmlcodec.SyntaxError
+	if _, err := xmlcodec.DecodeString(strings.Repeat("<a>", 8<<20/3)); !errors.As(err, &se) {
+		t.Fatalf("8 MiB of <a>: got %v, want a SyntaxError", err)
+	}
+	nested := func(levels int) string {
+		return strings.Repeat("<a>", levels) + strings.Repeat("</a>", levels)
+	}
+	if _, err := xmlcodec.DecodeString(nested(xmlcodec.MaxDepth + 1)); !errors.As(err, &se) {
+		t.Fatalf("%d levels: got %v, want a SyntaxError", xmlcodec.MaxDepth+1, err)
+	}
+	tr, err := xmlcodec.DecodeString(nested(xmlcodec.MaxDepth))
+	if err != nil {
+		t.Fatalf("%d levels: %v", xmlcodec.MaxDepth, err)
+	}
+	if got := tr.CollectStats().MaxDepth; got != 3*xmlcodec.MaxDepth {
+		t.Fatalf("decoded depth %d, want %d", got, 3*xmlcodec.MaxDepth)
+	}
+	marked, err := xmlcodec.EncodeString(tr, xmlcodec.EncodeOptions{KeepTrivial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := xmlcodec.DecodeString(marked)
+	if err != nil {
+		t.Fatalf("KeepTrivial encoding of %d levels: %v", xmlcodec.MaxDepth, err)
+	}
+	if !pxml.Equal(tr.Root(), back.Root()) {
+		t.Fatal("KeepTrivial round trip changed the document")
 	}
 }
