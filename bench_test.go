@@ -857,15 +857,13 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // BenchmarkReplicationShip measures the log-shipping wire end to end
-// over HTTP loopback, per negotiated encoding: a primary holding a
-// fixed journaled history of datagen-document ops; each iteration
-// fetches and decodes that history in WAL pages exactly as a
-// follower's tailer does (server side: disk read, then a raw byte copy
-// on the binary wire or decode + JSON render on the fallback; client
-// side: wire decode + negotiation). The follower's
-// re-journal fsync is deliberately outside the loop — it is
-// storage-bound and identical under both encodings; the end-to-end
-// commit-to-visible path is BenchmarkReplicationTail.
+// over HTTP loopback: a primary holding a fixed journaled history of
+// datagen-document ops; each iteration fetches and decodes that history
+// in WAL pages the way a follower's tailer does (server side: disk read,
+// then a raw byte copy; client side: page decode). It names no string
+// table, so every page carries its prefix. The follower's re-journal
+// fsync is deliberately outside the loop — it is storage-bound; the end-
+// to-end commit-to-visible path is BenchmarkReplicationTail.
 func BenchmarkReplicationShip(b *testing.B) {
 	treeA := planBenchDocument(b)
 	treeB := datagen.Confusing(12, 2).A.Tree
@@ -895,80 +893,45 @@ func BenchmarkReplicationShip(b *testing.B) {
 	}
 	ts := httptest.NewServer(imprecise.NewCatalogHTTPHandler(cat, imprecise.ServerOptions{}))
 	defer ts.Close()
-	for _, cfg := range []struct {
-		name    string
-		accept  string // Accept header; empty = JSON fallback
-		deflate bool   // offer Accept-Encoding: deflate
-	}{
-		{"binary", replica.ContentTypeBinary2, false},
-		{"binary+flate", replica.ContentTypeBinary2, true},
-		{"json", "", false},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			client := ts.Client()
-			var wireBytes int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var since uint64
-				shipped := 0
-				for shipped < ops {
-					req, err := http.NewRequest(http.MethodGet,
-						fmt.Sprintf("%s/dbs/bench/wal?since=%d&limit=16", ts.URL, since), nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if cfg.accept != "" {
-						req.Header.Set("Accept", cfg.accept)
-					}
-					if cfg.deflate {
-						req.Header.Set("Accept-Encoding", replica.ContentEncodingDeflate)
-					}
-					resp, err := client.Do(req)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if resp.StatusCode != http.StatusOK {
-						b.Fatalf("wal fetch status %d", resp.StatusCode)
-					}
-					// Read the raw body first so wirebytes/op counts what
-					// actually crossed the wire, then decode from memory.
-					body, err := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if err != nil {
-						b.Fatal(err)
-					}
-					wireBytes += int64(len(body))
-					gotBinary := strings.HasPrefix(resp.Header.Get("Content-Type"), replica.ContentTypeBinary)
-					gotDeflate := resp.Header.Get("Content-Encoding") == replica.ContentEncodingDeflate
-					if gotBinary != (cfg.accept != "") || gotDeflate != cfg.deflate {
-						b.Fatalf("%s negotiated binary=%v deflate=%v", cfg.name, gotBinary, gotDeflate)
-					}
-					var page *replica.WALPage
-					switch {
-					case gotDeflate:
-						page, err = replica.DecodeWALPageDeflate(bytes.NewReader(body), new(codec.StrTab))
-					case gotBinary:
-						page, err = replica.DecodeWALPage(bytes.NewReader(body))
-					default:
-						page = &replica.WALPage{}
-						err = json.Unmarshal(body, page)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(page.Records) == 0 {
-						b.Fatal("empty page before catch-up")
-					}
-					shipped += len(page.Records)
-					since = page.Records[len(page.Records)-1].Seq
+	b.Run("binary", func(b *testing.B) {
+		client := ts.Client()
+		var wireBytes int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var since uint64
+			shipped := 0
+			for shipped < ops {
+				resp, err := client.Get(fmt.Sprintf("%s/dbs/bench/wal?since=%d&limit=16", ts.URL, since))
+				if err != nil {
+					b.Fatal(err)
 				}
+				if resp.StatusCode != http.StatusOK {
+					b.Fatalf("wal fetch status %d", resp.StatusCode)
+				}
+				// Read the raw body first so wirebytes/op counts what
+				// actually crossed the wire, then decode from memory.
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
+				wireBytes += int64(len(body))
+				page, err := replica.DecodeWALPage(bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(page.Records) == 0 {
+					b.Fatal("empty page before catch-up")
+				}
+				shipped += len(page.Records)
+				since = page.Records[len(page.Records)-1].Seq
 			}
-			elapsed := b.Elapsed()
-			b.StopTimer()
-			b.ReportMetric(float64(ops*b.N)/elapsed.Seconds(), "shipped_ops/s")
-			b.ReportMetric(float64(wireBytes)/float64(ops*b.N), "wirebytes/op")
-		})
-	}
+		}
+		elapsed := b.Elapsed()
+		b.StopTimer()
+		b.ReportMetric(float64(ops*b.N)/elapsed.Seconds(), "shipped_ops/s")
+		b.ReportMetric(float64(wireBytes)/float64(ops*b.N), "wirebytes/op")
+	})
 }
 
 // BenchmarkReplicationTail measures steady-state shipping latency: the

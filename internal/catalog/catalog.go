@@ -120,7 +120,7 @@ type DB struct {
 	// atomic with respect to other replicated ops.
 	replMu sync.Mutex
 	// commitMu guards commitCh, the broadcast channel long-poll tailers
-	// (WaitOps) block on; it is closed and replaced on every durable
+	// (WaitRawOps) block on; it is closed and replaced on every durable
 	// append.
 	commitMu sync.Mutex
 	commitCh chan struct{}

@@ -1,13 +1,13 @@
 // Replication support: the catalog's write-ahead log doubles as a
-// shipping log. A primary serves its committed records through OpsSince /
-// WaitOps (the long-poll read path); a follower applies shipped records
-// through ApplyReplicated, which re-journals each op into the follower's
-// OWN write-ahead log at the same sequence before the tree swap — so a
-// follower is crash-safe by exactly the machinery that makes a primary
-// crash-safe, and its durable lastApplied position is simply its log's
-// last committed sequence. InstallSnapshot bootstraps (or resets) a
-// follower database from a primary state snapshot at a known log
-// position, after which incremental tailing resumes from there.
+// shipping log. A primary serves its committed records through
+// RawOpsSince / WaitRawOps (the long-poll read path); a follower applies
+// shipped records through ApplyReplicated, which re-journals each op into
+// the follower's OWN write-ahead log at the same sequence before the tree
+// swap — so a follower is crash-safe by exactly the machinery that makes
+// a primary crash-safe, and its durable lastApplied position is simply
+// its log's last committed sequence. InstallSnapshot bootstraps (or
+// resets) a follower database from a primary state snapshot at a known
+// log position, after which incremental tailing resumes from there.
 package catalog
 
 import (
@@ -51,9 +51,9 @@ func (d *DB) OpsSince(after uint64, limit int) ([]WALRecord, error) {
 }
 
 // RawOpsSince is OpsSince without the decode: the same page of records
-// as the exact payload bytes the log holds. The binary replication wire
-// serves from this — shipping a record then costs a CRC check and a
-// header peek, not a tree decode plus re-encode per page. The returned
+// as the exact payload bytes the log holds. The replication wire serves
+// from this — shipping a record then costs a CRC check and a header
+// peek, not a tree decode plus re-encode per page. The returned
 // prefix is the interned-string table the first shipped record's strtab
 // delta is based on (the cumulative deltas of the same-segment records
 // before it); the wire ships it ahead of the page so the receiver can
@@ -64,32 +64,15 @@ func (d *DB) RawOpsSince(after uint64, limit int, have codec.TabMark) ([]RawWALR
 	return d.wal.rawOpsSince(after, limit, have)
 }
 
-// WaitOps is OpsSince with long-poll semantics: when no records past
-// after exist yet, it blocks until one commits or ctx ends, and a timeout
-// returns an empty page with no error (the normal idle long-poll result).
-// Position errors (ErrSeqGone) are returned immediately.
-func (d *DB) WaitOps(ctx context.Context, after uint64, limit int) ([]WALRecord, error) {
+// WaitRawOps is RawOpsSince with long-poll semantics: when no records
+// past after exist yet, it blocks until one commits or ctx ends, and a
+// timeout returns an empty page with no error (the normal idle long-poll
+// result). Position errors (ErrSeqGone) are returned immediately.
+func (d *DB) WaitRawOps(ctx context.Context, after uint64, limit int, have codec.TabMark) ([]RawWALRecord, []string, error) {
 	for {
 		// Take the commit signal before checking the log: a commit landing
 		// between the check and the select then finds a fresh channel and
 		// cannot be missed.
-		ch := d.commitSignal()
-		recs, err := d.OpsSince(after, limit)
-		if err != nil || len(recs) > 0 {
-			return recs, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, nil
-		case <-ch:
-		}
-	}
-}
-
-// WaitRawOps is RawOpsSince with the same long-poll semantics as
-// WaitOps.
-func (d *DB) WaitRawOps(ctx context.Context, after uint64, limit int, have codec.TabMark) ([]RawWALRecord, []string, error) {
-	for {
 		ch := d.commitSignal()
 		recs, prefix, err := d.RawOpsSince(after, limit, have)
 		if err != nil || len(recs) > 0 {
@@ -103,7 +86,7 @@ func (d *DB) WaitRawOps(ctx context.Context, after uint64, limit int, have codec
 	}
 }
 
-// notifyCommit broadcasts a durable append to blocked WaitOps callers by
+// notifyCommit broadcasts a durable append to blocked WaitRawOps callers by
 // closing the current signal channel and replacing it.
 func (d *DB) notifyCommit() {
 	d.commitMu.Lock()

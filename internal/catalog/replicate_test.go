@@ -226,9 +226,9 @@ func TestOpsSinceAfterCompaction(t *testing.T) {
 	}
 }
 
-// TestWaitOpsLongPoll: WaitOps blocks on an up-to-date log until the next
-// commit lands, and returns an empty page on timeout.
-func TestWaitOpsLongPoll(t *testing.T) {
+// TestWaitRawOpsLongPoll: WaitRawOps blocks on an up-to-date log until
+// the next commit lands, and returns an empty page on timeout.
+func TestWaitRawOpsLongPoll(t *testing.T) {
 	cat, err := Open(t.TempDir(), testOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -241,23 +241,23 @@ func TestWaitOpsLongPoll(t *testing.T) {
 
 	// Timeout path: nothing commits, the poll comes back empty.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	recs, err := db.WaitOps(ctx, 0, 0)
+	raws, _, err := db.WaitRawOps(ctx, 0, 0, codec.TabMark{})
 	cancel()
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("idle WaitOps = %d records, err %v; want empty, nil", len(recs), err)
+	if err != nil || len(raws) != 0 {
+		t.Fatalf("idle WaitRawOps = %d records, err %v; want empty, nil", len(raws), err)
 	}
 
 	// Wakeup path: a commit lands while the poll is parked.
 	type result struct {
-		recs []WALRecord
+		raws []RawWALRecord
 		err  error
 	}
 	got := make(chan result, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		recs, err := db.WaitOps(ctx, 0, 0)
-		got <- result{recs, err}
+		raws, _, err := db.WaitRawOps(ctx, 0, 0, codec.TabMark{})
+		got <- result{raws, err}
 	}()
 	time.Sleep(20 * time.Millisecond)
 	if _, err := db.Core().IntegrateXMLString(abA); err != nil {
@@ -265,11 +265,11 @@ func TestWaitOpsLongPoll(t *testing.T) {
 	}
 	select {
 	case res := <-got:
-		if res.err != nil || len(res.recs) != 1 || res.recs[0].Seq != 1 {
-			t.Fatalf("woken WaitOps = %+v, err %v", res.recs, res.err)
+		if res.err != nil || len(res.raws) != 1 || res.raws[0].Seq != 1 {
+			t.Fatalf("woken WaitRawOps = %+v, err %v", res.raws, res.err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("WaitOps did not wake on commit")
+		t.Fatal("WaitRawOps did not wake on commit")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -438,7 +437,6 @@ func runServe(args []string, w io.Writer) error {
 	queryBudget := fs.Duration("query-budget", 0, "per-query wall-clock budget (0 = unlimited; exhausted queries return 408 with budget_exhausted)")
 	ingestQueue := fs.Int("ingest-queue", 0, "async ingest queue depth per database (0 disables POST /integrate?async=1)")
 	maxBody := fs.Int64("max-body", 0, "request body limit in bytes (0 = default 8MiB)")
-	wireCompression := fs.Bool("wire-compression", true, "offer/accept flate-compressed replication pages on the binary wire (both roles)")
 	storeMMap := fs.Bool("store-mmap", true, "mmap v5 snapshot documents on load (false forces the read-whole fallback; with -data)")
 	quiet := fs.Bool("quiet", false, "disable the per-request log")
 	fs.SetOutput(w)
@@ -479,10 +477,9 @@ func runServe(args []string, w io.Writer) error {
 		logger = log.New(w, "imprecise: ", log.LstdFlags)
 	}
 	opts := server.Options{
-		SnapshotDir:       *snapDir,
-		MaxBodyBytes:      *maxBody,
-		NoWireCompression: !*wireCompression,
-		Logger:            logger,
+		SnapshotDir:  *snapDir,
+		MaxBodyBytes: *maxBody,
+		Logger:       logger,
 	}
 	var (
 		srv    *server.Server
@@ -509,10 +506,9 @@ func runServe(args []string, w io.Writer) error {
 			return errors.New("serve: -db cannot be combined with -replica-of (the primary's databases are replicated)")
 		}
 		rep, err := replica.Open(*dataDir, replica.Options{
-			Primary:       *replicaOf,
-			Catalog:       catOpts,
-			NoCompression: !*wireCompression,
-			Logger:        logger,
+			Primary: *replicaOf,
+			Catalog: catOpts,
+			Logger:  logger,
 		})
 		if err != nil {
 			return err
@@ -786,12 +782,7 @@ type replicationStatusBody struct {
 	Primary   string `json:"primary"`
 	Connected bool   `json:"connected"`
 	LastError string `json:"last_error"`
-	// WireEncoding is the replication encoding a replica negotiated with
-	// its primary; Peers maps follower hosts to the encoding each one's
-	// last fetch negotiated (primary side).
-	WireEncoding string            `json:"wire_encoding"`
-	Peers        map[string]string `json:"peers"`
-	Databases    []struct {
+	Databases []struct {
 		Name               string `json:"name"`
 		LastSeq            uint64 `json:"last_seq"`
 		Digest             string `json:"digest"`
@@ -850,9 +841,6 @@ func runReplication(args []string, w io.Writer) error {
 	case "replica":
 		fmt.Fprintf(w, "primary:   %s\n", st.Primary)
 		fmt.Fprintf(w, "connected: %v\n", st.Connected)
-		if st.WireEncoding != "" {
-			fmt.Fprintf(w, "encoding:  %s\n", st.WireEncoding)
-		}
 		if st.LastError != "" {
 			fmt.Fprintf(w, "last err:  %s\n", st.LastError)
 		}
@@ -873,15 +861,6 @@ func runReplication(args []string, w io.Writer) error {
 		// where writes moved.
 		if st.Primary != "" {
 			fmt.Fprintf(w, "primary:   %s\n", st.Primary)
-		}
-		// Stable peer order for scripting and tests.
-		peers := make([]string, 0, len(st.Peers))
-		for host := range st.Peers {
-			peers = append(peers, host)
-		}
-		sort.Strings(peers)
-		for _, host := range peers {
-			fmt.Fprintf(w, "peer:      %s (%s wire)\n", host, st.Peers[host])
 		}
 		for _, db := range st.Databases {
 			fmt.Fprintf(w, "%-20s seq %6d  digest %s  snapshot seq %6d  (%d tail op(s))\n",

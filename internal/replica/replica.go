@@ -34,14 +34,12 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/codec"
 	"repro/internal/dtd"
-	"repro/internal/xmlcodec"
 )
 
 // Options configure a Replica.
@@ -68,20 +66,6 @@ type Options struct {
 	// MinBackoff and MaxBackoff bound the exponential retry backoff after
 	// fetch or apply failures (0 means 100ms / 5s).
 	MinBackoff, MaxBackoff time.Duration
-	// WireEncoding selects what this follower offers the primary: "" or
-	// WireBinary sends "Accept: application/x-imprecise-wal2" and reads
-	// whichever format the primary answers with (an older primary
-	// substring-matches the wal1 media type inside it and serves the v1
-	// binary wire; a JSON-only primary ignores the header entirely);
-	// WireBinaryV1 offers only the v1 binary wire, simulating an
-	// old-binary follower; WireJSON never offers binary — the JSON
-	// escape hatch.
-	WireEncoding string
-	// NoCompression stops the follower from offering flate compression
-	// of the binary wire (Accept-Encoding: deflate). Compression is
-	// offered by default on the wal2 wire; a primary that does not
-	// compress simply answers identity-encoded.
-	NoCompression bool
 	// Logger receives bootstrap, divergence and error notes; nil disables.
 	Logger *log.Logger
 }
@@ -111,14 +95,11 @@ type DBStatus struct {
 type Status struct {
 	Primary string `json:"primary"`
 	// Epoch is the follower catalog's cluster epoch.
-	Epoch       uint64    `json:"epoch"`
-	Connected   bool      `json:"connected"`
-	LastContact time.Time `json:"last_contact,omitzero"`
-	// WireEncoding is the encoding the last replication fetch negotiated
-	// with the primary ("binary" or "json"; empty before first contact).
-	WireEncoding string     `json:"wire_encoding,omitempty"`
-	LastError    string     `json:"last_error,omitempty"`
-	Databases    []DBStatus `json:"databases"`
+	Epoch       uint64     `json:"epoch"`
+	Connected   bool       `json:"connected"`
+	LastContact time.Time  `json:"last_contact,omitzero"`
+	LastError   string     `json:"last_error,omitempty"`
+	Databases   []DBStatus `json:"databases"`
 }
 
 // errGone marks a 410 from the primary: the requested log position is not
@@ -143,9 +124,6 @@ type Replica struct {
 	lastContact time.Time
 	lastErr     string
 	stopped     bool
-	// wireEnc is the encoding the last replication fetch actually came
-	// back in — the negotiated result, not the offer.
-	wireEnc string
 }
 
 // tailer is the per-database sync goroutine's handle and status. Its
@@ -188,11 +166,6 @@ func Open(dir string, opts Options) (*Replica, error) {
 	}
 	if opts.MaxBackoff <= 0 {
 		opts.MaxBackoff = 5 * time.Second
-	}
-	switch opts.WireEncoding {
-	case "", WireBinary, WireBinaryV1, WireJSON:
-	default:
-		return nil, fmt.Errorf("replica: unknown wire encoding %q (want %q, %q or %q)", opts.WireEncoding, WireBinary, WireBinaryV1, WireJSON)
 	}
 	client := opts.Client
 	if client == nil {
@@ -270,13 +243,12 @@ func (r *Replica) Status() Status {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := Status{
-		Primary:      r.primary,
-		Epoch:        r.cat.Epoch(),
-		Connected:    r.connected,
-		LastContact:  r.lastContact,
-		WireEncoding: r.wireEnc,
-		LastError:    r.lastErr,
-		Databases:    []DBStatus{},
+		Primary:     r.primary,
+		Epoch:       r.cat.Epoch(),
+		Connected:   r.connected,
+		LastContact: r.lastContact,
+		LastError:   r.lastErr,
+		Databases:   []DBStatus{},
 	}
 	for _, name := range r.cat.Names() {
 		if t, ok := r.tailers[name]; ok {
@@ -546,13 +518,7 @@ func (r *Replica) bootstrap(t *tailer) (*catalog.DB, error) {
 	if local := r.cat.Epoch(); payload.Epoch < local {
 		return nil, fmt.Errorf("%w: %s: snapshot at epoch %d, local epoch is %d", catalog.ErrStaleEpoch, t.name, payload.Epoch, local)
 	}
-	tree := payload.TreeValue
-	if tree == nil {
-		tree, err = xmlcodec.DecodeString(payload.Tree)
-		if err != nil {
-			return nil, fmt.Errorf("replica: %s: bad snapshot document: %w", t.name, err)
-		}
-	}
+	tree := payload.Tree
 	var schema *dtd.Schema
 	if payload.Schema != "" {
 		schema, err = dtd.ParseString(payload.Schema)
@@ -639,68 +605,12 @@ func (r *Replica) fetchPrimaryStatus(ctx context.Context) (*PrimaryStatus, error
 	return &ps, nil
 }
 
-// offersBinary reports whether this follower advertises the binary wire.
-func (r *Replica) offersBinary() bool {
-	return r.opts.WireEncoding != WireJSON
-}
-
-// acceptValue is the Accept header this follower sends when offering
-// binary: the wal2 media type by default (which an old primary
-// substring-matches down to wal1), or exactly wal1 when pinned to the
-// v1 wire.
-func (r *Replica) acceptValue() string {
-	if r.opts.WireEncoding == WireBinaryV1 {
-		return ContentTypeBinary
-	}
-	return ContentTypeBinary2
-}
-
-// offersDeflate reports whether this follower advertises wire
-// compression: wal2 offers only (the v1 wire predates compression, and
-// a pinned-v1 follower is simulating a build that never sent the
-// header).
-func (r *Replica) offersDeflate() bool {
-	return r.opts.WireEncoding != WireBinaryV1 && !r.opts.NoCompression
-}
-
-// isBinary reports whether a response came back in the binary wire
-// format (the primary's half of the negotiation). Matches wal1 and
-// wal2 alike — wal1 is a prefix of wal2.
-func isBinary(resp *http.Response) bool {
-	return strings.HasPrefix(resp.Header.Get("Content-Type"), ContentTypeBinary)
-}
-
-// isDeflate reports whether the response body is flate-compressed.
-func isDeflate(resp *http.Response) bool {
-	return resp.Header.Get("Content-Encoding") == ContentEncodingDeflate
-}
-
-// binaryWireName names the encoding a binary response actually
-// negotiated, for Status reporting.
-func binaryWireName(resp *http.Response) string {
-	switch {
-	case isDeflate(resp):
-		return WireBinaryFlate
-	case strings.HasPrefix(resp.Header.Get("Content-Type"), ContentTypeBinary2):
-		return WireBinary
-	default:
-		return WireBinaryV1
-	}
-}
-
-// noteWire records the encoding the last fetch actually negotiated.
-func (r *Replica) noteWire(enc string) {
-	r.mu.Lock()
-	r.wireEnc = enc
-	r.mu.Unlock()
-}
-
 // fetchWAL long-polls one page of the primary's op log past since. The
 // follower's own epoch rides along so a deposed primary learns of its
 // deposition from the very followers it tries to keep shipping to. So
 // does the mark of t.tab if this page continues the stream the table
-// came from — which only a decoded wal2 page does: after an error, a
-// JSON or a wal1 reply the next request starts from an empty table.
+// came from — which only a decoded page does: after an error the next
+// request starts from an empty table.
 func (r *Replica) fetchWAL(t *tailer, since, epoch uint64) (*WALPage, error) {
 	primary := r.Primary()
 	if t.tabSeq != since || t.tabFrom != primary {
@@ -719,71 +629,36 @@ func (r *Replica) fetchWAL(t *tailer, since, epoch uint64) (*WALPage, error) {
 		q.Set("tab", t.tab.Mark().String())
 	}
 	path := "/dbs/" + url.PathEscape(t.name) + "/wal"
-	resp, cancel, err := r.get(t.ctx, path, q, r.opts.PollWait+15*time.Second, r.offersBinary())
+	resp, cancel, err := r.get(t.ctx, path, q, r.opts.PollWait+15*time.Second, ContentType)
 	if err != nil {
 		return nil, err
 	}
 	defer cancel()
 	defer resp.Body.Close()
-	if isBinary(resp) {
-		var page *WALPage
-		if isDeflate(resp) {
-			page, err = DecodeWALPageDeflate(resp.Body, &t.tab)
-		} else {
-			page, err = DecodeWALPageFrom(resp.Body, &t.tab)
-		}
-		if err != nil {
-			return nil, err
-		}
-		enc := binaryWireName(resp)
-		r.noteWire(enc)
-		if enc != WireBinaryV1 {
-			t.tabSeq, t.tabFrom = since+uint64(len(page.Records)), primary
-		}
-		return page, nil
+	page, err := DecodeWALPageFrom(resp.Body, &t.tab)
+	if err != nil {
+		return nil, err
 	}
-	var page WALPage
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return nil, fmt.Errorf("replica: GET %s: decoding page: %w", path, err)
-	}
-	r.noteWire(WireJSON)
-	return &page, nil
+	t.tabSeq, t.tabFrom = since+uint64(len(page.Records)), primary
+	return page, nil
 }
 
 // fetchSnapshot reads the primary's full state for one database.
 func (r *Replica) fetchSnapshot(ctx context.Context, name string) (*SnapshotPayload, error) {
 	path := "/dbs/" + url.PathEscape(name) + "/snapshot"
-	resp, cancel, err := r.get(ctx, path, nil, 60*time.Second, r.offersBinary())
+	resp, cancel, err := r.get(ctx, path, nil, 60*time.Second, ContentType)
 	if err != nil {
 		return nil, err
 	}
 	defer cancel()
 	defer resp.Body.Close()
-	if isBinary(resp) {
-		var payload *SnapshotPayload
-		if isDeflate(resp) {
-			payload, err = DecodeSnapshotDeflate(resp.Body)
-		} else {
-			payload, err = DecodeSnapshot(resp.Body)
-		}
-		if err != nil {
-			return nil, err
-		}
-		r.noteWire(binaryWireName(resp))
-		return payload, nil
-	}
-	var payload SnapshotPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return nil, fmt.Errorf("replica: GET %s: decoding snapshot: %w", path, err)
-	}
-	r.noteWire(WireJSON)
-	return &payload, nil
+	return DecodeSnapshot(resp.Body)
 }
 
 // getJSON performs one GET against the primary and decodes the JSON
 // body, mapping 410 to errGone and other non-200s to descriptive errors.
 func (r *Replica) getJSON(ctx context.Context, path string, q url.Values, timeout time.Duration, v any) error {
-	resp, cancel, err := r.get(ctx, path, q, timeout, false)
+	resp, cancel, err := r.get(ctx, path, q, timeout, "")
 	if err != nil {
 		return err
 	}
@@ -792,11 +667,14 @@ func (r *Replica) getJSON(ctx context.Context, path string, q url.Values, timeou
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// get performs one GET against the primary, optionally offering the
-// binary wire, mapping 410 to errGone and other non-200s to descriptive
-// errors. On success the caller owns the body and must invoke cancel
-// (the request timeout's) after draining it.
-func (r *Replica) get(ctx context.Context, path string, q url.Values, timeout time.Duration, offerBinary bool) (*http.Response, context.CancelFunc, error) {
+// get performs one GET against the primary, mapping 410 to errGone and
+// other non-200s to descriptive errors. A non-empty accept is sent as the
+// Accept header and is the only Content-Type the reply may carry: a
+// primary that answers anything else (say, a JSON page from a build that
+// predates the wal2 wire) fails the round, and nothing it sent is read.
+// On success the caller owns the body and must invoke cancel (the request
+// timeout's) after draining it.
+func (r *Replica) get(ctx context.Context, path string, q url.Values, timeout time.Duration, accept string) (*http.Response, context.CancelFunc, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	u := r.Primary() + path
 	if len(q) > 0 {
@@ -807,14 +685,8 @@ func (r *Replica) get(ctx context.Context, path string, q url.Values, timeout ti
 		cancel()
 		return nil, nil, err
 	}
-	if offerBinary {
-		req.Header.Set("Accept", r.acceptValue())
-		if r.offersDeflate() {
-			// Setting Accept-Encoding explicitly also disables the
-			// transport's transparent gzip — deliberate: the binary wire's
-			// compression is negotiated here, not underneath us.
-			req.Header.Set("Accept-Encoding", ContentEncodingDeflate)
-		}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
@@ -832,6 +704,11 @@ func (r *Replica) get(ctx context.Context, path string, q url.Values, timeout ti
 		resp.Body.Close()
 		cancel()
 		return nil, nil, fmt.Errorf("replica: GET %s: %s: %s", path, resp.Status, firstLine(body))
+	}
+	if ct := resp.Header.Get("Content-Type"); accept != "" && ct != accept {
+		resp.Body.Close()
+		cancel()
+		return nil, nil, fmt.Errorf("replica: GET %s: primary answered Content-Type %q, this follower reads only %s", path, ct, accept)
 	}
 	return resp, cancel, nil
 }

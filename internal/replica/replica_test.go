@@ -409,7 +409,7 @@ func TestReplicationTableDroppedOnDesync(t *testing.T) {
 		hdr = codec.AppendUvarint(hdr, since)
 		hdr = codec.AppendString(hdr, "")
 		hdr = codec.AppendUvarint(hdr, 0)
-		w.Header().Set("Content-Type", replica.ContentTypeBinary2)
+		w.Header().Set("Content-Type", replica.ContentType)
 		fw := codec.NewFrameWriter(w)
 		fw.Write(codec.KindPageHeader, 1, hdr)
 		fw.Write(codec.KindStrTab, codec.StrTabVersion, codec.AppendStrTabPayload(nil, 7777, []string{"stray"}))

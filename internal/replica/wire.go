@@ -1,6 +1,6 @@
 // Wire types of the replication protocol. They live in this package —
 // not internal/server — so both halves of the protocol (the primary's
-// HTTP handlers and the follower's client loop) marshal and unmarshal the
+// HTTP handlers and the follower's client loop) encode and decode the
 // exact same structs and cannot drift apart.
 package replica
 
@@ -14,62 +14,58 @@ import (
 	"repro/internal/store"
 )
 
-// WALPage is the body of GET /dbs/{name}/wal?since=S — one page of the
-// primary's committed op log past S, plus the primary's current position
-// for lag and divergence accounting.
+// WALPage is one page of GET /dbs/{name}/wal?since=S — the primary's
+// committed op log past S, plus the primary's current position for lag
+// and divergence accounting. It travels as a wal2 frame stream
+// (wirebinary.go).
 type WALPage struct {
-	Database string `json:"database"`
+	Database string
 	// Since echoes the request's position.
-	Since uint64 `json:"since"`
+	Since uint64
 	// LastSeq and Digest are a consistent (applied sequence, tree digest)
 	// pair of the serving node at response time. A follower whose
 	// lastApplied reaches LastSeq must hold a tree with this digest;
 	// anything else is divergence.
-	LastSeq uint64 `json:"last_seq"`
-	Digest  string `json:"digest"`
+	LastSeq uint64
+	Digest  string
 	// Epoch is the cluster epoch the serving node commits under. A page
 	// from an epoch below the follower's own is stale — the sender was
 	// deposed — and must be rejected, never resynced from.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 	// Records are the shipped ops, oldest first, starting at Since+1. An
 	// empty page means the follower is caught up (the long-poll wait
 	// expired without new commits).
-	Records []catalog.WALRecord `json:"records"`
+	Records []catalog.WALRecord
 }
 
-// SnapshotPayload is the body of GET /dbs/{name}/snapshot — the full
-// state a follower bootstraps from, mirroring the v2 store snapshot
-// format field for field (document as marker XML, schema as DTD text,
-// manifest histories, log position): installing it on the follower goes
-// straight through store.SaveWith.
+// SnapshotPayload is GET /dbs/{name}/snapshot — the full state a follower
+// bootstraps from, mirroring the store snapshot format field for field
+// (document, schema as DTD text, manifest histories, log position):
+// installing it on the follower goes straight through store.SaveWith. It
+// travels as a wal2 frame stream (wirebinary.go).
 type SnapshotPayload struct {
-	Database string `json:"database"`
+	Database string
 	// FormatVersion is the store snapshot format this payload mirrors.
-	FormatVersion int `json:"format_version"`
+	FormatVersion int
 	// Seq is the primary log position the state reflects; tailing resumes
 	// at Seq+1.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Epoch is the cluster epoch the state was committed under.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 	// Digest is the structural digest of Tree (16 hex digits); the
 	// follower verifies its installed tree against it.
-	Digest string `json:"digest"`
-	// Tree is the document as probabilistic-marker XML.
-	Tree string `json:"tree"`
+	Digest string
+	// Tree is the document.
+	Tree *pxml.Tree
 	// Schema is the DTD knowledge ("" when none).
-	Schema string `json:"schema,omitempty"`
+	Schema string
 	// Integrations and Feedback are the session histories at Seq.
-	Integrations []integrate.Stats `json:"integrations,omitempty"`
-	Feedback     []feedback.Event  `json:"feedback,omitempty"`
+	Integrations []integrate.Stats
+	Feedback     []feedback.Event
 	// Pending is the primary's ingest queue at Seq (accepted but not yet
 	// integrated sources); the follower needs it to resolve apply-queued
 	// records past Seq.
-	Pending []store.PendingDoc `json:"pending,omitempty"`
-
-	// TreeValue is the decoded document when the payload traveled the
-	// binary wire (Tree stays empty then); the bootstrap path prefers it
-	// over re-parsing the XML.
-	TreeValue *pxml.Tree `json:"-"`
+	Pending []store.PendingDoc
 }
 
 // PrimaryStatus is the body GET /replication returns on a primary (and,
@@ -86,9 +82,6 @@ type PrimaryStatus struct {
 	// non-primary chase this pointer to re-point after a promotion.
 	Primary   string            `json:"primary,omitempty"`
 	Databases []PrimaryDBStatus `json:"databases"`
-	// Peers maps follower hosts to the wire encoding their last
-	// replication fetch negotiated ("binary" or "json").
-	Peers map[string]string `json:"peers,omitempty"`
 }
 
 // PrimaryDBStatus is one database row of PrimaryStatus.

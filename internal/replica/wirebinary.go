@@ -1,85 +1,41 @@
-// Binary wire encoding of the replication protocol, negotiated per
-// request: a follower that speaks it sends "Accept: application/
-// x-imprecise-wal", and the primary answers with a stream of codec
-// frames instead of one JSON document. Either side may be older than the
-// other — a JSON-only follower never sends the Accept header and gets
-// JSON; a JSON-only primary ignores the header and answers JSON, which
-// the follower detects by Content-Type — so mixed-version pairs always
-// converge on a format both ends speak.
+// The replication wire: GET /dbs/{name}/wal and GET /dbs/{name}/snapshot
+// answer a stream of codec frames under one media type, ContentType,
+// whatever the request's Accept header says.
 //
-// WAL page stream (Content-Type application/x-imprecise-wal[2]):
+// WAL page stream:
 //
 //	H frame  page header: database, since, last_seq, digest, epoch
-//	I frame  optional (wal2 only): the interned-string table the first
-//	         record's strtab delta is based on — the cumulative deltas
-//	         of the same-segment records the page skipped
+//	I frame  optional: the interned-string table the first record's
+//	         strtab delta is based on — the cumulative deltas of the
+//	         same-segment records the page skipped
 //	R frame  one record, payload = the binary WAL record bytes
 //	         (walrecord.go) — the exact bytes the primary's log holds,
 //	         shipped without re-encoding
 //	E frame  trailer: record count (truncation detector)
 //
-// Snapshot stream (same Content-Type):
+// Snapshot stream:
 //
 //	S frame  header: database, format_version, seq, epoch, digest,
 //	         schema, histories (JSON blobs; not hot)
-//	I frame  optional (wal2 only): the string table the document's
-//	         varint refs resolve against
+//	I frame  the string table the document's varint refs resolve against
 //	T frame  the document as a pxml arena payload
 //	E frame  trailer: frame count
-//
-// The wal2 media type additionally negotiates flate compression of the
-// whole stream through the standard Content-Encoding/Accept-Encoding
-// pair ("deflate"): framing is unchanged, the bytes on the wire are a
-// raw DEFLATE stream of the frames above.
 package replica
 
 import (
-	"compress/flate"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/codec"
 	"repro/internal/pxml"
 )
 
-// ContentTypeBinary is the original negotiated media type of the binary
-// replication wire: self-contained records only, no string-table
-// frames. A follower offers it via Accept; a primary that speaks it
-// answers with it as the Content-Type.
-const ContentTypeBinary = "application/x-imprecise-wal"
-
-// ContentTypeBinary2 is the strtab-capable revision of the binary wire:
-// pages may carry an I (string table) frame and records may be WAL v3
-// (shared-dictionary) payloads. Note ContentTypeBinary is a substring
-// of this value — deliberately, so a new follower's bare wal2 Accept
-// still matches an old primary's wal1 Contains check and the pair
-// degrades to the v1 wire; negotiators must therefore test for wal2
-// BEFORE wal1.
-const ContentTypeBinary2 = ContentTypeBinary + "2"
-
-// ContentEncodingDeflate is the Content-Encoding token of the
-// compressed binary wire (raw DEFLATE, compress/flate — not gzip, so
-// both sides bypass the HTTP transport's transparent handling and the
-// negotiation stays explicit).
-const ContentEncodingDeflate = "deflate"
-
-// Wire encoding names (per-peer observability and the WireEncoding
-// option).
-const (
-	// WireBinary is the current binary wire (wal2, strtab-capable).
-	WireBinary = "binary"
-	// WireBinaryFlate is WireBinary with flate compression negotiated on
-	// top (observability only; not a WireEncoding option value).
-	WireBinaryFlate = "binary+flate"
-	// WireBinaryV1 restricts the follower's offer to the original wal1
-	// binary wire — the escape hatch, and the way tests pin an
-	// old-binary-follower pairing.
-	WireBinaryV1 = "binary1"
-	WireJSON     = "json"
-)
+// ContentType is the media type of the replication wire. A follower
+// still sends it as Accept: a primary built before the wire became the
+// only one serves it only on request.
+const ContentType = "application/x-imprecise-wal2"
 
 // wireVersion is the revision of the frame payload layouts below.
 const wireVersion = 1
@@ -96,8 +52,9 @@ func appendPageHeader(page *WALPage) []byte {
 }
 
 // EncodeWALPage streams page to w as binary frames, encoding each
-// decoded record into its binary payload form. A primary serving its own
-// log prefers EncodeRawWALPage, which skips this per-record encode.
+// decoded record into its self-contained binary payload form, so the
+// page needs no I frame. A primary serving its own log uses
+// EncodeRawWALPage, which skips this per-record encode.
 func EncodeWALPage(w io.Writer, page *WALPage) error {
 	fw := codec.NewFrameWriter(w)
 	if err := fw.Write(codec.KindPageHeader, wireVersion, appendPageHeader(page)); err != nil {
@@ -141,8 +98,7 @@ func EncodeRawWALPage(w io.Writer, page *WALPage, raws []catalog.RawWALRecord, p
 	return fw.Write(codec.KindEnd, wireVersion, codec.AppendUvarint(nil, uint64(len(raws))))
 }
 
-// DecodeWALPageFrom reads one binary WAL page stream, wal1 or wal2. A
-// stream that ends before the E trailer — a connection cut mid-page —
+// DecodeWALPageFrom reads one WAL page stream. A stream that ends before the E trailer — a connection cut mid-page —
 // is an error, never a short page. The string table is tab, what the
 // stream left behind so far (after an error: reset it); it restarts
 // from the optional I frame and advances through each shared record's
@@ -214,26 +170,6 @@ func DecodeWALPage(r io.Reader) (*WALPage, error) {
 	return DecodeWALPageFrom(r, new(codec.StrTab))
 }
 
-// DecodeWALPageDeflate is DecodeWALPageFrom over a flate-compressed
-// stream (Content-Encoding: deflate) — the follower's read half of wire
-// compression. The E trailer proves the page complete; a broken DEFLATE
-// tail after it would be noise, not data loss.
-func DecodeWALPageDeflate(r io.Reader, tab *codec.StrTab) (*WALPage, error) {
-	zr, done := inflate(r)
-	defer done()
-	return DecodeWALPageFrom(zr, tab)
-}
-
-// flateReaders keeps decompressor state across pages and snapshots.
-var flateReaders = sync.Pool{New: func() any { return flate.NewReader(nil) }}
-
-// inflate returns a pooled flate reader over r; done hands it back.
-func inflate(r io.Reader) (zr io.Reader, done func()) {
-	zr = flateReaders.Get().(io.Reader)
-	_ = zr.(flate.Resetter).Reset(r, nil) // a decompressor's Reset has no failure
-	return zr, func() { flateReaders.Put(zr) }
-}
-
 // appendSnapshotHeader renders the S frame payload.
 func appendSnapshotHeader(payload *SnapshotPayload) ([]byte, error) {
 	var hdr []byte
@@ -263,32 +199,12 @@ func appendSnapshotHeader(payload *SnapshotPayload) ([]byte, error) {
 	return hdr, nil
 }
 
-// EncodeSnapshot streams payload to w as wal1 binary frames, carrying
-// the document as a self-contained pxml arena instead of marker XML —
-// the stream an old binary follower understands.
-func EncodeSnapshot(w io.Writer, payload *SnapshotPayload, tree *pxml.Tree) error {
-	if tree == nil {
-		return fmt.Errorf("replica: binary snapshot needs the decoded tree")
-	}
-	fw := codec.NewFrameWriter(w)
-	hdr, err := appendSnapshotHeader(payload)
-	if err != nil {
-		return err
-	}
-	if err := fw.Write(codec.KindSnapshotHeader, wireVersion, hdr); err != nil {
-		return err
-	}
-	if err := fw.Write(codec.KindTree, pxml.BinaryVersion, tree.AppendBinary(nil)); err != nil {
-		return err
-	}
-	return fw.Write(codec.KindEnd, wireVersion, codec.AppendUvarint(nil, 2))
-}
-
-// EncodeSnapshotShared is EncodeSnapshot on the wal2 wire: the document
-// ships as a shared-dictionary arena with its string table in a
-// separate I frame — the same split as store v5, so the tree body
-// deduplicates repeated tags and text against one dictionary.
-func EncodeSnapshotShared(w io.Writer, payload *SnapshotPayload, tree *pxml.Tree) error {
+// EncodeSnapshotShared streams payload to w, its Tree as a
+// shared-dictionary arena with the string table in a separate I frame —
+// the same split as store v5, so the tree body deduplicates repeated
+// tags and text against one dictionary.
+func EncodeSnapshotShared(w io.Writer, payload *SnapshotPayload) error {
+	tree := payload.Tree
 	if tree == nil {
 		return fmt.Errorf("replica: binary snapshot needs the decoded tree")
 	}
@@ -325,9 +241,8 @@ func unmarshalHistory(data []byte, v any) error {
 	return json.Unmarshal(data, v)
 }
 
-// DecodeSnapshot reads one binary snapshot stream (wal1 or wal2),
-// returning the payload with TreeValue set (Tree, the XML field, stays
-// empty — the bootstrap path prefers the decoded form).
+// DecodeSnapshot reads one snapshot stream, returning the payload with
+// its decoded Tree.
 func DecodeSnapshot(r io.Reader) (*SnapshotPayload, error) {
 	fr := codec.NewFrameReader(r, 0)
 	f, err := fr.Read()
@@ -365,18 +280,17 @@ func DecodeSnapshot(r io.Reader) (*SnapshotPayload, error) {
 	}
 	f, err = fr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("replica: snapshot stream cut before document: %w", err)
+		return nil, fmt.Errorf("replica: snapshot stream cut before string table: %w", err)
 	}
-	var strs []string
-	if f.Kind == codec.KindStrTab {
-		base, entries, err := codec.DecodeStrTabPayload(f.Payload, false)
-		if err != nil || base != 0 {
-			return nil, fmt.Errorf("%w: snapshot string table (base %d): %v", codec.ErrInvalid, base, err)
-		}
-		strs = entries
-		if f, err = fr.Read(); err != nil {
-			return nil, fmt.Errorf("replica: snapshot stream cut before document: %w", err)
-		}
+	if f.Kind != codec.KindStrTab {
+		return nil, fmt.Errorf("%w: expected string-table frame, got %q", codec.ErrInvalid, f.Kind)
+	}
+	base, strs, err := codec.DecodeStrTabPayload(f.Payload, false)
+	if err != nil || base != 0 {
+		return nil, fmt.Errorf("%w: snapshot string table (base %d): %v", codec.ErrInvalid, base, err)
+	}
+	if f, err = fr.Read(); err != nil {
+		return nil, fmt.Errorf("replica: snapshot stream cut before document: %w", err)
 	}
 	if f.Kind != codec.KindTree {
 		return nil, fmt.Errorf("%w: expected document frame, got %q", codec.ErrInvalid, f.Kind)
@@ -385,7 +299,7 @@ func DecodeSnapshot(r io.Reader) (*SnapshotPayload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replica: snapshot document: %w", err)
 	}
-	payload.TreeValue = tree
+	payload.Tree = tree
 	f, err = fr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("replica: snapshot stream cut before trailer: %w", err)
@@ -394,12 +308,4 @@ func DecodeSnapshot(r io.Reader) (*SnapshotPayload, error) {
 		return nil, fmt.Errorf("%w: expected trailer frame, got %q", codec.ErrInvalid, f.Kind)
 	}
 	return payload, nil
-}
-
-// DecodeSnapshotDeflate is DecodeSnapshot over a flate-compressed
-// stream (Content-Encoding: deflate).
-func DecodeSnapshotDeflate(r io.Reader) (*SnapshotPayload, error) {
-	zr, done := inflate(r)
-	defer done()
-	return DecodeSnapshot(zr)
 }

@@ -2,7 +2,6 @@ package replica_test
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/json"
 	"io"
 	"log"
@@ -14,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,52 +190,6 @@ func TestRawWALPagePrefixRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALPageDeflateRoundTrip: the compressed wire — a flate stream
-// around the standard page — decodes identically and is smaller for a
-// redundant page, and every truncation of the compressed stream errors.
-func TestWALPageDeflateRoundTrip(t *testing.T) {
-	page := &replica.WALPage{Database: "x", Since: 0, LastSeq: 3, Digest: "d", Epoch: 1}
-	for i := 1; i <= 3; i++ {
-		page.Records = append(page.Records, catalog.WALRecord{Seq: uint64(i), Epoch: 1,
-			Op: core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{mustDecode(t, abA)}}})
-	}
-	var raw bytes.Buffer
-	if err := replica.EncodeWALPage(&raw, page); err != nil {
-		t.Fatal(err)
-	}
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fw.Write(raw.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if comp.Len() >= raw.Len() {
-		t.Fatalf("redundant page did not compress: %d vs %d raw bytes", comp.Len(), raw.Len())
-	}
-	got, err := replica.DecodeWALPageDeflate(bytes.NewReader(comp.Bytes()), new(codec.StrTab))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LastSeq != 3 || len(got.Records) != 3 {
-		t.Fatalf("compressed round trip = %+v", got)
-	}
-	// A flate stream is self-terminating: a cut past the final block still
-	// decompresses completely, so truncation must yield either an error or
-	// the full page — never a silently shortened one (the E trailer count
-	// guards the content).
-	for cut := 0; cut < comp.Len(); cut++ {
-		p, err := replica.DecodeWALPageDeflate(bytes.NewReader(comp.Bytes()[:cut]), new(codec.StrTab))
-		if err == nil && (p.LastSeq != 3 || len(p.Records) != 3) {
-			t.Fatalf("compressed stream cut at byte %d decoded as a partial page: %+v", cut, p)
-		}
-	}
-}
-
 // tailPage is a wal2 page the way a tailing follower meets it: its one
 // record (sequence 2, replacing the document with abC) has a strtab delta
 // based past the entries of record 1, which the page does not ship.
@@ -295,12 +249,12 @@ func (p *tailPage) frames(t testing.TB, order string) []byte {
 	return out
 }
 
-// FuzzDecompressPage: arbitrary bytes fed to the page and snapshot
-// decoders, compressed or not, over an empty table or over the table a
-// tailing follower carries in from the page before, must error or produce
-// a valid page — never panic, never hang, and never take a string-table
-// frame once a record (or another table) has gone by.
-func FuzzDecompressPage(f *testing.F) {
+// FuzzDecodeWALPage: arbitrary bytes fed to the page and snapshot
+// decoders, over an empty table or over the table a tailing follower
+// carries in from the page before, must error or produce a valid page —
+// never panic, never hang, and never take a string-table frame once a
+// record (or another table) has gone by.
+func FuzzDecodeWALPage(f *testing.F) {
 	page := &replica.WALPage{Database: "x", Since: 0, LastSeq: 1, Digest: "d", Epoch: 1,
 		Records: []catalog.WALRecord{{Seq: 1, Epoch: 1,
 			Op: core.Op{Kind: core.OpReplace, Tree: abA}}}}
@@ -308,33 +262,27 @@ func FuzzDecompressPage(f *testing.F) {
 	if err := replica.EncodeWALPage(&raw, page); err != nil {
 		f.Fatal(err)
 	}
-	deflate := func(b []byte) []byte {
-		var comp bytes.Buffer
-		fw, _ := flate.NewWriter(&comp, flate.BestSpeed)
-		fw.Write(b)
-		fw.Close()
-		return comp.Bytes()
+	var snap bytes.Buffer
+	tree := mustDecode(f, abC)
+	if err := replica.EncodeSnapshotShared(&snap, &replica.SnapshotPayload{Database: "x", Seq: 1, Digest: replica.DigestString(tree), Tree: tree}); err != nil {
+		f.Fatal(err)
 	}
 	tail := newTailPage(f)
-	f.Add(deflate(raw.Bytes()), false)
-	f.Add(raw.Bytes(), false) // uncompressed bytes on the compressed path
+	f.Add(raw.Bytes(), false) // self-contained records, no I frame
 	f.Add([]byte{0x00}, false)
-	f.Add(tail.stream(f, nil), true) // decodes over the carried table only
-	f.Add(deflate(tail.stream(f, nil)), true)
+	f.Add(tail.stream(f, nil), true)          // decodes over the carried table only
 	f.Add(tail.stream(f, tail.carried), true) // stands alone
 	f.Add(tail.stream(f, tail.carried), false)
 	f.Add(tail.frames(f, "HRIE"), true) // malformed: the table behind the record
+	f.Add(snap.Bytes(), false)
+	f.Add(tail.stream(f, nil), false) // based past a table nobody holds
 	f.Fuzz(func(t *testing.T, data []byte, seeded bool) {
-		table := func() *codec.StrTab {
-			var tab codec.StrTab
-			if seeded {
-				tab.Apply(0, tail.carried)
-			}
-			return &tab
+		var tab codec.StrTab
+		if seeded {
+			tab.Apply(0, tail.carried)
 		}
-		replica.DecodeWALPageDeflate(bytes.NewReader(data), table())
-		replica.DecodeSnapshotDeflate(bytes.NewReader(data))
-		if _, err := replica.DecodeWALPageFrom(bytes.NewReader(data), table()); err != nil {
+		replica.DecodeSnapshot(bytes.NewReader(data))
+		if _, err := replica.DecodeWALPageFrom(bytes.NewReader(data), &tab); err != nil {
 			return
 		}
 		// Accepted: the frames up to the trailer must have the shape
@@ -469,41 +417,40 @@ func TestWALPageTrailerMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotBinaryRoundTrip sends a full bootstrap payload — document,
-// schema, histories — through the binary stream and back.
-func TestSnapshotBinaryRoundTrip(t *testing.T) {
+// TestSnapshotSharedRoundTrip sends a full bootstrap payload — document
+// as dictionary I frame + shared-index arena, schema, histories — through
+// the snapshot stream and back.
+func TestSnapshotSharedRoundTrip(t *testing.T) {
 	tree := mustDecode(t, abC)
 	when := time.Date(2026, 8, 8, 9, 0, 0, 0, time.UTC)
 	payload := &replica.SnapshotPayload{
 		Database:      "x",
-		FormatVersion: 4,
+		FormatVersion: 5,
 		Seq:           7,
 		Epoch:         2,
 		Digest:        replica.DigestString(tree),
+		Tree:          tree,
 		Schema:        "<!ELEMENT addressbook (person*)>",
 		Integrations:  []integrate.Stats{{OracleCalls: 3, Components: 1}},
 		Feedback: []feedback.Event{{Query: "//q", Value: "v", PriorP: 0.5,
 			WorldsBefore: big.NewInt(4), WorldsAfter: big.NewInt(2), When: when}},
 	}
 	var buf bytes.Buffer
-	if err := replica.EncodeSnapshot(&buf, payload, tree); err != nil {
+	if err := replica.EncodeSnapshotShared(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
 	got, err := replica.DecodeSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Database != "x" || got.FormatVersion != 4 || got.Seq != 7 || got.Epoch != 2 ||
+	if got.Database != "x" || got.FormatVersion != 5 || got.Seq != 7 || got.Epoch != 2 ||
 		got.Digest != payload.Digest || got.Schema != payload.Schema {
 		t.Fatalf("snapshot header round trip = %+v", got)
 	}
-	if got.Tree != "" {
-		t.Fatalf("binary snapshot filled the XML field: %q", got.Tree)
-	}
-	if got.TreeValue == nil || !pxml.Equal(got.TreeValue.Root(), tree.Root()) {
+	if got.Tree == nil || !pxml.Equal(got.Tree.Root(), tree.Root()) {
 		t.Fatal("snapshot document differs after round trip")
 	}
-	if replica.DigestString(got.TreeValue) != payload.Digest {
+	if replica.DigestString(got.Tree) != payload.Digest {
 		t.Fatal("decoded document digest mismatch")
 	}
 	if len(got.Integrations) != 1 || got.Integrations[0].OracleCalls != 3 {
@@ -514,45 +461,9 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 		t.Fatalf("feedback = %+v", got.Feedback)
 	}
 
-	if err := replica.EncodeSnapshot(&bytes.Buffer{}, payload, nil); err == nil {
-		t.Fatal("EncodeSnapshot accepted a nil tree")
-	}
-}
-
-// TestSnapshotSharedRoundTrip: the wal2 bootstrap stream — dictionary I
-// frame + shared-index document — decodes to the same tree through the
-// one DecodeSnapshot entry point and rejects every truncation.
-func TestSnapshotSharedRoundTrip(t *testing.T) {
-	tree := mustDecode(t, abC)
-	payload := &replica.SnapshotPayload{
-		Database:      "x",
-		FormatVersion: 5,
-		Seq:           7,
-		Epoch:         2,
-		Digest:        replica.DigestString(tree),
-		Schema:        "<!ELEMENT addressbook (person*)>",
-	}
-	var buf bytes.Buffer
-	if err := replica.EncodeSnapshotShared(&buf, payload, tree); err != nil {
-		t.Fatal(err)
-	}
-	got, err := replica.DecodeSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Database != "x" || got.Seq != 7 || got.Epoch != 2 || got.Schema != payload.Schema {
-		t.Fatalf("shared snapshot header round trip = %+v", got)
-	}
-	if got.TreeValue == nil || !pxml.Equal(got.TreeValue.Root(), tree.Root()) {
-		t.Fatal("shared snapshot document differs after round trip")
-	}
-	if replica.DigestString(got.TreeValue) != payload.Digest {
-		t.Fatal("decoded document digest mismatch")
-	}
-	for cut := 0; cut < buf.Len(); cut++ {
-		if _, err := replica.DecodeSnapshot(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
-			t.Fatalf("shared stream cut at byte %d decoded as a full snapshot", cut)
-		}
+	payload.Tree = nil
+	if err := replica.EncodeSnapshotShared(&bytes.Buffer{}, payload); err == nil {
+		t.Fatal("EncodeSnapshotShared accepted a nil tree")
 	}
 }
 
@@ -560,9 +471,9 @@ func TestSnapshotSharedRoundTrip(t *testing.T) {
 // error — a half-received bootstrap must never install.
 func TestSnapshotTruncationRejected(t *testing.T) {
 	tree := mustDecode(t, abA)
-	payload := &replica.SnapshotPayload{Database: "x", FormatVersion: 4, Seq: 1, Epoch: 1, Digest: replica.DigestString(tree)}
+	payload := &replica.SnapshotPayload{Database: "x", FormatVersion: 5, Seq: 1, Epoch: 1, Digest: replica.DigestString(tree), Tree: tree}
 	var buf bytes.Buffer
-	if err := replica.EncodeSnapshot(&buf, payload, tree); err != nil {
+	if err := replica.EncodeSnapshotShared(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -573,42 +484,10 @@ func TestSnapshotTruncationRejected(t *testing.T) {
 	}
 }
 
-// primaryStatus fetches GET /replication from a test server.
-func primaryStatus(t *testing.T, url string) replica.PrimaryStatus {
-	t.Helper()
-	resp, err := http.Get(url + "/replication")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var ps replica.PrimaryStatus
-	if err := json.NewDecoder(resp.Body).Decode(&ps); err != nil {
-		t.Fatal(err)
-	}
-	return ps
-}
-
-// peerEncoding returns the single negotiated encoding the primary
-// recorded for its follower(s), failing on none or a mix.
-func peerEncoding(t *testing.T, ps replica.PrimaryStatus) string {
-	t.Helper()
-	if len(ps.Peers) == 0 {
-		t.Fatalf("primary recorded no peers: %+v", ps)
-	}
-	enc := ""
-	for _, e := range ps.Peers {
-		if enc != "" && e != enc {
-			t.Fatalf("mixed peer encodings: %+v", ps.Peers)
-		}
-		enc = e
-	}
-	return enc
-}
-
-// TestReplicationWireNegotiationBinary: a current follower against a
-// current primary negotiates the binary wire for both the snapshot
-// bootstrap and the WAL tail, converges, and both ends report the
-// negotiated encoding.
+// TestReplicationWireNegotiationBinary: a follower bootstraps and tails
+// over the wal2 wire, converges, and the primary's /stats counts what it
+// shipped: one snapshot, the pages, and their bytes — payload_bytes and
+// wire_bytes alike, since nothing compresses them.
 func TestReplicationWireNegotiationBinary(t *testing.T) {
 	cat, ts := startPrimary(t)
 	pdb, err := cat.Create("x")
@@ -641,12 +520,8 @@ func TestReplicationWireNegotiationBinary(t *testing.T) {
 	waitCaughtUp(t, rep)
 	assertConverged(t, pdb.Core(), fdb.Core())
 
-	// A current pair converges on the compressed wal2 wire by default.
-	if st := rep.Status(); st.WireEncoding != replica.WireBinaryFlate {
-		t.Fatalf("replica negotiated %q, want %q", st.WireEncoding, replica.WireBinaryFlate)
-	}
-	if enc := peerEncoding(t, primaryStatus(t, ts.URL)); enc != replica.WireBinaryFlate {
-		t.Fatalf("primary recorded peer encoding %q, want %q", enc, replica.WireBinaryFlate)
+	if w := wireCounters(t, ts.URL); w.Snapshots != 1 || w.Pages == 0 || w.WireBytes == 0 || w.PayloadBytes != w.WireBytes {
+		t.Fatalf("wire section after bootstrap and tail: %+v", w)
 	}
 }
 
@@ -690,17 +565,16 @@ func wireCounters(t *testing.T, url string) server.WireStats {
 	return *st.Wire
 }
 
-// TestReplicationWireNegotiationMixedVersions: one primary feeding every
-// generation of follower at once — a current one (compressed wal2, naming
-// the table it holds), a binary-v1 one (what an older build sends), a
-// wal2-no-compression one, a current one whose primary is older than the
+// TestReplicationWireNegotiationMixedVersions: the tab= mark across
+// follower and primary generations. One primary feeds, at once, a
+// follower naming the table it holds, one whose primary is older than the
 // tab= parameter (a proxy strips it: the prefix always comes), and one
-// whose tab= names the right length with the wrong checksum — each
-// negotiates its own wire, all converge on the same document and
-// histories, and none needs a second snapshot to get there. A follower
-// that keeps no table at all still gets pages that stand alone. Then the
-// primary is deposed: a follower that built its table from the old
-// primary's stream re-points to the promoted node and converges there.
+// whose tab= names the right length with the wrong checksum — all
+// converge on the same document and histories, and none needs a second
+// snapshot to get there. A follower that sends no tab= at all still gets
+// pages that stand alone. Then the primary is deposed: a follower that
+// built its table from the old primary's stream re-points to the
+// promoted node and converges there.
 func TestReplicationWireNegotiationMixedVersions(t *testing.T) {
 	cat, ts := startPrimary(t)
 	pdb, err := cat.Create("x")
@@ -731,23 +605,14 @@ func TestReplicationWireNegotiationMixedVersions(t *testing.T) {
 		}
 		return false
 	})
-	variants := []struct {
-		name    string
-		primary string
-		mut     func(*replica.Options)
-		want    string
-	}{
-		{"current", ts.URL, func(o *replica.Options) {}, replica.WireBinaryFlate},
-		{"binary1", ts.URL, func(o *replica.Options) { o.WireEncoding = replica.WireBinaryV1 }, replica.WireBinaryV1},
-		{"uncompressed", ts.URL, func(o *replica.Options) { o.NoCompression = true }, replica.WireBinary},
-		{"primary-ignores-tab", noTab.URL, func(o *replica.Options) {}, replica.WireBinaryFlate},
-		{"wrong-checksum", wrongSum.URL, func(o *replica.Options) {}, replica.WireBinaryFlate},
+	variants := []struct{ name, primary string }{
+		{"current", ts.URL},
+		{"primary-ignores-tab", noTab.URL},
+		{"wrong-checksum", wrongSum.URL},
 	}
 	var reps []*replica.Replica
 	for _, v := range variants {
-		opts := fastOptions(v.primary)
-		v.mut(&opts)
-		rep, err := replica.Open(t.TempDir(), opts)
+		rep, err := replica.Open(t.TempDir(), fastOptions(v.primary))
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
@@ -776,11 +641,7 @@ func TestReplicationWireNegotiationMixedVersions(t *testing.T) {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		assertConverged(t, pdb.Core(), fdb.Core())
-		st := reps[i].Status()
-		if st.WireEncoding != v.want {
-			t.Fatalf("%s follower negotiated %q, want %q", v.name, st.WireEncoding, v.want)
-		}
-		if d := st.Databases[0]; d.SnapshotsInstalled != 1 || d.Divergences != 0 {
+		if d := reps[i].Status().Databases[0]; d.SnapshotsInstalled != 1 || d.Divergences != 0 {
 			t.Fatalf("%s follower: %d snapshot(s), %d divergence(s); want the bootstrap alone", v.name, d.SnapshotsInstalled, d.Divergences)
 		}
 	}
@@ -789,17 +650,15 @@ func TestReplicationWireNegotiationMixedVersions(t *testing.T) {
 		t.Fatalf("proxies saw %d and %d tab= parameters: the followers are not naming their tables", stripped, flipped)
 	}
 	mu.Unlock()
-	// Only the current and the uncompressed follower can have been spared
-	// a prefix — and after the first round they were.
+	// Only the current follower can have been spared a prefix — and after
+	// the first round it was.
 	if w := wireCounters(t, ts.URL); w.PrefixSkipped == 0 {
 		t.Fatalf("no page went out without its prefix: %+v", w)
 	}
 
-	// A wal2 follower that sends no tab= (one built before this parameter)
+	// A follower that sends no tab= (one built before this parameter)
 	// gets, mid-segment, a page that decodes over an empty table.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/dbs/x/wal?since=3", nil)
-	req.Header.Set("Accept", replica.ContentTypeBinary2)
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get(ts.URL + "/dbs/x/wal?since=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -810,12 +669,12 @@ func TestReplicationWireNegotiationMixedVersions(t *testing.T) {
 	}
 
 	// Failover. reps[0] ("current") holds the table of the old primary's
-	// stream; reps[2] is promoted and fences the old primary, which then
-	// names its successor. The promoted node journaled the same ops into
+	// stream; reps[1] is promoted and fences the old primary (through the
+	// proxy it follows), which then names its successor. The promoted node journaled the same ops into
 	// its own segments — it bootstrapped at 1, so its table lacks what the
 	// old primary's record 1 interned — and the follower's mark cannot be
 	// taken for one of its own.
-	promoted := server.NewReplica(reps[2], server.Options{})
+	promoted := server.NewReplica(reps[1], server.Options{})
 	defer promoted.Close()
 	pts := httptest.NewServer(promoted.Handler())
 	defer pts.Close()
@@ -841,7 +700,7 @@ func TestReplicationWireNegotiationMixedVersions(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	waitCaughtUp(t, reps[0])
-	ndb, err := reps[2].Catalog().Get("x")
+	ndb, err := reps[1].Catalog().Get("x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -858,11 +717,13 @@ func TestReplicationWireNegotiationMixedVersions(t *testing.T) {
 	}
 }
 
-// TestReplicationWireJSONFallback: a follower configured JSON-only (an
-// old build, as far as the primary can tell: it never sends the Accept
-// header) still bootstraps and tails from a binary-capable primary, and
-// both ends report the JSON fallback.
-func TestReplicationWireJSONFallback(t *testing.T) {
+// TestReplicationRejectsNonWAL2Reply: a primary that answers /wal or
+// /snapshot in anything but the wal2 stream — here a JSON body, what a
+// build before the binary wire would send — fails the follower's round
+// with an error naming the type it got. The error shows as last_error,
+// and nothing local moves: no record applied, no snapshot installed, even
+// when a 410 sends the follower to /snapshot for a resync.
+func TestReplicationRejectsNonWAL2Reply(t *testing.T) {
 	cat, ts := startPrimary(t)
 	pdb, err := cat.Create("x")
 	if err != nil {
@@ -871,35 +732,74 @@ func TestReplicationWireJSONFallback(t *testing.T) {
 	if _, err := pdb.Core().IntegrateXMLString(abA); err != nil {
 		t.Fatal(err)
 	}
-	opts := fastOptions(ts.URL)
-	opts.WireEncoding = replica.WireJSON
-	rep, err := replica.Open(t.TempDir(), opts)
+	dir := t.TempDir()
+	rep, err := replica.Open(dir, fastOptions(ts.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, rep)
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pdb.Core().IntegrateXMLString(abB); err != nil {
+		t.Fatal(err)
+	}
+
+	var gone atomic.Bool // /wal answers 410, so the follower resyncs
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/replication":
+			json.NewEncoder(w).Encode(replica.PrimaryStatus{Role: "primary",
+				Databases: []replica.PrimaryDBStatus{{Name: "x", LastSeq: pdb.LastSeq()}}})
+		case strings.HasSuffix(r.URL.Path, "/wal"):
+			if gone.Load() {
+				http.Error(w, "gone", http.StatusGone)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(map[string]any{"database": "x", "since": 1, "last_seq": 2, "records": []any{}})
+		case strings.HasSuffix(r.URL.Path, "/snapshot"):
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(map[string]any{"database": "x", "seq": 2, "tree": abB})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer stub.Close()
+	rep, err = replica.Open(dir, fastOptions(stub.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	waitCaughtUp(t, rep)
 	fdb, err := rep.Catalog().Get("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertConverged(t, pdb.Core(), fdb.Core())
-
-	// The primary's log holds binary records (default WAL encoding); the
-	// JSON wire path must portably re-encode them, trees included.
-	if _, err := pdb.Core().IntegrateXMLString(abB); err != nil {
-		t.Fatal(err)
+	before := replica.DigestString(fdb.Core().Tree())
+	waitError := func(path string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := rep.Status()
+			if len(st.Databases) == 1 {
+				if e := st.Databases[0].LastError; strings.Contains(e, path) && strings.Contains(e, `"application/json"`) {
+					return
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no last_error naming the JSON reply to %s: %+v", path, st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
-	if _, err := pdb.Core().Feedback(`//person[nm="John"]/tel`, "2222", false); err != nil {
-		t.Fatal(err)
+	waitError("/wal")
+	gone.Store(true)
+	waitError("/snapshot")
+	d := rep.Status().Databases[0]
+	if d.SnapshotsInstalled != 0 || d.OpsApplied != 0 || d.Divergences != 0 {
+		t.Fatalf("a rejected reply moved local state: %+v", d)
 	}
-	waitCaughtUp(t, rep)
-	assertConverged(t, pdb.Core(), fdb.Core())
-
-	if st := rep.Status(); st.WireEncoding != replica.WireJSON {
-		t.Fatalf("replica negotiated %q, want %q", st.WireEncoding, replica.WireJSON)
-	}
-	if enc := peerEncoding(t, primaryStatus(t, ts.URL)); enc != replica.WireJSON {
-		t.Fatalf("primary recorded peer encoding %q, want %q", enc, replica.WireJSON)
+	if fdb.LastSeq() != 1 || replica.DigestString(fdb.Core().Tree()) != before {
+		t.Fatalf("local database at seq %d, digest changed: %v", fdb.LastSeq(), replica.DigestString(fdb.Core().Tree()) != before)
 	}
 }

@@ -271,8 +271,7 @@ func TestSplitBrainDeposedPrimaryFenced(t *testing.T) {
 	// The deposed primary's ship is live wire data from its /wal — and
 	// the promoted node rejects it with ErrStaleEpoch: a fresh sequence
 	// number claimed under a stale term.
-	var page replica.WALPage
-	getJSON(t, tsA.URL+"/dbs/x/wal?since=2", http.StatusOK, &page)
+	page := getWire(t, tsA.URL+"/dbs/x/wal?since=2", http.StatusOK, replica.DecodeWALPage)
 	if page.Epoch != 0 || len(page.Records) != 1 {
 		t.Fatalf("stale primary page = epoch %d, %d record(s); want epoch 0, 1 record", page.Epoch, len(page.Records))
 	}

@@ -7,16 +7,12 @@
 package server
 
 import (
-	"compress/flate"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/replica"
 	"repro/internal/store"
-	"repro/internal/xmlcodec"
 )
 
 const (
@@ -35,33 +30,11 @@ const (
 	maxWALWait = 30 * time.Second
 )
 
-// negotiateWire picks the replication wire for a request from its
-// Accept header: the strtab-capable wal2 binary wire, the original wal1
-// binary wire, or the JSON fallback every build speaks. wal2 MUST be
-// tested first — the wal1 media type is a substring of wal2's, so a
-// wal2 offer always also matches the wal1 check (that is what lets an
-// old primary degrade a new follower to wal1).
-func negotiateWire(r *http.Request) string {
-	accept := r.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, replica.ContentTypeBinary2):
-		return replica.WireBinary
-	case strings.Contains(accept, replica.ContentTypeBinary):
-		return replica.WireBinaryV1
-	default:
-		return replica.WireJSON
-	}
-}
-
-// wireCounters are the server's binary-replication byte counters:
-// payloadBytes is what the encoders produced, wireBytes what actually
-// went on the wire (equal when uncompressed; the gap is the compression
-// win /stats reports).
+// wireCounters are the server's replication-wire counters: pages and
+// snapshots served, pages that went out with records but no I frame,
+// and the bytes written for all of them.
 type wireCounters struct {
-	pages, pagesCompressed         atomic.Int64
-	prefixSkipped                  atomic.Int64 // wal2 pages with records and no I frame
-	snapshots, snapshotsCompressed atomic.Int64
-	payloadBytes, wireBytes        atomic.Int64
+	pages, prefixSkipped, snapshots, bytes atomic.Int64
 }
 
 // countingWriter counts bytes into an atomic sink as they pass through.
@@ -76,61 +49,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// compressIfOffered prepares the response writer for a wal2 binary
-// body: when the requester offered deflate and compression is enabled,
-// the returned writer compresses (Content-Encoding is set before any
-// byte is written) and finish must be called after encoding to flush
-// the compressor. Either way the writer pair feeds the server's
-// payload/wire byte counters, so /stats can report the compression
-// ratio actually achieved.
-func (s *Server) compressIfOffered(w http.ResponseWriter, r *http.Request) (out io.Writer, finish func(), compressed bool) {
-	wireW := &countingWriter{w: w, n: &s.wire.wireBytes}
-	if s.opts.NoWireCompression ||
-		!strings.Contains(r.Header.Get("Accept-Encoding"), replica.ContentEncodingDeflate) {
-		return &countingWriter{w: wireW, n: &s.wire.payloadBytes}, func() {}, false
-	}
-	w.Header().Set("Content-Encoding", replica.ContentEncodingDeflate)
-	// BestSpeed: the wire is latency-sensitive and the framed binary
-	// payloads are already compact; the win is mostly repeated tags and
-	// text, which the fastest level captures too.
-	fw := flateWriters.Get().(*flate.Writer)
-	fw.Reset(wireW)
-	return &countingWriter{w: fw, n: &s.wire.payloadBytes}, func() { fw.Close(); flateWriters.Put(fw) }, true
-}
-
-// flateWriters keeps compressor state (≈ 0.9 MB a flate.Writer, far more
-// than the page it deflates) across responses.
-var flateWriters = sync.Pool{New: func() any {
-	fw, _ := flate.NewWriter(nil, flate.BestSpeed)
-	return fw
-}}
-
-// notePeer records the wire encoding served to a replication peer, keyed
-// by remote host — the per-peer negotiation surface /replication and
-// verbose /healthz report.
-func (s *Server) notePeer(r *http.Request, encoding string) {
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		host = r.RemoteAddr
-	}
-	s.peerMu.Lock()
-	s.peers[host] = encoding
-	s.peerMu.Unlock()
-}
-
-// peerEncodings snapshots the per-peer negotiated encodings (nil when no
-// peer fetched yet, so the JSON field stays omitted).
-func (s *Server) peerEncodings() map[string]string {
-	s.peerMu.Lock()
-	defer s.peerMu.Unlock()
-	if len(s.peers) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(s.peers))
-	for k, v := range s.peers {
-		out[k] = v
-	}
-	return out
+// wireWriter starts a wal2 response: it sets the one Content-Type the
+// replication endpoints answer with and returns a writer that counts
+// what goes out.
+func (s *Server) wireWriter(w http.ResponseWriter) io.Writer {
+	w.Header().Set("Content-Type", replica.ContentType)
+	return &countingWriter{w: w, n: &s.wire.bytes}
 }
 
 // ReadOnlyError is the 403 body a replica answers mutations with: the
@@ -232,29 +156,16 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, t target) {
 		writeError(w, http.StatusConflict, "wal: this node is at epoch %d, the cluster has moved to %d (stepping down)", local, followerEpoch)
 		return
 	}
-	// The wire encoding decides how records are read: the wal2 binary
-	// wire ships raw on-disk payload bytes (no decode, no re-encode) plus
-	// the string-table prefix they assume; the wal1 binary wire and the
-	// JSON wire need decoded records — an old binary follower cannot
-	// resolve shared-dictionary (v3) payloads, so those are re-encoded
-	// self-contained per record.
-	wire := negotiateWire(r)
-	rawWire := wire == replica.WireBinary
-	var recs []catalog.WALRecord
+	// Records ship as the raw payload bytes the log holds (no decode, no
+	// re-encode), behind the string-table prefix they assume.
 	var raws []catalog.RawWALRecord
 	var prefix []string
 	if wait > 0 {
 		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		if rawWire {
-			raws, prefix, err = t.cdb.WaitRawOps(ctx, since, limit, have)
-		} else {
-			recs, err = t.cdb.WaitOps(ctx, since, limit)
-		}
+		raws, prefix, err = t.cdb.WaitRawOps(ctx, since, limit, have)
 		cancel()
-	} else if rawWire {
-		raws, prefix, err = t.cdb.RawOpsSince(since, limit, have)
 	} else {
-		recs, err = t.cdb.OpsSince(since, limit)
+		raws, prefix, err = t.cdb.RawOpsSince(since, limit, have)
 	}
 	switch {
 	case errors.Is(err, catalog.ErrSeqGone):
@@ -263,9 +174,6 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, t target) {
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, "wal: %v", err)
 		return
-	}
-	if recs == nil {
-		recs = []catalog.WALRecord{}
 	}
 	// The (seq, digest) pair comes from one consistent snapshot, so a
 	// follower reaching LastSeq can compare trees structurally.
@@ -276,54 +184,21 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, t target) {
 		LastSeq:  seq,
 		Digest:   replica.DigestString(tree),
 		Epoch:    t.cdb.Epoch(),
-		Records:  recs,
 	}
-	switch wire {
-	case replica.WireBinary:
-		out, finish, compressed := s.compressIfOffered(w, r)
-		enc := replica.WireBinary
-		if compressed {
-			enc = replica.WireBinaryFlate
-			s.wire.pagesCompressed.Add(1)
-		}
-		s.wire.pages.Add(1)
-		if len(raws) > 0 && len(prefix) == 0 {
-			s.wire.prefixSkipped.Add(1)
-		}
-		s.notePeer(r, enc)
-		w.Header().Set("Content-Type", replica.ContentTypeBinary2)
-		// Headers are out once the first frame is written; a mid-stream
-		// encode failure can only cut the connection, which the follower
-		// detects as a truncated stream and retries.
-		if err := replica.EncodeRawWALPage(out, &page, raws, prefix); err != nil {
-			s.logf("wal: %s: streaming page since %d: %v", t.name, since, err)
-		}
-		finish()
-		return
-	case replica.WireBinaryV1:
-		s.wire.pages.Add(1)
-		s.notePeer(r, replica.WireBinaryV1)
-		w.Header().Set("Content-Type", replica.ContentTypeBinary)
-		out := &countingWriter{w: &countingWriter{w: w, n: &s.wire.wireBytes}, n: &s.wire.payloadBytes}
-		if err := replica.EncodeWALPage(out, &page); err != nil {
-			s.logf("wal: %s: streaming v1 page since %d: %v", t.name, since, err)
-		}
-		return
+	s.wire.pages.Add(1)
+	if len(raws) > 0 && len(prefix) == 0 {
+		s.wire.prefixSkipped.Add(1)
 	}
-	s.notePeer(r, replica.WireJSON)
-	// Binary-logged records carry their documents only in decoded form;
-	// materialize the XML string fields the JSON wire needs.
-	for i := range page.Records {
-		if err := page.Records[i].Op.EncodePortable(); err != nil {
-			writeError(w, http.StatusInternalServerError, "wal: encoding record %d: %v", page.Records[i].Seq, err)
-			return
-		}
+	// Headers are out once the first frame is written; a mid-stream
+	// encode failure can only cut the connection, which the follower
+	// detects as a truncated stream and retries.
+	if err := replica.EncodeRawWALPage(s.wireWriter(w), &page, raws, prefix); err != nil {
+		s.logf("wal: %s: streaming page since %d: %v", t.name, since, err)
 	}
-	writeJSON(w, http.StatusOK, page)
 }
 
 // handleSnapshot serves the database's full current state — the payload a
-// follower bootstraps from, mirroring the v2 store snapshot format.
+// follower bootstraps from, mirroring the store snapshot format.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, t target) {
 	if t.cdb == nil {
 		writeError(w, http.StatusServiceUnavailable, "snapshot: replication requires a durable catalog (start the server with a data directory)")
@@ -345,6 +220,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, t target
 		Seq:           v.Seq,
 		Epoch:         epoch,
 		Digest:        replica.DigestString(v.Tree),
+		Tree:          v.Tree,
 		Integrations:  v.Integrations,
 		Feedback:      v.Events,
 		Pending:       pending,
@@ -352,42 +228,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, t target
 	if v.Schema != nil {
 		payload.Schema = v.Schema.String()
 	}
-	switch negotiateWire(r) {
-	case replica.WireBinary:
-		out, finish, compressed := s.compressIfOffered(w, r)
-		enc := replica.WireBinary
-		if compressed {
-			enc = replica.WireBinaryFlate
-			s.wire.snapshotsCompressed.Add(1)
-		}
-		s.wire.snapshots.Add(1)
-		s.notePeer(r, enc)
-		w.Header().Set("Content-Type", replica.ContentTypeBinary2)
-		if err := replica.EncodeSnapshotShared(out, &payload, v.Tree); err != nil {
-			s.logf("snapshot: %s: streaming: %v", t.name, err)
-		}
-		finish()
-		return
-	case replica.WireBinaryV1:
-		s.wire.snapshots.Add(1)
-		s.notePeer(r, replica.WireBinaryV1)
-		w.Header().Set("Content-Type", replica.ContentTypeBinary)
-		out := &countingWriter{w: &countingWriter{w: w, n: &s.wire.wireBytes}, n: &s.wire.payloadBytes}
-		if err := replica.EncodeSnapshot(out, &payload, v.Tree); err != nil {
-			s.logf("snapshot: %s: streaming: %v", t.name, err)
-		}
-		return
+	s.wire.snapshots.Add(1)
+	if err := replica.EncodeSnapshotShared(s.wireWriter(w), &payload); err != nil {
+		s.logf("snapshot: %s: streaming: %v", t.name, err)
 	}
-	s.notePeer(r, replica.WireJSON)
-	// KeepTrivial matches the journal encoding: the round trip preserves
-	// structure (pxml.Equal), which is what replay determinism needs.
-	tree, err := xmlcodec.EncodeString(v.Tree, xmlcodec.EncodeOptions{KeepTrivial: true})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
-		return
-	}
-	payload.Tree = tree
-	writeJSON(w, http.StatusOK, payload)
 }
 
 // replicaReplicationResponse is the /replication body on a replica: the
@@ -409,7 +253,6 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {
 	ps := replica.PrimaryStatus{Role: s.role(), Primary: s.primaryHint(), Databases: []replica.PrimaryDBStatus{}}
 	if s.cat != nil {
 		ps.Epoch = s.cat.Epoch()
-		ps.Peers = s.peerEncodings()
 		for _, db := range s.cat.List() {
 			tree, seq := db.Core().TreeSeq()
 			st := db.Stats()
@@ -462,14 +305,9 @@ type HealthResponse struct {
 	Role    string `json:"role,omitempty"`
 	Primary string `json:"primary,omitempty"`
 	// Epoch is the node's cluster epoch (catalog and replica modes).
-	Epoch     *uint64 `json:"epoch,omitempty"`
-	Connected *bool   `json:"connected,omitempty"`
-	// WireEncoding is, on a replica, the encoding its last replication
-	// fetch negotiated; Peers maps, on a primary, follower hosts to the
-	// encoding each was last served.
-	WireEncoding string            `json:"wire_encoding,omitempty"`
-	Peers        map[string]string `json:"peers,omitempty"`
-	Databases    []HealthDB        `json:"databases,omitempty"`
+	Epoch     *uint64    `json:"epoch,omitempty"`
+	Connected *bool      `json:"connected,omitempty"`
+	Databases []HealthDB `json:"databases,omitempty"`
 }
 
 // handleHealthz is the liveness probe — O(1) by default on purpose, so
@@ -502,7 +340,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Primary = st.Primary
 		connected := st.Connected
 		resp.Connected = &connected
-		resp.WireEncoding = st.WireEncoding
 		lagByName = make(map[string]replica.DBStatus, len(st.Databases))
 		for _, d := range st.Databases {
 			lagByName[d.Name] = d
@@ -513,7 +350,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Databases = []HealthDB{}
 	if s.cat != nil {
-		resp.Peers = s.peerEncodings()
 		for _, db := range s.cat.List() {
 			st := db.Stats()
 			row := HealthDB{

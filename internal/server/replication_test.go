@@ -59,6 +59,35 @@ func getJSON(t *testing.T, url string, want int, v any) []byte {
 	return data
 }
 
+// getWire GETs a replication endpoint (/wal or /snapshot) without an
+// Accept header and checks the status. A 200 must be the wal2 stream
+// all the same; decode (replica.DecodeWALPage or replica.DecodeSnapshot)
+// reads it. Any other status returns the zero value.
+func getWire[T any](t *testing.T, url string, want int, decode func(io.Reader) (T, error)) T {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	var zero T
+	if resp.StatusCode != want {
+		data, _ := io.ReadAll(resp.Body)
+		t.Fatalf("GET %s: status %d, want %d; body %s", url, resp.StatusCode, want, data)
+	}
+	if want != http.StatusOK {
+		return zero
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != replica.ContentType {
+		t.Fatalf("GET %s: Content-Type %q, want %q", url, ct, replica.ContentType)
+	}
+	v, err := decode(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: decoding: %v", url, err)
+	}
+	return v
+}
+
 // TestWALEndpoint covers the log-shipping read API: paging, the
 // consistent (seq, digest) header, long-poll wakeup, and 410 for
 // unservable positions.
@@ -75,8 +104,7 @@ func TestWALEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var page replica.WALPage
-	getJSON(t, ts.URL+"/dbs/x/wal?since=0", http.StatusOK, &page)
+	page := getWire(t, ts.URL+"/dbs/x/wal?since=0", http.StatusOK, replica.DecodeWALPage)
 	if page.Database != "x" || page.LastSeq != 2 || len(page.Records) != 2 {
 		t.Fatalf("wal page %+v", page)
 	}
@@ -87,14 +115,14 @@ func TestWALEndpoint(t *testing.T) {
 		t.Fatalf("first record %+v", page.Records[0])
 	}
 
-	getJSON(t, ts.URL+"/dbs/x/wal?since=1&limit=1", http.StatusOK, &page)
+	page = getWire(t, ts.URL+"/dbs/x/wal?since=1&limit=1", http.StatusOK, replica.DecodeWALPage)
 	if len(page.Records) != 1 || page.Records[0].Seq != 2 {
 		t.Fatalf("paged wal %+v", page)
 	}
 
 	// Caught-up long-poll returns empty after the wait.
 	start := time.Now()
-	getJSON(t, ts.URL+"/dbs/x/wal?since=2&wait=80", http.StatusOK, &page)
+	page = getWire(t, ts.URL+"/dbs/x/wal?since=2&wait=80", http.StatusOK, replica.DecodeWALPage)
 	if len(page.Records) != 0 {
 		t.Fatalf("caught-up poll returned %d records", len(page.Records))
 	}
@@ -104,14 +132,13 @@ func TestWALEndpoint(t *testing.T) {
 
 	// A commit unblocks a parked long-poll.
 	type res struct {
-		page replica.WALPage
+		page *replica.WALPage
 		dur  time.Duration
 	}
 	ch := make(chan res, 1)
 	go func() {
 		start := time.Now()
-		var p replica.WALPage
-		getJSON(t, ts.URL+"/dbs/x/wal?since=2&wait=10000", http.StatusOK, &p)
+		p := getWire(t, ts.URL+"/dbs/x/wal?since=2&wait=10000", http.StatusOK, replica.DecodeWALPage)
 		ch <- res{p, time.Since(start)}
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -131,14 +158,38 @@ func TestWALEndpoint(t *testing.T) {
 	}
 
 	// Beyond-the-log positions are 410 (the follower must bootstrap).
-	getJSON(t, ts.URL+"/dbs/x/wal?since=99", http.StatusGone, nil)
+	getWire(t, ts.URL+"/dbs/x/wal?since=99", http.StatusGone, replica.DecodeWALPage)
 	// Bad parameters are 400.
-	getJSON(t, ts.URL+"/dbs/x/wal?since=-1", http.StatusBadRequest, nil)
-	getJSON(t, ts.URL+"/dbs/x/wal?wait=x", http.StatusBadRequest, nil)
-	getJSON(t, ts.URL+"/dbs/x/wal?limit=-1", http.StatusBadRequest, nil)
-	getJSON(t, ts.URL+"/dbs/x/wal?epoch=1e3", http.StatusBadRequest, nil)
+	getWire(t, ts.URL+"/dbs/x/wal?since=-1", http.StatusBadRequest, replica.DecodeWALPage)
+	getWire(t, ts.URL+"/dbs/x/wal?wait=x", http.StatusBadRequest, replica.DecodeWALPage)
+	getWire(t, ts.URL+"/dbs/x/wal?limit=-1", http.StatusBadRequest, replica.DecodeWALPage)
+	getWire(t, ts.URL+"/dbs/x/wal?epoch=1e3", http.StatusBadRequest, replica.DecodeWALPage)
 	for _, tab := range []string{"x", "3", "3-", "3-zz", "-3-00000000", "3-0", "3-00000000x", "3-0000000G"} {
-		getJSON(t, ts.URL+"/dbs/x/wal?since=1&tab="+tab, http.StatusBadRequest, nil)
+		getWire(t, ts.URL+"/dbs/x/wal?since=1&tab="+tab, http.StatusBadRequest, replica.DecodeWALPage)
+	}
+
+	// The Accept header does not choose the format: asking for JSON gets
+	// the wal2 stream too.
+	for _, path := range []string{"/dbs/x/wal?since=2", "/dbs/x/snapshot"} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		req.Header.Set("Accept", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != replica.ContentType {
+			t.Fatalf("GET %s with Accept: application/json: %s, Content-Type %q", path, resp.Status, ct)
+		}
+	}
+
+	// A follower that has seen a higher epoch deposes this node: 409, and
+	// it steps down.
+	getWire(t, ts.URL+"/dbs/x/wal?since=3&epoch=5", http.StatusConflict, replica.DecodeWALPage)
+	var ps replica.PrimaryStatus
+	getJSON(t, ts.URL+"/replication", http.StatusOK, &ps)
+	if ps.Role != "demoted" {
+		t.Fatalf("after a wal request at a higher epoch the node is %q, want demoted", ps.Role)
 	}
 }
 
@@ -163,9 +214,7 @@ func TestReplicationShipCostCounters(t *testing.T) {
 	var tab codec.StrTab
 	fetch := func(query string) (page *replica.WALPage, prefixed bool) {
 		t.Helper()
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/dbs/x/wal?"+query, nil)
-		req.Header.Set("Accept", replica.ContentTypeBinary2)
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := http.Get(ts.URL + "/dbs/x/wal?" + query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,9 +303,8 @@ func TestWALEndpointGoneAfterCompaction(t *testing.T) {
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	getJSON(t, ts.URL+"/dbs/x/wal?since=0", http.StatusGone, nil)
-	var page replica.WALPage
-	getJSON(t, ts.URL+"/dbs/x/wal?since=2", http.StatusOK, &page)
+	getWire(t, ts.URL+"/dbs/x/wal?since=0", http.StatusGone, replica.DecodeWALPage)
+	page := getWire(t, ts.URL+"/dbs/x/wal?since=2", http.StatusOK, replica.DecodeWALPage)
 	if len(page.Records) != 0 {
 		t.Fatalf("snapshot-position poll returned %d records", len(page.Records))
 	}
@@ -276,15 +324,11 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if _, err := db.Core().IntegrateXMLString(abookB); err != nil {
 		t.Fatal(err)
 	}
-	var payload replica.SnapshotPayload
-	getJSON(t, ts.URL+"/dbs/x/snapshot", http.StatusOK, &payload)
+	payload := getWire(t, ts.URL+"/dbs/x/snapshot", http.StatusOK, replica.DecodeSnapshot)
 	if payload.Database != "x" || payload.Seq != 2 || payload.FormatVersion == 0 {
 		t.Fatalf("snapshot payload header %+v", payload)
 	}
-	tree, err := xmlcodec.DecodeString(payload.Tree)
-	if err != nil {
-		t.Fatalf("snapshot tree does not decode: %v", err)
-	}
+	tree := payload.Tree
 	if !pxml.Equal(tree.Root(), db.Core().Tree().Root()) {
 		t.Fatal("snapshot tree differs from the live tree")
 	}
@@ -336,8 +380,8 @@ func TestReplicationStatusStandalone(t *testing.T) {
 		t.Fatalf("standalone replication status %+v", ps)
 	}
 	// Log shipping itself needs a catalog.
-	getJSON(t, ts.URL+"/wal", http.StatusServiceUnavailable, nil)
-	getJSON(t, ts.URL+"/snapshot", http.StatusServiceUnavailable, nil)
+	getWire(t, ts.URL+"/wal", http.StatusServiceUnavailable, replica.DecodeWALPage)
+	getWire(t, ts.URL+"/snapshot", http.StatusServiceUnavailable, replica.DecodeSnapshot)
 }
 
 // TestHealthzVerbose: the bare probe keeps its one-field contract; the

@@ -104,10 +104,6 @@ type Options struct {
 	MaxBodyBytes int64
 	// MaxWorlds bounds /worlds enumeration (0 means DefaultMaxWorlds).
 	MaxWorlds int
-	// NoWireCompression stops the server from compressing binary
-	// replication responses even when a follower offers deflate
-	// (serve -wire-compression=false).
-	NoWireCompression bool
 	// Logger receives one line per request; nil disables logging.
 	Logger *log.Logger
 }
@@ -144,13 +140,8 @@ type Server struct {
 	fenceCancel context.CancelFunc
 	fenceWG     sync.WaitGroup
 
-	// peerMu guards peers: remote host → the replication wire encoding
-	// that host's last /wal or /snapshot fetch negotiated.
-	peerMu sync.Mutex
-	peers  map[string]string
-
-	// wire counts binary replication pages/snapshots served and their
-	// payload vs on-the-wire bytes (replication.go).
+	// wire counts replication pages/snapshots served and the bytes
+	// written for them (replication.go).
 	wire wireCounters
 }
 
@@ -191,7 +182,7 @@ func newServer(db *core.Database, cat *catalog.Catalog, rep *replica.Replica, op
 	if opts.MaxWorlds <= 0 {
 		opts.MaxWorlds = DefaultMaxWorlds
 	}
-	s := &Server{db: db, cat: cat, rep: rep, opts: opts, mux: http.NewServeMux(), peers: map[string]string{}}
+	s := &Server{db: db, cat: cat, rep: rep, opts: opts, mux: http.NewServeMux()}
 	if rep != nil {
 		s.readOnly = true
 		s.primary = rep.Primary()
@@ -866,28 +857,26 @@ func storeRuntimeStats() *StoreRuntimeStats {
 	}
 }
 
-// WireStats is the binary replication wire section of /stats:
-// pages/snapshots served and the payload-vs-wire byte gap compression
-// bought.
+// WireStats is the replication wire section of /stats: pages and
+// snapshots served, and the bytes written for them. PayloadBytes and
+// WireBytes are the same counter: the wire has no compression layer,
+// and both names stay for readers of the older two-counter section.
 type WireStats struct {
-	Pages               int64 `json:"pages"`
-	PagesCompressed     int64 `json:"pages_compressed"`
-	PrefixSkipped       int64 `json:"prefix_skipped"`
-	Snapshots           int64 `json:"snapshots"`
-	SnapshotsCompressed int64 `json:"snapshots_compressed"`
-	PayloadBytes        int64 `json:"payload_bytes"`
-	WireBytes           int64 `json:"wire_bytes"`
+	Pages         int64 `json:"pages"`
+	PrefixSkipped int64 `json:"prefix_skipped"`
+	Snapshots     int64 `json:"snapshots"`
+	PayloadBytes  int64 `json:"payload_bytes"`
+	WireBytes     int64 `json:"wire_bytes"`
 }
 
 func (s *Server) wireStats() *WireStats {
+	n := s.wire.bytes.Load()
 	return &WireStats{
-		Pages:               s.wire.pages.Load(),
-		PagesCompressed:     s.wire.pagesCompressed.Load(),
-		PrefixSkipped:       s.wire.prefixSkipped.Load(),
-		Snapshots:           s.wire.snapshots.Load(),
-		SnapshotsCompressed: s.wire.snapshotsCompressed.Load(),
-		PayloadBytes:        s.wire.payloadBytes.Load(),
-		WireBytes:           s.wire.wireBytes.Load(),
+		Pages:         s.wire.pages.Load(),
+		PrefixSkipped: s.wire.prefixSkipped.Load(),
+		Snapshots:     s.wire.snapshots.Load(),
+		PayloadBytes:  n,
+		WireBytes:     n,
 	}
 }
 
