@@ -298,14 +298,11 @@ func BenchmarkIntegrateBatch(b *testing.B) {
 
 // --- planned query engine benchmarks ---
 //
-// The three benchmarks below track the query-latency trajectory the same
-// way BenchmarkIntegrateBatch tracks integration: CI converts them into
-// a BENCH_query.json artifact per commit. Cold is the unindexed seed
-// engine (compile-free, but re-walking the tree per query); Indexed is
-// the planned engine against a prebuilt per-tree index (the serving hot
-// path minus the result cache); ResultCacheHit is the full database path
-// on a repeated query. The acceptance bar is Indexed >= 2x over Cold on
-// selective queries.
+// The benchmarks below track the query-latency trajectory the same way
+// BenchmarkIntegrateBatch tracks integration: CI converts them into a
+// BENCH_query.json artifact per commit. Indexed is the engine against a
+// prebuilt per-tree index (the serving hot path minus the result cache);
+// ResultCacheHit is the full database path on a repeated query.
 
 var planBenchOnce sync.Once
 var planBenchDoc *pxml.Tree
@@ -330,21 +327,6 @@ func planBenchDocument(b *testing.B) *pxml.Tree {
 // planBenchQuery is selective: it anchors on one franchise out of many,
 // so value-set pruning skips most of the catalog in the per-value pass.
 const planBenchQuery = `//movie[title="Jaws"]/year`
-
-func BenchmarkQueryCold(b *testing.B) {
-	doc := planBenchDocument(b)
-	q := query.MustCompile(planBenchQuery)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := query.Eval(doc, q, query.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Answers) == 0 {
-			b.Fatal("no answers")
-		}
-	}
-}
 
 func BenchmarkQueryIndexed(b *testing.B) {
 	doc := planBenchDocument(b)

@@ -277,15 +277,16 @@ func NewQueryResultCache(capacity int) *QueryResultCache { return query.NewResul
 // DatabaseIndexStats reports a Database's index construction work.
 type DatabaseIndexStats = core.IndexStats
 
-// EvalQuery evaluates a query over a document with the best applicable
-// strategy (the unplanned reference engine; see EvalQueryIndexed for the
-// planner).
+// EvalQuery evaluates a query over a document through the planner, as
+// EvalQueryIndexed does with an index built from the document.
 func EvalQuery(t *Tree, q *Query, opts QueryOptions) (QueryResult, error) {
 	return query.Eval(t, q, opts)
 }
 
 // EvalQueryIndexed evaluates through the planner: cost-based automatic
-// strategy selection against idx (which may be nil), with the explainable
+// strategy selection against idx (nil or stale means one is built from
+// t) — exact when every anchor subtree fits LocalWorldLimit, sampling
+// otherwise, enumeration only on request — with the explainable
 // plan attached to the result. Auto evaluation returns bit-identical
 // answers to explicitly requesting the method the plan names.
 func EvalQueryIndexed(t *Tree, q *Query, opts QueryOptions, idx *QueryIndex) (QueryResult, error) {

@@ -28,7 +28,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/pxml"
 	"repro/internal/query"
-	"repro/internal/queryindex"
 	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/shell"
@@ -240,10 +239,7 @@ func runQuery(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// One-shot invocations still benefit from the planner: the index
-	// build is linear in the document and pays for itself by pruning.
-	idx := queryindex.Build(t)
-	res, err := query.EvalIndexed(t, q, opts, idx)
+	res, err := query.Eval(t, q, opts)
 	if err != nil {
 		return err
 	}
@@ -265,8 +261,8 @@ func runQuery(args []string, w io.Writer) error {
 }
 
 func printPlan(w io.Writer, pl *query.Plan) {
-	fmt.Fprintf(w, "plan:   method=%s indexed=%v pruned=%.0f%% worlds=%s\n",
-		pl.Method, pl.Indexed, pl.PrunedFraction*100, pl.EstimatedWorlds)
+	fmt.Fprintf(w, "plan:   method=%s pruned=%.0f%% worlds=%s\n",
+		pl.Method, pl.PrunedFraction*100, pl.EstimatedWorlds)
 	if pl.BudgetExhausted {
 		fmt.Fprintf(w, "        budget exhausted before completion\n")
 	}

@@ -37,7 +37,7 @@ func TestCLIQueryMethodFlag(t *testing.T) {
 func TestCLIQueryExplainFlag(t *testing.T) {
 	out := fig2File(t)
 	got := mustRun(t, "query", "-db", out, "-q", `//person[nm="John"]/tel`, "-explain")
-	for _, want := range []string{"plan:", "method=exact", "indexed=true", "reason:"} {
+	for _, want := range []string{"plan:", "method=exact", "reason:"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("explain output missing %q:\n%s", want, got)
 		}

@@ -5,14 +5,17 @@
 // The semantics of a query over a probabilistic document is the set of
 // answers obtained by evaluating it in each possible world separately;
 // answers equal across worlds are amalgamated and ranked by probability.
-// Three evaluators implement this:
+// Every query runs one path: the planner reads the per-tree index and
+// names a method, and the engine runs exactly that method.
 //
 //   - Exact: compositional probability propagation over the layered tree,
 //     exact for the tree-factorized distribution, with local world
 //     enumeration inside "anchor" subtrees to handle predicate/value
-//     correlations.
-//   - Enumerate: full possible-world enumeration (ground truth, guarded).
-//   - Sample: seeded Monte-Carlo estimation for very large documents.
+//     correlations. Auto picks it when the index bounds every anchor
+//     subtree within LocalWorldLimit.
+//   - Sample: seeded Monte-Carlo estimation, auto's choice otherwise.
+//   - Enumerate: full possible-world enumeration (ground truth, guarded),
+//     run only on request and as the reference the tests compare against.
 package query
 
 import (

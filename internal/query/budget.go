@@ -16,7 +16,7 @@ var ErrBudgetExhausted = errors.New("query: budget exhausted")
 // evaluators. It belongs to one evaluation on one goroutine; the
 // context/deadline checks are amortized to every budgetCheckInterval steps
 // so the hot path costs one increment per node visit. A nil budget meters
-// nothing (legacy entry points).
+// nothing (EvalExact, EvalEnumerate, EvalSample).
 type budget struct {
 	ctx       context.Context
 	deadline  time.Time // zero = no wall-clock ceiling

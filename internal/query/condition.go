@@ -31,33 +31,16 @@ var ErrTooComplex = errors.New("query: conditioning exceeds enumeration limits")
 // by local enumeration. It returns the conditioned tree and the prior
 // probability of the event.
 func ConditionAbsent(t *pxml.Tree, q *Query, value string, localLimit int) (*pxml.Tree, float64, error) {
-	c, err := newConditioner(q, value, localLimit)
+	ev, err := newExactEval(q, localLimit)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("%w: %v", ErrTooComplex, err)
 	}
-	return c.run(t)
+	return ev.conditionAbsent(t, value)
 }
 
-func newConditioner(q *Query, value string, localLimit int) (*conditioner, error) {
-	if localLimit <= 0 {
-		localLimit = DefaultLocalWorldLimit
-	}
-	if len(q.Steps) == 0 || q.Steps[0].IsText {
-		return nil, fmt.Errorf("%w: unsupported query shape", ErrTooComplex)
-	}
-	return &conditioner{
-		ev: &exactEval{
-			q:          q,
-			anchorIdx:  anchorIndex(q),
-			localLimit: localLimit,
-			need:       stepNeeds(q),
-		},
-		value: value,
-		memo:  make(map[localKey]condResult),
-	}, nil
-}
-
-func (c *conditioner) run(t *pxml.Tree) (*pxml.Tree, float64, error) {
+// conditionAbsent is ConditionAbsent on the evaluator of its query.
+func (e *exactEval) conditionAbsent(t *pxml.Tree, value string) (*pxml.Tree, float64, error) {
+	c := &conditioner{ev: e, value: value, memo: make(map[localKey]condResult)}
 	root, p, err := c.cond(t.Root(), stateSet(1))
 	if err != nil {
 		return nil, 0, err

@@ -25,22 +25,11 @@ func CountWorld(q *Query, rootElems []*pxml.Node) int {
 // local enumeration only inside anchor subtrees (predicate scopes), so it
 // works on documents whose world count is astronomically large.
 func ExpectedCount(t *pxml.Tree, q *Query, localLimit int) (float64, error) {
-	if localLimit <= 0 {
-		localLimit = DefaultLocalWorldLimit
+	ev, err := newExactEval(q, localLimit)
+	if err != nil {
+		return 0, err
 	}
-	if len(q.Steps) == 0 || q.Steps[0].IsText {
-		return 0, fmt.Errorf("%w: unsupported query shape", ErrNotExact)
-	}
-	e := &countEval{
-		ev: &exactEval{
-			q:          q,
-			anchorIdx:  anchorIndex(q),
-			localLimit: localLimit,
-			localMemo:  make(map[localKey]map[string]float64),
-			failMemo:   make(map[failKey]float64),
-		},
-		memo: make(map[localKey]float64),
-	}
+	e := &countEval{ev: ev, memo: make(map[localKey]float64)}
 	return e.count(t.Root(), stateSet(1))
 }
 

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -40,12 +41,11 @@ type Result struct {
 	Method  Method
 	// SampledWorlds is the number of Monte-Carlo samples (MethodSample).
 	SampledWorlds int
-	// Plan explains how the engine chose the strategy. Nil when the
-	// result was produced without the planner (legacy Eval paths).
+	// Plan explains how the engine chose the strategy. Nil only on a
+	// Result built outside the engine.
 	Plan *Plan
 	// Exec reports how the evaluation ran (budget meter, anchors
-	// enumerated). Zero for legacy paths and cache hits served without
-	// re-execution.
+	// enumerated). Zero for cache hits served without re-execution.
 	Exec ExecStats
 
 	// lookup is the lazily built value -> probability map behind P.
@@ -106,16 +106,16 @@ func (r Result) P(value string) float64 {
 // Options configure evaluation.
 type Options struct {
 	// Method selects the evaluation strategy. Empty or MethodAuto lets
-	// the engine choose (cost-based when an index is available, the
-	// exact→enumerate→sample ladder otherwise); an explicit method is
-	// used verbatim and its applicability errors surface to the caller.
+	// the planner choose exact or sample from the index; an explicit
+	// method is used verbatim and its applicability errors surface to the
+	// caller. Enumeration runs only when requested.
 	Method Method
 	// LocalWorldLimit bounds per-anchor local enumeration in the exact
 	// evaluator (default DefaultLocalWorldLimit). Negative values are
 	// rejected by Validate.
 	LocalWorldLimit int
-	// EnumWorldLimit bounds full-world enumeration (default 100000).
-	// Negative values are rejected by Validate.
+	// EnumWorldLimit bounds full-world enumeration under MethodEnumerate
+	// (default 100000). Negative values are rejected by Validate.
 	EnumWorldLimit int
 	// Samples is the Monte-Carlo sample count (default 20000). Negative
 	// values are rejected by Validate.
@@ -217,56 +217,16 @@ func (o Options) seed() int64 {
 	return 1
 }
 
-// Eval answers the query without a prebuilt index: exact evaluation when
-// applicable, exhaustive enumeration when the world count is small
-// enough, Monte-Carlo sampling otherwise. An explicit Options.Method is
-// honored verbatim. This is the reference (unplanned) engine; servers
-// evaluate through EvalIndexed, which plans against a per-tree index and
-// uses the value-set-accelerated exact executor.
+// Eval answers the query through the planner: it is EvalIndexed with an
+// index built from the tree's cached summary.
 func Eval(t *pxml.Tree, q *Query, opts Options) (Result, error) {
-	if err := opts.Validate(); err != nil {
-		return Result{}, err
-	}
-	switch opts.method() {
-	case MethodExact:
-		answers, err := EvalExact(t, q, opts.LocalWorldLimit)
-		if err != nil {
-			return Result{}, err
-		}
-		return newResult(answers, MethodExact, 0, nil), nil
-	case MethodEnumerate:
-		answers, err := EvalEnumerate(t, q, opts.enumLimit())
-		if err != nil {
-			return Result{}, err
-		}
-		return newResult(answers, MethodEnumerate, 0, nil), nil
-	case MethodSample:
-		answers := EvalSample(t, q, opts.samples(), opts.seed())
-		return newResult(answers, MethodSample, opts.samples(), nil), nil
-	}
-	answers, err := EvalExact(t, q, opts.LocalWorldLimit)
-	if err == nil {
-		return newResult(answers, MethodExact, 0, nil), nil
-	}
-	if !errors.Is(err, ErrNotExact) {
-		return Result{}, err
-	}
-	if t.WorldCount().Cmp(big.NewInt(int64(opts.enumLimit()))) <= 0 {
-		answers, err := EvalEnumerate(t, q, opts.enumLimit())
-		if err == nil {
-			return newResult(answers, MethodEnumerate, 0, nil), nil
-		}
-		if !errors.Is(err, worlds.ErrTooManyWorlds) {
-			return Result{}, err
-		}
-	}
-	answers = EvalSample(t, q, opts.samples(), opts.seed())
-	return newResult(answers, MethodSample, opts.samples(), nil), nil
+	return EvalIndexedCtx(context.Background(), t, q, opts, nil)
 }
 
 // EvalEnumerate computes answer probabilities by full possible-world
 // enumeration — exponential, but exact and assumption-free; the ground
-// truth the other evaluators are tested against.
+// truth the other evaluators are tested against, and what an explicit
+// MethodEnumerate runs.
 func EvalEnumerate(t *pxml.Tree, q *Query, maxWorlds int) ([]Answer, error) {
 	return evalEnumerate(t, q, maxWorlds, nil)
 }

@@ -229,8 +229,8 @@ func TestEvalFallsBackToSampling(t *testing.T) {
 	if res.Method != query.MethodExact {
 		t.Fatalf("method = %v", res.Method)
 	}
-	// A predicate on person forces local enumeration of the person
-	// subtree, which has 2 worlds > 1.
+	// A predicate on person anchors at the person subtree, which has 2
+	// worlds > 1.
 	q2 := query.MustCompile(`//person[tel]/nm`)
 	res, err = query.Eval(tr, q2, query.Options{LocalWorldLimit: 1, EnumWorldLimit: 1, Samples: 5000, Seed: query.SeedPtr(3)})
 	if err != nil {
@@ -244,10 +244,20 @@ func TestEvalFallsBackToSampling(t *testing.T) {
 	}
 }
 
-func TestEvalUsesEnumerationWhenSmall(t *testing.T) {
+// TestEvalEnumeratesOnlyOnRequest: auto picks exact or sample, never
+// enumeration, however few worlds the document has; an explicit
+// MethodEnumerate still enumerates.
+func TestEvalEnumeratesOnlyOnRequest(t *testing.T) {
 	tr := pxmltest.Fig2Tree()
 	q := query.MustCompile(`//person[tel]/nm`)
 	res, err := query.Eval(tr, q, query.Options{LocalWorldLimit: 1, EnumWorldLimit: 100})
+	if err != nil {
+		t.Fatalf("Eval: %v", err)
+	}
+	if res.Method != query.MethodSample {
+		t.Fatalf("auto method = %v, want sample", res.Method)
+	}
+	res, err = query.Eval(tr, q, query.Options{Method: query.MethodEnumerate, LocalWorldLimit: 1, EnumWorldLimit: 100})
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}

@@ -31,43 +31,11 @@ const DefaultLocalWorldLimit = 100000
 // probabilities multiply). At an anchor match the evaluator switches to
 // exhaustive local enumeration of that element's subtree, which captures
 // every correlation between predicate events and answer values — at a cost
-// bounded by localLimit possible worlds per anchor subtree (ErrNotExact
-// beyond that).
+// bounded by localLimit possible worlds per anchor subtree that can match
+// (ErrNotExact beyond that). It is the planner's exact executor, unmetered.
 func EvalExact(t *pxml.Tree, q *Query, localLimit int) ([]Answer, error) {
-	if localLimit <= 0 {
-		localLimit = DefaultLocalWorldLimit
-	}
-	if len(q.Steps) == 0 {
-		return nil, fmt.Errorf("%w: empty query", ErrNotExact)
-	}
-	if q.Steps[0].IsText {
-		return nil, fmt.Errorf("%w: text() cannot be the first step", ErrNotExact)
-	}
-	e := &exactEval{
-		q:          q,
-		anchorIdx:  anchorIndex(q),
-		localLimit: localLimit,
-		localMemo:  make(map[localKey]map[string]float64),
-		failMemo:   make(map[failKey]float64),
-	}
-	// Pass 1: discover all candidate answer values.
-	values := make(map[string]bool)
-	if err := e.collectValues(t.Root(), stateSet(1), values); err != nil {
-		return nil, err
-	}
-	// Pass 2: per value, compute 1 − P(no such answer).
-	answers := make([]Answer, 0, len(values))
-	for v := range values {
-		fail, err := e.fail(t.Root(), stateSet(1), v, e.failMemo)
-		if err != nil {
-			return nil, err
-		}
-		if p := 1 - fail; p > 1e-12 {
-			answers = append(answers, Answer{Value: v, P: p})
-		}
-	}
-	sortAnswers(answers)
-	return answers, nil
+	answers, _, err := evalExactPlanned(t, q, localLimit, nil)
+	return answers, err
 }
 
 // anchorIndex returns the index of the highest predicated step, or the
@@ -101,22 +69,20 @@ type exactEval struct {
 	anchorIdx  int
 	localLimit int
 	localMemo  map[localKey]map[string]float64
-	failMemo   map[failKey]float64
 
-	// Planned-mode accelerators (nil in the legacy two-pass evaluator).
-	//
 	// valueSets records, per (node, state set), the set of answer values
 	// the subtree can produce; the per-value failure pass then skips
 	// value-free subtrees in O(1) instead of re-walking them, which turns
 	// the O(values × nodes) second pass into O(nodes + values × depth) on
 	// selective documents. Mathematically the skipped subtree's failure
 	// probability is exactly 1, so short-circuiting only removes
-	// accumulated floating-point dust from Σpᵢ≈1 sums.
+	// accumulated floating-point dust from Σpᵢ≈1 sums. Set during run.
 	valueSets map[localKey]map[string]bool
 	// need[i] is what a subtree must contain for the step chain i..last
 	// to complete inside it (required tags and a Bloom mask of required
 	// equality literals); subtrees that cannot satisfy any pending chain
-	// are pruned without a visit.
+	// are pruned without a visit. Nil need is the ungated mode, which
+	// walks every subtree and enumerates every anchor reached.
 	need []stepNeed
 	// visited/prunedSubtrees count discovery-pass work for plan stats;
 	// anchorsEnumerated/anchorsSkipped the anchor hits it reached, by
@@ -125,7 +91,7 @@ type exactEval struct {
 	anchorsEnumerated, anchorsSkipped int64
 
 	// budget meters node visits and enumerated worlds and carries
-	// cancellation; nil in the legacy evaluator.
+	// cancellation; nil meters nothing.
 	budget *budget
 }
 
@@ -190,40 +156,6 @@ func (e *exactEval) localEval(elem *pxml.Node, states stateSet) (map[string]floa
 	}
 	e.localMemo[key] = out
 	return out, nil
-}
-
-// collectValues gathers every value any anchor subtree can produce.
-func (e *exactEval) collectValues(n *pxml.Node, states stateSet, acc map[string]bool) error {
-	switch n.Kind() {
-	case pxml.KindProb, pxml.KindPoss:
-		for _, k := range n.Children() {
-			if err := e.collectValues(k, states, acc); err != nil {
-				return err
-			}
-		}
-		return nil
-	default: // element
-		next, hit := e.advance(n, states)
-		if hit {
-			m, err := e.localEval(n, states)
-			if err != nil {
-				return err
-			}
-			for v := range m {
-				acc[v] = true
-			}
-			return nil
-		}
-		if next == 0 {
-			return nil
-		}
-		for _, k := range n.Children() {
-			if err := e.collectValues(k, next, acc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }
 
 // stepNeed is the static requirement the chain from one step to the last
@@ -352,7 +284,7 @@ func requiredEqLiterals(s Step) []tagLit {
 
 // canMatch reports whether the subtree of n can possibly complete any
 // pending step chain, judged by its cached summary (tag set and text
-// fingerprint). Always true in legacy mode (no needs computed).
+// fingerprint). Always true in the ungated mode.
 func (e *exactEval) canMatch(n *pxml.Node, states stateSet) bool {
 	if e.need == nil {
 		return true
@@ -388,7 +320,7 @@ chains:
 // pending chain requires the anchor step's literals, inside this subtree.
 // An anchor that fails the check produces no value in any world: skipping
 // it contributes what enumerating it would, an empty value set and failure
-// probability 1. Always true in legacy mode.
+// probability 1. Always true in the ungated mode.
 func (e *exactEval) anchorCanMatch(n *pxml.Node) bool {
 	if e.need == nil {
 		return true
@@ -401,7 +333,7 @@ func (e *exactEval) anchorCanMatch(n *pxml.Node) bool {
 	return true
 }
 
-// values is the planned-mode discovery pass: it returns the set of answer
+// values is the discovery pass: it returns the set of answer
 // values the subtree of n can produce given the pending states, memoized
 // per (node, state set) so the failure pass can consult it in O(1). A nil
 // set means "no values".
@@ -499,19 +431,17 @@ func mapsShareStorage(a, b map[string]bool) bool {
 }
 
 // fail returns P(no answer with value v arises in the subtree of n), given
-// the NFA state set at n. The memoization table is a parameter so that the
-// planned executor can clear it once a value's probability is known.
+// the NFA state set at n. The memoization table is a parameter so that run
+// can clear it once a value's probability is known.
 func (e *exactEval) fail(n *pxml.Node, states stateSet, v string, memo map[failKey]float64) (float64, error) {
 	if states == 0 {
 		return 1, nil
 	}
-	if e.valueSets != nil {
-		// Planned mode: the discovery pass has already recorded which
-		// values this subtree can produce; a subtree that cannot produce
-		// v fails with probability exactly 1.
-		if vs, ok := e.valueSets[localKey{e: n, s: states}]; ok && !vs[v] {
-			return 1, nil
-		}
+	// The discovery pass has already recorded which values this subtree
+	// can produce; a subtree that cannot produce v fails with probability
+	// exactly 1.
+	if vs, ok := e.valueSets[localKey{e: n, s: states}]; ok && !vs[v] {
+		return 1, nil
 	}
 	key := failKey{n: n, s: states, v: v}
 	if f, ok := memo[key]; ok {
@@ -574,23 +504,25 @@ func (e *exactEval) fail(n *pxml.Node, states stateSet, v string, memo map[failK
 	return f, nil
 }
 
-// evalExactPlanned is the planner's exact executor: the same compositional
-// semantics as EvalExact, restructured around a single value-discovery
-// pass that memoizes per-subtree value sets (plus summary-based tag
-// pruning), so the per-value failure pass touches only subtrees that can
-// actually produce the value. It returns the evaluator alongside the
-// answers so the planner can report pruning statistics.
+// evalExactPlanned is the exact executor: a value-discovery pass that
+// memoizes per-subtree value sets (with summary-based pruning), then a
+// per-value failure pass that touches only subtrees that can actually
+// produce the value. It returns the evaluator alongside the answers so the
+// planner can report pruning statistics.
 func evalExactPlanned(t *pxml.Tree, q *Query, localLimit int, b *budget) ([]Answer, *exactEval, error) {
-	e, err := newPlannedEval(q, localLimit, b)
+	e, err := newExactEval(q, localLimit)
 	if err != nil {
 		return nil, nil, err
 	}
+	e.budget = b
 	answers, err := e.run(t)
 	return answers, e, err
 }
 
-// newPlannedEval sets up the planned executor for one evaluation of q.
-func newPlannedEval(q *Query, localLimit int, b *budget) (*exactEval, error) {
+// newExactEval sets up the compositional evaluator of q that the exact
+// executor, ExpectedCount and ConditionAbsent share. A localLimit <= 0
+// means DefaultLocalWorldLimit; a query it cannot compose is ErrNotExact.
+func newExactEval(q *Query, localLimit int) (*exactEval, error) {
 	if localLimit <= 0 {
 		localLimit = DefaultLocalWorldLimit
 	}
@@ -606,7 +538,6 @@ func newPlannedEval(q *Query, localLimit int, b *budget) (*exactEval, error) {
 		localLimit: localLimit,
 		localMemo:  make(map[localKey]map[string]float64),
 		need:       stepNeeds(q),
-		budget:     b,
 	}, nil
 }
 

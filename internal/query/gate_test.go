@@ -113,7 +113,7 @@ func gateDocument(rng *rand.Rand) *pxml.Tree {
 // has the tags is walked, every anchor reached is enumerated.
 func planned(t *testing.T, tree *pxml.Tree, q *Query, gate bool) ([]Answer, *exactEval) {
 	t.Helper()
-	e, err := newPlannedEval(q, 0, newBudget(nil, Options{}))
+	e, err := newExactEval(q, 0)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
@@ -153,10 +153,9 @@ func answersWithin(a, b []Answer, tol float64) bool {
 
 // TestGatedEqualsUngated: the summary gate and the exact check at the
 // anchor only ever skip work whose result is "no value, failure probability
-// 1", which the planned executor short-circuits to exactly 1 anyway — so
-// the gated answers carry the same float64 bits as the ungated ones, and
-// agree with the legacy two-pass evaluator and with
-// possible-world enumeration. ConditionAbsent shares the gate and must
+// 1", which the exact executor short-circuits to exactly 1 anyway — so the
+// gated answers carry the same float64 bits as the ungated ones, and agree
+// with possible-world enumeration. ConditionAbsent shares the gate and must
 // build the same tree with the same prior as the walk that enumerates every
 // anchor.
 func TestGatedEqualsUngated(t *testing.T) {
@@ -189,13 +188,6 @@ func TestGatedEqualsUngated(t *testing.T) {
 			if len(want) > 0 {
 				nonEmpty++
 			}
-			legacy, err := EvalExact(tree, q, 0)
-			if err != nil {
-				t.Fatalf("seed %d %s: legacy exact: %v", seed, src, err)
-			}
-			if !answersWithin(want, legacy, 1e-9) {
-				t.Fatalf("seed %d %s: gated %v, legacy exact %v", seed, src, want, legacy)
-			}
 			enum, err := EvalEnumerate(tree, q, 0)
 			if err != nil {
 				t.Fatalf("seed %d %s: enumerate: %v", seed, src, err)
@@ -210,12 +202,12 @@ func TestGatedEqualsUngated(t *testing.T) {
 				value = want[len(want)-1].Value
 			}
 			got, gotP, gotErr := ConditionAbsent(tree, q, value, 0)
-			c, err := newConditioner(q, value, 0)
+			ev, err := newExactEval(q, 0)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, src, err)
 			}
-			c.ev.need = nil
-			ref, refP, refErr := c.run(tree)
+			ev.need = nil
+			ref, refP, refErr := ev.conditionAbsent(tree, value)
 			if (gotErr == nil) != (refErr == nil) || errors.Is(gotErr, ErrContradiction) != errors.Is(refErr, ErrContradiction) {
 				t.Fatalf("seed %d %s: rejecting %q: gated error %v, with every anchor enumerated %v", seed, src, value, gotErr, refErr)
 			}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/pxml"
 	"repro/internal/queryindex"
-	"repro/internal/worlds"
 )
 
 // Plan explains how the engine decided to evaluate a query: the chosen
@@ -20,8 +19,6 @@ type Plan struct {
 	// Method is the strategy the planner chose (and the executor ran —
 	// the engine guarantees the two agree).
 	Method Method `json:"method"`
-	// Indexed reports whether a per-tree index informed the plan.
-	Indexed bool `json:"indexed"`
 	// Reason is a human-readable account of the choice.
 	Reason string `json:"reason"`
 	// EstimatedWorlds is the document's possible-world count.
@@ -29,7 +26,7 @@ type Plan struct {
 	// AnchorTag is the tag of the query's anchor step ("*" for wildcard).
 	AnchorTag string `json:"anchor_tag,omitempty"`
 	// AnchorWorldBound is the planner's upper bound on any anchor
-	// subtree's local world count (empty without an index).
+	// subtree's local world count (empty unless auto planned it).
 	AnchorWorldBound string `json:"anchor_world_bound,omitempty"`
 	// PrunedFraction estimates the fraction of document elements the
 	// evaluation never has to visit (from index tag occurrences).
@@ -115,32 +112,22 @@ func requiredStepTags(q *Query) []string {
 	return out
 }
 
-// planAuto builds the cost-based plan for MethodAuto over an indexed
-// document. The choice is a prediction, not a trial run: the anchor world
-// bound is a true upper bound (max subtree world count over all elements
-// of the anchor tag), so a predicted exact evaluation cannot fail its
-// local-enumeration budget at runtime.
+// planAuto builds the cost-based plan for MethodAuto: exact when every
+// anchor subtree spans at most LocalWorldLimit local worlds, Monte-Carlo
+// sampling otherwise. The choice is a prediction, not a trial run: the
+// anchor world bound is a true upper bound (max subtree world count over
+// all elements of the anchor tag), so a predicted exact evaluation cannot
+// fail its local-enumeration budget at runtime.
 func planAuto(t *pxml.Tree, q *Query, opts Options, idx *queryindex.Index) Plan {
+	anchorTag := q.Steps[anchorIndex(q)].Name
 	pl := Plan{
-		Method:          MethodAuto,
-		Indexed:         idx != nil,
+		Method:          MethodExact,
 		EstimatedWorlds: t.Summary().Worlds.String(),
+		AnchorTag:       anchorTag,
 	}
 	localLimit := opts.LocalWorldLimit
 	if localLimit <= 0 {
 		localLimit = DefaultLocalWorldLimit
-	}
-	exactable := len(q.Steps) > 0 && !q.Steps[0].IsText
-	anchorTag := ""
-	if exactable {
-		s := q.Steps[anchorIndex(q)]
-		anchorTag = s.Name
-		pl.AnchorTag = anchorTag
-	}
-
-	if idx == nil {
-		pl.Reason = "no index: try exact, fall back to enumeration or sampling"
-		return pl
 	}
 
 	// Index-proven empty result: a concrete step tag absent from the
@@ -149,13 +136,6 @@ func planAuto(t *pxml.Tree, q *Query, opts Options, idx *queryindex.Index) Plan 
 		if !idx.HasTag(tag) {
 			pl.EmptyByIndex = true
 			pl.PrunedFraction = 1
-			if exactable {
-				pl.Method = MethodExact
-			} else if idx.Worlds().Cmp(big.NewInt(int64(opts.enumLimit()))) <= 0 {
-				pl.Method = MethodEnumerate
-			} else {
-				pl.Method = MethodSample
-			}
 			pl.Reason = fmt.Sprintf("index: tag %q does not occur in the document; result is empty", tag)
 			return pl
 		}
@@ -163,37 +143,23 @@ func planAuto(t *pxml.Tree, q *Query, opts Options, idx *queryindex.Index) Plan 
 
 	pl.PrunedFraction = estimatePruned(q, idx)
 
-	if exactable {
-		var bound *big.Int
-		if anchorTag == "*" {
-			bound = idx.MaxElementWorlds()
-		} else if info, ok := idx.Tag(anchorTag); ok {
-			bound = info.MaxSubtreeWorlds
-		}
-		if bound != nil {
-			pl.AnchorWorldBound = bound.String()
-			if bound.IsInt64() && bound.Cmp(big.NewInt(int64(localLimit))) <= 0 {
-				pl.Method = MethodExact
-				pl.Reason = fmt.Sprintf("anchor <%s> subtrees span at most %s local worlds (limit %d): exact",
-					anchorTag, bound, localLimit)
-				return pl
-			}
-			pl.Reason = fmt.Sprintf("anchor <%s> subtrees may span %s local worlds (limit %d): exact too costly",
-				anchorTag, bound, localLimit)
-		}
-	} else {
-		pl.Reason = "query shape rules out compositional evaluation"
+	var bound *big.Int
+	if anchorTag == "*" {
+		bound = idx.MaxElementWorlds()
+	} else if info, ok := idx.Tag(anchorTag); ok {
+		bound = info.MaxSubtreeWorlds
 	}
-
-	enumLimit := big.NewInt(int64(opts.enumLimit()))
-	if idx.Worlds().Cmp(enumLimit) <= 0 {
-		pl.Method = MethodEnumerate
-		pl.Reason += fmt.Sprintf("; %s worlds fit the enumeration budget %s", pl.EstimatedWorlds, enumLimit)
-		return pl
+	if bound != nil {
+		pl.AnchorWorldBound = bound.String()
+		if bound.IsInt64() && bound.Cmp(big.NewInt(int64(localLimit))) <= 0 {
+			pl.Reason = fmt.Sprintf("anchor <%s> subtrees span at most %s local worlds (limit %d): exact",
+				anchorTag, bound, localLimit)
+			return pl
+		}
 	}
 	pl.Method = MethodSample
-	pl.Reason += fmt.Sprintf("; %s worlds exceed the enumeration budget %s: Monte-Carlo sampling",
-		pl.EstimatedWorlds, enumLimit)
+	pl.Reason = fmt.Sprintf("anchor <%s> subtrees may span %s local worlds (limit %d): Monte-Carlo sampling",
+		anchorTag, pl.AnchorWorldBound, localLimit)
 	return pl
 }
 
@@ -220,13 +186,13 @@ func estimatePruned(q *Query, idx *queryindex.Index) float64 {
 	return f
 }
 
-// EvalIndexed is the planned query engine: it chooses an evaluation
-// strategy from the per-tree index (or the legacy ladder without one),
-// executes exactly the chosen method, and attaches the explainable Plan
-// to the result. Auto evaluation is deterministic: it returns bit-
-// identical answers to explicitly requesting the method the plan names.
-// An index whose digest does not match the tree is ignored, so callers
-// can never be served a plan computed against a stale document.
+// EvalIndexed is the query engine: it chooses an evaluation strategy from
+// the per-tree index, executes exactly the chosen method, and attaches the
+// explainable Plan to the result. Auto evaluation is deterministic: it
+// returns bit-identical answers to explicitly requesting the method the
+// plan names. A nil index, or one whose digest does not match the tree, is
+// replaced by queryindex.Build(t), so callers can never be served a plan
+// computed against a stale document.
 func EvalIndexed(t *pxml.Tree, q *Query, opts Options, idx *queryindex.Index) (Result, error) {
 	return EvalIndexedCtx(context.Background(), t, q, opts, idx)
 }
@@ -242,46 +208,36 @@ func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, i
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
-	if idx != nil && idx.Digest() != t.Digest() {
-		idx = nil
+	if idx == nil || idx.Digest() != t.Digest() {
+		idx = queryindex.Build(t)
 	}
+
 	b := newBudget(ctx, opts)
 
 	if m := opts.method(); m != MethodAuto {
 		pl := Plan{
 			Method:          m,
-			Indexed:         idx != nil,
 			Reason:          fmt.Sprintf("method %q requested explicitly", m),
 			EstimatedWorlds: t.Summary().Worlds.String(),
+			PrunedFraction:  estimatePruned(q, idx),
 		}
-		if idx != nil {
-			pl.PrunedFraction = estimatePruned(q, idx)
-		}
-		return executePlanned(t, q, opts, m, pl, b)
+		return executePlanned(t, q, opts, pl, b)
 	}
 
 	pl := planAuto(t, q, opts, idx)
 	if pl.EmptyByIndex {
-		sampled := 0
-		if pl.Method == MethodSample {
-			sampled = opts.samples()
-		}
-		return newResult(make([]Answer, 0), pl.Method, sampled, &pl), nil
+		return newResult(make([]Answer, 0), pl.Method, 0, &pl), nil
 	}
-	if idx == nil {
-		return executeLadder(t, q, opts, pl, b)
-	}
-	return executePlanned(t, q, opts, pl.Method, pl, b)
+	return executePlanned(t, q, opts, pl, b)
 }
 
 // failedResult wraps an executor error: budget aborts keep the Plan (with
 // BudgetExhausted set) attached to the empty result so front ends can
 // still explain what happened; other errors return a bare Result.
-func failedResult(pl Plan, m Method, err error) (Result, error) {
+func failedResult(pl Plan, err error) (Result, error) {
 	if errors.Is(err, ErrBudgetExhausted) {
-		pl.Method = m
 		pl.BudgetExhausted = true
-		return newResult(nil, m, 0, &pl), err
+		return newResult(nil, pl.Method, 0, &pl), err
 	}
 	return Result{}, err
 }
@@ -309,64 +265,28 @@ func meteredResult(answers []Answer, m Method, sampled int, pl Plan, b *budget) 
 	return res
 }
 
-// executePlanned runs exactly the given method with the planned executor.
-func executePlanned(t *pxml.Tree, q *Query, opts Options, m Method, pl Plan, b *budget) (Result, error) {
-	pl.Method = m
-	switch m {
+// executePlanned runs exactly the method the plan names.
+func executePlanned(t *pxml.Tree, q *Query, opts Options, pl Plan, b *budget) (Result, error) {
+	switch pl.Method {
 	case MethodExact:
 		answers, e, err := evalExactPlanned(t, q, opts.LocalWorldLimit, b)
 		if err != nil {
-			return failedResult(pl, m, err)
+			return failedResult(pl, err)
 		}
 		return e.result(answers, pl), nil
 	case MethodEnumerate:
 		answers, err := evalEnumerate(t, q, opts.enumLimit(), b)
 		if err != nil {
-			return failedResult(pl, m, err)
+			return failedResult(pl, err)
 		}
-		return meteredResult(answers, m, 0, pl, b), nil
+		return meteredResult(answers, pl.Method, 0, pl, b), nil
 	case MethodSample:
 		answers, err := evalSample(t, q, opts.samples(), opts.seed(), b)
 		if err != nil {
-			return failedResult(pl, m, err)
+			return failedResult(pl, err)
 		}
-		return meteredResult(answers, m, opts.samples(), pl, b), nil
+		return meteredResult(answers, pl.Method, opts.samples(), pl, b), nil
 	default:
-		return Result{}, fmt.Errorf("%w: unknown method %q", ErrBadOptions, m)
+		return Result{}, fmt.Errorf("%w: unknown method %q", ErrBadOptions, pl.Method)
 	}
-}
-
-// executeLadder is the unindexed auto path: try exact, fall back to
-// enumeration, then sampling — the planner records which rung ran so the
-// reported plan always matches the executed method.
-func executeLadder(t *pxml.Tree, q *Query, opts Options, pl Plan, b *budget) (Result, error) {
-	answers, e, err := evalExactPlanned(t, q, opts.LocalWorldLimit, b)
-	if err == nil {
-		pl.Method = MethodExact
-		pl.Reason = "exact evaluation applicable"
-		return e.result(answers, pl), nil
-	}
-	if !errors.Is(err, ErrNotExact) {
-		return failedResult(pl, MethodExact, err)
-	}
-	exactErr := err
-	if t.WorldCount().Cmp(big.NewInt(int64(opts.enumLimit()))) <= 0 {
-		answers, err := evalEnumerate(t, q, opts.enumLimit(), b)
-		if err == nil {
-			pl.Method = MethodEnumerate
-			pl.Reason = fmt.Sprintf("%v; %s worlds fit the enumeration budget", exactErr, pl.EstimatedWorlds)
-			return meteredResult(answers, MethodEnumerate, 0, pl, b), nil
-		}
-		if !errors.Is(err, worlds.ErrTooManyWorlds) {
-			return failedResult(pl, MethodEnumerate, err)
-		}
-	}
-	pl.Method = MethodSample
-	pl.Reason = fmt.Sprintf("%v; %s worlds exceed the enumeration budget: Monte-Carlo sampling",
-		exactErr, pl.EstimatedWorlds)
-	sampled, err := evalSample(t, q, opts.samples(), opts.seed(), b)
-	if err != nil {
-		return failedResult(pl, MethodSample, err)
-	}
-	return meteredResult(sampled, MethodSample, opts.samples(), pl, b), nil
 }

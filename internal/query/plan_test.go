@@ -39,15 +39,12 @@ func TestEvalIndexedAutoChoosesExactOnFig2(t *testing.T) {
 	if res.Method != query.MethodExact {
 		t.Fatalf("auto chose %q on a 3-world document, want exact", res.Method)
 	}
-	if !res.Plan.Indexed {
-		t.Fatal("plan does not report the index")
-	}
-	// Answers match the unplanned reference engine.
-	ref, err := query.Eval(tr, q, query.Options{})
+	// Answers match possible-world enumeration.
+	ref, err := query.EvalEnumerate(tr, q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertAnswersClose(t, res.Answers, ref.Answers, 1e-9)
+	assertAnswersClose(t, res.Answers, ref, 1e-9)
 }
 
 func TestEvalIndexedAutoBitIdenticalToExplicit(t *testing.T) {
@@ -102,35 +99,38 @@ func TestEvalIndexedEmptyByIndex(t *testing.T) {
 	}
 }
 
+// TestEvalIndexedStaleIndexIgnored: an index of another document is replaced
+// by one built from the tree, so the plan is the one a fresh index gives.
 func TestEvalIndexedStaleIndexIgnored(t *testing.T) {
-	tr := pxmltest.Fig2Tree()
-	other := pxmltest.Fig2Tree() // equal tree: digest matches, index valid
-	idx := queryindex.Build(other)
-	q := query.MustCompile(`//person/tel`)
-	res, err := query.EvalIndexed(tr, q, query.Options{}, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Plan.Indexed {
-		t.Fatal("digest-equal index not used")
-	}
-
-	// A genuinely different document must not be planned with this index.
+	q := query.MustCompile(`//book/isbn`)
+	stale := queryindex.Build(pxmltest.Fig2Tree())
 	small := mustTreeFromXML(t, `<library><book><isbn>1</isbn></book></library>`)
-	res2, err := query.EvalIndexed(small, q, query.Options{}, idx)
+	got, err := query.EvalIndexed(small, q, query.Options{}, stale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Plan.Indexed {
-		t.Fatal("stale index (digest mismatch) was used for planning")
+	want, err := query.EvalIndexed(small, q, query.Options{}, queryindex.Build(small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Plan, want.Plan) || !reflect.DeepEqual(got.Answers, want.Answers) {
+		t.Fatalf("stale index planned %+v, answered %v; a fresh one %+v, %v", got.Plan, got.Answers, want.Plan, want.Answers)
+	}
+	if got.Plan.EmptyByIndex || got.P("1") != 1 {
+		t.Fatalf("the stale index's tags leaked into the plan: %+v, answers %v", got.Plan, got.Answers)
 	}
 }
 
 func TestEvalIndexedExplicitMethodErrors(t *testing.T) {
 	tr := pxmltest.Fig2Tree()
 	idx := queryindex.Build(tr)
-	// text() as first step is not exactly evaluable; an explicit exact
-	// request must surface the error rather than silently falling back.
+	// text() as first step is not exactly evaluable (Compile rejects it, so
+	// the query is built by hand); an explicit exact request must surface
+	// the error rather than silently falling back.
+	textFirst := &query.Query{Steps: []query.Step{{IsText: true, Name: "text()"}}}
+	if _, err := query.EvalIndexed(tr, textFirst, query.Options{Method: query.MethodExact}, idx); !errors.Is(err, query.ErrNotExact) {
+		t.Fatalf("text()-first exact error = %v, want ErrNotExact", err)
+	}
 	q := query.MustCompile(`//person/tel`)
 	_, err := query.EvalIndexed(tr, q, query.Options{Method: "bogus"}, idx)
 	if !errors.Is(err, query.ErrBadOptions) {

@@ -100,48 +100,56 @@ func TestPropertyEvaluatorsAgree(t *testing.T) {
 	}
 }
 
-// TestPropertyAutoBitIdentical asserts the issue's determinism criterion:
+// TestPropertyAutoBitIdentical asserts the engine's determinism criterion:
 // MethodAuto returns bit-identical answers to explicitly requesting the
-// method it selected, over the full corpus and query pool.
+// method it selected, over the full corpus and query pool, at the default
+// limits and at a local limit small enough to force sampling. Without an
+// index it plans and answers exactly as with one, and it never enumerates.
 func TestPropertyAutoBitIdentical(t *testing.T) {
+	sampled := 0
 	for ti, tree := range propertyTrees(t) {
 		idx := queryindex.Build(tree)
 		for _, src := range propertyQueries {
 			q := query.MustCompile(src)
-			opts := query.Options{Samples: 500, Seed: query.SeedPtr(11)}
-			auto, err := query.EvalIndexed(tree, q, opts, idx)
-			if err != nil {
-				t.Fatalf("tree %d %s: auto: %v", ti, src, err)
-			}
-			expOpts := opts
-			expOpts.Method = auto.Method
-			explicit, err := query.EvalIndexed(tree, q, expOpts, idx)
-			if err != nil {
-				t.Fatalf("tree %d %s: explicit %q: %v", ti, src, auto.Method, err)
-			}
-			if !reflect.DeepEqual(auto.Answers, explicit.Answers) {
-				t.Fatalf("tree %d %s: auto (%q) not bit-identical to explicit run:\nauto:     %v\nexplicit: %v",
-					ti, src, auto.Method, auto.Answers, explicit.Answers)
-			}
-			if auto.SampledWorlds != explicit.SampledWorlds {
-				t.Fatalf("tree %d %s: sampled-world counts differ: %d vs %d",
-					ti, src, auto.SampledWorlds, explicit.SampledWorlds)
-			}
-			// The same holds without an index (ladder mode).
-			autoNoIdx, err := query.EvalIndexed(tree, q, opts, nil)
-			if err != nil {
-				t.Fatalf("tree %d %s: unindexed auto: %v", ti, src, err)
-			}
-			expOpts.Method = autoNoIdx.Method
-			explicitNoIdx, err := query.EvalIndexed(tree, q, expOpts, nil)
-			if err != nil {
-				t.Fatalf("tree %d %s: unindexed explicit: %v", ti, src, err)
-			}
-			if !reflect.DeepEqual(autoNoIdx.Answers, explicitNoIdx.Answers) {
-				t.Fatalf("tree %d %s: unindexed auto (%q) not bit-identical",
-					ti, src, autoNoIdx.Method)
+			for _, local := range []int{0, 2} {
+				opts := query.Options{Samples: 500, Seed: query.SeedPtr(11), LocalWorldLimit: local}
+				auto, err := query.EvalIndexed(tree, q, opts, idx)
+				if err != nil {
+					t.Fatalf("tree %d %s limit %d: auto: %v", ti, src, local, err)
+				}
+				if auto.Method == query.MethodEnumerate {
+					t.Fatalf("tree %d %s limit %d: auto enumerated", ti, src, local)
+				}
+				if auto.Method == query.MethodSample {
+					sampled++
+				}
+				expOpts := opts
+				expOpts.Method = auto.Method
+				explicit, err := query.EvalIndexed(tree, q, expOpts, idx)
+				if err != nil {
+					t.Fatalf("tree %d %s limit %d: explicit %q: %v", ti, src, local, auto.Method, err)
+				}
+				if !reflect.DeepEqual(auto.Answers, explicit.Answers) {
+					t.Fatalf("tree %d %s limit %d: auto (%q) not bit-identical to explicit run:\nauto:     %v\nexplicit: %v",
+						ti, src, local, auto.Method, auto.Answers, explicit.Answers)
+				}
+				if auto.SampledWorlds != explicit.SampledWorlds {
+					t.Fatalf("tree %d %s limit %d: sampled-world counts differ: %d vs %d",
+						ti, src, local, auto.SampledWorlds, explicit.SampledWorlds)
+				}
+				noIdx, err := query.EvalIndexed(tree, q, opts, nil)
+				if err != nil {
+					t.Fatalf("tree %d %s limit %d: unindexed auto: %v", ti, src, local, err)
+				}
+				if noIdx.Method != auto.Method || !reflect.DeepEqual(noIdx.Answers, auto.Answers) || !reflect.DeepEqual(noIdx.Plan, auto.Plan) {
+					t.Fatalf("tree %d %s limit %d: unindexed auto ran %q with plan %+v, indexed %q with %+v",
+						ti, src, local, noIdx.Method, noIdx.Plan, auto.Method, auto.Plan)
+				}
 			}
 		}
+	}
+	if sampled == 0 {
+		t.Fatal("no auto evaluation sampled: the limit-2 sweep proves nothing")
 	}
 }
 

@@ -81,8 +81,8 @@ func limitFixture() *pxml.Tree {
 // TestLocalWorldLimitCountsMatchingAnchorsOnly: an anchor that cannot match
 // is skipped before its worlds are counted against LocalWorldLimit, so an
 // explicit exact evaluation answers where only such an anchor exceeds the
-// limit. An anchor that can match and exceeds it is ErrNotExact as before; so is the
-// ungated legacy evaluator on either.
+// limit, and so does EvalExact. An anchor that can match and exceeds it is
+// ErrNotExact.
 func TestLocalWorldLimitCountsMatchingAnchorsOnly(t *testing.T) {
 	tr := limitFixture()
 	idx := queryindex.Build(tr)
@@ -102,29 +102,30 @@ func TestLocalWorldLimitCountsMatchingAnchorsOnly(t *testing.T) {
 	if _, err := query.EvalIndexed(tr, wide, opts, idx); !errors.Is(err, query.ErrNotExact) {
 		t.Fatalf("the matching anchor spans 32 worlds (limit 8): got %v, want ErrNotExact", err)
 	}
-	if _, err := query.EvalExact(tr, narrow, 8); !errors.Is(err, query.ErrNotExact) {
-		t.Fatalf("legacy exact enumerates every anchor: got %v, want ErrNotExact", err)
+	exact, err := query.EvalExact(tr, narrow, 8)
+	if err != nil || !reflect.DeepEqual(exact, res.Answers) {
+		t.Fatalf("EvalExact runs the same executor: got %v, %v, want %v", exact, err, res.Answers)
 	}
 }
 
 // TestPlannerBoundStaysPerTagMaximum: the planner does not look at literals.
 // Its anchor bound is the index's maximum over every <movie>, a true upper
 // bound for whichever of them the gate lets through, so auto still avoids
-// exact when any movie exceeds the limit — and answers by the method it
+// exact when any movie exceeds the limit — and samples, by the method it
 // names.
 func TestPlannerBoundStaysPerTagMaximum(t *testing.T) {
 	tr := limitFixture()
 	idx := queryindex.Build(tr)
 	q := query.MustCompile(`//movie[title="Die Hard"]/year`)
-	res, err := query.EvalIndexed(tr, q, query.Options{LocalWorldLimit: 8}, idx)
+	res, err := query.EvalIndexed(tr, q, query.Options{LocalWorldLimit: 8, Samples: 500}, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.AnchorWorldBound != "32" || res.Plan.Method != query.MethodEnumerate || res.Method != query.MethodEnumerate {
-		t.Fatalf("plan %+v ran %s, want bound 32 and enumeration", *res.Plan, res.Method)
+	if res.Plan.AnchorWorldBound != "32" || res.Plan.Method != query.MethodSample || res.Method != query.MethodSample {
+		t.Fatalf("plan %+v ran %s, want bound 32 and sampling", *res.Plan, res.Method)
 	}
-	if res.P("1988") != 1 {
-		t.Fatalf("answers %v", res.Answers)
+	if p := res.P("1988"); p < 1-1e-9 || p > 1+1e-9 || res.SampledWorlds != 500 {
+		t.Fatalf("answers %v from %d samples", res.Answers, res.SampledWorlds)
 	}
 	res, err = query.EvalIndexed(tr, q, query.Options{LocalWorldLimit: 32}, idx)
 	if err != nil || res.Plan.Method != query.MethodExact {

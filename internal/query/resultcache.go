@@ -39,16 +39,27 @@ type resultKey struct {
 
 // optionsKey canonicalizes options into the cache key: defaults are
 // resolved first, so Options{} and an explicitly spelled-out default hit
-// the same entry. Workers (ignored) and the budget fields are deliberately
-// excluded: budgets only decide whether an evaluation completes — so
-// queries differing only in those share one entry (and one singleflight
-// execution).
+// the same entry, and only the options the method reads are kept — the
+// local limit for auto and exact, the enumeration limit for enumerate, the
+// sample count and seed for auto and sample. Workers (ignored) and the
+// budget fields are deliberately excluded: budgets only decide whether an
+// evaluation completes — so queries differing only in those share one
+// entry (and one singleflight execution).
 func optionsKey(o Options) string {
 	local := o.LocalWorldLimit
 	if local <= 0 {
 		local = DefaultLocalWorldLimit
 	}
-	return fmt.Sprintf("m=%s;l=%d;e=%d;n=%d;s=%d", o.method(), local, o.enumLimit(), o.samples(), o.seed())
+	switch m := o.method(); m {
+	case MethodExact:
+		return fmt.Sprintf("m=%s;l=%d", m, local)
+	case MethodEnumerate:
+		return fmt.Sprintf("m=%s;e=%d", m, o.enumLimit())
+	case MethodSample:
+		return fmt.Sprintf("m=%s;n=%d;s=%d", m, o.samples(), o.seed())
+	default:
+		return fmt.Sprintf("m=%s;l=%d;n=%d;s=%d", m, local, o.samples(), o.seed())
+	}
 }
 
 // ResultCache is a fixed-capacity, concurrency-safe LRU cache of fully

@@ -47,6 +47,46 @@ func TestResultCacheHitMiss(t *testing.T) {
 	}
 }
 
+// TestResultCacheKeyHoldsOnlyReadOptions: an option the method does not
+// read does not split its entry — the seed under exact, the local limit and
+// seed under enumerate, the limits under sample — while one it reads does.
+func TestResultCacheKeyHoldsOnlyReadOptions(t *testing.T) {
+	c := NewResultCache(8)
+	exact := Options{Method: MethodExact}
+	if _, ok := c.Get(1, "//a", exact); ok {
+		t.Fatal("hit on empty cache")
+	}
+	c.Put(1, "//a", exact, cachedResult("x"))
+	withSeed := exact
+	withSeed.Seed = SeedPtr(7)
+	if _, ok := c.Get(1, "//a", withSeed); !ok {
+		t.Fatal("method=exact with a seed missed the seedless entry")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 || st.Size != 1 {
+		t.Fatalf("stats = %+v, want 1 miss, 1 hit, 1 entry", st)
+	}
+	for _, same := range [][2]Options{
+		{{Method: MethodEnumerate}, {Method: MethodEnumerate, LocalWorldLimit: 3, Samples: 9, Seed: SeedPtr(7)}},
+		{{Method: MethodSample}, {Method: MethodSample, LocalWorldLimit: 3, EnumWorldLimit: 9}},
+		{{}, {EnumWorldLimit: 9}},
+	} {
+		if optionsKey(same[0]) != optionsKey(same[1]) {
+			t.Fatalf("%+v and %+v key apart: %q, %q", same[0], same[1], optionsKey(same[0]), optionsKey(same[1]))
+		}
+	}
+	for _, apart := range [][2]Options{
+		{{Method: MethodExact}, {Method: MethodExact, LocalWorldLimit: 3}},
+		{{Method: MethodEnumerate}, {Method: MethodEnumerate, EnumWorldLimit: 9}},
+		{{Method: MethodSample}, {Method: MethodSample, Seed: SeedPtr(7)}},
+		{{}, {LocalWorldLimit: 3}},
+		{{}, {Samples: 9}},
+	} {
+		if optionsKey(apart[0]) == optionsKey(apart[1]) {
+			t.Fatalf("%+v and %+v share key %q", apart[0], apart[1], optionsKey(apart[0]))
+		}
+	}
+}
+
 func TestResultCacheEvictionLRU(t *testing.T) {
 	c := NewResultCache(2)
 	c.Put(1, "a", Options{}, cachedResult("a"))

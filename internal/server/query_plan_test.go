@@ -55,9 +55,6 @@ func TestQueryExplainParameter(t *testing.T) {
 	if string(explained.Plan.Method) != explained.Method {
 		t.Fatalf("plan method %q != response method %q", explained.Plan.Method, explained.Method)
 	}
-	if !explained.Plan.Indexed {
-		t.Fatal("server-side evaluation should be indexed")
-	}
 	if explained.Plan.Reason == "" || explained.Plan.EstimatedWorlds == "" {
 		t.Fatalf("plan not explainable: %+v", explained.Plan)
 	}

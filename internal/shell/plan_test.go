@@ -6,22 +6,22 @@ import (
 )
 
 // TestShellPlanCommand checks the plan command evaluates like query but
-// prints the planner's reasoning, and that the index follows tree swaps.
+// prints the planner's reasoning.
 func TestShellPlanCommand(t *testing.T) {
 	out := exec(t,
 		`loadxml <addressbook><person><nm>John</nm><tel>1111</tel></person></addressbook>`,
 		`integratexml <addressbook><person><nm>John</nm><tel>2222</tel></person></addressbook>`,
 		`plan //person[nm="John"]/tel`,
 	)
-	for _, want := range []string{"[exact]", "plan: method=exact indexed=true", "reason:", "1111"} {
+	for _, want := range []string{"[exact]", "plan: method=exact pruned=", "reason:", "1111"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("plan output missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// TestShellQueryAfterMutationReplans checks a query after feedback uses a
-// fresh index (digest tracking) and reflects the conditioned document.
+// TestShellQueryAfterMutationReplans checks a query after feedback plans
+// against and reflects the conditioned document.
 func TestShellQueryAfterMutationReplans(t *testing.T) {
 	out := exec(t,
 		`loadxml <addressbook><person><nm>John</nm><tel>1111</tel></person></addressbook>`,

@@ -29,7 +29,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/pxml"
 	"repro/internal/query"
-	"repro/internal/queryindex"
 	"repro/internal/store"
 	"repro/internal/worlds"
 	"repro/internal/xmlcodec"
@@ -37,12 +36,8 @@ import (
 
 // Shell holds the interactive session state.
 type Shell struct {
-	tree   *pxml.Tree
-	schema *dtd.Schema
-	// index is the query index of tree; it is rebuilt lazily whenever
-	// the tree's digest no longer matches (load, integrate, feedback,
-	// normalize all swap the tree).
-	index     *queryindex.Index
+	tree      *pxml.Tree
+	schema    *dtd.Schema
 	ruleSpec  string
 	lastQuery *query.Query
 	// lastQuerySrc is the text of lastQuery, needed when judging answers
@@ -53,15 +48,6 @@ type Shell struct {
 	cat *catalog.Catalog
 	db  *catalog.DB
 	out io.Writer
-}
-
-// ensureIndex returns the query index for the current tree, rebuilding it
-// after any mutation (detected by digest mismatch, an O(1) check).
-func (s *Shell) ensureIndex() *queryindex.Index {
-	if s.index == nil || s.index.Digest() != s.tree.Digest() {
-		s.index = queryindex.Build(s.tree)
-	}
-	return s.index
 }
 
 // New creates a shell writing to out.
@@ -398,7 +384,7 @@ func (s *Shell) runQuery(src string, explain bool) (query.Result, error) {
 		// result caches.
 		res, err = s.db.Core().QueryCompiled(q)
 	} else {
-		res, err = query.EvalIndexed(s.tree, q, query.Options{}, s.ensureIndex())
+		res, err = query.Eval(s.tree, q, query.Options{})
 	}
 	if err != nil {
 		return query.Result{}, err
@@ -408,8 +394,8 @@ func (s *Shell) runQuery(src string, explain bool) (query.Result, error) {
 	fmt.Fprintf(s.out, "[%s]\n", res.Method)
 	if explain && res.Plan != nil {
 		pl := res.Plan
-		fmt.Fprintf(s.out, "  plan: method=%s indexed=%v pruned=%.0f%% worlds=%s\n",
-			pl.Method, pl.Indexed, pl.PrunedFraction*100, pl.EstimatedWorlds)
+		fmt.Fprintf(s.out, "  plan: method=%s pruned=%.0f%% worlds=%s\n",
+			pl.Method, pl.PrunedFraction*100, pl.EstimatedWorlds)
 		if pl.AnchorTag != "" {
 			fmt.Fprintf(s.out, "  anchor: <%s> local-world bound %s\n", pl.AnchorTag, pl.AnchorWorldBound)
 		}
@@ -671,7 +657,7 @@ func (s *Shell) data(dir string) error {
 // mutating it believing the writes are journaled.
 func (s *Shell) detachCatalog() {
 	if s.db != nil {
-		s.tree, s.index = nil, nil
+		s.tree = nil
 	}
 	s.cat.Close()
 	s.cat, s.db = nil, nil
