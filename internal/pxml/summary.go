@@ -46,16 +46,6 @@ func (s TagSet) Has(tag string) bool {
 	return ok
 }
 
-// HasAll reports whether every tag of the given set-as-map is present.
-func (s TagSet) HasAll(tags map[string]bool) bool {
-	for t := range tags {
-		if !s.Has(t) {
-			return false
-		}
-	}
-	return true
-}
-
 // Len returns the number of tags in the set.
 func (s TagSet) Len() int { return len(s.stats) }
 

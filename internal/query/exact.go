@@ -3,10 +3,11 @@ package query
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/pxml"
 	"repro/internal/worlds"
@@ -58,35 +59,25 @@ type localKey struct {
 	s stateSet
 }
 
-type failKey struct {
-	n *pxml.Node
-	s stateSet
-	v string
-}
-
 type exactEval struct {
 	q          *Query
 	anchorIdx  int
 	localLimit int
 	localMemo  map[localKey]map[string]float64
 
-	// valueSets records, per (node, state set), the set of answer values
-	// the subtree can produce; the per-value failure pass then skips
-	// value-free subtrees in O(1) instead of re-walking them, which turns
-	// the O(values × nodes) second pass into O(nodes + values × depth) on
-	// selective documents. Mathematically the skipped subtree's failure
-	// probability is exactly 1, so short-circuiting only removes
-	// accumulated floating-point dust from Σpᵢ≈1 sums. Set during run.
-	valueSets map[localKey]map[string]bool
+	// dists memoizes dist per (node, state set) the summaries did not
+	// prune. It is made per evaluation by run.
+	dists map[localKey]map[string]float64
 	// need[i] is what a subtree must contain for the step chain i..last
 	// to complete inside it (required tags and a Bloom mask of required
 	// equality literals); subtrees that cannot satisfy any pending chain
 	// are pruned without a visit. Nil need is the ungated mode, which
 	// walks every subtree and enumerates every anchor reached.
 	need []stepNeed
-	// visited/prunedSubtrees count discovery-pass work for plan stats;
-	// anchorsEnumerated/anchorsSkipped the anchor hits it reached, by
-	// whether anchorCanMatch let them through to local enumeration.
+	// visited/prunedSubtrees count subtree visits for plan stats, a pruned
+	// subtree once per time it is reached; anchorsEnumerated/anchorsSkipped
+	// the anchor hits, by whether anchorCanMatch let them through to local
+	// enumeration.
 	visited, prunedSubtrees           int
 	anchorsEnumerated, anchorsSkipped int64
 
@@ -161,11 +152,11 @@ func (e *exactEval) localEval(elem *pxml.Node, states stateSet) (map[string]floa
 // stepNeed is the static requirement the chain from one step to the last
 // imposes on any subtree completing it.
 type stepNeed struct {
-	// tags are the concrete element tags of steps i..last: any complete
-	// match starting at step i assigns every later step to an element
-	// inside the same subtree, so a subtree lacking one of the tags
+	// tags are the distinct concrete element tags of steps i..last: any
+	// complete match starting at step i assigns every later step to an
+	// element inside the same subtree, so a subtree lacking one of the tags
 	// cannot contribute an answer through state i.
-	tags map[string]bool
+	tags []string
 	// litMask is the combined Bloom mask of the space-free literals among
 	// the positively required [path = "lit"] predicates of steps i..last,
 	// whatever the path ends in. A string value without a space is a
@@ -180,17 +171,23 @@ type stepNeed struct {
 
 // tagLit is one positively required [path = "lit"] whose path ends in the
 // named tag: the predicate holds only in worlds where some <tag> inside the
-// subtree has the string value lit. mask is the literal's Bloom mask.
+// subtree has the string value lit. mask is the literal's Bloom mask; leaf
+// is set by run when no <tag> in the document has children.
 type tagLit struct {
 	tag, lit string
 	mask     uint64
+	leaf     bool
 }
 
 // admits is the summary half of the requirement: a subtree needs a <tag>
 // at all, and where every <tag> in it is a leaf (TagStat.Inner == 0) the
 // string value of each is its own text in every world, so the subtree's
-// text fingerprint must cover the literal.
+// text fingerprint must cover the literal. Inner counts sum over subtrees,
+// so for a leaf literal the fingerprint alone decides a miss.
 func (tl tagLit) admits(sum *pxml.Summary) bool {
+	if tl.leaf && sum.TextBloom&tl.mask != tl.mask {
+		return false
+	}
 	st, ok := sum.Tags.Stat(tl.tag)
 	return ok && (st.Inner > 0 || sum.TextBloom&tl.mask == tl.mask)
 }
@@ -219,25 +216,20 @@ func (tl tagLit) occursIn(n *pxml.Node) bool {
 // i..last.
 func stepNeeds(q *Query) []stepNeed {
 	need := make([]stepNeed, len(q.Steps))
-	var tags map[string]bool
+	var tags []string
 	var mask uint64
 	var lits []tagLit
+	// need[i+1..] keep their shorter prefixes of the arrays appended to.
 	for i := len(q.Steps) - 1; i >= 0; i-- {
 		s := q.Steps[i]
-		if !s.IsText && s.Name != "*" {
-			m := make(map[string]bool, len(tags)+1)
-			for t := range tags {
-				m[t] = true
-			}
-			m[s.Name] = true
-			tags = m
+		if !s.IsText && s.Name != "*" && !slices.Contains(tags, s.Name) {
+			tags = append(tags, s.Name)
 		}
 		for _, tl := range requiredEqLiterals(s) {
 			if !strings.ContainsRune(tl.lit, ' ') {
 				mask |= tl.mask
 			}
 			if tl.tag != "" {
-				// need[i+1..] keep their shorter prefix of the same array.
 				lits = append(lits, tl)
 			}
 		}
@@ -304,7 +296,7 @@ chains:
 				continue chains
 			}
 		}
-		for t := range nd.tags {
+		for _, t := range nd.tags {
 			if !sum.Tags.Has(t) {
 				continue chains
 			}
@@ -333,182 +325,137 @@ func (e *exactEval) anchorCanMatch(n *pxml.Node) bool {
 	return true
 }
 
-// values is the discovery pass: it returns the set of answer
-// values the subtree of n can produce given the pending states, memoized
-// per (node, state set) so the failure pass can consult it in O(1). A nil
-// set means "no values".
-func (e *exactEval) values(n *pxml.Node, states stateSet) (map[string]bool, error) {
+// dist returns, for each answer value the subtree of n can produce given
+// the pending states, the probability that it produces no answer with that
+// value. A value it cannot produce is absent: its failure probability is
+// exactly 1. A subtree the summaries prune is counted and answers nil
+// without entering the memo; the others are memoized per (node, state set).
+// A returned map may be shared with the memo and with other nodes, so it is
+// never written once returned.
+func (e *exactEval) dist(n *pxml.Node, states stateSet) (map[string]float64, error) {
 	if states == 0 {
 		return nil, nil
 	}
+	if !e.canMatch(n, states) {
+		e.visited++
+		e.prunedSubtrees++
+		return nil, e.budget.step()
+	}
 	key := localKey{e: n, s: states}
-	if vs, ok := e.valueSets[key]; ok {
-		return vs, nil
+	if d, ok := e.dists[key]; ok {
+		return d, nil
 	}
 	e.visited++
 	if err := e.budget.step(); err != nil {
 		return nil, err
 	}
-	if !e.canMatch(n, states) {
-		e.prunedSubtrees++
-		e.valueSets[key] = nil
-		return nil, nil
-	}
-	var vs map[string]bool
-	merge := func(kvs map[string]bool) {
-		if len(kvs) == 0 {
-			return
-		}
-		if vs == nil {
-			// Share the child's set until a second contributor forces a
-			// private union — chains of wrapper nodes then share one set.
-			vs = kvs
-			return
-		}
-		if mapsShareStorage(vs, kvs) {
-			return
-		}
-		merged := make(map[string]bool, len(vs)+len(kvs))
-		for v := range vs {
-			merged[v] = true
-		}
-		for v := range kvs {
-			merged[v] = true
-		}
-		vs = merged
-	}
-	switch n.Kind() {
-	case pxml.KindProb, pxml.KindPoss:
-		for _, k := range n.Children() {
-			kvs, err := e.values(k, states)
-			if err != nil {
-				return nil, err
-			}
-			merge(kvs)
-		}
-	default: // element
-		next, hit := e.advance(n, states)
-		if hit && !e.anchorCanMatch(n) {
-			e.anchorsSkipped++
-		} else if hit {
-			e.anchorsEnumerated++
-			m, err := e.localEval(n, states)
-			if err != nil {
-				return nil, err
-			}
-			if len(m) > 0 {
-				vs = make(map[string]bool, len(m))
-				for v := range m {
-					vs[v] = true
-				}
-			}
-		} else if next != 0 {
-			for _, k := range n.Children() {
-				kvs, err := e.values(k, next)
-				if err != nil {
-					return nil, err
-				}
-				merge(kvs)
-			}
-		}
-	}
-	e.valueSets[key] = vs
-	return vs, nil
-}
-
-// mapsShareStorage reports whether b adds nothing to a because the two
-// sets are the same size and b ⊆ a (the common shared-child case).
-func mapsShareStorage(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v := range b {
-		if !a[v] {
-			return false
-		}
-	}
-	return true
-}
-
-// fail returns P(no answer with value v arises in the subtree of n), given
-// the NFA state set at n. The memoization table is a parameter so that run
-// can clear it once a value's probability is known.
-func (e *exactEval) fail(n *pxml.Node, states stateSet, v string, memo map[failKey]float64) (float64, error) {
-	if states == 0 {
-		return 1, nil
-	}
-	// The discovery pass has already recorded which values this subtree
-	// can produce; a subtree that cannot produce v fails with probability
-	// exactly 1.
-	if vs, ok := e.valueSets[localKey{e: n, s: states}]; ok && !vs[v] {
-		return 1, nil
-	}
-	key := failKey{n: n, s: states, v: v}
-	if f, ok := memo[key]; ok {
-		return f, nil
-	}
-	if err := e.budget.step(); err != nil {
-		return 0, err
-	}
-	var f float64
+	var d map[string]float64
 	var err error
 	switch n.Kind() {
 	case pxml.KindProb:
-		// Alternatives are mutually exclusive: failure probabilities add,
-		// weighted.
-		f = 0
-		for _, poss := range n.Children() {
-			pf, perr := e.fail(poss, states, v, memo)
-			if perr != nil {
-				return 0, perr
-			}
-			f += poss.Prob() * pf
-		}
+		d, err = e.probDist(n, states)
 	case pxml.KindPoss:
-		// Contents are independent: failures multiply.
-		f = 1
-		for _, el := range n.Children() {
-			ef, eerr := e.fail(el, states, v, memo)
-			if eerr != nil {
-				return 0, eerr
-			}
-			f *= ef
-			if f == 0 {
-				break
-			}
-		}
+		d, err = e.productDist(n.Children(), states)
 	default: // element
 		next, hit := e.advance(n, states)
-		if hit {
+		switch {
+		case hit && !e.anchorCanMatch(n):
+			e.anchorsSkipped++
+		case hit:
+			e.anchorsEnumerated++
 			var m map[string]float64
-			m, err = e.localEval(n, states)
-			if err != nil {
-				return 0, err
+			if m, err = e.localEval(n, states); len(m) > 0 {
+				d = make(map[string]float64, len(m))
+				for v, p := range m {
+					d[v] = 1 - p
+				}
 			}
-			f = 1 - m[v]
-		} else {
-			f = 1
-			for _, k := range n.Children() {
-				kf, kerr := e.fail(k, next, v, memo)
-				if kerr != nil {
-					return 0, kerr
-				}
-				f *= kf
-				if f == 0 {
-					break
-				}
+		default:
+			d, err = e.productDist(n.Children(), next)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	e.dists[key] = d
+	return d, nil
+}
+
+// probDist composes the alternatives of a choice point, which are mutually
+// exclusive: a value's failure probability is the sum of poss.Prob()·f over
+// the alternatives in order, f = 1 for one that cannot produce the value.
+// absent is that running sum for a value no alternative has produced yet. A
+// lone alternative of probability 1 shares its map, since 0 + 1·f = f.
+func (e *exactEval) probDist(n *pxml.Node, states stateSet) (map[string]float64, error) {
+	kids := n.Children()
+	if len(kids) == 1 && kids[0].Prob() == 1 {
+		return e.dist(kids[0], states)
+	}
+	var d map[string]float64
+	absent := 0.0
+	for _, poss := range kids {
+		pd, err := e.dist(poss, states)
+		if err != nil {
+			return nil, err
+		}
+		p := poss.Prob()
+		for v, f := range d {
+			if _, ok := pd[v]; !ok {
+				d[v] = f + p
+			}
+		}
+		if d == nil && len(pd) > 0 {
+			d = make(map[string]float64, len(pd))
+		}
+		for v, f := range pd {
+			g, ok := d[v]
+			if !ok {
+				g = absent
+			}
+			d[v] = g + p*f
+		}
+		absent += p
+	}
+	return d, nil
+}
+
+// productDist composes independent children — the contents of a
+// possibility or the children of an element that is not an anchor: a
+// value's failure probability is the product of the children's in child
+// order, a child that cannot produce the value contributing the factor 1.
+// The map of a single contributing child is shared, since 1·f = f.
+func (e *exactEval) productDist(kids []*pxml.Node, states stateSet) (map[string]float64, error) {
+	var d map[string]float64
+	shared := true
+	for _, k := range kids {
+		kd, err := e.dist(k, states)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case len(kd) == 0:
+			continue
+		case d == nil:
+			d = kd
+			continue
+		case shared:
+			d, shared = maps.Clone(d), false
+		}
+		for v, f := range kd {
+			if g, ok := d[v]; ok {
+				d[v] = g * f
+			} else {
+				d[v] = f
 			}
 		}
 	}
-	memo[key] = f
-	return f, nil
+	return d, nil
 }
 
-// evalExactPlanned is the exact executor: a value-discovery pass that
-// memoizes per-subtree value sets (with summary-based pruning), then a
-// per-value failure pass that touches only subtrees that can actually
-// produce the value. It returns the evaluator alongside the answers so the
-// planner can report pruning statistics.
+// evalExactPlanned is the exact executor: one memoized pass that computes,
+// per subtree the summaries cannot prune, the failure probability of every
+// value it can produce. It returns the evaluator alongside the answers so
+// the planner can report pruning statistics.
 func evalExactPlanned(t *pxml.Tree, q *Query, localLimit int, b *budget) ([]Answer, *exactEval, error) {
 	e, err := newExactEval(q, localLimit)
 	if err != nil {
@@ -541,49 +488,24 @@ func newExactEval(q *Query, localLimit int) (*exactEval, error) {
 	}, nil
 }
 
-// plannedMemo is the planned executor's scratch: the per-subtree value sets
-// and the one failure memo every value reuses. Its maps are pooled and
-// cleared between evaluations, so an evaluation does not grow a fresh map
-// for every top-level subtree it prunes.
-type plannedMemo struct {
-	valueSets map[localKey]map[string]bool
-	fail      map[failKey]float64
-}
-
-var plannedMemos = sync.Pool{New: func() any {
-	return &plannedMemo{valueSets: make(map[localKey]map[string]bool), fail: make(map[failKey]float64)}
-}}
-
-// run evaluates the query over t; see evalExactPlanned.
+// run evaluates the query over t; see evalExactPlanned. The memo is made
+// here, per evaluation: it holds only the subtrees that were not pruned.
 func (e *exactEval) run(t *pxml.Tree) ([]Answer, error) {
-	m := plannedMemos.Get().(*plannedMemo)
-	e.valueSets = m.valueSets
-	defer func() {
-		e.valueSets = nil
-		clear(m.valueSets)
-		clear(m.fail)
-		plannedMemos.Put(m)
-	}()
-	values, err := e.values(t.Root(), stateSet(1))
+	tags := t.Summary().Tags
+	for i := range e.need {
+		for j := range e.need[i].lits {
+			tl := &e.need[i].lits[j]
+			st, _ := tags.Stat(tl.tag)
+			tl.leaf = st.Inner == 0
+		}
+	}
+	e.dists = make(map[localKey]map[string]float64)
+	d, err := e.dist(t.Root(), stateSet(1))
 	if err != nil {
 		return nil, err
 	}
-	// Visit the values in a fixed order, so a budget abort stops at the
-	// same value on every run.
-	vals := make([]string, 0, len(values))
-	for v := range values {
-		vals = append(vals, v)
-	}
-	sort.Strings(vals)
-	answers := make([]Answer, 0, len(vals))
-	for _, v := range vals {
-		// Entries are keyed per value anyway, so one memo cleared between
-		// values computes the exact same floats as a shared one.
-		clear(m.fail)
-		f, err := e.fail(t.Root(), stateSet(1), v, m.fail)
-		if err != nil {
-			return nil, err
-		}
+	answers := make([]Answer, 0, len(d))
+	for v, f := range d {
 		if p := 1 - f; p > 1e-12 {
 			answers = append(answers, Answer{Value: v, P: p})
 		}

@@ -26,6 +26,8 @@ func FuzzParseQuery(f *testing.F) {
 		strings.Repeat("/a", 62), strings.Repeat("/a", 63), "/a" + strings.Repeat("//*", 80),
 		`/text()`, `//a/text()/b`, `//a/text()[b]`, `//a[text()="x"]`, `//a[b/text()/c]`,
 		`//a[some $v in b satisfies $v = 'x y']`, `//a[not((b or c) and contains(., "d"))]`,
+		`//a[` + strings.Repeat("(", 255) + "b" + strings.Repeat(")", 255) + "]",
+		`//a[` + strings.Repeat("not(", 256) + "b" + strings.Repeat(")", 256) + "]",
 	} {
 		f.Add(src)
 	}

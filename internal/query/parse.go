@@ -15,6 +15,11 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("query: position %d: %s", e.Pos, e.Msg)
 }
 
+// MaxNesting bounds how deeply a query may nest predicates, parenthesized
+// conditions and not(…): the parser recurses once per level, and a query
+// arriving over HTTP must not be able to exhaust the goroutine stack.
+const MaxNesting = 256
+
 // Compile parses a query of the supported XPath subset:
 //
 //	query  := ('/' | '//') step (('/' | '//') step)*
@@ -30,14 +35,17 @@ func (e *ParseError) Error() string {
 //	rpath  := '.' | ('.')? ('/'|'//') step … | step (('/'|'//') step)*
 //
 // Comparison predicates have existential semantics over the node set, as
-// in the paper's example queries.
+// in the paper's example queries. Predicates, parentheses and not(…) nest
+// at most MaxNesting levels deep.
 func Compile(src string) (*Query, error) {
-	p := &parser{lex: newLexer(src), src: src}
+	p := &parser{lex: &lexer{src: src}, src: src}
+	p.tok = p.lex.next()
 	q, err := p.parseQuery()
-	if err != nil {
-		return nil, err
+	if p.lex.err != nil {
+		// The parser stopped at the end-of-input token the error left.
+		return nil, p.lex.err
 	}
-	return q, nil
+	return q, err
 }
 
 // MustCompile is Compile that panics on error, for statically known
@@ -78,17 +86,12 @@ type token struct {
 	pos  int
 }
 
+// lexer scans tokens on demand, so a query the parser refuses early is
+// never tokenized in full.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
-	err  *ParseError
-}
-
-func newLexer(src string) *lexer {
-	l := &lexer{src: src}
-	l.run()
-	return l
+	src string
+	pos int
+	err *ParseError
 }
 
 func (l *lexer) errorf(pos int, format string, args ...any) {
@@ -97,92 +100,74 @@ func (l *lexer) errorf(pos int, format string, args ...any) {
 	}
 }
 
-func (l *lexer) run() {
+// next scans the token at l.pos. At the end of the input, and from the
+// first lexical error on, it returns tokEOF.
+func (l *lexer) next() token {
 	s := l.src
-	i := 0
-	emit := func(k tokKind, text string, pos int) {
-		l.toks = append(l.toks, token{kind: k, text: text, pos: pos})
+	for l.pos < len(s) && (s[l.pos] == ' ' || s[l.pos] == '\t' || s[l.pos] == '\n' || s[l.pos] == '\r') {
+		l.pos++
 	}
-	for i < len(s) {
-		c := s[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '/':
-			if i+1 < len(s) && s[i+1] == '/' {
-				emit(tokDSlash, "//", i)
-				i += 2
-			} else {
-				emit(tokSlash, "/", i)
-				i++
-			}
-		case c == '*':
-			emit(tokStar, "*", i)
-			i++
-		case c == '.':
-			emit(tokDot, ".", i)
-			i++
-		case c == '[':
-			emit(tokLBrack, "[", i)
-			i++
-		case c == ']':
-			emit(tokRBrack, "]", i)
-			i++
-		case c == '(':
-			emit(tokLParen, "(", i)
-			i++
-		case c == ')':
-			emit(tokRParen, ")", i)
-			i++
-		case c == ',':
-			emit(tokComma, ",", i)
-			i++
-		case c == '=':
-			emit(tokEq, "=", i)
-			i++
-		case c == '"' || c == '\'':
-			quote := c
-			j := i + 1
-			for j < len(s) && s[j] != quote {
-				j++
-			}
-			if j >= len(s) {
-				l.errorf(i, "unterminated string literal")
-				return
-			}
-			emit(tokString, s[i+1:j], i)
-			i = j + 1
-		case c == '$':
-			j := i + 1
-			for j < len(s) && isNameByte(s[j]) {
-				j++
-			}
-			if j == i+1 {
-				l.errorf(i, "empty variable name after $")
-				return
-			}
-			emit(tokVar, s[i+1:j], i)
-			i = j
-		case c >= '0' && c <= '9':
-			j := i
-			for j < len(s) && (s[j] >= '0' && s[j] <= '9' || s[j] == '.') {
-				j++
-			}
-			emit(tokNumber, s[i:j], i)
-			i = j
-		case isNameStartByte(c):
-			j := i
-			for j < len(s) && isNameByte(s[j]) {
-				j++
-			}
-			emit(tokName, s[i:j], i)
-			i = j
-		default:
-			l.errorf(i, "unexpected character %q", rune(c))
-			return
+	i := l.pos
+	if l.err != nil || i == len(s) {
+		return token{kind: tokEOF, pos: len(s)}
+	}
+	// tok emits s[i:end] as a token of kind k.
+	tok := func(k tokKind, end int) token {
+		l.pos = end
+		return token{kind: k, text: s[i:end], pos: i}
+	}
+	scan := func(j int, ok func(byte) bool) int {
+		for j < len(s) && ok(s[j]) {
+			j++
 		}
+		return j
 	}
-	emit(tokEOF, "", len(s))
+	switch c := s[i]; {
+	case c == '/':
+		if i+1 < len(s) && s[i+1] == '/' {
+			return tok(tokDSlash, i+2)
+		}
+		return tok(tokSlash, i+1)
+	case c == '*':
+		return tok(tokStar, i+1)
+	case c == '.':
+		return tok(tokDot, i+1)
+	case c == '[':
+		return tok(tokLBrack, i+1)
+	case c == ']':
+		return tok(tokRBrack, i+1)
+	case c == '(':
+		return tok(tokLParen, i+1)
+	case c == ')':
+		return tok(tokRParen, i+1)
+	case c == ',':
+		return tok(tokComma, i+1)
+	case c == '=':
+		return tok(tokEq, i+1)
+	case c == '"' || c == '\'':
+		j := scan(i+1, func(b byte) bool { return b != c })
+		if j >= len(s) {
+			l.errorf(i, "unterminated string literal")
+			return token{kind: tokEOF, pos: len(s)}
+		}
+		l.pos = j + 1
+		return token{kind: tokString, text: s[i+1 : j], pos: i}
+	case c == '$':
+		j := scan(i+1, isNameByte)
+		if j == i+1 {
+			l.errorf(i, "empty variable name after $")
+			return token{kind: tokEOF, pos: len(s)}
+		}
+		l.pos = j
+		return token{kind: tokVar, text: s[i+1 : j], pos: i}
+	case c >= '0' && c <= '9':
+		return tok(tokNumber, scan(i, func(b byte) bool { return b >= '0' && b <= '9' || b == '.' }))
+	case isNameStartByte(c):
+		return tok(tokName, scan(i, isNameByte))
+	default:
+		l.errorf(i, "unexpected character %q", rune(c))
+		return token{kind: tokEOF, pos: len(s)}
+	}
 }
 
 func isNameStartByte(c byte) bool {
@@ -196,24 +181,29 @@ func isNameByte(c byte) bool {
 // --- parser ---
 
 type parser struct {
-	lex *lexer
-	src string
-	i   int
+	lex   *lexer
+	src   string
+	tok   token // the one token of lookahead
+	depth int   // the predicates, parentheses and not(…) open
 }
 
-func (p *parser) peek() token {
-	if p.i < len(p.lex.toks) {
-		return p.lex.toks[p.i]
-	}
-	return token{kind: tokEOF, pos: len(p.src)}
-}
+func (p *parser) peek() token { return p.tok }
 
 func (p *parser) next() token {
-	t := p.peek()
+	t := p.tok
 	if t.kind != tokEOF {
-		p.i++
+		p.tok = p.lex.next()
 	}
 	return t
+}
+
+// enter opens one more nesting level at t, refusing more than MaxNesting;
+// the caller closes it by decrementing p.depth once the level is parsed.
+func (p *parser) enter(t token) error {
+	if p.depth++; p.depth > MaxNesting {
+		return &ParseError{Pos: t.pos, Msg: fmt.Sprintf("query nests deeper than %d levels", MaxNesting)}
+	}
+	return nil
 }
 
 func (p *parser) expect(k tokKind, what string) (token, error) {
@@ -225,9 +215,6 @@ func (p *parser) expect(k tokKind, what string) (token, error) {
 }
 
 func (p *parser) parseQuery() (*Query, error) {
-	if p.lex.err != nil {
-		return nil, p.lex.err
-	}
 	q := &Query{src: p.src}
 	first := true
 	for {
@@ -302,7 +289,9 @@ func (p *parser) parseStep(desc bool) (Step, error) {
 		return step, &ParseError{Pos: t.pos, Msg: fmt.Sprintf("expected step name, found %q", t.text)}
 	}
 	for p.peek().kind == tokLBrack {
-		p.next()
+		if err := p.enter(p.next()); err != nil {
+			return step, err
+		}
 		pred, err := p.parseOr()
 		if err != nil {
 			return step, err
@@ -310,6 +299,7 @@ func (p *parser) parseStep(desc bool) (Step, error) {
 		if _, err := p.expect(tokRBrack, "]"); err != nil {
 			return step, err
 		}
+		p.depth--
 		step.Preds = append(step.Preds, pred)
 	}
 	return step, nil
@@ -349,32 +339,30 @@ func (p *parser) parseAnd() (Pred, error) {
 
 func (p *parser) parseUnary() (Pred, error) {
 	t := p.peek()
-	if t.kind == tokName && t.text == "not" {
-		p.next()
+	neg := t.kind == tokName && t.text == "not"
+	if !neg && t.kind != tokLParen {
+		return p.parseComparison()
+	}
+	if err := p.enter(p.next()); err != nil {
+		return nil, err
+	}
+	if neg {
 		if _, err := p.expect(tokLParen, "("); err != nil {
 			return nil, err
 		}
-		inner, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokRParen, ")"); err != nil {
-			return nil, err
-		}
+	}
+	inner, err := p.parseOr()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(tokRParen, ")"); err != nil {
+		return nil, err
+	}
+	p.depth--
+	if neg {
 		return PredNot{P: inner}, nil
 	}
-	if t.kind == tokLParen {
-		p.next()
-		inner, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokRParen, ")"); err != nil {
-			return nil, err
-		}
-		return inner, nil
-	}
-	return p.parseComparison()
+	return inner, nil
 }
 
 func (p *parser) parseComparison() (Pred, error) {

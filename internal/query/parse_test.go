@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -71,6 +72,35 @@ func TestCompileErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Compile(%q) error %q, want substring %q", tc.src, err.Error(), tc.want)
 		}
+	}
+}
+
+// TestParseNestingLimit: predicates, parentheses and not(…) nest up to
+// MaxNesting levels; one more is a *ParseError, and so is a query nested
+// millions of levels deep, which used to overflow the parser's stack.
+func TestParseNestingLimit(t *testing.T) {
+	parens := func(levels int) string {
+		return `//a[` + strings.Repeat("(", levels-1) + "b" + strings.Repeat(")", levels-1) + "]"
+	}
+	preds := func(levels int) string {
+		return `//a` + strings.Repeat("[b", levels) + strings.Repeat("]", levels)
+	}
+	nots := func(levels int) string {
+		return `//a[` + strings.Repeat("not(", levels-1) + "b" + strings.Repeat(")", levels-1) + "]"
+	}
+	for _, build := range []func(int) string{parens, preds, nots} {
+		if _, err := query.Compile(build(query.MaxNesting)); err != nil {
+			t.Fatalf("%d levels: %v", query.MaxNesting, err)
+		}
+		_, err := query.Compile(build(query.MaxNesting + 1))
+		var pe *query.ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "nests deeper than 256 levels") {
+			t.Fatalf("%d levels: error %v, want the nesting limit", query.MaxNesting+1, err)
+		}
+	}
+	// The 6 MB body of the server's TestFeedbackDeepQuery.
+	if _, err := query.Compile(parens(3_000_001)); err == nil {
+		t.Fatal("a query nested 3 000 001 levels deep compiled")
 	}
 }
 

@@ -243,10 +243,10 @@ func failedResult(pl Plan, err error) (Result, error) {
 }
 
 // result wraps the exact executor's answers with the plan — its estimate
-// refined by what the discovery pass saw — and the execution counters.
+// refined by what the executor saw — and the execution counters.
 func (e *exactEval) result(answers []Answer, pl Plan) Result {
 	if e.visited > 0 {
-		pl.Reason += fmt.Sprintf(" (discovery pruned %d of %d subtree visits, enumerated %d of %d anchors reached)",
+		pl.Reason += fmt.Sprintf(" (pruned %d of %d subtree visits, enumerated %d of %d anchors reached)",
 			e.prunedSubtrees, e.visited, e.anchorsEnumerated, e.anchorsEnumerated+e.anchorsSkipped)
 	}
 	res := newResult(answers, MethodExact, 0, &pl)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dtd"
+	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/xmlcodec"
 )
@@ -253,6 +254,25 @@ func TestFeedbackErrors(t *testing.T) {
 	// Omitting "correct" must not silently count as a judgment.
 	doJSON(t, "POST", ts.URL+"/feedback", "application/json",
 		strings.NewReader(`{"query":"//a","value":"x"}`), http.StatusBadRequest, nil)
+}
+
+// TestFeedbackDeepQuery: a /feedback body whose query nests 3 000 001
+// levels deep — 6 MB, under the default body limit, and once enough to
+// overflow the parser's stack and kill the process — is answered 422, a
+// query one level past query.MaxNesting is answered 400 by GET /query, and
+// the server still answers.
+func TestFeedbackDeepQuery(t *testing.T) {
+	ts, _ := newTestServer(t)
+	integrateB(t, ts)
+	deep := `//a[` + strings.Repeat("(", 3_000_000) + "b" + strings.Repeat(")", 3_000_000) + "]"
+	body, err := json.Marshal(server.FeedbackRequest{Query: deep, Value: "x", Correct: boolPtr(false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doJSON(t, "POST", ts.URL+"/feedback", "application/json", strings.NewReader(string(body)), http.StatusUnprocessableEntity, nil)
+	tooDeep := `//person[` + strings.Repeat("(", query.MaxNesting) + "tel" + strings.Repeat(")", query.MaxNesting) + "]/nm"
+	doJSON(t, "GET", ts.URL+"/query?q="+url.QueryEscape(tooDeep), "", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/healthz", "", nil, http.StatusOK, nil)
 }
 
 func TestStats(t *testing.T) {
