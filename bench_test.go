@@ -9,9 +9,6 @@ package imprecise_test
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -29,7 +26,6 @@ import (
 	"time"
 
 	imprecise "repro"
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/experiments"
@@ -576,61 +572,24 @@ func BenchmarkStoreSaveLoad(b *testing.B) {
 	})
 }
 
-// BenchmarkSnapshotLoad measures store.Load over every snapshot layout
-// recovery can meet, on a datagen movie document: the v5 arena document
-// via mmap (the default), the same v5 directory with mmap disabled (the
-// read-whole fallback), a hand-written v4 directory (the self-contained
-// frame the previous release saved), and the v3 marker-XML escape
-// hatch. Load is the recovery and replica-bootstrap hot path; the
-// allocation column of the mmap row against the v4 row is the zero-copy
-// payoff.
+// BenchmarkSnapshotLoad measures store.Load of a datagen movie document
+// snapshot: via mmap (the default) and with mmap disabled (the
+// read-whole fallback). Load is the recovery and replica-bootstrap hot
+// path.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	doc := planBenchDocument(b)
-	saveCurrent := func(enc string) func(*testing.B, string) {
-		return func(b *testing.B, dir string) {
-			if _, err := store.SaveWith(dir, doc, datagen.MovieDTD(), store.SaveOptions{Encoding: enc}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	saveV4 := func(b *testing.B, dir string) {
-		// The v4 release wrote one self-contained document frame; Save has
-		// moved on to v5, so lay the old format down by hand.
-		payload := codec.AppendFrame(nil, codec.KindDocument, pxml.BinaryVersion, doc.AppendBinary(nil))
-		sum := sha256.Sum256(payload)
-		m := store.Manifest{
-			FormatVersion:  4,
-			SavedAt:        time.Now().UTC(),
-			DocumentFile:   "document-" + hex.EncodeToString(sum[:6]) + ".bin",
-			DocumentSHA256: hex.EncodeToString(sum[:]),
-			TreeDigest:     fmt.Sprintf("%016x", doc.Digest()),
-			LogicalNodes:   doc.NodeCount(),
-			Worlds:         doc.WorldCount().String(),
-		}
-		mdata, err := json.Marshal(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, m.DocumentFile), payload, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), mdata, 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
 	for _, row := range []struct {
 		name string
-		prep func(*testing.B, string)
 		opts store.LoadOptions
 	}{
-		{"v5-mmap", saveCurrent(store.EncodingBinary), store.LoadOptions{}},
-		{"v5-read", saveCurrent(store.EncodingBinary), store.LoadOptions{DisableMMap: true}},
-		{"v4", saveV4, store.LoadOptions{}},
-		{"v3-xml", saveCurrent(store.EncodingXML), store.LoadOptions{}},
+		{"v5-mmap", store.LoadOptions{}},
+		{"v5-read", store.LoadOptions{DisableMMap: true}},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			dir := b.TempDir()
-			row.prep(b, dir)
+			if _, err := store.SaveWith(dir, doc, datagen.MovieDTD(), store.SaveOptions{}); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -688,58 +647,37 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 
 const benchBookSource = `<addressbook><person><nm>John</nm><tel>1111</tel></person></addressbook>`
 
-// walEncodings drives the json/binary sub-benchmarks of the durability
-// and replication suites: "binary" is the default hot-path format,
-// "json" the v1 format kept as the compatibility baseline. The ratio
-// between the two sub-results is the codec layer's payoff.
-var walEncodings = []string{"binary", "json"}
-
-// BenchmarkWALAppend measures the durable-commit path per encoding: one
-// journaled mutation = one CRC-framed, fsynced write-ahead record of a
-// datagen movie document, so the record-encoding cost is visible next
-// to the fsync. The binary rows split on the shared string table: the
-// default interns tag/text strings once per segment, the nostrtab row
-// re-encodes every string into every record — the walbytes/op gap is
-// the strtab payoff.
+// BenchmarkWALAppend measures the durable-commit path: one journaled
+// mutation = one CRC-framed, fsynced write-ahead record of a datagen
+// movie document, so the record-encoding cost is visible next to the
+// fsync.
 func BenchmarkWALAppend(b *testing.B) {
 	doc := planBenchDocument(b)
-	for _, cfg := range []struct {
-		name     string
-		enc      string
-		nostrtab bool
-	}{
-		{"binary", "binary", false},
-		{"binary-nostrtab", "binary", true},
-		{"json", "json", false},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			cat, err := imprecise.OpenCatalog(b.TempDir(), imprecise.CatalogOptions{
-				RootTag:          "catalog",
-				CompactEvery:     -1,
-				WALEncoding:      cfg.enc,
-				DisableWALStrTab: cfg.nostrtab,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cat.Close()
-			db, err := cat.Create("bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// ReplaceTree journals the whole document: a fixed-size
-				// record, so the numbers isolate the append path.
-				if err := db.Core().ReplaceTree(doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := db.Stats()
-			b.ReportMetric(float64(st.WAL.AppendedBytes)/float64(st.WAL.Appends), "walbytes/op")
+	b.Run("binary", func(b *testing.B) {
+		cat, err := imprecise.OpenCatalog(b.TempDir(), imprecise.CatalogOptions{
+			RootTag:      "catalog",
+			CompactEvery: -1,
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cat.Close()
+		db, err := cat.Create("bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// ReplaceTree journals the whole document: a fixed-size
+			// record, so the numbers isolate the append path.
+			if err := db.Core().ReplaceTree(doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		st := db.Stats()
+		b.ReportMetric(float64(st.WAL.AppendedBytes)/float64(st.WAL.Appends), "walbytes/op")
+	})
 }
 
 // copyBenchDir clones a benchmark data directory file by file.
@@ -768,74 +706,69 @@ func copyBenchDir(b *testing.B, src, dst string) {
 }
 
 // BenchmarkRecovery measures catalog open over the disk state a crash
-// leaves behind, per WAL encoding: a snapshot plus a write-ahead tail
-// of 32 replayable datagen-document ops. The template directory is
-// built once (and never cleanly closed, so the tail survives); every
-// iteration recovers a fresh copy of it. Replay cost is decode-bound,
-// so this is the benchmark where the binary record format must earn
-// its keep.
+// leaves behind: a snapshot plus a write-ahead tail of 32 replayable
+// datagen-document ops. The template directory is built once (and never
+// cleanly closed, so the tail survives); every iteration recovers a
+// fresh copy of it. Replay cost is decode-bound.
 func BenchmarkRecovery(b *testing.B) {
 	doc := planBenchDocument(b)
-	for _, enc := range walEncodings {
-		b.Run(enc, func(b *testing.B) {
-			staging := b.TempDir()
-			opts := imprecise.CatalogOptions{
-				RootTag:      "catalog",
-				CompactEvery: -1,
-				WALEncoding:  enc,
-			}
-			cat, err := imprecise.OpenCatalog(staging, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			db, err := cat.Create("bench")
-			if err != nil {
-				b.Fatal(err)
-			}
+	b.Run("binary", func(b *testing.B) {
+		staging := b.TempDir()
+		opts := imprecise.CatalogOptions{
+			RootTag:      "catalog",
+			CompactEvery: -1,
+		}
+		cat, err := imprecise.OpenCatalog(staging, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		db, err := cat.Create("bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Core().ReplaceTree(doc); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		const tailOps = 32
+		for i := 0; i < tailOps; i++ {
 			if err := db.Core().ReplaceTree(doc); err != nil {
 				b.Fatal(err)
 			}
-			if err := db.Compact(); err != nil {
+		}
+		// Deliberately no cat.Close(): a clean shutdown would compact
+		// the tail away. The staging catalog stays open (its lock is
+		// on the staging dir only); iterations run on copies.
+		replayed := int64(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dir := b.TempDir()
+			copyBenchDir(b, staging, dir)
+			b.StartTimer()
+			c, err := imprecise.OpenCatalog(dir, opts)
+			if err != nil {
 				b.Fatal(err)
 			}
-			const tailOps = 32
-			for i := 0; i < tailOps; i++ {
-				if err := db.Core().ReplaceTree(doc); err != nil {
-					b.Fatal(err)
-				}
+			b.StopTimer()
+			d, err := c.Get("bench")
+			if err != nil {
+				b.Fatal(err)
 			}
-			// Deliberately no cat.Close(): a clean shutdown would compact
-			// the tail away. The staging catalog stays open (its lock is
-			// on the staging dir only); iterations run on copies.
-			replayed := int64(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dir := b.TempDir()
-				copyBenchDir(b, staging, dir)
-				b.StartTimer()
-				c, err := imprecise.OpenCatalog(dir, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				d, err := c.Get("bench")
-				if err != nil {
-					b.Fatal(err)
-				}
-				replayed = d.Stats().RecoveredOps
-				if replayed != tailOps {
-					b.Fatalf("recovered %d ops, want %d", replayed, tailOps)
-				}
-				if err := c.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
+			replayed = d.Stats().RecoveredOps
+			if replayed != tailOps {
+				b.Fatalf("recovered %d ops, want %d", replayed, tailOps)
 			}
-			b.ReportMetric(float64(replayed), "replayedops")
-			runtime.KeepAlive(cat)
-		})
-	}
+			if err := c.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(replayed), "replayedops")
+		runtime.KeepAlive(cat)
+	})
 }
 
 // BenchmarkReplicationShip measures the log-shipping wire end to end

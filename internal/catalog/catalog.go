@@ -4,7 +4,7 @@
 // prototype leaned on MonetDB/XQuery for exactly this). A Catalog owns a
 // data directory of named databases:
 //
-//	<data>/<name>/state/          snapshot written by compaction (store v2)
+//	<data>/<name>/state/          snapshot written by compaction (store v5)
 //	<data>/<name>/wal/seg-*.log   per-database write-ahead op log
 //	<data>/<name>/snapshots/<n>/  user-named snapshots (/save, /load)
 //
@@ -73,17 +73,6 @@ type Options struct {
 	// automatic compaction, including the final one at Close — only
 	// explicit DB.Compact calls write snapshots then).
 	CompactEvery int
-	// WALEncoding selects the payload format of new write-ahead appends:
-	// EncodingBinary (the default, also chosen by "") or EncodingJSON, the
-	// escape hatch for data dirs that must stay readable by pre-binary
-	// builds. Reading is always format-agnostic — recovery dispatches per
-	// record — so the setting can change between opens of the same dir.
-	WALEncoding string
-	// DisableWALStrTab pins binary appends to the self-contained v2
-	// record layout instead of the shared-string-table v3 one — the
-	// escape hatch for data dirs that must stay readable by pre-strtab
-	// builds, and the bench baseline. Reading handles both regardless.
-	DisableWALStrTab bool
 	// DisableMMap forces snapshot loads onto the read-whole-file path
 	// instead of mmap (store.LoadOptions.DisableMMap).
 	DisableMMap bool
@@ -136,7 +125,6 @@ type DB struct {
 	compactions   atomic.Int64
 	snapshotSeq   atomic.Uint64 // journal seq the state/ snapshot reflects
 	snapshotEpoch atomic.Uint64 // epoch the state/ snapshot manifest carries
-	storeFormat   atomic.Int64  // format version of the state/ snapshot
 	recoveredOps  int64         // ops replayed at open (immutable after)
 }
 
@@ -149,11 +137,6 @@ func Open(dir string, opts Options) (*Catalog, error) {
 	}
 	if opts.CompactEvery == 0 {
 		opts.CompactEvery = DefaultCompactEvery
-	}
-	switch opts.WALEncoding {
-	case "", EncodingBinary, EncodingJSON:
-	default:
-		return nil, fmt.Errorf("catalog: unknown WAL encoding %q (want %q or %q)", opts.WALEncoding, EncodingBinary, EncodingJSON)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -215,11 +198,10 @@ func (c *Catalog) openDB(name string, seedEpoch uint64) (*DB, error) {
 	}
 	cfg := c.opts.Config
 	var (
-		cdb        *core.Database
-		after      uint64
-		snapEpoch  uint64
-		snapFormat = store.FormatVersion
-		snapshot   = filepath.Join(dbDir, stateDirName)
+		cdb       *core.Database
+		after     uint64
+		snapEpoch uint64
+		snapshot  = filepath.Join(dbDir, stateDirName)
 	)
 	_, statErr := os.Stat(filepath.Join(snapshot, "manifest.json"))
 	if statErr != nil && !os.IsNotExist(statErr) {
@@ -249,7 +231,6 @@ func (c *Catalog) openDB(name string, seedEpoch uint64) (*DB, error) {
 		cdb.RestorePending(pending)
 		after = snap.Manifest.LogSeq
 		snapEpoch = snap.Manifest.Epoch
-		snapFormat = snap.Manifest.FormatVersion
 	} else {
 		empty, err := xmlcodec.DecodeString("<" + c.opts.RootTag + "/>")
 		if err != nil {
@@ -278,8 +259,6 @@ func (c *Catalog) openDB(name string, seedEpoch uint64) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.jsonAppends = c.opts.WALEncoding == EncodingJSON
-	w.strtabDisabled = c.opts.DisableWALStrTab
 	d := &DB{
 		name:         name,
 		dir:          dbDir,
@@ -293,7 +272,6 @@ func (c *Catalog) openDB(name string, seedEpoch uint64) (*DB, error) {
 	}
 	d.snapshotSeq.Store(after)
 	d.snapshotEpoch.Store(snapEpoch)
-	d.storeFormat.Store(int64(snapFormat))
 	// The watermark the journal resumes from: everything on disk is now
 	// reflected in the tree.
 	last := w.stats().LastSeq
@@ -373,7 +351,6 @@ func (d *DB) Compact() error {
 	}
 	d.snapshotSeq.Store(v.Seq)
 	d.snapshotEpoch.Store(epoch)
-	d.storeFormat.Store(store.FormatVersion)
 	d.compactions.Add(1)
 	d.opsSinceCompact.Store(0)
 	_, err = d.wal.dropThrough(v.Seq)
@@ -431,9 +408,8 @@ type DBStats struct {
 	TailOps      uint64 `json:"tail_ops"`
 	Compactions  int64  `json:"compactions"`
 	RecoveredOps int64  `json:"recovered_ops"`
-	// StoreFormat is the snapshot format version currently on disk; an
-	// old directory advances to store.FormatVersion at its next
-	// compaction.
+	// StoreFormat is the snapshot format version on disk, the only one
+	// this build reads and writes.
 	StoreFormat int `json:"store_format"`
 	// CompactEvery is the configured ops-between-compactions knob
 	// (negative: automatic compaction disabled).
@@ -455,7 +431,7 @@ func (d *DB) Stats() DBStats {
 		TailOps:      tail,
 		Compactions:  d.compactions.Load(),
 		RecoveredOps: d.recoveredOps,
-		StoreFormat:  int(d.storeFormat.Load()),
+		StoreFormat:  store.FormatVersion,
 		CompactEvery: d.opts.CompactEvery,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/pxml"
@@ -113,45 +114,56 @@ func runEveryByteCutSeg(t *testing.T, data, segRel string, sizePre, sizePost int
 }
 
 // TestCrashRecoveryMixedEncodingEveryByteOffset reruns the crash-safety
-// property over a mixed-format log: op 1 journaled as JSON (the log an
-// older build left behind), op 2 appended in binary by this build. Every
-// cut inside the binary frame must recover to the JSON-committed pre
-// state; the full frame to the post state.
+// property over a log two builds encoded: the people log of
+// testdata/datadir, whose records an earlier build appended before it was
+// killed, continued by this build with op 2, a replace whose string-table
+// delta builds on the table recovery rebuilt from the earlier records.
+// Every cut inside op 2's frame must recover to the state the earlier
+// build committed; the full frame, to the post state.
 func TestCrashRecoveryMixedEncodingEveryByteOffset(t *testing.T) {
 	base := t.TempDir()
 	data := filepath.Join(base, "data")
-	opts := testOptions()
-	opts.WALEncoding = EncodingJSON
-	cat, err := Open(data, opts)
+	committed := filepath.Join("testdata", "datadir", "people")
+	copyDir(t, committed, filepath.Join(data, "x"))
+	cat, err := Open(data, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := cat.Create("x")
+	db, err := cat.Get("x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cdb := db.Core()
-	seg := filepath.Join(data, "x", walDirName, segName(1))
-
-	if _, err := cdb.IntegrateXMLString(abA); err != nil {
-		t.Fatal(err)
-	}
 	preTree := cdb.Tree()
+	seg := filepath.Join(data, "x", walDirName, segName(1))
 	preInfo, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	oldInfo, err := os.Stat(filepath.Join(committed, walDirName, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if preInfo.Size() != oldInfo.Size() {
+		t.Fatalf("recovery changed the earlier build's segment: %d -> %d bytes", oldInfo.Size(), preInfo.Size())
+	}
 
-	// The binary-era build continues the same log: flip the append format
-	// in place, exactly what reopening with the default encoding does.
-	db.wal.jsonAppends = false
-	if _, err := cdb.IntegrateXMLString(abB); err != nil {
+	var book strings.Builder
+	book.WriteString("<addressbook>")
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&book, "<person><nm>Person %02d</nm><tel>555-01%02d</tel></person>", i, i)
+	}
+	book.WriteString("</addressbook>")
+	if err := cdb.ReplaceTree(mustTree(t, book.String())); err != nil {
 		t.Fatal(err)
 	}
 	postTree := cdb.Tree()
 	postInfo, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if postInfo.Size() <= preInfo.Size() {
+		t.Fatalf("op 2 wrote no bytes? %d -> %d", preInfo.Size(), postInfo.Size())
 	}
 	runEveryByteCut(t, data, preInfo.Size(), postInfo.Size(), preTree, postTree)
 }

@@ -8,22 +8,27 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/store"
+	"repro/internal/pxml"
 )
 
 // frameBytes encodes one WAL record in the on-disk frame format
-// ([len][crc32c][json]) exactly as append writes it — with Epoch
-// omitempty, a record at epoch 0 round-trips byte-identically to a
-// pre-epoch (v2) log, which is what makes the compat cases below real.
+// ([len][crc32c][record]); each record's strtab delta is based at 0, so
+// the frames concatenate in any order.
 func frameBytes(t *testing.T, rec WALRecord) []byte {
 	t.Helper()
-	payload, err := json.Marshal(rec)
+	payload, err := EncodeWALRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rawFrame(payload)
+}
+
+// rawFrame wraps payload in a CRC-valid frame.
+func rawFrame(payload []byte) []byte {
 	frame := make([]byte, frameHeaderLen+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
@@ -46,10 +51,10 @@ func writeSegment(t *testing.T, dir string, recs []WALRecord, chop int) {
 	}
 }
 
-// TestWALEpochCompat is the v2→v3 log-format table: epoch-less logs
-// recover as epoch 0, mixed epochs replay in order, regressions are
-// corruption, records below the manifest epoch are corruption, and a
-// torn tail still truncates rather than rejects.
+// TestWALEpochCompat is the epoch table of recovery: epoch-0 logs recover
+// as epoch 0, mixed epochs replay in order, regressions are corruption,
+// records below the manifest epoch are corruption, and a torn tail still
+// truncates rather than rejects.
 func TestWALEpochCompat(t *testing.T) {
 	op := testOp(0)
 	cases := []struct {
@@ -62,9 +67,8 @@ func TestWALEpochCompat(t *testing.T) {
 		wantErr   bool
 	}{
 		{
-			// A log written before epochs existed: no epoch key at all in
-			// the JSON (omitempty at 0). Must recover as epoch 0.
-			name:      "v2-epochless",
+			// A log never promoted: every record at epoch 0.
+			name:      "epoch-0",
 			recs:      []WALRecord{{Seq: 1, Op: op}, {Seq: 2, Op: op}},
 			wantN:     2,
 			wantEpoch: 0,
@@ -139,9 +143,10 @@ func TestWALEpochCompat(t *testing.T) {
 	}
 }
 
-// TestManifestV2Compat: a snapshot manifest written by the previous
-// release (format_version 2, no epoch key) still loads, pinning the
-// database at epoch 0.
+// TestManifestV2Compat: a snapshot manifest in the layout of the release
+// before epochs (format_version 2, no epoch key) no longer opens. Open
+// refuses the whole catalog, naming the database and the version, and
+// leaves the manifest as it found it — never a blank database at epoch 0.
 func TestManifestV2Compat(t *testing.T) {
 	dir := t.TempDir()
 	cat, err := Open(dir, testOptions())
@@ -155,27 +160,14 @@ func TestManifestV2Compat(t *testing.T) {
 	if _, err := db.Core().IntegrateXMLString(abA); err != nil {
 		t.Fatal(err)
 	}
-	wantTree := db.Core().Tree()
-	if err := cat.Close(); err != nil { // clean close compacts: WAL folded into the snapshot
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Rewrite the snapshot as the previous release would have written it:
-	// XML document payload, format_version 2, no epoch key.
-	stateDir := filepath.Join(dir, "x", stateDirName)
-	snap, err := store.Load(stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.SaveWith(stateDir, snap.Tree, snap.Schema, store.SaveOptions{
-		Encoding:     store.EncodingXML,
-		LogSeq:       snap.Manifest.LogSeq,
-		Integrations: snap.Manifest.Integrations,
-		Feedback:     snap.Manifest.Feedback,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	mPath := filepath.Join(stateDir, "manifest.json")
+	mPath := filepath.Join(dir, "x", stateDirName, "manifest.json")
 	raw, err := os.ReadFile(mPath)
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +178,7 @@ func TestManifestV2Compat(t *testing.T) {
 	}
 	m["format_version"] = 2
 	delete(m, "epoch")
-	raw, err = json.Marshal(m)
-	if err != nil {
+	if raw, err = json.Marshal(m); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(mPath, raw, 0o644); err != nil {
@@ -195,19 +186,17 @@ func TestManifestV2Compat(t *testing.T) {
 	}
 
 	cat2, err := Open(dir, testOptions())
-	if err != nil {
-		t.Fatalf("reopening with v2 manifest: %v", err)
+	if err == nil {
+		cat2.Close()
+		t.Fatal("a v2 manifest opened")
 	}
-	defer cat2.Close()
-	db2, err := cat2.Get("x")
-	if err != nil {
-		t.Fatal(err)
+	for _, part := range []string{`"x"`, "format version 2"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Fatalf("error %q does not name %s", err, part)
+		}
 	}
-	if db2.Epoch() != 0 {
-		t.Fatalf("v2 manifest recovered at epoch %d, want 0", db2.Epoch())
-	}
-	if db2.Core().Tree().Digest() != wantTree.Digest() {
-		t.Fatal("v2 manifest recovered a different tree")
+	if after, err := os.ReadFile(mPath); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("the refused manifest changed (err %v)", err)
 	}
 }
 
@@ -275,7 +264,7 @@ func TestRaiseEpochDurable(t *testing.T) {
 // opIntegrate builds a shippable integrate op from source XML.
 func opIntegrate(t *testing.T, src string) core.Op {
 	t.Helper()
-	return core.Op{Kind: core.OpIntegrate, Sources: []string{src}}
+	return core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{mustTree(t, src)}}
 }
 
 // TestApplyReplicatedStaleEpoch: a shipped record from a lower epoch —

@@ -7,31 +7,23 @@
 //
 //	segment file  wal/seg-<first-seq, 16 hex digits>.log
 //	record frame  [4B payload length][4B CRC-32C of payload][payload]
-//	payload       binary record (first byte 0x00; see walrecord.go) or
-//	              JSON {"seq": N, "epoch": E, "op": {...}} (first byte '{')
-//
-// New appends default to the binary payload (Options.WALEncoding "json"
-// keeps writing JSON); the read path dispatches per record on the first
-// payload byte, so logs written by older builds — and logs that switch
-// encodings mid-segment — recover unchanged.
+//	payload       binary record, version 3 (see walrecord.go)
 //
 // A record is committed iff its full frame is on disk and the CRC
 // matches. The last segment may end in a torn frame (the write the crash
 // interrupted); recovery truncates the file back to the last committed
-// record. A bad frame anywhere else — or a committed frame with an
-// out-of-order sequence — is corruption and refuses to load.
+// record. A bad frame anywhere else — a committed frame in a layout this
+// build does not read, or one with an out-of-order sequence — is
+// corruption and refuses to load.
 //
-// The epoch is the cluster term the record was committed under. It is
-// omitted when zero, which is exactly how pre-epoch (format v2) logs
-// read back: every record decodes as epoch 0. Epochs may only rise
-// along the log; a committed record with a lower epoch than its
-// predecessor is corruption, because promotion only ever increments the
-// epoch and fences the old one before new appends happen.
+// The epoch is the cluster term the record was committed under. Epochs
+// may only rise along the log; a committed record with a lower epoch
+// than its predecessor is corruption, because promotion only ever
+// increments the epoch and fences the old one before new appends happen.
 package catalog
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -85,13 +77,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // WALRecord is one committed write-ahead-log record: a journaled op,
 // the sequence the log assigned it, and the cluster epoch it was
-// committed under. It is both the on-disk JSON payload of a frame and
-// the unit the replication read path (OpsSince) hands to followers,
-// which re-journal it at the same sequence and epoch.
+// committed under. It is the decoded form of a frame's payload and the
+// unit the replication read path (OpsSince) hands to followers, which
+// re-journal it at the same sequence and epoch.
 type WALRecord struct {
-	Seq   uint64  `json:"seq"`
-	Epoch uint64  `json:"epoch,omitempty"`
-	Op    core.Op `json:"op"`
+	Seq   uint64
+	Epoch uint64
+	Op    core.Op
 }
 
 // WALStats are the log's observability counters (served under /stats).
@@ -113,12 +105,8 @@ type WALStats struct {
 	// SegmentLimitBytes is the configured rotation threshold — the
 	// -wal-segment-bytes knob as the log actually runs it.
 	SegmentLimitBytes int64 `json:"segment_limit_bytes"`
-	// Encoding is the payload format new appends use ("binary" or
-	// "json"); records already on disk may be either.
-	Encoding string `json:"encoding"`
 	// StrTabEntries is the size of the append-side interned string table
-	// for the active segment (0 when strtab records are disabled or the
-	// segment is fresh).
+	// for the active segment (0 when the segment is fresh).
 	StrTabEntries int `json:"strtab_entries,omitempty"`
 	ShipStats
 }
@@ -143,14 +131,6 @@ type segEntry struct {
 type wal struct {
 	dir      string
 	segLimit int64
-	// jsonAppends makes append write JSON payloads (the escape hatch for
-	// data dirs that must stay readable by pre-binary builds). The read
-	// path always accepts both.
-	jsonAppends bool
-	// strtabDisabled makes binary appends use the self-contained v2
-	// record layout instead of v3 — the knob benchmarks and cautious
-	// operators use to compare, and the implicit mode under jsonAppends.
-	strtabDisabled bool
 
 	mu       sync.Mutex
 	f        *os.File // active (last) segment
@@ -170,7 +150,7 @@ type wal struct {
 	rotations     int64
 
 	// tab is the append-side string table for the active segment. Every
-	// v3 record's delta extends it; rotation resets it so each segment's
+	// record's delta extends it; rotation resets it so each segment's
 	// deltas rebuild the table from zero, and recovery reseeds it by
 	// replaying the reopened last segment.
 	tab codec.SharedStrings
@@ -316,9 +296,11 @@ func recoverWAL(dir string, segLimit int64, after uint64, snapEpoch uint64, fn f
 // dense starting at start and that epochs never regress (epochSeen is
 // the running high-water mark, carried across segments by the caller).
 // For the last segment a bad frame is treated as the torn tail and
-// truncated away; anywhere else it is corruption. It returns the number
-// of committed records and the (post-truncation) file size, and leaves
-// the segment's index (see wal.index) in *index.
+// truncated away; anywhere else it is corruption. A CRC-valid frame whose
+// payload is not a version 3 record is corruption in every segment: it
+// was committed, so truncating it would drop an acknowledged op. It
+// returns the number of committed records and the (post-truncation) file
+// size, and leaves the segment's index (see wal.index) in *index.
 func replaySegment(path string, start uint64, isLast bool, after uint64, snapEpoch uint64, epochSeen *uint64, tab *codec.StrTab, index *[]segEntry, fn func(WALRecord) error) (records uint64, size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -353,6 +335,9 @@ func replaySegment(path string, start uint64, isLast bool, after uint64, snapEpo
 		payload := data[off+frameHeaderLen : off+frameHeaderLen+int(length)]
 		if crc32.Checksum(payload, crcTable) != sum {
 			return torn("checksum mismatch")
+		}
+		if err := checkRecordHeader(payload); err != nil {
+			return 0, 0, fmt.Errorf("%w: %v at offset %d of %s", ErrCorrupt, err, off, filepath.Base(path))
 		}
 		// A torn record commits nothing to tab (DecodeWALRecordShared
 		// applies the delta only after a full decode), so the reseeded
@@ -441,23 +426,8 @@ func (w *wal) append(op core.Op) (uint64, error) {
 	// its pre-record length: the delta the failed record carried never
 	// became durable, so the next record's base must not account for it.
 	prevTabLen := w.tab.Len()
-	var payload []byte
-	var err error
-	switch {
-	case w.jsonAppends:
-		// rec holds a private copy of op, so materializing the XML string
-		// fields for JSON never mutates the caller's op.
-		if err = rec.Op.EncodePortable(); err != nil {
-			return 0, err
-		}
-		payload, err = json.Marshal(rec)
-	case w.strtabDisabled:
-		payload, err = EncodeWALRecord(rec)
-	default:
-		payload, err = EncodeWALRecordShared(rec, &w.tab)
-	}
+	payload, err := EncodeWALRecordShared(rec, &w.tab)
 	if err != nil {
-		w.tab.Truncate(prevTabLen)
 		return 0, err
 	}
 	if len(payload) > maxRecordBytes {
@@ -545,8 +515,8 @@ type RawWALRecord struct {
 }
 
 // opsSince returns up to limit committed records with sequence > after,
-// in order, decoded. It is rawOpsSince plus a record decode — the JSON
-// wire and local callers need the structured form. The strtab prefix
+// in order, decoded. It is rawOpsSince plus a record decode, for callers
+// that need the structured form. The strtab prefix
 // rawOpsSince reports seeds the decode table, so a page starting
 // mid-segment resolves shared records exactly as a follower would.
 func (w *wal) opsSince(after uint64, limit int) ([]WALRecord, error) {
@@ -576,10 +546,9 @@ func (w *wal) opsSince(after uint64, limit int) ([]WALRecord, error) {
 // A consumer seeds its decode table with the prefix; the shipped
 // records' own embedded deltas carry it forward from there, including
 // across segment boundaries (a base-0 delta resets it). The prefix is
-// empty when the page starts at a segment boundary or holds no v3
-// records. It fails with ErrSeqGone when the range is not incrementally
-// servable: the records were compacted away, or after lies beyond the
-// committed log. Only the log geometry is snapshotted under mu; the
+// empty when the page starts at a segment boundary. It fails with
+// ErrSeqGone when the range is not incrementally servable: the records
+// were compacted away, or after lies beyond the committed log. Only the log geometry is snapshotted under mu; the
 // disk reads run unlocked, so a follower catching up through gigabytes
 // of log never stalls appends. That is safe because closed segments are
 // immutable and the active segment's committed prefix (fileSize at
@@ -659,8 +628,8 @@ func (w *wal) rawOpsSince(after uint64, limit int, have codec.TabMark) ([]RawWAL
 			} else {
 				// Skipped record: its delta still advances the table the
 				// first shipped record's base refers to.
-				base, entries, shared, err := peekRecordDelta(e.Payload)
-				if err == nil && shared {
+				base, entries, err := peekRecordDelta(e.Payload)
+				if err == nil {
 					err = prefixTab.Apply(base, entries)
 				}
 				if err != nil {
@@ -747,16 +716,6 @@ func readSegment(path string, seq uint64, from, to int64, read *int64, fn func(R
 	return nil
 }
 
-// encodingName reports the payload format new appends use. Callers hold
-// mu (jsonAppends is only ever set before the log serves traffic, but the
-// stats path reads it under the lock for tidiness).
-func (w *wal) encodingName() string {
-	if w.jsonAppends {
-		return EncodingJSON
-	}
-	return EncodingBinary
-}
-
 // currentEpoch reports the epoch new appends are stamped with.
 func (w *wal) currentEpoch() uint64 {
 	w.mu.Lock()
@@ -790,7 +749,6 @@ func (w *wal) stats() WALStats {
 		AppendedBytes:     w.appendedBytes,
 		Rotations:         w.rotations,
 		SegmentLimitBytes: w.segLimit,
-		Encoding:          w.encodingName(),
 		StrTabEntries:     w.tab.Len(),
 		ShipStats:         w.ship,
 	}

@@ -2,8 +2,10 @@ package catalog
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -213,5 +215,66 @@ func TestWALBehindSnapshotRepairSurvivesReopen(t *testing.T) {
 	defer w3.close()
 	if len(got) != 1 || got[0].Seq != 6 {
 		t.Fatalf("replay after repaired reopen = %+v", got)
+	}
+}
+
+// TestRecoverRefusesUnreadableRecord: a committed (CRC-valid) frame in a
+// layout this build does not read — a JSON record, an older or a newer
+// binary version — stops recovery with ErrCorrupt naming the segment,
+// the offset and the version. It is never mistaken for a torn tail: the
+// segment keeps every byte.
+func TestRecoverRefusesUnreadableRecord(t *testing.T) {
+	v3, err := EncodeWALRecord(WALRecord{Seq: 3, Op: testOp(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withVersion := func(v byte) []byte {
+		p := append([]byte(nil), v3...)
+		p[1] = v
+		return p
+	}
+	for _, tc := range []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"json", "byte 0x7b", []byte(`{"seq":3,"op":{"kind":"normalize"}}`)},
+		{"version-2", "version 2", withVersion(2)},
+		{"version-9", "version 9", withVersion(9)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := recoverWAL(dir, 0, 0, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := w.append(testOp(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.close()
+			seg := filepath.Join(dir, segName(1))
+			good, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := append(good, rawFrame(tc.payload)...)
+			if err := os.WriteFile(seg, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = recoverWAL(dir, 0, 0, 0, func(WALRecord) error { return nil })
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("recoverWAL = %v, want ErrCorrupt", err)
+			}
+			for _, part := range []string{tc.want, fmt.Sprintf("offset %d", len(good)), segName(1)} {
+				if !strings.Contains(err.Error(), part) {
+					t.Fatalf("error %q does not name %q", err, part)
+				}
+			}
+			after, err := os.ReadFile(seg)
+			if err != nil || len(after) != len(bad) {
+				t.Fatalf("segment is %d bytes after recovery (err %v), want %d", len(after), err, len(bad))
+			}
+		})
 	}
 }

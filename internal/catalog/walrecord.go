@@ -1,23 +1,19 @@
 // Binary write-ahead-log record encoding. The outer frame — [4B length]
-// [4B CRC-32C][payload] — is unchanged from the JSON log; only the
-// payload format differs, and the first payload byte tells them apart:
-// JSON payloads start with '{' (the json.Marshal output of a WALRecord),
-// binary payloads start with 0x00. Old logs therefore recover unchanged,
-// segments may freely mix both forms (a JSON-era log continued by a
-// binary-era build), and torn-tail/epoch semantics are decided by the
-// frame layer exactly as before.
+// [4B CRC-32C][payload] — is decided by wal.go; this file owns the
+// payload, the one record layout this build writes and reads:
 //
-// Binary payload layout (after the 0x00 marker):
-//
-//	[version 1B] [uvarint seq] [uvarint epoch] [op]
+//	[0x00] [version 1B = 3] [uvarint seq] [uvarint epoch] [strtab delta] [op]
 //	op    = [kind 1B] kind-specific fields
-//	tree  = [repr 1B] [uvarint length][bytes]    repr 1 = pxml arena,
-//	                                             repr 2 = marker XML
+//	tree  = [repr 1B = 3] [uvarint length][shared-table arena body]
 //
-// Trees prefer the arena representation (exact float bits, no XML
-// parse on replay) and fall back to XML when that is all the op carries.
-// Rare history blobs (OpLoad integrations/events) stay JSON inside a
-// length-prefixed field; they are not on any hot path.
+// The strtab delta extends the segment-cumulative string table (a delta
+// based at 0 restarts it), and a tree's tag/text indices resolve against
+// that table, so repeated tags across a segment's records are spelled
+// once. Rare history blobs (OpLoad integrations/events, per-source stats)
+// stay JSON inside a length-prefixed field; they are not on any hot path.
+// A payload with another first byte or version is a layout this build
+// does not read: decoding refuses it, and recovery reports it as
+// corruption instead of truncating it as a torn write.
 package catalog
 
 import (
@@ -31,34 +27,17 @@ import (
 )
 
 const (
-	// walBinaryMarker is the first payload byte of a binary record; the
-	// JSON alternative is '{' (0x7B), so the two cannot collide.
+	// walBinaryMarker is the first payload byte of a record.
 	walBinaryMarker = 0x00
-	// walBinaryVersion is the self-contained revision of the binary
-	// record layout — what EncodeWALRecord emits and the v1 replication
-	// wire re-encodes for older binary followers. v2 adds a per-source
-	// stats blob to integrate/batch records (so replay and followers
-	// reproduce memo-dependent counters exactly) and the
-	// enqueue/apply-queued kinds of the async ingest queue.
-	walBinaryVersion = 2
-	// walBinaryVersionShared is the shared-strtab revision new appends
-	// use: a strtab delta sits between the epoch and the op kind, and
-	// tree fields may use the shared arena representation whose string
-	// indices resolve against the segment-cumulative table the deltas
-	// build. Decoding v3 therefore needs that table (or a record whose
-	// delta is based at 0); see DecodeWALRecordShared.
-	walBinaryVersionShared = 3
-	// walBinaryMinVersion is the oldest payload revision still decoded.
-	walBinaryMinVersion = 1
+	// walRecordVersion is the record layout revision, the second byte.
+	walRecordVersion = 3
+	// treeReprArenaShared tags every tree field: a shared-table arena body
+	// (pxml.BinaryVersionShared) whose string indices resolve against the
+	// record's cumulative strtab.
+	treeReprArenaShared = 3
 )
 
-// Encoding names accepted by Options.WALEncoding.
-const (
-	EncodingBinary = "binary"
-	EncodingJSON   = "json"
-)
-
-// Op kind codes (binary payloads only; JSON uses the string names).
+// Op kind codes.
 var opKindCodes = map[core.OpKind]byte{
 	core.OpIntegrate:   1,
 	core.OpBatch:       2,
@@ -78,33 +57,18 @@ var opKindNames = func() map[byte]core.OpKind {
 	return m
 }()
 
-const (
-	treeReprArena = 1
-	treeReprXML   = 2
-	// treeReprArenaShared is a shared-table arena body
-	// (pxml.BinaryVersionShared): its string indices resolve against the
-	// record's cumulative strtab, so repeated tags across a segment's
-	// records are spelled once. Only valid inside v3 records.
-	treeReprArenaShared = 3
-)
-
-// EncodeWALRecord renders rec in the self-contained (v2) binary payload
-// format. The same bytes are valid as an on-disk WAL payload and as a
-// replication wire record frame payload, so a binary primary ships
-// records without re-encoding per follower format.
+// EncodeWALRecord renders rec as a record that stands alone: its strtab
+// delta is based at 0, so it decodes against any table. The same bytes
+// are valid as an on-disk WAL payload and as a replication wire record.
 func EncodeWALRecord(rec WALRecord) ([]byte, error) {
-	dst := []byte{walBinaryMarker, walBinaryVersion}
-	dst = codec.AppendUvarint(dst, rec.Seq)
-	dst = codec.AppendUvarint(dst, rec.Epoch)
-	return encodeOpBody(dst, &rec, nil)
+	return EncodeWALRecordShared(rec, new(codec.SharedStrings))
 }
 
-// EncodeWALRecordShared renders rec in the shared-strtab (v3) format:
-// tree strings intern into tab, and the entries added by this record
-// travel as a delta between the epoch and the op kind. On error tab is
-// rolled back to its pre-call length. The caller owns tab's lifecycle —
-// reset it at segment boundaries so every segment's deltas rebuild the
-// table from zero.
+// EncodeWALRecordShared renders rec with its tree strings interned into
+// tab; the entries added by this record travel as a delta between the
+// epoch and the op kind. On error tab is rolled back to its pre-call
+// length. The caller owns tab's lifecycle — reset it at segment
+// boundaries so every segment's deltas rebuild the table from zero.
 func EncodeWALRecordShared(rec WALRecord, tab *codec.SharedStrings) ([]byte, error) {
 	base := tab.Len()
 	body, err := encodeOpBody(nil, &rec, tab)
@@ -112,15 +76,15 @@ func EncodeWALRecordShared(rec WALRecord, tab *codec.SharedStrings) ([]byte, err
 		tab.Truncate(base)
 		return nil, err
 	}
-	dst := []byte{walBinaryMarker, walBinaryVersionShared}
+	dst := []byte{walBinaryMarker, walRecordVersion}
 	dst = codec.AppendUvarint(dst, rec.Seq)
 	dst = codec.AppendUvarint(dst, rec.Epoch)
 	dst = tab.AppendDelta(dst, base)
 	return append(dst, body...), nil
 }
 
-// encodeOpBody appends the op kind byte and kind-specific fields. A nil
-// tab encodes self-contained tree fields; otherwise trees intern into it.
+// encodeOpBody appends the op kind byte and kind-specific fields; trees
+// intern into tab.
 func encodeOpBody(dst []byte, rec *WALRecord, tab *codec.SharedStrings) ([]byte, error) {
 	kindCode, ok := opKindCodes[rec.Op.Kind]
 	if !ok {
@@ -131,44 +95,16 @@ func encodeOpBody(dst []byte, rec *WALRecord, tab *codec.SharedStrings) ([]byte,
 	var err error
 	switch rec.Op.Kind {
 	case core.OpIntegrate, core.OpBatch:
-		n := len(op.SourceTrees)
-		if n == 0 {
-			n = len(op.Sources)
-		}
-		dst = codec.AppendUvarint(dst, uint64(n))
-		for i := 0; i < n; i++ {
-			var t *pxml.Tree
-			var xml string
-			if i < len(op.SourceTrees) && op.SourceTrees[i] != nil {
-				t = op.SourceTrees[i]
-			} else if i < len(op.Sources) {
-				xml = op.Sources[i]
-			}
-			if dst, err = appendTree(dst, t, xml, tab); err != nil {
-				return nil, fmt.Errorf("catalog: encoding source %d: %w", i+1, err)
-			}
+		if dst, err = appendSources(dst, op.SourceTrees, tab); err != nil {
+			return nil, err
 		}
 		if dst, err = appendStatsBlob(dst, op); err != nil {
 			return nil, err
 		}
 	case core.OpEnqueue:
 		dst = codec.AppendString(dst, op.Ticket)
-		n := len(op.SourceTrees)
-		if n == 0 {
-			n = len(op.Sources)
-		}
-		dst = codec.AppendUvarint(dst, uint64(n))
-		for i := 0; i < n; i++ {
-			var t *pxml.Tree
-			var xml string
-			if i < len(op.SourceTrees) && op.SourceTrees[i] != nil {
-				t = op.SourceTrees[i]
-			} else if i < len(op.Sources) {
-				xml = op.Sources[i]
-			}
-			if dst, err = appendTree(dst, t, xml, tab); err != nil {
-				return nil, fmt.Errorf("catalog: encoding enqueue source %d: %w", i+1, err)
-			}
+		if dst, err = appendSources(dst, op.SourceTrees, tab); err != nil {
+			return nil, err
 		}
 	case core.OpApplyQueued:
 		dst = appendStringList(dst, op.Tickets)
@@ -192,7 +128,7 @@ func encodeOpBody(dst []byte, rec *WALRecord, tab *codec.SharedStrings) ([]byte,
 		dst = codec.AppendBytes(dst, when)
 	case core.OpNormalize:
 	case core.OpReplace, core.OpLoad:
-		if dst, err = appendTree(dst, op.TreeValue, op.Tree, tab); err != nil {
+		if dst, err = appendTree(dst, op.TreeValue, tab); err != nil {
 			return nil, fmt.Errorf("catalog: encoding %s tree: %w", op.Kind, err)
 		}
 		if op.Kind == core.OpLoad {
@@ -271,76 +207,84 @@ func readStringList(r *codec.Reader) ([]string, error) {
 	return xs, nil
 }
 
-// appendTree appends one tree field, preferring the decoded form. With a
-// tab the arena body is shared-table (treeReprArenaShared); without, it
-// is self-contained.
-func appendTree(dst []byte, t *pxml.Tree, xml string, tab *codec.SharedStrings) ([]byte, error) {
-	if t != nil {
-		if tab != nil {
-			dst = append(dst, treeReprArenaShared)
-			return codec.AppendBytes(dst, t.AppendBinaryShared(nil, tab)), nil
+// appendSources appends a uvarint-counted list of source tree fields.
+func appendSources(dst []byte, trees []*pxml.Tree, tab *codec.SharedStrings) ([]byte, error) {
+	dst = codec.AppendUvarint(dst, uint64(len(trees)))
+	for i, t := range trees {
+		var err error
+		if dst, err = appendTree(dst, t, tab); err != nil {
+			return nil, fmt.Errorf("catalog: encoding source %d: %w", i+1, err)
 		}
-		dst = append(dst, treeReprArena)
-		return codec.AppendBytes(dst, t.AppendBinary(nil)), nil
 	}
-	if xml == "" {
-		return nil, fmt.Errorf("op carries no document")
-	}
-	dst = append(dst, treeReprXML)
-	return codec.AppendString(dst, xml), nil
+	return dst, nil
 }
 
-// readTree reads one tree field into the op's decoded or string slot.
-// strs is the record's cumulative string table view; shared-repr trees
-// resolve their indices against it.
-func readTree(r *codec.Reader, strs []string) (*pxml.Tree, string, error) {
-	switch repr := r.Byte(); repr {
-	case treeReprArena, treeReprArenaShared:
-		body := r.Bytes()
-		if err := r.Err(); err != nil {
-			return nil, "", err
-		}
-		var t *pxml.Tree
-		var err error
-		if repr == treeReprArenaShared {
-			t, err = pxml.DecodeArenaWith(body, pxml.DecodeArenaOptions{Strings: strs})
-		} else {
-			t, err = pxml.DecodeArena(body)
-		}
-		if err != nil {
-			return nil, "", err
-		}
-		return t, "", nil
-	case treeReprXML:
-		s := r.String()
-		if err := r.Err(); err != nil {
-			return nil, "", err
-		}
-		return nil, s, nil
-	default:
-		if err := r.Err(); err != nil {
-			return nil, "", err
-		}
-		return nil, "", fmt.Errorf("%w: unknown tree representation %d", codec.ErrInvalid, repr)
+// readSources reads a uvarint-counted list of source tree fields.
+func readSources(r *codec.Reader, strs []string, seq uint64) ([]*pxml.Tree, error) {
+	n := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
+	// A tree field costs at least two bytes (repr + length).
+	if n == 0 || n > uint64(r.Len())/2+1 {
+		return nil, fmt.Errorf("%w: implausible source count %d", codec.ErrInvalid, n)
+	}
+	trees := make([]*pxml.Tree, n)
+	for i := range trees {
+		t, err := readTree(r, strs)
+		if err != nil {
+			return nil, fmt.Errorf("record %d source %d: %w", seq, i+1, err)
+		}
+		trees[i] = t
+	}
+	return trees, nil
+}
+
+// appendTree appends one tree field, interning its strings into tab.
+func appendTree(dst []byte, t *pxml.Tree, tab *codec.SharedStrings) ([]byte, error) {
+	if t == nil {
+		return nil, fmt.Errorf("op carries no document")
+	}
+	dst = append(dst, treeReprArenaShared)
+	return codec.AppendBytes(dst, t.AppendBinaryShared(nil, tab)), nil
+}
+
+// readTree reads one tree field. strs is the record's cumulative string
+// table view the arena's indices resolve against.
+func readTree(r *codec.Reader, strs []string) (*pxml.Tree, error) {
+	repr := r.Byte()
+	body := r.Bytes()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if repr != treeReprArenaShared {
+		return nil, fmt.Errorf("%w: unknown tree representation %d", codec.ErrInvalid, repr)
+	}
+	return pxml.DecodeArenaWith(body, pxml.DecodeArenaOptions{Strings: strs})
+}
+
+// checkRecordHeader accepts a payload that starts with the record marker
+// and version. Anything else — a JSON record ('{'), an older binary
+// version, a newer one — is a layout this build does not read.
+func checkRecordHeader(payload []byte) error {
+	switch {
+	case len(payload) < 2:
+		return fmt.Errorf("%w: record payload of %d byte(s)", codec.ErrInvalid, len(payload))
+	case payload[0] != walBinaryMarker:
+		return fmt.Errorf("%w: record starts with byte %#x, not a version %d record", codec.ErrInvalid, payload[0], walRecordVersion)
+	case payload[1] != walRecordVersion:
+		return fmt.Errorf("%w: unsupported record version %d (want %d)", codec.ErrInvalid, payload[1], walRecordVersion)
+	}
+	return nil
 }
 
 // peekRecordHeader extracts (seq, epoch) from a record payload without
-// decoding the op body: a few header bytes for binary payloads, a full
-// decode for JSON-era ones (JSON has no fixed header, and such records
-// are the cold minority on a binary log).
+// decoding the op body.
 func peekRecordHeader(payload []byte) (seq, epoch uint64, err error) {
-	if len(payload) == 0 || payload[0] != walBinaryMarker {
-		rec, err := DecodeWALRecord(payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		return rec.Seq, rec.Epoch, nil
+	if err := checkRecordHeader(payload); err != nil {
+		return 0, 0, err
 	}
-	r := codec.NewReader(payload[1:])
-	if v := r.Byte(); r.Err() == nil && (v < walBinaryMinVersion || v > walBinaryVersionShared) {
-		return 0, 0, fmt.Errorf("%w: unsupported binary record version %d", codec.ErrInvalid, v)
-	}
+	r := codec.NewReader(payload[2:])
 	seq = r.Uvarint()
 	epoch = r.Uvarint()
 	if err := r.Err(); err != nil {
@@ -349,29 +293,23 @@ func peekRecordHeader(payload []byte) (seq, epoch uint64, err error) {
 	return seq, epoch, nil
 }
 
-// peekRecordDelta extracts a v3 record's strtab delta without decoding
-// the op body — how the raw shipping path tracks table state across
-// records it skips. shared is false for JSON, v1 and v2 payloads (they
-// carry no delta).
-func peekRecordDelta(payload []byte) (base uint64, entries []string, shared bool, err error) {
-	if len(payload) < 2 || payload[0] != walBinaryMarker || payload[1] != walBinaryVersionShared {
-		return 0, nil, false, nil
+// peekRecordDelta extracts a record's strtab delta without decoding the
+// op body — how the raw shipping path tracks table state across records
+// it skips.
+func peekRecordDelta(payload []byte) (base uint64, entries []string, err error) {
+	if err := checkRecordHeader(payload); err != nil {
+		return 0, nil, err
 	}
-	r := codec.NewReader(payload[1:])
-	r.Byte()    // version
+	r := codec.NewReader(payload[2:])
 	r.Uvarint() // seq
 	r.Uvarint() // epoch
-	base, entries, err = codec.DecodeStrTabDelta(r, false)
-	if err != nil {
-		return 0, nil, false, err
-	}
-	return base, entries, true, nil
+	return codec.DecodeStrTabDelta(r, false)
 }
 
-// DecodeWALRecord decodes one self-contained WAL payload of either
-// format, dispatching on the first byte. A v3 payload is accepted only
-// when its strtab delta is based at 0 (the first record of a segment or
-// page); mid-table records need DecodeWALRecordShared.
+// DecodeWALRecord decodes one WAL payload that stands alone: its strtab
+// delta must be based at 0 (the first record of a segment or page, or
+// any EncodeWALRecord output); mid-table records need
+// DecodeWALRecordShared.
 func DecodeWALRecord(payload []byte) (WALRecord, error) {
 	var tab codec.StrTab
 	return DecodeWALRecordShared(payload, &tab)
@@ -379,52 +317,34 @@ func DecodeWALRecord(payload []byte) (WALRecord, error) {
 
 // DecodeWALRecordShared decodes one WAL payload against the cumulative
 // string table tab, which must hold the replayed state of every earlier
-// v3 delta in the same segment or page. The record's own delta commits
+// delta in the same segment or page. The record's own delta commits
 // into tab only after the whole record decodes — a torn or corrupt
 // record leaves tab exactly as it was, keeping replay's table in
 // lockstep with the committed log. Arbitrary bytes return an error,
-// never panic: the binary path runs entirely on the bounds-checked
-// codec.Reader and pxml.DecodeArenaWith.
+// never panic: decoding runs entirely on the bounds-checked codec.Reader
+// and pxml.DecodeArenaWith.
 func DecodeWALRecordShared(payload []byte, tab *codec.StrTab) (WALRecord, error) {
-	if len(payload) == 0 {
-		return WALRecord{}, fmt.Errorf("%w: empty record payload", codec.ErrInvalid)
+	if err := checkRecordHeader(payload); err != nil {
+		return WALRecord{}, err
 	}
-	if payload[0] != walBinaryMarker {
-		var rec WALRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return WALRecord{}, err
-		}
-		return rec, nil
-	}
-	r := codec.NewReader(payload[1:])
-	version := r.Byte()
-	if r.Err() == nil && (version < walBinaryMinVersion || version > walBinaryVersionShared) {
-		return WALRecord{}, fmt.Errorf("%w: unsupported binary record version %d", codec.ErrInvalid, version)
-	}
+	r := codec.NewReader(payload[2:])
 	var rec WALRecord
 	rec.Seq = r.Uvarint()
 	rec.Epoch = r.Uvarint()
-	// The v3 delta is read up front but applied to tab only at the end;
+	// The delta is read up front but applied to tab only at the end;
 	// until then the record decodes against a combined view.
-	var delta struct {
-		base    uint64
-		entries []string
+	base, entries, err := codec.DecodeStrTabDelta(r, false)
+	if err != nil {
+		return WALRecord{}, err
 	}
 	var strs []string
-	if version >= walBinaryVersionShared {
-		base, entries, err := codec.DecodeStrTabDelta(r, false)
-		if err != nil {
-			return WALRecord{}, err
-		}
-		switch {
-		case base == 0:
-			strs = entries
-		case base == uint64(tab.Len()):
-			strs = append(tab.Strings()[:base:base], entries...)
-		default:
-			return WALRecord{}, fmt.Errorf("%w: record %d strtab delta based at %d, table holds %d entries", codec.ErrInvalid, rec.Seq, base, tab.Len())
-		}
-		delta.base, delta.entries = base, entries
+	switch {
+	case base == 0:
+		strs = entries
+	case base == uint64(tab.Len()):
+		strs = append(tab.Strings()[:base:base], entries...)
+	default:
+		return WALRecord{}, fmt.Errorf("%w: record %d strtab delta based at %d, table holds %d entries", codec.ErrInvalid, rec.Seq, base, tab.Len())
 	}
 	kind, ok := opKindNames[r.Byte()]
 	if err := r.Err(); err != nil {
@@ -437,58 +357,18 @@ func DecodeWALRecordShared(payload []byte, tab *codec.StrTab) (WALRecord, error)
 	op.Kind = kind
 	switch kind {
 	case core.OpIntegrate, core.OpBatch:
-		n := r.Uvarint()
-		if err := r.Err(); err != nil {
+		if op.SourceTrees, err = readSources(r, strs, rec.Seq); err != nil {
 			return WALRecord{}, err
 		}
-		// A tree field costs at least two bytes (repr + length).
-		if n == 0 || n > uint64(r.Len())/2+1 {
-			return WALRecord{}, fmt.Errorf("%w: implausible source count %d", codec.ErrInvalid, n)
-		}
-		for i := uint64(0); i < n; i++ {
-			t, xml, err := readTree(r, strs)
-			if err != nil {
-				return WALRecord{}, fmt.Errorf("record %d source %d: %w", rec.Seq, i+1, err)
-			}
-			if t != nil {
-				op.SourceTrees = append(op.SourceTrees, t)
-			} else {
-				op.Sources = append(op.Sources, xml)
-			}
-		}
-		if len(op.SourceTrees) > 0 && len(op.Sources) > 0 {
-			return WALRecord{}, fmt.Errorf("%w: record %d mixes tree representations", codec.ErrInvalid, rec.Seq)
-		}
-		if version >= 2 {
-			if err := readStatsBlob(r, op); err != nil {
-				return WALRecord{}, err
-			}
+		if err := readStatsBlob(r, op); err != nil {
+			return WALRecord{}, err
 		}
 	case core.OpEnqueue:
 		op.Ticket = r.String()
-		n := r.Uvarint()
-		if err := r.Err(); err != nil {
+		if op.SourceTrees, err = readSources(r, strs, rec.Seq); err != nil {
 			return WALRecord{}, err
 		}
-		if n == 0 || n > uint64(r.Len())/2+1 {
-			return WALRecord{}, fmt.Errorf("%w: implausible source count %d", codec.ErrInvalid, n)
-		}
-		for i := uint64(0); i < n; i++ {
-			t, xml, err := readTree(r, strs)
-			if err != nil {
-				return WALRecord{}, fmt.Errorf("record %d source %d: %w", rec.Seq, i+1, err)
-			}
-			if t != nil {
-				op.SourceTrees = append(op.SourceTrees, t)
-			} else {
-				op.Sources = append(op.Sources, xml)
-			}
-		}
-		if len(op.SourceTrees) > 0 && len(op.Sources) > 0 {
-			return WALRecord{}, fmt.Errorf("%w: record %d mixes tree representations", codec.ErrInvalid, rec.Seq)
-		}
 	case core.OpApplyQueued:
-		var err error
 		if op.Tickets, err = readStringList(r); err != nil {
 			return WALRecord{}, fmt.Errorf("record %d tickets: %w", rec.Seq, err)
 		}
@@ -516,11 +396,9 @@ func DecodeWALRecordShared(payload []byte, tab *codec.StrTab) (WALRecord, error)
 		op.When = ts
 	case core.OpNormalize:
 	case core.OpReplace, core.OpLoad:
-		t, xml, err := readTree(r, strs)
-		if err != nil {
+		if op.TreeValue, err = readTree(r, strs); err != nil {
 			return WALRecord{}, fmt.Errorf("record %d tree: %w", rec.Seq, err)
 		}
-		op.TreeValue, op.Tree = t, xml
 		if kind == core.OpLoad {
 			op.Schema = r.String()
 			ints := r.Bytes()
@@ -546,10 +424,8 @@ func DecodeWALRecordShared(payload []byte, tab *codec.StrTab) (WALRecord, error)
 	// The record decoded in full: commit its delta so the next record in
 	// the segment/page decodes against the extended table. (Apply cannot
 	// fail here — the base was validated against tab above.)
-	if version >= walBinaryVersionShared {
-		if err := tab.Apply(delta.base, delta.entries); err != nil {
-			return WALRecord{}, err
-		}
+	if err := tab.Apply(base, entries); err != nil {
+		return WALRecord{}, err
 	}
 	return rec, nil
 }

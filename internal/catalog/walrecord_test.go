@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
-	"strconv"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -27,14 +27,12 @@ func mustTree(t *testing.T, xml string) *pxml.Tree {
 	return tree
 }
 
-// sampleRecords builds one record per op kind, covering both tree
-// representations (decoded arenas and XML strings).
+// sampleRecords builds one record per op kind.
 func sampleRecords(t *testing.T) []WALRecord {
 	t.Helper()
 	when := time.Date(2026, 8, 8, 12, 30, 45, 123456789, time.FixedZone("X", 3600))
 	return []WALRecord{
 		{Seq: 1, Epoch: 0, Op: core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{mustTree(t, abA)}}},
-		{Seq: 2, Epoch: 1, Op: core.Op{Kind: core.OpIntegrate, Sources: []string{abA}}},
 		{Seq: 3, Epoch: 1, Op: core.Op{Kind: core.OpBatch, SourceTrees: []*pxml.Tree{mustTree(t, abA), mustTree(t, abB)}}},
 		{Seq: 4, Epoch: 2, Op: core.Op{Kind: core.OpFeedback, Query: "//person/tel", Value: "1111", Correct: true, When: when}},
 		{Seq: 5, Epoch: 2, Op: core.Op{Kind: core.OpNormalize}},
@@ -45,32 +43,25 @@ func sampleRecords(t *testing.T) []WALRecord {
 	}
 }
 
-// opTree returns the tree an op carries in either representation.
-func opTrees(t *testing.T, op core.Op) []*pxml.Tree {
-	t.Helper()
-	var out []*pxml.Tree
-	out = append(out, op.SourceTrees...)
-	for _, s := range op.Sources {
-		out = append(out, mustTree(t, s))
-	}
+// opTrees returns the trees an op carries.
+func opTrees(op core.Op) []*pxml.Tree {
+	out := append([]*pxml.Tree(nil), op.SourceTrees...)
 	if op.TreeValue != nil {
 		out = append(out, op.TreeValue)
-	} else if op.Tree != "" {
-		out = append(out, mustTree(t, op.Tree))
 	}
 	return out
 }
 
-// TestWALRecordBinaryRoundTrip drives every op kind through the binary
-// payload format and back, checking fields and documents survive.
+// TestWALRecordBinaryRoundTrip drives every op kind through a record
+// that stands alone and back, checking fields and documents survive.
 func TestWALRecordBinaryRoundTrip(t *testing.T) {
 	for _, rec := range sampleRecords(t) {
 		payload, err := EncodeWALRecord(rec)
 		if err != nil {
 			t.Fatalf("seq %d: encode: %v", rec.Seq, err)
 		}
-		if payload[0] != walBinaryMarker {
-			t.Fatalf("seq %d: payload starts with %#x", rec.Seq, payload[0])
+		if payload[0] != walBinaryMarker || payload[1] != walRecordVersion {
+			t.Fatalf("seq %d: header %#x %#x", rec.Seq, payload[0], payload[1])
 		}
 		got, err := DecodeWALRecord(payload)
 		if err != nil {
@@ -79,7 +70,7 @@ func TestWALRecordBinaryRoundTrip(t *testing.T) {
 		if got.Seq != rec.Seq || got.Epoch != rec.Epoch || got.Op.Kind != rec.Op.Kind {
 			t.Fatalf("seq %d: round trip = %+v", rec.Seq, got)
 		}
-		wantTrees, gotTrees := opTrees(t, rec.Op), opTrees(t, got.Op)
+		wantTrees, gotTrees := opTrees(rec.Op), opTrees(got.Op)
 		if len(wantTrees) != len(gotTrees) {
 			t.Fatalf("seq %d: %d trees round-tripped to %d", rec.Seq, len(wantTrees), len(gotTrees))
 		}
@@ -110,11 +101,11 @@ func TestWALRecordBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALRecordSharedRoundTrip drives every op kind through the v3
-// shared-table format against one running table: the replayed StrTab
-// decodes them in order, the table converges with the append side, the
-// stream is smaller than its self-contained form, and a mid-table record
-// replayed out of order is refused rather than misread.
+// TestWALRecordSharedRoundTrip drives every op kind through one running
+// string table: the replayed StrTab decodes them in order, the table
+// converges with the append side, the stream is smaller than the same
+// records standing alone, and a mid-table record replayed out of order
+// is refused rather than misread.
 func TestWALRecordSharedRoundTrip(t *testing.T) {
 	var shared codec.SharedStrings
 	recs := sampleRecords(t)
@@ -125,7 +116,7 @@ func TestWALRecordSharedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seq %d: encode shared: %v", rec.Seq, err)
 		}
-		if payload[0] != walBinaryMarker || payload[1] != walBinaryVersionShared {
+		if payload[0] != walBinaryMarker || payload[1] != walRecordVersion {
 			t.Fatalf("seq %d: header %#x %#x", rec.Seq, payload[0], payload[1])
 		}
 		payloads = append(payloads, payload)
@@ -146,7 +137,7 @@ func TestWALRecordSharedRoundTrip(t *testing.T) {
 		if got.Seq != rec.Seq || got.Epoch != rec.Epoch || got.Op.Kind != rec.Op.Kind {
 			t.Fatalf("seq %d: round trip = %+v", rec.Seq, got)
 		}
-		wantTrees, gotTrees := opTrees(t, rec.Op), opTrees(t, got.Op)
+		wantTrees, gotTrees := opTrees(rec.Op), opTrees(got.Op)
 		if len(wantTrees) != len(gotTrees) {
 			t.Fatalf("seq %d: %d trees round-tripped to %d", rec.Seq, len(wantTrees), len(gotTrees))
 		}
@@ -224,24 +215,6 @@ func TestWALStrTabReseedAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestWALRecordJSONDispatch: a JSON payload (first byte '{') decodes
-// through the same entry point — the per-record format dispatch old logs
-// rely on.
-func TestWALRecordJSONDispatch(t *testing.T) {
-	rec := WALRecord{Seq: 9, Epoch: 2, Op: core.Op{Kind: core.OpIntegrate, Sources: []string{abA}}}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeWALRecord(payload)
-	if err != nil {
-		t.Fatalf("decode JSON payload: %v", err)
-	}
-	if got.Seq != 9 || got.Epoch != 2 || len(got.Op.Sources) != 1 || got.Op.Sources[0] != abA {
-		t.Fatalf("JSON dispatch = %+v", got)
-	}
-}
-
 // TestWALRecordRejectsCorruption: every truncation and a sweep of bit
 // flips of a binary payload must error, never panic or succeed silently
 // wrong (flips inside a tree field are caught by the arena digest).
@@ -277,9 +250,10 @@ func TestWALRecordRejectsCorruption(t *testing.T) {
 // TestWALRecordImplausibleSourceCount: a forged source count larger than
 // the remaining payload is rejected before any allocation.
 func TestWALRecordImplausibleSourceCount(t *testing.T) {
-	payload := []byte{walBinaryMarker, walBinaryVersion}
-	payload = codec.AppendUvarint(payload, 1) // seq
-	payload = codec.AppendUvarint(payload, 0) // epoch
+	payload := []byte{walBinaryMarker, walRecordVersion}
+	payload = codec.AppendUvarint(payload, 1)            // seq
+	payload = codec.AppendUvarint(payload, 0)            // epoch
+	payload = codec.AppendStrTabPayload(payload, 0, nil) // empty strtab delta
 	payload = append(payload, opKindCodes[core.OpIntegrate])
 	payload = codec.AppendUvarint(payload, 1<<40) // sources
 	if _, err := DecodeWALRecord(payload); err == nil || !strings.Contains(err.Error(), "implausible") {
@@ -287,66 +261,83 @@ func TestWALRecordImplausibleSourceCount(t *testing.T) {
 	}
 }
 
-// TestWALMixedEncodingLog: a log whose first records were appended as
-// JSON (an old build) and whose tail is binary replays seamlessly — the
-// dispatch is per record, not per segment.
+// TestWALRecordJSONDispatch: a JSON payload (first byte '{'), the record
+// layout of early builds, goes through the same entry points as every
+// record and is refused by name — never decoded as a binary record.
+func TestWALRecordJSONDispatch(t *testing.T) {
+	payload := []byte(`{"seq":9,"epoch":2,"op":{"kind":"integrate","sources":["` + abA + `"]}}`)
+	if _, err := DecodeWALRecord(payload); err == nil || !strings.Contains(err.Error(), "byte 0x7b") {
+		t.Fatalf("decode JSON payload: err = %v", err)
+	}
+	if _, _, err := peekRecordHeader(payload); err == nil || !strings.Contains(err.Error(), "byte 0x7b") {
+		t.Fatalf("peek JSON payload: err = %v", err)
+	}
+	if _, _, err := peekRecordDelta(payload); err == nil {
+		t.Fatal("peekRecordDelta accepted a JSON payload")
+	}
+}
+
+// TestWALMixedEncodingLog: a log whose first records an earlier build
+// appended (the people log of testdata/datadir) and whose tail this build
+// appends replays seamlessly — each record's string-table delta builds on
+// the table of the records before it, whichever build wrote them.
 func TestWALMixedEncodingLog(t *testing.T) {
 	dir := t.TempDir()
-	w, err := recoverWAL(dir, 0, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	copyDir(t, filepath.Join("testdata", "datadir", "people", walDirName), dir)
+	old, w := collect(t, dir, 0)
+	if len(old) != 2 || old[0].Op.Kind != core.OpReplace || old[1].Op.Kind != core.OpIntegrate {
+		t.Fatalf("earlier build's records = %+v", old)
 	}
-	w.jsonAppends = true
 	for i := 0; i < 3; i++ {
-		if _, err := w.append(testOp(i)); err != nil {
+		if _, err := w.append(core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{mustTree(t, abC)}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	w.jsonAppends = false
-	for i := 3; i < 6; i++ {
-		if _, err := w.append(testOp(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if enc := w.stats().Encoding; enc != EncodingBinary {
-		t.Fatalf("stats encoding %q", enc)
 	}
 	w.close()
 	got, w2 := collect(t, dir, 0)
 	defer w2.close()
-	if len(got) != 6 {
-		t.Fatalf("replayed %d records, want 6", len(got))
+	if len(got) != 5 {
+		t.Fatalf("replayed %d records, want 5", len(got))
 	}
+	want := mustTree(t, abC)
 	for i, e := range got {
-		if e.Seq != uint64(i+1) || e.Op.Value != testOp(i).Value {
-			t.Fatalf("record %d = %+v", i, e)
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d", i, e.Seq)
+		}
+		if i >= 2 && (len(e.Op.SourceTrees) != 1 || !pxml.Equal(e.Op.SourceTrees[0].Root(), want.Root())) {
+			t.Fatalf("appended record %d = %+v", i, e)
 		}
 	}
-	// The read path (shipping) sees the same six records.
+	if old[1].Op.SourceTrees[0].Digest() != got[1].Op.SourceTrees[0].Digest() {
+		t.Fatal("the earlier build's integrate decodes differently once the log grew")
+	}
+	// The read path (shipping) sees the same five records.
 	recs, err := w2.opsSince(0, 0)
-	if err != nil || len(recs) != 6 {
-		t.Fatalf("opsSince over mixed log: %d records, err %v", len(recs), err)
+	if err != nil || len(recs) != 5 {
+		t.Fatalf("opsSince over the mixed log: %d records, err %v", len(recs), err)
 	}
 }
 
 // FuzzDecodeWALRecord: arbitrary bytes must produce an error or a valid
 // record — never a panic and never an unvalidated tree.
 func FuzzDecodeWALRecord(f *testing.F) {
-	rec := WALRecord{Seq: 1, Op: core.Op{Kind: core.OpIntegrate, Sources: []string{abA}}}
 	tree, err := xmlcodec.DecodeString(abA)
 	if err != nil {
 		f.Fatal(err)
 	}
-	if payload, err := EncodeWALRecord(rec); err == nil {
+	var shared codec.SharedStrings
+	for _, rec := range []WALRecord{
+		{Seq: 1, Op: core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{tree}}},
+		{Seq: 2, Epoch: 1, Op: core.Op{Kind: core.OpReplace, TreeValue: tree}},
+	} {
+		if payload, err := EncodeWALRecordShared(rec, &shared); err == nil {
+			f.Add(payload) // the second is based mid-table
+		}
+	}
+	if payload, err := EncodeWALRecord(WALRecord{Seq: 3, Epoch: 1, Op: core.Op{Kind: core.OpBatch, SourceTrees: []*pxml.Tree{tree, tree}}}); err == nil {
 		f.Add(payload)
 	}
-	if payload, err := EncodeWALRecord(WALRecord{Seq: 2, Epoch: 1, Op: core.Op{Kind: core.OpReplace, TreeValue: tree}}); err == nil {
-		f.Add(payload)
-	}
-	if payload, err := json.Marshal(rec); err == nil {
-		f.Add(payload)
-	}
-	f.Add([]byte{walBinaryMarker, walBinaryVersion})
+	f.Add([]byte{walBinaryMarker, walRecordVersion})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeWALRecord(data)
 		if err != nil {
@@ -365,14 +356,15 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	})
 }
 
-// TestWALRecordQueueRoundTrip: the v2 kinds — enqueue and apply-queued —
-// and the v2 stats blob on integrate records survive the binary format.
+// TestWALRecordQueueRoundTrip: the queue kinds — enqueue and
+// apply-queued — and the stats blob on integrate records survive the
+// record format.
 func TestWALRecordQueueRoundTrip(t *testing.T) {
 	stats := []integrate.Stats{{OracleCalls: 7, UndecidedPairs: 3, SplicedChildren: 2}}
 	recs := []WALRecord{
 		{Seq: 10, Epoch: 2, Op: core.Op{Kind: core.OpEnqueue, Ticket: "t41",
 			SourceTrees: []*pxml.Tree{mustTree(t, abA), mustTree(t, abB)}}},
-		{Seq: 11, Epoch: 2, Op: core.Op{Kind: core.OpEnqueue, Ticket: "t42", Sources: []string{abC}}},
+		{Seq: 11, Epoch: 2, Op: core.Op{Kind: core.OpEnqueue, Ticket: "t42", SourceTrees: []*pxml.Tree{mustTree(t, abC)}}},
 		{Seq: 12, Epoch: 2, Op: core.Op{Kind: core.OpApplyQueued, Tickets: []string{"t41", "t42"},
 			Failed: []string{"t43"}, FailedErrors: []string{"root tag mismatch"}, Stats: stats}},
 		{Seq: 13, Epoch: 2, Op: core.Op{Kind: core.OpApplyQueued, Failed: []string{"t44"},
@@ -392,7 +384,7 @@ func TestWALRecordQueueRoundTrip(t *testing.T) {
 		if got.Seq != rec.Seq || got.Op.Kind != rec.Op.Kind || got.Op.Ticket != rec.Op.Ticket {
 			t.Fatalf("seq %d: round trip = %+v", rec.Seq, got)
 		}
-		wantTrees, gotTrees := opTrees(t, rec.Op), opTrees(t, got.Op)
+		wantTrees, gotTrees := opTrees(rec.Op), opTrees(got.Op)
 		if len(wantTrees) != len(gotTrees) {
 			t.Fatalf("seq %d: %d trees round-tripped to %d", rec.Seq, len(wantTrees), len(gotTrees))
 		}
@@ -418,41 +410,12 @@ func TestWALRecordQueueRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALRecordDecodesV1Payload: a hand-built version-1 integrate record
-// — no trailing stats blob, the layout pre-queue builds wrote — still
-// decodes. Forward compatibility for existing data directories.
-func TestWALRecordDecodesV1Payload(t *testing.T) {
-	payload := []byte{walBinaryMarker, 1} // version 1
-	payload = codec.AppendUvarint(payload, 21)
-	payload = codec.AppendUvarint(payload, 4)
-	payload = append(payload, opKindCodes[core.OpIntegrate])
-	payload = codec.AppendUvarint(payload, 1)
-	payload, err := appendTree(payload, mustTree(t, abA), "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Note: no stats blob — v1 records end after the sources.
-	got, err := DecodeWALRecord(payload)
-	if err != nil {
-		t.Fatalf("decode v1 payload: %v", err)
-	}
-	if got.Seq != 21 || got.Epoch != 4 || got.Op.Kind != core.OpIntegrate || len(got.Op.SourceTrees) != 1 {
-		t.Fatalf("v1 decode = %+v", got)
-	}
-	if len(got.Op.Stats) != 0 {
-		t.Fatalf("v1 record decoded phantom stats: %+v", got.Op.Stats)
-	}
-	if seq, epoch, err := peekRecordHeader(payload); err != nil || seq != 21 || epoch != 4 {
-		t.Fatalf("peek v1 = %d/%d, %v", seq, epoch, err)
-	}
-}
-
 // TestWALRecordRetiredStatsFields: logs written while integration had a
 // cross-call memo carry VerdictMemoHits and MergeMemoHits in their stats
-// blobs. A hand-built binary integrate record and a JSON one with those
-// keys still decode, the keys ignored and every kept counter intact. And
-// new records keep the size of the old: they write every counter, then the
-// two retired keys as zeros.
+// blobs. A hand-built integrate record with those keys still decodes,
+// the keys ignored and every kept counter intact. And new records keep
+// the size of the old: they write every counter, then the two retired
+// keys as zeros.
 func TestWALRecordRetiredStatsFields(t *testing.T) {
 	const blob = `[{"OracleCalls":7,"UndecidedPairs":4,"VerdictMemoHits":3,"MergeMemoHits":1,"SplicedChildren":2}]`
 	want := integrate.Stats{OracleCalls: 7, UndecidedPairs: 4, SplicedChildren: 2}
@@ -463,28 +426,28 @@ func TestWALRecordRetiredStatsFields(t *testing.T) {
 		t.Fatalf("stats blob %s, %v; want %s", got, err, layout)
 	}
 
-	binary := []byte{walBinaryMarker, walBinaryVersion}
-	binary = codec.AppendUvarint(binary, 31)
-	binary = codec.AppendUvarint(binary, 2)
-	binary = append(binary, opKindCodes[core.OpIntegrate])
-	binary = codec.AppendUvarint(binary, 1)
-	binary, err := appendTree(binary, mustTree(t, abA), "", nil)
+	var tab codec.SharedStrings
+	source, err := appendTree(nil, mustTree(t, abA), &tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary = codec.AppendBytes(binary, []byte(blob))
-	jsonRec := []byte(`{"seq":31,"epoch":2,"op":{"kind":"integrate","sources":[` + strconv.Quote(abA) + `],"stats":` + blob + `}}`)
+	payload := []byte{walBinaryMarker, walRecordVersion}
+	payload = codec.AppendUvarint(payload, 31)
+	payload = codec.AppendUvarint(payload, 2)
+	payload = tab.AppendDelta(payload, 0)
+	payload = append(payload, opKindCodes[core.OpIntegrate])
+	payload = codec.AppendUvarint(payload, 1)
+	payload = append(payload, source...)
+	payload = codec.AppendBytes(payload, []byte(blob))
 
-	for label, payload := range map[string][]byte{"binary": binary, "json": jsonRec} {
-		got, err := DecodeWALRecord(payload)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", label, err)
-		}
-		if got.Seq != 31 || got.Op.Kind != core.OpIntegrate || len(got.Op.Stats) != 1 || got.Op.Stats[0] != want {
-			t.Fatalf("%s: decoded %+v, stats %+v; want stats %+v", label, got, got.Op.Stats, want)
-		}
-		if trees := opTrees(t, got.Op); len(trees) != 1 || !pxml.Equal(trees[0].Root(), mustTree(t, abA).Root()) {
-			t.Fatalf("%s: source did not survive", label)
-		}
+	got, err := DecodeWALRecord(payload)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got.Seq != 31 || got.Op.Kind != core.OpIntegrate || len(got.Op.Stats) != 1 || got.Op.Stats[0] != want {
+		t.Fatalf("decoded %+v, stats %+v; want stats %+v", got, got.Op.Stats, want)
+	}
+	if trees := opTrees(got.Op); len(trees) != 1 || !pxml.Equal(trees[0].Root(), mustTree(t, abA).Root()) {
+		t.Fatal("source did not survive")
 	}
 }

@@ -421,7 +421,6 @@ func runServe(args []string, w io.Writer) error {
 	dataDir := fs.String("data", "", "durable multi-database data directory (enables /dbs/{name} routes; recovers on start)")
 	replicaOf := fs.String("replica-of", "", "primary base URL to follow as a read replica (requires -data; read verbs served locally, writes 403 to the primary)")
 	walSegBytes := fs.Int64("wal-segment-bytes", 0, "write-ahead segment rotation threshold in bytes (0 = default 4MiB; with -data)")
-	walEncoding := fs.String("wal-encoding", "", "write-ahead record format for new appends: binary (default) or json; reading accepts both (with -data)")
 	compactEvery := fs.Int("compact-every", 0, "journaled ops between background compactions (0 = default 64, negative disables; with -data)")
 	dbPath := fs.String("db", "", "initial document (default: empty document with -root tag)")
 	rootTag := fs.String("root", "db", "root element tag when starting empty")
@@ -485,7 +484,6 @@ func runServe(args []string, w io.Writer) error {
 		Config:       cfg,
 		RootTag:      *rootTag,
 		SegmentBytes: *walSegBytes,
-		WALEncoding:  *walEncoding,
 		CompactEvery: *compactEvery,
 		DisableMMap:  !*storeMMap,
 		Logger:       logger,

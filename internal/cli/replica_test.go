@@ -99,10 +99,9 @@ func TestServeReplicaOf(t *testing.T) {
 	}
 	var sr struct {
 		WAL struct {
-			SegmentLimitBytes int64  `json:"segment_limit_bytes"`
-			CompactEvery      int    `json:"compact_every"`
-			StoreFormat       int    `json:"store_format"`
-			Encoding          string `json:"encoding"`
+			SegmentLimitBytes int64 `json:"segment_limit_bytes"`
+			CompactEvery      int   `json:"compact_every"`
+			StoreFormat       int   `json:"store_format"`
 		} `json:"wal"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&sr)
@@ -110,8 +109,8 @@ func TestServeReplicaOf(t *testing.T) {
 	if err != nil || sr.WAL.SegmentLimitBytes != 65536 || sr.WAL.CompactEvery != 5 {
 		t.Fatalf("stats knobs %+v (err %v)", sr.WAL, err)
 	}
-	// The format observability: the default build appends binary records.
-	if sr.WAL.Encoding != "binary" || sr.WAL.StoreFormat == 0 {
+	// The format observability: the one snapshot format on disk.
+	if sr.WAL.StoreFormat != 5 {
 		t.Fatalf("stats format fields %+v", sr.WAL)
 	}
 

@@ -331,9 +331,9 @@ func (db *Database) applyEnqueueOp(op Op) error {
 	if op.Ticket == "" {
 		return errors.New("core: replay: enqueue op without ticket")
 	}
-	trees, err := op.decodedSources()
-	if err != nil {
-		return fmt.Errorf("core: replay enqueue %s: %w", op.Ticket, err)
+	trees := op.SourceTrees
+	if len(trees) == 0 {
+		return fmt.Errorf("core: replay enqueue %s: op has no sources", op.Ticket)
 	}
 	db.commitMu.Lock()
 	seq, journaled, err := db.record(op)
@@ -542,24 +542,4 @@ func DecodePending(docs []store.PendingDoc) ([]PendingSource, error) {
 		entries[i] = PendingSource{Ticket: d.Ticket, Trees: trees}
 	}
 	return entries, nil
-}
-
-// decodedSources returns the op's source documents, preferring the
-// decoded form (see decodedTree for the validation rationale).
-func (op *Op) decodedSources() ([]*pxml.Tree, error) {
-	if len(op.SourceTrees) > 0 {
-		return op.SourceTrees, nil
-	}
-	if len(op.Sources) == 0 {
-		return nil, errors.New("op has no sources")
-	}
-	trees := make([]*pxml.Tree, len(op.Sources))
-	for i, src := range op.Sources {
-		t, err := xmlcodec.DecodeString(src)
-		if err != nil {
-			return nil, fmt.Errorf("source %d: %w", i+1, err)
-		}
-		trees[i] = t
-	}
-	return trees, nil
 }

@@ -15,24 +15,23 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/integrate"
 	"repro/internal/pxml"
-	"repro/internal/xmlcodec"
 )
 
 // OpKind identifies a journaled mutation.
 type OpKind string
 
 const (
-	// OpIntegrate merges one source document (Sources[0]).
+	// OpIntegrate merges one source document (SourceTrees[0]).
 	OpIntegrate OpKind = "integrate"
-	// OpBatch merges N source documents atomically (Sources).
+	// OpBatch merges N source documents atomically (SourceTrees).
 	OpBatch OpKind = "batch"
 	// OpFeedback applies one judgment (Query, Value, Correct, When).
 	OpFeedback OpKind = "feedback"
 	// OpNormalize canonicalizes the document.
 	OpNormalize OpKind = "normalize"
-	// OpReplace swaps the whole document for Tree.
+	// OpReplace swaps the whole document for TreeValue.
 	OpReplace OpKind = "replace"
-	// OpLoad installs a snapshot: Tree, optional Schema, and the
+	// OpLoad installs a snapshot: TreeValue, optional Schema, and the
 	// histories the snapshot carried.
 	OpLoad OpKind = "load"
 	// OpEnqueue accepts source document(s) into the async ingest queue
@@ -49,74 +48,41 @@ const (
 // Op is one replayable mutation record. Command-style ops (integrate,
 // batch, feedback, normalize) carry their inputs and rely on the engine's
 // determinism; state-style ops (replace, load) carry the installed
-// document itself, so replay never depends on an external file.
+// document itself, so replay never depends on an external file. Trees
+// travel decoded: the mutation paths fill them directly, and the binary
+// journal and wire decoders hand back validated trees.
 type Op struct {
-	Kind OpKind `json:"kind"`
-	// Sources is the XML of the integrated source document(s).
-	Sources []string `json:"sources,omitempty"`
+	Kind OpKind
+	// SourceTrees are the integrated or enqueued source document(s).
+	SourceTrees []*pxml.Tree
 	// Query, Value, Correct and When describe a feedback judgment; When
 	// is recorded so replay reproduces the event timestamp exactly.
-	Query   string    `json:"query,omitempty"`
-	Value   string    `json:"value,omitempty"`
-	Correct bool      `json:"correct,omitempty"`
-	When    time.Time `json:"when,omitzero"`
-	// Tree and Schema are the installed document (replace/load).
-	Tree   string `json:"tree,omitempty"`
-	Schema string `json:"schema,omitempty"`
+	Query   string
+	Value   string
+	Correct bool
+	When    time.Time
+	// TreeValue and Schema are the installed document (replace/load).
+	TreeValue *pxml.Tree
+	Schema    string
 	// Integrations and Events restore the histories a loaded snapshot
 	// carried.
-	Integrations []integrate.Stats `json:"integrations,omitempty"`
-	Events       []feedback.Event  `json:"events,omitempty"`
+	Integrations []integrate.Stats
+	Events       []feedback.Event
 	// Stats records the per-source integration statistics of an
 	// integrate/batch/apply-queued op as they were at commit time.
 	// Replay installs these instead of its own recomputed counters: the
 	// tree recomputation is deterministic, and the history must be the
 	// original one exactly, even for a log whose engine counted
 	// differently (older versions had a cross-call memo).
-	Stats []integrate.Stats `json:"stats,omitempty"`
+	Stats []integrate.Stats
 	// Ticket names an enqueued source batch (OpEnqueue).
-	Ticket string `json:"ticket,omitempty"`
+	Ticket string
 	// Tickets lists the queue entries an OpApplyQueued integrated, in
 	// fold order; Failed (with parallel FailedErrors) lists entries it
 	// dropped because their integration failed.
-	Tickets      []string `json:"tickets,omitempty"`
-	Failed       []string `json:"failed,omitempty"`
-	FailedErrors []string `json:"failed_errors,omitempty"`
-
-	// SourceTrees and TreeValue are the decoded forms of Sources and
-	// Tree. The mutation paths fill them directly (no XML detour), the
-	// binary journal/wire encoders carry them as flat arena payloads, and
-	// ApplyOp prefers them over re-parsing the strings. They never
-	// marshal to JSON; EncodePortable materializes the string fields for
-	// encoders that need them.
-	SourceTrees []*pxml.Tree `json:"-"`
-	TreeValue   *pxml.Tree   `json:"-"`
-}
-
-// EncodePortable fills the XML string fields (Sources, Tree) from the
-// decoded trees when only the latter are present, so the op can travel
-// through JSON encoders (the JSON write-ahead-log mode and the JSON
-// replication wire). It is idempotent and leaves already-filled strings
-// untouched.
-func (op *Op) EncodePortable() error {
-	if len(op.Sources) == 0 && len(op.SourceTrees) > 0 {
-		op.Sources = make([]string, len(op.SourceTrees))
-		for i, t := range op.SourceTrees {
-			xml, err := encodeForJournal(t)
-			if err != nil {
-				return fmt.Errorf("core: encoding source %d: %w", i+1, err)
-			}
-			op.Sources[i] = xml
-		}
-	}
-	if op.Tree == "" && op.TreeValue != nil {
-		xml, err := encodeForJournal(op.TreeValue)
-		if err != nil {
-			return fmt.Errorf("core: encoding %s tree: %w", op.Kind, err)
-		}
-		op.Tree = xml
-	}
-	return nil
+	Tickets      []string
+	Failed       []string
+	FailedErrors []string
 }
 
 // Journal receives one record per committed mutation and assigns it a
@@ -178,9 +144,8 @@ func (db *Database) record(op Op) (uint64, bool, error) {
 }
 
 // recordSources journals an integrate/batch op carrying the source trees
-// themselves — the journal's encoder picks the representation (binary
-// arena or, via EncodePortable, XML) — plus the per-source stats the
-// commit installs. Callers hold commitMu.
+// themselves plus the per-source stats the commit installs. Callers hold
+// commitMu.
 func (db *Database) recordSources(sources []*pxml.Tree, stats []integrate.Stats) (uint64, bool, error) {
 	if db.journal == nil {
 		return 0, false, nil
@@ -202,32 +167,6 @@ func (db *Database) recordWithTree(op Op, t *pxml.Tree) (uint64, bool, error) {
 	return db.record(op)
 }
 
-// encodeForJournal renders a tree as marker XML for a journal record. The
-// codec round-trips structurally (pxml.Equal), which is what replay
-// determinism needs.
-func encodeForJournal(t *pxml.Tree) (string, error) {
-	return xmlcodec.EncodeString(t, xmlcodec.EncodeOptions{KeepTrivial: true})
-}
-
-// decodedTree returns the op's installed document (replace/load),
-// preferring the already-decoded form. A tree parsed from the XML string
-// is validated here because the string may come from an untrusted log or
-// wire; TreeValue producers (mutation paths, the binary decoders) have
-// already validated.
-func (op *Op) decodedTree() (*pxml.Tree, error) {
-	if op.TreeValue != nil {
-		return op.TreeValue, nil
-	}
-	t, err := xmlcodec.DecodeString(op.Tree)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // ApplyOp re-executes one journaled mutation — the replay half of crash
 // recovery. It dispatches to the same mutating paths that produced the
 // record, so replaying a log prefix reproduces the exact tree and
@@ -239,17 +178,7 @@ func (db *Database) ApplyOp(op Op) error {
 	case OpIntegrate, OpBatch:
 		trees := op.SourceTrees
 		if len(trees) == 0 {
-			if len(op.Sources) == 0 {
-				return errors.New("core: replay: op has no sources")
-			}
-			trees = make([]*pxml.Tree, len(op.Sources))
-			for i, src := range op.Sources {
-				t, err := xmlcodec.DecodeString(src)
-				if err != nil {
-					return fmt.Errorf("core: replay source %d: %w", i+1, err)
-				}
-				trees[i] = t
-			}
+			return errors.New("core: replay: op has no sources")
 		}
 		// Recorded stats (when the log carries them) are installed in
 		// place of the recomputed counters; see integrateSources.
@@ -266,24 +195,23 @@ func (db *Database) ApplyOp(op Op) error {
 		_, _, err := db.Normalize()
 		return err
 	case OpReplace:
-		t, err := op.decodedTree()
-		if err != nil {
-			return fmt.Errorf("core: replay replace: %w", err)
+		if op.TreeValue == nil {
+			return errors.New("core: replay replace: op has no document")
 		}
-		return db.ReplaceTree(t)
+		return db.ReplaceTree(op.TreeValue)
 	case OpLoad:
-		t, err := op.decodedTree()
-		if err != nil {
-			return fmt.Errorf("core: replay load: %w", err)
+		if op.TreeValue == nil {
+			return errors.New("core: replay load: op has no document")
 		}
 		var schema *dtd.Schema
 		if op.Schema != "" {
+			var err error
 			schema, err = dtd.ParseString(op.Schema)
 			if err != nil {
 				return fmt.Errorf("core: replay load schema: %w", err)
 			}
 		}
-		return db.installSnapshot(t, schema, op.Integrations, op.Events)
+		return db.installSnapshot(op.TreeValue, schema, op.Integrations, op.Events)
 	case OpEnqueue:
 		return db.applyEnqueueOp(op)
 	case OpApplyQueued:

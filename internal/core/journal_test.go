@@ -44,35 +44,14 @@ func openJournaled(t *testing.T) (*core.Database, *memJournal) {
 
 // TestDeepDocumentSurvivesMarkerXML: a plain document as deep as the XML
 // decoder accepts still decodes from the marker XML that wraps each of its
-// elements in <_prob><_poss> — the form a JSON journal record and a
-// snapshot's pending-ingest entry keep it in — so accepting it can break
-// neither replay nor a snapshot load.
+// elements in <_prob><_poss> — the form a snapshot's pending-ingest entry
+// keeps it in — so accepting it cannot break a snapshot load.
 func TestDeepDocumentSurvivesMarkerXML(t *testing.T) {
 	levels := xmlcodec.MaxDepth
 	tr, err := xmlcodec.DecodeString(strings.Repeat("<a>", levels) + strings.Repeat("</a>", levels))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, j := openJournaled(t)
-	if err := db.ReplaceTree(tr); err != nil {
-		t.Fatal(err)
-	}
-	op := j.ops[len(j.ops)-1]
-	if err := op.EncodePortable(); err != nil {
-		t.Fatal(err)
-	}
-	op.TreeValue = nil
-	replayed, err := core.OpenXML(strings.NewReader(jSrcA), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replayed.ApplyOp(op); err != nil {
-		t.Fatalf("replaying the JSON-journal form: %v", err)
-	}
-	if !pxml.Equal(replayed.Tree().Root(), tr.Root()) {
-		t.Fatal("replay changed the document")
-	}
-
 	docs, err := core.EncodePending([]core.PendingSource{{Ticket: "t1", Trees: []*pxml.Tree{tr}}})
 	if err != nil {
 		t.Fatal(err)

@@ -265,7 +265,7 @@ func TestReplicationDivergenceResync(t *testing.T) {
 	// abB, but the follower receives a forged replace instead. Positions
 	// then align while the trees differ — exactly what digest comparison
 	// must catch.
-	forged := core.Op{Kind: core.OpReplace, Tree: abC}
+	forged := core.Op{Kind: core.OpReplace, TreeValue: mustDecode(t, abC)}
 	if _, err := fdb.ApplyReplicated(catalog.WALRecord{Seq: 2, Op: forged}); err != nil {
 		t.Fatal(err)
 	}

@@ -52,8 +52,8 @@ func appendPageHeader(page *WALPage) []byte {
 }
 
 // EncodeWALPage streams page to w as binary frames, encoding each
-// decoded record into its self-contained binary payload form, so the
-// page needs no I frame. A primary serving its own log uses
+// decoded record as one that stands alone (its strtab delta based at 0),
+// so the page needs no I frame. A primary serving its own log uses
 // EncodeRawWALPage, which skips this per-record encode.
 func EncodeWALPage(w io.Writer, page *WALPage) error {
 	fw := codec.NewFrameWriter(w)
@@ -75,11 +75,9 @@ func EncodeWALPage(w io.Writer, page *WALPage) error {
 // EncodeRawWALPage streams a page whose records are raw on-disk payload
 // bytes (catalog.RawOpsSince) — the zero-re-encode shipping path. The
 // header fields come from page; page.Records is ignored, raws supplies
-// the R frames. A JSON-era payload in raws ships as-is too: the decoder
-// dispatches per record, so mixed-format logs travel unchanged. prefix
-// is the interned-string table the first record's strtab delta assumes
-// (RawOpsSince's second result); non-empty, it ships as an I frame
-// right after the header.
+// the R frames. prefix is the interned-string table the first record's
+// strtab delta assumes (RawOpsSince's second result); non-empty, it
+// ships as an I frame right after the header.
 func EncodeRawWALPage(w io.Writer, page *WALPage, raws []catalog.RawWALRecord, prefix []string) error {
 	fw := codec.NewFrameWriter(w)
 	if err := fw.Write(codec.KindPageHeader, wireVersion, appendPageHeader(page)); err != nil {

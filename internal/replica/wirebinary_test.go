@@ -27,25 +27,17 @@ import (
 	"repro/internal/server"
 )
 
-// wireTrees collects the document(s) an op carries, decoding the XML
-// representation when that is what survived the round trip.
-func wireTrees(t *testing.T, op core.Op) []*pxml.Tree {
-	t.Helper()
-	var out []*pxml.Tree
-	out = append(out, op.SourceTrees...)
-	for _, s := range op.Sources {
-		out = append(out, mustDecode(t, s))
-	}
+// wireTrees collects the document(s) an op carries.
+func wireTrees(op core.Op) []*pxml.Tree {
+	out := append([]*pxml.Tree(nil), op.SourceTrees...)
 	if op.TreeValue != nil {
 		out = append(out, op.TreeValue)
-	} else if op.Tree != "" {
-		out = append(out, mustDecode(t, op.Tree))
 	}
 	return out
 }
 
-// TestWALPageBinaryRoundTrip drives a page of mixed-representation
-// records through the binary wire stream and back.
+// TestWALPageBinaryRoundTrip drives a page of records of several op kinds
+// through the binary wire stream and back.
 func TestWALPageBinaryRoundTrip(t *testing.T) {
 	when := time.Date(2026, 8, 8, 9, 0, 0, 0, time.UTC)
 	page := &replica.WALPage{
@@ -57,7 +49,7 @@ func TestWALPageBinaryRoundTrip(t *testing.T) {
 		Records: []catalog.WALRecord{
 			{Seq: 4, Epoch: 1, Op: core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{mustDecode(t, abA)}}},
 			{Seq: 5, Epoch: 2, Op: core.Op{Kind: core.OpFeedback, Query: "//person/tel", Value: "1111", Correct: true, When: when}},
-			{Seq: 6, Epoch: 2, Op: core.Op{Kind: core.OpReplace, Tree: abB}},
+			{Seq: 6, Epoch: 2, Op: core.Op{Kind: core.OpReplace, TreeValue: mustDecode(t, abB)}},
 		},
 	}
 	var buf bytes.Buffer
@@ -80,7 +72,7 @@ func TestWALPageBinaryRoundTrip(t *testing.T) {
 		if rec.Seq != want.Seq || rec.Epoch != want.Epoch || rec.Op.Kind != want.Op.Kind {
 			t.Fatalf("record %d = %+v", i, rec)
 		}
-		wt, gt := wireTrees(t, want.Op), wireTrees(t, rec.Op)
+		wt, gt := wireTrees(want.Op), wireTrees(rec.Op)
 		if len(wt) != len(gt) {
 			t.Fatalf("record %d: %d trees became %d", i, len(wt), len(gt))
 		}
@@ -96,24 +88,20 @@ func TestWALPageBinaryRoundTrip(t *testing.T) {
 }
 
 // TestRawWALPageRoundTrip: the zero-re-encode primary path — raw
-// payload bytes straight off the log, one binary-era and one JSON-era —
-// produces a stream the standard decoder reads back record by record.
+// payload bytes straight off the log — produces a stream the standard
+// decoder reads back record by record.
 func TestRawWALPageRoundTrip(t *testing.T) {
-	binRec := catalog.WALRecord{Seq: 4, Epoch: 1,
-		Op: core.Op{Kind: core.OpReplace, TreeValue: mustDecode(t, abA)}}
-	binPayload, err := catalog.EncodeWALRecord(binRec)
-	if err != nil {
-		t.Fatal(err)
+	recs := []catalog.WALRecord{
+		{Seq: 4, Epoch: 1, Op: core.Op{Kind: core.OpReplace, TreeValue: mustDecode(t, abA)}},
+		{Seq: 5, Epoch: 1, Op: core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{mustDecode(t, abB)}}},
 	}
-	jsonRec := catalog.WALRecord{Seq: 5, Epoch: 1,
-		Op: core.Op{Kind: core.OpIntegrate, Sources: []string{abB}}}
-	jsonPayload, err := json.Marshal(jsonRec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raws := []catalog.RawWALRecord{
-		{Seq: 4, Epoch: 1, Payload: binPayload},
-		{Seq: 5, Epoch: 1, Payload: jsonPayload},
+	var raws []catalog.RawWALRecord
+	for _, rec := range recs {
+		payload, err := catalog.EncodeWALRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws = append(raws, catalog.RawWALRecord{Seq: rec.Seq, Epoch: rec.Epoch, Payload: payload})
 	}
 	page := &replica.WALPage{Database: "x", Since: 3, LastSeq: 5, Digest: "d", Epoch: 1}
 	var buf bytes.Buffer
@@ -129,11 +117,11 @@ func TestRawWALPageRoundTrip(t *testing.T) {
 	}
 	if r := got.Records[0]; r.Seq != 4 || r.Op.Kind != core.OpReplace ||
 		r.Op.TreeValue == nil || !pxml.Equal(r.Op.TreeValue.Root(), mustDecode(t, abA).Root()) {
-		t.Fatalf("binary-era raw record = %+v", r)
+		t.Fatalf("replace raw record = %+v", r)
 	}
 	if r := got.Records[1]; r.Seq != 5 || r.Op.Kind != core.OpIntegrate ||
-		len(r.Op.Sources) != 1 || r.Op.Sources[0] != abB {
-		t.Fatalf("JSON-era raw record = %+v", r)
+		len(r.Op.SourceTrees) != 1 || !pxml.Equal(r.Op.SourceTrees[0].Root(), mustDecode(t, abB).Root()) {
+		t.Fatalf("integrate raw record = %+v", r)
 	}
 }
 
@@ -257,7 +245,7 @@ func (p *tailPage) frames(t testing.TB, order string) []byte {
 func FuzzDecodeWALPage(f *testing.F) {
 	page := &replica.WALPage{Database: "x", Since: 0, LastSeq: 1, Digest: "d", Epoch: 1,
 		Records: []catalog.WALRecord{{Seq: 1, Epoch: 1,
-			Op: core.Op{Kind: core.OpReplace, Tree: abA}}}}
+			Op: core.Op{Kind: core.OpReplace, TreeValue: mustDecode(f, abA)}}}}
 	var raw bytes.Buffer
 	if err := replica.EncodeWALPage(&raw, page); err != nil {
 		f.Fatal(err)

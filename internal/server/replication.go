@@ -279,10 +279,8 @@ type HealthDB struct {
 	AppliedSeq   uint64 `json:"applied_seq"`
 	TailOps      uint64 `json:"tail_ops"`
 	RecoveredOps int64  `json:"recovered_ops"`
-	// StoreFormat is the on-disk snapshot format version; WALEncoding the
-	// payload format of new log appends.
-	StoreFormat int    `json:"store_format,omitempty"`
-	WALEncoding string `json:"wal_encoding,omitempty"`
+	// StoreFormat is the on-disk snapshot format version.
+	StoreFormat int `json:"store_format,omitempty"`
 	// PrimarySeq and Lag are present on replicas.
 	PrimarySeq uint64 `json:"primary_seq,omitempty"`
 	Lag        uint64 `json:"lag,omitempty"`
@@ -359,7 +357,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				TailOps:      st.TailOps,
 				RecoveredOps: st.RecoveredOps,
 				StoreFormat:  st.StoreFormat,
-				WALEncoding:  st.WAL.Encoding,
 			}
 			if d, ok := lagByName[db.Name()]; ok {
 				row.PrimarySeq = d.PrimarySeq

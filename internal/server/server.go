@@ -796,12 +796,10 @@ type DurabilityStats struct {
 	// database actually runs with (-wal-segment-bytes, -compact-every).
 	SegmentLimitBytes int64 `json:"segment_limit_bytes"`
 	CompactEvery      int   `json:"compact_every"`
-	// StoreFormat is the on-disk snapshot format version; Encoding the
-	// payload format of new log appends (-wal-encoding).
-	StoreFormat int    `json:"store_format"`
-	Encoding    string `json:"encoding"`
+	// StoreFormat is the on-disk snapshot format version.
+	StoreFormat int `json:"store_format"`
 	// StrTabEntries is the size of the live segment's interned-string
-	// table (0 when strtab appends are disabled or the segment is fresh).
+	// table (0 when the segment is fresh).
 	StrTabEntries int `json:"strtab_entries"`
 	// ShipStats: log pages served to followers and what reading them cost.
 	catalog.ShipStats
@@ -824,7 +822,6 @@ func durabilityStats(db *catalog.DB) *DurabilityStats {
 		SegmentLimitBytes: st.WAL.SegmentLimitBytes,
 		CompactEvery:      st.CompactEvery,
 		StoreFormat:       st.StoreFormat,
-		Encoding:          st.WAL.Encoding,
 		StrTabEntries:     st.WAL.StrTabEntries,
 		ShipStats:         st.WAL.ShipStats,
 	}

@@ -1,11 +1,13 @@
 package shell_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/shell"
+	"repro/internal/xmlcodec"
 )
 
 // TestShellCatalogLifecycle drives the durable-catalog commands: attach,
@@ -124,10 +126,15 @@ func TestShellWALCommand(t *testing.T) {
 	if err := sh.Execute("wal"); err == nil || !strings.Contains(err.Error(), "no catalog database") {
 		t.Fatalf("wal without catalog: %v", err)
 	}
+	const loaded = `<addressbook><person><nm>John</nm><tel>1111</tel></person></addressbook>`
+	doc, err := xmlcodec.DecodeString(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, line := range []string{
 		`data ` + t.TempDir(),
 		`use movies`,
-		`loadxml <addressbook><person><nm>John</nm><tel>1111</tel></person></addressbook>`,
+		`loadxml ` + loaded,
 		`integratexml <addressbook><person><nm>John</nm><tel>2222</tel></person></addressbook>`,
 		`query //person[nm="John"]/tel`,
 		`feedback incorrect 2222`,
@@ -138,7 +145,11 @@ func TestShellWALCommand(t *testing.T) {
 		}
 	}
 	got := out.String()
-	for _, want := range []string{"replace", "integrate", "feedback", `incorrect "2222"`} {
+	for _, want := range []string{
+		fmt.Sprintf("replace    document of %d node(s)", doc.NodeCount()),
+		"integrate  1 source(s)",
+		`feedback   incorrect "2222"`,
+	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("wal output missing %q:\n%s", want, got)
 		}

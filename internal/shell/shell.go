@@ -156,7 +156,7 @@ func (s *Shell) help() {
   integrate <file>        integrate another source into the database
   integratexml <xml>      integrate an inline source
   query <xpath>           evaluate a query, ranked answers (the planner
-                          picks exact/enumerate/sample automatically)
+                          picks exact or sample automatically)
   plan <xpath>            evaluate like query, but show the evaluation
                           plan (chosen method, pruning, cost estimates)
   feedback <correct|incorrect> <value>
@@ -811,7 +811,7 @@ func (s *Shell) walCmd(rest string) error {
 		detail := ""
 		switch rec.Op.Kind {
 		case core.OpIntegrate, core.OpBatch:
-			detail = fmt.Sprintf("%d source(s)", len(rec.Op.Sources))
+			detail = fmt.Sprintf("%d source(s)", len(rec.Op.SourceTrees))
 		case core.OpFeedback:
 			verdict := "incorrect"
 			if rec.Op.Correct {
@@ -819,7 +819,7 @@ func (s *Shell) walCmd(rest string) error {
 			}
 			detail = fmt.Sprintf("%s %q on %s", verdict, rec.Op.Value, rec.Op.Query)
 		case core.OpReplace, core.OpLoad:
-			detail = fmt.Sprintf("%d byte document", len(rec.Op.Tree))
+			detail = fmt.Sprintf("document of %d node(s)", rec.Op.TreeValue.NodeCount())
 		}
 		fmt.Fprintf(s.out, "%6d  %-10s %s\n", rec.Seq, rec.Op.Kind, detail)
 	}

@@ -1,22 +1,21 @@
 // Package store persists probabilistic databases to disk — the durable-
 // storage role MonetDB plays for the original IMPrECISE prototype. A
-// snapshot is a directory holding the probabilistic document (a binary
-// flat-arena frame since format v4; marker XML before), the schema
-// knowledge (DTD), and a JSON manifest with integrity metadata, so a
-// long-running integrate/query/feedback session can be resumed.
+// snapshot is a directory holding the probabilistic document (a string
+// table frame and a shared-table arena frame), the schema knowledge (DTD),
+// and a JSON manifest with integrity metadata, so a long-running
+// integrate/query/feedback session can be resumed.
 //
 // # Durability
 //
-// Format v2 made a snapshot crash-safe. The document and schema are
-// written under content-addressed names (document-<sha>.bin), each file is
-// fsynced before and the directory after its rename, and the manifest —
-// the only file referencing them — is written last. A save torn by a
-// crash therefore leaves the previous manifest pointing at the previous
-// (still present) files: Load returns the stale-but-consistent old
-// snapshot instead of ErrCorrupt. The manifest also carries the write-
-// ahead-log sequence number the snapshot corresponds to and the session
-// histories (integration statistics, feedback events), so a restart
-// resumes with intact /stats counters.
+// The document and schema are written under content-addressed names
+// (document-<sha>.bin), each file is fsynced before and the directory
+// after its rename, and the manifest — the only file referencing them — is
+// written last. A save torn by a crash therefore leaves the previous
+// manifest pointing at the previous (still present) files: Load returns
+// the stale-but-consistent old snapshot instead of ErrCorrupt. The
+// manifest also carries the write-ahead-log sequence number the snapshot
+// corresponds to and the session histories (integration statistics,
+// feedback events), so a restart resumes with intact /stats counters.
 package store
 
 import (
@@ -37,45 +36,17 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/integrate"
 	"repro/internal/pxml"
-	"repro/internal/xmlcodec"
 )
 
 const (
-	// FormatVersion identifies the snapshot layout; bumped on breaking
-	// changes. The full ladder, every rung still loadable:
-	//
-	//	v1  fixed filenames (document.xml), no histories
-	//	v2  content-addressed XML documents, histories in the manifest
-	//	v3  v2 plus the cluster epoch in the manifest
-	//	v4  binary documents (document-<sha>.bin: a CRC-32C codec frame
-	//	    holding the pxml flat arena encoding); manifest still JSON
-	//	v5  zero-copy binary documents: a strtab frame (the document's
-	//	    interned strings) followed by a shared-table arena frame whose
-	//	    tag/text fields are indices into it. Load maps the file and
-	//	    decodes without copying strings.
-	//
-	// Saves default to v5; SaveOptions.Encoding == "xml" writes the v3
-	// layout for peers or tooling that cannot read binary documents.
+	// FormatVersion identifies the snapshot layout, the only one written
+	// and read: a strtab frame (the document's interned strings) followed
+	// by a shared-table arena frame whose tag/text fields are indices into
+	// it. Load maps the file and decodes without copying strings. A
+	// manifest naming any other version refuses to load.
 	FormatVersion = 5
 
-	// formatVersionV2 is the pre-epoch content-addressed layout; identical
-	// to v3 except the manifest never carries an epoch.
-	formatVersionV2 = 2
-	// formatVersionV3 is the XML layout with the epoch — what
-	// SaveOptions.Encoding "xml" still writes.
-	formatVersionV3 = 3
-	// formatVersionV4 is the self-contained binary layout (one document
-	// frame with a local string table).
-	formatVersionV4 = 4
-
-	// EncodingBinary and EncodingXML are the SaveOptions.Encoding values.
-	EncodingBinary = "binary"
-	EncodingXML    = "xml"
-
 	manifestFile = "manifest.json"
-	// Legacy v1 filenames; v2 names are content-addressed.
-	legacyDocumentFile = "document.xml"
-	legacySchemaFile   = "schema.dtd"
 )
 
 // Manifest is the snapshot metadata.
@@ -83,19 +54,19 @@ type Manifest struct {
 	FormatVersion int       `json:"format_version"`
 	SavedAt       time.Time `json:"saved_at"`
 	// DocumentFile and SchemaFile name the content-addressed payload
-	// files inside the snapshot directory (v2; empty in v1 manifests).
+	// files inside the snapshot directory.
 	DocumentFile string `json:"document_file,omitempty"`
 	SchemaFile   string `json:"schema_file,omitempty"`
 	// DocumentSHA256 is the checksum of the document file, verified on
 	// load.
 	DocumentSHA256 string `json:"document_sha256"`
 	// TreeDigest is the structural digest (pxml.Tree.Digest, 16 hex
-	// digits) of the saved document, verified on load when present. It
-	// catches what the byte checksum cannot: a document file that decodes
+	// digits) of the saved document, verified on load. It catches what
+	// the byte checksum cannot: a document file that decodes
 	// to a different tree than the one saved (codec drift), and it lets
 	// replication compare a snapshot against a primary position without
 	// decoding.
-	TreeDigest string `json:"tree_digest,omitempty"`
+	TreeDigest string `json:"tree_digest"`
 	// LogicalNodes and Worlds record the size at save time (Worlds as a
 	// decimal string; it can exceed every integer type).
 	LogicalNodes int64  `json:"logical_nodes"`
@@ -106,9 +77,9 @@ type Manifest struct {
 	// LogSeq is the write-ahead-log sequence number this snapshot
 	// reflects: recovery replays only log entries with a higher sequence.
 	LogSeq uint64 `json:"log_seq,omitempty"`
-	// Epoch is the cluster epoch in force when the snapshot was taken.
-	// Absent (0) in v1/v2 manifests; recovery resumes at the highest of
-	// this and the last write-ahead-log record's epoch.
+	// Epoch is the cluster epoch in force when the snapshot was taken;
+	// recovery resumes at the highest of this and the last write-ahead-log
+	// record's epoch.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Integrations and Feedback persist the session histories, so stats
 	// counters survive a save/load round trip or a crash recovery.
@@ -141,7 +112,7 @@ type Snapshot struct {
 // ErrCorrupt is returned when a snapshot fails its integrity checks.
 var ErrCorrupt = errors.New("store: snapshot corrupt")
 
-// SaveOptions carries the v2 metadata a snapshot can embed beyond the
+// SaveOptions carries the metadata a snapshot can embed beyond the
 // document itself.
 type SaveOptions struct {
 	// Comment is free-form.
@@ -155,10 +126,6 @@ type SaveOptions struct {
 	Feedback     []feedback.Event
 	// Pending is the ingest queue to persist (see Manifest.Pending).
 	Pending []PendingDoc
-	// Encoding selects the document payload format: "" or "binary" for
-	// the v4 flat-arena frame, "xml" for the v3-compatible marker-XML
-	// layout (the escape hatch for readers without binary support).
-	Encoding string
 }
 
 // Save writes the document (and optional schema) into dir, creating it if
@@ -192,7 +159,7 @@ func saveLock(dir string) *sync.Mutex {
 	return mu
 }
 
-// SaveWith writes a full v2 snapshot into dir, creating it if needed.
+// SaveWith writes a full snapshot into dir, creating it if needed.
 // Payload files are content-addressed and fsynced, and the manifest is
 // written (and fsynced) last, so a save interrupted at any point leaves
 // the directory loading as the previous snapshot.
@@ -209,35 +176,18 @@ func SaveWith(dir string, tree *pxml.Tree, schema *dtd.Schema, opts SaveOptions)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Manifest{}, err
 	}
-	var (
-		doc     []byte
-		version int
-		ext     string
-	)
-	switch opts.Encoding {
-	case "", EncodingBinary:
-		// v5: the document's strings travel once, in a strtab frame the
-		// arena frame's tag/text indices resolve against; Load decodes
-		// both zero-copy from the mapped file.
-		var tab codec.SharedStrings
-		body := tree.AppendBinaryShared(nil, &tab)
-		doc = codec.AppendFrame(nil, codec.KindStrTab, codec.StrTabVersion, tab.AppendDelta(nil, 0))
-		doc = codec.AppendFrame(doc, codec.KindDocument, pxml.BinaryVersionShared, body)
-		version, ext = FormatVersion, "bin"
-	case EncodingXML:
-		s, err := xmlcodec.EncodeString(tree, xmlcodec.EncodeOptions{Indent: " ", KeepTrivial: true})
-		if err != nil {
-			return Manifest{}, err
-		}
-		doc, version, ext = []byte(s), formatVersionV3, "xml"
-	default:
-		return Manifest{}, fmt.Errorf("store: unknown encoding %q (want %q or %q)", opts.Encoding, EncodingBinary, EncodingXML)
-	}
+	// The document's strings travel once, in a strtab frame the arena
+	// frame's tag/text indices resolve against; Load decodes both
+	// zero-copy from the mapped file.
+	var tab codec.SharedStrings
+	body := tree.AppendBinaryShared(nil, &tab)
+	doc := codec.AppendFrame(nil, codec.KindStrTab, codec.StrTabVersion, tab.AppendDelta(nil, 0))
+	doc = codec.AppendFrame(doc, codec.KindDocument, pxml.BinaryVersionShared, body)
 	sum := sha256.Sum256(doc)
 	m := Manifest{
-		FormatVersion:  version,
+		FormatVersion:  FormatVersion,
 		SavedAt:        time.Now().UTC(),
-		DocumentFile:   fmt.Sprintf("document-%s.%s", hex.EncodeToString(sum[:6]), ext),
+		DocumentFile:   fmt.Sprintf("document-%s.bin", hex.EncodeToString(sum[:6])),
 		DocumentSHA256: hex.EncodeToString(sum[:]),
 		TreeDigest:     fmt.Sprintf("%016x", tree.Digest()),
 		LogicalNodes:   tree.NodeCount(),
@@ -276,8 +226,8 @@ func SaveWith(dir string, tree *pxml.Tree, schema *dtd.Schema, opts SaveOptions)
 }
 
 // cleanupStale removes payload files no longer referenced by the committed
-// manifest (earlier content-addressed versions and the legacy v1 names).
-// Failures are ignored: stale files cost space, never correctness.
+// manifest (earlier content-addressed versions). Failures are ignored:
+// stale files cost space, never correctness.
 func cleanupStale(dir string, m Manifest) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -285,9 +235,8 @@ func cleanupStale(dir string, m Manifest) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		stale := name == legacyDocumentFile || name == legacySchemaFile ||
-			((strings.HasPrefix(name, "document-") || strings.HasPrefix(name, "schema-")) &&
-				name != m.DocumentFile && name != m.SchemaFile)
+		stale := (strings.HasPrefix(name, "document-") || strings.HasPrefix(name, "schema-")) &&
+			name != m.DocumentFile && name != m.SchemaFile
 		if stale {
 			_ = os.Remove(filepath.Join(dir, name))
 		}
@@ -296,7 +245,7 @@ func cleanupStale(dir string, m Manifest) {
 
 // LoadOptions tunes Load.
 type LoadOptions struct {
-	// DisableMMap forces the read-whole fallback for v5 documents; the
+	// DisableMMap forces the read-whole fallback for documents; the
 	// IMPRECISE_NO_MMAP environment variable (any non-empty value) does
 	// the same process-wide, so CI can exercise the fallback everywhere.
 	DisableMMap bool
@@ -318,7 +267,7 @@ func ReadManifest(dir string) (Manifest, error) {
 
 // Stats are the process-wide storage counters /stats surfaces.
 type Stats struct {
-	// MMapLoads and FallbackLoads count v5 document opens by path taken.
+	// MMapLoads and FallbackLoads count document opens by path taken.
 	MMapLoads     uint64 `json:"mmap_loads"`
 	FallbackLoads uint64 `json:"fallback_loads"`
 	// MappedFiles and MappedBytes describe the currently pinned mappings.
@@ -375,7 +324,6 @@ func openDocument(path string, disableMMap bool) ([]byte, error) {
 }
 
 // Load reads a snapshot back, verifying the checksum and format version.
-// Every ladder rung from format v1 up is understood.
 func Load(dir string) (*Snapshot, error) {
 	return LoadWith(dir, LoadOptions{})
 }
@@ -386,69 +334,22 @@ func LoadWith(dir string, opts LoadOptions) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	docFile, schemaFile := m.DocumentFile, m.SchemaFile
-	switch m.FormatVersion {
-	case 1:
-		docFile, schemaFile = legacyDocumentFile, legacySchemaFile
-	case formatVersionV2, formatVersionV3, formatVersionV4, FormatVersion:
-		if docFile == "" || docFile != filepath.Base(docFile) || (m.HasSchema && (schemaFile == "" || schemaFile != filepath.Base(schemaFile))) {
-			return nil, fmt.Errorf("%w: manifest references invalid payload file", ErrCorrupt)
-		}
-	default:
-		return nil, fmt.Errorf("store: unsupported format version %d (want <= %d)", m.FormatVersion, FormatVersion)
+	if m.FormatVersion != FormatVersion {
+		return nil, fmt.Errorf("store: unsupported format version %d (want %d)", m.FormatVersion, FormatVersion)
 	}
-	var tree *pxml.Tree
-	if m.FormatVersion >= FormatVersion {
-		tree, err = loadDocumentV5(filepath.Join(dir, docFile), &m, opts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		doc, err := os.ReadFile(filepath.Join(dir, docFile))
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		sum := sha256.Sum256(doc)
-		if hex.EncodeToString(sum[:]) != m.DocumentSHA256 {
-			return nil, fmt.Errorf("%w: document checksum mismatch", ErrCorrupt)
-		}
-		if m.FormatVersion == formatVersionV4 {
-			// v4: one CRC-framed sequential read into the node arena.
-			// DecodeArena enforces every Validate invariant itself.
-			frame, rest, err := codec.ParseFrame(doc)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			if frame.Kind != codec.KindDocument || len(rest) != 0 {
-				return nil, fmt.Errorf("%w: document file is not a single document frame", ErrCorrupt)
-			}
-			tree, err = pxml.DecodeArena(frame.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-		} else {
-			tree, err = xmlcodec.DecodeString(string(doc))
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			if err := tree.Validate(); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-		}
-		if got := tree.NodeCount(); got != m.LogicalNodes {
-			return nil, fmt.Errorf("%w: node count %d differs from manifest %d", ErrCorrupt, got, m.LogicalNodes)
-		}
+	if m.DocumentFile == "" || m.DocumentFile != filepath.Base(m.DocumentFile) || (m.HasSchema && (m.SchemaFile == "" || m.SchemaFile != filepath.Base(m.SchemaFile))) {
+		return nil, fmt.Errorf("%w: manifest references invalid payload file", ErrCorrupt)
 	}
-	// Older manifests carry no digest; when present it must match the
-	// decoded tree structurally.
-	if m.TreeDigest != "" {
-		if got := fmt.Sprintf("%016x", tree.Digest()); got != m.TreeDigest {
-			return nil, fmt.Errorf("%w: tree digest %s differs from manifest %s", ErrCorrupt, got, m.TreeDigest)
-		}
+	tree, err := loadDocument(filepath.Join(dir, m.DocumentFile), &m, opts)
+	if err != nil {
+		return nil, err
+	}
+	if got := fmt.Sprintf("%016x", tree.Digest()); got != m.TreeDigest {
+		return nil, fmt.Errorf("%w: tree digest %s differs from manifest %s", ErrCorrupt, got, m.TreeDigest)
 	}
 	snap := &Snapshot{Tree: tree, Manifest: m}
 	if m.HasSchema {
-		sdata, err := os.ReadFile(filepath.Join(dir, schemaFile))
+		sdata, err := os.ReadFile(filepath.Join(dir, m.SchemaFile))
 		if err != nil {
 			return nil, fmt.Errorf("%w: schema missing: %v", ErrCorrupt, err)
 		}
@@ -461,13 +362,13 @@ func LoadWith(dir string, opts LoadOptions) (*Snapshot, error) {
 	return snap, nil
 }
 
-// loadDocumentV5 opens and decodes a v5 document: mmap (or read) the
+// loadDocument opens and decodes a document: mmap (or read) the
 // file, verify its checksum, then decode the strtab and arena frames
 // zero-copy — node strings stay views into the backing buffer. The
 // decoder computes every node's digest and its own bottom-up node count as
-// it goes, so the manifest cross-checks walk nothing: a v5 load allocates
-// the node arena and little else.
-func loadDocumentV5(path string, m *Manifest, opts LoadOptions) (*pxml.Tree, error) {
+// it goes, so the manifest cross-checks walk nothing: a load allocates the
+// node arena and little else.
+func loadDocument(path string, m *Manifest, opts LoadOptions) (*pxml.Tree, error) {
 	doc, err := openDocument(path, opts.DisableMMap)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -481,21 +382,21 @@ func loadDocumentV5(path string, m *Manifest, opts LoadOptions) (*pxml.Tree, err
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if sframe.Kind != codec.KindStrTab {
-		return nil, fmt.Errorf("%w: v5 document starts with frame %q, want strtab", ErrCorrupt, sframe.Kind)
+		return nil, fmt.Errorf("%w: document starts with frame %q, want strtab", ErrCorrupt, sframe.Kind)
 	}
 	base, strs, err := codec.DecodeStrTabPayload(sframe.Payload, true)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if base != 0 {
-		return nil, fmt.Errorf("%w: v5 document strtab based at %d, want 0", ErrCorrupt, base)
+		return nil, fmt.Errorf("%w: document strtab based at %d, want 0", ErrCorrupt, base)
 	}
 	dframe, rest, err := codec.ParseFrame(rest)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if dframe.Kind != codec.KindDocument || len(rest) != 0 {
-		return nil, fmt.Errorf("%w: v5 document is not strtab+document frames", ErrCorrupt)
+		return nil, fmt.Errorf("%w: document is not strtab+document frames", ErrCorrupt)
 	}
 	tree, err := pxml.DecodeArenaWith(dframe.Payload, pxml.DecodeArenaOptions{
 		Strings:       strs,

@@ -1,14 +1,14 @@
 package store_test
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +19,6 @@ import (
 	"repro/internal/pxml"
 	"repro/internal/pxmltest"
 	"repro/internal/store"
-	"repro/internal/xmlcodec"
 )
 
 // manifestOf reads the committed manifest back, so tests can locate the
@@ -54,7 +53,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("manifest = %+v", m)
 	}
 	if m.FormatVersion != store.FormatVersion || m.DocumentFile == "" {
-		t.Fatalf("v2 manifest fields missing: %+v", m)
+		t.Fatalf("manifest fields missing: %+v", m)
 	}
 	snap, err := store.Load(dir)
 	if err != nil {
@@ -166,12 +165,105 @@ func TestLoadErrors(t *testing.T) {
 	// A manifest escaping the snapshot directory is corrupt, not a
 	// traversal primitive.
 	dir5 := t.TempDir()
-	bad := `{"format_version": 2, "document_file": "../outside.xml", "document_sha256": "00"}`
+	bad := `{"format_version": 5, "document_file": "../outside.bin", "document_sha256": "00"}`
 	if err := os.WriteFile(filepath.Join(dir5, "manifest.json"), []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Load(dir5); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("escaping document_file: %v", err)
+	}
+	// An older layout refuses to open, naming its version.
+	dir6 := t.TempDir()
+	v4 := `{"format_version": 4, "document_file": "document-000000000000.bin", "document_sha256": "00"}`
+	if err := os.WriteFile(filepath.Join(dir6, "manifest.json"), []byte(v4), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Load(dir6); err == nil || !strings.Contains(err.Error(), "format version 4") {
+		t.Fatalf("v4 manifest: %v", err)
+	}
+}
+
+// dirFiles reads every file of a flat directory, to check that a refused
+// load left it as it was.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestFormatLadderCompat walks the snapshot format versions: Load reads
+// the one Save writes, and refuses every other rung, older or newer, by
+// naming its version — without touching the directory.
+func TestFormatLadderCompat(t *testing.T) {
+	tree := pxmltest.Fig2Tree()
+	for _, version := range []int{1, 2, 3, 4, store.FormatVersion, store.FormatVersion + 1} {
+		dir := t.TempDir()
+		if version == store.FormatVersion {
+			if _, err := store.Save(dir, tree, nil, ""); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := store.Load(dir)
+			if err != nil {
+				t.Fatalf("v%d: Load: %v", version, err)
+			}
+			if snap.Manifest.FormatVersion != version || !pxml.Equal(snap.Tree.Root(), tree.Root()) {
+				t.Fatalf("v%d: loaded manifest v%d, tree equal %v", version, snap.Manifest.FormatVersion, pxml.Equal(snap.Tree.Root(), tree.Root()))
+			}
+			continue
+		}
+		m := fmt.Sprintf(`{"format_version": %d, "document_file": "document-000000000000.bin", "document_sha256": "00"}`, version)
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(m), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "document-000000000000.bin"), []byte("payload"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirFiles(t, dir)
+		_, err := store.Load(dir)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", version)) {
+			t.Fatalf("v%d: Load = %v, want a refusal naming the version", version, err)
+		}
+		if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("v%d: the refused load changed the directory", version)
+		}
+	}
+}
+
+// TestLoadFormatV1: a snapshot in the first release's layout (fixed
+// document.xml, no document_file key) is refused by its version, not
+// misread as a manifest naming no document, and its files stay as they
+// were.
+func TestLoadFormatV1(t *testing.T) {
+	dir := t.TempDir()
+	doc := "<addressbook><person><nm>John</nm></person></addressbook>"
+	m := `{"format_version": 1, "saved_at": "2020-01-01T00:00:00Z", "document_sha256": "00", "logical_nodes": 4, "worlds": "1", "has_schema": false}`
+	if err := os.WriteFile(filepath.Join(dir, "document.xml"), []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(m), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	_, err := store.Load(dir)
+	if err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("Load v1 = %v, want a refusal naming version 1", err)
+	}
+	if errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("a v1 snapshot reported as corrupt: %v", err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused load changed the v1 directory")
 	}
 }
 
@@ -201,41 +293,7 @@ func TestSaveLoadManyRandomTrees(t *testing.T) {
 	}
 }
 
-// TestLoadFormatV1 keeps backward compatibility: snapshots written by the
-// previous release (fixed filenames, no histories) still load.
-func TestLoadFormatV1(t *testing.T) {
-	dir := t.TempDir()
-	tree := pxmltest.Fig2Tree()
-	doc, err := xmlcodec.EncodeString(tree, xmlcodec.EncodeOptions{Indent: " ", KeepTrivial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256([]byte(doc))
-	m := map[string]any{
-		"format_version":  1,
-		"saved_at":        time.Now().UTC().Format(time.RFC3339),
-		"document_sha256": hex.EncodeToString(sum[:]),
-		"logical_nodes":   tree.NodeCount(),
-		"worlds":          tree.WorldCount().String(),
-		"has_schema":      false,
-	}
-	mdata, _ := json.Marshal(m)
-	if err := os.WriteFile(filepath.Join(dir, "document.xml"), []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), mdata, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := store.Load(dir)
-	if err != nil {
-		t.Fatalf("Load v1: %v", err)
-	}
-	if !pxml.Equal(snap.Tree.Root(), tree.Root()) {
-		t.Fatalf("v1 round trip differs")
-	}
-}
-
-// TestTornSaveLoadsStale is the crash-safety property of the v2 layout: a
+// TestTornSaveLoadsStale is the crash-safety property of the layout: a
 // save interrupted after writing the new payload but before committing the
 // manifest leaves the directory loading as the previous snapshot — stale,
 // never ErrCorrupt.
@@ -260,7 +318,7 @@ func TestTornSaveLoadsStale(t *testing.T) {
 	}
 }
 
-// TestHistoriesRoundTrip persists the session state the v2 manifest
+// TestHistoriesRoundTrip persists the session state the manifest
 // carries: log position, integration statistics and feedback events.
 func TestHistoriesRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -306,3 +364,30 @@ func TestHistoriesRoundTrip(t *testing.T) {
 }
 
 func newRng() *rand.Rand { return rand.New(rand.NewSource(31)) }
+
+// TestBinaryDocumentTamper: flipping any byte of the binary document file
+// must be caught (by the SHA-256 in the manifest, the frame CRC, or the
+// arena digest) — never load silently wrong.
+func TestBinaryDocumentTamper(t *testing.T) {
+	dir := t.TempDir()
+	tree := pxmltest.Fig2Tree()
+	m, err := store.SaveWith(dir, tree, nil, store.SaveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docPath := filepath.Join(dir, m.DocumentFile)
+	orig, err := os.ReadFile(docPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(orig); i += 7 {
+		mut := append([]byte(nil), orig...)
+		mut[i] ^= 0x20
+		if err := os.WriteFile(docPath, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Load(dir); err == nil {
+			t.Fatalf("byte flip at %d loaded successfully", i)
+		}
+	}
+}
