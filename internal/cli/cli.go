@@ -223,6 +223,9 @@ func runQuery(args []string, w io.Writer) error {
 	if *dbPath == "" || *qSrc == "" {
 		return errors.New("query: -db and -q are required")
 	}
+	if *top < 0 {
+		return fmt.Errorf("query: bad -top %d (want >= 0)", *top)
+	}
 	opts := query.Options{
 		Method:  query.Method(*method),
 		Samples: *samples,

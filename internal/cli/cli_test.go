@@ -166,6 +166,7 @@ func TestCLIErrors(t *testing.T) {
 		{"query", "-db", a},
 		{"query", "-db", "missing.xml", "-q", "//a"},
 		{"query", "-db", a, "-q", "broken["},
+		{"query", "-db", a, "-q", "//a", "-top", "-1"},
 		{"stats"},
 		{"stats", "-db", "missing.xml"},
 		{"worlds"},

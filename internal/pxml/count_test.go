@@ -136,7 +136,8 @@ func TestRandomTreesValidateAndCount(t *testing.T) {
 // subtree summaries (NodeCount, the tag set's stats) and the pruned ChoicePoints walk
 // against plain walks of the same definitions, on random documents in
 // which one subtree is shared by two alternatives; and that no node's text
-// fingerprint misses a text beneath it.
+// fingerprint misses a text beneath it, nor its column of child
+// fingerprints differs from the children's.
 func TestSummaryCountsMatchWalks(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	cfg := pxmltest.DefaultGenConfig()
@@ -192,7 +193,7 @@ func TestSummaryCountsMatchWalks(t *testing.T) {
 			}
 		}
 		if s := pxmltest.UncoveredText(tr.Root()); s != "" {
-			t.Fatalf("tree %d: a text fingerprint misses %q beneath its node", i, s)
+			t.Fatalf("tree %d: %s", i, s)
 		}
 	}
 }

@@ -84,12 +84,18 @@ type Summary struct {
 	// (including the node's own tag for elements), with each tag's
 	// occurrence count and world bound. Read-only.
 	Tags TagSet
-	// TextBloom is a 64-bit Bloom fingerprint of the element texts at or
+	// TextBloom is a 256-bit Bloom fingerprint of the element texts at or
 	// below this node (TextBloomBits per text, OR-combined). A query
 	// engine may conclude that a text t does NOT occur in the subtree
-	// when TextBloom misses any bit of TextBloomBits(t); the converse
-	// (bits present) proves nothing.
-	TextBloom uint64
+	// when TextBloom does not cover TextBloomBits(t); the converse (bits
+	// present) proves nothing.
+	TextBloom Bloom
+	// KidBlooms is the column of the children's fingerprints, entry i
+	// being Children()[i].Summary().TextBloom, kept where the node has two
+	// or more children (nil otherwise): a query engine choosing which
+	// children to descend into reads them from one contiguous array
+	// instead of from each child's summary. Read-only.
+	KidBlooms []Bloom
 	// Kinds is the logical node count of the subtree per Kind, this node
 	// included: a subtree shared by several parents counts once per
 	// occurrence (the paper's #nodes measure, see Tree.NodeCount).
@@ -106,13 +112,29 @@ func (s *Summary) Nodes() int64 { return s.Kinds[KindProb] + s.Kinds[KindPoss] +
 // so holds no choice point.
 func (s *Summary) OneWorld() bool { return s.Worlds == bigOne }
 
-// TextBloomBits returns the Bloom mask of one text value: two bits
-// derived from independent hash mixes, so a subtree fingerprint with few
-// texts rarely false-positives on an absent value.
-func TextBloomBits(s string) uint64 {
+// Bloom is a 256-bit Bloom fingerprint of a set of texts.
+type Bloom [4]uint64
+
+// Covers reports whether every bit of m is set in b.
+func (b Bloom) Covers(m Bloom) bool {
+	return b[0]&m[0] == m[0] && b[1]&m[1] == m[1] && b[2]&m[2] == m[2] && b[3]&m[3] == m[3]
+}
+
+// Or returns the union of b and m.
+func (b Bloom) Or(m Bloom) Bloom {
+	return Bloom{b[0] | m[0], b[1] | m[1], b[2] | m[2], b[3] | m[3]}
+}
+
+// TextBloomBits returns the Bloom mask of one text value: two bits taken
+// from distant parts of one FNV hash, each modulo 256, so a subtree
+// fingerprint with few texts rarely false-positives on an absent value.
+func TextBloomBits(s string) Bloom {
 	h := fnvString(fnvOffset, s)
-	// Two bit positions from distant parts of the hash.
-	return 1<<(h&63) | 1<<((h>>32)&63)
+	var b Bloom
+	for _, bit := range [2]uint64{h & 255, (h >> 32) & 255} {
+		b[bit>>6] |= 1 << (bit & 63)
+	}
+	return b
 }
 
 var bigOne = big.NewInt(1)
@@ -143,8 +165,14 @@ func computeSummary(n *Node) *Summary {
 		s.TextBloom = TextBloomBits(n.text)
 	}
 	s.Kinds[n.kind] = 1
+	if len(kidSums) > 1 {
+		s.KidBlooms = make([]Bloom, len(kidSums))
+		for i, k := range kidSums {
+			s.KidBlooms[i] = k.TextBloom
+		}
+	}
 	for _, k := range kidSums {
-		s.TextBloom |= k.TextBloom
+		s.TextBloom = s.TextBloom.Or(k.TextBloom)
 		for i, c := range k.Kinds {
 			s.Kinds[i] += c
 		}

@@ -45,11 +45,12 @@ func Fig2Tree() *pxml.Tree {
 }
 
 // UncoveredText checks Summary.TextBloom for false negatives, the one thing
-// a query engine may not meet in it: it returns a non-empty element text at
-// or below some node of the subtree whose bits that node's summary lacks,
-// and "" when every node's fingerprint covers every text beneath it. It
-// reads each node's summary as cached, so a stale one carried over from an
-// earlier document shows.
+// a query engine may not meet in it, and every node's column of child
+// fingerprints, Summary.KidBlooms, against the children's own. It returns
+// "" when every node's fingerprint covers every non-empty element text at
+// or below it and every column holds its children's fingerprints in order,
+// and otherwise a description of one failure. It reads each node's summary
+// as cached, so a stale one carried over from an earlier document shows.
 func UncoveredText(root *pxml.Node) string {
 	uncovered := ""
 	var texts func(n *pxml.Node) []string
@@ -61,10 +62,19 @@ func UncoveredText(root *pxml.Node) string {
 		for _, k := range n.Children() {
 			below = append(below, texts(k)...)
 		}
-		bloom := n.Summary().TextBloom
+		sum := n.Summary()
 		for _, s := range below {
-			if bits := pxml.TextBloomBits(s); bloom&bits != bits {
-				uncovered = s
+			if !sum.TextBloom.Covers(pxml.TextBloomBits(s)) {
+				uncovered = fmt.Sprintf("a node's fingerprint misses %q beneath it", s)
+			}
+		}
+		kids := n.Children()
+		if want := len(kids) > 1; (sum.KidBlooms != nil) != want || want && len(sum.KidBlooms) != len(kids) {
+			uncovered = fmt.Sprintf("a column of %d fingerprints for %d children", len(sum.KidBlooms), len(kids))
+		}
+		for i, b := range sum.KidBlooms {
+			if i < len(kids) && b != kids[i].Summary().TextBloom {
+				uncovered = fmt.Sprintf("column entry %d differs from child %d's fingerprint", i, i)
 			}
 		}
 		return below

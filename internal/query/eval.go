@@ -69,12 +69,10 @@ func newResult(answers []Answer, method Method, sampled int, plan *Plan) Result 
 	}
 }
 
-// Top returns the first n answers (fewer if there are not that many).
+// Top returns the first n answers: all of them when there are fewer than n,
+// none when n is not positive.
 func (r Result) Top(n int) []Answer {
-	if n > len(r.Answers) {
-		n = len(r.Answers)
-	}
-	return r.Answers[:n]
+	return r.Answers[:min(max(n, 0), len(r.Answers))]
 }
 
 // P returns the probability of a given answer value, or 0. The first

@@ -282,6 +282,20 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
+// TestResultTopClamps: Top clamps n to [0, len(Answers)], so a negative or
+// oversized n answers none or all instead of panicking.
+func TestResultTopClamps(t *testing.T) {
+	r := query.Result{Answers: []query.Answer{{Value: "a", P: 0.9}, {Value: "b", P: 0.5}}}
+	for n, want := range map[int]int{-5: 0, -1: 0, 0: 0, 1: 1, 2: 2, 3: 2} {
+		if got := r.Top(n); len(got) != want {
+			t.Errorf("Top(%d) = %v, want %d answers", n, got, want)
+		}
+	}
+	if got := (query.Result{}).Top(-1); len(got) != 0 {
+		t.Errorf("Top(-1) of no answers = %v", got)
+	}
+}
+
 func TestAnswersRankedDescending(t *testing.T) {
 	tr := pxmltest.Fig2Tree()
 	res, err := query.Eval(tr, query.MustCompile(`//person/*`), query.Options{})

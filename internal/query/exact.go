@@ -163,10 +163,14 @@ type stepNeed struct {
 	// single element's own text (joined texts are space-separated), so a
 	// subtree whose summary TextBloom misses any of these bits cannot
 	// satisfy the predicates and contributes exactly nothing.
-	litMask uint64
+	litMask pxml.Bloom
 	// lits are those of the required predicates whose path ends in a named
 	// tag, spaces in the literal or not; see tagLit.
 	lits []tagLit
+	// textMask is what run derives from the two for one document: litMask
+	// plus the masks of the leaf literals. A subtree whose TextBloom does
+	// not cover it fails canMatch's fingerprint tests for this chain.
+	textMask pxml.Bloom
 }
 
 // tagLit is one positively required [path = "lit"] whose path ends in the
@@ -175,7 +179,7 @@ type stepNeed struct {
 // is set by run when no <tag> in the document has children.
 type tagLit struct {
 	tag, lit string
-	mask     uint64
+	mask     pxml.Bloom
 	leaf     bool
 }
 
@@ -185,11 +189,11 @@ type tagLit struct {
 // text fingerprint must cover the literal. Inner counts sum over subtrees,
 // so for a leaf literal the fingerprint alone decides a miss.
 func (tl tagLit) admits(sum *pxml.Summary) bool {
-	if tl.leaf && sum.TextBloom&tl.mask != tl.mask {
+	if tl.leaf && !sum.TextBloom.Covers(tl.mask) {
 		return false
 	}
 	st, ok := sum.Tags.Stat(tl.tag)
-	return ok && (st.Inner > 0 || sum.TextBloom&tl.mask == tl.mask)
+	return ok && (st.Inner > 0 || sum.TextBloom.Covers(tl.mask))
 }
 
 // occursIn is the exact half: it reports whether the uncertain subtree of n
@@ -217,7 +221,7 @@ func (tl tagLit) occursIn(n *pxml.Node) bool {
 func stepNeeds(q *Query) []stepNeed {
 	need := make([]stepNeed, len(q.Steps))
 	var tags []string
-	var mask uint64
+	var mask pxml.Bloom
 	var lits []tagLit
 	// need[i+1..] keep their shorter prefixes of the arrays appended to.
 	for i := len(q.Steps) - 1; i >= 0; i-- {
@@ -227,7 +231,7 @@ func stepNeeds(q *Query) []stepNeed {
 		}
 		for _, tl := range requiredEqLiterals(s) {
 			if !strings.ContainsRune(tl.lit, ' ') {
-				mask |= tl.mask
+				mask = mask.Or(tl.mask)
 			}
 			if tl.tag != "" {
 				lits = append(lits, tl)
@@ -275,8 +279,8 @@ func requiredEqLiterals(s Step) []tagLit {
 }
 
 // canMatch reports whether the subtree of n can possibly complete any
-// pending step chain, judged by its cached summary (tag set and text
-// fingerprint). Always true in the ungated mode.
+// pending step chain, judged by its cached summary (text fingerprint, tag
+// literals and tag set). Always true in the ungated mode.
 func (e *exactEval) canMatch(n *pxml.Node, states stateSet) bool {
 	if e.need == nil {
 		return true
@@ -288,7 +292,7 @@ chains:
 			continue
 		}
 		nd := e.need[i]
-		if sum.TextBloom&nd.litMask != nd.litMask {
+		if !sum.TextBloom.Covers(nd.textMask) {
 			continue
 		}
 		for _, tl := range nd.lits {
@@ -355,7 +359,7 @@ func (e *exactEval) dist(n *pxml.Node, states stateSet) (map[string]float64, err
 	case pxml.KindProb:
 		d, err = e.probDist(n, states)
 	case pxml.KindPoss:
-		d, err = e.productDist(n.Children(), states)
+		d, err = e.productDist(n, states)
 	default: // element
 		next, hit := e.advance(n, states)
 		switch {
@@ -371,7 +375,7 @@ func (e *exactEval) dist(n *pxml.Node, states stateSet) (map[string]float64, err
 				}
 			}
 		default:
-			d, err = e.productDist(n.Children(), next)
+			d, err = e.productDist(n, next)
 		}
 	}
 	if err != nil {
@@ -419,15 +423,34 @@ func (e *exactEval) probDist(n *pxml.Node, states stateSet) (map[string]float64,
 	return d, nil
 }
 
-// productDist composes independent children — the contents of a
+// productDist composes the independent children of n — the contents of a
 // possibility or the children of an element that is not an anchor: a
 // value's failure probability is the product of the children's in child
 // order, a child that cannot produce the value contributing the factor 1.
 // The map of a single contributing child is shared, since 1·f = f.
-func (e *exactEval) productDist(kids []*pxml.Node, states stateSet) (map[string]float64, error) {
+//
+// A child whose entry in n's column of fingerprints (Summary.KidBlooms)
+// fails every pending chain's textMask fails canMatch, so it is counted as
+// the pruned visit dist would make of it without reading its summary.
+func (e *exactEval) productDist(n *pxml.Node, states stateSet) (map[string]float64, error) {
+	if states == 0 {
+		return nil, nil
+	}
+	var col []pxml.Bloom
+	if e.need != nil {
+		col = n.Summary().KidBlooms
+	}
 	var d map[string]float64
 	shared := true
-	for _, k := range kids {
+	for i, k := range n.Children() {
+		if col != nil && !e.textAdmits(col[i], states) {
+			e.visited++
+			e.prunedSubtrees++
+			if err := e.budget.step(); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		kd, err := e.dist(k, states)
 		if err != nil {
 			return nil, err
@@ -450,6 +473,17 @@ func (e *exactEval) productDist(kids []*pxml.Node, states stateSet) (map[string]
 		}
 	}
 	return d, nil
+}
+
+// textAdmits reports whether a subtree whose fingerprint is b passes the
+// fingerprint test of some pending chain.
+func (e *exactEval) textAdmits(b pxml.Bloom, states stateSet) bool {
+	for i := 0; i <= e.anchorIdx; i++ {
+		if states.has(i) && b.Covers(e.need[i].textMask) {
+			return true
+		}
+	}
+	return false
 }
 
 // evalExactPlanned is the exact executor: one memoized pass that computes,
@@ -493,10 +527,15 @@ func newExactEval(q *Query, localLimit int) (*exactEval, error) {
 func (e *exactEval) run(t *pxml.Tree) ([]Answer, error) {
 	tags := t.Summary().Tags
 	for i := range e.need {
-		for j := range e.need[i].lits {
-			tl := &e.need[i].lits[j]
+		nd := &e.need[i]
+		nd.textMask = nd.litMask
+		for j := range nd.lits {
+			tl := &nd.lits[j]
 			st, _ := tags.Stat(tl.tag)
 			tl.leaf = st.Inner == 0
+			if tl.leaf {
+				nd.textMask = nd.textMask.Or(tl.mask)
+			}
 		}
 	}
 	e.dists = make(map[localKey]map[string]float64)

@@ -19,7 +19,9 @@ import (
 
 // exactGoldenFile holds one line per (document, query, method) case of
 // exactGoldenLines, recorded from the exact executor as it stood before its
-// one-pass rewrite.
+// one-pass rewrite. Only the skipped-anchor counts were recorded again, when
+// the text fingerprint grew from 64 to 256 bits and let fewer anchors
+// through to the exact check.
 const exactGoldenFile = "testdata/exact_golden.txt"
 
 // exactGoldenQueries are the property queries plus required literals on

@@ -119,7 +119,7 @@ func planned(t *testing.T, tree *pxml.Tree, q *Query, gate bool) ([]Answer, *exa
 	}
 	if !gate {
 		for i := range e.need {
-			e.need[i].litMask, e.need[i].lits = 0, nil
+			e.need[i].litMask, e.need[i].lits = pxml.Bloom{}, nil
 		}
 	}
 	answers, err := e.run(tree)
@@ -226,4 +226,85 @@ func TestGatedEqualsUngated(t *testing.T) {
 			nonEmpty, skipped, visitsSaved, conditioned)
 	}
 	t.Logf("%d non-empty answers, %d anchors skipped, %d visits saved, %d rejections compared", nonEmpty, skipped, visitsSaved, conditioned)
+}
+
+// TestColumnMissFailsCanMatch: productDist skips a child on its entry in
+// the parent's column of fingerprints, without reading the child's summary,
+// and counts it as a pruned visit. That is sound only if a column miss means
+// canMatch is false: checked for every child of every node with a column,
+// under every set of pending states, after run has derived the masks. The
+// visits and pruned visits an evaluation counts must equal those of a walk
+// that asks canMatch of every child.
+func TestColumnMissFailsCanMatch(t *testing.T) {
+	misses := 0
+	for seed := int64(0); seed < 60; seed++ {
+		tree := gateDocument(rand.New(rand.NewSource(seed)))
+		for _, src := range gateQueries {
+			e, err := newExactEval(MustCompile(src), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.run(tree); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, src, err)
+			}
+			pxml.Walk(tree.Root(), func(n *pxml.Node) bool {
+				for i, b := range n.Summary().KidBlooms {
+					for states := stateSet(1); states < 1<<(e.anchorIdx+1); states++ {
+						if e.textAdmits(b, states) {
+							continue
+						}
+						misses++
+						if e.canMatch(n.Child(i), states) {
+							t.Fatalf("seed %d %s: child %d misses in the column under states %b, but canMatch passes it",
+								seed, src, i, states)
+						}
+					}
+				}
+				return true
+			})
+			if visited, pruned := canMatchWalk(e, tree.Root()); e.visited != visited || e.prunedSubtrees != pruned {
+				t.Fatalf("seed %d %s: the evaluation counts %d visits, %d pruned; asking canMatch of every child gives %d, %d",
+					seed, src, e.visited, e.prunedSubtrees, visited, pruned)
+			}
+		}
+	}
+	if misses < 10000 {
+		t.Fatalf("corpus too thin: %d column misses", misses)
+	}
+	t.Logf("%d column misses, each failing canMatch", misses)
+}
+
+// canMatchWalk counts the visits and pruned visits of dist's recursion from
+// root, asking canMatch of every node it reaches: a pruned (node, state
+// set) pair counts each time it is reached, any other once.
+func canMatchWalk(e *exactEval, root *pxml.Node) (visited, pruned int) {
+	seen := map[localKey]bool{}
+	var walk func(n *pxml.Node, states stateSet)
+	walk = func(n *pxml.Node, states stateSet) {
+		if states == 0 {
+			return
+		}
+		if !e.canMatch(n, states) {
+			visited++
+			pruned++
+			return
+		}
+		if seen[localKey{n, states}] {
+			return
+		}
+		seen[localKey{n, states}] = true
+		visited++
+		if n.Kind() == pxml.KindElem {
+			next, hit := e.advance(n, states)
+			if hit {
+				return
+			}
+			states = next
+		}
+		for _, k := range n.Children() {
+			walk(k, states)
+		}
+	}
+	walk(root, stateSet(1))
+	return visited, pruned
 }

@@ -118,11 +118,11 @@ func requiredStepTags(q *Query) []string {
 // anchor world bound is a true upper bound (max subtree world count over
 // all elements of the anchor tag), so a predicted exact evaluation cannot
 // fail its local-enumeration budget at runtime.
-func planAuto(t *pxml.Tree, q *Query, opts Options, idx *queryindex.Index) Plan {
+func planAuto(q *Query, opts Options, idx *queryindex.Index) Plan {
 	anchorTag := q.Steps[anchorIndex(q)].Name
 	pl := Plan{
 		Method:          MethodExact,
-		EstimatedWorlds: t.Summary().Worlds.String(),
+		EstimatedWorlds: idx.WorldsString(),
 		AnchorTag:       anchorTag,
 	}
 	localLimit := opts.LocalWorldLimit
@@ -218,13 +218,13 @@ func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, i
 		pl := Plan{
 			Method:          m,
 			Reason:          fmt.Sprintf("method %q requested explicitly", m),
-			EstimatedWorlds: t.Summary().Worlds.String(),
+			EstimatedWorlds: idx.WorldsString(),
 			PrunedFraction:  estimatePruned(q, idx),
 		}
 		return executePlanned(t, q, opts, pl, b)
 	}
 
-	pl := planAuto(t, q, opts, idx)
+	pl := planAuto(q, opts, idx)
 	if pl.EmptyByIndex {
 		return newResult(make([]Answer, 0), pl.Method, 0, &pl), nil
 	}

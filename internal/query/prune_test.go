@@ -133,13 +133,11 @@ func TestPlannerBoundStaysPerTagMaximum(t *testing.T) {
 	}
 }
 
-// TestReadPathWorkCounts is the regression test of the read path's gain
-// that needs no clock: a look-up by a value with a space in it enumerates
-// the records that can carry the value and visits little more than one
-// node per top-level child of a 200-record catalog, a quarter of whose
-// records are uncertain.
-func TestReadPathWorkCounts(t *testing.T) {
-	const records = 200
+// workCatalog is the catalog of TestReadPathWorkCounts: records movies
+// with distinct titles, a quarter of them under a choice point between two
+// versions, one titled with " Redux" appended. It returns the tree and its
+// top-level children.
+func workCatalog(records int) (*pxml.Tree, []*pxml.Node) {
 	movie := func(i int, title string) *pxml.Node {
 		return pxml.NewElem("movie", "",
 			pxml.Certain(pxml.NewLeaf("title", title)),
@@ -155,7 +153,18 @@ func TestReadPathWorkCounts(t *testing.T) {
 			top = append(top, pxml.Certain(movie(i, title)))
 		}
 	}
-	tr := pxml.CertainTree(pxml.NewElem("catalog", "", top...))
+	return pxml.CertainTree(pxml.NewElem("catalog", "", top...)), top
+}
+
+// TestReadPathWorkCounts is the regression test of the read path's gain
+// that needs no clock: a look-up by a value with a space in it enumerates
+// the records that can carry the value and visits little more than one
+// node per top-level child of a 200-record catalog, a quarter of whose
+// records are uncertain. On a 2 000-record catalog the text fingerprints
+// let through, on average over title look-ups, at most one anchor per
+// hundred top-level children that the exact check then has to skip.
+func TestReadPathWorkCounts(t *testing.T) {
+	tr, top := workCatalog(200)
 	idx := queryindex.Build(tr)
 	for _, c := range []struct{ tag, lit, result string }{
 		{"title", "Film 017", "year"},
@@ -185,5 +194,26 @@ func TestReadPathWorkCounts(t *testing.T) {
 		if got, limit := res.Exec.NodeVisits, int64(2*len(top)+50); got > limit {
 			t.Errorf("%s: %d node visits, want at most %d for %d top-level children", src, got, limit, len(top))
 		}
+	}
+
+	tr, top = workCatalog(2000)
+	idx = queryindex.Build(tr)
+	skipped, lookups := int64(0), 0
+	for i := 0; i < len(top); i += 37 {
+		res, err := query.EvalIndexed(tr, query.MustCompile(fmt.Sprintf(`//movie[title="Film %03d"]/year`, i)), query.Options{}, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Exec.AnchorsEnumerated != 1 {
+			t.Errorf("Film %03d: %d anchors enumerated, want its own record", i, res.Exec.AnchorsEnumerated)
+		}
+		skipped += res.Exec.AnchorsSkipped
+		lookups++
+	}
+	avg := float64(skipped) / float64(lookups)
+	t.Logf("%.1f anchors skipped per title look-up over %d top-level children", avg, len(top))
+	if avg > float64(len(top))/100 {
+		t.Errorf("%.1f anchors skipped per title look-up on average over %d, want at most 1%% of the %d top-level children",
+			avg, lookups, len(top))
 	}
 }

@@ -16,6 +16,7 @@ package queryindex
 
 import (
 	"math/big"
+	"sync"
 	"time"
 
 	"repro/internal/pxml"
@@ -45,6 +46,11 @@ type Index struct {
 	elements      int
 	maxElemWorlds *big.Int
 	buildTime     time.Duration
+
+	// worldsText is worlds in decimal, formatted on first use: every plan
+	// reports it, and a document's count can run to a hundred digits.
+	worldsOnce sync.Once
+	worldsText string
 }
 
 // Build constructs the index for a document. Cost is proportional to the
@@ -70,6 +76,13 @@ func (ix *Index) Digest() uint64 { return ix.digest }
 
 // Worlds returns the document's possible-world count (a private copy).
 func (ix *Index) Worlds() *big.Int { return new(big.Int).Set(ix.worlds) }
+
+// WorldsString returns the document's possible-world count in decimal. It
+// is formatted once per index, on first use.
+func (ix *Index) WorldsString() string {
+	ix.worldsOnce.Do(func() { ix.worldsText = ix.worlds.String() })
+	return ix.worldsText
+}
 
 // HasTag reports whether any element with the tag occurs in the document.
 func (ix *Index) HasTag(tag string) bool { return ix.tags.Has(tag) }

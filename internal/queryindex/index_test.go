@@ -162,8 +162,8 @@ func checkAgainstReference(t *testing.T, label string, tr *pxml.Tree, ix *queryi
 	if ix.Digest() != pxml.Hash(tr.Root()) {
 		t.Fatalf("%s: index digest %#x, the tree hashes to %#x", label, ix.Digest(), pxml.Hash(tr.Root()))
 	}
-	if ix.Worlds().Cmp(ref.worlds) != 0 {
-		t.Fatalf("%s: index worlds %s, reference %s", label, ix.Worlds(), ref.worlds)
+	if ix.Worlds().Cmp(ref.worlds) != 0 || ix.WorldsString() != ref.worlds.String() {
+		t.Fatalf("%s: index worlds %s (%s), reference %s", label, ix.Worlds(), ix.WorldsString(), ref.worlds)
 	}
 	if ix.Elements() != ref.elements || ix.NumTags() != len(ref.tags) {
 		t.Fatalf("%s: index has %d elements of %d tags, reference %d of %d", label, ix.Elements(), ix.NumTags(), ref.elements, len(ref.tags))
@@ -185,7 +185,7 @@ func checkAgainstReference(t *testing.T, label string, tr *pxml.Tree, ix *queryi
 		}
 	}
 	if s := pxmltest.UncoveredText(tr.Root()); s != "" {
-		t.Fatalf("%s: a text fingerprint misses %q beneath its node", label, s)
+		t.Fatalf("%s: %s", label, s)
 	}
 	if diff := pxmltest.StatsWalkMismatch(tr); diff != "" {
 		t.Fatalf("%s: CollectStats: %s", label, diff)

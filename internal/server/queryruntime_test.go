@@ -14,8 +14,8 @@ import (
 )
 
 // TestQueryParameters: every /query parameter is read from one parse of the
-// query string. A malformed value answers 400 with its own message, and
-// workers= is ignored whatever its value.
+// query string. A malformed value, a negative top included, answers 400
+// with its own message, and workers= is ignored whatever its value.
 func TestQueryParameters(t *testing.T) {
 	ts, _ := newTestServer(t)
 	integrateB(t, ts)
@@ -24,6 +24,7 @@ func TestQueryParameters(t *testing.T) {
 		query, wantErr string
 	}{
 		{tel + "&top=x", `query: bad top parameter "x"`},
+		{tel + "&top=-1", `query: bad top parameter "-1"`},
 		{tel + "&samples=x", `query: bad samples parameter "x"`},
 		{tel + "&samples=-1", "query: query: invalid options: Samples must be >= 0 (0 means default 20000), got -1"},
 		{tel + "&seed=x", `query: bad seed parameter "x"`},

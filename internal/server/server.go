@@ -620,6 +620,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t target) {
 		return
 	}
 	top, err := intParam(params, "top", 0)
+	if err == nil && top < 0 {
+		err = fmt.Errorf("bad top parameter %q", params.Get("top"))
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "query: %v", err)
 		return
