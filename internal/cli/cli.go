@@ -212,7 +212,7 @@ func runQuery(args []string, w io.Writer) error {
 	dbPath := fs.String("db", "", "document to query (required)")
 	qSrc := fs.String("q", "", "query (required)")
 	top := fs.Int("top", 0, "show only the top N answers")
-	samples := fs.Int("samples", 0, "Monte-Carlo samples when sampling is used")
+	samples := fs.Int("samples", 0, fmt.Sprintf("Monte-Carlo samples when sampling is used (at most %d)", query.MaxSamples))
 	seed := fs.Int64("seed", 1, "sampling seed")
 	method := fs.String("method", "auto", "evaluation method: auto | exact | enumerate | sample")
 	explainPlan := fs.Bool("explain", false, "print the evaluation plan")

@@ -53,3 +53,13 @@ func TestCLIQueryRejectsNegativeSamples(t *testing.T) {
 		t.Fatalf("negative samples error = %v, want explicit rejection", err)
 	}
 }
+
+// TestCLIQueryRejectsTooManySamples: a sample count above query.MaxSamples
+// is a usage error, not billions of draws.
+func TestCLIQueryRejectsTooManySamples(t *testing.T) {
+	out := fig2File(t)
+	_, err := run(t, "query", "-db", out, "-q", `//person/tel`, "-samples", "2000000000")
+	if err == nil || !strings.Contains(err.Error(), "Samples must be <= 1000000") {
+		t.Fatalf("oversized samples error = %v, want explicit rejection", err)
+	}
+}

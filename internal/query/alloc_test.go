@@ -7,6 +7,7 @@ package query_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/pxml"
@@ -56,4 +57,50 @@ func TestNonMatchingLookupAllocsDoNotScaleWithWidth(t *testing.T) {
 	if float64(wide) > 1.5*float64(narrow) {
 		t.Fatalf("%d bytes per evaluation on 2 000 movies, %d on 200: allocation scales with width", wide, narrow)
 	}
+}
+
+// choiceMovie is a catalog of one movie whose k genres each sit under a
+// choice point of two alternatives: its anchor has 2^k local worlds, every
+// one of which answers the look-up with the same year.
+func choiceMovie(k int) *pxml.Tree {
+	fields := []*pxml.Node{pxml.Certain(pxml.NewLeaf("title", "Heat")), pxml.Certain(pxml.NewLeaf("year", "1995"))}
+	for i := 0; i < k; i++ {
+		fields = append(fields, pxml.NewProb(pxml.NewPoss(0.5, pxml.NewLeaf("genre", "Crime")),
+			pxml.NewPoss(0.5, pxml.NewLeaf("genre", "Drama"))))
+	}
+	return pxml.CertainTree(pxml.NewElem("catalog", "", pxml.Certain(pxml.NewElem("movie", "", fields...))))
+}
+
+// TestAnchorAllocsDoNotScaleWithWorlds: the exact executor walks an
+// anchor's local worlds in one arena over the original nodes instead of
+// building each world, so the bytes one evaluation allocates do not grow
+// with the anchor's world count.
+func TestAnchorAllocsDoNotScaleWithWorlds(t *testing.T) {
+	q := query.MustCompile(`//movie[title="Heat"]/year`)
+	bytesPerOp := func(k int) int64 {
+		tr := choiceMovie(k)
+		idx := queryindex.Build(tr)
+		res, err := query.EvalIndexed(tr, q, query.Options{}, idx)
+		if err != nil || res.Method != query.MethodExact || res.Exec.AnchorsEnumerated != 1 ||
+			len(res.Answers) != 1 || res.Answers[0].Value != "1995" {
+			t.Fatalf("k=%d: %v by %s (%+v), err %v", k, res.Answers, res.Method, res.Exec, err)
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := query.EvalIndexed(tr, q, query.Options{}, idx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small := bytesPerOp(2)
+	for k := 3; k <= 10; k++ {
+		if got := bytesPerOp(k); float64(got) > 1.5*float64(small) {
+			t.Fatalf("%d bytes per evaluation at 2^%d local worlds, %d at 2^2: allocation scales with worlds", got, k, small)
+		}
+	}
+	t.Logf("%d bytes per evaluation at 2^2 local worlds, %d at 2^10", small, bytesPerOp(10))
 }

@@ -6,10 +6,12 @@ import (
 	"repro/internal/pxml"
 )
 
-// This file evaluates queries over certain documents (single possible
-// world). It is the shared core: the Enumerate and Sample evaluators apply
-// it to whole materialized worlds, and the Exact evaluator applies it to
-// locally enumerated anchor subtrees, starting mid-path via state sets.
+// This file evaluates queries over one possible world, as the world walker
+// (walker.go) lays it out. It is the only evaluator: the enumerate and
+// sample methods apply it to whole worlds, the exact executor to the local
+// worlds of anchor subtrees, starting mid-path via state sets, and
+// EvalWorld, CountWorld and StringValue to certain elements laid out as a
+// view with no choices.
 //
 // A state set is a bitmask over step indices: bit i set means "steps[i] is
 // still looking for a match in the current context". Queries are limited
@@ -28,20 +30,25 @@ func StringValue(elem *pxml.Node) string {
 	if elem.IsLeaf() {
 		return elem.Text()
 	}
+	return certainView(elem).stringValue(0)
+}
+
+// stringValue is StringValue of slot i. Its subtree is laid out in
+// document order, so the texts are read in one pass over the slots.
+func (w *walker) stringValue(i int32) string {
+	end := w.slots[i].end
+	if end == i+1 {
+		return w.slots[i].n.Text()
+	}
 	var b strings.Builder
-	var rec func(e *pxml.Node)
-	rec = func(e *pxml.Node) {
-		if e.Text() != "" {
+	for ; i < end; i++ {
+		if t := w.slots[i].n.Text(); t != "" {
 			if b.Len() > 0 {
 				b.WriteString(" ")
 			}
-			b.WriteString(e.Text())
-		}
-		for _, c := range pxml.ElementChildren(e) {
-			rec(c)
+			b.WriteString(t)
 		}
 	}
-	rec(elem)
 	return b.String()
 }
 
@@ -52,154 +59,143 @@ func stepMatches(s Step, elem *pxml.Node) bool {
 	return s.Name == "*" || s.Name == elem.Tag()
 }
 
-// predsHold evaluates all predicates of a step against a certain context
-// element.
-func predsHold(s Step, elem *pxml.Node) bool {
+// predsHold evaluates all predicates of a step against the context element
+// in slot i.
+func (w *walker) predsHold(s Step, i int32) bool {
 	for _, p := range s.Preds {
-		if !evalPred(p, elem) {
+		if !w.evalPred(p, i) {
 			return false
 		}
 	}
 	return true
 }
 
-func evalPred(p Pred, ctx *pxml.Node) bool {
+func (w *walker) evalPred(p Pred, ctx int32) bool {
 	switch p := p.(type) {
 	case PredExists:
-		found := false
-		walkRelPathValues(ctx, p.Path, func(v string) bool {
-			if p.Cond.Match(v) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
+		return w.relPathMatches(ctx, p.Path, p.Cond)
 	case PredAnd:
-		return evalPred(p.A, ctx) && evalPred(p.B, ctx)
+		return w.evalPred(p.A, ctx) && w.evalPred(p.B, ctx)
 	case PredOr:
-		return evalPred(p.A, ctx) || evalPred(p.B, ctx)
+		return w.evalPred(p.A, ctx) || w.evalPred(p.B, ctx)
 	case PredNot:
-		return !evalPred(p.P, ctx)
+		return !w.evalPred(p.P, ctx)
 	default:
 		return false
 	}
 }
 
-// walkRelPathValues visits the string value of every node reached from ctx
-// by the relative path (own text for text() steps, string value
-// otherwise). The visit function returns false to stop early.
-func walkRelPathValues(ctx *pxml.Node, rp RelPath, visit func(string) bool) {
+// relPathMatches reports whether some node reached from the context slot
+// by the relative path has a value cond matches: its own text for a text()
+// step, its string value otherwise. It stops at the first match.
+func (w *walker) relPathMatches(ctx int32, rp RelPath, cond ValueCond) bool {
 	if len(rp.Steps) == 0 {
-		if rp.Self {
-			visit(StringValue(ctx))
-		}
-		return
+		return rp.Self && cond.Match(w.stringValue(ctx))
 	}
 	if rp.Steps[0].IsText {
 		// `./text()` or `text()`: the context's own text.
-		if ctx.Text() != "" {
-			visit(ctx.Text())
-		}
-		return
-	}
-	last := len(rp.Steps) - 1
-	stop := false
-	var rec func(e *pxml.Node, states stateSet)
-	rec = func(e *pxml.Node, states stateSet) {
-		if stop || states == 0 {
-			return
-		}
-		var next stateSet
-		for i := 0; i <= last; i++ {
-			if !states.has(i) {
-				continue
-			}
-			step := rp.Steps[i]
-			if step.Desc {
-				next = next.add(i)
-			}
-			if !stepMatches(step, e) || !predsHold(step, e) {
-				continue
-			}
-			switch {
-			case i == last:
-				if !visit(StringValue(e)) {
-					stop = true
-					return
-				}
-			case rp.Steps[i+1].IsText:
-				if e.Text() != "" && !visit(e.Text()) {
-					stop = true
-					return
-				}
-			default:
-				next = next.add(i + 1)
-			}
-		}
-		for _, c := range pxml.ElementChildren(e) {
-			rec(c, next)
-			if stop {
-				return
-			}
-		}
+		t := w.slots[ctx].n.Text()
+		return t != "" && cond.Match(t)
 	}
 	// The first step applies to the children of the context (and deeper,
 	// when its axis is descendant — state propagation handles that).
-	for _, c := range pxml.ElementChildren(ctx) {
-		rec(c, stateSet(1))
-		if stop {
-			return
+	for c := ctx + 1; c < w.slots[ctx].end; c = w.slots[c].end {
+		if w.relPathFrom(rp, cond, c, stateSet(1)) {
+			return true
 		}
 	}
+	return false
 }
 
-// evalFrom runs the query NFA over a certain element with an initial state
-// set, emitting every result value. Used both for whole-world evaluation
+// relPathFrom runs the relative path's NFA over slot i in the given states.
+func (w *walker) relPathFrom(rp RelPath, cond ValueCond, i int32, states stateSet) bool {
+	last := len(rp.Steps) - 1
+	e := w.slots[i].n
+	var next stateSet
+	for j := 0; j <= last; j++ {
+		if !states.has(j) {
+			continue
+		}
+		step := rp.Steps[j]
+		if step.Desc {
+			next = next.add(j)
+		}
+		if !stepMatches(step, e) || !w.predsHold(step, i) {
+			continue
+		}
+		switch {
+		case j == last:
+			if cond.Match(w.stringValue(i)) {
+				return true
+			}
+		case rp.Steps[j+1].IsText:
+			if t := e.Text(); t != "" && cond.Match(t) {
+				return true
+			}
+		default:
+			next = next.add(j + 1)
+		}
+	}
+	if next == 0 {
+		return false
+	}
+	for c := i + 1; c < w.slots[i].end; c = w.slots[c].end {
+		if w.relPathFrom(rp, cond, c, next) {
+			return true
+		}
+	}
+	return false
+}
+
+// evalFrom runs the query NFA over slot i with an initial state set,
+// emitting every result value. Used both for whole-world evaluation
 // (starting at document roots with state 0) and for anchor-subtree
 // evaluation in the exact evaluator (starting mid-path).
-func evalFrom(q *Query, e *pxml.Node, states stateSet, emit func(string)) {
+func (w *walker) evalFrom(q *Query, i int32, states stateSet) {
 	if states == 0 {
 		return
 	}
 	last := len(q.Steps) - 1
+	e := w.slots[i].n
 	var next stateSet
-	for i := 0; i <= last; i++ {
-		if !states.has(i) {
+	for j := 0; j <= last; j++ {
+		if !states.has(j) {
 			continue
 		}
-		step := q.Steps[i]
+		step := q.Steps[j]
 		if step.Desc {
-			next = next.add(i) // keep searching deeper
+			next = next.add(j) // keep searching deeper
 		}
-		if !stepMatches(step, e) || !predsHold(step, e) {
+		if !stepMatches(step, e) || !w.predsHold(step, i) {
 			continue
 		}
 		switch {
-		case i == last:
-			emit(StringValue(e))
-		case q.Steps[i+1].IsText:
+		case j == last:
+			w.emit(w.stringValue(i))
+		case q.Steps[j+1].IsText:
 			if e.Text() != "" {
-				emit(e.Text())
+				w.emit(e.Text())
 			}
 		default:
-			next = next.add(i + 1)
+			next = next.add(j + 1)
 		}
 	}
 	if next == 0 {
 		return
 	}
-	for _, c := range pxml.ElementChildren(e) {
-		evalFrom(q, c, next, emit)
+	for c := i + 1; c < w.slots[i].end; c = w.slots[c].end {
+		w.evalFrom(q, c, next)
 	}
 }
 
 // EvalWorld evaluates the query in one certain world and returns the set
 // of distinct answer values.
 func EvalWorld(q *Query, rootElems []*pxml.Node) map[string]bool {
-	out := make(map[string]bool)
-	for _, r := range rootElems {
-		evalFrom(q, r, stateSet(1), func(v string) { out[v] = true })
+	w := certainView(rootElems...)
+	w.eval(q, stateSet(1))
+	out := make(map[string]bool, len(w.vals))
+	for _, v := range w.vals {
+		out[v] = true
 	}
 	return out
 }

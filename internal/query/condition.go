@@ -6,7 +6,6 @@ import (
 	"math/big"
 
 	"repro/internal/pxml"
-	"repro/internal/worlds"
 )
 
 // Conditioning implements the semantics behind user feedback (paper §I,
@@ -181,11 +180,10 @@ func (c *conditioner) condUncached(n *pxml.Node, states stateSet) (*pxml.Node, f
 
 // condAnchor conditions an anchor element by local world enumeration:
 // worlds of the subtree that produce the rejected value are removed and
-// the element is rebuilt as an explicit choice over the survivors.
+// the element is rebuilt as an explicit choice over the survivors, which
+// are the only worlds materialized.
 func (c *conditioner) condAnchor(e *pxml.Node, states stateSet) (*pxml.Node, float64, error) {
-	sub := pxml.CertainTree(e)
-	wc := sub.WorldCount()
-	if !wc.IsInt64() || wc.Cmp(big.NewInt(int64(c.ev.localLimit))) > 0 {
+	if wc := e.Summary().Worlds; !wc.IsInt64() || wc.Int64() > int64(c.ev.localLimit) {
 		return nil, 0, fmt.Errorf("%w: anchor subtree <%s> has %s local worlds", ErrTooComplex, e.Tag(), wc.String())
 	}
 	type surv struct {
@@ -194,21 +192,14 @@ func (c *conditioner) condAnchor(e *pxml.Node, states stateSet) (*pxml.Node, flo
 	}
 	var kept []surv
 	total := 0.0
-	worlds.Enumerate(sub, func(w worlds.World) bool {
-		found := false
-		for _, el := range w.Elements {
-			evalFrom(c.ev.q, el, states, func(v string) {
-				if v == c.value {
-					found = true
-				}
-			})
-		}
-		if !found {
-			// w.Elements is the certain materialization of e itself.
-			if len(w.Elements) == 1 {
-				kept = append(kept, surv{elems: pxml.ElementChildren(w.Elements[0]), p: w.P})
-			}
-			total += w.P
+	w := &c.ev.walk
+	w.reserve(e)
+	w.eachWorld(e, func(p float64) bool {
+		w.eval(c.ev.q, states)
+		if !w.yields(c.value) {
+			// Slot 0 is the occurrence of e itself.
+			kept = append(kept, surv{elems: w.materializeKids(0), p: p})
+			total += p
 		}
 		return true
 	})
@@ -232,7 +223,8 @@ func (c *conditioner) condAnchor(e *pxml.Node, states stateSet) (*pxml.Node, flo
 // ConditionPresent conditions the document on the event "the query yields
 // the given value" — a user confirming an answer. The event couples
 // independent branches, so the result is built by filtering the explicit
-// world set; the document must have at most maxWorlds possible worlds.
+// world set, of which only the kept worlds are materialized; the document
+// must have at most maxWorlds possible worlds.
 // It returns the conditioned tree and the prior probability of the event.
 func ConditionPresent(t *pxml.Tree, q *Query, value string, maxWorlds int) (*pxml.Tree, float64, error) {
 	if maxWorlds <= 0 {
@@ -248,10 +240,12 @@ func ConditionPresent(t *pxml.Tree, q *Query, value string, maxWorlds int) (*pxm
 	}
 	var kept []surv
 	total := 0.0
-	worlds.Enumerate(t, func(w worlds.World) bool {
-		if EvalWorld(q, w.Elements)[value] {
-			kept = append(kept, surv{elems: w.Elements, p: w.P})
-			total += w.P
+	w := &walker{}
+	w.eachWorld(t.Root(), func(p float64) bool {
+		w.eval(q, stateSet(1))
+		if w.yields(value) {
+			kept = append(kept, surv{elems: w.materializeWorld(), p: p})
+			total += p
 		}
 		return true
 	})

@@ -11,11 +11,9 @@ import (
 // CountWorld returns the number of result nodes the query selects in one
 // certain world (occurrences, not distinct values).
 func CountWorld(q *Query, rootElems []*pxml.Node) int {
-	n := 0
-	for _, r := range rootElems {
-		evalFrom(q, r, stateSet(1), func(string) { n++ })
-	}
-	return n
+	w := certainView(rootElems...)
+	w.eval(q, stateSet(1))
+	return w.hits
 }
 
 // ExpectedCount returns the expected number of result nodes over all
@@ -86,22 +84,18 @@ func (e *countEval) count(n *pxml.Node, states stateSet) (float64, error) {
 	return c, nil
 }
 
-// localCount enumerates an anchor subtree's worlds and returns the
-// conditional expected result count.
+// localCount walks an anchor subtree's worlds and returns the conditional
+// expected result count.
 func (e *countEval) localCount(elem *pxml.Node, states stateSet) (float64, error) {
-	sub := pxml.CertainTree(elem)
-	wc := sub.WorldCount()
-	if !wc.IsInt64() || wc.Cmp(big.NewInt(int64(e.ev.localLimit))) > 0 {
-		return 0, fmt.Errorf("%w: anchor subtree <%s> has %s local worlds (limit %d)",
-			ErrNotExact, elem.Tag(), wc.String(), e.ev.localLimit)
+	if err := e.ev.checkLocalLimit(elem); err != nil {
+		return 0, err
 	}
+	w := &e.ev.walk
+	w.reserve(elem)
 	total := 0.0
-	worlds.Enumerate(sub, func(w worlds.World) bool {
-		n := 0
-		for _, el := range w.Elements {
-			evalFrom(e.ev.q, el, states, func(string) { n++ })
-		}
-		total += w.P * float64(n)
+	w.eachWorld(elem, func(p float64) bool {
+		w.eval(e.ev.q, states)
+		total += p * float64(w.hits)
 		return true
 	})
 	return total, nil

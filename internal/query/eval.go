@@ -116,7 +116,7 @@ type Options struct {
 	// (default 100000). Negative values are rejected by Validate.
 	EnumWorldLimit int
 	// Samples is the Monte-Carlo sample count (default 20000). Negative
-	// values are rejected by Validate.
+	// values and values above MaxSamples are rejected by Validate.
 	Samples int
 	// Seed seeds the Monte-Carlo sampler. Nil means the default seed 1;
 	// pointing at any value — including 0 — requests exactly that seed.
@@ -146,6 +146,11 @@ const (
 	defaultSamples        = 20000
 )
 
+// MaxSamples is the largest Monte-Carlo sample count Validate accepts, 50
+// times the default: every sample walks a whole world, so an unbounded
+// count lets one request pin a core indefinitely.
+const MaxSamples = 1000000
+
 // ErrBadOptions marks option validation failures; front ends map it to a
 // usage error (HTTP 400 / CLI usage message).
 var ErrBadOptions = errors.New("query: invalid options")
@@ -157,6 +162,10 @@ func (o Options) Validate() error {
 	if o.Samples < 0 {
 		return fmt.Errorf("%w: Samples must be >= 0 (0 means default %d), got %d",
 			ErrBadOptions, defaultSamples, o.Samples)
+	}
+	if o.Samples > MaxSamples {
+		return fmt.Errorf("%w: Samples must be <= %d, got %d",
+			ErrBadOptions, MaxSamples, o.Samples)
 	}
 	if o.EnumWorldLimit < 0 {
 		return fmt.Errorf("%w: EnumWorldLimit must be >= 0 (0 means default %d), got %d",
@@ -239,12 +248,14 @@ func evalEnumerate(t *pxml.Tree, q *Query, maxWorlds int, b *budget) ([]Answer, 
 	}
 	acc := make(map[string]float64)
 	var stepErr error
-	worlds.Enumerate(t, func(w worlds.World) bool {
+	w := &walker{}
+	w.eachWorld(t.Root(), func(p float64) bool {
 		if stepErr = b.step(); stepErr != nil {
 			return false
 		}
-		for v := range EvalWorld(q, w.Elements) {
-			acc[v] += w.P
+		w.eval(q, stateSet(1))
+		for _, v := range w.vals {
+			acc[v] += p
 		}
 		return true
 	})
@@ -280,6 +291,7 @@ func evalSample(t *pxml.Tree, q *Query, n int, seed int64, b *budget) ([]Answer,
 	inc := 1 / float64(n)
 	acc := make(map[string]float64)
 	chunk := make(map[string]float64)
+	w := &walker{}
 	for ci := 0; ci*sampleChunkSize < n; ci++ {
 		count := min(sampleChunkSize, n-ci*sampleChunkSize)
 		rng := rand.New(rand.NewSource(mixSeed(seed, ci)))
@@ -288,8 +300,9 @@ func evalSample(t *pxml.Tree, q *Query, n int, seed int64, b *budget) ([]Answer,
 			if err := b.step(); err != nil {
 				return nil, err
 			}
-			w := worlds.Sample(t, rng)
-			for v := range EvalWorld(q, w.Elements) {
+			w.sample(t.Root(), rng)
+			w.eval(q, stateSet(1))
+			for _, v := range w.vals {
 				chunk[v] += inc
 			}
 		}

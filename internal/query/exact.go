@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/big"
 	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/pxml"
-	"repro/internal/worlds"
 )
 
 // ErrNotExact is returned when the exact evaluator cannot handle the
@@ -63,7 +61,6 @@ type exactEval struct {
 	q          *Query
 	anchorIdx  int
 	localLimit int
-	localMemo  map[localKey]map[string]float64
 
 	// dists memoizes dist per (node, state set) the summaries did not
 	// prune. It is made per evaluation by run.
@@ -84,6 +81,10 @@ type exactEval struct {
 	// budget meters node visits and enumerated worlds and carries
 	// cancellation; nil meters nothing.
 	budget *budget
+
+	// walk lays out the local worlds of every anchor the evaluation
+	// enumerates, one arena reused from anchor to anchor.
+	walk walker
 }
 
 // advance computes the transition of the global NFA at an element: the
@@ -112,41 +113,50 @@ func (e *exactEval) advance(elem *pxml.Node, states stateSet) (next stateSet, an
 	return next, anchorHit
 }
 
-// localEval enumerates the possible worlds of one anchor element's subtree
-// and returns, per answer value, the probability that the remaining query
-// (from the given state set) produces that value — conditioned on the
-// element existing.
+// localEval walks the possible worlds of one anchor element's subtree and
+// returns, per answer value the remaining query (from the given state set)
+// produces in some world, the probability that it produces no answer with
+// that value — conditioned on the element existing. The value's
+// probability is summed over the worlds in their order before it is taken
+// from 1.
 func (e *exactEval) localEval(elem *pxml.Node, states stateSet) (map[string]float64, error) {
-	key := localKey{e: elem, s: states}
-	if m, ok := e.localMemo[key]; ok {
-		return m, nil
+	if err := e.checkLocalLimit(elem); err != nil {
+		return nil, err
 	}
-	sub := pxml.CertainTree(elem)
-	wc := sub.WorldCount()
-	if !wc.IsInt64() || wc.Cmp(big.NewInt(int64(e.localLimit))) > 0 {
-		return nil, fmt.Errorf("%w: anchor subtree <%s> has %s local worlds (limit %d)",
-			ErrNotExact, elem.Tag(), wc.String(), e.localLimit)
-	}
-	out := make(map[string]float64)
+	var out map[string]float64
+	w := &e.walk
+	w.reserve(elem)
 	var stepErr error
-	worlds.Enumerate(sub, func(w worlds.World) bool {
+	w.eachWorld(elem, func(p float64) bool {
 		if stepErr = e.budget.step(); stepErr != nil {
 			return false
 		}
-		seen := make(map[string]bool)
-		for _, el := range w.Elements {
-			evalFrom(e.q, el, states, func(v string) { seen[v] = true })
-		}
-		for v := range seen {
-			out[v] += w.P
+		w.eval(e.q, states)
+		for _, v := range w.vals {
+			if out == nil {
+				out = make(map[string]float64)
+			}
+			out[v] += p
 		}
 		return true
 	})
 	if stepErr != nil {
 		return nil, stepErr
 	}
-	e.localMemo[key] = out
+	for v, p := range out {
+		out[v] = 1 - p
+	}
 	return out, nil
+}
+
+// checkLocalLimit refuses an anchor whose subtree has more local worlds
+// than the limit, reading the count from its summary.
+func (e *exactEval) checkLocalLimit(elem *pxml.Node) error {
+	if wc := elem.Summary().Worlds; !wc.IsInt64() || wc.Int64() > int64(e.localLimit) {
+		return fmt.Errorf("%w: anchor subtree <%s> has %s local worlds (limit %d)",
+			ErrNotExact, elem.Tag(), wc.String(), e.localLimit)
+	}
+	return nil
 }
 
 // stepNeed is the static requirement the chain from one step to the last
@@ -367,13 +377,7 @@ func (e *exactEval) dist(n *pxml.Node, states stateSet) (map[string]float64, err
 			e.anchorsSkipped++
 		case hit:
 			e.anchorsEnumerated++
-			var m map[string]float64
-			if m, err = e.localEval(n, states); len(m) > 0 {
-				d = make(map[string]float64, len(m))
-				for v, p := range m {
-					d[v] = 1 - p
-				}
-			}
+			d, err = e.localEval(n, states)
 		default:
 			d, err = e.productDist(n, next)
 		}
@@ -517,7 +521,6 @@ func newExactEval(q *Query, localLimit int) (*exactEval, error) {
 		q:          q,
 		anchorIdx:  anchorIndex(q),
 		localLimit: localLimit,
-		localMemo:  make(map[localKey]map[string]float64),
 		need:       stepNeeds(q),
 	}, nil
 }

@@ -22,7 +22,8 @@ func TestSeedZeroRequestable(t *testing.T) {
 
 // TestValidateRejectsNegativeBudgets pins the Options contract: zero
 // means "use the default", but negative budgets — which the old code
-// silently coerced to the default — are explicit errors.
+// silently coerced to the default — are explicit errors, and so is a
+// sample count above MaxSamples.
 func TestValidateRejectsNegativeBudgets(t *testing.T) {
 	good := []Options{
 		{},
@@ -32,6 +33,7 @@ func TestValidateRejectsNegativeBudgets(t *testing.T) {
 		{Method: MethodEnumerate},
 		{Method: MethodSample},
 		{Seed: SeedPtr(-5)}, // seeds may be negative; they are not budgets
+		{Samples: MaxSamples},
 	}
 	for _, o := range good {
 		if err := o.Validate(); err != nil {
@@ -40,6 +42,8 @@ func TestValidateRejectsNegativeBudgets(t *testing.T) {
 	}
 	bad := []Options{
 		{Samples: -1},
+		{Samples: MaxSamples + 1},
+		{Samples: 2000000000},
 		{EnumWorldLimit: -10},
 		{LocalWorldLimit: -1},
 		{Method: "fuzzy"},

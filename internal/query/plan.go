@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
+	"strconv"
 
 	"repro/internal/pxml"
 	"repro/internal/queryindex"
@@ -59,11 +61,11 @@ type ExecStats struct {
 	AnchorsEnumerated, AnchorsSkipped int64
 }
 
-// queryTags collects the concrete element tags a query mentions: step
-// names plus predicate path names. Wildcards and text() contribute
+// queryTags collects the distinct concrete element tags a query mentions:
+// step names plus predicate path names. Wildcards and text() contribute
 // nothing. The bool reports whether a wildcard step occurs.
-func queryTags(q *Query) (map[string]bool, bool) {
-	tags := make(map[string]bool)
+func queryTags(q *Query) ([]string, bool) {
+	var tags []string
 	wildcard := false
 	var addSteps func(steps []Step)
 	var addPred func(p Pred)
@@ -74,8 +76,8 @@ func queryTags(q *Query) (map[string]bool, bool) {
 			}
 			if s.Name == "*" {
 				wildcard = true
-			} else {
-				tags[s.Name] = true
+			} else if !slices.Contains(tags, s.Name) {
+				tags = append(tags, s.Name)
 			}
 			for _, p := range s.Preds {
 				addPred(p)
@@ -136,7 +138,7 @@ func planAuto(q *Query, opts Options, idx *queryindex.Index) Plan {
 		if !idx.HasTag(tag) {
 			pl.EmptyByIndex = true
 			pl.PrunedFraction = 1
-			pl.Reason = fmt.Sprintf("index: tag %q does not occur in the document; result is empty", tag)
+			pl.Reason = "index: tag " + strconv.Quote(tag) + " does not occur in the document; result is empty"
 			return pl
 		}
 	}
@@ -151,15 +153,15 @@ func planAuto(q *Query, opts Options, idx *queryindex.Index) Plan {
 	}
 	if bound != nil {
 		pl.AnchorWorldBound = bound.String()
-		if bound.IsInt64() && bound.Cmp(big.NewInt(int64(localLimit))) <= 0 {
-			pl.Reason = fmt.Sprintf("anchor <%s> subtrees span at most %s local worlds (limit %d): exact",
-				anchorTag, bound, localLimit)
+		if bound.IsInt64() && bound.Int64() <= int64(localLimit) {
+			pl.Reason = "anchor <" + anchorTag + "> subtrees span at most " + pl.AnchorWorldBound +
+				" local worlds (limit " + strconv.Itoa(localLimit) + "): exact"
 			return pl
 		}
 	}
 	pl.Method = MethodSample
-	pl.Reason = fmt.Sprintf("anchor <%s> subtrees may span %s local worlds (limit %d): Monte-Carlo sampling",
-		anchorTag, pl.AnchorWorldBound, localLimit)
+	pl.Reason = "anchor <" + anchorTag + "> subtrees may span " + pl.AnchorWorldBound +
+		" local worlds (limit " + strconv.Itoa(localLimit) + "): Monte-Carlo sampling"
 	return pl
 }
 
@@ -174,7 +176,7 @@ func estimatePruned(q *Query, idx *queryindex.Index) float64 {
 		return 0
 	}
 	relevant := 0
-	for tag := range tags {
+	for _, tag := range tags {
 		if info, ok := idx.Tag(tag); ok {
 			relevant += info.Occurrences
 		}
@@ -217,7 +219,7 @@ func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, i
 	if m := opts.method(); m != MethodAuto {
 		pl := Plan{
 			Method:          m,
-			Reason:          fmt.Sprintf("method %q requested explicitly", m),
+			Reason:          "method " + strconv.Quote(string(m)) + " requested explicitly",
 			EstimatedWorlds: idx.WorldsString(),
 			PrunedFraction:  estimatePruned(q, idx),
 		}
@@ -246,8 +248,17 @@ func failedResult(pl Plan, err error) (Result, error) {
 // refined by what the executor saw — and the execution counters.
 func (e *exactEval) result(answers []Answer, pl Plan) Result {
 	if e.visited > 0 {
-		pl.Reason += fmt.Sprintf(" (pruned %d of %d subtree visits, enumerated %d of %d anchors reached)",
-			e.prunedSubtrees, e.visited, e.anchorsEnumerated, e.anchorsEnumerated+e.anchorsSkipped)
+		b := append(make([]byte, 0, 192), pl.Reason...)
+		b = append(b, " (pruned "...)
+		b = strconv.AppendInt(b, int64(e.prunedSubtrees), 10)
+		b = append(b, " of "...)
+		b = strconv.AppendInt(b, int64(e.visited), 10)
+		b = append(b, " subtree visits, enumerated "...)
+		b = strconv.AppendInt(b, e.anchorsEnumerated, 10)
+		b = append(b, " of "...)
+		b = strconv.AppendInt(b, e.anchorsEnumerated+e.anchorsSkipped, 10)
+		b = append(b, " anchors reached)"...)
+		pl.Reason = string(b)
 	}
 	res := newResult(answers, MethodExact, 0, &pl)
 	res.Exec = ExecStats{

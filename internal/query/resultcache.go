@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -34,7 +33,15 @@ type ResultCacheStats struct {
 type resultKey struct {
 	digest uint64
 	src    string
-	opts   string
+	opts   optsKey
+}
+
+// optsKey is the canonical form of the options an evaluation reads; see
+// optionsKey.
+type optsKey struct {
+	method               Method
+	local, enum, samples int
+	seed                 int64
 }
 
 // optionsKey canonicalizes options into the cache key: defaults are
@@ -45,20 +52,20 @@ type resultKey struct {
 // budget fields are deliberately excluded: budgets only decide whether an
 // evaluation completes — so queries differing only in those share one
 // entry (and one singleflight execution).
-func optionsKey(o Options) string {
+func optionsKey(o Options) optsKey {
 	local := o.LocalWorldLimit
 	if local <= 0 {
 		local = DefaultLocalWorldLimit
 	}
 	switch m := o.method(); m {
 	case MethodExact:
-		return fmt.Sprintf("m=%s;l=%d", m, local)
+		return optsKey{method: m, local: local}
 	case MethodEnumerate:
-		return fmt.Sprintf("m=%s;e=%d", m, o.enumLimit())
+		return optsKey{method: m, enum: o.enumLimit()}
 	case MethodSample:
-		return fmt.Sprintf("m=%s;n=%d;s=%d", m, o.samples(), o.seed())
+		return optsKey{method: m, samples: o.samples(), seed: o.seed()}
 	default:
-		return fmt.Sprintf("m=%s;l=%d;n=%d;s=%d", m, local, o.samples(), o.seed())
+		return optsKey{method: m, local: local, samples: o.samples(), seed: o.seed()}
 	}
 }
 
@@ -151,12 +158,16 @@ func (c *ResultCache) Generation() uint64 {
 // cache lock, so a slow evaluation that straddles a tree swap can
 // never occupy capacity with an entry for the retired document.
 func (c *ResultCache) PutIfGeneration(gen uint64, digest uint64, src string, opts Options, res Result) bool {
+	return c.putIfGeneration(gen, resultKey{digest: digest, src: src, opts: optionsKey(opts)}, res)
+}
+
+func (c *ResultCache) putIfGeneration(gen uint64, key resultKey, res Result) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.gen != gen {
 		return false
 	}
-	c.entries.put(resultKey{digest: digest, src: src, opts: optionsKey(opts)}, res)
+	c.entries.put(key, res)
 	return true
 }
 
@@ -237,7 +248,7 @@ func (c *ResultCache) Do(ctx context.Context, gen uint64, digest uint64, src str
 				// Insert before releasing waiters and retiring the
 				// flight, so no identical caller can slip between the
 				// flight's end and the entry's visibility.
-				c.PutIfGeneration(gen, digest, src, opts, call.res)
+				c.putIfGeneration(gen, key, call.res)
 			}
 			completed = true
 		}()

@@ -14,8 +14,9 @@ import (
 )
 
 // TestQueryParameters: every /query parameter is read from one parse of the
-// query string. A malformed value, a negative top included, answers 400
-// with its own message, and workers= is ignored whatever its value.
+// query string. A malformed value, a negative top and a sample count above
+// query.MaxSamples included, answers 400 with its own message, and workers=
+// is ignored whatever its value.
 func TestQueryParameters(t *testing.T) {
 	ts, _ := newTestServer(t)
 	integrateB(t, ts)
@@ -27,6 +28,7 @@ func TestQueryParameters(t *testing.T) {
 		{tel + "&top=-1", `query: bad top parameter "-1"`},
 		{tel + "&samples=x", `query: bad samples parameter "x"`},
 		{tel + "&samples=-1", "query: query: invalid options: Samples must be >= 0 (0 means default 20000), got -1"},
+		{tel + "&samples=2000000000", "query: query: invalid options: Samples must be <= 1000000, got 2000000000"},
 		{tel + "&seed=x", `query: bad seed parameter "x"`},
 		{tel + "&budget_ms=x", `query: bad budget_ms parameter "x"`},
 		{tel + "&budget_ms=-1", `query: bad budget_ms parameter "-1"`},
