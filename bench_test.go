@@ -9,7 +9,6 @@ package imprecise_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -18,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,7 +24,6 @@ import (
 	"time"
 
 	imprecise "repro"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/explain"
@@ -1062,83 +1059,4 @@ func BenchmarkFailoverCatchup(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(elapsed.Milliseconds()), "catchup_ms")
-}
-
-// --- ingest pipeline benchmarks ---
-//
-// The benchmark below sizes the async ingest queue under sustained load
-// (ingest throughput plus read p99 during ingest vs idle; the bar is busy
-// p99 within 2x of idle). CI converts it into BENCH_integrate.json per
-// commit.
-
-// benchPercentile returns the p-th percentile of the sample set.
-func benchPercentile(lat []time.Duration, p float64) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// BenchmarkSustainedIngest streams sources through the async queue while
-// a reader keeps querying: reported are ingest throughput and the read
-// p99 while ingesting next to the idle read p99.
-func BenchmarkSustainedIngest(b *testing.B) {
-	const nSources = 24
-	sources := make([]*pxml.Tree, nSources)
-	for i := range sources {
-		sources[i] = datagen.Typical(1, 2, 1, int64(i+1)).B.Tree
-	}
-	base := datagen.Typical(3, 6, 1, 99).A.Tree
-	readQuery := `//movie/title`
-
-	for i := 0; i < b.N; i++ {
-		db, err := imprecise.Open(base, imprecise.Config{
-			Schema:      datagen.MovieDTD(),
-			IngestDepth: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		timedRead := func() time.Duration {
-			t0 := time.Now()
-			if _, err := db.Query(readQuery); err != nil {
-				b.Fatal(err)
-			}
-			return time.Since(t0)
-		}
-		var idle []time.Duration
-		for j := 0; j < 300; j++ {
-			idle = append(idle, timedRead())
-		}
-
-		db.StartIngest()
-		start := time.Now()
-		var busy []time.Duration
-		for _, src := range sources {
-			for {
-				if _, err := db.Enqueue([]*pxml.Tree{src}); err == nil {
-					break
-				} else if !errors.Is(err, core.ErrQueueFull) {
-					b.Fatal(err)
-				}
-				busy = append(busy, timedRead()) // backpressure: read while waiting
-			}
-			busy = append(busy, timedRead())
-		}
-		for db.IngestStats().Depth > 0 {
-			busy = append(busy, timedRead())
-		}
-		elapsed := time.Since(start)
-		db.StopIngest()
-		if got := db.IngestStats().Applied; got != nSources {
-			b.Fatalf("applied %d of %d sources", got, nSources)
-		}
-
-		b.ReportMetric(float64(nSources)/elapsed.Seconds(), "ingest_ops/s")
-		b.ReportMetric(float64(benchPercentile(busy, 0.99).Microseconds())/1000, "read_p99_ms")
-		b.ReportMetric(float64(benchPercentile(idle, 0.99).Microseconds())/1000, "idle_read_p99_ms")
-	}
 }

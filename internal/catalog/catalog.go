@@ -220,15 +220,6 @@ func (c *Catalog) openDB(name string, seedEpoch uint64) (*DB, error) {
 			return nil, err
 		}
 		cdb.RestoreHistories(snap.Manifest.Integrations, snap.Manifest.Feedback)
-		// The queue must be in place before the tail replays: an
-		// apply-queued record names tickets whose sources live either in
-		// enqueue records past the snapshot or — once compaction truncated
-		// those — in the manifest's pending list restored here.
-		pending, err := core.DecodePending(snap.Manifest.Pending)
-		if err != nil {
-			return nil, err
-		}
-		cdb.RestorePending(pending)
 		after = snap.Manifest.LogSeq
 		snapEpoch = snap.Manifest.Epoch
 	} else {
@@ -334,17 +325,12 @@ func (d *DB) Compact() error {
 		// (the initial one written at creation covers sequence 0).
 		return nil
 	}
-	pending, err := core.EncodePending(v.Pending)
-	if err != nil {
-		return err
-	}
-	_, err = store.SaveWith(filepath.Join(d.dir, stateDirName), v.Tree, v.Schema, store.SaveOptions{
+	_, err := store.SaveWith(filepath.Join(d.dir, stateDirName), v.Tree, v.Schema, store.SaveOptions{
 		Comment:      fmt.Sprintf("compaction of %s", d.name),
 		LogSeq:       v.Seq,
 		Epoch:        epoch,
 		Integrations: v.Integrations,
 		Feedback:     v.Events,
-		Pending:      pending,
 	})
 	if err != nil {
 		return err
@@ -363,9 +349,6 @@ func (d *DB) Compact() error {
 // is disabled (inspection tools rely on a close that never rewrites
 // state) or when the directory is about to be deleted anyway.
 func (d *DB) close(compact bool) error {
-	// Stop the ingest drainer (if one is running) before the final
-	// compaction, so the snapshot captures a quiesced queue.
-	d.core.StopIngest()
 	close(d.done)
 	d.wg.Wait()
 	if compact && d.opts.CompactEvery > 0 {

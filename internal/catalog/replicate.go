@@ -158,10 +158,6 @@ type BootstrapSnapshot struct {
 	Schema       *dtd.Schema
 	Integrations []integrate.Stats
 	Feedback     []feedback.Event
-	// Pending is the primary's ingest queue at Seq: sources accepted but
-	// not yet integrated. Without it, an apply-queued record past Seq
-	// would name tickets the follower cannot resolve.
-	Pending []store.PendingDoc
 	// Comment is stored in the snapshot manifest ("" gets a default).
 	Comment string
 }
@@ -210,7 +206,6 @@ func (c *Catalog) InstallSnapshot(name string, snap BootstrapSnapshot) (*DB, err
 		Epoch:        snap.Epoch,
 		Integrations: snap.Integrations,
 		Feedback:     snap.Feedback,
-		Pending:      snap.Pending,
 	}); err != nil {
 		return nil, err
 	}

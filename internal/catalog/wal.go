@@ -13,8 +13,8 @@
 // matches. The last segment may end in a torn frame (the write the crash
 // interrupted); recovery truncates the file back to the last committed
 // record. A bad frame anywhere else — a committed frame in a layout this
-// build does not read, or one with an out-of-order sequence — is
-// corruption and refuses to load.
+// build does not read or of a removed op kind, or one with an
+// out-of-order sequence — is corruption and refuses to load.
 //
 // The epoch is the cluster term the record was committed under. Epochs
 // may only rise along the log; a committed record with a lower epoch
@@ -297,10 +297,11 @@ func recoverWAL(dir string, segLimit int64, after uint64, snapEpoch uint64, fn f
 // the running high-water mark, carried across segments by the caller).
 // For the last segment a bad frame is treated as the torn tail and
 // truncated away; anywhere else it is corruption. A CRC-valid frame whose
-// payload is not a version 3 record is corruption in every segment: it
-// was committed, so truncating it would drop an acknowledged op. It
-// returns the number of committed records and the (post-truncation) file
-// size, and leaves the segment's index (see wal.index) in *index.
+// payload is not a version 3 record, or is one of a removed op kind
+// (errRemovedOp), is corruption in every segment: it was committed, so
+// truncating it would drop an acknowledged op. It returns the number of
+// committed records and the (post-truncation) file size, and leaves the
+// segment's index (see wal.index) in *index.
 func replaySegment(path string, start uint64, isLast bool, after uint64, snapEpoch uint64, epochSeen *uint64, tab *codec.StrTab, index *[]segEntry, fn func(WALRecord) error) (records uint64, size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -344,6 +345,9 @@ func replaySegment(path string, start uint64, isLast bool, after uint64, snapEpo
 		// append table always matches what this replay accepted.
 		before := tab.Mark()
 		e, err := DecodeWALRecordShared(payload, tab)
+		if errors.Is(err, errRemovedOp) {
+			return 0, 0, fmt.Errorf("%w: %w at offset %d of %s", ErrCorrupt, err, off, filepath.Base(path))
+		}
 		if err != nil {
 			return torn("undecodable record")
 		}

@@ -18,6 +18,7 @@ package catalog
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -39,15 +40,25 @@ const (
 
 // Op kind codes.
 var opKindCodes = map[core.OpKind]byte{
-	core.OpIntegrate:   1,
-	core.OpBatch:       2,
-	core.OpFeedback:    3,
-	core.OpNormalize:   4,
-	core.OpReplace:     5,
-	core.OpLoad:        6,
-	core.OpEnqueue:     7,
-	core.OpApplyQueued: 8,
+	core.OpIntegrate: 1,
+	core.OpBatch:     2,
+	core.OpFeedback:  3,
+	core.OpNormalize: 4,
+	core.OpReplace:   5,
+	core.OpLoad:      6,
 }
+
+// removedOpKinds names the codes of the async ingest queue's records,
+// which earlier builds wrote and this build removed. A committed record
+// of either kind is refused by name (errRemovedOp), never replayed and
+// never mistaken for a torn write.
+var removedOpKinds = map[byte]string{
+	7: "enqueue",
+	8: "apply-queued",
+}
+
+// errRemovedOp marks a record of a removed op kind (removedOpKinds).
+var errRemovedOp = errors.New("catalog: record of a removed op kind")
 
 var opKindNames = func() map[byte]core.OpKind {
 	m := make(map[byte]core.OpKind, len(opKindCodes))
@@ -98,18 +109,6 @@ func encodeOpBody(dst []byte, rec *WALRecord, tab *codec.SharedStrings) ([]byte,
 		if dst, err = appendSources(dst, op.SourceTrees, tab); err != nil {
 			return nil, err
 		}
-		if dst, err = appendStatsBlob(dst, op); err != nil {
-			return nil, err
-		}
-	case core.OpEnqueue:
-		dst = codec.AppendString(dst, op.Ticket)
-		if dst, err = appendSources(dst, op.SourceTrees, tab); err != nil {
-			return nil, err
-		}
-	case core.OpApplyQueued:
-		dst = appendStringList(dst, op.Tickets)
-		dst = appendStringList(dst, op.Failed)
-		dst = appendStringList(dst, op.FailedErrors)
 		if dst, err = appendStatsBlob(dst, op); err != nil {
 			return nil, err
 		}
@@ -174,37 +173,6 @@ func readStatsBlob(r *codec.Reader, op *core.Op) error {
 		return fmt.Errorf("%w: bad integration stats: %v", codec.ErrInvalid, err)
 	}
 	return nil
-}
-
-// appendStringList appends a uvarint-counted list of strings.
-func appendStringList(dst []byte, xs []string) []byte {
-	dst = codec.AppendUvarint(dst, uint64(len(xs)))
-	for _, s := range xs {
-		dst = codec.AppendString(dst, s)
-	}
-	return dst
-}
-
-func readStringList(r *codec.Reader) ([]string, error) {
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	// A string field costs at least one byte (its length prefix).
-	if n > uint64(r.Len())+1 {
-		return nil, fmt.Errorf("%w: implausible list length %d", codec.ErrInvalid, n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	xs := make([]string, n)
-	for i := range xs {
-		xs[i] = r.String()
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return xs, nil
 }
 
 // appendSources appends a uvarint-counted list of source tree fields.
@@ -346,11 +314,15 @@ func DecodeWALRecordShared(payload []byte, tab *codec.StrTab) (WALRecord, error)
 	default:
 		return WALRecord{}, fmt.Errorf("%w: record %d strtab delta based at %d, table holds %d entries", codec.ErrInvalid, rec.Seq, base, tab.Len())
 	}
-	kind, ok := opKindNames[r.Byte()]
+	code := r.Byte()
 	if err := r.Err(); err != nil {
 		return WALRecord{}, err
 	}
+	kind, ok := opKindNames[code]
 	if !ok {
+		if name, removed := removedOpKinds[code]; removed {
+			return WALRecord{}, fmt.Errorf("%w: record %d is an %s record (async ingest queue, removed)", errRemovedOp, rec.Seq, name)
+		}
 		return WALRecord{}, fmt.Errorf("%w: unknown op kind code", codec.ErrInvalid)
 	}
 	op := &rec.Op
@@ -359,24 +331,6 @@ func DecodeWALRecordShared(payload []byte, tab *codec.StrTab) (WALRecord, error)
 	case core.OpIntegrate, core.OpBatch:
 		if op.SourceTrees, err = readSources(r, strs, rec.Seq); err != nil {
 			return WALRecord{}, err
-		}
-		if err := readStatsBlob(r, op); err != nil {
-			return WALRecord{}, err
-		}
-	case core.OpEnqueue:
-		op.Ticket = r.String()
-		if op.SourceTrees, err = readSources(r, strs, rec.Seq); err != nil {
-			return WALRecord{}, err
-		}
-	case core.OpApplyQueued:
-		if op.Tickets, err = readStringList(r); err != nil {
-			return WALRecord{}, fmt.Errorf("record %d tickets: %w", rec.Seq, err)
-		}
-		if op.Failed, err = readStringList(r); err != nil {
-			return WALRecord{}, fmt.Errorf("record %d failed tickets: %w", rec.Seq, err)
-		}
-		if op.FailedErrors, err = readStringList(r); err != nil {
-			return WALRecord{}, fmt.Errorf("record %d failure reasons: %w", rec.Seq, err)
 		}
 		if err := readStatsBlob(r, op); err != nil {
 			return WALRecord{}, err

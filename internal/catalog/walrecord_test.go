@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/big"
 	"path/filepath"
@@ -27,12 +28,15 @@ func mustTree(t *testing.T, xml string) *pxml.Tree {
 	return tree
 }
 
-// sampleRecords builds one record per op kind.
+// sampleRecords builds one record per op kind, plus an integrate record
+// carrying its recorded stats.
 func sampleRecords(t *testing.T) []WALRecord {
 	t.Helper()
 	when := time.Date(2026, 8, 8, 12, 30, 45, 123456789, time.FixedZone("X", 3600))
 	return []WALRecord{
 		{Seq: 1, Epoch: 0, Op: core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{mustTree(t, abA)}}},
+		{Seq: 2, Epoch: 1, Op: core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{mustTree(t, abC)},
+			Stats: []integrate.Stats{{OracleCalls: 7, UndecidedPairs: 3, SplicedChildren: 2}}}},
 		{Seq: 3, Epoch: 1, Op: core.Op{Kind: core.OpBatch, SourceTrees: []*pxml.Tree{mustTree(t, abA), mustTree(t, abB)}}},
 		{Seq: 4, Epoch: 2, Op: core.Op{Kind: core.OpFeedback, Query: "//person/tel", Value: "1111", Correct: true, When: when}},
 		{Seq: 5, Epoch: 2, Op: core.Op{Kind: core.OpNormalize}},
@@ -70,6 +74,9 @@ func TestWALRecordBinaryRoundTrip(t *testing.T) {
 		if got.Seq != rec.Seq || got.Epoch != rec.Epoch || got.Op.Kind != rec.Op.Kind {
 			t.Fatalf("seq %d: round trip = %+v", rec.Seq, got)
 		}
+		if seq, epoch, err := peekRecordHeader(payload); err != nil || seq != rec.Seq || epoch != rec.Epoch {
+			t.Fatalf("seq %d: peek = %d/%d, %v", rec.Seq, seq, epoch, err)
+		}
 		wantTrees, gotTrees := opTrees(rec.Op), opTrees(got.Op)
 		if len(wantTrees) != len(gotTrees) {
 			t.Fatalf("seq %d: %d trees round-tripped to %d", rec.Seq, len(wantTrees), len(gotTrees))
@@ -78,6 +85,9 @@ func TestWALRecordBinaryRoundTrip(t *testing.T) {
 			if !pxml.Equal(wantTrees[i].Root(), gotTrees[i].Root()) {
 				t.Fatalf("seq %d: tree %d differs after round trip", rec.Seq, i)
 			}
+		}
+		if fmt.Sprint(got.Op.Stats) != fmt.Sprint(rec.Op.Stats) {
+			t.Fatalf("seq %d: stats %+v round-tripped to %+v", rec.Seq, rec.Op.Stats, got.Op.Stats)
 		}
 		switch rec.Op.Kind {
 		case core.OpFeedback:
@@ -356,56 +366,64 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	})
 }
 
-// TestWALRecordQueueRoundTrip: the queue kinds — enqueue and
-// apply-queued — and the stats blob on integrate records survive the
-// record format.
+// queueRecord hand-builds a record of one of the removed async ingest
+// queue kinds as earlier builds wrote it: an enqueue (kind 7) carries a
+// ticket and its source trees, an apply-queued (kind 8) the applied,
+// failed and failure-reason lists and a stats blob.
+func queueRecord(t *testing.T, seq uint64, code byte) []byte {
+	t.Helper()
+	var tab codec.SharedStrings
+	var body []byte
+	switch code {
+	case 7:
+		body = codec.AppendString(body, "t1")
+		var err error
+		if body, err = appendSources(body, []*pxml.Tree{mustTree(t, abB)}, &tab); err != nil {
+			t.Fatal(err)
+		}
+	case 8:
+		body = codec.AppendUvarint(body, 1)
+		body = codec.AppendString(body, "t1")
+		body = codec.AppendUvarint(body, 0)
+		body = codec.AppendUvarint(body, 0)
+		body = codec.AppendBytes(body, nil)
+	}
+	p := []byte{walBinaryMarker, walRecordVersion}
+	p = codec.AppendUvarint(p, seq)
+	p = codec.AppendUvarint(p, 0)
+	p = tab.AppendDelta(p, 0)
+	p = append(p, code)
+	return append(p, body...)
+}
+
+// TestWALRecordQueueRoundTrip: the stats blob on an integrate record
+// survives the record format, while a record of either removed queue
+// kind — enqueue and apply-queued — fails to decode with errRemovedOp
+// naming its sequence and kind, not as an unknown op kind code.
 func TestWALRecordQueueRoundTrip(t *testing.T) {
 	stats := []integrate.Stats{{OracleCalls: 7, UndecidedPairs: 3, SplicedChildren: 2}}
-	recs := []WALRecord{
-		{Seq: 10, Epoch: 2, Op: core.Op{Kind: core.OpEnqueue, Ticket: "t41",
-			SourceTrees: []*pxml.Tree{mustTree(t, abA), mustTree(t, abB)}}},
-		{Seq: 11, Epoch: 2, Op: core.Op{Kind: core.OpEnqueue, Ticket: "t42", SourceTrees: []*pxml.Tree{mustTree(t, abC)}}},
-		{Seq: 12, Epoch: 2, Op: core.Op{Kind: core.OpApplyQueued, Tickets: []string{"t41", "t42"},
-			Failed: []string{"t43"}, FailedErrors: []string{"root tag mismatch"}, Stats: stats}},
-		{Seq: 13, Epoch: 2, Op: core.Op{Kind: core.OpApplyQueued, Failed: []string{"t44"},
-			FailedErrors: []string{"boom"}}},
-		{Seq: 14, Epoch: 3, Op: core.Op{Kind: core.OpIntegrate,
-			SourceTrees: []*pxml.Tree{mustTree(t, abA)}, Stats: stats}},
+	rec := WALRecord{Seq: 14, Epoch: 3, Op: core.Op{Kind: core.OpIntegrate,
+		SourceTrees: []*pxml.Tree{mustTree(t, abA)}, Stats: stats}}
+	payload, err := EncodeWALRecord(rec)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	for _, rec := range recs {
-		payload, err := EncodeWALRecord(rec)
-		if err != nil {
-			t.Fatalf("seq %d: encode: %v", rec.Seq, err)
-		}
-		got, err := DecodeWALRecord(payload)
-		if err != nil {
-			t.Fatalf("seq %d: decode: %v", rec.Seq, err)
-		}
-		if got.Seq != rec.Seq || got.Op.Kind != rec.Op.Kind || got.Op.Ticket != rec.Op.Ticket {
-			t.Fatalf("seq %d: round trip = %+v", rec.Seq, got)
-		}
-		wantTrees, gotTrees := opTrees(rec.Op), opTrees(got.Op)
-		if len(wantTrees) != len(gotTrees) {
-			t.Fatalf("seq %d: %d trees round-tripped to %d", rec.Seq, len(wantTrees), len(gotTrees))
-		}
-		for i := range wantTrees {
-			if !pxml.Equal(wantTrees[i].Root(), gotTrees[i].Root()) {
-				t.Fatalf("seq %d: tree %d differs", rec.Seq, i)
-			}
-		}
-		if fmt.Sprint(got.Op.Tickets) != fmt.Sprint(rec.Op.Tickets) ||
-			fmt.Sprint(got.Op.Failed) != fmt.Sprint(rec.Op.Failed) ||
-			fmt.Sprint(got.Op.FailedErrors) != fmt.Sprint(rec.Op.FailedErrors) {
-			t.Fatalf("seq %d: ticket lists = %+v", rec.Seq, got.Op)
-		}
-		if len(got.Op.Stats) != len(rec.Op.Stats) {
-			t.Fatalf("seq %d: %d stats round-tripped to %d", rec.Seq, len(rec.Op.Stats), len(got.Op.Stats))
-		}
-		if len(rec.Op.Stats) > 0 && got.Op.Stats[0] != rec.Op.Stats[0] {
-			t.Fatalf("seq %d: stats = %+v", rec.Seq, got.Op.Stats[0])
-		}
-		if seq, epoch, err := peekRecordHeader(payload); err != nil || seq != rec.Seq || epoch != rec.Epoch {
-			t.Fatalf("seq %d: peek = %d/%d, %v", rec.Seq, seq, epoch, err)
+	got, err := DecodeWALRecord(payload)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got.Seq != rec.Seq || got.Op.Kind != rec.Op.Kind || len(got.Op.SourceTrees) != 1 ||
+		!pxml.Equal(got.Op.SourceTrees[0].Root(), rec.Op.SourceTrees[0].Root()) {
+		t.Fatalf("round trip = %+v", got)
+	}
+	if len(got.Op.Stats) != 1 || got.Op.Stats[0] != stats[0] {
+		t.Fatalf("stats %+v round-tripped to %+v", stats, got.Op.Stats)
+	}
+	for code, want := range map[byte]string{7: "record 5 is an enqueue record", 8: "record 5 is an apply-queued record"} {
+		_, err := DecodeWALRecord(queueRecord(t, 5, code))
+		if !errors.Is(err, errRemovedOp) || !strings.Contains(err.Error(), want) ||
+			!strings.Contains(err.Error(), "async ingest queue, removed") {
+			t.Fatalf("kind %d: decode = %v, want errRemovedOp naming %q", code, err, want)
 		}
 	}
 }

@@ -433,7 +433,6 @@ func runServe(args []string, w io.Writer) error {
 	cacheSize := fs.Int("query-cache", 0, "compiled-query LRU cache capacity (0 = default)")
 	resultCacheSize := fs.Int("result-cache", 0, "evaluated-result LRU cache capacity (0 = default)")
 	queryBudget := fs.Duration("query-budget", 0, "per-query wall-clock budget (0 = unlimited; exhausted queries return 408 with budget_exhausted)")
-	ingestQueue := fs.Int("ingest-queue", 0, "async ingest queue depth per database (0 disables POST /integrate?async=1)")
 	maxBody := fs.Int64("max-body", 0, "request body limit in bytes (0 = default 8MiB)")
 	storeMMap := fs.Bool("store-mmap", true, "mmap v5 snapshot documents on load (false forces the read-whole fallback; with -data)")
 	quiet := fs.Bool("quiet", false, "disable the per-request log")
@@ -456,9 +455,6 @@ func runServe(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *ingestQueue < 0 {
-		return errors.New("serve: -ingest-queue must be >= 0")
-	}
 	if *queryBudget < 0 {
 		return errors.New("serve: -query-budget must be >= 0")
 	}
@@ -468,7 +464,6 @@ func runServe(args []string, w io.Writer) error {
 		Query:           query.Options{TimeBudget: *queryBudget},
 		QueryCacheSize:  *cacheSize,
 		ResultCacheSize: *resultCacheSize,
-		IngestDepth:     *ingestQueue,
 	}
 	var logger *log.Logger
 	if !*quiet {
@@ -524,12 +519,6 @@ func runServe(args []string, w io.Writer) error {
 			return err
 		}
 		defer cat.Close()
-		// This node owns its queues (it is primary or standalone): start
-		// draining anything recovered from the logs. No-ops without
-		// -ingest-queue.
-		for _, db := range cat.List() {
-			db.Core().StartIngest()
-		}
 		srv = server.NewCatalog(cat, opts)
 		banner = fmt.Sprintf("%d database(s) in %s", len(cat.Names()), *dataDir)
 	} else {
@@ -547,7 +536,6 @@ func runServe(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		db.StartIngest()
 		srv = server.New(db, opts)
 		banner = fmt.Sprintf("document: %d nodes, %s worlds", tree.NodeCount(), tree.WorldCount())
 	}
@@ -689,11 +677,6 @@ func runDBCmd(args []string, w io.Writer) error {
 			st.WAL.LastSeq, st.WAL.Segments, st.WAL.SizeBytes, st.TailOps)
 		fmt.Fprintf(w, "snapshot:        seq %d, %d compaction(s), %d op(s) recovered at open\n",
 			st.SnapshotSeq, st.Compactions, st.RecoveredOps)
-		iq := c.IngestStats()
-		if iq.Enabled || iq.Depth > 0 || iq.Accepted > 0 {
-			fmt.Fprintf(w, "ingest queue:    %d pending (cap %d), %d accepted, %d applied, %d failed\n",
-				iq.Depth, iq.Capacity, iq.Accepted, iq.Applied, iq.Failed)
-		}
 		qs := c.QueryStats()
 		rc := c.ResultCacheStats()
 		fmt.Fprintf(w, "query exec:      %d active, %d started, %d canceled, %d budget abort(s), %d singleflight collapse(s)\n",

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/pxml"
 	"repro/internal/xmlcodec"
 )
 
@@ -123,6 +125,69 @@ func TestConcurrentIntegrations(t *testing.T) {
 		if len(res.Answers) == 0 {
 			t.Fatalf("writer %d's integration was lost", g)
 		}
+	}
+}
+
+// TestSustainedIngestKeepsReadsConsistent streams sources through the
+// synchronous integrate path while readers query: every tree a reader
+// observes must be a committed prefix of the integration sequence (the
+// copy-on-write swap never exposes an intermediate state), and the final
+// tree must match the same fold done without readers.
+func TestSustainedIngestKeepsReadsConsistent(t *testing.T) {
+	const n = 24
+	sources := make([]string, n)
+	for i := range sources {
+		sources[i] = fmt.Sprintf(
+			"<addressbook><person><nm>Q%d</nm><tel>%04d</tel></person></addressbook>", i, i)
+	}
+
+	fold, err := core.OpenXML(strings.NewReader(bookA), core.Config{Schema: personDTD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixes := map[uint64]bool{fold.Tree().Digest(): true}
+	for _, src := range sources {
+		if _, err := fold.IntegrateXMLString(src); err != nil {
+			t.Fatal(err)
+		}
+		prefixes[fold.Tree().Digest()] = true
+	}
+
+	db, err := core.OpenXML(strings.NewReader(bookA), core.Config{Schema: personDTD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopReads := make(chan struct{})
+	readsDone := make(chan error, 1)
+	go func() {
+		defer close(readsDone)
+		for {
+			select {
+			case <-stopReads:
+				return
+			default:
+			}
+			if _, err := db.Query(`//person[nm]`); err != nil {
+				readsDone <- fmt.Errorf("concurrent query: %w", err)
+				return
+			}
+			if d := db.Tree().Digest(); !prefixes[d] {
+				readsDone <- fmt.Errorf("reader observed tree %016x, no committed prefix", d)
+				return
+			}
+		}
+	}()
+	for _, src := range sources {
+		if _, err := db.IntegrateXMLString(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stopReads)
+	if err := <-readsDone; err != nil {
+		t.Fatal(err)
+	}
+	if !pxml.Equal(fold.Tree().Root(), db.Tree().Root()) {
+		t.Fatal("sustained ingest diverged from the fold done without readers")
 	}
 }
 

@@ -52,11 +52,6 @@ type Config struct {
 	// Integration tunes the integration engine. Its Oracle and Schema
 	// fields are overwritten from this Config.
 	Integration integrate.Config
-	// IngestDepth bounds the async ingest queue (Enqueue): how many
-	// accepted-but-unapplied sources the database holds before pushing
-	// back with ErrQueueFull. 0 disables the queue (Enqueue refuses);
-	// the synchronous integration paths are unaffected either way.
-	IngestDepth int
 	// Query sets default evaluation options.
 	Query query.Options
 	// Feedback bounds the conditioning work of feedback processing.
@@ -74,16 +69,11 @@ type Config struct {
 // documentation for the copy-on-write locking discipline.
 type Database struct {
 	// writeMu serializes tree mutations end to end, so each mutation
-	// reads a settled tree, computes its successor outside mu, and swaps.
-	// Enqueue does NOT take it (accepting a source must not wait behind a
-	// long-running integration); it only takes commitMu below.
+	// reads a settled tree, computes its successor outside mu, journals
+	// it and swaps. Holding it across the journal append and the swap is
+	// what makes journal sequence order equal in-memory apply order. Lock
+	// order: writeMu → mu.
 	writeMu sync.Mutex
-	// commitMu orders the commit step of every mutation: the journal
-	// append and the snapshot update run as one atomic unit under it, so
-	// journal sequence order always equals in-memory apply order even
-	// though Enqueue commits without holding writeMu. Lock order:
-	// writeMu → commitMu → mu.
-	commitMu sync.Mutex
 	// mu guards the snapshot fields below. Readers hold it only long
 	// enough to copy pointers; never during tree traversal.
 	mu   sync.RWMutex
@@ -109,25 +99,9 @@ type Database struct {
 	// journal.go); appliedSeq is the sequence of the last journaled
 	// mutation the current tree reflects, advanced inside the same mu
 	// critical section as the tree swap. journal itself is only touched
-	// under commitMu.
+	// under writeMu.
 	journal    Journal
 	appliedSeq uint64
-
-	// Async ingest queue state (see ingest.go). pending is journaled
-	// database state — enqueuing advances appliedSeq like any mutation,
-	// and View captures it so snapshots never drop an accepted source.
-	pending   []PendingSource
-	ticketSeq uint64
-	statuses  map[string]*TicketStatus
-	// statusOrder retains finished tickets FIFO for bounded lookback.
-	statusOrder []string
-	accepted    int64
-	applied     int64
-	failed      int64
-	// drain* control the single integrator goroutine (StartIngest).
-	drainWake chan struct{}
-	drainStop chan struct{}
-	drainDone chan struct{}
 
 	// Immutable after Open.
 	oracle  *oracle.Oracle
@@ -155,13 +129,12 @@ func Open(doc *pxml.Tree, cfg Config) (*Database, error) {
 		return nil, fmt.Errorf("core: invalid document: %w", err)
 	}
 	db := &Database{
-		tree:     doc,
-		schema:   cfg.Schema,
-		oracle:   oracle.New(cfg.Rules, cfg.OracleOptions...),
-		cfg:      cfg,
-		queries:  query.NewCache(cfg.QueryCacheSize),
-		results:  query.NewResultCache(cfg.ResultCacheSize),
-		statuses: make(map[string]*TicketStatus),
+		tree:    doc,
+		schema:  cfg.Schema,
+		oracle:  oracle.New(cfg.Rules, cfg.OracleOptions...),
+		cfg:     cfg,
+		queries: query.NewCache(cfg.QueryCacheSize),
+		results: query.NewResultCache(cfg.ResultCacheSize),
 	}
 	db.index = db.buildIndex(doc)
 	db.indexBuilds, db.indexBuildLast, db.indexBuildTotal =
@@ -298,10 +271,8 @@ func (db *Database) integrateSources(sources []*pxml.Tree, recorded []integrate.
 		statsList = append([]integrate.Stats(nil), recorded...)
 	}
 	idx := db.buildIndex(cur)
-	db.commitMu.Lock()
 	seq, journaled, err := db.recordSources(sources, statsList)
 	if err != nil {
-		db.commitMu.Unlock()
 		return nil, nil, err
 	}
 	db.mu.Lock()
@@ -311,7 +282,6 @@ func (db *Database) integrateSources(sources []*pxml.Tree, recorded []integrate.
 	}
 	db.integrations = append(db.integrations, statsList...)
 	db.mu.Unlock()
-	db.commitMu.Unlock()
 	return statsList, cur, nil
 }
 
@@ -585,10 +555,8 @@ func (db *Database) feedbackAt(querySrc, value string, correct bool, when time.T
 	// together (unlike setTreeLocked this keeps the running session).
 	nt := db.session.Tree()
 	idx := db.buildIndex(nt)
-	db.commitMu.Lock()
 	seq, journaled, err := db.record(Op{Kind: OpFeedback, Query: querySrc, Value: value, Correct: correct, When: ev.When})
 	if err != nil {
-		db.commitMu.Unlock()
 		// The session already advanced; rebuild it over the still-current
 		// tree so the aborted judgment leaves no trace.
 		db.session = feedback.NewSession(db.Tree(), db.cfg.Feedback)
@@ -602,7 +570,6 @@ func (db *Database) feedbackAt(querySrc, value string, correct bool, when time.T
 	}
 	db.events = append(db.events, ev)
 	db.mu.Unlock()
-	db.commitMu.Unlock()
 	return ev, nil
 }
 
@@ -645,10 +612,8 @@ func (db *Database) Normalize() (before, after int64, err error) {
 		return before, before, err
 	}
 	idx := db.buildIndex(nt)
-	db.commitMu.Lock()
 	seq, journaled, err := db.record(Op{Kind: OpNormalize})
 	if err != nil {
-		db.commitMu.Unlock()
 		return before, before, err
 	}
 	db.mu.Lock()
@@ -657,7 +622,6 @@ func (db *Database) Normalize() (before, after int64, err error) {
 		db.appliedSeq = seq
 	}
 	db.mu.Unlock()
-	db.commitMu.Unlock()
 	return before, nt.NodeCount(), nil
 }
 
@@ -674,10 +638,8 @@ func (db *Database) ReplaceTree(t *pxml.Tree) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	idx := db.buildIndex(t)
-	db.commitMu.Lock()
 	seq, journaled, err := db.recordWithTree(Op{Kind: OpReplace}, t)
 	if err != nil {
-		db.commitMu.Unlock()
 		return err
 	}
 	db.mu.Lock()
@@ -687,7 +649,6 @@ func (db *Database) ReplaceTree(t *pxml.Tree) error {
 	}
 	db.integrations = nil
 	db.mu.Unlock()
-	db.commitMu.Unlock()
 	return nil
 }
 
@@ -697,16 +658,11 @@ func (db *Database) ReplaceTree(t *pxml.Tree) error {
 // catalog recovery replays only the log tail beyond it.
 func (db *Database) SaveSnapshot(dir, comment string) (store.Manifest, error) {
 	v := db.View()
-	pending, err := EncodePending(v.Pending)
-	if err != nil {
-		return store.Manifest{}, err
-	}
 	return store.SaveWith(dir, v.Tree, v.Schema, store.SaveOptions{
 		Comment:      comment,
 		LogSeq:       v.Seq,
 		Integrations: v.Integrations,
 		Feedback:     v.Events,
-		Pending:      pending,
 	})
 }
 
@@ -735,10 +691,8 @@ func (db *Database) installSnapshot(t *pxml.Tree, schema *dtd.Schema, ints []int
 	if schema != nil {
 		op.Schema = schema.String()
 	}
-	db.commitMu.Lock()
 	seq, journaled, err := db.recordWithTree(op, t)
 	if err != nil {
-		db.commitMu.Unlock()
 		return err
 	}
 	db.mu.Lock()
@@ -752,7 +706,6 @@ func (db *Database) installSnapshot(t *pxml.Tree, schema *dtd.Schema, ints []int
 		db.appliedSeq = seq
 	}
 	db.mu.Unlock()
-	db.commitMu.Unlock()
 	return nil
 }
 

@@ -34,15 +34,6 @@ const (
 	// OpLoad installs a snapshot: TreeValue, optional Schema, and the
 	// histories the snapshot carried.
 	OpLoad OpKind = "load"
-	// OpEnqueue accepts source document(s) into the async ingest queue
-	// under Ticket without integrating them yet. The pending queue is
-	// journaled state: a crash after the 202 acknowledgement recovers
-	// the accepted sources and resumes the queue.
-	OpEnqueue OpKind = "enqueue"
-	// OpApplyQueued integrates previously enqueued sources (Tickets, in
-	// order) in one writer-lock cycle and drops Failed ones. Sources are
-	// resolved from the pending queue state, never re-shipped.
-	OpApplyQueued OpKind = "apply-queued"
 )
 
 // Op is one replayable mutation record. Command-style ops (integrate,
@@ -53,7 +44,7 @@ const (
 // journal and wire decoders hand back validated trees.
 type Op struct {
 	Kind OpKind
-	// SourceTrees are the integrated or enqueued source document(s).
+	// SourceTrees are the integrated source document(s).
 	SourceTrees []*pxml.Tree
 	// Query, Value, Correct and When describe a feedback judgment; When
 	// is recorded so replay reproduces the event timestamp exactly.
@@ -69,20 +60,12 @@ type Op struct {
 	Integrations []integrate.Stats
 	Events       []feedback.Event
 	// Stats records the per-source integration statistics of an
-	// integrate/batch/apply-queued op as they were at commit time.
+	// integrate/batch op as they were at commit time.
 	// Replay installs these instead of its own recomputed counters: the
 	// tree recomputation is deterministic, and the history must be the
 	// original one exactly, even for a log whose engine counted
 	// differently (older versions had a cross-call memo).
 	Stats []integrate.Stats
-	// Ticket names an enqueued source batch (OpEnqueue).
-	Ticket string
-	// Tickets lists the queue entries an OpApplyQueued integrated, in
-	// fold order; Failed (with parallel FailedErrors) lists entries it
-	// dropped because their integration failed.
-	Tickets      []string
-	Failed       []string
-	FailedErrors []string
 }
 
 // Journal receives one record per committed mutation and assigns it a
@@ -122,15 +105,13 @@ func (db *Database) JournalEpoch() uint64 {
 func (db *Database) SetJournal(j Journal, seq uint64) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	db.commitMu.Lock()
 	db.mu.Lock()
 	db.journal = j
 	db.appliedSeq = seq
 	db.mu.Unlock()
-	db.commitMu.Unlock()
 }
 
-// record journals op. Callers hold commitMu. The returned bool reports
+// record journals op. Callers hold writeMu. The returned bool reports
 // whether a journal is attached (and therefore whether seq is meaningful).
 func (db *Database) record(op Op) (uint64, bool, error) {
 	if db.journal == nil {
@@ -145,7 +126,7 @@ func (db *Database) record(op Op) (uint64, bool, error) {
 
 // recordSources journals an integrate/batch op carrying the source trees
 // themselves plus the per-source stats the commit installs. Callers hold
-// commitMu.
+// writeMu.
 func (db *Database) recordSources(sources []*pxml.Tree, stats []integrate.Stats) (uint64, bool, error) {
 	if db.journal == nil {
 		return 0, false, nil
@@ -158,7 +139,7 @@ func (db *Database) recordSources(sources []*pxml.Tree, stats []integrate.Stats)
 }
 
 // recordWithTree journals op carrying the given document. Callers hold
-// commitMu.
+// writeMu.
 func (db *Database) recordWithTree(op Op, t *pxml.Tree) (uint64, bool, error) {
 	if db.journal == nil {
 		return 0, false, nil
@@ -212,10 +193,6 @@ func (db *Database) ApplyOp(op Op) error {
 			}
 		}
 		return db.installSnapshot(op.TreeValue, schema, op.Integrations, op.Events)
-	case OpEnqueue:
-		return db.applyEnqueueOp(op)
-	case OpApplyQueued:
-		return db.applyQueuedOp(op)
 	default:
 		return fmt.Errorf("core: replay: unknown op kind %q", op.Kind)
 	}
@@ -229,19 +206,14 @@ type SnapshotView struct {
 	Schema       *dtd.Schema
 	Integrations []integrate.Stats
 	Events       []feedback.Event
-	// Pending is the async ingest queue at Seq: accepted-but-unapplied
-	// sources. A snapshot that dropped them would lose acknowledged
-	// writes whose enqueue record compaction discards.
-	Pending []PendingSource
 	// Seq is the journal sequence the tree corresponds to; a recovery
 	// from this snapshot replays only records with a higher sequence.
 	Seq uint64
 }
 
 // View returns a consistent SnapshotView. Because the applied sequence is
-// advanced inside the same critical section as the tree swap (and the
-// pending-queue updates), the tree, queue and sequence can never disagree
-// — the compactor relies on that.
+// advanced inside the same critical section as the tree swap, the tree
+// and sequence can never disagree — the compactor relies on that.
 func (db *Database) View() SnapshotView {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -250,7 +222,6 @@ func (db *Database) View() SnapshotView {
 		Schema:       db.schema,
 		Integrations: append([]integrate.Stats(nil), db.integrations...),
 		Events:       append([]feedback.Event(nil), db.events...),
-		Pending:      append([]PendingSource(nil), db.pending...),
 		Seq:          db.appliedSeq,
 	}
 }

@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -44,24 +46,24 @@ func openJournaled(t *testing.T) (*core.Database, *memJournal) {
 
 // TestDeepDocumentSurvivesMarkerXML: a plain document as deep as the XML
 // decoder accepts still decodes from the marker XML that wraps each of its
-// elements in <_prob><_poss> — the form a snapshot's pending-ingest entry
-// keeps it in — so accepting it cannot break a snapshot load.
+// elements in <_prob><_poss> — the form /export writes it in — so an
+// accepted document always survives an export and re-import.
 func TestDeepDocumentSurvivesMarkerXML(t *testing.T) {
 	levels := xmlcodec.MaxDepth
 	tr, err := xmlcodec.DecodeString(strings.Repeat("<a>", levels) + strings.Repeat("</a>", levels))
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs, err := core.EncodePending([]core.PendingSource{{Ticket: "t1", Trees: []*pxml.Tree{tr}}})
+	marker, err := xmlcodec.EncodeString(tr, xmlcodec.EncodeOptions{KeepTrivial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending, err := core.DecodePending(docs)
+	back, err := xmlcodec.DecodeString(marker)
 	if err != nil {
-		t.Fatalf("decoding the pending-ingest form: %v", err)
+		t.Fatalf("decoding the marker XML: %v", err)
 	}
-	if !pxml.Equal(pending[0].Trees[0].Root(), tr.Root()) {
-		t.Fatal("the pending-ingest round trip changed the document")
+	if !pxml.Equal(back.Root(), tr.Root()) {
+		t.Fatal("the marker XML round trip changed the document")
 	}
 }
 
@@ -101,6 +103,87 @@ func TestJournalReplayReproducesState(t *testing.T) {
 	ia, ib := db.IntegrationHistory(), replica.IntegrationHistory()
 	if len(ia) != len(ib) || ia[0] != ib[0] {
 		t.Fatalf("replayed integration history differs: %+v vs %+v", ia, ib)
+	}
+}
+
+// TestConcurrentWritersJournalInApplyOrder pins the invariant the single
+// writer lock guards: racing integrate, reject-feedback and normalize
+// writers commit to the journal in exactly the order they apply in memory,
+// so replaying the journal in sequence order into a fresh database
+// reproduces the live one — tree, integration history and feedback
+// history alike.
+func TestConcurrentWritersJournalInApplyOrder(t *testing.T) {
+	db, j := openJournaled(t)
+	const rounds = 6
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				src := fmt.Sprintf(`<addressbook><person><nm>John</nm><tel>%d%d</tel></person></addressbook>`, w, i)
+				if _, err := db.IntegrateXMLString(src); err != nil {
+					t.Errorf("integrate %d/%d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			// A rejection fails once its value is conditioned away or
+			// would empty the document; only the committed ones matter.
+			_, _ = db.Feedback(`//person/tel`, fmt.Sprintf("0%d", i), false)
+			_, _ = db.Feedback(`//person/tel`, "1111", false)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		// Normalize is cheap next to integrate: many of them widen the
+		// windows in which a commit out of order would show.
+		for i := 0; i < 10*rounds; i++ {
+			if _, _, err := db.Normalize(); err != nil {
+				t.Errorf("normalize %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := db.View().Seq; got != uint64(len(j.ops)) {
+		t.Fatalf("applied seq %d after %d journaled ops", got, len(j.ops))
+	}
+
+	replayed, err := core.OpenXML(strings.NewReader(jSrcA), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range j.ops {
+		if err := replayed.ApplyOp(op); err != nil {
+			t.Fatalf("replaying op %d (%s): %v", i+1, op.Kind, err)
+		}
+	}
+	if !pxml.Equal(replayed.Tree().Root(), db.Tree().Root()) {
+		t.Fatal("journal replayed in seq order does not reproduce the live tree")
+	}
+	if a, b := fmt.Sprint(db.IntegrationHistory()), fmt.Sprint(replayed.IntegrationHistory()); a != b {
+		t.Fatalf("integration history: live %s, replayed %s", a, b)
+	}
+	live, rep := db.FeedbackHistory(), replayed.FeedbackHistory()
+	if len(live) != len(rep) {
+		t.Fatalf("feedback history: %d live events, %d replayed", len(live), len(rep))
+	}
+	for i := range live {
+		a, b := live[i], rep[i]
+		if a.Query != b.Query || a.Value != b.Value || a.Judgment != b.Judgment ||
+			!a.When.Equal(b.When) || a.PriorP != b.PriorP ||
+			a.WorldsBefore.Cmp(b.WorldsBefore) != 0 || a.WorldsAfter.Cmp(b.WorldsAfter) != 0 {
+			t.Fatalf("feedback event %d: live %+v, replayed %+v", i, a, b)
+		}
 	}
 }
 

@@ -265,3 +265,28 @@ func TestBuilderAPI(t *testing.T) {
 		t.Fatalf("email field = %+v %v", f, ok)
 	}
 }
+
+// FuzzDTDParse: ParseString never panics, and any text it accepts
+// round-trips through Schema.String(), the form a snapshot header and a
+// load record carry the schema in and a follower parses back: the
+// rendering reparses, to the same rendering.
+func FuzzDTDParse(f *testing.F) {
+	f.Add(movieDTD)
+	f.Add("<!ELEMENT addressbook (person*)>\n<!ELEMENT person (nm, tel?)>\n<!ELEMENT nm (#PCDATA)>\n<!ELEMENT tel (#PCDATA)>")
+	f.Add(`<!ELEMENT a (b, 2c)>`)
+	f.Add(`<!-- c --><!ELEMENT a (b+, c?)> <!ELEMENT b EMPTY>`)
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := dtd.ParseString(src)
+		if err != nil {
+			return
+		}
+		out := s.String()
+		s2, err := dtd.ParseString(out)
+		if err != nil {
+			t.Fatalf("String() of an accepted schema does not reparse: %v\n%s", err, out)
+		}
+		if got := s2.String(); got != out {
+			t.Fatalf("round trip changed the schema:\n%s\nvs\n%s", out, got)
+		}
+	})
+}

@@ -88,7 +88,8 @@ type ResultCache struct {
 	entries lru[resultKey, Result]
 	gen     uint64
 
-	// flightMu guards the in-flight evaluation table behind Do.
+	// flightMu guards the in-flight evaluation table behind Do, which
+	// takes mu under it (never the reverse).
 	flightMu sync.Mutex
 	flights  map[resultKey]*flightCall
 
@@ -223,6 +224,14 @@ func (c *ResultCache) Do(ctx context.Context, gen uint64, digest uint64, src str
 				continue
 			}
 			return Result{}, DoShared, call.err
+		}
+		// A leader may have inserted its result and retired its flight
+		// between the miss above and taking flightMu: look again before
+		// leading a second evaluation (lock order flightMu → mu).
+		if res, ok := c.lookup(key); ok {
+			c.flightMu.Unlock()
+			c.hits.Add(1)
+			return res, DoHit, nil
 		}
 		call := &flightCall{done: make(chan struct{})}
 		c.flights[key] = call

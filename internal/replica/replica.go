@@ -533,7 +533,6 @@ func (r *Replica) bootstrap(t *tailer) (*catalog.DB, error) {
 		Schema:       schema,
 		Integrations: payload.Integrations,
 		Feedback:     payload.Feedback,
-		Pending:      payload.Pending,
 		Comment:      "replicated from " + r.Primary(),
 	})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/integrate"
 	"repro/internal/pxml"
-	"repro/internal/store"
 )
 
 // WALPage is one page of GET /dbs/{name}/wal?since=S — the primary's
@@ -62,10 +61,6 @@ type SnapshotPayload struct {
 	// Integrations and Feedback are the session histories at Seq.
 	Integrations []integrate.Stats
 	Feedback     []feedback.Event
-	// Pending is the primary's ingest queue at Seq (accepted but not yet
-	// integrated sources); the follower needs it to resolve apply-queued
-	// records past Seq.
-	Pending []store.PendingDoc
 }
 
 // PrimaryStatus is the body GET /replication returns on a primary (and,

@@ -187,13 +187,6 @@ func appendSnapshotHeader(payload *SnapshotPayload) ([]byte, error) {
 	}
 	hdr = codec.AppendBytes(hdr, ints)
 	hdr = codec.AppendBytes(hdr, evs)
-	// Pending ingest queue, appended after the original fields; decoders
-	// treat it as optional so pre-queue streams still parse.
-	pend, err := marshalHistory(payload.Pending)
-	if err != nil {
-		return nil, err
-	}
-	hdr = codec.AppendBytes(hdr, pend)
 	return hdr, nil
 }
 
@@ -260,6 +253,9 @@ func DecodeSnapshot(r io.Reader) (*SnapshotPayload, error) {
 	payload.Schema = hr.String()
 	ints := hr.Bytes()
 	evs := hr.Bytes()
+	// Earlier primaries append the async ingest queue's pending sources
+	// as an optional last field. The queue was removed: an empty or null
+	// one is skipped, a non-empty one refused.
 	var pend []byte
 	if hr.Len() > 0 {
 		pend = hr.Bytes()
@@ -273,8 +269,12 @@ func DecodeSnapshot(r io.Reader) (*SnapshotPayload, error) {
 	if err := unmarshalHistory(evs, &payload.Feedback); err != nil {
 		return nil, fmt.Errorf("replica: snapshot feedback: %w", err)
 	}
-	if err := unmarshalHistory(pend, &payload.Pending); err != nil {
+	var pending []json.RawMessage
+	if err := unmarshalHistory(pend, &pending); err != nil {
 		return nil, fmt.Errorf("replica: snapshot pending queue: %w", err)
+	}
+	if len(pending) > 0 {
+		return nil, fmt.Errorf("replica: snapshot of %q carries %d pending ticket(s) of the async ingest queue, which this build removed", payload.Database, len(pending))
 	}
 	f, err = fr.Read()
 	if err != nil {

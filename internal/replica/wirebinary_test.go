@@ -455,6 +455,43 @@ func TestSnapshotSharedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotPendingBlob: earlier primaries end the S header with the
+// async ingest queue's pending sources, a JSON blob. A stream whose blob
+// is empty or null (no queue entries) still decodes, so a follower can
+// bootstrap from such a primary; a non-empty one is refused, naming the
+// database and how many tickets it carried. The header is hand-built,
+// since this build writes no such field.
+func TestSnapshotPendingBlob(t *testing.T) {
+	tree := mustDecode(t, abA)
+	payload := &replica.SnapshotPayload{Database: "x", FormatVersion: 5, Seq: 1, Epoch: 1, Digest: replica.DigestString(tree), Tree: tree}
+	var buf bytes.Buffer
+	if err := replica.EncodeSnapshotShared(&buf, payload); err != nil {
+		t.Fatal(err)
+	}
+	hdr, rest, err := codec.ParseFrame(buf.Bytes())
+	if err != nil || hdr.Kind != codec.KindSnapshotHeader {
+		t.Fatalf("first frame %q: %v", hdr.Kind, err)
+	}
+	withPending := func(blob []byte) []byte {
+		p := codec.AppendBytes(append([]byte(nil), hdr.Payload...), blob)
+		return append(codec.AppendFrame(nil, hdr.Kind, hdr.Version, p), rest...)
+	}
+	for _, blob := range []string{"", "null", "[]"} {
+		got, err := replica.DecodeSnapshot(bytes.NewReader(withPending([]byte(blob))))
+		if err != nil {
+			t.Fatalf("pending blob %q: %v", blob, err)
+		}
+		if !pxml.Equal(got.Tree.Root(), tree.Root()) {
+			t.Fatalf("pending blob %q: document differs", blob)
+		}
+	}
+	queued := `[{"ticket":"t1","sources":["<addressbook/>"]},{"ticket":"t2","sources":["<addressbook/>"]}]`
+	_, err = replica.DecodeSnapshot(bytes.NewReader(withPending([]byte(queued))))
+	if err == nil || !strings.Contains(err.Error(), `"x"`) || !strings.Contains(err.Error(), "2 pending ticket(s)") {
+		t.Fatalf("non-empty pending blob: %v, want a refusal naming \"x\" and 2 tickets", err)
+	}
+}
+
 // TestSnapshotTruncationRejected: every cut of the snapshot stream is an
 // error — a half-received bootstrap must never install.
 func TestSnapshotTruncationRejected(t *testing.T) {

@@ -137,12 +137,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.fenceCancel = fenceCancel
 	s.roleMu.Unlock()
 	s.logf("promote: now primary at epoch %d (was following %s)", epoch, oldPrimary)
-	// A primary owns its ingest queues: start draining whatever the
-	// followed primary had accepted but not yet applied (no-ops when the
-	// queue is disabled).
-	for _, db := range s.cat.List() {
-		db.Core().StartIngest()
-	}
 	if oldPrimary != "" {
 		s.fenceWG.Add(1)
 		go s.fenceOldPrimary(ctx, oldPrimary, epoch, advertise)
@@ -241,13 +235,6 @@ func (s *Server) stepDown(local, seen uint64, newPrimary string) {
 	}
 	s.roleMu.Unlock()
 	if !already {
-		// A demoted node must stop integrating queued sources: those
-		// applies would be local mutations the new primary never sees.
-		if s.cat != nil {
-			for _, db := range s.cat.List() {
-				db.Core().StopIngest()
-			}
-		}
 		s.logf("stepdown: demoted at epoch %d (cluster moved to %d, primary %q)", local, seen, newPrimary)
 	}
 }

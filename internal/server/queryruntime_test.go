@@ -32,6 +32,8 @@ func TestQueryParameters(t *testing.T) {
 		{tel + "&seed=x", `query: bad seed parameter "x"`},
 		{tel + "&budget_ms=x", `query: bad budget_ms parameter "x"`},
 		{tel + "&budget_ms=-1", `query: bad budget_ms parameter "-1"`},
+		{tel + "&budget_ms=18446744073710", `query: bad budget_ms parameter "18446744073710"`},
+		{tel + "&budget_ms=9223372036854", ""},
 		{tel + "&explain=2", `query: bad explain parameter "2" (0 | 1)`},
 		{tel + "&method=bogus", `query: query: invalid options: unknown method "bogus" (auto | exact | enumerate | sample)`},
 		{"top=1", "query: missing q parameter"},

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/replica"
 	"repro/internal/store"
 )
@@ -209,11 +208,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, t target
 	// tolerates (it refuses only snapshots BELOW its own epoch).
 	epoch := t.cdb.Epoch()
 	v := t.core.View()
-	pending, err := core.EncodePending(v.Pending)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
-		return
-	}
 	payload := replica.SnapshotPayload{
 		Database:      t.name,
 		FormatVersion: store.FormatVersion,
@@ -223,7 +217,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, t target
 		Tree:          v.Tree,
 		Integrations:  v.Integrations,
 		Feedback:      v.Events,
-		Pending:       pending,
 	}
 	if v.Schema != nil {
 		payload.Schema = v.Schema.String()
@@ -285,13 +278,6 @@ type HealthDB struct {
 	PrimarySeq uint64 `json:"primary_seq,omitempty"`
 	Lag        uint64 `json:"lag,omitempty"`
 	LastError  string `json:"last_error,omitempty"`
-	// Ingest rows are present when the database runs an async ingest
-	// queue: current depth vs capacity, and whether the drain goroutine is
-	// active on this node (primaries and standalone servers only —
-	// follower queues advance through replicated apply records).
-	IngestDepth    int   `json:"ingest_depth,omitempty"`
-	IngestCapacity int   `json:"ingest_capacity,omitempty"`
-	IngestRunning  *bool `json:"ingest_running,omitempty"`
 }
 
 // HealthResponse is the /healthz body. The bare probe keeps its original
@@ -362,12 +348,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				row.PrimarySeq = d.PrimarySeq
 				row.Lag = d.Lag
 				row.LastError = d.LastError
-			}
-			if iq := db.Core().IngestStats(); iq.Enabled {
-				running := db.Core().IngestRunning()
-				row.IngestDepth = iq.Depth
-				row.IngestCapacity = iq.Capacity
-				row.IngestRunning = &running
 			}
 			resp.Databases = append(resp.Databases, row)
 		}

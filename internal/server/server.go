@@ -65,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -197,9 +198,6 @@ func newServer(db *core.Database, cat *catalog.Catalog, rep *replica.Replica, op
 	}{
 		{"POST /integrate", s.handleIntegrate, true},
 		{"POST /integrate/batch", s.handleIntegrateBatch, true},
-		// Ticket lookups are reads, but meaningless on a replica (tickets
-		// are issued by the primary's queue and resolve there).
-		{"GET /ingest/{ticket}", s.handleIngestTicket, false},
 		{"GET /query", s.handleQuery, false},
 		{"POST /feedback", s.handleFeedback, true},
 		{"GET /stats", s.handleStats, false},
@@ -292,10 +290,6 @@ func (s *Server) withDefault(h func(http.ResponseWriter, *http.Request, target))
 		} else if db, err = s.cat.Default(); err != nil {
 			writeError(w, http.StatusInternalServerError, "default database: %v", err)
 			return
-		} else {
-			// Default() may have just created the database; a mutation-
-			// accepting server owns its queue (idempotent when running).
-			db.Core().StartIngest()
 		}
 		h(w, r, target{core: db.Core(), cdb: db, name: db.Name()})
 	}
@@ -401,19 +395,6 @@ func (s *Server) handleIntegrate(w http.ResponseWriter, r *http.Request, t targe
 	if mode == "" {
 		mode = "merge"
 	}
-	switch v := params.Get("async"); v {
-	case "", "0", "false":
-	case "1", "true":
-		if mode != "merge" {
-			writeError(w, http.StatusBadRequest, "integrate: async supports only mode=merge")
-			return
-		}
-		s.handleIntegrateAsync(w, r, t)
-		return
-	default:
-		writeError(w, http.StatusBadRequest, "integrate: bad async parameter %q (0 | 1)", v)
-		return
-	}
 	resp := IntegrateResponse{Mode: mode}
 	// result is this request's own resulting document — not t.core.Tree(),
 	// which a concurrent writer may have advanced past it already.
@@ -451,57 +432,6 @@ func (s *Server) handleIntegrate(w http.ResponseWriter, r *http.Request, t targe
 	resp.Worlds = result.WorldCount().String()
 	resp.ChoicePoints = result.ChoicePoints()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// EnqueueResponse is the 202 body of POST /integrate?async=1: the ticket
-// to poll under GET /ingest/{ticket}.
-type EnqueueResponse struct {
-	Ticket string `json:"ticket"`
-	State  string `json:"state"`
-	// StatusPath is the ready-made polling URL for this ticket.
-	StatusPath string `json:"status_path"`
-}
-
-// handleIntegrateAsync accepts a source into the ingest queue: 202 with a
-// ticket on success, 429 + Retry-After when the queue is at capacity, 503
-// when the database runs without a queue.
-func (s *Server) handleIntegrateAsync(w http.ResponseWriter, r *http.Request, t target) {
-	other, err := xmlcodec.Decode(r.Body)
-	if err != nil {
-		writeError(w, statusForBodyError(err, http.StatusUnprocessableEntity), "integrate: %v", err)
-		return
-	}
-	ticket, err := t.core.Enqueue([]*pxml.Tree{other})
-	switch {
-	case errors.Is(err, core.ErrQueueFull):
-		// The drainer batches everything pending into its next cycle, so
-		// one short pause is the honest hint regardless of depth.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "integrate: %v", err)
-		return
-	case errors.Is(err, core.ErrQueueDisabled):
-		writeError(w, http.StatusServiceUnavailable, "integrate: async ingest is disabled (start the server with -ingest-queue)")
-		return
-	case err != nil:
-		writeError(w, http.StatusUnprocessableEntity, "integrate: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, EnqueueResponse{
-		Ticket:     ticket,
-		State:      string(core.TicketPending),
-		StatusPath: "/dbs/" + t.name + "/ingest/" + ticket,
-	})
-}
-
-// handleIngestTicket reports the state of one ingest ticket.
-func (s *Server) handleIngestTicket(w http.ResponseWriter, r *http.Request, t target) {
-	ticket := r.PathValue("ticket")
-	st, err := t.core.TicketStatus(ticket)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "ingest: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 // BatchIntegrateRequest carries multiple XML sources for one atomic batch
@@ -654,8 +584,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t target) {
 		opts.Seed = query.SeedPtr(n)
 	}
 	if v := params.Get("budget_ms"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
+		n, err := strconv.ParseInt(v, 10, 64)
+		// A budget the Duration cannot hold would wrap to a tiny one.
+		if err != nil || n < 0 || n > math.MaxInt64/int64(time.Millisecond) {
 			writeError(w, http.StatusBadRequest, "query: bad budget_ms parameter %q", v)
 			return
 		}
@@ -901,8 +832,6 @@ type StatsResponse struct {
 	// collapses, and anchors enumerated or skipped.
 	Query QueryRuntime `json:"query"`
 	Index IndexStats   `json:"index"`
-	// Ingest reports the async ingest queue.
-	Ingest core.IngestStats `json:"ingest"`
 	// WAL is present in catalog mode only.
 	WAL *DurabilityStats `json:"wal,omitempty"`
 	// Store reports process-wide zero-copy storage counters (mmap vs
@@ -962,7 +891,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 		AnchorsEnumerated:     qs.AnchorsEnumerated,
 		AnchorsSkipped:        qs.AnchorsSkipped,
 	}
-	resp.Ingest = t.core.IngestStats()
 	is := t.core.IndexStats()
 	resp.Index = IndexStats{
 		Builds:          is.Builds,
@@ -1250,14 +1178,10 @@ func (s *Server) handleCreateDB(w http.ResponseWriter, r *http.Request) {
 		}
 		name = req.Name
 	}
-	db, err := s.cat.Create(name)
-	if err != nil {
+	if _, err := s.cat.Create(name); err != nil {
 		writeError(w, catalogErrStatus(err), "create db: %v", err)
 		return
 	}
-	// This server accepts mutations (the read-only gate above), so it owns
-	// the new database's ingest queue.
-	db.Core().StartIngest()
 	writeJSON(w, http.StatusCreated, CreateDBResponse{Name: name})
 }
 

@@ -489,10 +489,6 @@ func (s *Shell) stats() error {
 		rc := c.ResultCacheStats()
 		fmt.Fprintf(s.out, "query exec: %d active, %d started, %d canceled, %d budget aborts, %d collapses\n",
 			qs.Active, qs.Started, qs.Canceled, qs.BudgetAborts, rc.Collapses)
-		if iq := c.IngestStats(); iq.Enabled || iq.Depth > 0 {
-			fmt.Fprintf(s.out, "ingest queue: %d pending (cap %d), %d accepted, %d applied, %d failed\n",
-				iq.Depth, iq.Capacity, iq.Accepted, iq.Applied, iq.Failed)
-		}
 	}
 	return nil
 }

@@ -85,21 +85,11 @@ type Manifest struct {
 	// counters survive a save/load round trip or a crash recovery.
 	Integrations []integrate.Stats `json:"integrations,omitempty"`
 	Feedback     []feedback.Event  `json:"feedback,omitempty"`
-	// Pending persists the ingest queue: sources accepted but not yet
-	// integrated at save time. Keeping them in the snapshot means log
-	// compaction can truncate the enqueue records a later apply record
-	// will refer back to. Unknown to older readers (ignored), absent for
-	// older writers — no format version bump needed.
-	Pending []PendingDoc `json:"pending,omitempty"`
-}
-
-// PendingDoc is one ingest-queue entry in snapshot form: a ticket and
-// its source documents as XML strings (small by construction — queue
-// depth is bounded — so the self-describing form wins over a payload
-// file per entry).
-type PendingDoc struct {
-	Ticket  string   `json:"ticket"`
-	Sources []string `json:"sources"`
+	// RemovedQueue is read, never written: the accepted-but-unapplied
+	// sources of the async ingest queue, which earlier builds persisted
+	// under "pending". The queue was removed, so a snapshot holding any
+	// refuses to load rather than drop acknowledged sources.
+	RemovedQueue []json.RawMessage `json:"pending,omitempty"`
 }
 
 // Snapshot is the in-memory form of a stored database.
@@ -124,8 +114,6 @@ type SaveOptions struct {
 	// Integrations and Feedback are the session histories to persist.
 	Integrations []integrate.Stats
 	Feedback     []feedback.Event
-	// Pending is the ingest queue to persist (see Manifest.Pending).
-	Pending []PendingDoc
 }
 
 // Save writes the document (and optional schema) into dir, creating it if
@@ -198,7 +186,6 @@ func SaveWith(dir string, tree *pxml.Tree, schema *dtd.Schema, opts SaveOptions)
 		Epoch:          opts.Epoch,
 		Integrations:   opts.Integrations,
 		Feedback:       opts.Feedback,
-		Pending:        opts.Pending,
 	}
 	if err := writeAtomic(filepath.Join(dir, m.DocumentFile), doc); err != nil {
 		return Manifest{}, err
@@ -336,6 +323,9 @@ func LoadWith(dir string, opts LoadOptions) (*Snapshot, error) {
 	}
 	if m.FormatVersion != FormatVersion {
 		return nil, fmt.Errorf("store: unsupported format version %d (want %d)", m.FormatVersion, FormatVersion)
+	}
+	if n := len(m.RemovedQueue); n > 0 {
+		return nil, fmt.Errorf("store: manifest holds %d pending ticket(s) of the async ingest queue, which this build removed", n)
 	}
 	if m.DocumentFile == "" || m.DocumentFile != filepath.Base(m.DocumentFile) || (m.HasSchema && (m.SchemaFile == "" || m.SchemaFile != filepath.Base(m.SchemaFile))) {
 		return nil, fmt.Errorf("%w: manifest references invalid payload file", ErrCorrupt)
