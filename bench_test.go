@@ -31,7 +31,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/pxml"
 	"repro/internal/query"
-	"repro/internal/queryindex"
 	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/worlds"
@@ -324,10 +323,9 @@ const planBenchQuery = `//movie[title="Jaws"]/year`
 func BenchmarkQueryIndexed(b *testing.B) {
 	doc := planBenchDocument(b)
 	q := query.MustCompile(planBenchQuery)
-	idx := queryindex.Build(doc)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := query.EvalIndexed(doc, q, query.Options{}, idx)
+		res, err := query.Eval(doc, q, query.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -354,19 +352,6 @@ func BenchmarkQueryResultCacheHit(b *testing.B) {
 		}
 		if res.Plan == nil || !res.Plan.CacheHit {
 			b.Fatal("expected a result-cache hit")
-		}
-	}
-}
-
-// BenchmarkQueryIndexBuild measures the per-swap cost the indexed path
-// pays up front.
-func BenchmarkQueryIndexBuild(b *testing.B) {
-	doc := planBenchDocument(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := queryindex.Build(doc)
-		if idx.NumTags() == 0 {
-			b.Fatal("empty index")
 		}
 	}
 }

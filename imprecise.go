@@ -28,7 +28,6 @@
 package imprecise
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -42,7 +41,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/pxml"
 	"repro/internal/query"
-	"repro/internal/queryindex"
 	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -255,14 +253,6 @@ const (
 // QueryPlan explains how the engine chose an evaluation strategy.
 type QueryPlan = query.Plan
 
-// QueryIndex is an immutable per-tree index the planner consults; a
-// Database builds one automatically at every tree swap.
-type QueryIndex = queryindex.Index
-
-// BuildQueryIndex indexes a document for planned evaluation outside a
-// Database.
-func BuildQueryIndex(t *Tree) *QueryIndex { return queryindex.Build(t) }
-
 // QueryResultCache caches fully evaluated results keyed by (tree digest,
 // query text, options); a Database maintains one internally.
 type QueryResultCache = query.ResultCache
@@ -274,33 +264,17 @@ type QueryResultCacheStats = query.ResultCacheStats
 // entries (<= 0 means the default capacity).
 func NewQueryResultCache(capacity int) *QueryResultCache { return query.NewResultCache(capacity) }
 
-// DatabaseIndexStats reports a Database's index construction work.
+// DatabaseIndexStats reports the summary warms of a Database's commits.
 type DatabaseIndexStats = core.IndexStats
 
-// EvalQuery evaluates a query over a document through the planner, as
-// EvalQueryIndexed does with an index built from the document.
+// EvalQuery evaluates a query over a document through the planner:
+// cost-based automatic strategy selection from the document's summary —
+// exact when every anchor subtree fits LocalWorldLimit, sampling
+// otherwise, enumeration only on request — with the explainable plan
+// attached to the result. Auto evaluation returns bit-identical answers to
+// explicitly requesting the method the plan names.
 func EvalQuery(t *Tree, q *Query, opts QueryOptions) (QueryResult, error) {
 	return query.Eval(t, q, opts)
-}
-
-// EvalQueryIndexed evaluates through the planner: cost-based automatic
-// strategy selection against idx (nil or stale means one is built from
-// t) — exact when every anchor subtree fits LocalWorldLimit, sampling
-// otherwise, enumeration only on request — with the explainable
-// plan attached to the result. Auto evaluation returns bit-identical
-// answers to explicitly requesting the method the plan names.
-func EvalQueryIndexed(t *Tree, q *Query, opts QueryOptions, idx *QueryIndex) (QueryResult, error) {
-	return query.EvalIndexed(t, q, opts, idx)
-}
-
-// EvalQueryIndexedCtx is EvalQueryIndexed with cancellation and per-query
-// budgets: evaluation aborts when ctx is canceled, and when
-// QueryOptions.TimeBudget or MaxNodeVisits runs out it returns
-// ErrQueryBudgetExhausted with the plan's BudgetExhausted flag set.
-// Evaluation runs on the calling goroutine; QueryOptions.Workers is
-// ignored.
-func EvalQueryIndexedCtx(ctx context.Context, t *Tree, q *Query, opts QueryOptions, idx *QueryIndex) (QueryResult, error) {
-	return query.EvalIndexedCtx(ctx, t, q, opts, idx)
 }
 
 // ErrQueryBudgetExhausted marks a query aborted by a per-query wall-time

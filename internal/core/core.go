@@ -6,15 +6,18 @@
 // # Concurrency
 //
 // A Database is safe for concurrent use. It relies on the immutability of
-// pxml nodes: every mutation (IntegrateTree, Feedback, Normalize,
-// ReplaceTree, LoadSnapshot) builds a new tree and installs it with a
-// copy-on-write pointer swap, so readers (Query, Stats, ExportXML, …)
-// snapshot the current tree under a read lock and then work entirely on
-// that immutable snapshot without holding any lock. Reads therefore never
-// block behind a long-running integration; they simply observe the
-// pre-mutation document until the swap lands. Mutations are serialized
-// among themselves by a separate writer mutex, so two concurrent
-// integrations cannot lose each other's result.
+// pxml nodes: every mutation (IntegrateTree, IntegrateBatch, Feedback,
+// Normalize, ReplaceTree, LoadSnapshot, and ApplyOp replaying any of them)
+// is a pure step from the current tree to its successor plus one call of
+// mutate, the single commit. Under the writer mutex, mutate reads the
+// settled tree, runs the step, warms the successor's summary (which the
+// query planner reads), journals the op, and then — in one critical
+// section of the read lock — swaps the tree, updates the histories,
+// advances the applied sequence and purges the result cache. Readers
+// (Query, Stats, ExportXML, …) snapshot the current tree under the read
+// lock and then work entirely on that immutable snapshot without holding
+// any lock, so they never block behind a long-running integration; they
+// observe the pre-mutation document until the swap lands.
 package core
 
 import (
@@ -34,7 +37,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/pxml"
 	"repro/internal/query"
-	"repro/internal/queryindex"
 	"repro/internal/store"
 	"repro/internal/xmlcodec"
 )
@@ -68,32 +70,23 @@ type Config struct {
 // integration. It is safe for concurrent use: see the package
 // documentation for the copy-on-write locking discipline.
 type Database struct {
-	// writeMu serializes tree mutations end to end, so each mutation
-	// reads a settled tree, computes its successor outside mu, journals
-	// it and swaps. Holding it across the journal append and the swap is
-	// what makes journal sequence order equal in-memory apply order. Lock
-	// order: writeMu → mu.
+	// writeMu serializes mutations end to end (see mutate). Holding it
+	// across the journal append and the swap is what makes journal
+	// sequence order equal in-memory apply order. Lock order: writeMu → mu.
 	writeMu sync.Mutex
 	// mu guards the snapshot fields below. Readers hold it only long
 	// enough to copy pointers; never during tree traversal.
-	mu   sync.RWMutex
-	tree *pxml.Tree
-	// index is the immutable query index of tree. It is built outside mu
-	// (by the mutation that produced the tree) and installed in the same
-	// critical section as the tree swap, so a reader always sees a
-	// matching (tree, index) pair and queries never rebuild it.
-	index        *queryindex.Index
+	mu           sync.RWMutex
+	tree         *pxml.Tree
 	schema       *dtd.Schema
-	session      *feedback.Session
 	integrations []integrate.Stats
-	// events mirrors session.History() so readers can list feedback
-	// without touching the session (which only writers may access).
+	// events are the feedback events applied since the last integration.
 	events []feedback.Event
-	// indexBuilds / indexBuildLast / indexBuildTotal track index
-	// construction work for /stats.
-	indexBuilds     int64
-	indexBuildLast  time.Duration
-	indexBuildTotal time.Duration
+	// warms / warmLast / warmTotal count and time the summary warm of
+	// every published tree (the initial document's included) for /stats.
+	warms     int64
+	warmLast  time.Duration
+	warmTotal time.Duration
 
 	// journal receives one replayable record per mutation (see
 	// journal.go); appliedSeq is the sequence of the last journaled
@@ -128,27 +121,65 @@ func Open(doc *pxml.Tree, cfg Config) (*Database, error) {
 	if err := doc.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid document: %w", err)
 	}
-	db := &Database{
-		tree:    doc,
-		schema:  cfg.Schema,
-		oracle:  oracle.New(cfg.Rules, cfg.OracleOptions...),
-		cfg:     cfg,
-		queries: query.NewCache(cfg.QueryCacheSize),
-		results: query.NewResultCache(cfg.ResultCacheSize),
-	}
-	db.index = db.buildIndex(doc)
-	db.indexBuilds, db.indexBuildLast, db.indexBuildTotal =
-		1, db.index.BuildDuration(), db.index.BuildDuration()
-	db.session = feedback.NewSession(doc, cfg.Feedback)
-	return db, nil
+	took := warmSummary(doc)
+	return &Database{
+		tree:      doc,
+		schema:    cfg.Schema,
+		warms:     1,
+		warmLast:  took,
+		warmTotal: took,
+		oracle:    oracle.New(cfg.Rules, cfg.OracleOptions...),
+		cfg:       cfg,
+		queries:   query.NewCache(cfg.QueryCacheSize),
+		results:   query.NewResultCache(cfg.ResultCacheSize),
+	}, nil
 }
 
-// buildIndex constructs the query index for a tree. It runs outside mu —
-// it summarizes every node the tree does not share with its predecessor,
-// which must never block readers — and the caller installs the result
-// together with the tree.
-func (db *Database) buildIndex(t *pxml.Tree) *queryindex.Index {
-	return queryindex.Build(t)
+// warmSummary computes t's summary — every node's that has none yet, so a
+// tree built around its predecessor's subtrees pays only for its new
+// nodes — and returns how long that took. No query then pays for it.
+func warmSummary(t *pxml.Tree) time.Duration {
+	start := time.Now()
+	t.Summary()
+	return time.Since(start)
+}
+
+// mutate is the one commit every mutation goes through. Under writeMu it
+// hands the settled tree to apply, the mutation's pure step, which returns
+// the op to journal, the successor tree and the op's history update. It
+// then warms the successor's summary outside mu, journals the op, and in
+// one mu critical section swaps the tree, runs the history update,
+// advances the applied sequence and purges the result cache (entries are
+// keyed by tree digest, so stale hits were impossible anyway, but dead
+// entries should not occupy capacity). A failing apply or journal leaves
+// the database exactly as it was: an op is durable before any reader can
+// observe it.
+func (db *Database) mutate(apply func(cur *pxml.Tree) (Op, *pxml.Tree, func(), error)) error {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	op, next, history, err := apply(db.Tree())
+	if err != nil {
+		return err
+	}
+	took := warmSummary(next)
+	var seq uint64
+	if db.journal != nil {
+		if seq, err = db.journal.Record(op); err != nil {
+			return fmt.Errorf("core: journal %s op: %w", op.Kind, err)
+		}
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.tree = next
+	history()
+	if db.journal != nil {
+		db.appliedSeq = seq
+	}
+	db.warms++
+	db.warmLast = took
+	db.warmTotal += took
+	db.results.Purge()
+	return nil
 }
 
 // OpenXML creates a database from an XML document (plain or with
@@ -178,31 +209,6 @@ func (db *Database) Schema() *dtd.Schema {
 
 // Oracle returns the database's rule oracle.
 func (db *Database) Oracle() *oracle.Oracle { return db.oracle }
-
-// setTreeLocked swaps the document and its query index in and resets the
-// feedback session. Callers must hold writeMu and mu, and must have built
-// idx from t outside mu (via buildIndex); keeping the swap plus any
-// related state updates in one mu critical section means readers never
-// observe a new tree paired with stale sibling state (index, schema,
-// histories).
-func (db *Database) setTreeLocked(t *pxml.Tree, idx *queryindex.Index) {
-	db.tree = t
-	db.installIndexLocked(idx)
-	db.session = feedback.NewSession(t, db.cfg.Feedback)
-	db.events = nil
-}
-
-// installIndexLocked records the new index and its build-time statistics.
-// The result cache is purged as well: entries are keyed by tree digest so
-// stale hits were impossible anyway, but dead entries should not occupy
-// capacity. Callers must hold mu.
-func (db *Database) installIndexLocked(idx *queryindex.Index) {
-	db.index = idx
-	db.indexBuilds++
-	db.indexBuildLast = idx.BuildDuration()
-	db.indexBuildTotal += idx.BuildDuration()
-	db.results.Purge()
-}
 
 // IntegrateTree integrates another document into the database. The
 // database content becomes the probabilistic integration of the current
@@ -259,51 +265,43 @@ func (db *Database) integrateSources(sources []*pxml.Tree, recorded []integrate.
 	if recorded != nil && len(recorded) != len(sources) {
 		return nil, nil, fmt.Errorf("core: %d recorded stats for %d sources", len(recorded), len(sources))
 	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
+	var (
+		statsList []integrate.Stats
+		res       *pxml.Tree
+	)
 	// The whole fold runs on snapshots, outside mu: queries keep being
-	// served from the pre-batch tree until the single swap below.
-	cur, statsList, err := db.foldIntegrate(db.Tree(), sources)
-	if err != nil {
-		return nil, nil, err
-	}
-	if recorded != nil {
-		statsList = append([]integrate.Stats(nil), recorded...)
-	}
-	idx := db.buildIndex(cur)
-	seq, journaled, err := db.recordSources(sources, statsList)
-	if err != nil {
-		return nil, nil, err
-	}
-	db.mu.Lock()
-	db.setTreeLocked(cur, idx)
-	if journaled {
-		db.appliedSeq = seq
-	}
-	db.integrations = append(db.integrations, statsList...)
-	db.mu.Unlock()
-	return statsList, cur, nil
-}
-
-// foldIntegrate folds sources left-to-right into base with the
-// database's integration config. Callers hold writeMu (the fold bases on
-// a settled tree).
-func (db *Database) foldIntegrate(base *pxml.Tree, sources []*pxml.Tree) (*pxml.Tree, []integrate.Stats, error) {
-	cfg := db.integrationConfig()
-	cur := base
-	statsList := make([]integrate.Stats, 0, len(sources))
-	for i, src := range sources {
-		res, stats, err := integrate.Integrate(cur, src, cfg)
-		if err != nil {
-			if len(sources) == 1 {
-				return nil, nil, err
+	// served from the pre-batch tree until the single swap.
+	err := db.mutate(func(cur *pxml.Tree) (Op, *pxml.Tree, func(), error) {
+		cfg := db.integrationConfig()
+		statsList = make([]integrate.Stats, 0, len(sources))
+		for i, src := range sources {
+			next, stats, err := integrate.Integrate(cur, src, cfg)
+			if err != nil {
+				if len(sources) == 1 {
+					return Op{}, nil, nil, err
+				}
+				return Op{}, nil, nil, fmt.Errorf("core: batch source %d of %d: %w", i+1, len(sources), err)
 			}
-			return nil, nil, fmt.Errorf("core: batch source %d of %d: %w", i+1, len(sources), err)
+			cur = next
+			statsList = append(statsList, *stats)
 		}
-		cur = res
-		statsList = append(statsList, *stats)
+		if recorded != nil {
+			statsList = append([]integrate.Stats(nil), recorded...)
+		}
+		res = cur
+		op := Op{Kind: OpIntegrate, SourceTrees: sources, Stats: statsList}
+		if len(sources) > 1 {
+			op.Kind = OpBatch
+		}
+		return op, cur, func() {
+			db.events = nil
+			db.integrations = append(db.integrations, statsList...)
+		}, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return cur, statsList, nil
+	return statsList, res, nil
 }
 
 // IntegrateBatchXML decodes multiple XML sources and integrates them in
@@ -374,8 +372,8 @@ func (db *Database) DefaultQueryOptions() query.Options { return db.cfg.Query }
 // with the given options instead of the database defaults — for callers
 // that override the method, sampling seed or budgets per request.
 //
-// Evaluation is planned: the per-tree index (installed with the tree at
-// every copy-on-write swap) picks the cheapest applicable strategy when
+// Evaluation is planned: the tree's summary (warmed by the commit that
+// published the tree) picks the cheapest applicable strategy when
 // opts.Method is auto, and whole results are served from an LRU cache
 // keyed by (tree digest, query text, options) — correctly invalidated by
 // tree identity, since any mutation installs a tree with a new digest.
@@ -396,10 +394,9 @@ func (db *Database) QueryEvalCtx(ctx context.Context, src string, opts query.Opt
 	return db.evalCached(ctx, q, opts)
 }
 
-// evalCached evaluates a compiled query against a consistent
-// (tree, index) snapshot, going through the result cache's singleflight:
-// concurrent identical cold queries run one evaluation and share the
-// result.
+// evalCached evaluates a compiled query against a snapshot of the current
+// tree, going through the result cache's singleflight: concurrent
+// identical cold queries run one evaluation and share the result.
 func (db *Database) evalCached(ctx context.Context, q *query.Query, opts query.Options) (query.Result, error) {
 	if err := opts.Validate(); err != nil {
 		return query.Result{}, err
@@ -412,13 +409,9 @@ func (db *Database) evalCached(ctx context.Context, q *query.Query, opts query.O
 	// inside Do is dropped, so a slow evaluation can never re-insert an
 	// entry for a retired document.
 	gen := db.results.Generation()
-	db.mu.RLock()
-	tree, idx := db.tree, db.index
-	db.mu.RUnlock()
-	digest := idx.Digest()
-	src := q.String()
-	res, outcome, err := db.results.Do(ctx, gen, digest, src, opts, func() (query.Result, error) {
-		return query.EvalIndexedCtx(ctx, tree, q, opts, idx)
+	tree := db.Tree()
+	res, outcome, err := db.results.Do(ctx, gen, tree.Digest(), q.String(), opts, func() (query.Result, error) {
+		return query.EvalCtx(ctx, tree, q, opts)
 	})
 	if err != nil {
 		switch {
@@ -485,43 +478,37 @@ func (db *Database) ResultCacheStats() query.ResultCacheStats {
 	return db.results.Stats()
 }
 
-// Index returns the current document's query index (an immutable
-// snapshot, consistent with the tree the same instant Tree() would have
-// returned).
-func (db *Database) Index() *queryindex.Index {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.index
-}
+// Index returns the current document's summary. Kept for
+// benchmark/trace.go; goes with it (ROADMAP item 3).
+func (db *Database) Index() *pxml.Summary { return db.Tree().Summary() }
 
-// IndexStats summarizes query-index construction work: how many indexes
-// the database has built (one per installed tree) and how long the builds
-// took.
+// IndexStats describes the summaries the query planner reads: how many
+// the commits have warmed (one per published tree, plus the initial
+// document) and how long the warms took, and what the current one holds.
 type IndexStats struct {
-	// Builds counts index constructions (one per tree swap, plus the
-	// initial document).
+	// Builds counts summary warms.
 	Builds int64
-	// LastBuild and TotalBuild are wall-clock construction times.
+	// LastBuild and TotalBuild are wall-clock warm times.
 	LastBuild  time.Duration
 	TotalBuild time.Duration
-	// Tags and Elements describe the current index: distinct element
+	// Tags and Elements describe the current summary: distinct element
 	// tags, and element occurrences counted per path (an element shared
-	// by k alternatives counts k times — see queryindex.TagInfo).
+	// by k alternatives counts k times — see pxml.TagStat).
 	Tags     int
 	Elements int
 }
 
-// IndexStats reports index build statistics for /stats.
+// IndexStats reports summary warm statistics for /stats.
 func (db *Database) IndexStats() IndexStats {
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return IndexStats{
-		Builds:     db.indexBuilds,
-		LastBuild:  db.indexBuildLast,
-		TotalBuild: db.indexBuildTotal,
-		Tags:       db.index.NumTags(),
-		Elements:   db.index.Elements(),
+	st := IndexStats{Builds: db.warms, LastBuild: db.warmLast, TotalBuild: db.warmTotal}
+	tags := db.tree.Summary().Tags
+	db.mu.RUnlock()
+	st.Tags = tags.Len()
+	for _, ts := range tags.Stats() {
+		st.Elements += int(ts.Count)
 	}
+	return st
 }
 
 // Feedback applies a user judgment on a query answer, removing worlds
@@ -543,33 +530,21 @@ func (db *Database) feedbackAt(querySrc, value string, correct bool, when time.T
 	if correct {
 		j = feedback.Correct
 	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	// The session's conditioning builds a new tree; queries keep reading
-	// the old one until the swap below.
-	ev, err := db.session.ApplyAt(q, value, j, when)
+	var ev feedback.Event
+	// A one-shot session conditions the settled tree; the database keeps
+	// the history. Queries keep reading the old tree until the swap.
+	err = db.mutate(func(cur *pxml.Tree) (Op, *pxml.Tree, func(), error) {
+		s := feedback.NewSession(cur, db.cfg.Feedback)
+		var err error
+		if ev, err = s.ApplyAt(q, value, j, when); err != nil {
+			return Op{}, nil, nil, err
+		}
+		op := Op{Kind: OpFeedback, Query: querySrc, Value: value, Correct: correct, When: ev.When}
+		return op, s.Tree(), func() { db.events = append(db.events, ev) }, nil
+	})
 	if err != nil {
-		return ev, err
-	}
-	// Index the conditioned tree outside mu, then swap tree and index
-	// together (unlike setTreeLocked this keeps the running session).
-	nt := db.session.Tree()
-	idx := db.buildIndex(nt)
-	seq, journaled, err := db.record(Op{Kind: OpFeedback, Query: querySrc, Value: value, Correct: correct, When: ev.When})
-	if err != nil {
-		// The session already advanced; rebuild it over the still-current
-		// tree so the aborted judgment leaves no trace.
-		db.session = feedback.NewSession(db.Tree(), db.cfg.Feedback)
 		return feedback.Event{}, err
 	}
-	db.mu.Lock()
-	db.tree = nt
-	db.installIndexLocked(idx)
-	if journaled {
-		db.appliedSeq = seq
-	}
-	db.events = append(db.events, ev)
-	db.mu.Unlock()
 	return ev, nil
 }
 
@@ -603,30 +578,23 @@ func (db *Database) IsCertain() bool { return db.Tree().IsCertain() }
 // Normalize canonicalizes the current document (merging duplicate
 // possibilities), returning the size before and after.
 func (db *Database) Normalize() (before, after int64, err error) {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	t := db.Tree()
-	before = t.NodeCount()
-	nt, err := t.Normalize()
+	var nt *pxml.Tree
+	err = db.mutate(func(cur *pxml.Tree) (Op, *pxml.Tree, func(), error) {
+		before = cur.NodeCount()
+		var err error
+		if nt, err = cur.Normalize(); err != nil {
+			return Op{}, nil, nil, err
+		}
+		return Op{Kind: OpNormalize}, nt, func() { db.events = nil }, nil
+	})
 	if err != nil {
 		return before, before, err
 	}
-	idx := db.buildIndex(nt)
-	seq, journaled, err := db.record(Op{Kind: OpNormalize})
-	if err != nil {
-		return before, before, err
-	}
-	db.mu.Lock()
-	db.setTreeLocked(nt, idx)
-	if journaled {
-		db.appliedSeq = seq
-	}
-	db.mu.Unlock()
 	return before, nt.NodeCount(), nil
 }
 
 // ReplaceTree swaps the entire document for a new one, discarding the
-// feedback session and integration history. It backs the server's
+// feedback and integration histories. It backs the server's
 // replace-mode integrate and snapshot loading.
 func (db *Database) ReplaceTree(t *pxml.Tree) error {
 	if t == nil {
@@ -635,21 +603,9 @@ func (db *Database) ReplaceTree(t *pxml.Tree) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("core: invalid document: %w", err)
 	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	idx := db.buildIndex(t)
-	seq, journaled, err := db.recordWithTree(Op{Kind: OpReplace}, t)
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	db.setTreeLocked(t, idx)
-	if journaled {
-		db.appliedSeq = seq
-	}
-	db.integrations = nil
-	db.mu.Unlock()
-	return nil
+	return db.mutate(func(*pxml.Tree) (Op, *pxml.Tree, func(), error) {
+		return Op{Kind: OpReplace, TreeValue: t}, t, func() { db.events, db.integrations = nil, nil }, nil
+	})
 }
 
 // SaveSnapshot persists the current document, schema and session
@@ -684,29 +640,19 @@ func (db *Database) LoadSnapshot(dir string) (*store.Snapshot, error) {
 // installSnapshot swaps in a snapshot's document, schema and histories as
 // one journaled mutation (shared by LoadSnapshot and OpLoad replay).
 func (db *Database) installSnapshot(t *pxml.Tree, schema *dtd.Schema, ints []integrate.Stats, evs []feedback.Event) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	idx := db.buildIndex(t)
-	op := Op{Kind: OpLoad, Integrations: ints, Events: evs}
+	op := Op{Kind: OpLoad, TreeValue: t, Integrations: ints, Events: evs}
 	if schema != nil {
 		op.Schema = schema.String()
 	}
-	seq, journaled, err := db.recordWithTree(op, t)
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	db.setTreeLocked(t, idx)
-	db.integrations = append([]integrate.Stats(nil), ints...)
-	db.events = append([]feedback.Event(nil), evs...)
-	if schema != nil {
-		db.schema = schema
-	}
-	if journaled {
-		db.appliedSeq = seq
-	}
-	db.mu.Unlock()
-	return nil
+	return db.mutate(func(*pxml.Tree) (Op, *pxml.Tree, func(), error) {
+		return op, t, func() {
+			db.integrations = append([]integrate.Stats(nil), ints...)
+			db.events = append([]feedback.Event(nil), evs...)
+			if schema != nil {
+				db.schema = schema
+			}
+		}, nil
+	})
 }
 
 // ExportXML writes the current document as XML with probabilistic

@@ -2,11 +2,15 @@ package core_test
 
 import (
 	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pxml"
 	"repro/internal/query"
+	"repro/internal/xmlcodec"
 )
 
 func openFig2DB(t *testing.T) *core.Database {
@@ -21,50 +25,84 @@ func openFig2DB(t *testing.T) *core.Database {
 	return db
 }
 
-// TestIndexTracksTreeSwaps checks every mutation path installs a fresh
-// index whose digest matches the tree it was built for.
+// summaryMallocs counts the heap allocations of reading t's summary: none
+// when the summary is already computed, at least one per node when not.
+func summaryMallocs(t *pxml.Tree) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t.Summary()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestIndexTracksTreeSwaps checks that every commit path publishes its
+// tree with the summary the planner reads already computed, so no query
+// pays for it, and that each commit counts one summary warm.
 func TestIndexTracksTreeSwaps(t *testing.T) {
 	db, err := core.OpenXML(strings.NewReader(bookA), core.Config{Schema: personDTD})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// fresh decodes the current document afresh, so no node of it
+	// carries a summary.
+	fresh := func() *pxml.Tree {
+		t.Helper()
+		var buf strings.Builder
+		if err := db.ExportXML(&buf, xmlcodec.EncodeOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := xmlcodec.DecodeString(buf.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	var commits int64 = 1 // the initial document's
 	check := func(stage string) {
 		t.Helper()
-		if got, want := db.Index().Digest(), db.Tree().Digest(); got != want {
-			t.Fatalf("%s: index digest %#x != tree digest %#x", stage, got, want)
+		tr := db.Tree()
+		if n, nodes := summaryMallocs(tr), tr.PhysicalNodeCount(); 2*n >= uint64(nodes) {
+			t.Fatalf("%s: reading the published summary allocated %d times over %d nodes: it was not warm", stage, n, nodes)
+		}
+		if db.Index() != tr.Summary() {
+			t.Fatalf("%s: Index() is not the published tree's summary", stage)
+		}
+		if got := db.IndexStats().Builds; got != commits {
+			t.Fatalf("%s: %d summary warms, want one per commit: %d", stage, got, commits)
 		}
 	}
 	check("open")
-	builds := db.IndexStats().Builds
-	if builds != 1 {
-		t.Fatalf("open: builds = %d, want 1", builds)
+	// The detector itself: a decoded document's summary is cold.
+	if cold := fresh(); summaryMallocs(cold) < uint64(cold.PhysicalNodeCount()) {
+		t.Fatal("a freshly decoded document's summary reads as warm")
 	}
 
-	if _, err := db.IntegrateXMLString(bookB); err != nil {
+	snapDir := t.TempDir()
+	if _, err := db.SaveSnapshot(snapDir, "index"); err != nil {
 		t.Fatal(err)
 	}
-	check("integrate")
-
-	if _, err := db.Feedback(`//person[nm="John"]/tel`, "2222", false); err != nil {
-		t.Fatal(err)
+	for _, step := range []struct {
+		stage string
+		run   func() error
+	}{
+		{"integrate", func() error { _, err := db.IntegrateXMLString(bookB); return err }},
+		{"feedback", func() error { _, err := db.Feedback(`//person[nm="John"]/tel`, "2222", false); return err }},
+		{"normalize", func() error { _, _, err := db.Normalize(); return err }},
+		{"batch", func() error {
+			_, _, err := db.IntegrateBatchXML([]io.Reader{strings.NewReader(bookA), strings.NewReader(bookB)})
+			return err
+		}},
+		{"replace", func() error { return db.ReplaceTree(fresh()) }},
+		{"load", func() error { _, err := db.LoadSnapshot(snapDir); return err }},
+	} {
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.stage, err)
+		}
+		commits++
+		check(step.stage)
 	}
-	check("feedback")
 
-	if _, _, err := db.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	check("normalize")
-
-	if err := db.ReplaceTree(db.Tree()); err != nil {
-		t.Fatal(err)
-	}
-	check("replace")
-
-	st := db.IndexStats()
-	if st.Builds < 5 {
-		t.Fatalf("index builds = %d, want one per mutation (>= 5)", st.Builds)
-	}
-	if st.Tags == 0 || st.Elements == 0 {
+	if st := db.IndexStats(); st.Tags == 0 || st.Elements == 0 {
 		t.Fatalf("index stats describe no document: %+v", st)
 	}
 }

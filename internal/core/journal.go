@@ -1,9 +1,9 @@
-// Op journaling: every mutating path of a Database can emit a replayable
-// record to an attached Journal (the catalog's per-database write-ahead
-// log). Records are emitted under the writer mutex, after the mutation's
-// result is computed but before the copy-on-write swap makes it visible —
-// so an op is durable before any reader can observe it, and a crash
-// between the two is repaired by replay.
+// Op journaling: every mutation of a Database emits a replayable record to
+// an attached Journal (the catalog's per-database write-ahead log). The
+// one commit, mutate, emits it under the writer mutex, after the
+// mutation's result is computed but before the copy-on-write swap makes it
+// visible — so an op is durable before any reader can observe it, and a
+// crash between the two is repaired by replay.
 package core
 
 import (
@@ -109,43 +109,6 @@ func (db *Database) SetJournal(j Journal, seq uint64) {
 	db.journal = j
 	db.appliedSeq = seq
 	db.mu.Unlock()
-}
-
-// record journals op. Callers hold writeMu. The returned bool reports
-// whether a journal is attached (and therefore whether seq is meaningful).
-func (db *Database) record(op Op) (uint64, bool, error) {
-	if db.journal == nil {
-		return 0, false, nil
-	}
-	seq, err := db.journal.Record(op)
-	if err != nil {
-		return 0, true, fmt.Errorf("core: journal %s op: %w", op.Kind, err)
-	}
-	return seq, true, nil
-}
-
-// recordSources journals an integrate/batch op carrying the source trees
-// themselves plus the per-source stats the commit installs. Callers hold
-// writeMu.
-func (db *Database) recordSources(sources []*pxml.Tree, stats []integrate.Stats) (uint64, bool, error) {
-	if db.journal == nil {
-		return 0, false, nil
-	}
-	op := Op{Kind: OpIntegrate, SourceTrees: sources, Stats: stats}
-	if len(sources) > 1 {
-		op.Kind = OpBatch
-	}
-	return db.record(op)
-}
-
-// recordWithTree journals op carrying the given document. Callers hold
-// writeMu.
-func (db *Database) recordWithTree(op Op, t *pxml.Tree) (uint64, bool, error) {
-	if db.journal == nil {
-		return 0, false, nil
-	}
-	op.TreeValue = t
-	return db.record(op)
 }
 
 // ApplyOp re-executes one journaled mutation — the replay half of crash

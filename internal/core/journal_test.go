@@ -3,11 +3,13 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dtd"
 	"repro/internal/pxml"
 	"repro/internal/xmlcodec"
 )
@@ -187,45 +189,94 @@ func TestConcurrentWritersJournalInApplyOrder(t *testing.T) {
 	}
 }
 
-// TestJournalFailureAbortsMutation pins the write-ahead contract: if the
-// journal cannot make an op durable, the op must not happen.
+// TestJournalFailureAbortsMutation pins the write-ahead contract for every
+// kind of mutation: if the journal cannot make an op durable, the op must
+// not happen — the tree, the schema, both histories, the applied sequence
+// and the summary-warm count all stay as they were — and once the journal
+// heals the same op commits.
 func TestJournalFailureAbortsMutation(t *testing.T) {
-	db, j := openJournaled(t)
-	before := db.Tree()
-	j.fail = errors.New("disk full")
+	snapDir := t.TempDir()
+	// The snapshot carries a schema of its own, so a load would show in
+	// Schema().
+	snapSrc, err := core.OpenXML(strings.NewReader(jSrcB), core.Config{Schema: dtd.MustParse(personDTD.String())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapSrc.SaveSnapshot(snapDir, "journal failure"); err != nil {
+		t.Fatal(err)
+	}
+	// Two people whose phone numbers the integration leaves uncertain, so
+	// the set-up can reject one of Mary's and the feedback case one of
+	// John's.
+	const (
+		srcA = `<addressbook><person><nm>John</nm><tel>1111</tel></person><person><nm>Mary</nm><tel>5555</tel></person></addressbook>`
+		srcB = `<addressbook><person><nm>John</nm><tel>2222</tel></person><person><nm>Mary</nm><tel>6666</tel></person></addressbook>`
+	)
 
-	if _, err := db.IntegrateXMLString(jSrcB); err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("integrate with failing journal: %v", err)
-	}
-	if db.Tree() != before {
-		t.Fatalf("integrate swapped the tree despite journal failure")
-	}
-	if len(db.IntegrationHistory()) != 0 {
-		t.Fatalf("integration history grew despite journal failure")
-	}
-	if err := db.ReplaceTree(before); err == nil {
-		t.Fatalf("replace with failing journal should fail")
-	}
+	for _, tc := range []struct {
+		kind string
+		run  func(db *core.Database) error
+	}{
+		{"integrate", func(db *core.Database) error {
+			_, err := db.IntegrateXMLString(srcA)
+			return err
+		}},
+		{"batch", func(db *core.Database) error {
+			_, _, err := db.IntegrateBatchXML([]io.Reader{strings.NewReader(srcA), strings.NewReader(srcB)})
+			return err
+		}},
+		{"feedback", func(db *core.Database) error {
+			_, err := db.Feedback(`//person[nm="John"]/tel`, "2222", false)
+			return err
+		}},
+		{"normalize", func(db *core.Database) error {
+			_, _, err := db.Normalize()
+			return err
+		}},
+		{"replace", func(db *core.Database) error {
+			return db.ReplaceTree(pxml.CertainTree(pxml.NewElem("addressbook", "")))
+		}},
+		{"load", func(db *core.Database) error {
+			_, err := db.LoadSnapshot(snapDir)
+			return err
+		}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			// Both histories non-empty, so a reset would show.
+			db, err := core.OpenXML(strings.NewReader(srcA), core.Config{Schema: personDTD})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := &memJournal{}
+			db.SetJournal(j, 0)
+			if _, err := db.IntegrateXMLString(srcB); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Feedback(`//person[nm="Mary"]/tel`, "5555", false); err != nil {
+				t.Fatal(err)
+			}
+			state := func() string {
+				return fmt.Sprintf("tree %p schema %p integrations %v feedback %v seq %d builds %d",
+					db.Tree(), db.Schema(), db.IntegrationHistory(), db.FeedbackHistory(), db.AppliedSeq(), db.IndexStats().Builds)
+			}
+			before := state()
 
-	// Heal the journal: the database must be fully usable, and the
-	// aborted feedback below must leave no half-applied session state.
-	j.fail = nil
-	if _, err := db.IntegrateXMLString(jSrcB); err != nil {
-		t.Fatalf("integrate after heal: %v", err)
-	}
-	j.fail = errors.New("disk full again")
-	worlds := db.WorldCount()
-	if _, err := db.Feedback(`//person[nm="John"]/tel`, "2222", false); err == nil {
-		t.Fatalf("feedback with failing journal should fail")
-	}
-	if db.WorldCount().Cmp(worlds) != 0 {
-		t.Fatalf("feedback conditioned the tree despite journal failure")
-	}
-	j.fail = nil
-	if _, err := db.Feedback(`//person[nm="John"]/tel`, "2222", false); err != nil {
-		t.Fatalf("feedback after heal: %v", err)
-	}
-	if db.FeedbackCount() != 1 {
-		t.Fatalf("feedback count = %d", db.FeedbackCount())
+			j.fail = errors.New("disk full")
+			if err := tc.run(db); err == nil || !strings.Contains(err.Error(), "disk full") {
+				t.Fatalf("%s with a failing journal: %v", tc.kind, err)
+			}
+			if after := state(); after != before {
+				t.Fatalf("%s changed the database despite the journal failure:\n before %s\n after  %s", tc.kind, before, after)
+			}
+
+			j.fail = nil
+			seq := db.AppliedSeq()
+			if err := tc.run(db); err != nil {
+				t.Fatalf("%s after the journal healed: %v", tc.kind, err)
+			}
+			if got := db.AppliedSeq(); got != seq+1 {
+				t.Fatalf("%s after the journal healed: applied seq %d, want %d", tc.kind, got, seq+1)
+			}
+		})
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/pxml"
 	"repro/internal/query"
-	"repro/internal/queryindex"
 )
 
 // wideCatalog is a catalog of n distinct movies, every fourth with its year
@@ -38,15 +37,14 @@ func TestNonMatchingLookupAllocsDoNotScaleWithWidth(t *testing.T) {
 	q := query.MustCompile(`//movie[title="Nosferatu"]/year`)
 	bytesPerOp := func(n int) int64 {
 		tr := wideCatalog(n)
-		idx := queryindex.Build(tr)
-		res, err := query.EvalIndexed(tr, q, query.Options{}, idx)
+		res, err := query.Eval(tr, q, query.Options{})
 		if err != nil || len(res.Answers) != 0 || res.Method != query.MethodExact {
 			t.Fatalf("width %d: %v answers by %s, err %v", n, res.Answers, res.Method, err)
 		}
 		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := query.EvalIndexed(tr, q, query.Options{}, idx); err != nil {
+				if _, err := query.Eval(tr, q, query.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -79,8 +77,7 @@ func TestAnchorAllocsDoNotScaleWithWorlds(t *testing.T) {
 	q := query.MustCompile(`//movie[title="Heat"]/year`)
 	bytesPerOp := func(k int) int64 {
 		tr := choiceMovie(k)
-		idx := queryindex.Build(tr)
-		res, err := query.EvalIndexed(tr, q, query.Options{}, idx)
+		res, err := query.Eval(tr, q, query.Options{})
 		if err != nil || res.Method != query.MethodExact || res.Exec.AnchorsEnumerated != 1 ||
 			len(res.Answers) != 1 || res.Answers[0].Value != "1995" {
 			t.Fatalf("k=%d: %v by %s (%+v), err %v", k, res.Answers, res.Method, res.Exec, err)
@@ -89,7 +86,7 @@ func TestAnchorAllocsDoNotScaleWithWorlds(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if _, err := query.EvalIndexed(tr, q, query.Options{}, idx); err != nil {
+			if _, err := query.Eval(tr, q, query.Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}

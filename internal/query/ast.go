@@ -5,13 +5,13 @@
 // The semantics of a query over a probabilistic document is the set of
 // answers obtained by evaluating it in each possible world separately;
 // answers equal across worlds are amalgamated and ranked by probability.
-// Every query runs one path: the planner reads the per-tree index and
+// Every query runs one path: the planner reads the document's summary and
 // names a method, and the engine runs exactly that method.
 //
 //   - Exact: compositional probability propagation over the layered tree,
 //     exact for the tree-factorized distribution, with local world
 //     enumeration inside "anchor" subtrees to handle predicate/value
-//     correlations. Auto picks it when the index bounds every anchor
+//     correlations. Auto picks it when the summary bounds every anchor
 //     subtree within LocalWorldLimit.
 //   - Sample: seeded Monte-Carlo estimation, auto's choice otherwise.
 //   - Enumerate: full possible-world enumeration (ground truth, guarded),

@@ -6,18 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/query"
-	"repro/internal/queryindex"
 )
 
 // TestQueryContextCanceled: a context canceled before evaluation aborts
 // immediately with ctx.Err() — the first budget step always checks.
 func TestQueryContextCanceled(t *testing.T) {
 	tree := propertyTrees(t)[0]
-	idx := queryindex.Build(tree)
 	q := query.MustCompile(`//movie/title`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := query.EvalIndexedCtx(ctx, tree, q, query.Options{}, idx)
+	_, err := query.EvalCtx(ctx, tree, q, query.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -28,9 +26,8 @@ func TestQueryContextCanceled(t *testing.T) {
 // BudgetExhausted set so explain can show what was attempted.
 func TestQueryVisitBudget(t *testing.T) {
 	tree := propertyTrees(t)[0]
-	idx := queryindex.Build(tree)
 	q := query.MustCompile(`//movie/title`)
-	res, err := query.EvalIndexedCtx(context.Background(), tree, q, query.Options{MaxNodeVisits: 3}, idx)
+	res, err := query.EvalCtx(context.Background(), tree, q, query.Options{MaxNodeVisits: 3})
 	if !errors.Is(err, query.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
@@ -43,9 +40,8 @@ func TestQueryVisitBudget(t *testing.T) {
 // first metered step.
 func TestQueryTimeBudget(t *testing.T) {
 	tree := propertyTrees(t)[0]
-	idx := queryindex.Build(tree)
 	q := query.MustCompile(`//movie/title`)
-	_, err := query.EvalIndexedCtx(context.Background(), tree, q, query.Options{TimeBudget: 1}, idx)
+	_, err := query.EvalCtx(context.Background(), tree, q, query.Options{TimeBudget: 1})
 	if !errors.Is(err, query.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}

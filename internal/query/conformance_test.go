@@ -126,9 +126,9 @@ func TestXPathConformanceCertain(t *testing.T) {
 			compareAnswers(t, tc.q, exact, enum, 1e-9)
 			// So does the planned executor, whose literal gate stands in
 			// front of every subtree and anchor.
-			planned, err := query.EvalIndexed(tr, q, query.Options{Method: query.MethodExact}, nil)
+			planned, err := query.Eval(tr, q, query.Options{Method: query.MethodExact})
 			if err != nil {
-				t.Fatalf("EvalIndexed: %v", err)
+				t.Fatalf("Eval: %v", err)
 			}
 			compareAnswers(t, tc.q, planned.Answers, enum, 1e-9)
 		})

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -104,7 +103,7 @@ func (r Result) P(value string) float64 {
 // Options configure evaluation.
 type Options struct {
 	// Method selects the evaluation strategy. Empty or MethodAuto lets
-	// the planner choose exact or sample from the index; an explicit
+	// the planner choose exact or sample from the summary; an explicit
 	// method is used verbatim and its applicability errors surface to the
 	// caller. Enumeration runs only when requested.
 	Method Method
@@ -222,12 +221,6 @@ func (o Options) seed() int64 {
 		return *o.Seed
 	}
 	return 1
-}
-
-// Eval answers the query through the planner: it is EvalIndexed with an
-// index built from the tree's cached summary.
-func Eval(t *pxml.Tree, q *Query, opts Options) (Result, error) {
-	return EvalIndexedCtx(context.Background(), t, q, opts, nil)
 }
 
 // EvalEnumerate computes answer probabilities by full possible-world

@@ -14,7 +14,6 @@ import (
 	"repro/internal/pxml"
 	"repro/internal/pxmltest"
 	"repro/internal/query"
-	"repro/internal/queryindex"
 )
 
 // exactGoldenFile holds one line per (document, query, method) case of
@@ -59,12 +58,11 @@ func exactGoldenTrees(t *testing.T) []*pxml.Tree {
 func exactGoldenLines(t *testing.T) []string {
 	var lines []string
 	for ti, tree := range exactGoldenTrees(t) {
-		idx := queryindex.Build(tree)
 		for _, src := range exactGoldenQueries {
 			q := query.MustCompile(src)
 			for _, m := range []query.Method{query.MethodExact, query.MethodAuto} {
 				fields := []string{fmt.Sprint(ti), src, string(m)}
-				res, err := query.EvalIndexed(tree, q, query.Options{Method: m, Seed: query.SeedPtr(7)}, idx)
+				res, err := query.Eval(tree, q, query.Options{Method: m, Seed: query.SeedPtr(7)})
 				if err != nil {
 					fields = append(fields, "error: "+err.Error())
 				} else {

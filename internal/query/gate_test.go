@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/pxml"
 	"repro/internal/pxmltest"
-	"repro/internal/queryindex"
 )
 
 // gateQueries are the shapes the literal gate must get right: literals with
@@ -163,19 +162,18 @@ func TestGatedEqualsUngated(t *testing.T) {
 	var skipped int64
 	for seed := int64(0); seed < 240; seed++ {
 		tree := gateDocument(rand.New(rand.NewSource(seed)))
-		idx := queryindex.Build(tree)
 		for _, src := range gateQueries {
 			q := MustCompile(src)
 			want, gated := planned(t, tree, q, true)
-			res, err := EvalIndexed(tree, q, Options{Method: MethodExact}, idx)
+			res, err := Eval(tree, q, Options{Method: MethodExact})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, src, err)
 			}
 			if !reflect.DeepEqual(res.Answers, want) {
-				t.Fatalf("seed %d %s: EvalIndexed answers differ:\n%v\n%v", seed, src, res.Answers, want)
+				t.Fatalf("seed %d %s: Eval answers differ:\n%v\n%v", seed, src, res.Answers, want)
 			}
 			if res.Exec.AnchorsEnumerated != gated.anchorsEnumerated || res.Exec.AnchorsSkipped != gated.anchorsSkipped {
-				t.Fatalf("seed %d %s: EvalIndexed reports %+v, the executor enumerated %d anchors and skipped %d",
+				t.Fatalf("seed %d %s: Eval reports %+v, the executor enumerated %d anchors and skipped %d",
 					seed, src, res.Exec, gated.anchorsEnumerated, gated.anchorsSkipped)
 			}
 			all, ungated := planned(t, tree, q, false)

@@ -63,7 +63,7 @@ func TestEvalValidatesOptions(t *testing.T) {
 	if _, err := Eval(nil, q, Options{Samples: -3}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("Eval with negative samples = %v, want ErrBadOptions", err)
 	}
-	if _, err := EvalIndexed(nil, q, Options{EnumWorldLimit: -1}, nil); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("EvalIndexed with negative enum limit = %v, want ErrBadOptions", err)
+	if _, err := Eval(nil, q, Options{EnumWorldLimit: -1}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("Eval with negative enum limit = %v, want ErrBadOptions", err)
 	}
 }

@@ -7,16 +7,15 @@ import (
 	"math/big"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/pxml"
-	"repro/internal/queryindex"
 )
 
 // Plan explains how the engine decided to evaluate a query: the chosen
 // strategy, the cost estimates it was based on, and how much of the
-// document the index let the planner rule out. It is attached to every
-// Result produced by EvalIndexed and surfaced by the `explain=1` query
-// parameter.
+// document the summary let the planner rule out. It is attached to every
+// Result produced by Eval and surfaced by the `explain=1` query parameter.
 type Plan struct {
 	// Method is the strategy the planner chose (and the executor ran —
 	// the engine guarantees the two agree).
@@ -31,9 +30,9 @@ type Plan struct {
 	// subtree's local world count (empty unless auto planned it).
 	AnchorWorldBound string `json:"anchor_world_bound,omitempty"`
 	// PrunedFraction estimates the fraction of document elements the
-	// evaluation never has to visit (from index tag occurrences).
+	// evaluation never has to visit (from the summary's tag occurrences).
 	PrunedFraction float64 `json:"pruned_fraction"`
-	// EmptyByIndex is set when the index proved the result empty (a
+	// EmptyByIndex is set when the summary proved the result empty (a
 	// required tag does not occur in the document) and evaluation was
 	// skipped entirely.
 	EmptyByIndex bool `json:"empty_by_index,omitempty"`
@@ -48,7 +47,7 @@ type Plan struct {
 
 // ExecStats reports how one evaluation actually ran: how much work the
 // budget metered and how many anchors the exact executor enumerated.
-// Attached to every Result produced by EvalIndexed.
+// Attached to every Result produced by Eval.
 type ExecStats struct {
 	// NodeVisits is the budget meter reading: node visits plus enumerated
 	// worlds plus drawn samples.
@@ -114,17 +113,43 @@ func requiredStepTags(q *Query) []string {
 	return out
 }
 
-// planAuto builds the cost-based plan for MethodAuto: exact when every
-// anchor subtree spans at most LocalWorldLimit local worlds, Monte-Carlo
-// sampling otherwise. The choice is a prediction, not a trial run: the
-// anchor world bound is a true upper bound (max subtree world count over
-// all elements of the anchor tag), so a predicted exact evaluation cannot
-// fail its local-enumeration budget at runtime.
-func planAuto(q *Query, opts Options, idx *queryindex.Index) Plan {
+// worldsTexts holds the decimal world counts of recently planned
+// documents, keyed by their root summary's count (a shared, read-only
+// *big.Int): every plan reports the count, and it can run to thousands of
+// digits, so a document's is formatted once, not once per query. It
+// caches a pure function of its key, so callers sharing it cannot see
+// each other.
+var worldsTexts = struct {
+	sync.Mutex
+	lru lru[*big.Int, string]
+}{lru: newLRU[*big.Int, string](64)}
+
+// worldsString returns the summarized document's world count in decimal.
+func worldsString(sum *pxml.Summary) string {
+	worldsTexts.Lock()
+	s, ok := worldsTexts.lru.get(sum.Worlds)
+	worldsTexts.Unlock()
+	if !ok {
+		s = sum.Worlds.String()
+		worldsTexts.Lock()
+		worldsTexts.lru.put(sum.Worlds, s)
+		worldsTexts.Unlock()
+	}
+	return s
+}
+
+// planAuto builds the cost-based plan for MethodAuto from the document's
+// summary: exact when every anchor subtree spans at most LocalWorldLimit
+// local worlds, Monte-Carlo sampling otherwise. The choice is a
+// prediction, not a trial run: the anchor world bound is a true upper
+// bound (max subtree world count over all elements of the anchor tag), so
+// a predicted exact evaluation cannot fail its local-enumeration budget at
+// runtime.
+func planAuto(q *Query, opts Options, sum *pxml.Summary) Plan {
 	anchorTag := q.Steps[anchorIndex(q)].Name
 	pl := Plan{
 		Method:          MethodExact,
-		EstimatedWorlds: idx.WorldsString(),
+		EstimatedWorlds: worldsString(sum),
 		AnchorTag:       anchorTag,
 	}
 	localLimit := opts.LocalWorldLimit
@@ -132,10 +157,10 @@ func planAuto(q *Query, opts Options, idx *queryindex.Index) Plan {
 		localLimit = DefaultLocalWorldLimit
 	}
 
-	// Index-proven empty result: a concrete step tag absent from the
+	// Summary-proven empty result: a concrete step tag absent from the
 	// document means no possible world can produce an answer.
 	for _, tag := range requiredStepTags(q) {
-		if !idx.HasTag(tag) {
+		if !sum.Tags.Has(tag) {
 			pl.EmptyByIndex = true
 			pl.PrunedFraction = 1
 			pl.Reason = "index: tag " + strconv.Quote(tag) + " does not occur in the document; result is empty"
@@ -143,13 +168,19 @@ func planAuto(q *Query, opts Options, idx *queryindex.Index) Plan {
 		}
 	}
 
-	pl.PrunedFraction = estimatePruned(q, idx)
+	pl.PrunedFraction = estimatePruned(q, sum.Tags)
 
 	var bound *big.Int
 	if anchorTag == "*" {
-		bound = idx.MaxElementWorlds()
-	} else if info, ok := idx.Tag(anchorTag); ok {
-		bound = info.MaxSubtreeWorlds
+		// Any element may anchor: the largest subtree of any tag bounds it.
+		bound = big.NewInt(1)
+		for _, st := range sum.Tags.Stats() {
+			if st.MaxWorlds.Cmp(bound) > 0 {
+				bound = st.MaxWorlds
+			}
+		}
+	} else if st, ok := sum.Tags.Stat(anchorTag); ok {
+		bound = st.MaxWorlds
 	}
 	if bound != nil {
 		pl.AnchorWorldBound = bound.String()
@@ -165,68 +196,77 @@ func planAuto(q *Query, opts Options, idx *queryindex.Index) Plan {
 	return pl
 }
 
-// estimatePruned estimates, from index tag occurrences, the fraction of
-// document elements evaluation can skip: elements whose tag the query
-// never mentions are only ever traversed, not matched, and the
+// estimatePruned estimates, from the summary's tag occurrences, the
+// fraction of document elements evaluation can skip: elements whose tag
+// the query never mentions are only ever traversed, not matched, and the
 // summary-pruned executor skips whole subtrees without any matching tag
 // below. Wildcard queries prune nothing.
-func estimatePruned(q *Query, idx *queryindex.Index) float64 {
-	tags, wildcard := queryTags(q)
-	if wildcard || idx.Elements() == 0 {
+func estimatePruned(q *Query, tags pxml.TagSet) float64 {
+	names, wildcard := queryTags(q)
+	if wildcard {
+		return 0
+	}
+	elements := 0
+	for _, st := range tags.Stats() {
+		elements += int(st.Count)
+	}
+	if elements == 0 {
 		return 0
 	}
 	relevant := 0
-	for _, tag := range tags {
-		if info, ok := idx.Tag(tag); ok {
-			relevant += info.Occurrences
+	for _, name := range names {
+		if st, ok := tags.Stat(name); ok {
+			relevant += int(st.Count)
 		}
 	}
-	f := 1 - float64(relevant)/float64(idx.Elements())
+	f := 1 - float64(relevant)/float64(elements)
 	if f < 0 {
 		return 0
 	}
 	return f
 }
 
-// EvalIndexed is the query engine: it chooses an evaluation strategy from
-// the per-tree index, executes exactly the chosen method, and attaches the
-// explainable Plan to the result. Auto evaluation is deterministic: it
-// returns bit-identical answers to explicitly requesting the method the
-// plan names. A nil index, or one whose digest does not match the tree, is
-// replaced by queryindex.Build(t), so callers can never be served a plan
-// computed against a stale document.
-func EvalIndexed(t *pxml.Tree, q *Query, opts Options, idx *queryindex.Index) (Result, error) {
-	return EvalIndexedCtx(context.Background(), t, q, opts, idx)
+// Eval is the query engine: it chooses an evaluation strategy from the
+// tree's own cached summary, executes exactly the chosen method, and
+// attaches the explainable Plan to the result. Auto evaluation is
+// deterministic: it returns bit-identical answers to explicitly requesting
+// the method the plan names.
+func Eval(t *pxml.Tree, q *Query, opts Options) (Result, error) {
+	return EvalCtx(context.Background(), t, q, opts)
 }
 
-// EvalIndexedCtx is EvalIndexed with cancellation and budgets: evaluation
-// aborts with ctx.Err() when the context is canceled (checked on an
-// amortized schedule inside the executors' hot loops) and with
-// ErrBudgetExhausted when Options.TimeBudget or Options.MaxNodeVisits runs
-// out. On a budget abort the returned Result still carries the Plan, with
-// BudgetExhausted set, so `explain` can show what was attempted.
-// Evaluation runs on the calling goroutine.
-func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, idx *queryindex.Index) (Result, error) {
+// EvalIndexed is Eval; the summary argument is ignored, because the
+// planner reads the summary of the tree it evaluates. Kept for
+// benchmark/trace.go; goes with it (ROADMAP item 3).
+func EvalIndexed(t *pxml.Tree, q *Query, opts Options, _ *pxml.Summary) (Result, error) {
+	return Eval(t, q, opts)
+}
+
+// EvalCtx is Eval with cancellation and budgets: evaluation aborts with
+// ctx.Err() when the context is canceled (checked on an amortized schedule
+// inside the executors' hot loops) and with ErrBudgetExhausted when
+// Options.TimeBudget or Options.MaxNodeVisits runs out. On a budget abort
+// the returned Result still carries the Plan, with BudgetExhausted set, so
+// `explain` can show what was attempted. Evaluation runs on the calling
+// goroutine.
+func EvalCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
-	if idx == nil || idx.Digest() != t.Digest() {
-		idx = queryindex.Build(t)
-	}
-
+	sum := t.Summary()
 	b := newBudget(ctx, opts)
 
 	if m := opts.method(); m != MethodAuto {
 		pl := Plan{
 			Method:          m,
 			Reason:          "method " + strconv.Quote(string(m)) + " requested explicitly",
-			EstimatedWorlds: idx.WorldsString(),
-			PrunedFraction:  estimatePruned(q, idx),
+			EstimatedWorlds: worldsString(sum),
+			PrunedFraction:  estimatePruned(q, sum.Tags),
 		}
 		return executePlanned(t, q, opts, pl, b)
 	}
 
-	pl := planAuto(q, opts, idx)
+	pl := planAuto(q, opts, sum)
 	if pl.EmptyByIndex {
 		return newResult(make([]Answer, 0), pl.Method, 0, &pl), nil
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/pxml"
 	"repro/internal/pxmltest"
 	"repro/internal/query"
-	"repro/internal/queryindex"
 	"repro/internal/xmlcodec"
 )
 
@@ -23,10 +22,9 @@ func mustTreeFromXML(t *testing.T, src string) *pxml.Tree {
 
 func TestEvalIndexedAutoChoosesExactOnFig2(t *testing.T) {
 	tr := pxmltest.Fig2Tree()
-	idx := queryindex.Build(tr)
 	q := query.MustCompile(`//person[nm="John"]/tel`)
 
-	res, err := query.EvalIndexed(tr, q, query.Options{}, idx)
+	res, err := query.Eval(tr, q, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +47,6 @@ func TestEvalIndexedAutoChoosesExactOnFig2(t *testing.T) {
 
 func TestEvalIndexedAutoBitIdenticalToExplicit(t *testing.T) {
 	tr := pxmltest.Fig2Tree()
-	idx := queryindex.Build(tr)
 	for _, src := range []string{
 		`//person[nm="John"]/tel`,
 		`//person/nm`,
@@ -57,11 +54,11 @@ func TestEvalIndexedAutoBitIdenticalToExplicit(t *testing.T) {
 		`/addressbook/person[tel="1111"]/nm`,
 	} {
 		q := query.MustCompile(src)
-		auto, err := query.EvalIndexed(tr, q, query.Options{}, idx)
+		auto, err := query.Eval(tr, q, query.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		explicit, err := query.EvalIndexed(tr, q, query.Options{Method: auto.Method}, idx)
+		explicit, err := query.Eval(tr, q, query.Options{Method: auto.Method})
 		if err != nil {
 			t.Fatalf("%s: explicit %q: %v", src, auto.Method, err)
 		}
@@ -74,9 +71,8 @@ func TestEvalIndexedAutoBitIdenticalToExplicit(t *testing.T) {
 
 func TestEvalIndexedEmptyByIndex(t *testing.T) {
 	tr := pxmltest.Fig2Tree()
-	idx := queryindex.Build(tr)
 	q := query.MustCompile(`//movie/title`)
-	res, err := query.EvalIndexed(tr, q, query.Options{}, idx)
+	res, err := query.Eval(tr, q, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +86,7 @@ func TestEvalIndexedEmptyByIndex(t *testing.T) {
 		t.Fatalf("pruned fraction = %g, want 1", res.Plan.PrunedFraction)
 	}
 	// The shortcut result equals actually running the chosen method.
-	explicit, err := query.EvalIndexed(tr, q, query.Options{Method: res.Method}, idx)
+	explicit, err := query.Eval(tr, q, query.Options{Method: res.Method})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,44 +95,44 @@ func TestEvalIndexedEmptyByIndex(t *testing.T) {
 	}
 }
 
-// TestEvalIndexedStaleIndexIgnored: an index of another document is replaced
-// by one built from the tree, so the plan is the one a fresh index gives.
+// TestEvalIndexedStaleIndexIgnored: the EvalIndexed shim ignores its
+// summary argument, so a summary of another document cannot leak into the
+// plan — it is the one Eval makes from the tree's own summary.
 func TestEvalIndexedStaleIndexIgnored(t *testing.T) {
 	q := query.MustCompile(`//book/isbn`)
-	stale := queryindex.Build(pxmltest.Fig2Tree())
+	stale := pxmltest.Fig2Tree().Summary()
 	small := mustTreeFromXML(t, `<library><book><isbn>1</isbn></book></library>`)
 	got, err := query.EvalIndexed(small, q, query.Options{}, stale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := query.EvalIndexed(small, q, query.Options{}, queryindex.Build(small))
+	want, err := query.Eval(small, q, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Plan, want.Plan) || !reflect.DeepEqual(got.Answers, want.Answers) {
-		t.Fatalf("stale index planned %+v, answered %v; a fresh one %+v, %v", got.Plan, got.Answers, want.Plan, want.Answers)
+		t.Fatalf("with a stale summary: planned %+v, answered %v; Eval %+v, %v", got.Plan, got.Answers, want.Plan, want.Answers)
 	}
 	if got.Plan.EmptyByIndex || got.P("1") != 1 {
-		t.Fatalf("the stale index's tags leaked into the plan: %+v, answers %v", got.Plan, got.Answers)
+		t.Fatalf("the stale summary's tags leaked into the plan: %+v, answers %v", got.Plan, got.Answers)
 	}
 }
 
 func TestEvalIndexedExplicitMethodErrors(t *testing.T) {
 	tr := pxmltest.Fig2Tree()
-	idx := queryindex.Build(tr)
 	// text() as first step is not exactly evaluable (Compile rejects it, so
 	// the query is built by hand); an explicit exact request must surface
 	// the error rather than silently falling back.
 	textFirst := &query.Query{Steps: []query.Step{{IsText: true, Name: "text()"}}}
-	if _, err := query.EvalIndexed(tr, textFirst, query.Options{Method: query.MethodExact}, idx); !errors.Is(err, query.ErrNotExact) {
+	if _, err := query.Eval(tr, textFirst, query.Options{Method: query.MethodExact}); !errors.Is(err, query.ErrNotExact) {
 		t.Fatalf("text()-first exact error = %v, want ErrNotExact", err)
 	}
 	q := query.MustCompile(`//person/tel`)
-	_, err := query.EvalIndexed(tr, q, query.Options{Method: "bogus"}, idx)
+	_, err := query.Eval(tr, q, query.Options{Method: "bogus"})
 	if !errors.Is(err, query.ErrBadOptions) {
 		t.Fatalf("bogus method error = %v, want ErrBadOptions", err)
 	}
-	_, err = query.EvalIndexed(tr, q, query.Options{Samples: -1}, idx)
+	_, err = query.Eval(tr, q, query.Options{Samples: -1})
 	if !errors.Is(err, query.ErrBadOptions) {
 		t.Fatalf("negative samples error = %v, want ErrBadOptions", err)
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/pxml"
 	"repro/internal/pxmltest"
 	"repro/internal/query"
-	"repro/internal/queryindex"
 )
 
 // propertyQueries is the query pool the property tests sweep; it covers
@@ -65,7 +64,6 @@ func TestPropertyEvaluatorsAgree(t *testing.T) {
 	// any genuine disagreement.
 	const sampleTol = 0.04
 	for ti, tree := range propertyTrees(t) {
-		idx := queryindex.Build(tree)
 		for _, src := range propertyQueries {
 			q := query.MustCompile(src)
 
@@ -84,7 +82,7 @@ func TestPropertyEvaluatorsAgree(t *testing.T) {
 			sampled := query.EvalSample(tree, q, samples, 7)
 			assertAnswersWithin(t, ti, src, "sample-vs-enumerate", sampled, enum, sampleTol)
 
-			auto, err := query.EvalIndexed(tree, q, query.Options{Samples: samples, Seed: query.SeedPtr(7)}, idx)
+			auto, err := query.Eval(tree, q, query.Options{Samples: samples, Seed: query.SeedPtr(7)})
 			if err != nil {
 				t.Fatalf("tree %d %s: auto: %v", ti, src, err)
 			}
@@ -103,17 +101,16 @@ func TestPropertyEvaluatorsAgree(t *testing.T) {
 // TestPropertyAutoBitIdentical asserts the engine's determinism criterion:
 // MethodAuto returns bit-identical answers to explicitly requesting the
 // method it selected, over the full corpus and query pool, at the default
-// limits and at a local limit small enough to force sampling. Without an
-// index it plans and answers exactly as with one, and it never enumerates.
+// limits and at a local limit small enough to force sampling, and it never
+// enumerates.
 func TestPropertyAutoBitIdentical(t *testing.T) {
 	sampled := 0
 	for ti, tree := range propertyTrees(t) {
-		idx := queryindex.Build(tree)
 		for _, src := range propertyQueries {
 			q := query.MustCompile(src)
 			for _, local := range []int{0, 2} {
 				opts := query.Options{Samples: 500, Seed: query.SeedPtr(11), LocalWorldLimit: local}
-				auto, err := query.EvalIndexed(tree, q, opts, idx)
+				auto, err := query.Eval(tree, q, opts)
 				if err != nil {
 					t.Fatalf("tree %d %s limit %d: auto: %v", ti, src, local, err)
 				}
@@ -125,7 +122,7 @@ func TestPropertyAutoBitIdentical(t *testing.T) {
 				}
 				expOpts := opts
 				expOpts.Method = auto.Method
-				explicit, err := query.EvalIndexed(tree, q, expOpts, idx)
+				explicit, err := query.Eval(tree, q, expOpts)
 				if err != nil {
 					t.Fatalf("tree %d %s limit %d: explicit %q: %v", ti, src, local, auto.Method, err)
 				}
@@ -136,14 +133,6 @@ func TestPropertyAutoBitIdentical(t *testing.T) {
 				if auto.SampledWorlds != explicit.SampledWorlds {
 					t.Fatalf("tree %d %s limit %d: sampled-world counts differ: %d vs %d",
 						ti, src, local, auto.SampledWorlds, explicit.SampledWorlds)
-				}
-				noIdx, err := query.EvalIndexed(tree, q, opts, nil)
-				if err != nil {
-					t.Fatalf("tree %d %s limit %d: unindexed auto: %v", ti, src, local, err)
-				}
-				if noIdx.Method != auto.Method || !reflect.DeepEqual(noIdx.Answers, auto.Answers) || !reflect.DeepEqual(noIdx.Plan, auto.Plan) {
-					t.Fatalf("tree %d %s limit %d: unindexed auto ran %q with plan %+v, indexed %q with %+v",
-						ti, src, local, noIdx.Method, noIdx.Plan, auto.Method, auto.Plan)
 				}
 			}
 		}

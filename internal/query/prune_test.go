@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/pxml"
 	"repro/internal/query"
-	"repro/internal/queryindex"
 )
 
 // TestBloomPruningSoundness drives the text-fingerprint pruning through
@@ -26,7 +25,6 @@ func TestBloomPruningSoundness(t *testing.T) {
 	  <movie><title>Alien</title><year>1979</year></movie>
 	</catalog>`
 	tr := mustTreeFromXML(t, doc)
-	idx := queryindex.Build(tr)
 	for _, src := range []string{
 		`//movie[title="Die Hard"]/year`, // space literal: no pruning allowed
 		`//movie[title="Jaws"]/year`,     // value from nested <b>, not <title> text
@@ -35,7 +33,7 @@ func TestBloomPruningSoundness(t *testing.T) {
 		`//movie[title="Nowhere"]/year`, // genuinely absent: prune to empty
 	} {
 		q := query.MustCompile(src)
-		planned, err := query.EvalIndexed(tr, q, query.Options{Method: query.MethodExact}, idx)
+		planned, err := query.Eval(tr, q, query.Options{Method: query.MethodExact})
 		if err != nil {
 			t.Fatalf("%s: planned exact: %v", src, err)
 		}
@@ -49,7 +47,7 @@ func TestBloomPruningSoundness(t *testing.T) {
 	// The concatenated "Die Hard" title must actually be found (two part
 	// leaves joined with a space), or the test above proves nothing.
 	q := query.MustCompile(`//movie[title="Die Hard"]/year`)
-	res, err := query.EvalIndexed(tr, q, query.Options{}, idx)
+	res, err := query.Eval(tr, q, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +83,10 @@ func limitFixture() *pxml.Tree {
 // ErrNotExact.
 func TestLocalWorldLimitCountsMatchingAnchorsOnly(t *testing.T) {
 	tr := limitFixture()
-	idx := queryindex.Build(tr)
 	narrow := query.MustCompile(`//movie[title="Die Hard"]/year`)
 	wide := query.MustCompile(`//movie[title="Wide Film"]/year`)
 	opts := query.Options{Method: query.MethodExact, LocalWorldLimit: 8}
-	res, err := query.EvalIndexed(tr, narrow, opts, idx)
+	res, err := query.Eval(tr, narrow, opts)
 	if err != nil {
 		t.Fatalf("the only anchor over the limit cannot match, want an answer, got %v", err)
 	}
@@ -99,7 +96,7 @@ func TestLocalWorldLimitCountsMatchingAnchorsOnly(t *testing.T) {
 	if res.Exec.AnchorsEnumerated != 1 || res.Exec.AnchorsSkipped != 1 {
 		t.Fatalf("%+v, want 1 anchor enumerated and 1 skipped", res.Exec)
 	}
-	if _, err := query.EvalIndexed(tr, wide, opts, idx); !errors.Is(err, query.ErrNotExact) {
+	if _, err := query.Eval(tr, wide, opts); !errors.Is(err, query.ErrNotExact) {
 		t.Fatalf("the matching anchor spans 32 worlds (limit 8): got %v, want ErrNotExact", err)
 	}
 	exact, err := query.EvalExact(tr, narrow, 8)
@@ -115,9 +112,8 @@ func TestLocalWorldLimitCountsMatchingAnchorsOnly(t *testing.T) {
 // names.
 func TestPlannerBoundStaysPerTagMaximum(t *testing.T) {
 	tr := limitFixture()
-	idx := queryindex.Build(tr)
 	q := query.MustCompile(`//movie[title="Die Hard"]/year`)
-	res, err := query.EvalIndexed(tr, q, query.Options{LocalWorldLimit: 8, Samples: 500}, idx)
+	res, err := query.Eval(tr, q, query.Options{LocalWorldLimit: 8, Samples: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +123,7 @@ func TestPlannerBoundStaysPerTagMaximum(t *testing.T) {
 	if p := res.P("1988"); p < 1-1e-9 || p > 1+1e-9 || res.SampledWorlds != 500 {
 		t.Fatalf("answers %v from %d samples", res.Answers, res.SampledWorlds)
 	}
-	res, err = query.EvalIndexed(tr, q, query.Options{LocalWorldLimit: 32}, idx)
+	res, err = query.Eval(tr, q, query.Options{LocalWorldLimit: 32})
 	if err != nil || res.Plan.Method != query.MethodExact {
 		t.Fatalf("limit 32: plan %+v, err %v, want exact", res.Plan, err)
 	}
@@ -165,7 +161,6 @@ func workCatalog(records int) (*pxml.Tree, []*pxml.Node) {
 // hundred top-level children that the exact check then has to skip.
 func TestReadPathWorkCounts(t *testing.T) {
 	tr, top := workCatalog(200)
-	idx := queryindex.Build(tr)
 	for _, c := range []struct{ tag, lit, result string }{
 		{"title", "Film 017", "year"},
 		{"title", "Film 016", "year"},       // under a choice point
@@ -181,7 +176,7 @@ func TestReadPathWorkCounts(t *testing.T) {
 			return true
 		})
 		src := fmt.Sprintf(`//movie[%s=%q]/%s`, c.tag, c.lit, c.result)
-		res, err := query.EvalIndexed(tr, query.MustCompile(src), query.Options{}, idx)
+		res, err := query.Eval(tr, query.MustCompile(src), query.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -197,10 +192,9 @@ func TestReadPathWorkCounts(t *testing.T) {
 	}
 
 	tr, top = workCatalog(2000)
-	idx = queryindex.Build(tr)
 	skipped, lookups := int64(0), 0
 	for i := 0; i < len(top); i += 37 {
-		res, err := query.EvalIndexed(tr, query.MustCompile(fmt.Sprintf(`//movie[title="Film %03d"]/year`, i)), query.Options{}, idx)
+		res, err := query.Eval(tr, query.MustCompile(fmt.Sprintf(`//movie[title="Film %03d"]/year`, i)), query.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/query"
-	"repro/internal/queryindex"
 )
 
 // sampleGolden pins sampled answers bit for bit: each answer is its value
@@ -60,14 +59,14 @@ func TestSampleAnswersMatchGolden(t *testing.T) {
 		if got := bits(query.EvalSample(tree, q, g.n, g.seed)); !reflect.DeepEqual(got, g.want) {
 			t.Errorf("EvalSample tree %d %s n=%d seed=%d:\n got  %q\n want %q", g.tree, g.src, g.n, g.seed, got, g.want)
 		}
-		res, err := query.EvalIndexed(tree, q, query.Options{
+		res, err := query.Eval(tree, q, query.Options{
 			Method: query.MethodSample, Samples: g.n, Seed: query.SeedPtr(g.seed),
-		}, queryindex.Build(tree))
+		})
 		if err != nil {
-			t.Fatalf("EvalIndexed tree %d %s: %v", g.tree, g.src, err)
+			t.Fatalf("Eval tree %d %s: %v", g.tree, g.src, err)
 		}
 		if got := bits(res.Answers); !reflect.DeepEqual(got, g.want) {
-			t.Errorf("EvalIndexed(sample) tree %d %s n=%d seed=%d:\n got  %q\n want %q", g.tree, g.src, g.n, g.seed, got, g.want)
+			t.Errorf("Eval(sample) tree %d %s n=%d seed=%d:\n got  %q\n want %q", g.tree, g.src, g.n, g.seed, got, g.want)
 		}
 	}
 }

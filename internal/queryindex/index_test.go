@@ -11,49 +11,64 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/pxml"
 	"repro/internal/pxmltest"
+	"repro/internal/query"
 	"repro/internal/queryindex"
 	"repro/internal/xmlcodec"
 )
 
-func TestBuildFig2(t *testing.T) {
-	tr := pxmltest.Fig2Tree()
-	ix := queryindex.Build(tr)
-
-	if ix.Digest() != tr.Digest() {
-		t.Fatalf("index digest %#x != tree digest %#x", ix.Digest(), tr.Digest())
-	}
-	if ix.Worlds().Cmp(tr.WorldCount()) != 0 {
-		t.Fatalf("index worlds %s != tree worlds %s", ix.Worlds(), tr.WorldCount())
-	}
-	for _, tag := range []string{"addressbook", "person", "nm", "tel"} {
-		if !ix.HasTag(tag) {
-			t.Fatalf("missing tag %q (have %v)", tag, ix.Tags())
+// elementTotals sums a summary's per-tag occurrence counts and takes the
+// largest subtree world count over all elements, as the planner does.
+func elementTotals(sum *pxml.Summary) (elements int64, maxWorlds *big.Int) {
+	maxWorlds = big.NewInt(1)
+	for _, st := range sum.Tags.Stats() {
+		elements += st.Count
+		if st.MaxWorlds.Cmp(maxWorlds) > 0 {
+			maxWorlds = st.MaxWorlds
 		}
 	}
-	if ix.HasTag("movie") {
-		t.Fatalf("index claims absent tag")
+	return elements, maxWorlds
+}
+
+func TestBuildFig2(t *testing.T) {
+	tr := pxmltest.Fig2Tree()
+	sum := queryindex.Build(tr)
+
+	if sum != tr.Summary() {
+		t.Fatal("Build is not the tree's own summary")
+	}
+	if sum.Worlds.Cmp(tr.WorldCount()) != 0 {
+		t.Fatalf("summary worlds %s != tree worlds %s", sum.Worlds, tr.WorldCount())
+	}
+	for _, tag := range []string{"addressbook", "person", "nm", "tel"} {
+		if !sum.Tags.Has(tag) {
+			t.Fatalf("missing tag %q (have %v)", tag, sum.Tags.Tags())
+		}
+	}
+	if sum.Tags.Has("movie") {
+		t.Fatalf("summary claims absent tag")
 	}
 
-	book, _ := ix.Tag("addressbook")
-	if book.Occurrences != 1 {
-		t.Fatalf("addressbook info = %+v", book)
+	book, _ := sum.Tags.Stat("addressbook")
+	if book.Count != 1 {
+		t.Fatalf("addressbook stat = %+v", book)
 	}
 	// The addressbook subtree spans all 3 worlds; its world bound must
 	// reflect that.
-	if book.MaxSubtreeWorlds.Cmp(big.NewInt(3)) != 0 {
-		t.Fatalf("addressbook MaxSubtreeWorlds = %s, want 3", book.MaxSubtreeWorlds)
+	if book.MaxWorlds.Cmp(big.NewInt(3)) != 0 {
+		t.Fatalf("addressbook MaxWorlds = %s, want 3", book.MaxWorlds)
 	}
 	// One merged person under one alternative, two separate ones under the
 	// other; the merged one spans the two worlds of its phone choice.
-	person, _ := ix.Tag("person")
-	if person.Occurrences != 3 || person.MaxSubtreeWorlds.Cmp(big.NewInt(2)) != 0 {
-		t.Fatalf("person info = %+v, want 3 occurrences spanning at most 2 worlds", person)
+	person, _ := sum.Tags.Stat("person")
+	if person.Count != 3 || person.MaxWorlds.Cmp(big.NewInt(2)) != 0 {
+		t.Fatalf("person stat = %+v, want 3 occurrences spanning at most 2 worlds", person)
 	}
-	if ix.MaxElementWorlds().Cmp(big.NewInt(3)) != 0 {
-		t.Fatalf("MaxElementWorlds = %s, want 3", ix.MaxElementWorlds())
+	elements, maxWorlds := elementTotals(sum)
+	if maxWorlds.Cmp(big.NewInt(3)) != 0 {
+		t.Fatalf("largest element subtree spans %s worlds, want 3", maxWorlds)
 	}
-	if ix.Elements() != 11 || ix.NumTags() != 4 { // 1 addressbook, 3 persons, 3 nm, 4 tel
-		t.Fatalf("elements=%d tags=%d, want 11 and 4", ix.Elements(), ix.NumTags())
+	if elements != 11 || sum.Tags.Len() != 4 { // 1 addressbook, 3 persons, 3 nm, 4 tel
+		t.Fatalf("elements=%d tags=%d, want 11 and 4", elements, sum.Tags.Len())
 	}
 }
 
@@ -71,17 +86,17 @@ func TestBuildSharedSubtreesCountedOnce(t *testing.T) {
 		),
 	)
 	tr := pxml.CertainTree(book)
-	ix := queryindex.Build(tr)
-	info, _ := ix.Tag("person")
-	if info.Occurrences != 3 {
-		t.Fatalf("shared person has %d occurrences, want one per path: 3", info.Occurrences)
+	sum := queryindex.Build(tr)
+	st, _ := sum.Tags.Stat("person")
+	if st.Count != 3 {
+		t.Fatalf("shared person has %d occurrences, want one per path: 3", st.Count)
 	}
-	checkAgainstReference(t, "shared", tr, ix)
+	checkAgainstReference(t, "shared", tr, sum)
 	// A second document around the same person reads its cached summary.
-	sum := person.Summary()
+	personSum := person.Summary()
 	again := pxml.CertainTree(pxml.NewElem("addressbook", "", pxml.Certain(person)))
 	checkAgainstReference(t, "carried over", again, queryindex.Build(again))
-	if person.Summary() != sum {
+	if person.Summary() != personSum {
 		t.Fatalf("the carried-over subtree was summarized again")
 	}
 }
@@ -90,33 +105,32 @@ func TestBuildRandomTreesConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20; i++ {
 		tr := pxmltest.RandomTree(rng, pxmltest.DefaultGenConfig())
-		ix := queryindex.Build(tr)
-		checkAgainstReference(t, "random", tr, ix)
-		total := 0
-		for _, tag := range ix.Tags() {
-			info, _ := ix.Tag(tag)
-			total += info.Occurrences
+		sum := queryindex.Build(tr)
+		checkAgainstReference(t, "random", tr, sum)
+		var total int64
+		for _, tag := range sum.Tags.Tags() {
+			st, _ := sum.Tags.Stat(tag)
+			total += st.Count
 		}
-		if total != ix.Elements() {
-			t.Fatalf("iter %d: per-tag occurrences %d != elements %d", i, total, ix.Elements())
+		if elements, _ := elementTotals(sum); total != elements {
+			t.Fatalf("iter %d: per-tag occurrences %d != elements %d", i, total, elements)
 		}
 	}
 }
 
-// reference is the index computed from scratch: one walk over every
-// occurrence of every node that counts worlds and occurrences itself and
-// reads nothing cached on a node. Same definitions as the shipped index —
-// occurrences are counted per path.
+// reference is what the planner reads off the summary, computed from
+// scratch: one walk over every occurrence of every node that counts worlds
+// and occurrences itself and reads nothing cached on a node. Same
+// definitions as the summary — occurrences are counted per path.
 type reference struct {
 	worlds        *big.Int
-	tags          map[string]queryindex.TagInfo
-	inner         map[string]int64 // occurrences that have children
-	elements      int
+	tags          map[string]pxml.TagStat
+	elements      int64
 	maxElemWorlds *big.Int
 }
 
 func buildReference(tr *pxml.Tree) reference {
-	ref := reference{tags: map[string]queryindex.TagInfo{}, inner: map[string]int64{}, maxElemWorlds: big.NewInt(1)}
+	ref := reference{tags: map[string]pxml.TagStat{}, maxElemWorlds: big.NewInt(1)}
 	var worlds func(n *pxml.Node) *big.Int
 	worlds = func(n *pxml.Node) *big.Int {
 		w := big.NewInt(1)
@@ -131,15 +145,15 @@ func buildReference(tr *pxml.Tree) reference {
 			}
 		}
 		if n.Kind() == pxml.KindElem {
-			info, ok := ref.tags[n.Tag()]
-			if !ok || w.Cmp(info.MaxSubtreeWorlds) > 0 {
-				info.MaxSubtreeWorlds = w
+			st, ok := ref.tags[n.Tag()]
+			if !ok || w.Cmp(st.MaxWorlds) > 0 {
+				st.MaxWorlds = w
 			}
-			info.Occurrences++
-			ref.tags[n.Tag()] = info
+			st.Count++
 			if !n.IsLeaf() {
-				ref.inner[n.Tag()]++
+				st.Inner++
 			}
+			ref.tags[n.Tag()] = st
 			ref.elements++
 			if w.Cmp(ref.maxElemWorlds) > 0 {
 				ref.maxElemWorlds = w
@@ -151,37 +165,41 @@ func buildReference(tr *pxml.Tree) reference {
 	return ref
 }
 
-// checkAgainstReference compares an index with the reference walk of its
-// document field for field, and with it what the query engine's literal
-// gate reads off the same cached summaries: the per-tag count of elements
-// with children, and text fingerprints without a false negative; and the
-// one-walk size figures of /stats with the separate walks.
-func checkAgainstReference(t *testing.T, label string, tr *pxml.Tree, ix *queryindex.Index) {
+// checkAgainstReference compares a document's summary with the reference
+// walk of the document field for field — what the planner reads (worlds,
+// the world count a plan reports, tags, occurrences, world bounds) and
+// what the query engine's literal gate reads (the per-tag count of
+// elements with children, and text fingerprints without a false
+// negative) — and the one-walk size figures of /stats with the separate
+// walks.
+func checkAgainstReference(t *testing.T, label string, tr *pxml.Tree, sum *pxml.Summary) {
 	t.Helper()
 	ref := buildReference(tr)
-	if ix.Digest() != pxml.Hash(tr.Root()) {
-		t.Fatalf("%s: index digest %#x, the tree hashes to %#x", label, ix.Digest(), pxml.Hash(tr.Root()))
+	if sum != tr.Summary() {
+		t.Fatalf("%s: not the tree's own summary", label)
 	}
-	if ix.Worlds().Cmp(ref.worlds) != 0 || ix.WorldsString() != ref.worlds.String() {
-		t.Fatalf("%s: index worlds %s (%s), reference %s", label, ix.Worlds(), ix.WorldsString(), ref.worlds)
+	if sum.Worlds.Cmp(ref.worlds) != 0 {
+		t.Fatalf("%s: summary worlds %s, reference %s", label, sum.Worlds, ref.worlds)
 	}
-	if ix.Elements() != ref.elements || ix.NumTags() != len(ref.tags) {
-		t.Fatalf("%s: index has %d elements of %d tags, reference %d of %d", label, ix.Elements(), ix.NumTags(), ref.elements, len(ref.tags))
+	res, err := query.Eval(tr, query.MustCompile("//nosuchtag"), query.Options{})
+	if err != nil || res.Plan.EstimatedWorlds != ref.worlds.String() {
+		t.Fatalf("%s: a plan reports %q worlds (%v), reference %s", label, res.Plan.EstimatedWorlds, err, ref.worlds)
 	}
-	if ix.MaxElementWorlds().Cmp(ref.maxElemWorlds) != 0 {
-		t.Fatalf("%s: index MaxElementWorlds %s, reference %s", label, ix.MaxElementWorlds(), ref.maxElemWorlds)
+	elements, maxWorlds := elementTotals(sum)
+	if elements != ref.elements || sum.Tags.Len() != len(ref.tags) {
+		t.Fatalf("%s: summary has %d elements of %d tags, reference %d of %d", label, elements, sum.Tags.Len(), ref.elements, len(ref.tags))
+	}
+	if maxWorlds.Cmp(ref.maxElemWorlds) != 0 {
+		t.Fatalf("%s: largest element subtree spans %s worlds, reference %s", label, maxWorlds, ref.maxElemWorlds)
 	}
 	for tag, want := range ref.tags {
-		got, ok := ix.Tag(tag)
-		if !ok || !ix.HasTag(tag) {
-			t.Fatalf("%s: index misses tag %q", label, tag)
+		got, ok := sum.Tags.Stat(tag)
+		if !ok || !sum.Tags.Has(tag) {
+			t.Fatalf("%s: summary misses tag %q", label, tag)
 		}
-		if got.Occurrences != want.Occurrences || got.MaxSubtreeWorlds.Cmp(want.MaxSubtreeWorlds) != 0 {
-			t.Fatalf("%s: <%s> index %d occurrences, max %s worlds; reference %d, %s",
-				label, tag, got.Occurrences, got.MaxSubtreeWorlds, want.Occurrences, want.MaxSubtreeWorlds)
-		}
-		if st, _ := tr.Summary().Tags.Stat(tag); st.Inner != ref.inner[tag] {
-			t.Fatalf("%s: <%s> summary counts %d occurrences with children, reference %d", label, tag, st.Inner, ref.inner[tag])
+		if got.Count != want.Count || got.MaxWorlds.Cmp(want.MaxWorlds) != 0 || got.Inner != want.Inner {
+			t.Fatalf("%s: <%s> summary %d occurrences (%d with children), max %s worlds; reference %d (%d), %s",
+				label, tag, got.Count, got.Inner, got.MaxWorlds, want.Count, want.Inner, want.MaxWorlds)
 		}
 	}
 	if s := pxmltest.UncoveredText(tr.Root()); s != "" {
@@ -196,8 +214,8 @@ func checkAgainstReference(t *testing.T, label string, tr *pxml.Tree, ix *queryi
 // random integrate → reject-feedback → replace sequences. Every document
 // after the first is built around nodes of its predecessor, which hold
 // cached per-subtree results (spliced children, interned leaves, a record
-// that occurs twice in a source as one shared node); Build on it must equal
-// the walk that reads no cache.
+// that occurs twice in a source as one shared node); the summary each
+// commit publishes must equal the walk that reads no cache.
 func TestBuildOnCarriedOverNodesMatchesReference(t *testing.T) {
 	var integrated, rejected, replaced int
 	for seed := int64(0); seed < 40; seed++ {
@@ -211,9 +229,7 @@ func TestBuildOnCarriedOverNodesMatchesReference(t *testing.T) {
 		}
 		check := func(step string) {
 			t.Helper()
-			tr := db.Tree()
-			checkAgainstReference(t, step+": installed index", tr, db.Index())
-			checkAgainstReference(t, step+": fresh build", tr, queryindex.Build(tr))
+			checkAgainstReference(t, step, db.Tree(), db.Index())
 		}
 		for step := 0; step < 8; step++ {
 			switch op := rng.Intn(5); {

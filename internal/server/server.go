@@ -694,9 +694,10 @@ type CacheCounters struct {
 	Capacity int   `json:"capacity"`
 }
 
-// IndexStats reports query-index construction work. Elements counts
-// element occurrences per path — an element shared by k alternatives of a
-// choice point counts k times — not distinct nodes.
+// IndexStats reports the summary warms of the database's commits (one per
+// commit, plus the initial document) and what the current summary holds.
+// Elements counts element occurrences per path — an element shared by k
+// alternatives of a choice point counts k times — not distinct nodes.
 type IndexStats struct {
 	Builds          int64   `json:"builds"`
 	LastBuildMicros float64 `json:"last_build_us"`
@@ -812,7 +813,7 @@ func (s *Server) wireStats() *WireStats {
 }
 
 // StatsResponse summarizes the document, the compiled-query and result
-// caches, the query index, the session history counts, and — in catalog
+// caches, the summary warms, the history counts, and — in catalog
 // mode — the database's durability counters.
 type StatsResponse struct {
 	// Database names the database the stats describe (catalog mode).

@@ -380,7 +380,7 @@ func (s *Shell) runQuery(src string, explain bool) (query.Result, error) {
 	}
 	var res query.Result
 	if s.db != nil {
-		// Catalog databases evaluate through their own planner, index and
+		// Catalog databases evaluate through their own compiled-query and
 		// result caches.
 		res, err = s.db.Core().QueryCompiled(q)
 	} else {
