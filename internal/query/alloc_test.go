@@ -101,3 +101,33 @@ func TestAnchorAllocsDoNotScaleWithWorlds(t *testing.T) {
 	}
 	t.Logf("%d bytes per evaluation at 2^2 local worlds, %d at 2^10", small, bytesPerOp(10))
 }
+
+// TestConditionAbsentAllocsDoNotScaleWithCatalog: rejecting one movie's
+// director enters only the subtrees whose fingerprint covers the rejected
+// value and keeps the others as they are, so the allocations one rejection
+// makes do not grow with the catalog. Their bytes grow by one pointer per
+// movie: the catalog element is rebuilt over a copy of its children.
+func TestConditionAbsentAllocsDoNotScaleWithCatalog(t *testing.T) {
+	q := query.MustCompile(`//movie/director`)
+	perOp := func(n int) (allocs, bytes int64) {
+		tr := directorCatalog(n)
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := query.ConditionAbsent(tr, q, "Scott, Ridley", 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		return res.AllocsPerOp(), res.AllocedBytesPerOp()
+	}
+	narrow, narrowBytes := perOp(200)
+	wide, wideBytes := perOp(2000)
+	t.Logf("%d allocations (%d bytes) per rejection on 200 movies, %d (%d bytes) on 2 000", narrow, narrowBytes, wide, wideBytes)
+	if float64(wide) > 1.5*float64(narrow) {
+		t.Fatalf("%d allocations per rejection on 2 000 movies, %d on 200: allocation scales with the catalog", wide, narrow)
+	}
+	if slack := wideBytes - narrowBytes - 8*(2000-200); float64(slack) > 0.5*float64(narrowBytes) {
+		t.Fatalf("%d bytes per rejection on 2 000 movies, %d on 200: more than the catalog's copied child pointers", wideBytes, narrowBytes)
+	}
+}

@@ -29,16 +29,25 @@ var ErrTooComplex = errors.New("query: conditioning exceeds enumeration limits")
 // anchor subtrees (where predicate/value correlations live) are rewritten
 // by local enumeration. It returns the conditioned tree and the prior
 // probability of the event.
+//
+// The conditioner prunes with the exact executor's summary tests, the
+// rejected value required of the answer step as one more literal, so it
+// enters only the subtrees that can yield the value. Every node the event
+// cannot touch comes back as itself, choice points included, and a value
+// no world yields returns t itself with a prior of exactly 1.
 func ConditionAbsent(t *pxml.Tree, q *Query, value string, localLimit int) (*pxml.Tree, float64, error) {
 	ev, err := newExactEval(q, localLimit)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrTooComplex, err)
 	}
+	ev.need = stepNeeds(q, value)
 	return ev.conditionAbsent(t, value)
 }
 
-// conditionAbsent is ConditionAbsent on the evaluator of its query.
+// conditionAbsent is ConditionAbsent on the evaluator of its query, gated
+// by its needs, or ungated where they are nil.
 func (e *exactEval) conditionAbsent(t *pxml.Tree, value string) (*pxml.Tree, float64, error) {
+	e.prepare(t)
 	c := &conditioner{ev: e, value: value, memo: make(map[localKey]condResult)}
 	root, p, err := c.cond(t.Root(), stateSet(1))
 	if err != nil {
@@ -46,6 +55,9 @@ func (e *exactEval) conditionAbsent(t *pxml.Tree, value string) (*pxml.Tree, flo
 	}
 	if p <= 0 || root == nil {
 		return nil, 0, ErrContradiction
+	}
+	if root == t.Root() {
+		return t, 1, nil
 	}
 	nt, err := pxml.NewTree(root)
 	if err != nil {
@@ -68,9 +80,11 @@ type conditioner struct {
 
 // cond returns the conditioned version of the subtree plus the probability
 // that the subtree produces no `value` answer. A nil node with p == 0
-// means the event is impossible given this subtree exists.
+// means the event is impossible given this subtree exists. A subtree the
+// event cannot touch — one that fails canMatch or yields the value in no
+// world — is returned as itself with the factor 1, and only such a one.
 func (c *conditioner) cond(n *pxml.Node, states stateSet) (*pxml.Node, float64, error) {
-	if states == 0 {
+	if states == 0 || !c.ev.canMatch(n, states) {
 		return n, 1, nil
 	}
 	key := localKey{e: n, s: states}
@@ -85,97 +99,126 @@ func (c *conditioner) cond(n *pxml.Node, states stateSet) (*pxml.Node, float64, 
 func (c *conditioner) condUncached(n *pxml.Node, states stateSet) (*pxml.Node, float64, error) {
 	switch n.Kind() {
 	case pxml.KindProb:
-		type alt struct {
-			poss *pxml.Node
-			w    float64
-		}
-		var alts []alt
-		total := 0.0
-		for _, poss := range n.Children() {
-			np, f, err := c.cond(poss, states)
-			if err != nil {
-				return nil, 0, err
-			}
-			w := poss.Prob() * f
-			if w <= 0 || np == nil {
-				continue
-			}
-			alts = append(alts, alt{poss: np, w: w})
-			total += w
-		}
-		if total <= 0 {
-			return nil, 0, nil
-		}
-		nodes := make([]*pxml.Node, len(alts))
-		for i, a := range alts {
-			nodes[i] = pxml.NewPoss(a.w/total, a.poss.Children()...)
-		}
-		return pxml.NewProb(nodes...), total, nil
+		return c.condChoice(n, states)
 
 	case pxml.KindPoss:
-		f := 1.0
-		kids := n.Children()
-		var newKids []*pxml.Node
-		for i, el := range kids {
-			ne, ef, err := c.cond(el, states)
-			if err != nil {
-				return nil, 0, err
-			}
-			if ef <= 0 || ne == nil {
-				return nil, 0, nil
-			}
-			f *= ef
-			if ne != el && newKids == nil {
-				newKids = make([]*pxml.Node, len(kids))
-				copy(newKids, kids[:i])
-			}
-			if newKids != nil {
-				newKids[i] = ne
-			}
+		kids, f, err := c.condKids(n, states)
+		if err != nil || f <= 0 {
+			return nil, 0, err
 		}
-		if newKids == nil {
+		if kids == nil {
 			return n, f, nil
 		}
-		return pxml.NewPoss(n.Prob(), newKids...), f, nil
+		return pxml.NewPoss(n.Prob(), kids...), f, nil
 
 	default: // element
 		next, hit := c.ev.advance(n, states)
 		if hit {
 			if !c.ev.anchorCanMatch(n) {
-				// No world of the anchor yields any answer, the rejected
-				// one included: what condAnchor finds by enumerating them.
+				// No world of the anchor yields the rejected value: what
+				// condAnchor finds by enumerating them.
 				return n, 1, nil
 			}
 			return c.condAnchor(n, states)
 		}
-		if next == 0 {
-			return n, 1, nil
+		kids, f, err := c.condKids(n, next)
+		if err != nil || f <= 0 {
+			return nil, 0, err
 		}
-		f := 1.0
-		kids := n.Children()
-		var newKids []*pxml.Node
-		for i, prob := range kids {
-			np, pf, err := c.cond(prob, next)
-			if err != nil {
-				return nil, 0, err
-			}
-			if pf <= 0 || np == nil {
-				return nil, 0, nil
-			}
-			f *= pf
-			if np != prob && newKids == nil {
-				newKids = make([]*pxml.Node, len(kids))
-				copy(newKids, kids[:i])
-			}
-			if newKids != nil {
-				newKids[i] = np
-			}
-		}
-		if newKids == nil {
+		if kids == nil {
 			return n, f, nil
 		}
-		return pxml.NewElem(n.Tag(), n.Text(), newKids...), f, nil
+		return pxml.NewElem(n.Tag(), n.Text(), kids...), f, nil
 	}
+}
+
+// condChoice conditions the alternatives of a choice point and divides the
+// survivors by their total weight. A choice point whose alternatives all
+// come back as themselves is kept as it is with the factor 1, not rebuilt
+// and not divided by its float sum.
+func (c *conditioner) condChoice(n *pxml.Node, states stateSet) (*pxml.Node, float64, error) {
+	type alt struct {
+		poss *pxml.Node
+		w    float64
+	}
+	kids := n.Children()
+	var alts []alt // nil while every alternative comes back as itself
+	total := 0.0
+	for i, poss := range kids {
+		np, f, err := c.cond(poss, states)
+		if err != nil {
+			return nil, 0, err
+		}
+		if alts == nil {
+			if np == poss {
+				continue
+			}
+			alts = make([]alt, 0, len(kids))
+			for _, k := range kids[:i] {
+				alts = append(alts, alt{poss: k, w: k.Prob()})
+				total += k.Prob()
+			}
+		}
+		w := poss.Prob() * f
+		if w <= 0 || np == nil {
+			continue
+		}
+		alts = append(alts, alt{poss: np, w: w})
+		total += w
+	}
+	if alts == nil {
+		return n, 1, nil
+	}
+	if total <= 0 {
+		return nil, 0, nil
+	}
+	nodes := make([]*pxml.Node, len(alts))
+	for i, a := range alts {
+		nodes[i] = pxml.NewPoss(a.w/total, a.poss.Children()...)
+	}
+	return pxml.NewProb(nodes...), total, nil
+}
+
+// condKids conditions the independent children of n — the elements of a
+// possibility or the choice points of an element that is not an anchor —
+// in the given states. It returns the new children, nil when every child
+// came back as itself, and the product of the children's factors, 0 when
+// the event is impossible given n. A child whose entry in n's column of
+// fingerprints (Summary.KidBlooms) fails every pending chain fails
+// canMatch, so it is kept without reading its summary, as productDist
+// skips it.
+func (c *conditioner) condKids(n *pxml.Node, states stateSet) ([]*pxml.Node, float64, error) {
+	if states == 0 {
+		return nil, 1, nil
+	}
+	var col []pxml.Bloom
+	if c.ev.need != nil {
+		col = n.Summary().KidBlooms
+	}
+	f := 1.0
+	kids := n.Children()
+	var newKids []*pxml.Node
+	for i, k := range kids {
+		nk, kf := k, 1.0
+		if col == nil || c.ev.textAdmits(col[i], states) {
+			var err error
+			if nk, kf, err = c.cond(k, states); err != nil {
+				return nil, 0, err
+			}
+			if kf <= 0 || nk == nil {
+				return nil, 0, nil
+			}
+		}
+		f *= kf
+		if nk != k && newKids == nil {
+			newKids = make([]*pxml.Node, len(kids))
+			copy(newKids, kids[:i])
+		}
+		if newKids != nil {
+			newKids[i] = nk
+		}
+	}
+	return newKids, f, nil
 }
 
 // condAnchor conditions an anchor element by local world enumeration:

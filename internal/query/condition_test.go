@@ -2,11 +2,13 @@ package query_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/pxml"
 	"repro/internal/pxmltest"
 	"repro/internal/query"
@@ -219,19 +221,100 @@ func TestConditionedTreesStayValid(t *testing.T) {
 
 func TestConditionAbsentPreservesSharingWherePossible(t *testing.T) {
 	tr := pxmltest.Fig2Tree()
-	nt, _, err := query.ConditionAbsent(tr, query.MustCompile(`//person/tel`), "2222", 0)
+	q := query.MustCompile(`//person/tel`)
+	nt, _, err := query.ConditionAbsent(tr, q, "2222", 0)
 	if err != nil {
 		t.Fatalf("ConditionAbsent: %v", err)
 	}
-	// The nm leaf is untouched by conditioning; it must be the same node.
-	var found bool
-	pxml.WalkUnique(nt.Root(), func(n *pxml.Node) bool {
-		if n.Kind() == pxml.KindElem && n.Tag() == "nm" {
-			found = true
+	// Only the merged person survives. Its nm leaf and the trivial choice
+	// point above it are untouched by conditioning: both must be the
+	// input's nodes, not copies.
+	merged := tr.RootElements()[0].Child(0).Child(0).Child(0)
+	person := nt.RootElements()[0].Child(0).Child(0).Child(0)
+	if person.Tag() != "person" || merged.Tag() != "person" {
+		t.Fatalf("unexpected shape:\n%s", nt)
+	}
+	if person.Child(0) != merged.Child(0) {
+		t.Fatalf("the nm choice point was rebuilt:\n%s", nt)
+	}
+	if nm := person.Child(0).Child(0).Child(0); nm != merged.Child(0).Child(0).Child(0) || nm.Tag() != "nm" {
+		t.Fatalf("the nm leaf is not the input's node:\n%s", nt)
+	}
+
+	// A value no world yields leaves the document as it is, with a prior of
+	// exactly 1.
+	nt, p, err := query.ConditionAbsent(tr, q, "9999", 0)
+	if err != nil {
+		t.Fatalf("ConditionAbsent: %v", err)
+	}
+	if nt.Root() != tr.Root() || p != 1 {
+		t.Fatalf("rejecting a value that occurs nowhere: prior %v, root kept %v", p, nt.Root() == tr.Root())
+	}
+}
+
+// directorCatalog is a datagen catalog of n movies, each with its own
+// director, in which the director of one movie is uncertain: the source
+// conventions "Ridley Scott" and "Scott, Ridley" are the two alternatives
+// of the movie's one choice point.
+func directorCatalog(n int) *pxml.Tree {
+	kids := make([]*pxml.Node, n)
+	for i := range kids {
+		m := datagen.Movie{
+			Title:     fmt.Sprintf("Film %d", i),
+			Year:      1950 + i%56,
+			Genres:    []string{"Drama"},
+			Directors: []string{fmt.Sprintf("Director %d", i)},
 		}
+		kids[i] = pxml.Certain(datagen.MovieElem(m, datagen.ConvIMDB))
+	}
+	m := datagen.Movie{Title: "Alien", Year: 1979, Genres: []string{"Horror"}, Directors: []string{"Ridley Scott"}}
+	kids[n/3] = pxml.NewProb(pxml.NewPoss(0.5, datagen.MovieElem(m, datagen.ConvMPEG7)),
+		pxml.NewPoss(0.5, datagen.MovieElem(m, datagen.ConvIMDB)))
+	return pxml.CertainTree(pxml.NewElem("catalog", "", kids...))
+}
+
+// rebuiltNodes counts the distinct nodes reachable from after but not from
+// before.
+func rebuiltNodes(before, after *pxml.Tree) int {
+	old := map[*pxml.Node]bool{}
+	pxml.WalkUnique(before.Root(), func(n *pxml.Node) bool {
+		old[n] = true
 		return true
 	})
-	if !found {
-		t.Fatalf("nm leaf lost")
+	rebuilt := 0
+	pxml.WalkUnique(after.Root(), func(n *pxml.Node) bool {
+		if old[n] {
+			return false
+		}
+		rebuilt++
+		return true
+	})
+	return rebuilt
+}
+
+// TestConditionAbsentRebuildsDoNotScaleWithCatalog: rejecting one movie's
+// director rebuilds the path from the root to that movie's choice point and
+// nothing else, so the count of new nodes is the same on 200 movies as on
+// 2 000.
+func TestConditionAbsentRebuildsDoNotScaleWithCatalog(t *testing.T) {
+	q := query.MustCompile(`//movie/director`)
+	rebuilt := func(n int) int {
+		tr := directorCatalog(n)
+		nt, p, err := query.ConditionAbsent(tr, q, "Scott, Ridley", 0)
+		if err != nil || p != 0.5 {
+			t.Fatalf("%d movies: prior %v, err %v", n, p, err)
+		}
+		if err := nt.Validate(); err != nil {
+			t.Fatalf("%d movies: %v", n, err)
+		}
+		if got := nt.WorldCount(); got.Cmp(big.NewInt(1)) != 0 {
+			t.Fatalf("%d movies: %s worlds after the rejection, want 1", n, got)
+		}
+		return rebuiltNodes(tr, nt)
+	}
+	narrow, wide := rebuilt(200), rebuilt(2000)
+	t.Logf("%d nodes rebuilt on 200 movies, %d on 2 000", narrow, wide)
+	if narrow != wide {
+		t.Fatalf("%d nodes rebuilt on 200 movies, %d on 2 000: the rejection rewrites what it cannot touch", narrow, wide)
 	}
 }

@@ -177,7 +177,7 @@ type stepNeed struct {
 	// lits are those of the required predicates whose path ends in a named
 	// tag, spaces in the literal or not; see tagLit.
 	lits []tagLit
-	// textMask is what run derives from the two for one document: litMask
+	// textMask is what prepare derives from the two for one document: litMask
 	// plus the masks of the leaf literals. A subtree whose TextBloom does
 	// not cover it fails canMatch's fingerprint tests for this chain.
 	textMask pxml.Bloom
@@ -186,7 +186,7 @@ type stepNeed struct {
 // tagLit is one positively required [path = "lit"] whose path ends in the
 // named tag: the predicate holds only in worlds where some <tag> inside the
 // subtree has the string value lit. mask is the literal's Bloom mask; leaf
-// is set by run when no <tag> in the document has children.
+// is set by prepare when no <tag> in the document has children.
 type tagLit struct {
 	tag, lit string
 	mask     pxml.Bloom
@@ -227,19 +227,26 @@ func (tl tagLit) occursIn(n *pxml.Node) bool {
 
 // stepNeeds computes the per-step chain requirements, shared backwards:
 // need[i] accumulates the tags, literal mask and tag literals of steps
-// i..last.
-func stepNeeds(q *Query) []stepNeed {
+// i..last. A non-empty answer is required of the last step as one more
+// literal (see answerLiteral): the conditioner prunes every subtree that
+// cannot yield the value it rejects.
+func stepNeeds(q *Query, answer string) []stepNeed {
 	need := make([]stepNeed, len(q.Steps))
 	var tags []string
 	var mask pxml.Bloom
 	var lits []tagLit
 	// need[i+1..] keep their shorter prefixes of the arrays appended to.
-	for i := len(q.Steps) - 1; i >= 0; i-- {
+	last := len(q.Steps) - 1
+	for i := last; i >= 0; i-- {
 		s := q.Steps[i]
 		if !s.IsText && s.Name != "*" && !slices.Contains(tags, s.Name) {
 			tags = append(tags, s.Name)
 		}
-		for _, tl := range requiredEqLiterals(s) {
+		required := requiredEqLiterals(s)
+		if i == last && answer != "" {
+			required = append(required, answerLiteral(q, answer))
+		}
+		for _, tl := range required {
 			if !strings.ContainsRune(tl.lit, ' ') {
 				mask = mask.Or(tl.mask)
 			}
@@ -288,6 +295,23 @@ func requiredEqLiterals(s Step) []tagLit {
 	return out
 }
 
+// answerLiteral is an answer value as a required literal. An answer is
+// the string value of an element the last element step matches, or that
+// element's own text under a text() step, so some such element inside a
+// subtree yielding the value has it: what a required [tag = "lit"] asks of
+// a <tag>, with the tag unnamed under a wildcard step.
+func answerLiteral(q *Query, value string) tagLit {
+	s := q.Steps[len(q.Steps)-1]
+	if s.IsText {
+		s = q.Steps[len(q.Steps)-2]
+	}
+	tl := tagLit{lit: value, mask: pxml.TextBloomBits(value)}
+	if s.Name != "*" {
+		tl.tag = s.Name
+	}
+	return tl
+}
+
 // canMatch reports whether the subtree of n can possibly complete any
 // pending step chain, judged by its cached summary (text fingerprint, tag
 // literals and tag set). Always true in the ungated mode.
@@ -322,9 +346,10 @@ chains:
 
 // anchorCanMatch is the exact check in front of a local enumeration: the
 // anchor is enumerated only if its subtree holds every tag literal its
-// predicates require. Steps above the anchor carry no predicates, so every
-// pending chain requires the anchor step's literals, inside this subtree.
-// An anchor that fails the check produces no value in any world: skipping
+// predicates require (and, for the conditioner, the rejected value). Steps
+// above the anchor carry no predicates, so every pending chain requires the
+// anchor step's literals, inside this subtree. An anchor that fails the
+// check produces no value in any world, or not the rejected one: skipping
 // it contributes what enumerating it would, an empty value set and failure
 // probability 1. Always true in the ungated mode.
 func (e *exactEval) anchorCanMatch(n *pxml.Node) bool {
@@ -521,13 +546,14 @@ func newExactEval(q *Query, localLimit int) (*exactEval, error) {
 		q:          q,
 		anchorIdx:  anchorIndex(q),
 		localLimit: localLimit,
-		need:       stepNeeds(q),
+		need:       stepNeeds(q, ""),
 	}, nil
 }
 
-// run evaluates the query over t; see evalExactPlanned. The memo is made
-// here, per evaluation: it holds only the subtrees that were not pruned.
-func (e *exactEval) run(t *pxml.Tree) ([]Answer, error) {
+// prepare derives what the needs require of t's subtrees: which tag
+// literals are leaf literals in t, and so each chain's textMask. The
+// executor and the conditioner call it before they walk t.
+func (e *exactEval) prepare(t *pxml.Tree) {
 	tags := t.Summary().Tags
 	for i := range e.need {
 		nd := &e.need[i]
@@ -541,6 +567,12 @@ func (e *exactEval) run(t *pxml.Tree) ([]Answer, error) {
 			}
 		}
 	}
+}
+
+// run evaluates the query over t; see evalExactPlanned. The memo is made
+// here, per evaluation: it holds only the subtrees that were not pruned.
+func (e *exactEval) run(t *pxml.Tree) ([]Answer, error) {
+	e.prepare(t)
 	e.dists = make(map[localKey]map[string]float64)
 	d, err := e.dist(t.Root(), stateSet(1))
 	if err != nil {

@@ -14,6 +14,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dtd"
+	"repro/internal/feedback"
+	"repro/internal/pxml"
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/xmlcodec"
@@ -254,6 +256,40 @@ func TestFeedbackErrors(t *testing.T) {
 	// Omitting "correct" must not silently count as a judgment.
 	doJSON(t, "POST", ts.URL+"/feedback", "application/json",
 		strings.NewReader(`{"query":"//a","value":"x"}`), http.StatusBadRequest, nil)
+}
+
+// TestFeedbackSkipsAnchorsThatCannotYieldTheValue: a rejection enumerates
+// only the anchors that can yield the rejected value. Here one movie has
+// 2^8 local worlds, more than the feedback's LocalWorldLimit, but no
+// director it could have is the rejected one, so the rejection of the
+// other movie's director answers 200 and not 422.
+func TestFeedbackSkipsAnchorsThatCannotYieldTheValue(t *testing.T) {
+	leaf, one := pxml.NewLeaf, pxml.Certain
+	heat := pxml.NewElem("movie", "", one(leaf("title", "Heat")), one(leaf("genre", "Crime")),
+		pxml.NewProb(pxml.NewPoss(0.5, leaf("director", "Michael Mann")), pxml.NewPoss(0.5, leaf("director", "Mann, Michael"))))
+	alien := []*pxml.Node{one(leaf("title", "Alien")), one(leaf("director", "Ridley Scott"))}
+	for i := 0; i < 8; i++ {
+		alien = append(alien, pxml.NewProb(pxml.NewPoss(0.5, leaf("genre", "Horror")), pxml.NewPoss(0.5, leaf("genre", "Sci-Fi"))))
+	}
+	tree := pxml.CertainTree(pxml.NewElem("catalog", "", one(heat), one(pxml.NewElem("movie", "", alien...))))
+	db, err := core.Open(tree, core.Config{Feedback: feedback.Options{LocalWorldLimit: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(db, server.Options{}).Handler())
+	t.Cleanup(ts.Close)
+
+	body, _ := json.Marshal(server.FeedbackRequest{Query: `//movie[genre]/director`, Value: "Mann, Michael", Correct: boolPtr(false)})
+	var resp server.FeedbackResponse
+	doJSON(t, "POST", ts.URL+"/feedback", "application/json", strings.NewReader(string(body)), http.StatusOK, &resp)
+	if resp.PriorP != 0.5 || resp.WorldsBefore != "512" || resp.WorldsAfter != "256" {
+		t.Fatalf("feedback = %+v, want prior 0.5 and 512 → 256 worlds", resp)
+	}
+	var qr server.QueryResponse
+	doJSON(t, "GET", ts.URL+"/query?q="+url.QueryEscape(`//movie[title="Heat"]/director`), "", nil, http.StatusOK, &qr)
+	if len(qr.Answers) != 1 || qr.Answers[0].Value != "Michael Mann" {
+		t.Fatalf("answers after feedback = %+v", qr.Answers)
+	}
 }
 
 // TestFeedbackDeepQuery: a /feedback body whose query nests 3 000 001
