@@ -1,22 +1,18 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus micro-benchmarks of the core machinery. Shape targets
-// (who wins, ratios, growth curves) are recorded in EXPERIMENTS.md; run
-// with:
+// evaluation, plus micro-benchmarks of the core machinery. The shape
+// targets (who wins, ratios, growth curves) are printed next to the
+// paper's numbers by `go run ./cmd/experiments` and checked by the
+// internal/experiments tests; run with:
 //
 //	go test -bench=. -benchmem
 package imprecise_test
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,7 +27,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/pxml"
 	"repro/internal/query"
-	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/worlds"
 	"repro/internal/xmlcodec"
@@ -288,101 +283,6 @@ func BenchmarkIntegrateBatch(b *testing.B) {
 	})
 }
 
-// --- planned query engine benchmarks ---
-//
-// The benchmarks below track the query-latency trajectory the same way
-// BenchmarkIntegrateBatch tracks integration: CI converts them into a
-// BENCH_query.json artifact per commit. Indexed is the engine against a
-// prebuilt per-tree index (the serving hot path minus the result cache);
-// ResultCacheHit is the full database path on a repeated query.
-
-var planBenchOnce sync.Once
-var planBenchDoc *pxml.Tree
-var planBenchErr error
-
-// planBenchDocument integrates two confusing movie catalogs — a datagen
-// tree with genuine uncertainty — once per benchmark run.
-func planBenchDocument(b *testing.B) *pxml.Tree {
-	planBenchOnce.Do(func() {
-		pair := datagen.Confusing(36, 1)
-		planBenchDoc, _, planBenchErr = integrate.Integrate(pair.A.Tree, pair.B.Tree, integrate.Config{
-			Oracle: oracle.MovieOracle(oracle.SetGenreTitleYear),
-			Schema: datagen.MovieDTD(),
-		})
-	})
-	if planBenchErr != nil {
-		b.Fatal(planBenchErr)
-	}
-	return planBenchDoc
-}
-
-// planBenchQuery is selective: it anchors on one franchise out of many,
-// so value-set pruning skips most of the catalog in the per-value pass.
-const planBenchQuery = `//movie[title="Jaws"]/year`
-
-func BenchmarkQueryIndexed(b *testing.B) {
-	doc := planBenchDocument(b)
-	q := query.MustCompile(planBenchQuery)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := query.Eval(doc, q, query.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Answers) == 0 {
-			b.Fatal("no answers")
-		}
-	}
-}
-
-func BenchmarkQueryResultCacheHit(b *testing.B) {
-	doc := planBenchDocument(b)
-	db, err := imprecise.Open(doc, imprecise.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Query(planBenchQuery); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := db.Query(planBenchQuery)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Plan == nil || !res.Plan.CacheHit {
-			b.Fatal("expected a result-cache hit")
-		}
-	}
-}
-
-// wideBenchQuery is deliberately NON-selective: every movie title is an
-// answer value.
-const wideBenchQuery = `//movie/title`
-
-// BenchmarkQueryConcurrentClients measures the serving path under client
-// concurrency: GOMAXPROCS goroutines issuing the same query against one
-// database. After the first evaluation every request is a result-cache hit,
-// so this row tracks read-side lock contention on the cache.
-func BenchmarkQueryConcurrentClients(b *testing.B) {
-	doc := planBenchDocument(b)
-	db, err := imprecise.Open(doc, imprecise.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Query(wideBenchQuery); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := db.Query(wideBenchQuery); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // --- micro benchmarks of the core machinery ---
 
 func BenchmarkIntegrateFigure2(b *testing.B) {
@@ -554,338 +454,7 @@ func BenchmarkStoreSaveLoad(b *testing.B) {
 	})
 }
 
-// BenchmarkSnapshotLoad measures store.Load of a datagen movie document
-// snapshot: via mmap (the default) and with mmap disabled (the
-// read-whole fallback). Load is the recovery and replica-bootstrap hot
-// path.
-func BenchmarkSnapshotLoad(b *testing.B) {
-	doc := planBenchDocument(b)
-	for _, row := range []struct {
-		name string
-		opts store.LoadOptions
-	}{
-		{"v5-mmap", store.LoadOptions{}},
-		{"v5-read", store.LoadOptions{DisableMMap: true}},
-	} {
-		b.Run(row.name, func(b *testing.B) {
-			dir := b.TempDir()
-			if _, err := store.SaveWith(dir, doc, datagen.MovieDTD(), store.SaveOptions{}); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := store.LoadWith(dir, row.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCodecRoundTrip compares the two document codecs head to head
-// on the same datagen movie document: the flat arena format
-// (pxml.AppendBinary / pxml.DecodeArena) against marker XML. The
-// payload_bytes metric shows the size ratio next to the speed ratio.
-func BenchmarkCodecRoundTrip(b *testing.B) {
-	doc := planBenchDocument(b)
-	bin := doc.AppendBinary(nil)
-	xml, err := xmlcodec.EncodeString(doc, xmlcodec.EncodeOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("binary/encode", func(b *testing.B) {
-		buf := make([]byte, 0, len(bin))
-		for i := 0; i < b.N; i++ {
-			buf = doc.AppendBinary(buf[:0])
-		}
-		b.ReportMetric(float64(len(buf)), "payload_bytes")
-	})
-	b.Run("binary/decode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pxml.DecodeArena(bin); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(bin)), "payload_bytes")
-	})
-	b.Run("xml/encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := xmlcodec.EncodeString(doc, xmlcodec.EncodeOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(xml)), "payload_bytes")
-	})
-	b.Run("xml/decode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := xmlcodec.DecodeString(xml); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(xml)), "payload_bytes")
-	})
-}
-
 const benchBookSource = `<addressbook><person><nm>John</nm><tel>1111</tel></person></addressbook>`
-
-// BenchmarkWALAppend measures the durable-commit path: one journaled
-// mutation = one CRC-framed, fsynced write-ahead record of a datagen
-// movie document, so the record-encoding cost is visible next to the
-// fsync.
-func BenchmarkWALAppend(b *testing.B) {
-	doc := planBenchDocument(b)
-	b.Run("binary", func(b *testing.B) {
-		cat, err := imprecise.OpenCatalog(b.TempDir(), imprecise.CatalogOptions{
-			RootTag:      "catalog",
-			CompactEvery: -1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cat.Close()
-		db, err := cat.Create("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// ReplaceTree journals the whole document: a fixed-size
-			// record, so the numbers isolate the append path.
-			if err := db.Core().ReplaceTree(doc); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := db.Stats()
-		b.ReportMetric(float64(st.WAL.AppendedBytes)/float64(st.WAL.Appends), "walbytes/op")
-	})
-}
-
-// copyBenchDir clones a benchmark data directory file by file.
-func copyBenchDir(b *testing.B, src, dst string) {
-	b.Helper()
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		if info.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkRecovery measures catalog open over the disk state a crash
-// leaves behind: a snapshot plus a write-ahead tail of 32 replayable
-// datagen-document ops. The template directory is built once (and never
-// cleanly closed, so the tail survives); every iteration recovers a
-// fresh copy of it. Replay cost is decode-bound.
-func BenchmarkRecovery(b *testing.B) {
-	doc := planBenchDocument(b)
-	b.Run("binary", func(b *testing.B) {
-		staging := b.TempDir()
-		opts := imprecise.CatalogOptions{
-			RootTag:      "catalog",
-			CompactEvery: -1,
-		}
-		cat, err := imprecise.OpenCatalog(staging, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		db, err := cat.Create("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := db.Core().ReplaceTree(doc); err != nil {
-			b.Fatal(err)
-		}
-		if err := db.Compact(); err != nil {
-			b.Fatal(err)
-		}
-		const tailOps = 32
-		for i := 0; i < tailOps; i++ {
-			if err := db.Core().ReplaceTree(doc); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Deliberately no cat.Close(): a clean shutdown would compact
-		// the tail away. The staging catalog stays open (its lock is
-		// on the staging dir only); iterations run on copies.
-		replayed := int64(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := b.TempDir()
-			copyBenchDir(b, staging, dir)
-			b.StartTimer()
-			c, err := imprecise.OpenCatalog(dir, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			d, err := c.Get("bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			replayed = d.Stats().RecoveredOps
-			if replayed != tailOps {
-				b.Fatalf("recovered %d ops, want %d", replayed, tailOps)
-			}
-			if err := c.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(replayed), "replayedops")
-		runtime.KeepAlive(cat)
-	})
-}
-
-// BenchmarkReplicationShip measures the log-shipping wire end to end
-// over HTTP loopback: a primary holding a fixed journaled history of
-// datagen-document ops; each iteration fetches and decodes that history
-// in WAL pages the way a follower's tailer does (server side: disk read,
-// then a raw byte copy; client side: page decode). It names no string
-// table, so every page carries its prefix. The follower's re-journal
-// fsync is deliberately outside the loop — it is storage-bound; the end-
-// to-end commit-to-visible path is BenchmarkReplicationTail.
-func BenchmarkReplicationShip(b *testing.B) {
-	treeA := planBenchDocument(b)
-	treeB := datagen.Confusing(12, 2).A.Tree
-	cat, err := imprecise.OpenCatalog(b.TempDir(), imprecise.CatalogOptions{
-		RootTag:      "catalog",
-		CompactEvery: -1, // keep every op shippable: no compaction
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cat.Close()
-	db, err := cat.Create("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const ops = 64
-	for i := 0; i < ops; i++ {
-		// Alternating replace ops: fixed-size records, so the numbers
-		// isolate shipping, not integration.
-		t := treeA
-		if i%2 == 1 {
-			t = treeB
-		}
-		if err := db.Core().ReplaceTree(t); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ts := httptest.NewServer(imprecise.NewCatalogHTTPHandler(cat, imprecise.ServerOptions{}))
-	defer ts.Close()
-	b.Run("binary", func(b *testing.B) {
-		client := ts.Client()
-		var wireBytes int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var since uint64
-			shipped := 0
-			for shipped < ops {
-				resp, err := client.Get(fmt.Sprintf("%s/dbs/bench/wal?since=%d&limit=16", ts.URL, since))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if resp.StatusCode != http.StatusOK {
-					b.Fatalf("wal fetch status %d", resp.StatusCode)
-				}
-				// Read the raw body first so wirebytes/op counts what
-				// actually crossed the wire, then decode from memory.
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-				wireBytes += int64(len(body))
-				page, err := replica.DecodeWALPage(bytes.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(page.Records) == 0 {
-					b.Fatal("empty page before catch-up")
-				}
-				shipped += len(page.Records)
-				since = page.Records[len(page.Records)-1].Seq
-			}
-		}
-		elapsed := b.Elapsed()
-		b.StopTimer()
-		b.ReportMetric(float64(ops*b.N)/elapsed.Seconds(), "shipped_ops/s")
-		b.ReportMetric(float64(wireBytes)/float64(ops*b.N), "wirebytes/op")
-	})
-}
-
-// BenchmarkReplicationTail measures steady-state shipping latency: the
-// follower is already caught up, and each iteration commits one op on
-// the primary and waits until the follower has durably applied it —
-// commit-to-visible-on-replica, long-poll wakeup included.
-func BenchmarkReplicationTail(b *testing.B) {
-	cat, err := imprecise.OpenCatalog(b.TempDir(), imprecise.CatalogOptions{
-		RootTag:      "addressbook",
-		CompactEvery: -1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cat.Close()
-	db, err := cat.Create("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := xmlcodec.DecodeString(benchBookSource)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(imprecise.NewCatalogHTTPHandler(cat, imprecise.ServerOptions{}))
-	defer ts.Close()
-	rep, err := imprecise.OpenReplica(b.TempDir(), imprecise.ReplicaOptions{
-		Primary:         ts.URL,
-		Catalog:         imprecise.CatalogOptions{RootTag: "addressbook"},
-		PollWait:        2 * time.Second,
-		MembershipEvery: 20 * time.Millisecond,
-		MinBackoff:      10 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rep.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	err = rep.WaitCaughtUp(ctx)
-	cancel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	fdb, err := rep.Catalog().Get("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := db.Core().ReplaceTree(tree); err != nil {
-			b.Fatal(err)
-		}
-		want := db.LastSeq()
-		for fdb.LastSeq() < want {
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
-}
 
 // --- failover ---
 

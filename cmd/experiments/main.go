@@ -8,7 +8,7 @@
 // Absolute numbers differ from the paper (the original IMDB/MPEG-7
 // snapshot is unavailable; the synthetic catalog reproduces the confusion
 // structure) — the comparison targets are the orderings, ratios and growth
-// shapes. See EXPERIMENTS.md.
+// shapes, which the internal/experiments tests check.
 package main
 
 import (

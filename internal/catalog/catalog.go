@@ -73,9 +73,6 @@ type Options struct {
 	// automatic compaction, including the final one at Close — only
 	// explicit DB.Compact calls write snapshots then).
 	CompactEvery int
-	// DisableMMap forces snapshot loads onto the read-whole-file path
-	// instead of mmap (store.LoadOptions.DisableMMap).
-	DisableMMap bool
 	// Logger receives recovery and compaction notes; nil disables.
 	Logger *log.Logger
 }
@@ -208,7 +205,7 @@ func (c *Catalog) openDB(name string, seedEpoch uint64) (*DB, error) {
 		return nil, statErr
 	}
 	if statErr == nil {
-		snap, err := store.LoadWith(snapshot, store.LoadOptions{DisableMMap: c.opts.DisableMMap})
+		snap, err := store.Load(snapshot)
 		if err != nil {
 			return nil, err
 		}

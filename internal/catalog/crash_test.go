@@ -170,9 +170,9 @@ func TestCrashRecoveryMixedEncodingEveryByteOffset(t *testing.T) {
 
 // TestCrashRecoveryCompactedV5EveryByteOffset reruns the crash-safety
 // property over the current on-disk generation: op 1 is compacted into a
-// v5 snapshot (strtab frame + shared-arena document, mmap'd on reopen),
+// v5 snapshot (strtab frame + shared-arena document, read on reopen),
 // and op 2 lands as a strtab-bearing v3 record in the surviving log.
-// Every cut inside op 2's frame must recover the mmap-loaded snapshot
+// Every cut inside op 2's frame must recover the loaded snapshot
 // state exactly; the full frame, the post-op state.
 func TestCrashRecoveryCompactedV5EveryByteOffset(t *testing.T) {
 	base := t.TempDir()

@@ -434,7 +434,6 @@ func runServe(args []string, w io.Writer) error {
 	resultCacheSize := fs.Int("result-cache", 0, "evaluated-result LRU cache capacity (0 = default)")
 	queryBudget := fs.Duration("query-budget", 0, "per-query wall-clock budget (0 = unlimited; exhausted queries return 408 with budget_exhausted)")
 	maxBody := fs.Int64("max-body", 0, "request body limit in bytes (0 = default 8MiB)")
-	storeMMap := fs.Bool("store-mmap", true, "mmap v5 snapshot documents on load (false forces the read-whole fallback; with -data)")
 	quiet := fs.Bool("quiet", false, "disable the per-request log")
 	fs.SetOutput(w)
 	if err := fs.Parse(args); err != nil {
@@ -483,7 +482,6 @@ func runServe(args []string, w io.Writer) error {
 		RootTag:      *rootTag,
 		SegmentBytes: *walSegBytes,
 		CompactEvery: *compactEvery,
-		DisableMMap:  !*storeMMap,
 		Logger:       logger,
 	}
 	if *replicaOf != "" {

@@ -59,8 +59,7 @@ func startServe(t *testing.T, args ...string) (string, func()) {
 }
 
 // TestServeReplicaOf is the two-process cluster smoke test at the CLI
-// level: a primary with -data (loading snapshots through the read-whole
-// fallback, -store-mmap=false) takes writes, `serve -replica-of` follows
+// level: a primary with -data takes writes, `serve -replica-of` follows
 // it, serves the replicated reads, and 403s writes; `imprecise
 // replication status` reports both sides.
 func TestServeReplicaOf(t *testing.T) {
@@ -70,7 +69,6 @@ func TestServeReplicaOf(t *testing.T) {
 		"-root", "addressbook",
 		"-compact-every", "5",
 		"-wal-segment-bytes", "65536",
-		"-store-mmap=false",
 	)
 	defer stopPrimary()
 

@@ -170,8 +170,9 @@ func AppendStrTabPayload(dst []byte, base uint64, entries []string) []byte {
 
 // DecodeStrTabPayload decodes one strtab delta payload. With zeroCopy the
 // returned entries are unsafe views into payload — valid only while the
-// backing buffer lives and is never modified (an mmap'd store document, a
-// buffer pinned by the caller); without it every entry is a fresh copy.
+// backing buffer is never modified (a store document read whole into a
+// heap buffer, which the views themselves keep alive); without it every
+// entry is a fresh copy.
 // The declared entry count is capped against the bytes present, so forged
 // counts cannot force large allocations.
 func DecodeStrTabPayload(payload []byte, zeroCopy bool) (base uint64, entries []string, err error) {
@@ -250,9 +251,9 @@ func (r *Reader) StringTableView() []string {
 }
 
 // unsafeString views b as a string without copying. The result is valid
-// exactly as long as b's backing array lives unmodified; zero-copy
-// decoders confine it to buffers with a pinned lifetime (mmap'd files,
-// whole-file reads retained by the decoded tree).
+// exactly as long as b's backing array stays unmodified; zero-copy
+// decoders confine it to heap buffers nothing writes again (whole-file
+// reads), which the resulting strings keep alive themselves.
 func unsafeString(b []byte) string {
 	if len(b) == 0 {
 		return ""

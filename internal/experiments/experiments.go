@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§V–§VI) on the synthetic catalog. The same code backs the
 // bench harness (bench_test.go) and the experiments command
-// (cmd/experiments); EXPERIMENTS.md records paper-vs-measured output.
+// (cmd/experiments), which prints paper-vs-measured output.
 //
 // Node counts are taken from the raw (unnormalized) integration result,
 // matching what the original system stores; the paper reports sizes in

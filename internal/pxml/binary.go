@@ -64,10 +64,10 @@ type DecodeArenaOptions struct {
 	// ZeroCopy keeps node tag/text strings as views into the input
 	// buffer instead of copies. The caller must guarantee the buffer
 	// outlives every tree that shares nodes with the decoded one and is
-	// never modified — an mmap'd store file pinned for the process
-	// lifetime, or a heap buffer the decoded strings themselves keep
-	// alive. Applies to the local table of self-contained payloads;
-	// shared-table payloads inherit whatever lifetime opts.Strings has.
+	// never modified — in practice a heap buffer (a store document read
+	// whole) that the decoded strings themselves keep alive. Applies to
+	// the local table of self-contained payloads; shared-table payloads
+	// inherit whatever lifetime opts.Strings has.
 	ZeroCopy bool
 	// ExpectLogical, when positive, is checked against the decoder's own
 	// bottom-up logical node count — the manifest cross-check that Load

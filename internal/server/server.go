@@ -763,26 +763,18 @@ func durabilityStats(db *catalog.DB) *DurabilityStats {
 }
 
 // StoreRuntimeStats is the process-wide zero-copy storage section of
-// /stats: how snapshot documents were opened (mmap vs read) and how
-// arena decodes ran (zero-copy string views, shared dictionaries).
+// /stats: how arena decodes ran. A zero-copy decode leaves node strings
+// as views into the heap buffer a snapshot load read, and those strings
+// keep that buffer alive themselves.
 type StoreRuntimeStats struct {
-	MMapLoads     uint64 `json:"mmap_loads"`
-	FallbackLoads uint64 `json:"fallback_loads"`
-	MappedFiles   uint64 `json:"mapped_files"`
-	MappedBytes   uint64 `json:"mapped_bytes"`
 	ArenaDecodes  uint64 `json:"arena_decodes"`
 	ArenaZeroCopy uint64 `json:"arena_zero_copy"`
 	ArenaShared   uint64 `json:"arena_shared"`
 }
 
 func storeRuntimeStats() *StoreRuntimeStats {
-	ss := store.StoreStats()
 	decodes, zeroCopy, shared := pxml.ArenaDecodeStats()
 	return &StoreRuntimeStats{
-		MMapLoads:     ss.MMapLoads,
-		FallbackLoads: ss.FallbackLoads,
-		MappedFiles:   ss.MappedFiles,
-		MappedBytes:   ss.MappedBytes,
 		ArenaDecodes:  decodes,
 		ArenaZeroCopy: zeroCopy,
 		ArenaShared:   shared,
@@ -835,8 +827,8 @@ type StatsResponse struct {
 	Index IndexStats   `json:"index"`
 	// WAL is present in catalog mode only.
 	WAL *DurabilityStats `json:"wal,omitempty"`
-	// Store reports process-wide zero-copy storage counters (mmap vs
-	// read loads, arena decode modes); Wire the binary replication
+	// Store reports process-wide zero-copy storage counters (arena
+	// decode modes); Wire the binary replication
 	// bytes served (catalog mode).
 	Store *StoreRuntimeStats `json:"store,omitempty"`
 	Wire  *WireStats         `json:"wire,omitempty"`

@@ -165,8 +165,8 @@ func SaveWith(dir string, tree *pxml.Tree, schema *dtd.Schema, opts SaveOptions)
 		return Manifest{}, err
 	}
 	// The document's strings travel once, in a strtab frame the arena
-	// frame's tag/text indices resolve against; Load decodes both
-	// zero-copy from the mapped file.
+	// frame's tag/text indices resolve against; Load reads the file into
+	// one heap buffer and decodes both zero-copy from it.
 	var tab codec.SharedStrings
 	body := tree.AppendBinaryShared(nil, &tab)
 	doc := codec.AppendFrame(nil, codec.KindStrTab, codec.StrTabVersion, tab.AppendDelta(nil, 0))
@@ -230,14 +230,6 @@ func cleanupStale(dir string, m Manifest) {
 	}
 }
 
-// LoadOptions tunes Load.
-type LoadOptions struct {
-	// DisableMMap forces the read-whole fallback for documents; the
-	// IMPRECISE_NO_MMAP environment variable (any non-empty value) does
-	// the same process-wide, so CI can exercise the fallback everywhere.
-	DisableMMap bool
-}
-
 // ReadManifest reads and parses a snapshot manifest without touching the
 // payload files — the O(manifest) stat path for listing databases.
 func ReadManifest(dir string) (Manifest, error) {
@@ -252,71 +244,8 @@ func ReadManifest(dir string) (Manifest, error) {
 	return m, nil
 }
 
-// Stats are the process-wide storage counters /stats surfaces.
-type Stats struct {
-	// MMapLoads and FallbackLoads count document opens by path taken.
-	MMapLoads     uint64 `json:"mmap_loads"`
-	FallbackLoads uint64 `json:"fallback_loads"`
-	// MappedFiles and MappedBytes describe the currently pinned mappings.
-	MappedFiles uint64 `json:"mapped_files"`
-	MappedBytes uint64 `json:"mapped_bytes"`
-}
-
-// mappedRegistry pins every mapping for the process lifetime. Unmapping
-// would require proving no live tree holds a string view into the file,
-// and delta integration deliberately splices loaded nodes into successor
-// trees — so mappings are never released, only counted. A process maps
-// one file per database generation it loads; compaction churn is bounded
-// by snapshot cadence, not op rate.
-var mappedRegistry struct {
-	mu    sync.Mutex
-	maps  [][]byte
-	stats Stats
-}
-
-// StoreStats returns a copy of the process-wide storage counters.
-func StoreStats() Stats {
-	mappedRegistry.mu.Lock()
-	defer mappedRegistry.mu.Unlock()
-	return mappedRegistry.stats
-}
-
-// openDocument returns the document file's bytes, via mmap when allowed
-// and available, else a whole-file read. Zero-copy decoding is safe over
-// both: a mapping is pinned in mappedRegistry, and a heap buffer is kept
-// alive by the decoded strings' own interior pointers.
-func openDocument(path string, disableMMap bool) ([]byte, error) {
-	useMMap := mmapAvailable && !disableMMap && os.Getenv("IMPRECISE_NO_MMAP") == ""
-	if useMMap {
-		if data, err := mmapFile(path); err == nil {
-			mappedRegistry.mu.Lock()
-			mappedRegistry.maps = append(mappedRegistry.maps, data)
-			mappedRegistry.stats.MMapLoads++
-			mappedRegistry.stats.MappedFiles++
-			mappedRegistry.stats.MappedBytes += uint64(len(data))
-			mappedRegistry.mu.Unlock()
-			return data, nil
-		}
-		// Map failure (exotic filesystem, resource limit) degrades to the
-		// portable path, never to a load error.
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	mappedRegistry.mu.Lock()
-	mappedRegistry.stats.FallbackLoads++
-	mappedRegistry.mu.Unlock()
-	return data, nil
-}
-
 // Load reads a snapshot back, verifying the checksum and format version.
 func Load(dir string) (*Snapshot, error) {
-	return LoadWith(dir, LoadOptions{})
-}
-
-// LoadWith is Load under explicit options.
-func LoadWith(dir string, opts LoadOptions) (*Snapshot, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
@@ -330,7 +259,7 @@ func LoadWith(dir string, opts LoadOptions) (*Snapshot, error) {
 	if m.DocumentFile == "" || m.DocumentFile != filepath.Base(m.DocumentFile) || (m.HasSchema && (m.SchemaFile == "" || m.SchemaFile != filepath.Base(m.SchemaFile))) {
 		return nil, fmt.Errorf("%w: manifest references invalid payload file", ErrCorrupt)
 	}
-	tree, err := loadDocument(filepath.Join(dir, m.DocumentFile), &m, opts)
+	tree, err := loadDocument(filepath.Join(dir, m.DocumentFile), &m)
 	if err != nil {
 		return nil, err
 	}
@@ -352,14 +281,15 @@ func LoadWith(dir string, opts LoadOptions) (*Snapshot, error) {
 	return snap, nil
 }
 
-// loadDocument opens and decodes a document: mmap (or read) the
-// file, verify its checksum, then decode the strtab and arena frames
-// zero-copy — node strings stay views into the backing buffer. The
+// loadDocument opens and decodes a document: read the whole file,
+// verify its checksum, then decode the strtab and arena frames
+// zero-copy — node strings stay views into the heap buffer, which they
+// keep alive themselves and nothing ever writes again. The
 // decoder computes every node's digest and its own bottom-up node count as
 // it goes, so the manifest cross-checks walk nothing: a load allocates the
-// node arena and little else.
-func loadDocument(path string, m *Manifest, opts LoadOptions) (*pxml.Tree, error) {
-	doc, err := openDocument(path, opts.DisableMMap)
+// file buffer, the node arena and little else.
+func loadDocument(path string, m *Manifest) (*pxml.Tree, error) {
+	doc, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
