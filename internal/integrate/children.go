@@ -274,15 +274,15 @@ func (it *integrator) tagBudgets(parentTag string, certA, certB, uncA, uncB []*p
 	for _, yb := range certB {
 		noteTag(yb.Tag())
 	}
+	if len(bounded) == 0 {
+		return nil, nil
+	}
 	tagsOfComp := make([]map[string]bool, len(comps))
 	for ci, c := range comps {
 		tagsOfComp[ci] = map[string]bool{}
 		for _, i := range c.aIdx {
 			tagsOfComp[ci][certA[i].Tag()] = true
 		}
-	}
-	if len(bounded) == 0 {
-		return nil, nil
 	}
 	// Fixed contributions per tag: certain singles plus the best-case
 	// (minimum) counts of preserved uncertain choice points.

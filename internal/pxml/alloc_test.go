@@ -8,8 +8,13 @@ package pxml_test
 import (
 	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 
+	"repro/internal/codec"
+	"repro/internal/datagen"
+	"repro/internal/integrate"
+	"repro/internal/oracle"
 	"repro/internal/pxml"
 	"repro/internal/pxmltest"
 )
@@ -94,5 +99,67 @@ func TestNormalizeOwnResultIsFree(t *testing.T) {
 	}
 	if changed < 100 {
 		t.Fatalf("fixtures too thin: normalization changed %d of 200 trees", changed)
+	}
+}
+
+// TestSummaryAllocsPerNode: a summary costs its own struct, one exact-size
+// tag set for an element (wrappers share their child's), the children's
+// fingerprint column where there are two or more and a world count where
+// one is summed or multiplied — at most 2.1 allocations per summarized node
+// on an integrated catalog of confusable movies, where growing each tag set
+// by insertion cost 2.23.
+func TestSummaryAllocsPerNode(t *testing.T) {
+	cfg := integrate.Config{Oracle: oracle.MovieOracle(oracle.SetGenreTitle), Schema: datagen.MovieDTD()}
+	doc := datagen.Confusing(18, 1).A.Tree
+	for seed := int64(1); seed <= 4; seed++ {
+		next, _, err := integrate.Integrate(doc, datagen.Confusing(18, seed).B.Tree, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc = next
+	}
+	// A decoded copy has no summary yet.
+	fresh, err := pxml.DecodeArena(doc.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := fresh.PhysicalNodeCount()
+	allocs := mallocs(func() { fresh.Summary() })
+	perNode := float64(allocs) / float64(nodes)
+	t.Logf("%d allocations for %d summarized nodes (%d logical, %d choice points): %.2f per node",
+		allocs, nodes, fresh.NodeCount(), fresh.ChoicePoints(), perNode)
+	if fresh.ChoicePoints() == 0 || nodes < 1000 {
+		t.Fatalf("fixture too thin: %d nodes, %d choice points", nodes, fresh.ChoicePoints())
+	}
+	if perNode > 2.1 {
+		t.Fatalf("a full summary allocates %.2f times per node, want at most 2.1", perNode)
+	}
+}
+
+// TestAppendBinarySharedReusesIndex: the arena encoder takes its node index
+// from a pool, so a warm append of a source — what every journalled
+// integrate does — allocates no map, nor anything else once the string
+// table holds the source's strings and dst has room. A whole-document
+// index is not kept for reuse, and the next small append still allocates
+// nothing.
+func TestAppendBinarySharedReusesIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	src := pxmltest.RandomCatalog(rng, 40)
+	var tab codec.SharedStrings
+	want := src.AppendBinaryShared(nil, &tab)
+	dst := make([]byte, 0, 2*len(want))
+	if n := testing.AllocsPerRun(100, func() { dst = src.AppendBinaryShared(dst[:0], &tab) }); n != 0 {
+		t.Fatalf("a warm append allocates %v times, want 0", n)
+	}
+	if string(dst) != string(want) {
+		t.Fatal("a warm append wrote other bytes")
+	}
+	leaves := make([]*pxml.Node, 5000)
+	for i := range leaves {
+		leaves[i] = pxml.Certain(pxml.NewLeaf("n", strconv.Itoa(i)))
+	}
+	pxml.CertainTree(pxml.NewElem("doc", "", leaves...)).AppendBinaryShared(nil, &tab)
+	if n := testing.AllocsPerRun(100, func() { dst = src.AppendBinaryShared(dst[:0], &tab) }); n != 0 {
+		t.Fatalf("after a large append, a warm append allocates %v times, want 0", n)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/codec"
@@ -75,41 +76,70 @@ type DecodeArenaOptions struct {
 	ExpectLogical int64
 }
 
-// arenaOrder computes the postorder write order and node→index map the
-// arena encodings share.
-func (t *Tree) arenaOrder() (order []*Node, index map[*Node]uint64) {
-	index = map[*Node]uint64{}
+// arenaIndex is the postorder write order of a document's distinct nodes
+// and each node's position in it, which the arena encodings share.
+type arenaIndex struct {
+	order []*Node
+	index map[*Node]uint64
+	stack []arenaFrame
+}
+
+type arenaFrame struct {
+	n    *Node
+	next int
+}
+
+// arenaIndexes pools the arena encoders' indexes, as visitedSets pools
+// WalkUnique's sets, so a warm append of a source allocates no map.
+var arenaIndexes = sync.Pool{New: func() any { return &arenaIndex{index: map[*Node]uint64{}} }}
+
+// maxPooledArenaIndex bounds the nodes of an index put back for reuse:
+// clearing a map costs its capacity, and one grown by a whole-document
+// compaction must not tax every later append of a small source.
+const maxPooledArenaIndex = 1 << 13
+
+// arenaOrder computes the arena index of t, taken from the pool; the
+// caller hands it back with release.
+func (t *Tree) arenaOrder() *arenaIndex {
+	a := arenaIndexes.Get().(*arenaIndex)
 	// Iterative postorder so document depth never limits the encoder.
-	type frame struct {
-		n    *Node
-		next int
-	}
-	stack := []frame{{n: t.root}}
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if _, done := index[top.n]; done {
-			stack = stack[:len(stack)-1]
+	a.stack = append(a.stack, arenaFrame{n: t.root})
+	for len(a.stack) > 0 {
+		top := &a.stack[len(a.stack)-1]
+		if _, done := a.index[top.n]; done {
+			a.stack = a.stack[:len(a.stack)-1]
 			continue
 		}
 		if top.next < len(top.n.kids) {
 			k := top.n.kids[top.next]
 			top.next++
-			if _, done := index[k]; !done {
-				stack = append(stack, frame{n: k})
+			if _, done := a.index[k]; !done {
+				a.stack = append(a.stack, arenaFrame{n: k})
 			}
 			continue
 		}
-		index[top.n] = uint64(len(order))
-		order = append(order, top.n)
-		stack = stack[:len(stack)-1]
+		a.index[top.n] = uint64(len(a.order))
+		a.order = append(a.order, top.n)
+		a.stack = a.stack[:len(a.stack)-1]
 	}
-	return order, index
+	return a
+}
+
+func (a *arenaIndex) release() {
+	if len(a.order) > maxPooledArenaIndex {
+		return
+	}
+	clear(a.index)
+	clear(a.order)
+	clear(a.stack[:cap(a.stack)])
+	a.order, a.stack = a.order[:0], a.stack[:0]
+	arenaIndexes.Put(a)
 }
 
 // appendArenaBody writes the node records, interning strings through
 // intern.
-func appendArenaBody(dst []byte, order []*Node, index map[*Node]uint64, intern func(string) uint64) []byte {
-	for _, n := range order {
+func appendArenaBody(dst []byte, a *arenaIndex, intern func(string) uint64) []byte {
+	for _, n := range a.order {
 		dst = append(dst, byte(n.kind))
 		switch n.kind {
 		case KindElem:
@@ -120,7 +150,7 @@ func appendArenaBody(dst []byte, order []*Node, index map[*Node]uint64, intern f
 		}
 		dst = codec.AppendUvarint(dst, uint64(len(n.kids)))
 		for _, k := range n.kids {
-			dst = codec.AppendUvarint(dst, index[k])
+			dst = codec.AppendUvarint(dst, a.index[k])
 		}
 	}
 	return dst
@@ -145,11 +175,12 @@ const (
 // is written once and referenced by index.
 func (t *Tree) AppendBinary(dst []byte) []byte {
 	var strings codec.StringTable
-	order, index := t.arenaOrder()
-	body := appendArenaBody(nil, order, index, strings.Intern)
+	a := t.arenaOrder()
+	defer a.release()
+	body := appendArenaBody(nil, a, strings.Intern)
 	dst = append(dst, BinaryVersion)
 	dst = strings.AppendTo(dst)
-	dst = codec.AppendUvarint(dst, uint64(len(order)))
+	dst = codec.AppendUvarint(dst, uint64(len(a.order)))
 	dst = append(dst, body...)
 	return codec.AppendUint64(dst, t.Digest())
 }
@@ -159,10 +190,11 @@ func (t *Tree) AppendBinary(dst []byte) []byte {
 // their indices. A decoder needs tab's entries (shipped separately as a
 // strtab delta) to resolve them.
 func (t *Tree) AppendBinaryShared(dst []byte, tab *codec.SharedStrings) []byte {
-	order, index := t.arenaOrder()
+	a := t.arenaOrder()
+	defer a.release()
 	dst = append(dst, BinaryVersionShared)
-	dst = codec.AppendUvarint(dst, uint64(len(order)))
-	dst = appendArenaBody(dst, order, index, tab.Intern)
+	dst = codec.AppendUvarint(dst, uint64(len(a.order)))
+	dst = appendArenaBody(dst, a, tab.Intern)
 	return codec.AppendUint64(dst, t.Digest())
 }
 

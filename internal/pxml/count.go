@@ -1,6 +1,9 @@
 package pxml
 
-import "math/big"
+import (
+	"math/big"
+	"sync"
+)
 
 // Stats summarizes the size of a probabilistic document. Logical counts
 // weigh shared subtrees once per occurrence — this is the "#nodes" measure
@@ -66,18 +69,37 @@ func (t *Tree) WorldCount() *big.Int {
 
 // ChoicePoints returns the number of genuine choice points: distinct
 // ProbNodes with more than one alternative. A distinct-node count does not
-// compose over shared subtrees, so this stays a walk; it skips every
-// subtree with a single possible world, which cannot hold a choice point.
+// compose over shared subtrees, so this stays a walk; it tests each node's
+// summary before its visited set, so a subtree with a single possible
+// world, which cannot hold a choice point, is neither entered nor recorded.
 func (t *Tree) ChoicePoints() int {
+	seen := choicePointSets.Get().(map[*Node]struct{})
+	n := choicePoints(t.root, seen)
+	clear(seen)
+	choicePointSets.Put(seen)
+	return n
+}
+
+// choicePointSets pools ChoicePoints' visited sets apart from WalkUnique's:
+// clearing a map costs its capacity, and ChoicePoints records only the
+// nodes above a choice point, far fewer than a whole-document walk grows
+// a set to.
+var choicePointSets = sync.Pool{New: func() any { return make(map[*Node]struct{}) }}
+
+func choicePoints(nd *Node, seen map[*Node]struct{}) int {
+	if nd.Summary().OneWorld() {
+		return 0
+	}
+	if _, ok := seen[nd]; ok {
+		return 0
+	}
+	seen[nd] = struct{}{}
 	n := 0
-	WalkUnique(t.root, func(nd *Node) bool {
-		if nd.Summary().OneWorld() {
-			return false
-		}
-		if nd.kind == KindProb && len(nd.kids) > 1 {
-			n++
-		}
-		return true
-	})
+	if nd.kind == KindProb && len(nd.kids) > 1 {
+		n = 1
+	}
+	for _, k := range nd.kids {
+		n += choicePoints(k, seen)
+	}
 	return n
 }

@@ -25,8 +25,12 @@ type Builder struct {
 }
 
 // NewBuilder creates an empty interning builder.
-func NewBuilder() *Builder {
-	return &Builder{table: make(map[uint64]*Node), overflow: make(map[uint64][]*Node)}
+func NewBuilder() *Builder { return NewBuilderSize(0) }
+
+// NewBuilderSize creates an empty interning builder whose table has room
+// for about nodes distinct nodes before it grows.
+func NewBuilderSize(nodes int) *Builder {
+	return &Builder{table: make(map[uint64]*Node, nodes)}
 }
 
 // Size reports the number of distinct nodes interned so far.
@@ -50,6 +54,9 @@ func (b *Builder) Intern(n *Node) *Node {
 		return c
 	}
 	if _, ok := b.table[n.digest]; ok {
+		if b.overflow == nil {
+			b.overflow = make(map[uint64][]*Node)
+		}
 		b.overflow[n.digest] = append(b.overflow[n.digest], n)
 	} else {
 		b.table[n.digest] = n

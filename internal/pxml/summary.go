@@ -2,7 +2,7 @@ package pxml
 
 import (
 	"math/big"
-	"sort"
+	"slices"
 )
 
 // TagSet is the immutable set of element tags occurring in a subtree, with
@@ -33,16 +33,9 @@ type TagStat struct {
 	MaxWorlds *big.Int
 }
 
-// find returns the position of tag in the sorted stats, or where it would
-// be inserted.
-func (s TagSet) find(tag string) (int, bool) {
-	i := sort.Search(len(s.stats), func(i int) bool { return s.stats[i].Tag >= tag })
-	return i, i < len(s.stats) && s.stats[i].Tag == tag
-}
-
 // Has reports whether tag is in the set.
 func (s TagSet) Has(tag string) bool {
-	_, ok := s.find(tag)
+	_, ok := findTag(s.stats, tag)
 	return ok
 }
 
@@ -64,7 +57,7 @@ func (s TagSet) Stats() []TagStat { return s.stats }
 // Stat returns the aggregates of one tag; ok is false when it is not in the
 // set.
 func (s TagSet) Stat(tag string) (TagStat, bool) {
-	i, ok := s.find(tag)
+	i, ok := findTag(s.stats, tag)
 	if !ok {
 		return TagStat{}, false
 	}
@@ -185,36 +178,57 @@ func computeSummary(n *Node) *Summary {
 
 // summaryTags merges the children's tag sets and, for an element, its own
 // occurrence (whose subtree spans worlds worlds). A wrapper node shares its
-// only child's set, so long chains of them hold a single one.
+// only child's set, so long chains of them hold a single one. The merge runs
+// in a stack buffer and its result is copied once into a slice of exactly
+// its size: one allocation per set, none for a set that is empty.
 func summaryTags(n *Node, kids []*Summary, worlds *big.Int) TagSet {
 	if n.kind != KindElem && len(kids) == 1 {
 		return kids[0].Tags
 	}
-	var out TagSet
+	var buf [32]TagStat
+	out := buf[:0]
 	if n.kind == KindElem {
 		own := TagStat{Tag: n.tag, Count: 1, MaxWorlds: worlds}
 		if len(n.kids) > 0 {
 			own.Inner = 1
 		}
-		out.stats = append(out.stats, own)
+		out = append(out, own)
 	}
 	for _, k := range kids {
 		for _, st := range k.Tags.stats {
-			i, ok := out.find(st.Tag)
+			i, ok := findTag(out, st.Tag)
 			if !ok {
-				out.stats = append(out.stats, TagStat{})
-				copy(out.stats[i+1:], out.stats[i:])
-				out.stats[i] = st
+				out = slices.Insert(out, i, st)
 				continue
 			}
-			out.stats[i].Count += st.Count
-			out.stats[i].Inner += st.Inner
-			if st.MaxWorlds.Cmp(out.stats[i].MaxWorlds) > 0 {
-				out.stats[i].MaxWorlds = st.MaxWorlds
+			out[i].Count += st.Count
+			out[i].Inner += st.Inner
+			if st.MaxWorlds.Cmp(out[i].MaxWorlds) > 0 {
+				out[i].MaxWorlds = st.MaxWorlds
 			}
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return TagSet{}
+	}
+	stats := make([]TagStat, len(out))
+	copy(stats, out)
+	return TagSet{stats: stats}
+}
+
+// findTag returns the position of tag in the sorted stats, or where it
+// would be inserted.
+func findTag(stats []TagStat, tag string) (int, bool) {
+	lo, hi := 0, len(stats)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if stats[m].Tag < tag {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(stats) && stats[lo].Tag == tag
 }
 
 // summaryWorlds computes the world count from child summaries, sharing

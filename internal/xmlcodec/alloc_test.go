@@ -12,11 +12,12 @@ import (
 	"repro/internal/xmlcodec"
 )
 
-// TestDecodeMessySourceBytes: decoding a messy source allocates at most 60 %
-// of what it did when interning built a full Summary for every node just to
-// read its digest, and a hash map and an FNV state per node to compute it.
+// TestDecodeMessySourceBytes: decoding a messy source — the byte scanner's
+// case — allocates at most 15 % more than the 46 696 bytes measured when
+// the scanner replaced encoding/xml's tokenizer on this path, which
+// allocated 91 568.
 func TestDecodeMessySourceBytes(t *testing.T) {
-	const before = 202832 // bytes per Decode of this source when every intern built a Summary
+	const measured = 46696 // bytes per Decode of this source
 	src := messySource()
 	decode := func() {
 		if _, err := xmlcodec.DecodeString(src); err != nil {
@@ -32,8 +33,8 @@ func TestDecodeMessySourceBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	got := (m1.TotalAlloc - m0.TotalAlloc) / runs
-	t.Logf("%d-byte source: %d bytes allocated per Decode (%d before)", len(src), got, before)
-	if got > before*60/100 {
-		t.Fatalf("Decode allocates %d bytes for a %d-byte messy source, want at most 60%% of %d", got, len(src), before)
+	t.Logf("%d-byte source: %d bytes allocated per Decode (%d measured)", len(src), got, measured)
+	if got > measured*115/100 {
+		t.Fatalf("Decode allocates %d bytes for a %d-byte messy source, want at most 115%% of %d", got, len(src), measured)
 	}
 }
