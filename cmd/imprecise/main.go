@@ -9,7 +9,7 @@
 //	imprecise worlds    -db doc.xml [-max 20]
 //	imprecise feedback  -db doc.xml -q QUERY -value V -judgment correct|incorrect [-o out.xml]
 //	imprecise generate  -scenario table1|confusing|typical [-n 12] [-seed 1] [-dir out]
-//	imprecise serve     [-addr :8080] [-db doc.xml] [-dtd schema.dtd] [-rules …] [-snapshots dir]
+//	imprecise serve     -data dir [-addr :8080] [-root tag] [-dtd schema.dtd] [-rules …] [-replica-of URL]
 //
 // Documents may be plain XML or probabilistic XML with <_prob>/<_poss>
 // markers; output documents use the markers.

@@ -13,28 +13,36 @@ import (
 )
 
 // TestNewHTTPHandler drives the public HTTP surface end to end: open a
-// database, serve it, integrate a second source over the wire, query.
+// catalog, serve it, load a source and integrate a second one into the
+// default database over the wire, query.
 func TestNewHTTPHandler(t *testing.T) {
-	db, err := imprecise.OpenXMLString(qsBookA, imprecise.Config{
-		Schema: imprecise.MustParseDTD(qsDTD),
+	cat, err := imprecise.OpenCatalog(t.TempDir(), imprecise.CatalogOptions{
+		Config:  imprecise.Config{Schema: imprecise.MustParseDTD(qsDTD)},
+		RootTag: "addressbook",
 	})
 	if err != nil {
-		t.Fatalf("OpenXMLString: %v", err)
+		t.Fatalf("OpenCatalog: %v", err)
 	}
-	ts := httptest.NewServer(imprecise.NewHTTPHandler(db, imprecise.ServerOptions{}))
+	defer cat.Close()
+	ts := httptest.NewServer(imprecise.NewCatalogHTTPHandler(cat, imprecise.ServerOptions{}))
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/integrate", "application/xml", strings.NewReader(qsBookB))
-	if err != nil {
-		t.Fatalf("POST /integrate: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /integrate: status %d, body %s", resp.StatusCode, body)
+	for _, step := range []struct{ path, body string }{
+		{"/integrate?mode=replace", qsBookA},
+		{"/integrate", qsBookB},
+	} {
+		resp, err := http.Post(ts.URL+step.path, "application/xml", strings.NewReader(step.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", step.path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d, body %s", step.path, resp.StatusCode, body)
+		}
 	}
 
-	resp, err = http.Get(ts.URL + "/query?q=" + url.QueryEscape(`//person/tel`))
+	resp, err := http.Get(ts.URL + "/query?q=" + url.QueryEscape(`//person/tel`))
 	if err != nil {
 		t.Fatalf("GET /query: %v", err)
 	}

@@ -351,18 +351,9 @@ func LoadSnapshot(dir string) (*Snapshot, error) { return store.Load(dir) }
 
 // --- serving ---
 
-// ServerOptions configure the HTTP front end (snapshot directory, body
-// limits, request logging).
+// ServerOptions configure the HTTP front end (body limits, world
+// enumeration bound, request logging).
 type ServerOptions = server.Options
-
-// NewHTTPHandler returns an http.Handler exposing db over the
-// JSON-over-HTTP API of the `imprecise serve` command: /integrate,
-// /query, /feedback, /stats, /worlds, /export, /save, /load, /healthz.
-// The handler is safe for concurrent requests; see README.md for the
-// endpoint reference.
-func NewHTTPHandler(db *Database, opts ServerOptions) http.Handler {
-	return server.New(db, opts).Handler()
-}
 
 // --- durable multi-database catalog ---
 
@@ -387,11 +378,14 @@ func OpenCatalog(dir string, opts CatalogOptions) (*Catalog, error) {
 	return catalog.Open(dir, opts)
 }
 
-// NewCatalogHTTPHandler exposes a catalog over HTTP: every per-database
-// verb under /dbs/{name}/…, catalog management on /dbs, and the legacy
-// single-database routes aliased to the catalog's default database. A
-// catalog handler is also a replication primary: it ships its write-ahead
-// logs under /dbs/{name}/wal and serves bootstrap snapshots for replicas.
+// NewCatalogHTTPHandler exposes a catalog over the JSON-over-HTTP API of
+// the `imprecise serve` command: every per-database verb under
+// /dbs/{name}/…, catalog management on /dbs, and the root routes
+// (/integrate, /query, /feedback, /stats, …) aliased to the catalog's
+// default database. A catalog handler is also a replication primary: it
+// ships its write-ahead logs under /dbs/{name}/wal and serves bootstrap
+// snapshots for replicas. The handler is safe for concurrent requests;
+// see README.md for the endpoint reference.
 func NewCatalogHTTPHandler(c *Catalog, opts ServerOptions) http.Handler {
 	return server.NewCatalog(c, opts).Handler()
 }

@@ -91,28 +91,17 @@ func saveTree(path string, t *pxml.Tree) error {
 	return xmlcodec.Encode(f, t, xmlcodec.EncodeOptions{Indent: "  "})
 }
 
-// parseRules maps comma-separated rule names to Oracle rules.
-func parseRules(spec string) ([]oracle.Rule, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var rules []oracle.Rule
-	for _, name := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(name) {
-		case "genre":
-			rules = append(rules, oracle.GenreRule())
-		case "title":
-			rules = append(rules, oracle.TitleRule())
-		case "year":
-			rules = append(rules, oracle.YearRule())
-		case "director":
-			rules = append(rules, oracle.DirectorRule())
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown rule %q (known: genre, title, year, director)", name)
+// knowledge reads the -dtd file (when given) and parses the -rules spec.
+func knowledge(dtdPath, ruleSpec string) (*dtd.Schema, []oracle.Rule, error) {
+	var schema *dtd.Schema
+	if dtdPath != "" {
+		var err error
+		if schema, err = dtd.ParseFile(dtdPath); err != nil {
+			return nil, nil, err
 		}
 	}
-	return rules, nil
+	rules, err := oracle.ParseRules(ruleSpec)
+	return schema, rules, err
 }
 
 func runIntegrate(args []string, w io.Writer) error {
@@ -144,18 +133,7 @@ func runIntegrate(args []string, w io.Writer) error {
 	default:
 		return errors.New("integrate: provide -a and -b, or at least two source files (imprecise integrate a.xml b.xml c.xml ...)")
 	}
-	var schema *dtd.Schema
-	if *dtdPath != "" {
-		data, err := os.ReadFile(*dtdPath)
-		if err != nil {
-			return err
-		}
-		schema, err = dtd.ParseString(string(data))
-		if err != nil {
-			return err
-		}
-	}
-	rules, err := parseRules(*ruleSpec)
+	schema, rules, err := knowledge(*dtdPath, *ruleSpec)
 	if err != nil {
 		return err
 	}
@@ -421,15 +399,13 @@ var serveListen = net.Listen
 func runServe(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	dataDir := fs.String("data", "", "durable multi-database data directory (enables /dbs/{name} routes; recovers on start)")
-	replicaOf := fs.String("replica-of", "", "primary base URL to follow as a read replica (requires -data; read verbs served locally, writes 403 to the primary)")
-	walSegBytes := fs.Int64("wal-segment-bytes", 0, "write-ahead segment rotation threshold in bytes (0 = default 4MiB; with -data)")
-	compactEvery := fs.Int("compact-every", 0, "journaled ops between background compactions (0 = default 64, negative disables; with -data)")
-	dbPath := fs.String("db", "", "initial document (default: empty document with -root tag)")
-	rootTag := fs.String("root", "db", "root element tag when starting empty")
+	dataDir := fs.String("data", "", "durable multi-database data directory (required; recovers on start)")
+	replicaOf := fs.String("replica-of", "", "primary base URL to follow as a read replica (read verbs served locally, writes 403 to the primary)")
+	walSegBytes := fs.Int64("wal-segment-bytes", 0, "write-ahead segment rotation threshold in bytes (0 = default 4MiB)")
+	compactEvery := fs.Int("compact-every", 0, "journaled ops between background compactions (0 = default 64, negative disables)")
+	rootTag := fs.String("root", "db", "root element tag of newly created databases")
 	dtdPath := fs.String("dtd", "", "DTD file with cardinality knowledge")
 	ruleSpec := fs.String("rules", "", "comma-separated domain rules: genre,title,year,director")
-	snapDir := fs.String("snapshots", "", "snapshot directory for /save and /load (empty disables them; ignored with -data)")
 	cacheSize := fs.Int("query-cache", 0, "compiled-query LRU cache capacity (0 = default)")
 	resultCacheSize := fs.Int("result-cache", 0, "evaluated-result LRU cache capacity (0 = default)")
 	queryBudget := fs.Duration("query-budget", 0, "per-query wall-clock budget (0 = unlimited; exhausted queries return 408 with budget_exhausted)")
@@ -439,23 +415,15 @@ func runServe(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var schema *dtd.Schema
-	if *dtdPath != "" {
-		data, err := os.ReadFile(*dtdPath)
-		if err != nil {
-			return err
-		}
-		schema, err = dtd.ParseString(string(data))
-		if err != nil {
-			return err
-		}
-	}
-	rules, err := parseRules(*ruleSpec)
+	schema, rules, err := knowledge(*dtdPath, *ruleSpec)
 	if err != nil {
 		return err
 	}
 	if *queryBudget < 0 {
 		return errors.New("serve: -query-budget must be >= 0")
+	}
+	if *dataDir == "" {
+		return errors.New("serve: -data is required (the durable catalog directory; the root routes serve its default database)")
 	}
 	cfg := core.Config{
 		Schema:          schema,
@@ -468,11 +436,7 @@ func runServe(args []string, w io.Writer) error {
 	if !*quiet {
 		logger = log.New(w, "imprecise: ", log.LstdFlags)
 	}
-	opts := server.Options{
-		SnapshotDir:  *snapDir,
-		MaxBodyBytes: *maxBody,
-		Logger:       logger,
-	}
+	opts := server.Options{MaxBodyBytes: *maxBody, Logger: logger}
 	var (
 		srv    *server.Server
 		banner string
@@ -489,12 +453,6 @@ func runServe(args []string, w io.Writer) error {
 		// primary's write-ahead logs; reads are local, writes are 403ed
 		// to the primary. -dtd/-rules must match the primary's, since
 		// shipped ops are re-executed locally.
-		if *dataDir == "" {
-			return errors.New("serve: -replica-of requires -data (the follower's own durable directory)")
-		}
-		if *dbPath != "" {
-			return errors.New("serve: -db cannot be combined with -replica-of (the primary's databases are replicated)")
-		}
 		rep, err := replica.Open(*dataDir, replica.Options{
 			Primary: *replicaOf,
 			Catalog: catOpts,
@@ -506,12 +464,9 @@ func runServe(args []string, w io.Writer) error {
 		defer rep.Close()
 		srv = server.NewReplica(rep, opts)
 		banner = fmt.Sprintf("read replica of %s in %s", rep.Primary(), *dataDir)
-	} else if *dataDir != "" {
-		// Durable catalog mode: every database recovers (snapshot + WAL
-		// tail) before the listener opens.
-		if *dbPath != "" {
-			return errors.New("serve: -db cannot be combined with -data (create databases via `imprecise db` or the /dbs API)")
-		}
+	} else {
+		// Every database recovers (snapshot + WAL tail) before the
+		// listener opens.
 		cat, err := catalog.Open(*dataDir, catOpts)
 		if err != nil {
 			return err
@@ -519,23 +474,6 @@ func runServe(args []string, w io.Writer) error {
 		defer cat.Close()
 		srv = server.NewCatalog(cat, opts)
 		banner = fmt.Sprintf("%d database(s) in %s", len(cat.Names()), *dataDir)
-	} else {
-		var tree *pxml.Tree
-		var err error
-		if *dbPath != "" {
-			tree, err = loadTree(*dbPath)
-		} else {
-			tree, err = xmlcodec.DecodeString("<" + *rootTag + "/>")
-		}
-		if err != nil {
-			return err
-		}
-		db, err := core.Open(tree, cfg)
-		if err != nil {
-			return err
-		}
-		srv = server.New(db, opts)
-		banner = fmt.Sprintf("document: %d nodes, %s worlds", tree.NodeCount(), tree.WorldCount())
 	}
 	ln, err := serveListen("tcp", *addr)
 	if err != nil {
@@ -603,18 +541,7 @@ func runDBCmd(args []string, w io.Writer) error {
 			return quickStats(*dataDir, name, w)
 		}
 	}
-	var schema *dtd.Schema
-	if *dtdPath != "" {
-		data, err := os.ReadFile(*dtdPath)
-		if err != nil {
-			return err
-		}
-		schema, err = dtd.ParseString(string(data))
-		if err != nil {
-			return err
-		}
-	}
-	rules, err := parseRules(*ruleSpec)
+	schema, rules, err := knowledge(*dtdPath, *ruleSpec)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -13,9 +14,9 @@ import (
 	"time"
 )
 
-// TestServeEndToEnd boots `imprecise serve` on an ephemeral port, drives
-// the HTTP API (integrate, query, feedback, save), and shuts it down by
-// closing the listener.
+// TestServeEndToEnd boots `imprecise serve -data` on an ephemeral port,
+// drives the root routes of the default database (integrate, query,
+// feedback, save), and shuts it down by closing the listener.
 func TestServeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	lnCh := make(chan net.Listener, 1)
@@ -43,7 +44,7 @@ func TestServeEndToEnd(t *testing.T) {
 			"serve", "-quiet",
 			"-root", "addressbook",
 			"-dtd", dtdPath,
-			"-snapshots", filepath.Join(dir, "snaps"),
+			"-data", filepath.Join(dir, "data"),
 		}, &sb)
 	}()
 
@@ -86,7 +87,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	get("/healthz", http.StatusOK)
 
-	// Empty server: replace with source A, merge source B.
+	// Empty default database: replace with source A, merge source B.
 	post("/integrate?mode=replace", "application/xml",
 		`<addressbook><person><nm>John</nm><tel>1111</tel></person></addressbook>`, http.StatusOK)
 	data := post("/integrate", "application/xml",
@@ -124,6 +125,22 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("serve did not exit after listener close")
+	}
+}
+
+// TestServeRequiresData: serve refuses to start without a data
+// directory, before it opens a listener.
+func TestServeRequiresData(t *testing.T) {
+	old := serveListen
+	serveListen = func(network, addr string) (net.Listener, error) {
+		t.Errorf("serve without -data opened a listener on %s", addr)
+		return nil, errors.New("unexpected listen")
+	}
+	defer func() { serveListen = old }()
+	var sb strings.Builder
+	err := Run([]string{"serve", "-quiet", "-root", "addressbook"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "-data is required") {
+		t.Fatalf("serve without -data: err = %v, want one naming -data", err)
 	}
 }
 

@@ -1,6 +1,10 @@
 package dtd_test
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -289,4 +293,23 @@ func FuzzDTDParse(f *testing.F) {
 			t.Fatalf("round trip changed the schema:\n%s\nvs\n%s", out, got)
 		}
 	})
+}
+
+// TestParseFile: a DTD file parses like its text, and a missing file
+// reports the file-system error.
+func TestParseFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "movie.dtd")
+	if err := os.WriteFile(path, []byte(movieDTD), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := dtd.ParseFile(path)
+	if err != nil {
+		t.Fatalf("ParseFile: %v", err)
+	}
+	if want := dtd.MustParse(movieDTD).String(); s.String() != want {
+		t.Fatalf("ParseFile = %q, want %q", s.String(), want)
+	}
+	if _, err := dtd.ParseFile(filepath.Join(t.TempDir(), "missing.dtd")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("ParseFile(missing) error = %v, want fs.ErrNotExist", err)
+	}
 }

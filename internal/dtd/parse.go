@@ -3,6 +3,7 @@ package dtd
 import (
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -22,6 +23,15 @@ func Parse(r io.Reader) (*Schema, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("dtd: %w", err)
+	}
+	return ParseString(string(data))
+}
+
+// ParseFile is Parse over the file at path.
+func ParseFile(path string) (*Schema, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
 	return ParseString(string(data))
 }

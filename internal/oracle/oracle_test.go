@@ -383,3 +383,42 @@ func TestDeepEqualRuleIgnoresTrivialGrouping(t *testing.T) {
 		t.Fatalf("differently grouped equal persons: %+v", v)
 	}
 }
+
+// TestParseRules pins the rule-spec grammar the CLI and the shell share:
+// comma-separated names, "" and "none" for no rule, blanks skipped, and an
+// error that lists the known names.
+func TestParseRules(t *testing.T) {
+	cases := []struct {
+		spec    string
+		want    []string
+		wantErr bool
+	}{
+		{spec: "", want: nil},
+		{spec: "none", want: nil},
+		{spec: "genre", want: []string{oracle.GenreRule().Name()}},
+		{spec: "genre,title,year", want: []string{oracle.GenreRule().Name(), oracle.TitleRule().Name(), oracle.YearRule().Name()}},
+		{spec: " director , ,title", want: []string{oracle.DirectorRule().Name(), oracle.TitleRule().Name()}},
+		{spec: "bogus", wantErr: true},
+		{spec: "genre,none", wantErr: true},
+	}
+	for _, tc := range cases {
+		rules, err := oracle.ParseRules(tc.spec)
+		if tc.wantErr {
+			if err == nil || !strings.Contains(err.Error(), "known: genre, title, year, director") {
+				t.Errorf("ParseRules(%q) error = %v, want one listing the known rules", tc.spec, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseRules(%q): %v", tc.spec, err)
+			continue
+		}
+		var got []string
+		for _, r := range rules {
+			got = append(got, r.Name())
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") || len(got) != len(tc.want) {
+			t.Errorf("ParseRules(%q) = %v, want %v", tc.spec, got, tc.want)
+		}
+	}
+}

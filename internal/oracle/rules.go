@@ -186,6 +186,32 @@ func YearRule() Rule { return KeyField("movie", "year") }
 // DirectorRule decides director leaves by naming convention.
 func DirectorRule() Rule { return NameEquivalence("director", 0.90) }
 
+// ParseRules maps a comma-separated list of rule names (genre, title,
+// year, director) to the rules they name. "" and "none" name no rule, and
+// blank entries are skipped.
+func ParseRules(spec string) ([]Rule, error) {
+	if spec == "" || spec == "none" {
+		return nil, nil
+	}
+	var rules []Rule
+	for _, name := range strings.Split(spec, ",") {
+		switch strings.TrimSpace(name) {
+		case "genre":
+			rules = append(rules, GenreRule())
+		case "title":
+			rules = append(rules, TitleRule())
+		case "year":
+			rules = append(rules, YearRule())
+		case "director":
+			rules = append(rules, DirectorRule())
+		case "":
+		default:
+			return nil, fmt.Errorf("unknown rule %q (known: genre, title, year, director)", name)
+		}
+	}
+	return rules, nil
+}
+
 // NameReconciler canonicalizes convention-equivalent person names to the
 // "First Last" form, so matched directors do not leave a spurious value
 // choice behind. Non-equivalent names are left unreconciled.

@@ -344,12 +344,17 @@ func TestReplicaOfStandaloneKeepsData(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A standalone (no -data) server at the primary's address.
-	tree, err := core.Open(mustDecode(t, "<addressbook/>"), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sts := httptest.NewServer(server.New(tree, server.Options{}).Handler())
+	// A server at the primary's address that is no catalog primary: older
+	// builds served a bare document this way, and answered /replication
+	// with the "standalone" role and no databases.
+	sts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/replication" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"role":"standalone","epoch":0,"databases":[]}`)
+	}))
 	defer sts.Close()
 	rep2, err := replica.Open(dir, fastOptions(sts.URL))
 	if err != nil {

@@ -64,7 +64,7 @@ type SnapshotPayload struct {
 }
 
 // PrimaryStatus is the body GET /replication returns on a primary (and,
-// role aside, on a standalone server): the membership and per-database
+// role aside, on a demoted ex-primary): the membership and per-database
 // positions a follower synchronizes against.
 type PrimaryStatus struct {
 	Role string `json:"role"`

@@ -251,17 +251,7 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// TestLegacyServerRejectsCatalogRoutes pins the 503 contract of a
-// single-database server.
-func TestLegacyServerRejectsCatalogRoutes(t *testing.T) {
-	ts, _ := newTestServer(t)
-	doJSON(t, "GET", ts.URL+"/dbs", "", nil, http.StatusServiceUnavailable, nil)
-	doJSON(t, "PUT", ts.URL+"/dbs/x", "", nil, http.StatusServiceUnavailable, nil)
-	doJSON(t, "GET", ts.URL+"/dbs/x/stats", "", nil, http.StatusServiceUnavailable, nil)
-	doJSON(t, "DELETE", ts.URL+"/dbs/x", "", nil, http.StatusServiceUnavailable, nil)
-}
-
-// TestLegacySaveLoadRejectsPaths pins the path constraint on the legacy
+// TestLegacySaveLoadRejectsPaths pins the path constraint on the root
 // routes too: absolute paths and traversal are 400s.
 func TestLegacySaveLoadRejectsPaths(t *testing.T) {
 	ts, _ := newTestServer(t)

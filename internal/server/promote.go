@@ -83,11 +83,7 @@ type StepdownResponse struct {
 // handlePromote promotes this replica server to primary.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if s.rep == nil {
-		if s.cat != nil {
-			writeError(w, http.StatusConflict, "promote: this node is already a primary")
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, "promote: only a replica can be promoted (start the server with -replica-of)")
+		writeError(w, http.StatusConflict, "promote: this node is already a primary")
 		return
 	}
 	var req PromoteRequest
@@ -197,8 +193,8 @@ func (s *Server) fenceOldPrimary(ctx context.Context, oldPrimary string, epoch u
 // it. The request must prove a newer epoch; anything else is refused, so
 // a stray or replayed step-down cannot take a healthy primary offline.
 func (s *Server) handleStepdown(w http.ResponseWriter, r *http.Request) {
-	if s.cat == nil || (s.rep != nil && !s.isPromoted()) {
-		writeError(w, http.StatusServiceUnavailable, "stepdown: only a catalog-mode primary can step down")
+	if s.rep != nil && !s.isPromoted() {
+		writeError(w, http.StatusServiceUnavailable, "stepdown: only a primary can step down")
 		return
 	}
 	var req StepdownRequest

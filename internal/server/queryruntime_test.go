@@ -61,11 +61,7 @@ func TestQueryParameters(t *testing.T) {
 // (the client hung up) aborts with the 499 nginx convention and is counted
 // in the /stats query section.
 func TestQueryClientDisconnect(t *testing.T) {
-	db, err := core.OpenXML(strings.NewReader(bookA), core.Config{Schema: personDTD})
-	if err != nil {
-		t.Fatalf("OpenXML: %v", err)
-	}
-	h := server.New(db, server.Options{}).Handler()
+	h, _ := defaultDBHandler(t, mustDecode(t, bookA), core.Config{Schema: personDTD}, server.Options{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -1,5 +1,5 @@
-// Replication endpoints and the role machinery. A catalog-mode server is
-// a primary: it ships committed write-ahead records (GET /dbs/{name}/wal,
+// Replication endpoints and the role machinery. A catalog server is a
+// primary: it ships committed write-ahead records (GET /dbs/{name}/wal,
 // long-poll), serves bootstrap state (GET /dbs/{name}/snapshot) and
 // reports positions (GET /replication). A replica server reuses the read
 // endpoints over its follower catalog, while guardMutation turns every
@@ -84,34 +84,29 @@ func (s *Server) writeReadOnly(w http.ResponseWriter, verb string) {
 
 // guardMutation wraps a mutating per-database handler with the replica
 // read-only check.
-func (s *Server) guardMutation(h func(http.ResponseWriter, *http.Request, target)) func(http.ResponseWriter, *http.Request, target) {
-	return func(w http.ResponseWriter, r *http.Request, t target) {
+func (s *Server) guardMutation(h func(http.ResponseWriter, *http.Request, *catalog.DB)) func(http.ResponseWriter, *http.Request, *catalog.DB) {
+	return func(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
 		if s.isReadOnly() {
 			s.writeReadOnly(w, r.URL.Path)
 			return
 		}
-		h(w, r, t)
+		h(w, r, db)
 	}
 }
 
-// role names what this server is: "standalone" (one bare database),
-// "primary" (durable catalog, or a promoted replica), "replica"
-// (follower catalog), or "demoted" (an ex-primary that stepped down
-// after a replica was promoted over it).
+// role names what this server is: "primary" (durable catalog, or a
+// promoted replica), "replica" (follower catalog), or "demoted" (an
+// ex-primary that stepped down after a replica was promoted over it).
 func (s *Server) role() string {
 	s.roleMu.RLock()
 	defer s.roleMu.RUnlock()
 	switch {
 	case s.rep != nil && !s.promoted:
 		return "replica"
-	case s.rep != nil:
-		return "primary"
-	case s.cat != nil && s.demoted:
+	case s.rep == nil && s.demoted:
 		return "demoted"
-	case s.cat != nil:
-		return "primary"
 	default:
-		return "standalone"
+		return "primary"
 	}
 }
 
@@ -125,11 +120,7 @@ func (s *Server) role() string {
 // 410 Gone: the follower must bootstrap from /snapshot. tab is the mark
 // of the string table the follower holds from the page that ended at
 // since; if record since+1 extends that very table, no I frame is sent.
-func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, t target) {
-	if t.cdb == nil {
-		writeError(w, http.StatusServiceUnavailable, "wal: log shipping requires a durable catalog (start the server with a data directory)")
-		return
-	}
+func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
 	q := r.URL.Query() // parsed once: r.URL.Query() builds a map per call
 	have, err := codec.ParseTabMark(q.Get("tab"))
 	num := func(name string) (n uint64) {
@@ -161,10 +152,10 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, t target) {
 	var prefix []string
 	if wait > 0 {
 		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		raws, prefix, err = t.cdb.WaitRawOps(ctx, since, limit, have)
+		raws, prefix, err = db.WaitRawOps(ctx, since, limit, have)
 		cancel()
 	} else {
-		raws, prefix, err = t.cdb.RawOpsSince(since, limit, have)
+		raws, prefix, err = db.RawOpsSince(since, limit, have)
 	}
 	switch {
 	case errors.Is(err, catalog.ErrSeqGone):
@@ -176,13 +167,13 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, t target) {
 	}
 	// The (seq, digest) pair comes from one consistent snapshot, so a
 	// follower reaching LastSeq can compare trees structurally.
-	tree, seq := t.core.TreeSeq()
+	tree, seq := db.Core().TreeSeq()
 	page := replica.WALPage{
-		Database: t.name,
+		Database: db.Name(),
 		Since:    since,
 		LastSeq:  seq,
 		Digest:   replica.DigestString(tree),
-		Epoch:    t.cdb.Epoch(),
+		Epoch:    db.Epoch(),
 	}
 	s.wire.pages.Add(1)
 	if len(raws) > 0 && len(prefix) == 0 {
@@ -192,24 +183,20 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, t target) {
 	// encode failure can only cut the connection, which the follower
 	// detects as a truncated stream and retries.
 	if err := replica.EncodeRawWALPage(s.wireWriter(w), &page, raws, prefix); err != nil {
-		s.logf("wal: %s: streaming page since %d: %v", t.name, since, err)
+		s.logf("wal: %s: streaming page since %d: %v", db.Name(), since, err)
 	}
 }
 
 // handleSnapshot serves the database's full current state — the payload a
 // follower bootstraps from, mirroring the store snapshot format.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, t target) {
-	if t.cdb == nil {
-		writeError(w, http.StatusServiceUnavailable, "snapshot: replication requires a durable catalog (start the server with a data directory)")
-		return
-	}
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
 	// Read the epoch before the view: if a concurrent raise lands between
 	// the two reads the payload understates the epoch, which a follower
 	// tolerates (it refuses only snapshots BELOW its own epoch).
-	epoch := t.cdb.Epoch()
-	v := t.core.View()
+	epoch := db.Epoch()
+	v := db.Core().View()
 	payload := replica.SnapshotPayload{
-		Database:      t.name,
+		Database:      db.Name(),
 		FormatVersion: store.FormatVersion,
 		Seq:           v.Seq,
 		Epoch:         epoch,
@@ -223,7 +210,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, t target
 	}
 	s.wire.snapshots.Add(1)
 	if err := replica.EncodeSnapshotShared(s.wireWriter(w), &payload); err != nil {
-		s.logf("snapshot: %s: streaming: %v", t.name, err)
+		s.logf("snapshot: %s: streaming: %v", db.Name(), err)
 	}
 }
 
@@ -235,29 +222,25 @@ type replicaReplicationResponse struct {
 }
 
 // handleReplication reports the node's replication role and positions:
-// on a primary (or standalone server) the per-database shipped positions
-// a follower syncs against, on a replica the follower lag and sync
-// counters.
+// on a primary the per-database shipped positions a follower syncs
+// against, on a replica the follower lag and sync counters.
 func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {
 	if s.rep != nil && !s.isPromoted() {
 		writeJSON(w, http.StatusOK, replicaReplicationResponse{Role: "replica", Status: s.rep.Status()})
 		return
 	}
-	ps := replica.PrimaryStatus{Role: s.role(), Primary: s.primaryHint(), Databases: []replica.PrimaryDBStatus{}}
-	if s.cat != nil {
-		ps.Epoch = s.cat.Epoch()
-		for _, db := range s.cat.List() {
-			tree, seq := db.Core().TreeSeq()
-			st := db.Stats()
-			ps.Databases = append(ps.Databases, replica.PrimaryDBStatus{
-				Name:        db.Name(),
-				LastSeq:     seq,
-				Digest:      replica.DigestString(tree),
-				SnapshotSeq: st.SnapshotSeq,
-				TailOps:     st.TailOps,
-				Epoch:       st.Epoch,
-			})
-		}
+	ps := replica.PrimaryStatus{Role: s.role(), Epoch: s.cat.Epoch(), Primary: s.primaryHint(), Databases: []replica.PrimaryDBStatus{}}
+	for _, db := range s.cat.List() {
+		tree, seq := db.Core().TreeSeq()
+		st := db.Stats()
+		ps.Databases = append(ps.Databases, replica.PrimaryDBStatus{
+			Name:        db.Name(),
+			LastSeq:     seq,
+			Digest:      replica.DigestString(tree),
+			SnapshotSeq: st.SnapshotSeq,
+			TailOps:     st.TailOps,
+			Epoch:       st.Epoch,
+		})
 	}
 	writeJSON(w, http.StatusOK, ps)
 }
@@ -288,7 +271,7 @@ type HealthResponse struct {
 	Status  string `json:"status"`
 	Role    string `json:"role,omitempty"`
 	Primary string `json:"primary,omitempty"`
-	// Epoch is the node's cluster epoch (catalog and replica modes).
+	// Epoch is the node's cluster epoch.
 	Epoch     *uint64    `json:"epoch,omitempty"`
 	Connected *bool      `json:"connected,omitempty"`
 	Databases []HealthDB `json:"databases,omitempty"`
@@ -314,10 +297,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.Role = s.role()
-	if s.cat != nil {
-		epoch := s.cat.Epoch()
-		resp.Epoch = &epoch
-	}
+	epoch := s.cat.Epoch()
+	resp.Epoch = &epoch
 	var lagByName map[string]replica.DBStatus
 	if s.rep != nil && !s.isPromoted() {
 		st := s.rep.Status()
@@ -333,29 +314,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Primary = p
 	}
 	resp.Databases = []HealthDB{}
-	if s.cat != nil {
-		for _, db := range s.cat.List() {
-			st := db.Stats()
-			row := HealthDB{
-				Name:         db.Name(),
-				CommittedSeq: st.WAL.LastSeq,
-				AppliedSeq:   db.Core().AppliedSeq(),
-				TailOps:      st.TailOps,
-				RecoveredOps: st.RecoveredOps,
-				StoreFormat:  st.StoreFormat,
-			}
-			if d, ok := lagByName[db.Name()]; ok {
-				row.PrimarySeq = d.PrimarySeq
-				row.Lag = d.Lag
-				row.LastError = d.LastError
-			}
-			resp.Databases = append(resp.Databases, row)
+	for _, db := range s.cat.List() {
+		st := db.Stats()
+		row := HealthDB{
+			Name:         db.Name(),
+			CommittedSeq: st.WAL.LastSeq,
+			AppliedSeq:   db.Core().AppliedSeq(),
+			TailOps:      st.TailOps,
+			RecoveredOps: st.RecoveredOps,
+			StoreFormat:  st.StoreFormat,
 		}
-	} else if s.db != nil {
-		resp.Databases = append(resp.Databases, HealthDB{
-			Name:       catalog.DefaultName,
-			AppliedSeq: s.db.AppliedSeq(),
-		})
+		if d, ok := lagByName[db.Name()]; ok {
+			row.PrimarySeq = d.PrimarySeq
+			row.Lag = d.Lag
+			row.LastError = d.LastError
+		}
+		resp.Databases = append(resp.Databases, row)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

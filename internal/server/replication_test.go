@@ -361,29 +361,6 @@ func TestReplicationStatusPrimary(t *testing.T) {
 	}
 }
 
-// TestReplicationStatusStandalone: a bare single-database server still
-// answers /replication, with no databases to ship.
-func TestReplicationStatusStandalone(t *testing.T) {
-	tree, err := xmlcodec.DecodeString("<addressbook/>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := core.Open(tree, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(db, Options{}).Handler())
-	defer ts.Close()
-	var ps replica.PrimaryStatus
-	getJSON(t, ts.URL+"/replication", http.StatusOK, &ps)
-	if ps.Role != "standalone" || len(ps.Databases) != 0 {
-		t.Fatalf("standalone replication status %+v", ps)
-	}
-	// Log shipping itself needs a catalog.
-	getWire(t, ts.URL+"/wal", http.StatusServiceUnavailable, replica.DecodeWALPage)
-	getWire(t, ts.URL+"/snapshot", http.StatusServiceUnavailable, replica.DecodeSnapshot)
-}
-
 // TestHealthzVerbose: the bare probe keeps its one-field contract; the
 // verbose form reports per-database positions, and on a replica the lag.
 func TestHealthzVerbose(t *testing.T) {

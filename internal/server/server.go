@@ -6,22 +6,20 @@
 // query traffic keeps being served from a consistent snapshot while an
 // integration is in flight.
 //
-// A server fronts one bare core.Database (New), a durable multi-database
-// catalog (NewCatalog), or a read replica following a primary
-// (NewReplica). In catalog mode every database is addressed under
-// /dbs/{name}/…, the catalog can be managed over HTTP, and the legacy
-// single-database routes below alias to the catalog's "default" database,
-// so old clients keep working unchanged.
+// Every server fronts a catalog: a durable multi-database catalog
+// (NewCatalog), or the follower catalog of a read replica (NewReplica).
+// Every database is addressed under /dbs/{name}/…, the catalog can be
+// managed over HTTP, and the root routes below alias to the catalog's
+// "default" database.
 //
-// Catalog-mode servers are replication primaries: they ship their
-// write-ahead logs under GET /dbs/{name}/wal (long-poll framed op
-// stream), serve bootstrap state under GET /dbs/{name}/snapshot, and
-// report positions under GET /replication. A replica server serves every
-// read verb from its local follower catalog but rejects mutations with
-// 403 plus the primary's address. It exposes the same log-shipping read
-// endpoints over its own catalog; the official follower client still
-// refuses to sync off a replica, keeping replication trees rooted at
-// primaries.
+// A catalog server is a replication primary: it ships its write-ahead
+// logs under GET /dbs/{name}/wal (long-poll framed op stream), serves
+// bootstrap state under GET /dbs/{name}/snapshot, and reports positions
+// under GET /replication. A replica server serves every read verb from
+// its local follower catalog but rejects mutations with 403 plus the
+// primary's address. It exposes the same log-shipping read endpoints
+// over its own catalog; the official follower client still refuses to
+// sync off a replica, keeping replication trees rooted at primaries.
 //
 // Endpoints (all responses are JSON; errors use {"error": "…"}):
 //
@@ -33,23 +31,24 @@
 //	                                    bounds wall time (408 +
 //	                                    budget_exhausted)
 //	POST /feedback                      {"query","value","correct"} -> event
-//	GET  /stats                         document + cache + server statistics
-//	                                    (catalog mode: + WAL/compaction)
+//	GET  /stats                         document, cache, WAL/compaction
+//	                                    and server statistics
 //	GET  /worlds?max=N                  enumerated possible worlds
 //	GET  /export                        the document as probabilistic XML
-//	POST /save                          {"name","comment"} -> manifest
+//	POST /save                          {"name","comment"} -> manifest of
+//	                                    the database's named snapshot
 //	POST /load                          {"name"} -> manifest
 //	GET  /healthz                       liveness probe; ?verbose=1 adds a
 //	                                    readiness report (per-db log
 //	                                    positions, replication lag)
 //	GET  /replication                   role + per-database replication
 //	                                    positions / follower lag
-//	GET  /wal?since=&limit=&wait=       committed op-log page (catalog
-//	                                    mode; long-poll when wait>0;
-//	                                    410 when compacted past since)
+//	GET  /wal?since=&limit=&wait=       committed op-log page (long-poll
+//	                                    when wait>0; 410 when compacted
+//	                                    past since)
 //	GET  /snapshot                      full-state bootstrap payload
 //
-// Catalog management (catalog mode; 503 otherwise):
+// Catalog management:
 //
 //	GET    /dbs                         list databases + durability stats
 //	POST   /dbs                         {"name"} -> create (201)
@@ -69,14 +68,12 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/integrate"
 	"repro/internal/pxml"
 	"repro/internal/query"
@@ -98,9 +95,6 @@ const DefaultMaxWorlds = 1000
 
 // Options configure a Server.
 type Options struct {
-	// SnapshotDir is the directory under which /save and /load resolve
-	// snapshot names. Empty disables the persistence endpoints (503).
-	SnapshotDir string
 	// MaxBodyBytes bounds request bodies (0 means DefaultMaxBodyBytes).
 	MaxBodyBytes int64
 	// MaxWorlds bounds /worlds enumeration (0 means DefaultMaxWorlds).
@@ -109,14 +103,12 @@ type Options struct {
 	Logger *log.Logger
 }
 
-// Server is the HTTP front end over one core.Database (legacy mode), a
-// durable multi-database catalog, or a read replica's follower catalog.
-// A replica server can be promoted to primary at runtime (POST
-// /promote) and a primary can step down (POST /stepdown), so the role
-// state below is mutable and guarded.
+// Server is the HTTP front end over a durable multi-database catalog or
+// a read replica's follower catalog. A replica server can be promoted to
+// primary at runtime (POST /promote) and a primary can step down (POST
+// /stepdown), so the role state below is mutable and guarded.
 type Server struct {
-	db   *core.Database   // legacy single-database mode; nil in catalog mode
-	cat  *catalog.Catalog // catalog mode; nil in legacy mode
+	cat  *catalog.Catalog
 	rep  *replica.Replica // replica mode; cat is then the follower catalog
 	opts Options
 	mux  *http.ServeMux
@@ -146,26 +138,12 @@ type Server struct {
 	wire wireCounters
 }
 
-// target is the database one request operates on: its core plus, in
-// catalog mode, the managed wrapper carrying durability stats and
-// per-database snapshots.
-type target struct {
-	core *core.Database
-	cdb  *catalog.DB // nil in legacy single-database mode
-	name string
-}
-
-// New builds a Server over one bare database. The database carries all
-// integration knowledge (schema, rules); the server only translates HTTP.
-func New(db *core.Database, opts Options) *Server {
-	return newServer(db, nil, nil, opts)
-}
-
 // NewCatalog builds a Server over a durable multi-database catalog. Each
-// database is addressed under /dbs/{name}/…; the legacy single-database
-// routes alias to the catalog's default database.
+// database is addressed under /dbs/{name}/…; the root routes alias to the
+// catalog's default database. The catalog carries all integration
+// knowledge (schema, rules); the server only translates HTTP.
 func NewCatalog(cat *catalog.Catalog, opts Options) *Server {
-	return newServer(nil, cat, nil, opts)
+	return newServer(cat, nil, opts)
 }
 
 // NewReplica builds a read-replica Server over a live follower. Every
@@ -173,27 +151,27 @@ func NewCatalog(cat *catalog.Catalog, opts Options) *Server {
 // mutating verb is rejected with 403 and the primary's address, so
 // clients know where to send writes.
 func NewReplica(rep *replica.Replica, opts Options) *Server {
-	return newServer(nil, rep.Catalog(), rep, opts)
+	return newServer(rep.Catalog(), rep, opts)
 }
 
-func newServer(db *core.Database, cat *catalog.Catalog, rep *replica.Replica, opts Options) *Server {
+func newServer(cat *catalog.Catalog, rep *replica.Replica, opts Options) *Server {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if opts.MaxWorlds <= 0 {
 		opts.MaxWorlds = DefaultMaxWorlds
 	}
-	s := &Server{db: db, cat: cat, rep: rep, opts: opts, mux: http.NewServeMux()}
+	s := &Server{cat: cat, rep: rep, opts: opts, mux: http.NewServeMux()}
 	if rep != nil {
 		s.readOnly = true
 		s.primary = rep.Primary()
 	}
-	// Every per-database verb is registered twice: at the root (legacy
-	// alias of the default database) and under /dbs/{name}. Mutating
-	// verbs are guarded: a replica rejects them with 403 + primary.
+	// Every per-database verb is registered twice: at the root (alias of
+	// the default database) and under /dbs/{name}. Mutating verbs are
+	// guarded: a replica rejects them with 403 + primary.
 	verbs := []struct {
 		pattern  string
-		h        func(http.ResponseWriter, *http.Request, target)
+		h        func(http.ResponseWriter, *http.Request, *catalog.DB)
 		mutating bool
 	}{
 		{"POST /integrate", s.handleIntegrate, true},
@@ -267,16 +245,11 @@ func (s *Server) isPromoted() bool {
 	return s.promoted
 }
 
-// withDefault routes a legacy request to the single database (legacy
-// mode) or the catalog's default database. A replica never creates the
-// default database — its set is whatever the primary ships — so there the
-// alias resolves strictly.
-func (s *Server) withDefault(h func(http.ResponseWriter, *http.Request, target)) http.HandlerFunc {
+// withDefault routes a root request to the catalog's default database.
+// A replica never creates the default database — its set is whatever the
+// primary ships — so there the alias resolves strictly.
+func (s *Server) withDefault(h func(http.ResponseWriter, *http.Request, *catalog.DB)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.db != nil {
-			h(w, r, target{core: s.db, name: catalog.DefaultName})
-			return
-		}
 		var (
 			db  *catalog.DB
 			err error
@@ -291,35 +264,21 @@ func (s *Server) withDefault(h func(http.ResponseWriter, *http.Request, target))
 			writeError(w, http.StatusInternalServerError, "default database: %v", err)
 			return
 		}
-		h(w, r, target{core: db.Core(), cdb: db, name: db.Name()})
+		h(w, r, db)
 	}
 }
 
 // withNamed routes a /dbs/{name}/… request to the named catalog database.
-func (s *Server) withNamed(h func(http.ResponseWriter, *http.Request, target)) http.HandlerFunc {
+func (s *Server) withNamed(h func(http.ResponseWriter, *http.Request, *catalog.DB)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		db, ok := s.catalogDB(w, r)
-		if !ok {
+		name := r.PathValue("name")
+		db, err := s.cat.Get(name)
+		if err != nil {
+			writeError(w, catalogErrStatus(err), "db %q: %v", name, err)
 			return
 		}
-		h(w, r, target{core: db.Core(), cdb: db, name: db.Name()})
+		h(w, r, db)
 	}
-}
-
-// catalogDB resolves {name} against the catalog, writing the error
-// response itself when resolution fails.
-func (s *Server) catalogDB(w http.ResponseWriter, r *http.Request) (*catalog.DB, bool) {
-	if s.cat == nil {
-		writeError(w, http.StatusServiceUnavailable, "multi-database catalog is not enabled (start the server with a data directory)")
-		return nil, false
-	}
-	name := r.PathValue("name")
-	db, err := s.cat.Get(name)
-	if err != nil {
-		writeError(w, catalogErrStatus(err), "db %q: %v", name, err)
-		return nil, false
-	}
-	return db, true
 }
 
 // catalogErrStatus maps catalog errors onto HTTP statuses.
@@ -389,14 +348,14 @@ type IntegrateResponse struct {
 	ChoicePoints int    `json:"choice_points"`
 }
 
-func (s *Server) handleIntegrate(w http.ResponseWriter, r *http.Request, t target) {
+func (s *Server) handleIntegrate(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
 	params := r.URL.Query()
 	mode := params.Get("mode")
 	if mode == "" {
 		mode = "merge"
 	}
 	resp := IntegrateResponse{Mode: mode}
-	// result is this request's own resulting document — not t.core.Tree(),
+	// result is this request's own resulting document — not db.Core().Tree(),
 	// which a concurrent writer may have advanced past it already.
 	var result *pxml.Tree
 	switch mode {
@@ -406,7 +365,7 @@ func (s *Server) handleIntegrate(w http.ResponseWriter, r *http.Request, t targe
 			writeError(w, statusForBodyError(err, http.StatusUnprocessableEntity), "integrate: %v", err)
 			return
 		}
-		res, stats, err := t.core.IntegrateTreeResult(other)
+		res, stats, err := db.Core().IntegrateTreeResult(other)
 		if err != nil {
 			writeError(w, http.StatusUnprocessableEntity, "integrate: %v", err)
 			return
@@ -419,7 +378,7 @@ func (s *Server) handleIntegrate(w http.ResponseWriter, r *http.Request, t targe
 			writeError(w, statusForBodyError(err, http.StatusUnprocessableEntity), "integrate: %v", err)
 			return
 		}
-		if err := t.core.ReplaceTree(tree); err != nil {
+		if err := db.Core().ReplaceTree(tree); err != nil {
 			writeError(w, http.StatusUnprocessableEntity, "integrate: %v", err)
 			return
 		}
@@ -483,7 +442,7 @@ type BatchIntegrateResponse struct {
 // handleIntegrateBatch integrates N sources in one writer-lock cycle. The
 // batch is atomic: either every source integrates and readers observe the
 // final document in a single swap, or the database is left untouched.
-func (s *Server) handleIntegrateBatch(w http.ResponseWriter, r *http.Request, t target) {
+func (s *Server) handleIntegrateBatch(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
 	var req BatchIntegrateRequest
 	if err := readJSON(r, &req); err != nil {
 		writeError(w, statusForBodyError(err, http.StatusBadRequest), "integrate/batch: bad request body: %v", err)
@@ -497,7 +456,7 @@ func (s *Server) handleIntegrateBatch(w http.ResponseWriter, r *http.Request, t 
 	for i, src := range req.Sources {
 		readers[i] = strings.NewReader(src)
 	}
-	statsList, result, err := t.core.IntegrateBatchXML(readers)
+	statsList, result, err := db.Core().IntegrateBatchXML(readers)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "integrate/batch: %v", err)
 		return
@@ -542,7 +501,7 @@ type QueryResponse struct {
 	Plan *query.Plan `json:"plan,omitempty"`
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t target) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
 	params := r.URL.Query()
 	src := params.Get("q")
 	if src == "" {
@@ -557,7 +516,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t target) {
 		writeError(w, http.StatusBadRequest, "query: %v", err)
 		return
 	}
-	opts := t.core.DefaultQueryOptions()
+	opts := db.Core().DefaultQueryOptions()
 	if v := params.Get("method"); v != "" {
 		// auto (the default) lets the planner choose; an explicit method
 		// is used verbatim. Unknown names fail option validation below.
@@ -604,7 +563,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t target) {
 	// The request context rides into evaluation: a client that hangs up
 	// aborts its own query instead of leaving it computing to completion
 	// (counted under /stats query.canceled).
-	res, err := t.core.QueryEvalCtx(r.Context(), src, opts)
+	res, err := db.Core().QueryEvalCtx(r.Context(), src, opts)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -660,7 +619,7 @@ type FeedbackResponse struct {
 	WorldsAfter  string  `json:"worlds_after"`
 }
 
-func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, t target) {
+func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
 	var req FeedbackRequest
 	if err := readJSON(r, &req); err != nil {
 		writeError(w, statusForBodyError(err, http.StatusBadRequest), "feedback: bad request body: %v", err)
@@ -670,7 +629,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, t target
 		writeError(w, http.StatusBadRequest, "feedback: query, value and correct are required")
 		return
 	}
-	ev, err := t.core.Feedback(req.Query, req.Value, *req.Correct)
+	ev, err := db.Core().Feedback(req.Query, req.Value, *req.Correct)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "feedback: %v", err)
 		return
@@ -707,7 +666,7 @@ type IndexStats struct {
 }
 
 // DurabilityStats is the write-ahead-log and compaction section of the
-// stats response (catalog mode only).
+// stats response.
 type DurabilityStats struct {
 	// LastSeq is the newest committed op; SnapshotSeq the op the on-disk
 	// snapshot reflects; TailOps how many ops recovery would replay.
@@ -805,10 +764,10 @@ func (s *Server) wireStats() *WireStats {
 }
 
 // StatsResponse summarizes the document, the compiled-query and result
-// caches, the summary warms, the history counts, and — in catalog
-// mode — the database's durability counters.
+// caches, the summary warms, the history counts, and the database's
+// durability counters.
 type StatsResponse struct {
-	// Database names the database the stats describe (catalog mode).
+	// Database names the database the stats describe.
 	Database      string        `json:"database,omitempty"`
 	LogicalNodes  int64         `json:"logical_nodes"`
 	PhysicalNodes int64         `json:"physical_nodes"`
@@ -823,13 +782,11 @@ type StatsResponse struct {
 	// Query reports query-path concurrency: in-flight evaluations,
 	// early aborts (client disconnects, budget exhaustion), singleflight
 	// collapses, and anchors enumerated or skipped.
-	Query QueryRuntime `json:"query"`
-	Index IndexStats   `json:"index"`
-	// WAL is present in catalog mode only.
-	WAL *DurabilityStats `json:"wal,omitempty"`
+	Query QueryRuntime     `json:"query"`
+	Index IndexStats       `json:"index"`
+	WAL   *DurabilityStats `json:"wal,omitempty"`
 	// Store reports process-wide zero-copy storage counters (arena
-	// decode modes); Wire the binary replication
-	// bytes served (catalog mode).
+	// decode modes); Wire the binary replication bytes served.
 	Store *StoreRuntimeStats `json:"store,omitempty"`
 	Wire  *WireStats         `json:"wire,omitempty"`
 }
@@ -857,8 +814,8 @@ type QueryRuntime struct {
 	AnchorsSkipped    int64 `json:"anchors_skipped"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
-	tr := t.core.Tree()
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
+	tr := db.Core().Tree()
 	st := tr.CollectStats()
 	resp := StatsResponse{
 		LogicalNodes:  st.LogicalNodes,
@@ -867,14 +824,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 		ChoicePoints:  st.ChoicePoints,
 		MaxDepth:      st.MaxDepth,
 		Certain:       tr.IsCertain(),
-		Integrations:  t.core.IntegrationCount(),
-		FeedbackCount: t.core.FeedbackCount(),
+		Integrations:  db.Core().IntegrationCount(),
+		FeedbackCount: db.Core().FeedbackCount(),
 	}
-	cs := t.core.QueryCacheStats()
+	cs := db.Core().QueryCacheStats()
 	resp.QueryCache = CacheCounters{Hits: cs.Hits, Misses: cs.Misses, Size: cs.Size, Capacity: cs.Capacity}
-	rs := t.core.ResultCacheStats()
+	rs := db.Core().ResultCacheStats()
 	resp.ResultCache = CacheCounters{Hits: rs.Hits, Misses: rs.Misses, Size: rs.Size, Capacity: rs.Capacity}
-	qs := t.core.QueryStats()
+	qs := db.Core().QueryStats()
 	resp.Query = QueryRuntime{
 		Active:                qs.Active,
 		Started:               qs.Started,
@@ -884,7 +841,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 		AnchorsEnumerated:     qs.AnchorsEnumerated,
 		AnchorsSkipped:        qs.AnchorsSkipped,
 	}
-	is := t.core.IndexStats()
+	is := db.Core().IndexStats()
 	resp.Index = IndexStats{
 		Builds:          is.Builds,
 		LastBuildMicros: float64(is.LastBuild.Nanoseconds()) / 1e3,
@@ -892,12 +849,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 		Tags:            is.Tags,
 		Elements:        is.Elements,
 	}
+	resp.Database = db.Name()
+	resp.WAL = durabilityStats(db)
 	resp.Store = storeRuntimeStats()
-	if t.cdb != nil {
-		resp.Database = t.name
-		resp.WAL = durabilityStats(t.cdb)
-		resp.Wire = s.wireStats()
-	}
+	resp.Wire = s.wireStats()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -915,7 +870,7 @@ type World struct {
 	Elements []string `json:"elements"`
 }
 
-func (s *Server) handleWorlds(w http.ResponseWriter, r *http.Request, t target) {
+func (s *Server) handleWorlds(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
 	max, err := intParam(r.URL.Query(), "max", 20)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "worlds: %v", err)
@@ -928,7 +883,7 @@ func (s *Server) handleWorlds(w http.ResponseWriter, r *http.Request, t target) 
 	if max > s.opts.MaxWorlds {
 		max = s.opts.MaxWorlds
 	}
-	tr := t.core.Tree()
+	tr := db.Core().Tree()
 	resp := WorldsResponse{Total: tr.WorldCount().String(), List: []World{}}
 	worlds.Enumerate(tr, func(wd worlds.World) bool {
 		elems := []string{}
@@ -942,15 +897,15 @@ func (s *Server) handleWorlds(w http.ResponseWriter, r *http.Request, t target) 
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request, t target) {
+func (s *Server) handleExport(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
 	w.Header().Set("Content-Type", "application/xml")
-	if err := t.core.ExportXML(w, xmlcodec.EncodeOptions{Indent: "  "}); err != nil {
+	if err := db.Core().ExportXML(w, xmlcodec.EncodeOptions{Indent: "  "}); err != nil {
 		// Headers may already be out; log-and-abandon is all that's left.
 		s.logf("export: %v", err)
 	}
 }
 
-// SaveRequest names the snapshot to write under the server's snapshot
+// SaveRequest names the snapshot to write under the database's snapshot
 // directory.
 type SaveRequest struct {
 	Name    string `json:"name,omitempty"`
@@ -973,34 +928,6 @@ type SnapshotResponse struct {
 	Comment      string `json:"comment,omitempty"`
 }
 
-// errNoSnapshots is returned when /save or /load is hit on a server
-// started without a snapshot directory.
-var errNoSnapshots = errors.New("snapshot persistence is not enabled (start the server with a snapshot directory)")
-
-// snapshotDir resolves a client-supplied snapshot name inside the
-// configured snapshot directory, rejecting names that would escape it.
-func (s *Server) snapshotDir(name string) (resolved, clean string, err error) {
-	if s.opts.SnapshotDir == "" {
-		return "", "", errNoSnapshots
-	}
-	if name == "" {
-		name = "default"
-	}
-	if name != filepath.Base(name) || name == ".." || name == "." || strings.ContainsAny(name, `/\`) {
-		return "", "", fmt.Errorf("invalid snapshot name %q", name)
-	}
-	return filepath.Join(s.opts.SnapshotDir, name), name, nil
-}
-
-// snapshotNameStatus maps snapshotDir errors: disabled persistence is a
-// 503, a bad name a 400.
-func snapshotNameStatus(err error) int {
-	if errors.Is(err, errNoSnapshots) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusBadRequest
-}
-
 func manifestResponse(name string, m store.Manifest) SnapshotResponse {
 	return SnapshotResponse{
 		Name:         name,
@@ -1012,38 +939,23 @@ func manifestResponse(name string, m store.Manifest) SnapshotResponse {
 	}
 }
 
-func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, t target) {
+func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
 	var req SaveRequest
 	if err := readJSON(r, &req); err != nil && err != io.EOF {
 		writeError(w, statusForBodyError(err, http.StatusBadRequest), "save: bad request body: %v", err)
 		return
 	}
-	// Catalog databases save under their own snapshots/ directory; the
-	// name is validated by the catalog. Legacy mode resolves against the
-	// configured snapshot directory.
-	if t.cdb != nil {
-		m, err := t.cdb.SaveNamed(req.Name, req.Comment)
-		if err != nil {
-			writeError(w, catalogErrStatus(err), "save: %v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, manifestResponse(orDefault(req.Name), m))
-		return
-	}
-	dir, name, err := s.snapshotDir(req.Name)
+	// The database saves under its own snapshots/ directory; the catalog
+	// validates the name.
+	m, err := db.SaveNamed(req.Name, req.Comment)
 	if err != nil {
-		writeError(w, snapshotNameStatus(err), "save: %v", err)
+		writeError(w, catalogErrStatus(err), "save: %v", err)
 		return
 	}
-	m, err := t.core.SaveSnapshot(dir, req.Comment)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "save: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, manifestResponse(name, m))
+	writeJSON(w, http.StatusOK, manifestResponse(orDefault(req.Name), m))
 }
 
-// orDefault mirrors the snapshot-name defaulting the resolvers apply.
+// orDefault mirrors the snapshot-name defaulting of the catalog.
 func orDefault(name string) string {
 	if name == "" {
 		return catalog.DefaultName
@@ -1051,36 +963,18 @@ func orDefault(name string) string {
 	return name
 }
 
-func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, t target) {
+func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
 	var req LoadRequest
 	if err := readJSON(r, &req); err != nil && err != io.EOF {
 		writeError(w, statusForBodyError(err, http.StatusBadRequest), "load: bad request body: %v", err)
 		return
 	}
-	var (
-		snap *store.Snapshot
-		name string
-		err  error
-	)
-	if t.cdb != nil {
-		name = orDefault(req.Name)
-		snap, err = t.cdb.LoadNamed(req.Name)
-		if errors.Is(err, catalog.ErrBadName) {
-			writeError(w, http.StatusBadRequest, "load: %v", err)
-			return
-		}
-	} else {
-		var dir string
-		dir, name, err = s.snapshotDir(req.Name)
-		if err != nil {
-			writeError(w, snapshotNameStatus(err), "load: %v", err)
-			return
-		}
-		snap, err = t.core.LoadSnapshot(dir)
-	}
+	snap, err := db.LoadNamed(req.Name)
 	if err != nil {
 		status := http.StatusInternalServerError
 		switch {
+		case errors.Is(err, catalog.ErrBadName):
+			status = http.StatusBadRequest
 		case errors.Is(err, store.ErrCorrupt):
 			status = http.StatusUnprocessableEntity
 		case errors.Is(err, os.ErrNotExist):
@@ -1089,7 +983,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, t target) {
 		writeError(w, status, "load: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, manifestResponse(name, snap.Manifest))
+	writeJSON(w, http.StatusOK, manifestResponse(orDefault(req.Name), snap.Manifest))
 }
 
 // --- catalog management ---
@@ -1124,19 +1018,7 @@ type DropDBResponse struct {
 	Dropped string `json:"dropped"`
 }
 
-// requireCatalog writes the 503 for catalog routes in legacy mode.
-func (s *Server) requireCatalog(w http.ResponseWriter) bool {
-	if s.cat == nil {
-		writeError(w, http.StatusServiceUnavailable, "multi-database catalog is not enabled (start the server with a data directory)")
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleListDBs(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCatalog(w) {
-		return
-	}
 	resp := DBListResponse{Databases: []DBInfo{}}
 	for _, db := range s.cat.List() {
 		c := db.Core()
@@ -1154,9 +1036,6 @@ func (s *Server) handleListDBs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCreateDB(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCatalog(w) {
-		return
-	}
 	if s.isReadOnly() {
 		s.writeReadOnly(w, "create db")
 		return
@@ -1179,9 +1058,6 @@ func (s *Server) handleCreateDB(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDropDB(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCatalog(w) {
-		return
-	}
 	if s.isReadOnly() {
 		s.writeReadOnly(w, "drop db")
 		return

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/dtd"
 	"repro/internal/feedback"
@@ -33,18 +34,49 @@ const bookB = `<addressbook><person><nm>John</nm><tel>2222</tel></person></addre
 
 func boolPtr(b bool) *bool { return &b }
 
-// newTestServer starts an httptest server over a fresh bookA database
-// with snapshots enabled in a temp dir.
+// newTestServer starts an httptest server over a fresh catalog whose
+// default database holds bookA, and returns that database's core.
 func newTestServer(t *testing.T) (*httptest.Server, *core.Database) {
 	t.Helper()
-	db, err := core.OpenXML(strings.NewReader(bookA), core.Config{Schema: personDTD})
-	if err != nil {
-		t.Fatalf("OpenXML: %v", err)
-	}
-	srv := server.New(db, server.Options{SnapshotDir: t.TempDir()})
-	ts := httptest.NewServer(srv.Handler())
+	return serveDoc(t, mustDecode(t, bookA), core.Config{Schema: personDTD}, server.Options{})
+}
+
+// serveDoc is newTestServer over any document, config and options.
+func serveDoc(t *testing.T, doc *pxml.Tree, cfg core.Config, opts server.Options) (*httptest.Server, *core.Database) {
+	t.Helper()
+	h, db := defaultDBHandler(t, doc, cfg, opts)
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return ts, db
+}
+
+// defaultDBHandler opens a catalog in a temp dir, replaces its default
+// database's document with doc, and returns the catalog's handler and
+// that database's core.
+func defaultDBHandler(t *testing.T, doc *pxml.Tree, cfg core.Config, opts server.Options) (http.Handler, *core.Database) {
+	t.Helper()
+	cat, err := catalog.Open(t.TempDir(), catalog.Options{Config: cfg, CompactEvery: -1})
+	if err != nil {
+		t.Fatalf("catalog.Open: %v", err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	db, err := cat.Default()
+	if err != nil {
+		t.Fatalf("default database: %v", err)
+	}
+	if err := db.Core().ReplaceTree(doc); err != nil {
+		t.Fatalf("ReplaceTree: %v", err)
+	}
+	return server.NewCatalog(cat, opts).Handler(), db.Core()
+}
+
+func mustDecode(t *testing.T, src string) *pxml.Tree {
+	t.Helper()
+	tree, err := xmlcodec.DecodeString(src)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return tree
 }
 
 // doJSON performs a request and decodes the JSON response into out.
@@ -272,12 +304,7 @@ func TestFeedbackSkipsAnchorsThatCannotYieldTheValue(t *testing.T) {
 		alien = append(alien, pxml.NewProb(pxml.NewPoss(0.5, leaf("genre", "Horror")), pxml.NewPoss(0.5, leaf("genre", "Sci-Fi"))))
 	}
 	tree := pxml.CertainTree(pxml.NewElem("catalog", "", one(heat), one(pxml.NewElem("movie", "", alien...))))
-	db, err := core.Open(tree, core.Config{Feedback: feedback.Options{LocalWorldLimit: 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(server.New(db, server.Options{}).Handler())
-	t.Cleanup(ts.Close)
+	ts, _ := serveDoc(t, tree, core.Config{Feedback: feedback.Options{LocalWorldLimit: 100}}, server.Options{})
 
 	body, _ := json.Marshal(server.FeedbackRequest{Query: `//movie[genre]/director`, Value: "Mann, Michael", Correct: boolPtr(false)})
 	var resp server.FeedbackResponse
@@ -401,16 +428,6 @@ func TestSaveLoadErrors(t *testing.T) {
 		strings.NewReader(`{"name":"../evil"}`), http.StatusBadRequest, nil)
 	doJSON(t, "POST", ts.URL+"/load", "application/json",
 		strings.NewReader(`{"name":"never-saved"}`), http.StatusNotFound, nil)
-
-	// Persistence disabled: both endpoints 503.
-	db, err := core.OpenXML(strings.NewReader(bookA), core.Config{})
-	if err != nil {
-		t.Fatalf("OpenXML: %v", err)
-	}
-	bare := httptest.NewServer(server.New(db, server.Options{}).Handler())
-	defer bare.Close()
-	doJSON(t, "POST", bare.URL+"/save", "application/json", strings.NewReader(`{}`), http.StatusServiceUnavailable, nil)
-	doJSON(t, "POST", bare.URL+"/load", "application/json", strings.NewReader(`{}`), http.StatusServiceUnavailable, nil)
 }
 
 func TestHealthz(t *testing.T) {
@@ -435,12 +452,7 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 func TestBodyLimit(t *testing.T) {
-	db, err := core.OpenXML(strings.NewReader(bookA), core.Config{})
-	if err != nil {
-		t.Fatalf("OpenXML: %v", err)
-	}
-	ts := httptest.NewServer(server.New(db, server.Options{MaxBodyBytes: 64}).Handler())
-	defer ts.Close()
+	ts, _ := serveDoc(t, mustDecode(t, bookA), core.Config{}, server.Options{MaxBodyBytes: 64})
 	big := `<addressbook>` + strings.Repeat(`<person><nm>X</nm></person>`, 100) + `</addressbook>`
 	doJSON(t, "POST", ts.URL+"/integrate", "application/xml",
 		strings.NewReader(big), http.StatusRequestEntityTooLarge, nil)

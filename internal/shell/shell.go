@@ -24,8 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dtd"
 	"repro/internal/explain"
-	"repro/internal/feedback"
-	"repro/internal/integrate"
 	"repro/internal/oracle"
 	"repro/internal/pxml"
 	"repro/internal/query"
@@ -36,17 +34,20 @@ import (
 
 // Shell holds the interactive session state.
 type Shell struct {
-	tree      *pxml.Tree
-	schema    *dtd.Schema
-	ruleSpec  string
-	lastQuery *query.Query
-	// lastQuerySrc is the text of lastQuery, needed when judging answers
-	// through a catalog database (whose API is string-based).
-	lastQuerySrc string
-	// cat/db are set when a durable catalog is attached (data/use):
-	// mutations then run through db's journaled core and tree mirrors it.
+	// db is the session every verb runs on: an in-memory database over
+	// the loaded document (nil until one is loaded), or the core of the
+	// catalog database selected with use, whose mutations are
+	// write-ahead logged.
+	db     *core.Database
+	schema *dtd.Schema
+	rules  []oracle.Rule
+	// lastQuery is the text of the last query, the one feedback and
+	// explain judge.
+	lastQuery string
+	// cat is the catalog attached with data, cdb its database selected
+	// with use (nil before).
 	cat *catalog.Catalog
-	db  *catalog.DB
+	cdb *catalog.DB
 	out io.Writer
 }
 
@@ -185,25 +186,46 @@ func (s *Shell) help() {
 }
 
 func (s *Shell) needTree() error {
-	if s.tree == nil {
+	if s.db == nil {
 		return fmt.Errorf("no document loaded (use load or loadxml)")
 	}
 	return nil
 }
 
-// setDocument installs a full document: directly in bare mode, through
-// the journaled ReplaceTree when a catalog database is active (so the
-// load survives a crash like any other mutation).
-func (s *Shell) setDocument(t *pxml.Tree) error {
-	if s.db != nil {
-		if err := s.db.Core().ReplaceTree(t); err != nil {
-			return err
-		}
-		s.tree = s.db.Core().Tree()
+// openMem opens an in-memory session over t with the shell's DTD and
+// rules. Its oracle weights undecided movie pairs by title similarity.
+func (s *Shell) openMem(t *pxml.Tree) error {
+	db, err := core.Open(t, core.Config{
+		Schema:        s.schema,
+		Rules:         s.rules,
+		OracleOptions: []oracle.Option{oracle.WithEstimator("movie", oracle.TitleEstimator())},
+	})
+	if err != nil {
+		return err
+	}
+	s.db = db
+	return nil
+}
+
+// reconfigure re-opens an in-memory session over its current document,
+// so that the shell's current DTD and rules drive the next integration. A
+// catalog database keeps the configuration its catalog was attached with.
+func (s *Shell) reconfigure() error {
+	if s.db == nil || s.cdb != nil {
 		return nil
 	}
-	s.tree = t
-	return nil
+	return s.openMem(s.db.Tree())
+}
+
+// setDocument installs a full document: it opens the session when there
+// is none, and otherwise replaces the session's document (journaled on a
+// catalog database, so the load survives a crash like any other
+// mutation).
+func (s *Shell) setDocument(t *pxml.Tree) error {
+	if s.db == nil {
+		return s.openMem(t)
+	}
+	return s.db.ReplaceTree(t)
 }
 
 func (s *Shell) load(path string) error {
@@ -239,17 +261,11 @@ func (s *Shell) loadXML(src string) error {
 }
 
 func (s *Shell) loadDTD(path string) error {
-	data, err := os.ReadFile(path)
+	schema, err := dtd.ParseFile(path)
 	if err != nil {
 		return err
 	}
-	schema, err := dtd.ParseString(string(data))
-	if err != nil {
-		return err
-	}
-	s.schema = schema
-	fmt.Fprintf(s.out, "schema loaded: %d element types\n", len(schema.Tags()))
-	return nil
+	return s.setSchema(schema)
 }
 
 func (s *Shell) loadDTDInline(src string) error {
@@ -257,16 +273,27 @@ func (s *Shell) loadDTDInline(src string) error {
 	if err != nil {
 		return err
 	}
+	return s.setSchema(schema)
+}
+
+func (s *Shell) setSchema(schema *dtd.Schema) error {
 	s.schema = schema
+	if err := s.reconfigure(); err != nil {
+		return err
+	}
 	fmt.Fprintf(s.out, "schema loaded: %d element types\n", len(schema.Tags()))
 	return nil
 }
 
 func (s *Shell) setRules(spec string) error {
-	if _, err := rulesFromSpec(spec); err != nil {
+	rules, err := oracle.ParseRules(spec)
+	if err != nil {
 		return err
 	}
-	s.ruleSpec = spec
+	s.rules = rules
+	if err := s.reconfigure(); err != nil {
+		return err
+	}
 	fmt.Fprintf(s.out, "rules: %s\n", specOrNone(spec))
 	return nil
 }
@@ -276,29 +303,6 @@ func specOrNone(spec string) string {
 		return "(generic only)"
 	}
 	return spec
-}
-
-func rulesFromSpec(spec string) ([]oracle.Rule, error) {
-	if spec == "" || spec == "none" {
-		return nil, nil
-	}
-	var rules []oracle.Rule
-	for _, name := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(name) {
-		case "genre":
-			rules = append(rules, oracle.GenreRule())
-		case "title":
-			rules = append(rules, oracle.TitleRule())
-		case "year":
-			rules = append(rules, oracle.YearRule())
-		case "director":
-			rules = append(rules, oracle.DirectorRule())
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown rule %q", name)
-		}
-	}
-	return rules, nil
 }
 
 func (s *Shell) integrate(path string) error {
@@ -329,31 +333,10 @@ func (s *Shell) integrateXML(src string) error {
 }
 
 func (s *Shell) integrateTree(other *pxml.Tree) error {
-	if s.db != nil {
-		// Journaled path: the catalog database's own oracle/schema (set
-		// when the catalog was attached) drive the integration.
-		stats, err := s.db.Core().IntegrateTree(other)
-		if err != nil {
-			return err
-		}
-		res := s.db.Core().Tree()
-		s.tree = res
-		fmt.Fprintf(s.out, "integrated: %d nodes, %s worlds, %d undecided pairs, %d matchings pruned by schema\n",
-			res.NodeCount(), res.WorldCount(), stats.UndecidedPairs, stats.MatchingsPruned)
-		return nil
-	}
-	rules, err := rulesFromSpec(s.ruleSpec)
+	res, stats, err := s.db.IntegrateTreeResult(other)
 	if err != nil {
 		return err
 	}
-	res, stats, err := integrate.Integrate(s.tree, other, integrate.Config{
-		Oracle: oracle.New(rules, oracle.WithEstimator("movie", oracle.TitleEstimator())),
-		Schema: s.schema,
-	})
-	if err != nil {
-		return err
-	}
-	s.tree = res
 	fmt.Fprintf(s.out, "integrated: %d nodes, %s worlds, %d undecided pairs, %d matchings pruned by schema\n",
 		res.NodeCount(), res.WorldCount(), stats.UndecidedPairs, stats.MatchingsPruned)
 	return nil
@@ -374,23 +357,12 @@ func (s *Shell) runQuery(src string, explain bool) (query.Result, error) {
 	if err := s.needTree(); err != nil {
 		return query.Result{}, err
 	}
-	q, err := query.Compile(src)
+	// The session evaluates through its compiled-query and result caches.
+	res, err := s.db.Query(src)
 	if err != nil {
 		return query.Result{}, err
 	}
-	var res query.Result
-	if s.db != nil {
-		// Catalog databases evaluate through their own compiled-query and
-		// result caches.
-		res, err = s.db.Core().QueryCompiled(q)
-	} else {
-		res, err = query.Eval(s.tree, q, query.Options{})
-	}
-	if err != nil {
-		return query.Result{}, err
-	}
-	s.lastQuery = q
-	s.lastQuerySrc = src
+	s.lastQuery = src
 	fmt.Fprintf(s.out, "[%s]\n", res.Method)
 	if explain && res.Plan != nil {
 		pl := res.Plan
@@ -418,38 +390,17 @@ func (s *Shell) feedback(rest string) error {
 	if err := s.needTree(); err != nil {
 		return err
 	}
-	if s.lastQuery == nil {
+	if s.lastQuery == "" {
 		return fmt.Errorf("no previous query to judge")
 	}
 	verdict, value := splitCommand(rest)
-	var j feedback.Judgment
-	switch verdict {
-	case "correct":
-		j = feedback.Correct
-	case "incorrect":
-		j = feedback.Incorrect
-	default:
+	if (verdict != "correct" && verdict != "incorrect") || value == "" {
 		return fmt.Errorf("usage: feedback <correct|incorrect> <value>")
 	}
-	if value == "" {
-		return fmt.Errorf("usage: feedback <correct|incorrect> <value>")
-	}
-	if s.db != nil {
-		ev, err := s.db.Core().Feedback(s.lastQuerySrc, value, j == feedback.Correct)
-		if err != nil {
-			return err
-		}
-		s.tree = s.db.Core().Tree()
-		fmt.Fprintf(s.out, "feedback applied: worlds %s -> %s (prior %.4g)\n",
-			ev.WorldsBefore, ev.WorldsAfter, ev.PriorP)
-		return nil
-	}
-	session := feedback.NewSession(s.tree, feedback.Options{})
-	ev, err := session.Apply(s.lastQuery, value, j)
+	ev, err := s.db.Feedback(s.lastQuery, value, verdict == "correct")
 	if err != nil {
 		return err
 	}
-	s.tree = session.Tree()
 	fmt.Fprintf(s.out, "feedback applied: worlds %s -> %s (prior %.4g)\n",
 		ev.WorldsBefore, ev.WorldsAfter, ev.PriorP)
 	return nil
@@ -459,13 +410,17 @@ func (s *Shell) explain(value string) error {
 	if err := s.needTree(); err != nil {
 		return err
 	}
-	if s.lastQuery == nil {
+	if s.lastQuery == "" {
 		return fmt.Errorf("no previous query to explain")
 	}
 	if value == "" {
 		return fmt.Errorf("usage: explain <value>")
 	}
-	report, err := explain.Answer(s.tree, s.lastQuery, value, explain.Options{})
+	q, err := query.Compile(s.lastQuery)
+	if err != nil {
+		return err
+	}
+	report, err := explain.Answer(s.db.Tree(), q, value, explain.Options{})
 	if err != nil {
 		return err
 	}
@@ -477,16 +432,16 @@ func (s *Shell) stats() error {
 	if err := s.needTree(); err != nil {
 		return err
 	}
-	st := s.tree.CollectStats()
+	tr := s.db.Tree()
+	st := tr.CollectStats()
 	fmt.Fprintf(s.out, "nodes: %d logical (%d physical), choice points: %d, worlds: %s, certain: %v\n",
-		st.LogicalNodes, st.PhysicalNodes, st.ChoicePoints, st.Worlds, s.tree.IsCertain())
-	if s.db != nil {
-		ds := s.db.Stats()
+		st.LogicalNodes, st.PhysicalNodes, st.ChoicePoints, st.Worlds, tr.IsCertain())
+	if s.cdb != nil {
+		ds := s.cdb.Stats()
 		fmt.Fprintf(s.out, "durability: db %s, wal seq %d (%d op(s) past snapshot), %d compaction(s)\n",
-			s.db.Name(), ds.WAL.LastSeq, ds.TailOps, ds.Compactions)
-		c := s.db.Core()
-		qs := c.QueryStats()
-		rc := c.ResultCacheStats()
+			s.cdb.Name(), ds.WAL.LastSeq, ds.TailOps, ds.Compactions)
+		qs := s.db.QueryStats()
+		rc := s.db.ResultCacheStats()
 		fmt.Fprintf(s.out, "query exec: %d active, %d started, %d canceled, %d budget aborts, %d collapses\n",
 			qs.Active, qs.Started, qs.Canceled, qs.BudgetAborts, rc.Collapses)
 	}
@@ -506,7 +461,7 @@ func (s *Shell) worlds(rest string) error {
 		max = v
 	}
 	n := 0
-	worlds.Enumerate(s.tree, func(w worlds.World) bool {
+	worlds.Enumerate(s.db.Tree(), func(w worlds.World) bool {
 		n++
 		fmt.Fprintf(s.out, "--- world %d (p=%.4g) ---\n", n, w.P)
 		for _, e := range w.Elements {
@@ -521,22 +476,11 @@ func (s *Shell) normalize() error {
 	if err := s.needTree(); err != nil {
 		return err
 	}
-	if s.db != nil {
-		before, after, err := s.db.Core().Normalize()
-		if err != nil {
-			return err
-		}
-		s.tree = s.db.Core().Tree()
-		fmt.Fprintf(s.out, "normalized: %d -> %d nodes\n", before, after)
-		return nil
-	}
-	before := s.tree.NodeCount()
-	nt, err := s.tree.Normalize()
+	before, after, err := s.db.Normalize()
 	if err != nil {
 		return err
 	}
-	s.tree = nt
-	fmt.Fprintf(s.out, "normalized: %d -> %d nodes\n", before, nt.NodeCount())
+	fmt.Fprintf(s.out, "normalized: %d -> %d nodes\n", before, after)
 	return nil
 }
 
@@ -552,7 +496,7 @@ func (s *Shell) export(path string) error {
 		return err
 	}
 	defer f.Close()
-	if err := xmlcodec.Encode(f, s.tree, xmlcodec.EncodeOptions{Indent: "  "}); err != nil {
+	if err := s.db.ExportXML(f, xmlcodec.EncodeOptions{Indent: "  "}); err != nil {
 		return err
 	}
 	fmt.Fprintf(s.out, "written: %s\n", path)
@@ -566,16 +510,8 @@ func (s *Shell) save(dir string) error {
 	if dir == "" {
 		return fmt.Errorf("usage: save <dir>")
 	}
-	var (
-		m   store.Manifest
-		err error
-	)
-	if s.db != nil {
-		// Histories ride along in the manifest of a catalog database.
-		m, err = s.db.Core().SaveSnapshot(dir, "saved from shell")
-	} else {
-		m, err = store.Save(dir, s.tree, s.schema, "saved from shell")
-	}
+	// The session's histories ride along in the manifest.
+	m, err := s.db.SaveSnapshot(dir, "saved from shell")
 	if err != nil {
 		return err
 	}
@@ -587,24 +523,25 @@ func (s *Shell) open(dir string) error {
 	if dir == "" {
 		return fmt.Errorf("usage: open <dir>")
 	}
-	if s.db != nil {
-		// Journaled restore: the active database swaps to the snapshot.
-		snap, err := s.db.Core().LoadSnapshot(dir)
+	if s.cdb != nil {
+		// Journaled restore: the selected database swaps to the snapshot.
+		snap, err := s.db.LoadSnapshot(dir)
 		if err != nil {
 			return err
 		}
-		s.tree = s.db.Core().Tree()
-		s.schema = s.db.Core().Schema()
+		s.schema = s.db.Schema()
 		fmt.Fprintf(s.out, "opened: %s into %s (%d nodes, %s worlds)\n",
-			dir, s.db.Name(), snap.Manifest.LogicalNodes, snap.Manifest.Worlds)
+			dir, s.cdb.Name(), snap.Manifest.LogicalNodes, snap.Manifest.Worlds)
 		return nil
 	}
 	snap, err := store.Load(dir)
 	if err != nil {
 		return err
 	}
-	s.tree = snap.Tree
 	s.schema = snap.Schema
+	if err := s.openMem(snap.Tree); err != nil {
+		return err
+	}
 	fmt.Fprintf(s.out, "opened: %s (%d nodes, %s worlds, saved %s)\n",
 		dir, snap.Manifest.LogicalNodes, snap.Manifest.Worlds,
 		snap.Manifest.SavedAt.Format("2006-01-02 15:04:05"))
@@ -618,11 +555,7 @@ func (s *Shell) data(dir string) error {
 	if dir == "" {
 		return fmt.Errorf("usage: data <dir>")
 	}
-	rules, err := rulesFromSpec(s.ruleSpec)
-	if err != nil {
-		return err
-	}
-	opts := catalog.Options{Config: core.Config{Schema: s.schema, Rules: rules}}
+	opts := catalog.Options{Config: core.Config{Schema: s.schema, Rules: s.rules}}
 	// Open the new catalog before detaching the old one, so a failed
 	// attach (locked or unreadable directory) leaves the session intact.
 	// The one exception is re-attaching the same directory, where our
@@ -637,7 +570,7 @@ func (s *Shell) data(dir string) error {
 	if s.cat != nil {
 		s.detachCatalog()
 	}
-	s.cat, s.db = cat, nil
+	s.cat, s.cdb = cat, nil
 	names := cat.Names()
 	fmt.Fprintf(s.out, "attached: %s (%d database(s))\n", dir, len(names))
 	for _, n := range names {
@@ -648,16 +581,16 @@ func (s *Shell) data(dir string) error {
 }
 
 // detachCatalog closes the attached catalog and clears every piece of
-// state that belonged to it. A tree mirrored from one of its databases
-// must not survive as a bare-mode document: the user would keep
-// mutating it believing the writes are journaled.
+// state that belonged to it. A session on one of its databases must not
+// survive as an in-memory one: the user would keep mutating it believing
+// the writes are journaled.
 func (s *Shell) detachCatalog() {
-	if s.db != nil {
-		s.tree = nil
+	if s.cdb != nil {
+		s.db = nil
 	}
 	s.cat.Close()
-	s.cat, s.db = nil, nil
-	s.lastQuery, s.lastQuerySrc = nil, ""
+	s.cat, s.cdb = nil, nil
+	s.lastQuery = ""
 }
 
 // sameDir reports whether two paths name the same directory.
@@ -681,7 +614,7 @@ func (s *Shell) listDBs() error {
 	}
 	for _, db := range dbs {
 		marker := " "
-		if db == s.db {
+		if db == s.cdb {
 			marker = "*"
 		}
 		c := db.Core()
@@ -709,17 +642,16 @@ func (s *Shell) use(name string) error {
 		}
 		fmt.Fprintf(s.out, "created database %s\n", name)
 	}
-	s.db = db
-	s.tree = db.Core().Tree()
+	s.cdb, s.db = db, db.Core()
 	// The last query belongs to the previous database; judging its
 	// answers against this one would condition the wrong document.
-	s.lastQuery, s.lastQuerySrc = nil, ""
-	if sch := db.Core().Schema(); sch != nil {
+	s.lastQuery = ""
+	if sch := s.db.Schema(); sch != nil {
 		s.schema = sch
 	}
+	tr := s.db.Tree()
 	fmt.Fprintf(s.out, "using %s: %d nodes, %s worlds, %d integrations, %d feedback\n",
-		name, s.tree.NodeCount(), s.tree.WorldCount(),
-		db.Core().IntegrationCount(), db.Core().FeedbackCount())
+		name, tr.NodeCount(), tr.WorldCount(), s.db.IntegrationCount(), s.db.FeedbackCount())
 	return nil
 }
 
@@ -768,7 +700,7 @@ func (s *Shell) promote(rest string) error {
 }
 
 func (s *Shell) walCmd(rest string) error {
-	if s.db == nil {
+	if s.cdb == nil {
 		return fmt.Errorf("no catalog database selected (use data <dir>, then use <name>)")
 	}
 	n := 10
@@ -779,22 +711,22 @@ func (s *Shell) walCmd(rest string) error {
 		}
 		n = v
 	}
-	last := s.db.LastSeq()
+	last := s.cdb.LastSeq()
 	var since uint64
 	if uint64(n) < last {
 		since = last - uint64(n)
 	}
-	recs, err := s.db.OpsSince(since, n)
+	recs, err := s.cdb.OpsSince(since, n)
 	if errors.Is(err, catalog.ErrSeqGone) && since < last {
 		// The requested window starts below the oldest on-disk record;
 		// fall back to the snapshot position (always servable) so the
 		// still-available tail is shown rather than nothing.
-		snap := s.db.Stats().SnapshotSeq
+		snap := s.cdb.Stats().SnapshotSeq
 		fmt.Fprintf(s.out, "(records through seq %d are compacted into the snapshot)\n", snap)
 		if snap <= since {
 			return nil
 		}
-		recs, err = s.db.OpsSince(snap, n)
+		recs, err = s.cdb.OpsSince(snap, n)
 	}
 	if err != nil {
 		return err
