@@ -28,19 +28,19 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 	// siblings are never candidates (the paper's second generic rule), and
 	// neither is a pair the rules' blocking keys — derived once per child
 	// here, not per pair — prove cannot-match: it is never put to the
-	// Oracle. Every other pair is decided when it is met, and becomes an
-	// edge unless the verdict is cannot-match. Under oracle.Strict the first
-	// error in (i, j) order is returned, once every pair is decided and
-	// counted.
+	// Oracle. Every other pair is decided when it is met, from inputs
+	// prepared once per child, and becomes an edge unless the verdict is
+	// cannot-match. Under oracle.Strict the first error in (i, j) order is
+	// returned, once every pair is decided and counted.
 	var edges []edge
 	var firstErr error
-	block := it.cfg.Oracle.Block(certA, certB)
+	pairing := it.cfg.Oracle.Pair(certA, certB)
 	for i, xa := range certA {
 		for j, yb := range certB {
-			if xa.Tag() != yb.Tag() || block.Blocked(i, j) {
+			if xa.Tag() != yb.Tag() || pairing.Blocked(i, j) {
 				continue
 			}
-			v, err := it.decide(xa, yb)
+			v, err := it.decide(pairing, i, j)
 			if err != nil {
 				firstErr = cmp.Or(firstErr, err)
 				continue
@@ -50,6 +50,7 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 			}
 		}
 	}
+	pairing.Release()
 	if firstErr != nil {
 		return nil, firstErr
 	}

@@ -262,10 +262,10 @@ type integrator struct {
 	merges map[pair]mergeResult
 }
 
-// decide returns the Oracle's verdict on a pair and accounts for it. An
+// decide returns the verdict on pair (i, j) of p and accounts for it. An
 // error (a rule conflict under oracle.Strict) is returned, not counted.
-func (it *integrator) decide(a, b *pxml.Node) (oracle.Verdict, error) {
-	v, err := it.cfg.Oracle.Decide(a, b)
+func (it *integrator) decide(p *oracle.Pairing, i, j int) (oracle.Verdict, error) {
+	v, err := p.Decide(i, j)
 	if err != nil {
 		return v, err
 	}

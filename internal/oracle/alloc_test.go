@@ -1,0 +1,69 @@
+//go:build !race
+
+// The race detector's sync.Pool drops a share of what is put back, so these
+// counts hold in a plain build only.
+
+package oracle_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/oracle"
+	"repro/internal/pxml"
+)
+
+// movies returns n movies with distinct titles, every fifth without a year.
+func movies(n int) []*pxml.Node {
+	out := make([]*pxml.Node, n)
+	for i := range out {
+		kids := []*pxml.Node{pxml.NewLeaf("title", fmt.Sprintf("The Movie Number %d: Part %c", i, 'A'+i%26))}
+		if i%5 != 0 {
+			kids = append(kids, pxml.NewLeaf("year", fmt.Sprint(1950+i%40)))
+		}
+		kids = append(kids, pxml.NewLeaf("genre", "Drama"))
+		out[i] = pxml.NewElem("movie", "", pxml.Certain(kids...))
+	}
+	return out
+}
+
+// TestPairingAllocsDoNotScale: a Pairing keeps its inputs in storage it
+// reuses, so pairing 600 movies with 30 and deciding every pair the keys
+// leave allocates hardly more than pairing 60 with 30 — the blocking keys,
+// and whatever storage has to grow.
+func TestPairingAllocsDoNotScale(t *testing.T) {
+	o := oracle.MovieOracle(oracle.SetGenreTitleYear)
+	bs := movies(30)
+	allocs := func(as []*pxml.Node) float64 {
+		return testing.AllocsPerRun(20, func() {
+			p := o.Pair(as, bs)
+			for i := range as {
+				for j := range bs {
+					if !p.Blocked(i, j) {
+						if _, err := p.Decide(i, j); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			p.Release()
+		})
+	}
+	small, large := allocs(movies(60)), allocs(movies(600))
+	if large > small+8 {
+		t.Fatalf("pairing 600 movies with 30 allocates %v times, 60 with 30 %v times", large, small)
+	}
+}
+
+// TestWarmDecideDoesNotAllocate: Oracle.Decide on two movies — the path a
+// rule's Apply takes — prepares both on the stack.
+func TestWarmDecideDoesNotAllocate(t *testing.T) {
+	ms := movies(3)
+	for _, o := range []*oracle.Oracle{oracle.MovieOracle(oracle.SetFull), oracle.New(oracle.SetGenreTitleYear.Rules())} {
+		for _, pair := range [][2]*pxml.Node{{ms[1], ms[2]}, {ms[0], ms[1]}, {ms[1], ms[1]}} {
+			if n := testing.AllocsPerRun(100, func() { _, _ = o.Decide(pair[0], pair[1]) }); n != 0 {
+				t.Errorf("Decide allocates %v times per pair", n)
+			}
+		}
+	}
+}

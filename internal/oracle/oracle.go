@@ -12,9 +12,12 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/pxml"
+	"repro/internal/strsim"
 )
 
 // Decision classifies a pair of elements.
@@ -68,7 +71,7 @@ type Rule interface {
 	// the keys of two elements are both non-empty and differ, Apply
 	// decides the pair CannotMatch. That lets a caller with two lists of
 	// elements derive the keys once per element and skip the pairs they
-	// rule out without calling Apply (see Oracle.Block). An element
+	// rule out without calling Apply (see Oracle.Pair). An element
 	// whose key field is missing or uncertain has no one value to stand
 	// for it — it denotes every value it could take — so its key is ""
 	// and it is still compared with everyone.
@@ -96,13 +99,14 @@ func (e *ConflictError) Error() string {
 		e.TagA, e.TagB, e.MustRule, e.CannotRule)
 }
 
-// Oracle evaluates rules over element pairs. Decide and Reconcile are safe
-// for concurrent use (the parallel integration engine consults the Oracle
-// from many workers) provided the installed rules, estimators and
-// reconcilers are pure functions of their inputs; the call counters are
-// atomic.
+// Oracle evaluates rules over element pairs. Decide, Pair and Reconcile are
+// safe for concurrent use (different databases integrate concurrently)
+// provided the installed rules, estimators and reconcilers are pure
+// functions of their inputs; the call counters are atomic. A Pairing is
+// not: it belongs to one integrateChildren call and one goroutine.
 type Oracle struct {
 	rules       []Rule
+	builtins    []*builtin // builtins[r] is rules[r] when built in this package, else nil
 	prior       float64
 	estimators  map[string]Estimator
 	reconcilers map[string]Reconciler
@@ -161,75 +165,125 @@ func New(rules []Rule, opts ...Option) *Oracle {
 	for _, opt := range opts {
 		opt(o)
 	}
+	o.builtins = make([]*builtin, len(o.rules))
+	for r, rule := range o.rules {
+		o.builtins[r], _ = rule.(*builtin)
+	}
 	return o
 }
 
-// Blocker holds the blocking keys of two lists of elements about to be
-// paired. The nil Blocker blocks nothing.
-type Blocker struct {
-	// One entry per rule that has a key for some element of both lists:
-	// as[r][i] is the key of the i-th element of the first list under it,
-	// bs[r][j] that of the j-th element of the second.
-	as, bs [][]string
+// Pairing decides the pairs of two lists of elements — the certain
+// children of two elements being integrated — by their indices. It derives
+// the blocking keys of every element up front and the built-in rules'
+// inputs (see builtin) of an element when its first pair is decided; a
+// KeyField rule's input is the key itself. Nothing in it outlives the
+// call, so nothing needs invalidating; Release pools its storage.
+type Pairing struct {
+	o *Oracle
+	// elems lists the first list's na elements and then the second's. For
+	// the k-th, keys[r][k] is its key under o.rules[r] (nil where none has
+	// one), in[k*len(o.rules)+r] its input for that rule, and ready[k]
+	// reports the inputs derived.
+	elems  []*pxml.Node
+	na     int
+	keys   [][]string
+	in     []input
+	ready  []bool
+	titles strsim.TitleBuf
 }
 
-// Block derives every rule's blocking key for every element of the two
-// lists, once each. The pairs the result reports as blocked are exactly
-// pairs Decide would answer CannotMatch: some rule's keys differ, that rule
-// decides cannot-match (the BlockKey contract), and a cannot-match prevails
-// over whatever the other rules say. Under Strict that last step does not
-// hold — a must-match from another rule makes the pair a ConflictError, not
-// a verdict — so every pair has to reach every rule and Block returns nil.
-func (o *Oracle) Block(as, bs []*pxml.Node) *Blocker {
-	if o.strict {
-		return nil
+var pairings = sync.Pool{New: func() any { return new(Pairing) }}
+
+// Pair prepares to decide the pairs of two lists of elements and derives
+// every rule's blocking key for every element. A pair it reports blocked is
+// one Decide answers CannotMatch: a rule's keys differ, so it decides
+// cannot-match (the BlockKey contract), which prevails over the other rules
+// — except under Strict, where a must-match from another rule makes the
+// pair a ConflictError, so nothing is blocked.
+func (o *Oracle) Pair(as, bs []*pxml.Node) *Pairing {
+	p := pairings.Get().(*Pairing)
+	p.o, p.na, p.elems = o, len(as), append(append(p.elems, as...), bs...)
+	n := len(p.elems)
+	p.in, p.ready = slices.Grow(p.in, n*len(o.rules))[:n*len(o.rules)], slices.Grow(p.ready, n)[:n]
+	for _, rule := range o.rules {
+		p.keys = append(p.keys, p.blockKeys(rule))
 	}
-	var bl *Blocker
-	for _, r := range o.rules {
-		ka := blockKeys(r, as)
-		if ka == nil {
-			continue
+	return p
+}
+
+// Release clears the Pairing — the inputs of the elements it prepared only —
+// and keeps its storage for another Pair; p must not be used after.
+func (p *Pairing) Release() {
+	n := len(p.o.rules)
+	for k, ok := range p.ready {
+		if ok {
+			clear(p.in[k*n : (k+1)*n])
 		}
-		kb := blockKeys(r, bs)
-		if kb == nil {
-			continue
-		}
-		if bl == nil {
-			bl = &Blocker{}
-		}
-		bl.as, bl.bs = append(bl.as, ka), append(bl.bs, kb)
 	}
-	return bl
+	clear(p.ready)
+	clear(p.keys)
+	clear(p.elems)
+	*p = Pairing{elems: p.elems[:0], keys: p.keys[:0], in: p.in[:0], ready: p.ready[:0], titles: p.titles.Reset()}
+	pairings.Put(p)
 }
 
 // blockKeys lists the rule's key of every element, or returns nil when it
 // has none for any of them.
-func blockKeys(r Rule, elems []*pxml.Node) []string {
+func (p *Pairing) blockKeys(r Rule) []string {
 	var keys []string
-	for i, e := range elems {
-		if k := r.BlockKey(e); k != "" {
+	for k, e := range p.elems {
+		if key := r.BlockKey(e); key != "" {
 			if keys == nil {
-				keys = make([]string, len(elems))
+				keys = make([]string, len(p.elems))
 			}
-			keys[i] = k
+			keys[k] = key
 		}
 	}
 	return keys
 }
 
 // Blocked reports whether the i-th element of the first list and the j-th
-// of the second cannot match: some rule has a key for both and the keys
-// differ.
-func (bl *Blocker) Blocked(i, j int) bool {
-	if bl == nil {
-		return false
-	}
-	for r, ka := range bl.as {
-		if a, b := ka[i], bl.bs[r][j]; a != "" && b != "" && a != b {
+// of the second cannot match: outside Strict, a rule's keys for both differ.
+func (p *Pairing) Blocked(i, j int) bool {
+	for _, ks := range p.keys {
+		if ks != nil && !p.o.strict && ks[i] != "" && ks[p.na+j] != "" && ks[i] != ks[p.na+j] {
 			return true
 		}
 	}
 	return false
+}
+
+// Decide is Oracle.Decide on the i-th element of the first list and the
+// j-th of the second, the built-in rules comparing the two's inputs.
+func (p *Pairing) Decide(i, j int) (Verdict, error) {
+	return p.o.decide(p.elems[i], p.elems[p.na+j], p.inputs(i), p.inputs(p.na+j))
+}
+
+// inputs returns the built-in rules' inputs for the k-th element, deriving
+// them the first time.
+func (p *Pairing) inputs(k int) []input {
+	n := len(p.o.rules)
+	in := p.in[k*n : (k+1)*n]
+	if !p.ready[k] {
+		p.ready[k] = true
+		e := p.elems[k]
+		for r, bi := range p.o.builtins {
+			// A rule reads only elements with its tag (one without a tag reads
+			// none); an empty input stays unwritten, its slot holds one already.
+			switch {
+			case bi == nil || bi.elemTag != e.Tag():
+			case bi.kind == keyField: // its input is its key, derived already
+				if ks := p.keys[r]; ks != nil && ks[k] != "" {
+					in[r] = input{ok: true, text: ks[k]}
+				}
+			default:
+				if v, buf := bi.prepare(e, p.titles); v.ok {
+					in[r], p.titles = v, buf
+				}
+			}
+		}
+	}
+	return in
 }
 
 // Rules returns the names of the installed rules, in application order.
@@ -245,19 +299,27 @@ func (o *Oracle) Rules() []string {
 // are consulted (not just the first decisive one) so that conflicts are
 // detected. With multiple agreeing decisive rules the first one is
 // reported.
-func (o *Oracle) Decide(a, b *pxml.Node) (Verdict, error) {
+func (o *Oracle) Decide(a, b *pxml.Node) (Verdict, error) { return o.decide(a, b, nil, nil) }
+
+// decide is Decide, the built-in rules comparing the inputs ia, ib if given.
+func (o *Oracle) decide(a, b *pxml.Node, ia, ib []input) (Verdict, error) {
 	o.calls.Add(1)
 	var must, cannot string
-	for _, r := range o.rules {
-		v := r.Apply(a, b)
+	for r, rule := range o.rules {
+		var v Verdict
+		if bi := o.builtins[r]; bi != nil && ia != nil {
+			v = bi.compare(a, b, &ia[r], &ib[r])
+		} else {
+			v = rule.Apply(a, b)
+		}
 		switch v.Decision {
 		case MustMatch:
 			if must == "" {
-				must = nameOf(r, v)
+				must = nameOf(rule, v)
 			}
 		case CannotMatch:
 			if cannot == "" {
-				cannot = nameOf(r, v)
+				cannot = nameOf(rule, v)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package oracle_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/oracle"
@@ -332,9 +334,9 @@ func TestBlockKeyContract(t *testing.T) {
 	}
 }
 
-// TestBlockSkipsOnlyCannotMatchPairs: every pair Block reports is one
-// Decide answers cannot-match, key-less elements are blocked against no
-// one, and a strict oracle blocks nothing at all.
+// TestBlockSkipsOnlyCannotMatchPairs: every pair a Pairing reports blocked
+// is one Decide answers cannot-match, key-less elements are blocked against
+// no one, and a strict oracle blocks nothing at all.
 func TestBlockSkipsOnlyCannotMatchPairs(t *testing.T) {
 	as := []*pxml.Node{
 		elem(t, `<movie><title>Jaws</title><year>1975</year></movie>`),
@@ -347,11 +349,11 @@ func TestBlockSkipsOnlyCannotMatchPairs(t *testing.T) {
 		elem(t, `<movie><title>Jaws</title></movie>`),
 	}
 	o := oracle.MovieOracle(oracle.SetGenreTitleYear)
-	bl := o.Block(as, bs)
+	p := o.Pair(as, bs)
 	blocked := 0
 	for i, a := range as {
 		for j, b := range bs {
-			if !bl.Blocked(i, j) {
+			if !p.Blocked(i, j) {
 				continue
 			}
 			blocked++
@@ -360,15 +362,27 @@ func TestBlockSkipsOnlyCannotMatchPairs(t *testing.T) {
 			}
 		}
 	}
-	if blocked != 1 || !bl.Blocked(0, 1) {
+	if blocked != 1 || !p.Blocked(0, 1) {
 		t.Fatalf("%d pairs blocked, want only the 1975/1978 pair", blocked)
 	}
-	if bl := oracle.MovieOracle(oracle.SetGenreTitleYear, oracle.Strict()).Block(as, bs); bl != nil || bl.Blocked(0, 1) {
-		t.Fatalf("a strict oracle must put every pair to every rule, got %+v", bl)
+	if n := blockedPairs(oracle.MovieOracle(oracle.SetGenreTitleYear, oracle.Strict()).Pair(as, bs), len(as), len(bs)); n != 0 {
+		t.Fatalf("a strict oracle must put every pair to every rule, yet it blocks %d", n)
 	}
-	if bl := o.Block(as[1:], bs); bl != nil {
-		t.Fatalf("no element of the first list has a key, yet Block returned %+v", bl)
+	if n := blockedPairs(o.Pair(as[1:], bs), len(as)-1, len(bs)); n != 0 {
+		t.Fatalf("no element of the first list has a key, yet %d pairs are blocked", n)
 	}
+}
+
+func blockedPairs(p *oracle.Pairing, na, nb int) int {
+	n := 0
+	for i := 0; i < na; i++ {
+		for j := 0; j < nb; j++ {
+			if p.Blocked(i, j) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestDeepEqualRuleIgnoresTrivialGrouping: the digest shortcut must not
@@ -421,4 +435,43 @@ func TestParseRules(t *testing.T) {
 			t.Errorf("ParseRules(%q) = %v, want %v", tc.spec, got, tc.want)
 		}
 	}
+}
+
+// TestPairingsAcrossGoroutines: the Oracle and the pool of Pairing storage
+// are shared by integrations running at once; each goroutine's Pairings
+// decide as Decide does while the others take and release theirs.
+func TestPairingsAcrossGoroutines(t *testing.T) {
+	o := oracle.MovieOracle(oracle.SetFull)
+	movies := func(n, shift int) []*pxml.Node {
+		out := make([]*pxml.Node, n)
+		for i := range out {
+			out[i] = pxml.NewElem("movie", "", pxml.Certain(
+				pxml.NewLeaf("title", fmt.Sprintf("Movie %d", (i+shift)%7)),
+				pxml.NewLeaf("year", fmt.Sprint(1970+(i+shift)%3))))
+		}
+		return out
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			as, bs := movies(10+g, g), movies(5+g, 2*g)
+			for round := 0; round < 50; round++ {
+				p := o.Pair(as, bs)
+				for i, a := range as {
+					for j, b := range bs {
+						got, err1 := p.Decide(i, j)
+						want, err2 := o.Decide(a, b)
+						if got != want || err1 != nil || err2 != nil {
+							t.Errorf("goroutine %d pair %d/%d: Pairing %+v (%v), Decide %+v (%v)", g, i, j, got, err1, want, err2)
+							return
+						}
+					}
+				}
+				p.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }

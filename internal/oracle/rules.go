@@ -8,22 +8,6 @@ import (
 	"repro/internal/strsim"
 )
 
-// funcRule adapts a function to the Rule interface. key is nil for a rule
-// without blocking keys.
-type funcRule struct {
-	name string
-	fn   func(a, b *pxml.Node) Verdict
-	key  func(e *pxml.Node) string
-}
-
-func (r funcRule) Name() string                  { return r.name }
-func (r funcRule) Apply(a, b *pxml.Node) Verdict { return r.fn(a, b) }
-func (r funcRule) BlockKey(e *pxml.Node) string {
-	if r.key == nil {
-		return ""
-	}
-	return r.key(e)
-}
 func abstain() Verdict { return Verdict{Decision: Unknown} }
 func decide(d Decision, name string) Verdict {
 	p := 0.0
@@ -36,7 +20,131 @@ func decide(d Decision, name string) Verdict {
 // NewRule builds a custom rule from a function. It has no blocking keys:
 // every pair reaches fn.
 func NewRule(name string, fn func(a, b *pxml.Node) Verdict) Rule {
-	return funcRule{name: name, fn: fn}
+	return &builtin{kind: custom, name: name, fn: fn}
+}
+
+type kind uint8
+
+const (
+	custom kind = iota + 1
+	deepEqual
+	exactLeaf
+	nameEquivalence
+	keyField
+	similarity
+	title
+)
+
+// builtin is every rule built in this package, told apart by kind and split
+// in two: prepare derives what the rule reads of one element (a title into
+// buf, returned grown), compare decides a pair from two inputs, and Apply(a,
+// b) is compare(a, b, prepare(a), prepare(b)). A Pairing prepares each
+// element once; a Rule implemented elsewhere it asks through Apply.
+type builtin struct {
+	kind           kind
+	name           string
+	elemTag, field string  // the tag the rule reads, and its field child's
+	threshold      float64 // similarity, title, nameEquivalence: below it is cannot-match
+	sim            func(a, b string) float64
+	fn             func(a, b *pxml.Node) Verdict // custom
+}
+
+// input is what a builtin rule reads of one element.
+type input struct {
+	ok    bool         // the rule reads the element (tag, leaf, key, certain field)
+	text  string       // the leaf or field text, or the key
+	title strsim.Title // title: the field text, prepared
+}
+
+func (r *builtin) Name() string { return r.name }
+
+// BlockKey is keyField's key, the certain field text; other rules have none.
+func (r *builtin) BlockKey(e *pxml.Node) string {
+	if r.kind != keyField || e.Tag() != r.elemTag {
+		return ""
+	}
+	return pxml.CertainText(e, r.field)
+}
+
+// Apply prepares titles on the stack: compareTitles, unlike compare, hands
+// nothing to a function it does not know, which would move them to the heap.
+func (r *builtin) Apply(a, b *pxml.Node) Verdict {
+	if r.kind == title {
+		var space strsim.TitleSpace
+		pa, buf := r.prepare(a, space.Buf())
+		pb, _ := r.prepare(b, buf)
+		return r.compareTitles(&pa, &pb)
+	}
+	pa, _ := r.prepare(a, strsim.TitleBuf{})
+	pb, _ := r.prepare(b, strsim.TitleBuf{})
+	return r.compare(a, b, &pa, &pb)
+}
+
+func (r *builtin) prepare(e *pxml.Node, buf strsim.TitleBuf) (input, strsim.TitleBuf) {
+	switch r.kind {
+	case custom, deepEqual:
+		return input{}, buf // they read the elements whole
+	case exactLeaf, nameEquivalence:
+		return input{ok: e.Tag() == r.elemTag && isLeafish(e), text: e.Text()}, buf
+	case keyField:
+		k := r.BlockKey(e)
+		return input{ok: k != "", text: k}, buf
+	}
+	var in input // similarity, title: the certain field text, when not empty
+	if e.Tag() == r.elemTag {
+		in.text = pxml.CertainText(e, r.field)
+		in.ok = in.text != ""
+	}
+	if r.kind == title && in.ok {
+		in.title, buf = buf.Prepare(in.text)
+	}
+	return in, buf
+}
+
+// compare decides the pair (x, y) whose inputs are a and b.
+func (r *builtin) compare(x, y *pxml.Node, a, b *input) Verdict {
+	switch r.kind {
+	case custom:
+		return r.fn(x, y)
+	case deepEqual:
+		if pxml.Hash(x) == pxml.Hash(y) || pxml.DeepEqualElems(x, y) {
+			return decide(MustMatch, r.name)
+		}
+	case exactLeaf:
+		if a.ok && b.ok {
+			if a.text == b.text {
+				return decide(MustMatch, r.name)
+			}
+			return decide(CannotMatch, r.name)
+		}
+	case nameEquivalence:
+		if a.ok && b.ok {
+			if strsim.SameName(a.text, b.text) {
+				return decide(MustMatch, r.name)
+			}
+			if strsim.NameSim(a.text, b.text) < r.threshold {
+				return decide(CannotMatch, r.name)
+			}
+		}
+	case keyField:
+		if a.ok && b.ok && a.text != b.text {
+			return decide(CannotMatch, r.name)
+		}
+	case similarity:
+		if a.ok && b.ok && r.sim(a.text, b.text) < r.threshold {
+			return decide(CannotMatch, r.name)
+		}
+	case title:
+		return r.compareTitles(a, b)
+	}
+	return abstain()
+}
+
+func (r *builtin) compareTitles(a, b *input) Verdict {
+	if a.ok && b.ok && a.title.Below(b.title, r.threshold) {
+		return decide(CannotMatch, r.name)
+	}
+	return abstain()
 }
 
 // DeepEqual is the paper's generic rule: two deep-equal elements refer to
@@ -45,30 +153,14 @@ func NewRule(name string, fn func(a, b *pxml.Node) Verdict) Rule {
 // to the digest's collision odds); unequal ones still need it, because deep
 // equality ignores how certain children are grouped into trivial choice
 // points and the digest does not.
-func DeepEqual() Rule {
-	return funcRule{name: "deep-equal", fn: func(a, b *pxml.Node) Verdict {
-		if pxml.Hash(a) == pxml.Hash(b) || pxml.DeepEqualElems(a, b) {
-			return decide(MustMatch, "deep-equal")
-		}
-		return abstain()
-	}}
-}
+func DeepEqual() Rule { return &builtin{kind: deepEqual, name: "deep-equal"} }
 
 // ExactLeaf implements "no typos occur in <tag>" rules — the paper's genre
 // rule. For leaf elements with the given tag it decides must-match on equal
 // text and cannot-match on different text, eliminating the "same value with
 // a typo" possibility. It abstains for other tags and for non-leaves.
 func ExactLeaf(tag string) Rule {
-	name := fmt.Sprintf("no-typos(%s)", tag)
-	return funcRule{name: name, fn: func(a, b *pxml.Node) Verdict {
-		if a.Tag() != tag || b.Tag() != tag || !isLeafish(a) || !isLeafish(b) {
-			return abstain()
-		}
-		if a.Text() == b.Text() {
-			return decide(MustMatch, name)
-		}
-		return decide(CannotMatch, name)
-	}}
+	return &builtin{kind: exactLeaf, name: fmt.Sprintf("no-typos(%s)", tag), elemTag: tag}
 }
 
 // isLeafish reports whether an element carries only a text value (no
@@ -95,19 +187,7 @@ func isLeafish(e *pxml.Node) bool {
 // text is the element's blocking key: two present, different keys are
 // exactly the pairs the rule decides.
 func KeyField(elemTag, fieldTag string) Rule {
-	name := fmt.Sprintf("key-field(%s/%s)", elemTag, fieldTag)
-	key := func(e *pxml.Node) string {
-		if e.Tag() != elemTag {
-			return ""
-		}
-		return pxml.CertainText(e, fieldTag)
-	}
-	return funcRule{name: name, key: key, fn: func(a, b *pxml.Node) Verdict {
-		if va, vb := key(a), key(b); va != "" && vb != "" && va != vb {
-			return decide(CannotMatch, name)
-		}
-		return abstain()
-	}}
+	return &builtin{kind: keyField, name: fmt.Sprintf("key-field(%s/%s)", elemTag, fieldTag), elemTag: elemTag, field: fieldTag}
 }
 
 // Similarity implements "elements cannot match unless <field> is
@@ -115,29 +195,8 @@ func KeyField(elemTag, fieldTag string) Rule {
 // similarity falls below the threshold are cannot-match; otherwise the rule
 // abstains. Absent or uncertain fields abstain.
 func Similarity(elemTag, fieldTag string, sim func(a, b string) float64, threshold float64) Rule {
-	return similarity(elemTag, fieldTag, threshold, func(a, b string) bool { return sim(a, b) < threshold })
-}
-
-// similarity is the one body of every Similarity rule. All it needs of the
-// measure is below — whether two field values fall short of the threshold —
-// which a measure can often say for less than its value costs (see
-// strsim.TitleBelow).
-func similarity(elemTag, fieldTag string, threshold float64, below func(a, b string) bool) Rule {
-	name := fmt.Sprintf("similarity(%s/%s<%.2g)", elemTag, fieldTag, threshold)
-	return funcRule{name: name, fn: func(a, b *pxml.Node) Verdict {
-		if a.Tag() != elemTag || b.Tag() != elemTag {
-			return abstain()
-		}
-		va := pxml.CertainText(a, fieldTag)
-		vb := pxml.CertainText(b, fieldTag)
-		if va == "" || vb == "" {
-			return abstain()
-		}
-		if below(va, vb) {
-			return decide(CannotMatch, name)
-		}
-		return abstain()
-	}}
+	return &builtin{kind: similarity, name: fmt.Sprintf("similarity(%s/%s<%.2g)", elemTag, fieldTag, threshold),
+		elemTag: elemTag, field: fieldTag, threshold: threshold, sim: sim}
 }
 
 // NameEquivalence decides leaf name elements (e.g. directors) by naming
@@ -147,19 +206,7 @@ func similarity(elemTag, fieldTag string, threshold float64, below func(a, b str
 // observation that sources "use different conventions for naming
 // directors, so these never match exactly".
 func NameEquivalence(tag string, typoThreshold float64) Rule {
-	name := fmt.Sprintf("name-equivalence(%s)", tag)
-	return funcRule{name: name, fn: func(a, b *pxml.Node) Verdict {
-		if a.Tag() != tag || b.Tag() != tag || !isLeafish(a) || !isLeafish(b) {
-			return abstain()
-		}
-		if strsim.SameName(a.Text(), b.Text()) {
-			return decide(MustMatch, name)
-		}
-		if strsim.NameSim(a.Text(), b.Text()) < typoThreshold {
-			return decide(CannotMatch, name)
-		}
-		return abstain()
-	}}
+	return &builtin{kind: nameEquivalence, name: fmt.Sprintf("name-equivalence(%s)", tag), elemTag: tag, threshold: typoThreshold}
 }
 
 // The movie-domain rule set of the paper's §V, with the thresholds used
@@ -173,11 +220,11 @@ func GenreRule() Rule { return ExactLeaf("genre") }
 const TitleThreshold = 0.55
 
 // TitleRule is the paper's "two movies cannot match if their titles are
-// not sufficiently similar".
+// not sufficiently similar": Similarity over strsim.TitleSim at
+// TitleThreshold, asked only whether a pair falls below it.
 func TitleRule() Rule {
-	return similarity("movie", "title", TitleThreshold, func(a, b string) bool {
-		return strsim.TitleBelow(a, b, TitleThreshold)
-	})
+	return &builtin{kind: title, name: fmt.Sprintf("similarity(movie/title<%.2g)", TitleThreshold),
+		elemTag: "movie", field: "title", threshold: TitleThreshold}
 }
 
 // YearRule is the paper's "movies of different years cannot match".

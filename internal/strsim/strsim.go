@@ -23,9 +23,11 @@ func Normalize(s string) string {
 
 // normalizeInto appends the normal form of s to dst, one rune per element:
 // letters and digits lower-cased, every run of anything else one space, no
-// space at either end. Callers pass a stack buffer's [:0]; it is outgrown
-// (and the result heap-allocated) only by a longer string.
+// space at either end. It reads nothing dst held before, so titles can be
+// appended one after another. Callers pass a stack buffer's [:0]; it is
+// outgrown (and the result heap-allocated) only by a longer string.
 func normalizeInto(dst []rune, s string) []rune {
+	start := len(dst)
 	for _, r := range s {
 		switch {
 		case 'a' <= r && r <= 'z' || '0' <= r && r <= '9':
@@ -34,14 +36,14 @@ func normalizeInto(dst []rune, s string) []rune {
 		case r >= utf8.RuneSelf && (unicode.IsLetter(r) || unicode.IsDigit(r)):
 			r = unicode.ToLower(r)
 		default:
-			if n := len(dst); n > 0 && dst[n-1] != ' ' {
+			if n := len(dst); n > start && dst[n-1] != ' ' {
 				dst = append(dst, ' ')
 			}
 			continue
 		}
 		dst = append(dst, r)
 	}
-	if n := len(dst); n > 0 && dst[n-1] == ' ' {
+	if n := len(dst); n > start && dst[n-1] == ' ' {
 		dst = dst[:n-1]
 	}
 	return dst
@@ -64,15 +66,11 @@ func Levenshtein(a, b string) int {
 
 // editDistance returns the edit distance of ra and rb when it is at most
 // limit, and otherwise some value above limit, found as cheaply as that can
-// be known. Three lower bounds of the distance, each at least the one
-// before, are tried in order of cost: the length difference (every surplus
-// rune is an insertion), the bag distance (max(len) minus the runes the two
-// have in common as multisets — an edit changes the multiset by one rune,
-// and counting runes that differ only above their low seven bits as equal
-// can only lower it), and the minimum of a table row (row i+1 is built from
-// row i by adding non-negative costs, so a row minimum never decreases and
-// the last row holds the distance). A limit of at least max(len) — no
-// cut-off — skips all three.
+// be known: by two lower bounds, the length difference (every surplus rune
+// is an insertion) and the bag distance (max(len) less the runes the two
+// share as multisets, runes equal in their low seven bits counted equal);
+// then by the bit-parallel kernel (see myers), or else the table a row at a
+// time until a row's minimum, which never decreases, exceeds limit.
 func editDistance(ra, rb []rune, limit int) int {
 	if len(ra) < len(rb) {
 		ra, rb = rb, ra
@@ -80,8 +78,7 @@ func editDistance(ra, rb []rune, limit int) int {
 	if len(rb) == 0 || len(ra)-len(rb) > limit {
 		return len(ra) - len(rb)
 	}
-	bounded := limit < len(ra)
-	if bounded {
+	if limit < len(ra) {
 		var bag [128]int32
 		for _, r := range ra {
 			bag[r&127]++
@@ -96,6 +93,9 @@ func editDistance(ra, rb []rune, limit int) int {
 		if d := len(ra) - common; d > limit {
 			return d
 		}
+	}
+	if d, ok := myers(ra, rb); ok {
+		return d
 	}
 	// One row of the table, updated in place: row[j] is the distance of
 	// ra[:i] to rb[:j]; up and diag are the values row[j] and row[j-1] held
@@ -122,11 +122,60 @@ func editDistance(ra, rb []rune, limit int) int {
 			diag, row[j+1] = up, left
 			rowMin = min(rowMin, left)
 		}
-		if bounded && rowMin > limit {
+		if rowMin > limit {
 			return rowMin
 		}
 	}
 	return row[len(rb)]
+}
+
+// alphabet numbers the ASCII runes of the normal form — letters, digits and
+// the space — from 1; every other rune is 0.
+var alphabet = func() (a [utf8.RuneSelf]uint8) {
+	for i, r := range "abcdefghijklmnopqrstuvwxyz0123456789 " {
+		a[r] = uint8(i + 1)
+	}
+	return a
+}()
+
+// myers is Myers' bit-parallel edit distance in Hyyrö's formulation: a
+// column of the table is two bit vectors of vertical deltas over the
+// pattern p, advanced by a dozen word operations per rune of the text t. It
+// takes p of 1 to 64 runes of the normal form's ASCII alphabet, else !ok.
+func myers(t, p []rune) (d int, ok bool) {
+	if len(p) == 0 || len(p) > 64 {
+		return 0, false
+	}
+	var peq [38]uint64 // peq[alphabet[r]] has bit i set where p[i] == r; peq[0] stays 0
+	for i, r := range p {
+		if uint32(r) >= utf8.RuneSelf || alphabet[r] == 0 {
+			return 0, false
+		}
+		peq[alphabet[r]] |= 1 << i
+	}
+	last := uint64(1) << (len(p) - 1)
+	pv, mv := ^uint64(0), uint64(0)
+	d = len(p)
+	for _, r := range t {
+		var eq uint64
+		if uint32(r) < utf8.RuneSelf {
+			eq = peq[alphabet[r]]
+		}
+		xv := eq | mv
+		xh := ((eq & pv) + pv) ^ pv | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			d++
+		} else if mh&last != 0 {
+			d--
+		}
+		ph = ph<<1 | 1 // the top row grows by one per column
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return d, true
 }
 
 // LevenshteinSim maps edit distance to a similarity in [0,1]:
@@ -242,96 +291,137 @@ func JaroWinkler(a, b string) float64 {
 // TokenJaccard returns the Jaccard similarity of the normalized token sets
 // of the two strings.
 func TokenJaccard(a, b string) float64 {
-	var ba, bb [64]rune
-	return jaccard(normalizeInto(ba[:0], a), normalizeInto(bb[:0], b))
+	var space TitleSpace
+	ta, buf := space.Buf().Prepare(a)
+	tb, _ := buf.Prepare(b)
+	return jaccard(ta, tb)
 }
 
-// nextToken returns the token of the normalized runes n that starts at i,
-// and where the one after it starts.
-func nextToken(n []rune, i int) (tok []rune, next int) {
-	end := i
-	for end < len(n) && n[end] != ' ' {
-		end++
+// Title is a string prepared for the title measures: its normal form and
+// the spans of its distinct tokens. A caller comparing many titles with
+// many others prepares each once (see TitleBuf) and compares with Below.
+type Title struct {
+	norm []rune
+	toks []span
+}
+
+// span is one token of a normalized rune string: n[lo:hi].
+type span struct{ lo, hi int32 }
+
+// TitleBuf holds prepared titles in two pointer-free arenas, of runes and of
+// token spans. A Title stays valid when the arenas grow, until the buffer is
+// Reset. The zero TitleBuf is empty and ready.
+type TitleBuf struct {
+	runes []rune
+	toks  []span
+}
+
+// Reset empties the buffer, keeping its storage; its titles become invalid.
+func (b TitleBuf) Reset() TitleBuf { return TitleBuf{runes: b.runes[:0], toks: b.toks[:0]} }
+
+// Prepare normalizes and tokenizes s at the end of the buffer, and returns
+// the prepared title and the buffer grown by it.
+func (b TitleBuf) Prepare(s string) (Title, TitleBuf) {
+	lo, tlo := len(b.runes), len(b.toks)
+	b.runes = normalizeInto(b.runes, s)
+	n := b.runes[lo:len(b.runes):len(b.runes)]
+	b.toks = distinctTokens(n, b.toks)
+	return Title{norm: n, toks: b.toks[tlo:len(b.toks):len(b.toks)]}, b
+}
+
+// TitleSpace is stack room for preparing two titles of up to 64 runes and 16
+// distinct tokens each without allocating; a longer title spills.
+type TitleSpace struct {
+	runes [128]rune
+	toks  [32]span
+}
+
+// Buf returns an empty TitleBuf over the space.
+func (s *TitleSpace) Buf() TitleBuf { return TitleBuf{runes: s.runes[:0], toks: s.toks[:0]} }
+
+// distinctTokens appends the spans of n's distinct tokens, in order of first
+// occurrence, to dst; a token is compared with those it appended only.
+func distinctTokens(n []rune, dst []span) []span {
+	first := len(dst)
+	for lo := 0; lo < len(n); {
+		hi := lo
+		for hi < len(n) && n[hi] != ' ' {
+			hi++
+		}
+		seen := false
+		for _, s := range dst[first:] {
+			if seen = slices.Equal(n[s.lo:s.hi], n[lo:hi]); seen {
+				break
+			}
+		}
+		if !seen {
+			dst = append(dst, span{int32(lo), int32(hi)})
+		}
+		lo = hi + 1
 	}
-	return n[i:end], end + 1
+	return dst
 }
 
-// jaccard is the Jaccard similarity of the token sets of two normalized rune
-// strings. Tokens are spans of the runes, not strings, and titles and names
-// have a handful of them: each side's distinct tokens are split out once
-// into a stack array (a longer side spills to the heap), and the
-// intersection is counted over those.
-func jaccard(na, nb []rune) float64 {
-	if len(na) == 0 && len(nb) == 0 {
+// jaccard is the Jaccard similarity of the token sets of two prepared
+// titles. Tokens are spans of the runes, not strings, and titles and names
+// have a handful of them: the intersection is counted over the two lists of
+// distinct tokens.
+func jaccard(a, b Title) float64 {
+	if len(a.norm) == 0 && len(b.norm) == 0 {
 		return 1
 	}
-	var bufA, bufB [16]span
-	ta, tb := distinctTokens(na, bufA[:0]), distinctTokens(nb, bufB[:0])
 	inter := 0
-	for _, a := range ta {
-		for _, b := range tb {
-			if slices.Equal(na[a.lo:a.hi], nb[b.lo:b.hi]) {
+	for _, x := range a.toks {
+		for _, y := range b.toks {
+			if slices.Equal(a.norm[x.lo:x.hi], b.norm[y.lo:y.hi]) {
 				inter++
 				break
 			}
 		}
 	}
-	return float64(inter) / float64(len(ta)+len(tb)-inter)
-}
-
-// span is one token of a normalized rune string: n[lo:hi].
-type span struct{ lo, hi int }
-
-// distinctTokens appends the spans of n's distinct tokens, in order of first
-// occurrence, to dst.
-func distinctTokens(n []rune, dst []span) []span {
-	for i := 0; i < len(n); {
-		tok, next := nextToken(n, i)
-		seen := false
-		for _, s := range dst {
-			if slices.Equal(n[s.lo:s.hi], tok) {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			dst = append(dst, span{i, i + len(tok)})
-		}
-		i = next
-	}
-	return dst
+	return float64(inter) / float64(len(a.toks)+len(b.toks)-inter)
 }
 
 // TitleSim is the combined title similarity used by the Oracle's title
 // rule: the maximum of normalized-string edit similarity and token Jaccard,
 // so both misspellings ("Jaws" / "Jawz") and word-order variations
 // ("Mission Impossible" / "Impossible Mission") score high. Each side is
-// normalized once; both measures read the normalized form.
+// prepared once; both measures read the prepared form.
 func TitleSim(a, b string) float64 {
-	var ba, bb [64]rune
-	na, nb := normalizeInto(ba[:0], a), normalizeInto(bb[:0], b)
+	var space TitleSpace
+	ta, buf := space.Buf().Prepare(a)
+	tb, _ := buf.Prepare(b)
+	na, nb := ta.norm, tb.norm
 	if slices.Equal(na, nb) {
 		return 1
 	}
 	m := max(len(na), len(nb))
-	return max(editSim(editDistance(na, nb, math.MaxInt), m), jaccard(na, nb))
+	return max(editSim(editDistance(na, nb, math.MaxInt), m), jaccard(ta, tb))
 }
 
 // TitleBelow reports TitleSim(a, b) < threshold, which is all the title
-// rule asks, without computing the similarity: the edit distance is pursued
-// only as far as the largest one that still reaches the threshold, and the
-// token sets are compared only when it is out of reach. It does not allocate
+// rule asks: it prepares both titles and asks Below. It does not allocate
 // for titles of at most 64 runes.
 func TitleBelow(a, b string, threshold float64) bool {
-	var ba, bb [64]rune
-	na, nb := normalizeInto(ba[:0], a), normalizeInto(bb[:0], b)
+	var space TitleSpace
+	ta, buf := space.Buf().Prepare(a)
+	tb, _ := buf.Prepare(b)
+	return ta.Below(tb, threshold)
+}
+
+// Below reports TitleSim(a, b) < threshold for the strings t and u were
+// prepared from, without computing the similarity: the edit distance is
+// pursued only as far as the largest one that still reaches the threshold,
+// and the token sets are compared only when it is out of reach.
+func (t Title) Below(u Title, threshold float64) bool {
+	na, nb := t.norm, u.norm
 	if slices.Equal(na, nb) {
 		return 1 < threshold
 	}
 	if cut := maxDistance(max(len(na), len(nb)), threshold); editDistance(na, nb, cut) <= cut {
 		return false
 	}
-	return jaccard(na, nb) < threshold
+	return jaccard(t, u) < threshold
 }
 
 // NameKey canonicalizes a person name so that convention variants collide:

@@ -144,6 +144,11 @@ func TestTokenJaccard(t *testing.T) {
 		{"mission impossible", "impossible mission", 1},
 		{"die hard", "die easy", 1.0 / 3},
 		{"jaws", "die hard", 0},
+		{"die hard", "...die hard", 1},
+		{"(Jaws)", "jaws", 1},
+		{" Jaws", "jaws", 1},
+		{"'Round Midnight", "round midnight", 1},
+		{"...And Justice for All", "and justice for all", 1},
 	}
 	for _, tc := range cases {
 		if got := strsim.TokenJaccard(tc.a, tc.b); !close(got, tc.want) {
@@ -157,7 +162,7 @@ func TestTokenJaccard(t *testing.T) {
 // repeats, punctuation and case variants, including sides of more than the
 // sixteen distinct tokens its stack arrays hold.
 func TestTokenJaccardMatchesSetDefinition(t *testing.T) {
-	words := []string{"the", "The", "thing", "jaws", "Jaws!", "ii", "2", "été", "mission", "impossible", "a", "of"}
+	words := []string{"the", "The", "thing", "jaws", "Jaws!", "(Jaws)", "...of", "ii", "2", "été", "mission", "impossible", "a", "of"}
 	for i := 0; i < 40; i++ {
 		words = append(words, fmt.Sprintf("w%d", i))
 	}
@@ -229,11 +234,12 @@ func TestTitleSim(t *testing.T) {
 // TestTitleSimMatchesItsDefinition: TitleSim normalizes each side once and
 // shares the result between its two measures; the value must be exactly
 // what the public measures give when each normalizes for itself, on strings
-// with mixed case, punctuation, repeated tokens, non-ASCII letters and
-// titles longer than the edit distance's stack row.
+// with mixed case, punctuation (leading too), repeated tokens, non-ASCII
+// letters and titles longer than the edit distance's stack row.
 func TestTitleSimMatchesItsDefinition(t *testing.T) {
 	titles := []string{"", "---", "Jaws", "JAWS!", "Jawz", "Jaws 2", "The Thing", "Thing, The", "the the thing",
 		"L'été indien", "L'ETE INDIEN", "Ǆungla", "Mission: Impossible", "Impossible Mission II",
+		"(Jaws)", " Jaws", "'Round Midnight", "...And Justice for All",
 		"A Very Long Engagement of Many Words That Outgrows Sixty-Four Runes by a Comfortable Margin",
 		"A Very Long Engagement of Many Words That Outgrows Sixty Four Runes by an Uncomfortable Margin"}
 	for _, a := range titles {

@@ -202,5 +202,17 @@ func BenchmarkTitleRule(b *testing.B) {
 			sink = strsim.TitleBelow(titles[i%len(titles)], titles[(i/len(titles))%len(titles)], 0.55)
 		}
 	})
+	b.Run("Prepared", func(b *testing.B) {
+		var buf strsim.TitleBuf
+		prepared := make([]strsim.Title, len(titles))
+		for i, t := range titles {
+			prepared[i], buf = buf.Prepare(t)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink = prepared[i%len(titles)].Below(prepared[(i/len(titles))%len(titles)], 0.55)
+		}
+	})
 	_ = sink
 }
