@@ -221,18 +221,6 @@ type QueryResult = query.Result
 // QueryOptions configure evaluation strategies and budgets.
 type QueryOptions = query.Options
 
-// QueryCache is a concurrency-safe LRU cache of compiled queries, for
-// callers evaluating the same query strings repeatedly outside a
-// Database (which caches internally).
-type QueryCache = query.Cache
-
-// QueryCacheStats reports a QueryCache's hit/miss counters.
-type QueryCacheStats = query.CacheStats
-
-// NewQueryCache builds a compiled-query cache holding at most capacity
-// entries (<= 0 means the default capacity).
-func NewQueryCache(capacity int) *QueryCache { return query.NewCache(capacity) }
-
 // CompileQuery parses a query.
 func CompileQuery(src string) (*Query, error) { return query.Compile(src) }
 
@@ -252,17 +240,6 @@ const (
 
 // QueryPlan explains how the engine chose an evaluation strategy.
 type QueryPlan = query.Plan
-
-// QueryResultCache caches fully evaluated results keyed by (tree digest,
-// query text, options); a Database maintains one internally.
-type QueryResultCache = query.ResultCache
-
-// QueryResultCacheStats reports a result cache's hit/miss counters.
-type QueryResultCacheStats = query.ResultCacheStats
-
-// NewQueryResultCache builds a result cache holding at most capacity
-// entries (<= 0 means the default capacity).
-func NewQueryResultCache(capacity int) *QueryResultCache { return query.NewResultCache(capacity) }
 
 // DatabaseIndexStats reports the summary warms of a Database's commits.
 type DatabaseIndexStats = core.IndexStats

@@ -406,8 +406,6 @@ func runServe(args []string, w io.Writer) error {
 	rootTag := fs.String("root", "db", "root element tag of newly created databases")
 	dtdPath := fs.String("dtd", "", "DTD file with cardinality knowledge")
 	ruleSpec := fs.String("rules", "", "comma-separated domain rules: genre,title,year,director")
-	cacheSize := fs.Int("query-cache", 0, "compiled-query LRU cache capacity (0 = default)")
-	resultCacheSize := fs.Int("result-cache", 0, "evaluated-result LRU cache capacity (0 = default)")
 	queryBudget := fs.Duration("query-budget", 0, "per-query wall-clock budget (0 = unlimited; exhausted queries return 408 with budget_exhausted)")
 	maxBody := fs.Int64("max-body", 0, "request body limit in bytes (0 = default 8MiB)")
 	quiet := fs.Bool("quiet", false, "disable the per-request log")
@@ -426,11 +424,9 @@ func runServe(args []string, w io.Writer) error {
 		return errors.New("serve: -data is required (the durable catalog directory; the root routes serve its default database)")
 	}
 	cfg := core.Config{
-		Schema:          schema,
-		Rules:           rules,
-		Query:           query.Options{TimeBudget: *queryBudget},
-		QueryCacheSize:  *cacheSize,
-		ResultCacheSize: *resultCacheSize,
+		Schema: schema,
+		Rules:  rules,
+		Query:  query.Options{TimeBudget: *queryBudget},
 	}
 	var logger *log.Logger
 	if !*quiet {

@@ -80,7 +80,6 @@ func TestConcurrentReadsDuringMutation(t *testing.T) {
 					db.IsCertain()
 					db.IntegrationHistory()
 					db.FeedbackHistory()
-					db.QueryCacheStats()
 				}
 			}
 		}(g)

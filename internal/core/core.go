@@ -58,12 +58,6 @@ type Config struct {
 	Query query.Options
 	// Feedback bounds the conditioning work of feedback processing.
 	Feedback feedback.Options
-	// QueryCacheSize caps the compiled-query LRU cache (0 means
-	// query.DefaultCacheCapacity).
-	QueryCacheSize int
-	// ResultCacheSize caps the evaluated-result LRU cache (0 means
-	// query.DefaultResultCacheCapacity).
-	ResultCacheSize int
 }
 
 // Database is a probabilistic XML database with near-automatic
@@ -99,7 +93,6 @@ type Database struct {
 	// Immutable after Open.
 	oracle  *oracle.Oracle
 	cfg     Config
-	queries *query.Cache
 	results *query.ResultCache
 
 	// Query concurrency accounting (see QueryRuntimeStats): a gauge of
@@ -130,8 +123,7 @@ func Open(doc *pxml.Tree, cfg Config) (*Database, error) {
 		warmTotal: took,
 		oracle:    oracle.New(cfg.Rules, cfg.OracleOptions...),
 		cfg:       cfg,
-		queries:   query.NewCache(cfg.QueryCacheSize),
-		results:   query.NewResultCache(cfg.ResultCacheSize),
+		results:   query.NewResultCache(query.DefaultResultCacheCapacity),
 	}, nil
 }
 
@@ -349,18 +341,10 @@ func (db *Database) IntegrationCount() int {
 	return len(db.integrations)
 }
 
-// Query compiles and evaluates a query, returning ranked answers.
-// Compilation goes through the database's LRU cache, so repeated query
-// strings skip parsing; evaluation goes through the planner and the
-// result cache (see QueryEval).
+// Query evaluates a query with the database's default options, returning
+// ranked answers (see QueryEval).
 func (db *Database) Query(src string) (query.Result, error) {
 	return db.QueryEval(src, db.cfg.Query)
-}
-
-// QueryCompiled evaluates a compiled query against a snapshot of the
-// current document, through the planner and the result cache.
-func (db *Database) QueryCompiled(q *query.Query) (query.Result, error) {
-	return db.evalCached(context.Background(), q, db.cfg.Query)
 }
 
 // DefaultQueryOptions returns the evaluation options the database was
@@ -368,15 +352,16 @@ func (db *Database) QueryCompiled(q *query.Query) (query.Result, error) {
 // QueryEval.
 func (db *Database) DefaultQueryOptions() query.Options { return db.cfg.Query }
 
-// QueryEval compiles src through the database's cache and evaluates it
-// with the given options instead of the database defaults — for callers
-// that override the method, sampling seed or budgets per request.
+// QueryEval evaluates src with the given options instead of the database
+// defaults — for callers that override the method, sampling seed or
+// budgets per request.
 //
-// Evaluation is planned: the tree's summary (warmed by the commit that
-// published the tree) picks the cheapest applicable strategy when
-// opts.Method is auto, and whole results are served from an LRU cache
-// keyed by (tree digest, query text, options) — correctly invalidated by
-// tree identity, since any mutation installs a tree with a new digest.
+// Whole results are served from an LRU cache keyed by (tree digest, query
+// text, options) — correctly invalidated by tree identity, since any
+// mutation installs a tree with a new digest — so a repeated query is
+// answered before its text is parsed. On a miss the query is compiled and
+// planned: the tree's summary (warmed by the commit that published the
+// tree) picks the cheapest applicable strategy when opts.Method is auto.
 func (db *Database) QueryEval(src string, opts query.Options) (query.Result, error) {
 	return db.QueryEvalCtx(context.Background(), src, opts)
 }
@@ -386,31 +371,23 @@ func (db *Database) QueryEval(src string, opts query.Options) (query.Result, err
 // context, so abandoned queries stop computing) and when the options'
 // TimeBudget/MaxNodeVisits run out. Early aborts are counted in
 // QueryRuntimeStats.
+//
+// It goes through the result cache's singleflight: concurrent identical
+// cold queries compile and evaluate once and share the result, or the
+// parse error, which is never cached.
 func (db *Database) QueryEvalCtx(ctx context.Context, src string, opts query.Options) (query.Result, error) {
-	q, err := db.queries.Compile(src)
-	if err != nil {
-		return query.Result{}, err
-	}
-	return db.evalCached(ctx, q, opts)
-}
-
-// evalCached evaluates a compiled query against a snapshot of the current
-// tree, going through the result cache's singleflight: concurrent
-// identical cold queries run one evaluation and share the result.
-func (db *Database) evalCached(ctx context.Context, q *query.Query, opts query.Options) (query.Result, error) {
 	if err := opts.Validate(); err != nil {
 		return query.Result{}, err
 	}
 	db.queryStarted.Add(1)
 	db.queryActive.Add(1)
 	defer db.queryActive.Add(-1)
-	// Read the purge generation before the snapshot: if a swap (and its
-	// purge) lands anywhere after this point, the conditional insert
-	// inside Do is dropped, so a slow evaluation can never re-insert an
-	// entry for a retired document.
-	gen := db.results.Generation()
 	tree := db.Tree()
-	res, outcome, err := db.results.Do(ctx, gen, tree.Digest(), q.String(), opts, func() (query.Result, error) {
+	res, outcome, err := db.results.Do(ctx, tree.Digest(), src, opts, func() (query.Result, error) {
+		q, err := query.Compile(src)
+		if err != nil {
+			return query.Result{}, err
+		}
 		return query.EvalCtx(ctx, tree, q, opts)
 	})
 	if err != nil {
@@ -468,11 +445,6 @@ func (db *Database) QueryStats() QueryRuntimeStats {
 	}
 }
 
-// QueryCacheStats reports the compiled-query cache counters.
-func (db *Database) QueryCacheStats() query.CacheStats {
-	return db.queries.Stats()
-}
-
 // ResultCacheStats reports the evaluated-result cache counters.
 func (db *Database) ResultCacheStats() query.ResultCacheStats {
 	return db.results.Stats()
@@ -522,7 +494,7 @@ func (db *Database) Feedback(querySrc, value string, correct bool) (feedback.Eve
 // now); journal replay passes the recorded time so recovered histories
 // match the originals exactly.
 func (db *Database) feedbackAt(querySrc, value string, correct bool, when time.Time) (feedback.Event, error) {
-	q, err := db.queries.Compile(querySrc)
+	q, err := query.Compile(querySrc)
 	if err != nil {
 		return feedback.Event{}, err
 	}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"math"
 	"math/big"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -193,15 +194,24 @@ func TestSequentialIntegrations(t *testing.T) {
 	}
 }
 
-func TestQueryCompiled(t *testing.T) {
+// TestQueryMatchesEval: the database answers a query's text as query.Eval
+// answers the compiled query on the database's tree.
+func TestQueryMatchesEval(t *testing.T) {
 	db := openBookA(t)
 	q := query.MustCompile(`//person/nm`)
-	res, err := db.QueryCompiled(q)
+	res, err := db.Query(q.String())
 	if err != nil {
-		t.Fatalf("QueryCompiled: %v", err)
+		t.Fatalf("Query: %v", err)
 	}
 	if math.Abs(res.P("John")-1) > 1e-9 {
 		t.Fatalf("P(John) = %v", res.P("John"))
+	}
+	want, err := query.Eval(db.Tree(), q, db.DefaultQueryOptions())
+	if err != nil {
+		t.Fatalf("Eval: %v", err)
+	}
+	if !reflect.DeepEqual(res.Answers, want.Answers) {
+		t.Fatalf("database answers %v, query.Eval %v", res.Answers, want.Answers)
 	}
 }
 

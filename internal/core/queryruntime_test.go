@@ -80,3 +80,51 @@ func TestQueryBudgetAbortCounted(t *testing.T) {
 		t.Fatalf("budget aborts = %d, want >= 1", got)
 	}
 }
+
+// TestQueryParseErrorNotCached: a query that fails to parse goes through
+// the result cache's flight like any miss. Every call reports the same
+// query.Compile error, no entry is stored, and concurrent identical calls
+// all get that error. Whether a concurrent caller collapses onto a failing
+// flight or leads its own depends on timing, so the concurrent half pins
+// what holds either way; query's TestResultCacheSharesParseError holds the
+// leader and pins exactly one miss.
+func TestQueryParseErrorNotCached(t *testing.T) {
+	db := openBookA(t)
+	const src = `//movie[`
+	_, want := query.Compile(src)
+	if want == nil {
+		t.Fatalf("%q compiled", src)
+	}
+	before := db.ResultCacheStats()
+	for i := 0; i < 2; i++ {
+		if _, err := db.Query(src); err == nil || err.Error() != want.Error() {
+			t.Fatalf("call %d: err = %v, want %v", i, err, want)
+		}
+	}
+	st := db.ResultCacheStats()
+	if st.Size != before.Size || st.Misses != before.Misses+2 || st.Hits != before.Hits {
+		t.Fatalf("stats %+v after two failed parses from %+v: want two more misses and no entry", st, before)
+	}
+
+	const clients = 16
+	var wg sync.WaitGroup
+	errs := make([]error, clients)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = db.Query(src)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("client %d: err = %v, want %v", i, err, want)
+		}
+	}
+	after := db.ResultCacheStats()
+	misses, collapses := after.Misses-st.Misses, after.Collapses-st.Collapses
+	if after.Size != st.Size || after.Hits != st.Hits || misses < 1 || misses+collapses != clients {
+		t.Fatalf("%d concurrent failed parses: %d misses, %d collapses, stats %+v", clients, misses, collapses, after)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/pxml"
@@ -46,26 +45,6 @@ type Result struct {
 	// Exec reports how the evaluation ran (budget meter, anchors
 	// enumerated). Zero for cache hits served without re-execution.
 	Exec ExecStats
-
-	// lookup is the lazily built value -> probability map behind P.
-	// It is a pointer so that copies of the Result share one map build.
-	lookup *valueLookup
-}
-
-type valueLookup struct {
-	once sync.Once
-	m    map[string]float64
-}
-
-// newResult assembles a Result with a lazy value-lookup attached.
-func newResult(answers []Answer, method Method, sampled int, plan *Plan) Result {
-	return Result{
-		Answers:       answers,
-		Method:        method,
-		SampledWorlds: sampled,
-		Plan:          plan,
-		lookup:        &valueLookup{},
-	}
 }
 
 // Top returns the first n answers: all of them when there are fewer than n,
@@ -74,30 +53,14 @@ func (r Result) Top(n int) []Answer {
 	return r.Answers[:min(max(n, 0), len(r.Answers))]
 }
 
-// P returns the probability of a given answer value, or 0. The first
-// lookup on a large answer set builds a value map once, so top-k
-// post-processing that probes many values stays linear instead of
-// quadratic; results constructed literally (no lookup attached) fall back
-// to a linear scan.
+// P returns the probability of a given answer value, or 0.
 func (r Result) P(value string) float64 {
-	if r.lookup == nil {
-		for _, a := range r.Answers {
-			if a.Value == value {
-				return a.P
-			}
+	for _, a := range r.Answers {
+		if a.Value == value {
+			return a.P
 		}
-		return 0
 	}
-	r.lookup.once.Do(func() {
-		m := make(map[string]float64, len(r.Answers))
-		for _, a := range r.Answers {
-			if _, dup := m[a.Value]; !dup {
-				m[a.Value] = a.P
-			}
-		}
-		r.lookup.m = m
-	})
-	return r.lookup.m[value]
+	return 0
 }
 
 // Options configure evaluation.

@@ -3,8 +3,8 @@ package query
 import "container/list"
 
 // lru is a fixed-capacity map that evicts its least recently used entry
-// once it is full. It is not safe for concurrent use: Cache and
-// ResultCache each guard theirs with one mutex.
+// once it is full. It is not safe for concurrent use: ResultCache guards
+// its one with a mutex.
 type lru[K comparable, V any] struct {
 	cap   int
 	ll    *list.List // of *lruEntry[K, V]; front = most recently used

@@ -7,7 +7,6 @@ import (
 	"math/big"
 	"slices"
 	"strconv"
-	"sync"
 
 	"repro/internal/pxml"
 )
@@ -113,31 +112,6 @@ func requiredStepTags(q *Query) []string {
 	return out
 }
 
-// worldsTexts holds the decimal world counts of recently planned
-// documents, keyed by their root summary's count (a shared, read-only
-// *big.Int): every plan reports the count, and it can run to thousands of
-// digits, so a document's is formatted once, not once per query. It
-// caches a pure function of its key, so callers sharing it cannot see
-// each other.
-var worldsTexts = struct {
-	sync.Mutex
-	lru lru[*big.Int, string]
-}{lru: newLRU[*big.Int, string](64)}
-
-// worldsString returns the summarized document's world count in decimal.
-func worldsString(sum *pxml.Summary) string {
-	worldsTexts.Lock()
-	s, ok := worldsTexts.lru.get(sum.Worlds)
-	worldsTexts.Unlock()
-	if !ok {
-		s = sum.Worlds.String()
-		worldsTexts.Lock()
-		worldsTexts.lru.put(sum.Worlds, s)
-		worldsTexts.Unlock()
-	}
-	return s
-}
-
 // planAuto builds the cost-based plan for MethodAuto from the document's
 // summary: exact when every anchor subtree spans at most LocalWorldLimit
 // local worlds, Monte-Carlo sampling otherwise. The choice is a
@@ -149,7 +123,7 @@ func planAuto(q *Query, opts Options, sum *pxml.Summary) Plan {
 	anchorTag := q.Steps[anchorIndex(q)].Name
 	pl := Plan{
 		Method:          MethodExact,
-		EstimatedWorlds: worldsString(sum),
+		EstimatedWorlds: sum.Worlds.String(),
 		AnchorTag:       anchorTag,
 	}
 	localLimit := opts.LocalWorldLimit
@@ -260,7 +234,7 @@ func EvalCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options) (Result,
 		pl := Plan{
 			Method:          m,
 			Reason:          "method " + strconv.Quote(string(m)) + " requested explicitly",
-			EstimatedWorlds: worldsString(sum),
+			EstimatedWorlds: sum.Worlds.String(),
 			PrunedFraction:  estimatePruned(q, sum.Tags),
 		}
 		return executePlanned(t, q, opts, pl, b)
@@ -268,7 +242,7 @@ func EvalCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options) (Result,
 
 	pl := planAuto(q, opts, sum)
 	if pl.EmptyByIndex {
-		return newResult(make([]Answer, 0), pl.Method, 0, &pl), nil
+		return Result{Answers: make([]Answer, 0), Method: pl.Method, Plan: &pl}, nil
 	}
 	return executePlanned(t, q, opts, pl, b)
 }
@@ -279,7 +253,7 @@ func EvalCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options) (Result,
 func failedResult(pl Plan, err error) (Result, error) {
 	if errors.Is(err, ErrBudgetExhausted) {
 		pl.BudgetExhausted = true
-		return newResult(nil, pl.Method, 0, &pl), err
+		return Result{Method: pl.Method, Plan: &pl}, err
 	}
 	return Result{}, err
 }
@@ -300,20 +274,16 @@ func (e *exactEval) result(answers []Answer, pl Plan) Result {
 		b = append(b, " anchors reached)"...)
 		pl.Reason = string(b)
 	}
-	res := newResult(answers, MethodExact, 0, &pl)
-	res.Exec = ExecStats{
+	return Result{Answers: answers, Method: MethodExact, Plan: &pl, Exec: ExecStats{
 		NodeVisits:        e.budget.spent(),
 		AnchorsEnumerated: e.anchorsEnumerated, AnchorsSkipped: e.anchorsSkipped,
-	}
-	return res
+	}}
 }
 
 // meteredResult wraps an enumerated or sampled answer set with the plan
 // and the budget meter reading.
 func meteredResult(answers []Answer, m Method, sampled int, pl Plan, b *budget) Result {
-	res := newResult(answers, m, sampled, &pl)
-	res.Exec = ExecStats{NodeVisits: b.spent()}
-	return res
+	return Result{Answers: answers, Method: m, SampledWorlds: sampled, Plan: &pl, Exec: ExecStats{NodeVisits: b.spent()}}
 }
 
 // executePlanned runs exactly the method the plan names.

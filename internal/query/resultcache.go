@@ -14,9 +14,10 @@ const DefaultResultCacheCapacity = 512
 // ResultCacheStats reports the effectiveness of a ResultCache.
 type ResultCacheStats struct {
 	// Hits and Misses count lookups answered from the cache vs. lookups
-	// that led to an evaluation. Under Do, concurrent identical cold
-	// queries record exactly one miss (the leader's); the others record
-	// Collapses instead.
+	// that led to an evaluation (a query that fails to parse counts as a
+	// miss too). Under Do, concurrent identical cold queries record
+	// exactly one miss (the leader's); the others record Collapses
+	// instead.
 	Hits, Misses int64
 	// Collapses counts Do callers that waited on an identical in-flight
 	// evaluation instead of running their own (singleflight).
@@ -73,20 +74,14 @@ func optionsKey(o Options) optsKey {
 // evaluated query results, keyed by (tree digest, query text, options).
 // Evaluation is deterministic — sampling is seeded — so a cached Result
 // may be returned verbatim; its Answers must be treated as read-only.
-// It complements the compiled-query Cache: that one skips parsing, this
-// one skips evaluation entirely for repeated queries over an unchanged
-// document.
+// The key holds the raw query text, so a hit is served before the text
+// is parsed: only the evaluation that fills an entry compiles the query.
 //
-// One mutex guards the LRU and the purge generation; Do adds
-// singleflight: N concurrent identical cold queries run one evaluation
-// while N−1 wait for its result.
+// One mutex guards the LRU; Do adds singleflight: N concurrent identical
+// cold queries run one evaluation while N−1 wait for its result.
 type ResultCache struct {
-	// mu guards entries and gen. A conditional put checks gen and inserts
-	// under one hold, so a purge can never interleave between the check
-	// and the insert.
 	mu      sync.Mutex
 	entries lru[resultKey, Result]
-	gen     uint64
 
 	// flightMu guards the in-flight evaluation table behind Do, which
 	// takes mu under it (never the reverse).
@@ -123,80 +118,33 @@ func (c *ResultCache) lookup(key resultKey) (Result, bool) {
 	return c.entries.get(key)
 }
 
-// Get returns the cached result for the (document, query, options)
-// triple, if present.
-func (c *ResultCache) Get(digest uint64, src string, opts Options) (Result, bool) {
-	key := resultKey{digest: digest, src: src, opts: optionsKey(opts)}
-	res, ok := c.lookup(key)
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return res, ok
-}
-
-// Put stores an evaluation result. Storing the same key twice keeps the
-// newer value (the two are identical by determinism anyway).
-func (c *ResultCache) Put(digest uint64, src string, opts Options, res Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries.put(resultKey{digest: digest, src: src, opts: optionsKey(opts)}, res)
-}
-
-// Generation returns the purge generation. A caller that snapshots the
-// generation before reading the document it evaluates against can hand
-// the value to PutIfGeneration to avoid re-inserting an entry for a
-// document that has since been retired by a purge.
-func (c *ResultCache) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
-// PutIfGeneration stores the result only if no Purge intervened since the
-// caller observed gen — the check and the insertion are atomic under the
-// cache lock, so a slow evaluation that straddles a tree swap can
-// never occupy capacity with an entry for the retired document.
-func (c *ResultCache) PutIfGeneration(gen uint64, digest uint64, src string, opts Options, res Result) bool {
-	return c.putIfGeneration(gen, resultKey{digest: digest, src: src, opts: optionsKey(opts)}, res)
-}
-
-func (c *ResultCache) putIfGeneration(gen uint64, key resultKey, res Result) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gen != gen {
-		return false
-	}
-	c.entries.put(key, res)
-	return true
-}
-
 // Purge empties the cache, keeping the hit/miss counters. The database
 // calls it on every tree swap: digests already make stale hits
 // impossible, purging just stops dead entries from occupying capacity.
+// An evaluation that straddles the swap may still insert an entry for
+// the retired digest after the purge; no lookup can reach it, and it goes
+// at the next purge or on eviction.
 func (c *ResultCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
 	c.entries.purge()
 }
 
 // Do returns the cached result for the triple or computes it by calling
 // fn — at most once across concurrent identical callers (singleflight):
 // the first cold caller leads the evaluation, later identical callers
-// wait for its result instead of burning their own. gen gates the insert
-// exactly like PutIfGeneration.
+// wait for its result instead of burning their own.
 //
 // A waiter whose own ctx is canceled stops waiting with ctx.Err(). A
 // leader error that is caller-specific — cancellation or budget
 // exhaustion — is not adopted by waiters; one of them retries as the new
 // leader, so one impatient client cannot fail everyone else's query.
-// Deterministic errors (bad query, inapplicable method) are shared.
+// Deterministic errors (a parse error, an inapplicable method) are
+// shared, and no error is cached.
 //
 // The second result reports how the call was served: from cache, by
 // executing fn, or by collapsing onto another caller's execution.
-func (c *ResultCache) Do(ctx context.Context, gen uint64, digest uint64, src string, opts Options, fn func() (Result, error)) (Result, DoOutcome, error) {
+func (c *ResultCache) Do(ctx context.Context, digest uint64, src string, opts Options, fn func() (Result, error)) (Result, DoOutcome, error) {
 	key := resultKey{digest: digest, src: src, opts: optionsKey(opts)}
 	for {
 		if res, ok := c.lookup(key); ok {
@@ -257,7 +205,9 @@ func (c *ResultCache) Do(ctx context.Context, gen uint64, digest uint64, src str
 				// Insert before releasing waiters and retiring the
 				// flight, so no identical caller can slip between the
 				// flight's end and the entry's visibility.
-				c.putIfGeneration(gen, key, call.res)
+				c.mu.Lock()
+				c.entries.put(key, call.res)
+				c.mu.Unlock()
 			}
 			completed = true
 		}()

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -11,34 +13,52 @@ func cachedResult(vals ...string) Result {
 	for i, v := range vals {
 		answers[i] = Answer{Value: v, P: 0.5}
 	}
-	return newResult(answers, MethodExact, 0, &Plan{Method: MethodExact})
+	return Result{Answers: answers, Method: MethodExact, Plan: &Plan{Method: MethodExact}}
+}
+
+var errNotCached = errors.New("not cached")
+
+// get looks the triple up through Do with an evaluation that fails, so it
+// counts a hit or a miss as a lookup does and never inserts.
+func get(c *ResultCache, digest uint64, src string, opts Options) (Result, bool) {
+	res, _, err := c.Do(context.Background(), digest, src, opts, func() (Result, error) {
+		return Result{}, errNotCached
+	})
+	return res, err == nil
+}
+
+// put stores res under the triple without touching the counters.
+func put(c *ResultCache, digest uint64, src string, opts Options, res Result) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries.put(resultKey{digest: digest, src: src, opts: optionsKey(opts)}, res)
 }
 
 func TestResultCacheHitMiss(t *testing.T) {
 	c := NewResultCache(4)
-	if _, ok := c.Get(1, "//a", Options{}); ok {
+	if _, ok := get(c, 1, "//a", Options{}); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(1, "//a", Options{}, cachedResult("x"))
-	res, ok := c.Get(1, "//a", Options{})
+	put(c, 1, "//a", Options{}, cachedResult("x"))
+	res, ok := get(c, 1, "//a", Options{})
 	if !ok || len(res.Answers) != 1 || res.Answers[0].Value != "x" {
 		t.Fatalf("get = %v, %v", res, ok)
 	}
 	// Different digest, query text, or options are distinct entries.
-	if _, ok := c.Get(2, "//a", Options{}); ok {
+	if _, ok := get(c, 2, "//a", Options{}); ok {
 		t.Fatal("digest not part of the key")
 	}
-	if _, ok := c.Get(1, "//b", Options{}); ok {
+	if _, ok := get(c, 1, "//b", Options{}); ok {
 		t.Fatal("query text not part of the key")
 	}
-	if _, ok := c.Get(1, "//a", Options{Method: MethodSample}); ok {
+	if _, ok := get(c, 1, "//a", Options{Method: MethodSample}); ok {
 		t.Fatal("method not part of the key")
 	}
-	if _, ok := c.Get(1, "//a", Options{Seed: SeedPtr(7)}); ok {
+	if _, ok := get(c, 1, "//a", Options{Seed: SeedPtr(7)}); ok {
 		t.Fatal("seed not part of the key")
 	}
 	// Spelled-out defaults share the entry with the zero options.
-	if _, ok := c.Get(1, "//a", Options{Samples: 20000, EnumWorldLimit: 100000}); !ok {
+	if _, ok := get(c, 1, "//a", Options{Samples: 20000, EnumWorldLimit: 100000}); !ok {
 		t.Fatal("canonicalized defaults missed")
 	}
 	st := c.Stats()
@@ -53,13 +73,13 @@ func TestResultCacheHitMiss(t *testing.T) {
 func TestResultCacheKeyHoldsOnlyReadOptions(t *testing.T) {
 	c := NewResultCache(8)
 	exact := Options{Method: MethodExact}
-	if _, ok := c.Get(1, "//a", exact); ok {
+	if _, ok := get(c, 1, "//a", exact); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(1, "//a", exact, cachedResult("x"))
+	put(c, 1, "//a", exact, cachedResult("x"))
 	withSeed := exact
 	withSeed.Seed = SeedPtr(7)
-	if _, ok := c.Get(1, "//a", withSeed); !ok {
+	if _, ok := get(c, 1, "//a", withSeed); !ok {
 		t.Fatal("method=exact with a seed missed the seedless entry")
 	}
 	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 || st.Size != 1 {
@@ -89,14 +109,14 @@ func TestResultCacheKeyHoldsOnlyReadOptions(t *testing.T) {
 
 func TestResultCacheEvictionLRU(t *testing.T) {
 	c := NewResultCache(2)
-	c.Put(1, "a", Options{}, cachedResult("a"))
-	c.Put(1, "b", Options{}, cachedResult("b"))
-	c.Get(1, "a", Options{}) // refresh a
-	c.Put(1, "c", Options{}, cachedResult("c"))
-	if _, ok := c.Get(1, "b", Options{}); ok {
+	put(c, 1, "a", Options{}, cachedResult("a"))
+	put(c, 1, "b", Options{}, cachedResult("b"))
+	get(c, 1, "a", Options{}) // refresh a
+	put(c, 1, "c", Options{}, cachedResult("c"))
+	if _, ok := get(c, 1, "b", Options{}); ok {
 		t.Fatal("LRU entry not evicted")
 	}
-	if _, ok := c.Get(1, "a", Options{}); !ok {
+	if _, ok := get(c, 1, "a", Options{}); !ok {
 		t.Fatal("recently used entry evicted")
 	}
 	if st := c.Stats(); st.Size != 2 {
@@ -113,7 +133,7 @@ func TestResultCacheHoldsItsCapacity(t *testing.T) {
 		key := func(i int) (uint64, string) { return uint64(i % 3), fmt.Sprintf("//q%d", i) }
 		for i := 0; i < n; i++ {
 			d, src := key(i)
-			c.Put(d, src, Options{}, cachedResult(src))
+			put(c, d, src, Options{}, cachedResult(src))
 		}
 		hits := 0
 		for i := 0; i < n; i++ { // in put order, so key 0 stays least recent
@@ -125,7 +145,7 @@ func TestResultCacheHoldsItsCapacity(t *testing.T) {
 			t.Fatalf("capacity %d: %d of %d distinct keys still hit", n, hits, n)
 		}
 		d, src := key(n)
-		c.Put(d, src, Options{}, cachedResult(src))
+		put(c, d, src, Options{}, cachedResult(src))
 		if d, src := key(0); hasEntry(c, d, src) {
 			t.Fatalf("capacity %d: the least recently used key survived put %d", n, n+1)
 		}
@@ -141,7 +161,7 @@ func TestResultCacheHoldsItsCapacity(t *testing.T) {
 }
 
 func hasEntry(c *ResultCache, digest uint64, src string) bool {
-	_, ok := c.Get(digest, src, Options{})
+	_, ok := get(c, digest, src, Options{})
 	return ok
 }
 
@@ -150,34 +170,13 @@ func TestResultCachePurge(t *testing.T) {
 	if c.Stats().Capacity != DefaultResultCacheCapacity {
 		t.Fatalf("default capacity = %d", c.Stats().Capacity)
 	}
-	c.Put(1, "a", Options{}, cachedResult("a"))
+	put(c, 1, "a", Options{}, cachedResult("a"))
 	c.Purge()
-	if _, ok := c.Get(1, "a", Options{}); ok {
+	if _, ok := get(c, 1, "a", Options{}); ok {
 		t.Fatal("entry survived purge")
 	}
 	if st := c.Stats(); st.Size != 0 {
 		t.Fatalf("size after purge = %d", st.Size)
-	}
-}
-
-// TestResultCachePutIfGeneration pins the swap-race guard: a Put whose
-// caller observed a pre-purge generation is dropped, so slow evaluations
-// straddling a tree swap cannot re-insert entries for retired documents.
-func TestResultCachePutIfGeneration(t *testing.T) {
-	c := NewResultCache(4)
-	gen := c.Generation()
-	if !c.PutIfGeneration(gen, 1, "a", Options{}, cachedResult("a")) {
-		t.Fatal("put with current generation rejected")
-	}
-	c.Purge() // a tree swap retires digest 1
-	if c.PutIfGeneration(gen, 1, "b", Options{}, cachedResult("b")) {
-		t.Fatal("put with stale generation accepted")
-	}
-	if _, ok := c.Get(1, "b", Options{}); ok {
-		t.Fatal("stale-generation entry visible")
-	}
-	if !c.PutIfGeneration(c.Generation(), 1, "c", Options{}, cachedResult("c")) {
-		t.Fatal("put with refreshed generation rejected")
 	}
 }
 
@@ -190,8 +189,8 @@ func TestResultCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := string(rune('a' + (g+i)%16))
-				if _, ok := c.Get(uint64(i%3), key, Options{}); !ok {
-					c.Put(uint64(i%3), key, Options{}, cachedResult(key))
+				if _, ok := get(c, uint64(i%3), key, Options{}); !ok {
+					put(c, uint64(i%3), key, Options{}, cachedResult(key))
 				}
 			}
 		}(g)
@@ -204,14 +203,35 @@ func TestResultPLookup(t *testing.T) {
 	if r.P("b") != 0.5 || r.P("zz") != 0 {
 		t.Fatalf("P lookup wrong: %g %g", r.P("b"), r.P("zz"))
 	}
-	// Copies share the lazily built map and agree with the original.
+	// Copies agree with the original.
 	cp := r
 	if cp.P("c") != 0.5 {
 		t.Fatal("copied result P lookup broken")
 	}
-	// Literal results (no lookup) still work via linear scan.
+	// So do results built outside the engine.
 	lit := Result{Answers: []Answer{{Value: "x", P: 0.25}}}
 	if lit.P("x") != 0.25 || lit.P("y") != 0 {
 		t.Fatal("literal result P broken")
+	}
+}
+
+// TestCacheDoesNotCacheErrors: a failed evaluation — here the parse that
+// the leader of a miss runs first — stores nothing, so the next identical
+// call evaluates again and counts a second miss.
+func TestCacheDoesNotCacheErrors(t *testing.T) {
+	c := NewResultCache(4)
+	var calls int
+	compile := func() (Result, error) {
+		calls++
+		_, err := Compile("//a[")
+		return Result{}, err
+	}
+	for i := 0; i < 2; i++ {
+		if _, outcome, err := c.Do(context.Background(), 1, "//a[", Options{}, compile); err == nil || outcome != DoExecuted {
+			t.Fatalf("call %d: outcome %v, err %v; want DoExecuted with the parse error", i, outcome, err)
+		}
+	}
+	if st := c.Stats(); calls != 2 || st.Size != 0 || st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("%d evaluations, stats %+v; want 2 evaluations, 2 misses and no entry", calls, st)
 	}
 }

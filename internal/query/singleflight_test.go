@@ -37,7 +37,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 			if i > 0 {
 				<-start // leader enters first
 			}
-			_, outcomes[i], errs[i] = c.Do(context.Background(), c.Generation(), 1, "//a", Options{}, fn)
+			_, outcomes[i], errs[i] = c.Do(context.Background(), 1, "//a", Options{}, fn)
 		}(i)
 	}
 	// Goroutine 0 is the leader: wait for its flight to register, let the
@@ -85,8 +85,56 @@ func TestResultCacheSingleflight(t *testing.T) {
 	}
 
 	// The flight retired after publishing: a late identical query is a hit.
-	if _, outcome, err := c.Do(context.Background(), c.Generation(), 1, "//a", Options{}, fn); err != nil || outcome != DoHit {
+	if _, outcome, err := c.Do(context.Background(), 1, "//a", Options{}, fn); err != nil || outcome != DoHit {
 		t.Fatalf("late caller: outcome=%v err=%v, want DoHit", outcome, err)
+	}
+}
+
+// TestResultCacheSharesParseError: a parse error is deterministic, so the
+// callers waiting on a leader whose query fails to parse share its error
+// instead of parsing again. The leader is held until every waiter has
+// joined, so exactly one miss is recorded; nothing is cached.
+func TestResultCacheSharesParseError(t *testing.T) {
+	c := NewResultCache(8)
+	const src, waiters = "//movie[", 15
+	_, want := Compile(src)
+	release := make(chan struct{})
+	leaderIn := make(chan struct{})
+	fn := func() (Result, error) {
+		close(leaderIn)
+		<-release
+		q, err := Compile(src)
+		if err != nil {
+			return Result{}, err
+		}
+		t.Errorf("%q compiled to %v", src, q)
+		return Result{}, nil
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, waiters+1)
+	call := func(i int) {
+		defer wg.Done()
+		_, _, errs[i] = c.Do(context.Background(), 1, src, Options{}, fn)
+	}
+	wg.Add(1)
+	go call(0)
+	<-leaderIn
+	for i := 1; i <= waiters; i++ {
+		wg.Add(1)
+		go call(i)
+	}
+	for c.Stats().Collapses < waiters {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("caller %d: err = %v, want %v", i, err, want)
+		}
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Collapses != waiters || st.Hits != 0 || st.Size != 0 {
+		t.Fatalf("stats = %+v, want 1 miss, %d collapses, no entry", st, waiters)
 	}
 }
 
@@ -101,7 +149,7 @@ func TestResultCacheSingleflightLeaderCanceled(t *testing.T) {
 	waiterDone := make(chan error, 1)
 
 	go func() {
-		_, _, err := c.Do(context.Background(), c.Generation(), 2, "//b", Options{}, func() (Result, error) {
+		_, _, err := c.Do(context.Background(), 2, "//b", Options{}, func() (Result, error) {
 			calls.Add(1)
 			close(leaderIn)
 			<-leaderOut
@@ -113,7 +161,7 @@ func TestResultCacheSingleflightLeaderCanceled(t *testing.T) {
 	}()
 	<-leaderIn
 	go func() {
-		_, _, err := c.Do(context.Background(), c.Generation(), 2, "//b", Options{}, func() (Result, error) {
+		_, _, err := c.Do(context.Background(), 2, "//b", Options{}, func() (Result, error) {
 			calls.Add(1)
 			return Result{Method: MethodExact}, nil
 		})
@@ -142,7 +190,7 @@ func TestResultCacheSingleflightWaiterCanceled(t *testing.T) {
 	leaderOut := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), c.Generation(), 3, "//c", Options{}, func() (Result, error) {
+		_, _, err := c.Do(context.Background(), 3, "//c", Options{}, func() (Result, error) {
 			close(leaderIn)
 			<-leaderOut
 			return Result{Method: MethodExact}, nil
@@ -152,7 +200,7 @@ func TestResultCacheSingleflightWaiterCanceled(t *testing.T) {
 	<-leaderIn
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, outcome, err := c.Do(ctx, c.Generation(), 3, "//c", Options{}, func() (Result, error) {
+	_, outcome, err := c.Do(ctx, 3, "//c", Options{}, func() (Result, error) {
 		t.Error("canceled waiter must not execute")
 		return Result{}, nil
 	})

@@ -763,9 +763,8 @@ func (s *Server) wireStats() *WireStats {
 	}
 }
 
-// StatsResponse summarizes the document, the compiled-query and result
-// caches, the summary warms, the history counts, and the database's
-// durability counters.
+// StatsResponse summarizes the document, the result cache, the summary
+// warms, the history counts, and the database's durability counters.
 type StatsResponse struct {
 	// Database names the database the stats describe.
 	Database      string        `json:"database,omitempty"`
@@ -777,7 +776,6 @@ type StatsResponse struct {
 	Certain       bool          `json:"certain"`
 	Integrations  int           `json:"integrations"`
 	FeedbackCount int           `json:"feedback_events"`
-	QueryCache    CacheCounters `json:"query_cache"`
 	ResultCache   CacheCounters `json:"result_cache"`
 	// Query reports query-path concurrency: in-flight evaluations,
 	// early aborts (client disconnects, budget exhaustion), singleflight
@@ -827,8 +825,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, db *catalog
 		Integrations:  db.Core().IntegrationCount(),
 		FeedbackCount: db.Core().FeedbackCount(),
 	}
-	cs := db.Core().QueryCacheStats()
-	resp.QueryCache = CacheCounters{Hits: cs.Hits, Misses: cs.Misses, Size: cs.Size, Capacity: cs.Capacity}
 	rs := db.Core().ResultCacheStats()
 	resp.ResultCache = CacheCounters{Hits: rs.Hits, Misses: rs.Misses, Size: rs.Size, Capacity: rs.Capacity}
 	qs := db.Core().QueryStats()

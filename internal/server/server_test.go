@@ -238,6 +238,10 @@ func TestQueryErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
 	doJSON(t, "GET", ts.URL+"/query", "", nil, http.StatusBadRequest, nil)
 	doJSON(t, "GET", ts.URL+"/query?q="+url.QueryEscape(`not a query`), "", nil, http.StatusBadRequest, nil)
+	// A parse error is never cached: the same bad query answers 400 again.
+	for i := 0; i < 2; i++ {
+		doJSON(t, "GET", ts.URL+"/query?q="+url.QueryEscape(`//movie[`), "", nil, http.StatusBadRequest, nil)
+	}
 	doJSON(t, "GET", ts.URL+"/query?top=x&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
 	doJSON(t, "GET", ts.URL+"/query?seed=x&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
 }
@@ -352,8 +356,8 @@ func TestStats(t *testing.T) {
 	if resp.Integrations != 1 {
 		t.Fatalf("integrations = %d, want 1", resp.Integrations)
 	}
-	if resp.QueryCache.Hits < 1 {
-		t.Fatalf("repeated query did not hit the compiled-query cache: %+v", resp.QueryCache)
+	if resp.ResultCache.Hits < 1 {
+		t.Fatalf("repeated query did not hit the result cache: %+v", resp.ResultCache)
 	}
 }
 
