@@ -426,7 +426,7 @@ func BenchmarkExplainAnswer(b *testing.B) {
 	q := query.MustCompile(experiments.JohnQuery)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := explain.Answer(doc, q, "Mission: Impossible", explain.Options{MaxChoices: 50}); err != nil {
+		if _, err := explain.Answer(doc, q, "Mission: Impossible"); err != nil {
 			b.Fatal(err)
 		}
 	}

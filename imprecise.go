@@ -299,14 +299,11 @@ func NewFeedbackSession(t *Tree, opts FeedbackOptions) *FeedbackSession {
 // ExplainReport traces an answer to the choice points it depends on.
 type ExplainReport = explain.Report
 
-// ExplainOptions bound the explanation analysis.
-type ExplainOptions = explain.Options
-
-// ExplainAnswer reports, per choice point, the answer probability under
-// each forced alternative and the posterior of each alternative given the
-// answer — which undecided matches an answer hinges on.
-func ExplainAnswer(t *Tree, q *Query, value string, opts ExplainOptions) (*ExplainReport, error) {
-	return explain.Answer(t, q, value, opts)
+// ExplainAnswer reports, for every choice point that can change whether q
+// yields value, the answer probability under each forced alternative and
+// the posterior of each alternative given the answer.
+func ExplainAnswer(t *Tree, q *Query, value string) (*ExplainReport, error) {
+	return explain.Answer(t, q, value)
 }
 
 // --- persistence ---

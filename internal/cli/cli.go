@@ -265,7 +265,6 @@ func runExplain(args []string, w io.Writer) error {
 	dbPath := fs.String("db", "", "document (required)")
 	qSrc := fs.String("q", "", "query (required)")
 	value := fs.String("value", "", "the answer to explain (required)")
-	maxChoices := fs.Int("max-choices", 0, "choice points to analyze (0 = default)")
 	fs.SetOutput(w)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -281,7 +280,7 @@ func runExplain(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	report, err := explain.Answer(t, q, *value, explain.Options{MaxChoices: *maxChoices})
+	report, err := explain.Answer(t, q, *value)
 	if err != nil {
 		return err
 	}

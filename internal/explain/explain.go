@@ -9,9 +9,10 @@
 package explain
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/pxml"
@@ -36,7 +37,7 @@ type AltInfluence struct {
 // ChoiceInfluence describes one choice point's effect on the answer.
 type ChoiceInfluence struct {
 	// Path locates the choice point: element path from the root with
-	// child-choice indexes, e.g. /catalog/movie[3]/choice[0].
+	// child-choice indexes, e.g. /catalog/choice[2]⟨alt 4⟩/movie/choice[0].
 	Path string
 	// Alternatives lists the per-alternative numbers.
 	Alternatives []AltInfluence
@@ -55,38 +56,19 @@ type Report struct {
 	Choices []ChoiceInfluence
 }
 
-// Options bound the analysis.
-type Options struct {
-	// MaxChoices bounds how many choice points are analyzed (default 64;
-	// the nearest-to-root ones are taken first).
-	MaxChoices int
-	// LocalWorldLimit is passed to exact evaluation.
-	LocalWorldLimit int
-	// MinInfluence drops choice points whose influence is below the
-	// threshold from the report (default 1e-9).
-	MinInfluence float64
-}
-
-func (o Options) maxChoices() int {
-	if o.MaxChoices > 0 {
-		return o.MaxChoices
-	}
-	return 64
-}
-
-func (o Options) minInfluence() float64 {
-	if o.MinInfluence > 0 {
-		return o.MinInfluence
-	}
-	return 1e-9
-}
+// minInfluence is the influence below which a choice point is left out of
+// a report.
+const minInfluence = 1e-9
 
 // ErrNoAnswer is returned when the value is not a possible answer.
 var ErrNoAnswer = errors.New("explain: value is not a possible answer of the query")
 
-// Answer analyzes which choice points an answer depends on.
-func Answer(t *pxml.Tree, q *query.Query, value string, opts Options) (*Report, error) {
-	baseline, err := evalValue(t, q, value, opts)
+// Answer analyzes which choice points an answer depends on. The candidates
+// are the choice points of query.Support: a choice point outside it
+// yields the value in none of its alternatives' worlds, so it has no
+// influence.
+func Answer(t *pxml.Tree, q *query.Query, value string) (*Report, error) {
+	baseline, err := evalValue(t, q, value)
 	if err != nil {
 		return nil, err
 	}
@@ -94,54 +76,45 @@ func Answer(t *pxml.Tree, q *query.Query, value string, opts Options) (*Report, 
 		return nil, fmt.Errorf("%w: %q", ErrNoAnswer, value)
 	}
 	report := &Report{Query: q.String(), Value: value, P: baseline}
-
-	choices := collectChoices(t, opts.maxChoices())
-	for _, c := range choices {
-		ci := ChoiceInfluence{Path: c.path}
-		minP, maxP := 1.0, 0.0
-		skip := false
-		for i, poss := range c.node.Children() {
-			forced, err := forceAlternative(t, c.node, i)
-			if err != nil {
-				skip = true
-				break
-			}
-			p, err := evalValue(forced, q, value, opts)
-			if err != nil {
-				skip = true
-				break
-			}
-			ai := AltInfluence{
-				Index:   i,
-				Prior:   poss.Prob(),
-				PAnswer: p,
-				Summary: summarize(poss),
-			}
-			ai.Posterior = ai.Prior * p / baseline
-			ci.Alternatives = append(ci.Alternatives, ai)
-			if p < minP {
-				minP = p
-			}
-			if p > maxP {
-				maxP = p
-			}
-		}
-		if skip {
-			continue
-		}
-		ci.Influence = maxP - minP
-		if ci.Influence >= opts.minInfluence() {
+	err = query.Support(t, q, value, func(path []*pxml.Node) {
+		if ci, ok := influence(t, q, value, baseline, path); ok && ci.Influence >= minInfluence {
 			report.Choices = append(report.Choices, ci)
 		}
-	}
-	sort.SliceStable(report.Choices, func(i, j int) bool {
-		return report.Choices[i].Influence > report.Choices[j].Influence
 	})
+	if err != nil {
+		return nil, err
+	}
+	slices.SortStableFunc(report.Choices, func(a, b ChoiceInfluence) int { return cmp.Compare(b.Influence, a.Influence) })
 	return report, nil
 }
 
-func evalValue(t *pxml.Tree, q *query.Query, value string, opts Options) (float64, error) {
-	answers, err := query.EvalExact(t, q, opts.LocalWorldLimit)
+// influence forces each alternative of the choice point path ends in and
+// evaluates the answer's probability in the forced document. It reports
+// false when an evaluation fails.
+func influence(t *pxml.Tree, q *query.Query, value string, baseline float64, path []*pxml.Node) (ChoiceInfluence, bool) {
+	choice := path[len(path)-1]
+	ci := ChoiceInfluence{Path: pathString(path)}
+	minP, maxP := 1.0, 0.0
+	for i, poss := range choice.Children() {
+		p, err := evalValue(forceAlternative(t, choice, i), q, value)
+		if err != nil {
+			return ci, false
+		}
+		ci.Alternatives = append(ci.Alternatives, AltInfluence{
+			Index:     i,
+			Prior:     poss.Prob(),
+			PAnswer:   p,
+			Posterior: poss.Prob() * p / baseline,
+			Summary:   summarize(poss),
+		})
+		minP, maxP = min(minP, p), max(maxP, p)
+	}
+	ci.Influence = maxP - minP
+	return ci, true
+}
+
+func evalValue(t *pxml.Tree, q *query.Query, value string) (float64, error) {
+	answers, err := query.EvalExact(t, q, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -153,66 +126,41 @@ func evalValue(t *pxml.Tree, q *query.Query, value string, opts Options) (float6
 	return 0, nil
 }
 
-type located struct {
-	node *pxml.Node
-	path string
-}
-
-// collectChoices lists genuine choice points breadth-first (nearest to the
-// root first), with human-readable paths. Shared nodes are listed once, at
-// their first discovered location.
-func collectChoices(t *pxml.Tree, max int) []located {
-	var out []located
-	seen := map[*pxml.Node]bool{}
-	type item struct {
-		n    *pxml.Node
-		path string
-	}
-	queue := []item{{n: t.Root(), path: ""}}
-	for len(queue) > 0 && len(out) < max {
-		it := queue[0]
-		queue = queue[1:]
-		n := it.n
-		switch n.Kind() {
-		case pxml.KindProb:
-			if len(n.Children()) > 1 && !seen[n] {
-				seen[n] = true
-				out = append(out, located{node: n, path: it.path})
+// pathString renders the location of the choice point path ends in: the
+// element tags from the root, /choice[i] for an element's i-th genuine
+// choice point and ⟨alt i⟩ for the alternative taken at a genuine one.
+func pathString(path []*pxml.Node) string {
+	var b strings.Builder
+	for i, n := range path {
+		switch {
+		case n.Kind() == pxml.KindElem:
+			b.WriteString("/" + n.Tag())
+		case i == 0: // the root choice point
+		case n.Kind() == pxml.KindPoss:
+			if alts := path[i-1].Children(); len(alts) > 1 {
+				fmt.Fprintf(&b, "⟨alt %d⟩", slices.Index(alts, n))
 			}
-			for i, poss := range n.Children() {
-				p := it.path
-				if len(n.Children()) > 1 {
-					p = fmt.Sprintf("%s⟨alt %d⟩", it.path, i)
-				}
-				queue = append(queue, item{n: poss, path: p})
-			}
-		case pxml.KindPoss:
-			for _, el := range n.Children() {
-				queue = append(queue, item{n: el, path: it.path})
-			}
-		default:
-			base := it.path + "/" + n.Tag()
+		case n.NumChildren() > 1:
+			kids := path[i-1].Children()
 			ci := 0
-			for _, prob := range n.Children() {
-				p := base
-				if len(prob.Children()) > 1 {
-					p = fmt.Sprintf("%s/choice[%d]", base, ci)
+			for _, k := range kids[:slices.Index(kids, n)] {
+				if k.NumChildren() > 1 {
 					ci++
 				}
-				queue = append(queue, item{n: prob, path: p})
 			}
+			fmt.Fprintf(&b, "/choice[%d]", ci)
 		}
 	}
-	return out
+	return b.String()
 }
 
 // forceAlternative returns a tree in which the given choice point is
 // committed to alternative i (all occurrences, if the node is shared).
-func forceAlternative(t *pxml.Tree, choice *pxml.Node, i int) (*pxml.Tree, error) {
+// substitute keeps the kind of every node, so the root stays a choice point.
+func forceAlternative(t *pxml.Tree, choice *pxml.Node, i int) *pxml.Tree {
 	alt := choice.Child(i)
 	replacement := pxml.NewProb(pxml.NewPoss(1, alt.Children()...))
-	root := substitute(t.Root(), choice, replacement, map[*pxml.Node]*pxml.Node{})
-	return pxml.NewTree(root)
+	return pxml.MustTree(substitute(t.Root(), choice, replacement, map[*pxml.Node]*pxml.Node{}))
 }
 
 func substitute(n, target, replacement *pxml.Node, memo map[*pxml.Node]*pxml.Node) *pxml.Node {

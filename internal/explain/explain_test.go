@@ -18,7 +18,7 @@ import (
 func TestExplainFig2Answer(t *testing.T) {
 	tr := pxmltest.Fig2Tree()
 	q := query.MustCompile(`//person/tel`)
-	r, err := explain.Answer(tr, q, "2222", explain.Options{})
+	r, err := explain.Answer(tr, q, "2222")
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestExplainIndependentChoiceHasNoInfluence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := explain.Answer(tr, query.MustCompile(`//a`), "x", explain.Options{})
+	r, err := explain.Answer(tr, query.MustCompile(`//a`), "x")
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestExplainIndependentChoiceHasNoInfluence(t *testing.T) {
 
 func TestExplainNoAnswer(t *testing.T) {
 	tr := pxmltest.Fig2Tree()
-	_, err := explain.Answer(tr, query.MustCompile(`//person/tel`), "9999", explain.Options{})
+	_, err := explain.Answer(tr, query.MustCompile(`//person/tel`), "9999")
 	if !errors.Is(err, explain.ErrNoAnswer) {
 		t.Fatalf("err = %v", err)
 	}
@@ -103,7 +103,7 @@ func TestExplainNoAnswer(t *testing.T) {
 
 func TestExplainCertainAnswer(t *testing.T) {
 	tr := pxmltest.Fig2Tree()
-	r, err := explain.Answer(tr, query.MustCompile(`//person/nm`), "John", explain.Options{})
+	r, err := explain.Answer(tr, query.MustCompile(`//person/nm`), "John")
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestExplainMovieArtifact(t *testing.T) {
 		t.Fatalf("integrate: %v", err)
 	}
 	q := query.MustCompile(`//movie[some $d in .//director satisfies contains($d,"John")]/title`)
-	r, err := explain.Answer(tree, q, "Mission: Impossible", explain.Options{MaxChoices: 200})
+	r, err := explain.Answer(tree, q, "Mission: Impossible")
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
 	}
@@ -148,16 +148,5 @@ func TestExplainMovieArtifact(t *testing.T) {
 	// probability substantially.
 	if r.Choices[0].Influence < 0.05 {
 		t.Fatalf("top influence = %v", r.Choices[0].Influence)
-	}
-}
-
-func TestExplainMaxChoicesBound(t *testing.T) {
-	tr := pxmltest.Fig2Tree()
-	r, err := explain.Answer(tr, query.MustCompile(`//person/tel`), "2222", explain.Options{MaxChoices: 1})
-	if err != nil {
-		t.Fatalf("Answer: %v", err)
-	}
-	if len(r.Choices) > 1 {
-		t.Fatalf("choices = %d, want at most 1", len(r.Choices))
 	}
 }

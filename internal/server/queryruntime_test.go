@@ -14,9 +14,10 @@ import (
 )
 
 // TestQueryParameters: every /query parameter is read from one parse of the
-// query string. A malformed value, a negative top and a sample count above
-// query.MaxSamples included, answers 400 with its own message, and workers=
-// is ignored whatever its value.
+// query string. A malformed value, a negative top, a sample count above
+// query.MaxSamples and a query that does not parse included, answers 400
+// with its own message, prefixed once, and workers= is ignored whatever its
+// value.
 func TestQueryParameters(t *testing.T) {
 	ts, _ := newTestServer(t)
 	integrateB(t, ts)
@@ -27,16 +28,17 @@ func TestQueryParameters(t *testing.T) {
 		{tel + "&top=x", `query: bad top parameter "x"`},
 		{tel + "&top=-1", `query: bad top parameter "-1"`},
 		{tel + "&samples=x", `query: bad samples parameter "x"`},
-		{tel + "&samples=-1", "query: query: invalid options: Samples must be >= 0 (0 means default 20000), got -1"},
-		{tel + "&samples=2000000000", "query: query: invalid options: Samples must be <= 1000000, got 2000000000"},
+		{tel + "&samples=-1", "query: invalid options: Samples must be >= 0 (0 means default 20000), got -1"},
+		{tel + "&samples=2000000000", "query: invalid options: Samples must be <= 1000000, got 2000000000"},
 		{tel + "&seed=x", `query: bad seed parameter "x"`},
 		{tel + "&budget_ms=x", `query: bad budget_ms parameter "x"`},
 		{tel + "&budget_ms=-1", `query: bad budget_ms parameter "-1"`},
 		{tel + "&budget_ms=18446744073710", `query: bad budget_ms parameter "18446744073710"`},
 		{tel + "&budget_ms=9223372036854", ""},
 		{tel + "&explain=2", `query: bad explain parameter "2" (0 | 1)`},
-		{tel + "&method=bogus", `query: query: invalid options: unknown method "bogus" (auto | exact | enumerate | sample)`},
+		{tel + "&method=bogus", `query: invalid options: unknown method "bogus" (auto | exact | enumerate | sample)`},
 		{"top=1", "query: missing q parameter"},
+		{"q=" + url.QueryEscape(`//movie[`), `query: position 8: expected path, found ""`},
 		{tel + "&workers=3", ""},
 		{tel + "&workers=-1", ""},
 		{tel + "&workers=x&top=1&explain=1", ""},

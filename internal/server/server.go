@@ -582,7 +582,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, db *catalog
 			}
 			writeJSON(w, http.StatusRequestTimeout, resp)
 		default:
-			writeError(w, http.StatusBadRequest, "query: %v", err)
+			// Parse, option and evaluation errors name their package.
+			writeError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}

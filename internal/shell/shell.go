@@ -420,7 +420,7 @@ func (s *Shell) explain(value string) error {
 	if err != nil {
 		return err
 	}
-	report, err := explain.Answer(s.db.Tree(), q, value, explain.Options{})
+	report, err := explain.Answer(s.db.Tree(), q, value)
 	if err != nil {
 		return err
 	}
