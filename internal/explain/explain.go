@@ -36,8 +36,9 @@ type AltInfluence struct {
 
 // ChoiceInfluence describes one choice point's effect on the answer.
 type ChoiceInfluence struct {
-	// Path locates the choice point: element path from the root with
-	// child-choice indexes, e.g. /catalog/choice[2]⟨alt 4⟩/movie/choice[0].
+	// Path locates the choice point: element path from the root, each
+	// element with its index among its same-tag siblings, with child-choice
+	// indexes, e.g. /catalog[0]/choice[2]⟨alt 4⟩/movie[1]/choice[0].
 	Path string
 	// Alternatives lists the per-alternative numbers.
 	Alternatives []AltInfluence
@@ -127,14 +128,18 @@ func evalValue(t *pxml.Tree, q *query.Query, value string) (float64, error) {
 }
 
 // pathString renders the location of the choice point path ends in: the
-// element tags from the root, /choice[i] for an element's i-th genuine
-// choice point and ⟨alt i⟩ for the alternative taken at a genuine one.
+// element tags from the root, each with its index among its same-tag
+// siblings (/movie[k]), /choice[i] for an element's i-th genuine choice
+// point and ⟨alt i⟩ for the alternative taken at a genuine one. An element
+// in an alternative of a genuine choice point is counted among that
+// alternative's elements, one in a trivial choice point among the elements
+// of its parent's trivial choice points.
 func pathString(path []*pxml.Node) string {
 	var b strings.Builder
 	for i, n := range path {
 		switch {
 		case n.Kind() == pxml.KindElem:
-			b.WriteString("/" + n.Tag())
+			fmt.Fprintf(&b, "/%s[%d]", n.Tag(), siblingIndex(path, i))
 		case i == 0: // the root choice point
 		case n.Kind() == pxml.KindPoss:
 			if alts := path[i-1].Children(); len(alts) > 1 {
@@ -152,6 +157,38 @@ func pathString(path []*pxml.Node) string {
 		}
 	}
 	return b.String()
+}
+
+// siblingIndex returns the index of the element path[i] among its same-tag
+// siblings: path[i-1] is its alternative, path[i-2] that alternative's
+// choice point and path[i-3], if any, the parent element.
+func siblingIndex(path []*pxml.Node, i int) int {
+	elem, poss, prob := path[i], path[i-1], path[i-2]
+	k := 0
+	count := func(poss *pxml.Node) {
+		for _, e := range poss.Children() {
+			if e == elem {
+				return
+			}
+			if e.Tag() == elem.Tag() {
+				k++
+			}
+		}
+	}
+	if prob.NumChildren() > 1 || i < 3 {
+		count(poss)
+		return k
+	}
+	for _, p := range path[i-3].Children() {
+		if p == prob {
+			count(poss)
+			return k
+		}
+		if p.NumChildren() == 1 {
+			count(p.Child(0))
+		}
+	}
+	return k
 }
 
 // forceAlternative returns a tree in which the given choice point is

@@ -127,3 +127,29 @@ func TestExplainFindsChoicePointsFarFromTheRoot(t *testing.T) {
 		}
 	}
 }
+
+// TestSupportPathsAreDistinct: on a movie integration, the 30 choice
+// points query.Support reports for any title have 30 paths, although some
+// lie in movies that share an alternative: each element on a path carries
+// its index among its same-tag siblings.
+func TestSupportPathsAreDistinct(t *testing.T) {
+	pair := datagen.Confusing(24, 1)
+	tree, _, err := integrate.Integrate(pair.A.Tree, pair.B.Tree, integrate.Config{
+		Oracle: oracle.MovieOracle(oracle.SetGenreTitle),
+		Schema: datagen.MovieDTD(),
+	})
+	if err != nil {
+		t.Fatalf("integrate: %v", err)
+	}
+	paths := map[string]bool{}
+	n := 0
+	if err := query.Support(tree, query.MustCompile(`//movie/title`), "", func(path []*pxml.Node) {
+		n++
+		paths[pathString(path)] = true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 30 || len(paths) != n {
+		t.Fatalf("%d choice points, %d distinct paths, want 30 of each", n, len(paths))
+	}
+}

@@ -21,24 +21,33 @@ type edge struct {
 // integrateChildren integrates the child sequences of two matched elements
 // and returns the choice-point children of the merged element.
 func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
-	certA, wrapA, uncA := splitChildren(x)
-	certB, wrapB, uncB := splitChildren(y)
+	certA, ownA, uncA := splitChildren(x)
+	certB, ownB, uncB := splitChildren(y)
+	root := x == it.rootA
 
 	// Candidate pairs: cross-source, same tag, not ruled out. Within-source
 	// siblings are never candidates (the paper's second generic rule), and
-	// neither is a pair the rules' blocking keys — derived once per child
-	// here, not per pair — prove cannot-match: it is never put to the
-	// Oracle. Every other pair is decided when it is met, from inputs
-	// prepared once per child, and becomes an edge unless the verdict is
-	// cannot-match. Under oracle.Strict the first error in (i, j) order is
-	// returned, once every pair is decided and counted.
+	// neither is a pair the rules' blocking keys prove cannot-match: the
+	// Pairing joins the two lists on their keys and enumerates only the
+	// pairs whose keys agree or are absent, in (i, j) order, so a pair it
+	// rules out costs nothing and is never put to the Oracle. Every other
+	// pair is decided when it is met, from inputs prepared once per element
+	// (and kept in the Oracle's table across calls, see Retain below), and
+	// becomes an edge unless the verdict is cannot-match. Under oracle.Strict
+	// the first error in (i, j) order is returned, once every pair is
+	// decided and counted.
 	var edges []edge
 	var firstErr error
 	pairing := it.cfg.Oracle.Pair(certA, certB)
+	defer pairing.Release()
+	calls := it.stats.OracleCalls
 	for i, xa := range certA {
-		for j, yb := range certB {
-			if xa.Tag() != yb.Tag() || pairing.Blocked(i, j) {
+		for _, j := range pairing.Candidates(i) {
+			if xa.Tag() != certB[j].Tag() {
 				continue
+			}
+			if root {
+				it.work.pairs++
 			}
 			v, err := it.decide(pairing, i, j)
 			if err != nil {
@@ -50,28 +59,21 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 			}
 		}
 	}
-	pairing.Release()
+	if root {
+		it.work.calls = it.stats.OracleCalls - calls
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
 
 	comps := it.components(edges, len(certA))
-	inCompA := make(map[int]int, len(certA)) // A index -> component index
-	inCompB := make(map[int]int, len(certB))
-	for ci, c := range comps {
-		for _, i := range c.aIdx {
-			inCompA[i] = ci
-		}
-		for _, j := range c.bIdx {
-			inCompB[j] = ci
-		}
-	}
+	compA, compB := inComponent(comps, len(certA), len(certB))
 
 	// DTD budgets: for each tag with a bounded maximum under the parent,
 	// how many items may all components of that tag plus the certain
 	// singles produce in the best case. An infeasible combination (even
 	// the best case exceeds a bound) makes the whole merge impossible.
-	budget, err := it.tagBudgets(x.Tag(), certA, certB, uncA, uncB, comps, inCompA, inCompB)
+	budget, err := it.tagBudgets(x, y, certA, certB, uncA, uncB, comps, compA, compB)
 	if err != nil {
 		return nil, err
 	}
@@ -94,67 +96,119 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 		return nil, firstErr
 	}
 
-	var out []*pxml.Node
+	// At the root, from records where each child of the result sat among
+	// x's children (-1 for a new one): the merged element's summary is
+	// derived from x's through it (see Integrate).
+	out := make([]*pxml.Node, 0, x.NumChildren()+y.NumChildren())
+	var from []int
+	if root {
+		from = make([]int, 0, cap(out))
+	}
+	emit := func(n *pxml.Node, at int) {
+		out = append(out, n)
+		if root {
+			from = append(from, at)
+		}
+	}
 	emitted := make([]bool, len(comps))
 	for i, xa := range certA {
-		ci, ok := inCompA[i]
-		if !ok {
+		ci := compA[i]
+		if ci < 0 {
 			// Untouched by the other source: spliced verbatim, no merge.
 			it.stats.SplicedChildren++
-			out = append(out, splice(wrapA[i], xa))
+			emit(splice(x, ownA[i], xa), ownA[i])
 			continue
 		}
 		if emitted[ci] {
 			continue
 		}
 		emitted[ci] = true
-		out = append(out, choices[ci])
+		emit(choices[ci], -1)
 	}
 	for j, yb := range certB {
-		if _, ok := inCompB[j]; ok {
-			continue
+		if compB[j] < 0 {
+			it.stats.SplicedChildren++
+			emit(splice(y, ownB[j], yb), -1)
 		}
-		it.stats.SplicedChildren++
-		out = append(out, splice(wrapB[j], yb))
 	}
 	// Genuine choice points of the inputs are preserved, not re-matched:
 	// integration of probabilistic inputs keeps their uncertainty intact.
-	out = append(out, uncA...)
-	out = append(out, uncB...)
+	for _, u := range uncA {
+		emit(x.Child(u), u)
+	}
+	for _, u := range uncB {
+		emit(y.Child(u), -1)
+	}
+	if root {
+		// The spliced children are the result's certain children, which the
+		// next integration pairs again: keep what was derived of them.
+		pairing.Retain(func(k int) bool {
+			if k < len(certA) {
+				return compA[k] < 0
+			}
+			return compB[k-len(certA)] < 0
+		})
+		it.work.keys, it.work.inputs = pairing.Derived()
+		it.rootFrom = from
+	}
 	return out, nil
 }
 
 // splitChildren separates an element's certainly-present child elements
-// from its genuine choice points. wrap[i] is the trivial choice point that
-// holds certain[i] and nothing else, nil when the element shares its choice
-// point with siblings.
-func splitChildren(elem *pxml.Node) (certain, wrap, uncertain []*pxml.Node) {
-	for _, prob := range elem.Children() {
-		if len(prob.Children()) != 1 {
-			uncertain = append(uncertain, prob)
+// from its genuine choice points, and returns the positions of the latter
+// among its children. own[i] is the position of the trivial choice point
+// that holds certain[i] and nothing else, -1 when the element shares its
+// choice point with siblings.
+func splitChildren(elem *pxml.Node) (certain []*pxml.Node, own, uncertain []int) {
+	certain, own = make([]*pxml.Node, 0, elem.NumChildren()), make([]int, 0, elem.NumChildren())
+	for k, prob := range elem.Children() {
+		if prob.NumChildren() != 1 {
+			uncertain = append(uncertain, k)
 			continue
 		}
 		poss := prob.Child(0)
-		var own *pxml.Node
+		at := -1
 		if poss.NumChildren() == 1 && poss.Prob() == 1 {
-			own = prob
+			at = k
 		}
 		for _, el := range poss.Children() {
 			certain = append(certain, el)
-			wrap = append(wrap, own)
+			own = append(own, at)
 		}
 	}
-	return certain, wrap, uncertain
+	return certain, own, uncertain
 }
 
-// splice carries a certain child into the result inside the choice point it
-// came in, so that what an earlier pass cached on that node (normal form,
-// summary) is found again; a child without one of its own gets a new one.
-func splice(wrap, elem *pxml.Node) *pxml.Node {
-	if wrap != nil {
-		return wrap
+// splice carries a certain child of parent into the result inside the choice
+// point it came in, at position at among parent's children, so that what an
+// earlier pass cached on that node (normal form, summary) is found again; a
+// child without one of its own (at < 0) gets a new one.
+func splice(parent *pxml.Node, at int, elem *pxml.Node) *pxml.Node {
+	if at >= 0 {
+		return parent.Child(at)
 	}
 	return pxml.Certain(elem)
+}
+
+// inComponent maps every certain child of either side to the index of its
+// component, -1 for none.
+func inComponent(comps []component, na, nb int) (compA, compB []int) {
+	compA, compB = make([]int, na), make([]int, nb)
+	for i := range compA {
+		compA[i] = -1
+	}
+	for j := range compB {
+		compB[j] = -1
+	}
+	for ci, c := range comps {
+		for _, i := range c.aIdx {
+			compA[i] = ci
+		}
+		for _, j := range c.bIdx {
+			compB[j] = ci
+		}
+	}
+	return compA, compB
 }
 
 // component is a connected group of candidate edges; it becomes one choice
@@ -254,17 +308,21 @@ func (it *integrator) noteComponent(c component) {
 // item count for that component; absent entries mean unconstrained. It
 // returns ErrIncompatible when even the best case exceeds a bound, which
 // happens e.g. when two unmatchable phones meet a one-phone schema.
-func (it *integrator) tagBudgets(parentTag string, certA, certB, uncA, uncB []*pxml.Node,
-	comps []component, inCompA, inCompB map[int]int) (map[int]map[string]int, error) {
+func (it *integrator) tagBudgets(x, y *pxml.Node, certA, certB []*pxml.Node, uncA, uncB []int,
+	comps []component, compA, compB []int) (map[int]map[string]int, error) {
 	if it.cfg.Schema == nil {
 		return nil, nil
 	}
-	// Bounded tags among all prospective children.
+	// Bounded tags among all prospective children: the schema is asked once
+	// per distinct tag, bounded or not.
+	parentTag := x.Tag()
 	bounded := map[string]int{}
+	var asked []string
 	noteTag := func(tag string) {
-		if _, ok := bounded[tag]; ok {
+		if slices.Contains(asked, tag) {
 			return
 		}
+		asked = append(asked, tag)
 		if max := it.cfg.Schema.MaxOccurs(parentTag, tag); max != dtd.Unbounded {
 			bounded[tag] = max
 		}
@@ -289,16 +347,23 @@ func (it *integrator) tagBudgets(parentTag string, certA, certB, uncA, uncB []*p
 	// (minimum) counts of preserved uncertain choice points.
 	fixed := map[string]int{}
 	for i, xa := range certA {
-		if _, ok := inCompA[i]; !ok {
+		if compA[i] < 0 {
 			fixed[xa.Tag()]++
 		}
 	}
 	for j, yb := range certB {
-		if _, ok := inCompB[j]; !ok {
+		if compB[j] < 0 {
 			fixed[yb.Tag()]++
 		}
 	}
-	for _, unc := range append(append([]*pxml.Node{}, uncA...), uncB...) {
+	uncs := make([]*pxml.Node, 0, len(uncA)+len(uncB))
+	for _, u := range uncA {
+		uncs = append(uncs, x.Child(u))
+	}
+	for _, u := range uncB {
+		uncs = append(uncs, y.Child(u))
+	}
+	for _, unc := range uncs {
 		best := map[string]int{}
 		first := true
 		for _, poss := range unc.Children() {

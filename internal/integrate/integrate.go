@@ -149,7 +149,11 @@ type Stats struct {
 	// SplicedChildren counts certain child elements carried into the
 	// result verbatim because the other source had no candidate for them
 	// — the delta-integration path that makes a small source cost time
-	// proportional to what it touches.
+	// proportional to what it touches: a spliced child is not merged, the
+	// pairs its blocking key rules out are never enumerated, its keys and
+	// rule inputs come from the Oracle's table, and at the root its
+	// summary is not merged into the parent's again. What remains per
+	// spliced child is a map-free pass or two and one table look-up.
 	SplicedChildren int
 }
 
@@ -209,7 +213,7 @@ func Integrate(a, b *pxml.Tree, cfg Config) (*pxml.Tree, *Stats, error) {
 	if rootA.Tag() != rootB.Tag() {
 		return nil, nil, fmt.Errorf("integrate: root tags differ: <%s> vs <%s> (align schemas first)", rootA.Tag(), rootB.Tag())
 	}
-	it := &integrator{cfg: cfg, merges: make(map[pair]mergeResult)}
+	it := &integrator{cfg: cfg, merges: make(map[pair]mergeResult), rootA: rootA}
 	alts, err := it.mergePair(rootA, rootB)
 	if err != nil {
 		return nil, nil, fmt.Errorf("integrate: root elements: %w", err)
@@ -225,8 +229,31 @@ func Integrate(a, b *pxml.Tree, cfg Config) (*pxml.Tree, *Stats, error) {
 			return nil, nil, fmt.Errorf("integrate: normalize: %w", err)
 		}
 	}
+	// The merged root element is the wide one: most of its children are
+	// rootA's, spliced. Its summary is rootA's with the children that left
+	// taken out and the new ones put in, when rootA has one; normalizing
+	// keeps its children in place, so from still holds.
+	if els := tree.RootElements(); len(alts) == 1 && len(els) == 1 && it.rootFrom != nil {
+		it.work.summaries, it.work.fullSummary = pxml.DeriveSummary(els[0], rootA, it.rootFrom)
+	}
+	if noteRootWork != nil {
+		noteRootWork(it.work)
+	}
 	return tree, &it.stats, nil
 }
+
+// rootWork is what one integration did at the root element's children —
+// the catalog level — counted for tests (export_test.go) and kept out of
+// the journalled Stats.
+type rootWork struct {
+	pairs, calls int  // pairs the join enumerated; pairs put to the Oracle
+	keys, inputs int  // elements whose keys, inputs the Pairing derived
+	summaries    int  // child summaries merged into the merged root's summary
+	fullSummary  bool // a removed child held a maximum: all were merged
+}
+
+// noteRootWork, when set, receives every integration's rootWork.
+var noteRootWork func(rootWork)
 
 func certainRoot(t *pxml.Tree, label string) (*pxml.Node, error) {
 	if t == nil {
@@ -256,6 +283,12 @@ type mergeResult struct {
 type integrator struct {
 	cfg   Config
 	stats Stats
+	// rootA is source A's root element; rootFrom records, for each child of
+	// the merged root, its position among rootA's children or -1 (see
+	// integrateChildren), and work what the root's children cost.
+	rootA    *pxml.Node
+	rootFrom []int
+	work     rootWork
 	// merges holds every pair merge of this call by the two elements'
 	// identity: a pair merged in many matchings is computed — and its
 	// subtree allocated — once, and shared.

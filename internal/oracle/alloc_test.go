@@ -28,24 +28,26 @@ func movies(n int) []*pxml.Node {
 }
 
 // TestPairingAllocsDoNotScale: a Pairing keeps its inputs in storage it
-// reuses, so pairing 600 movies with 30 and deciding every pair the keys
-// leave allocates hardly more than pairing 60 with 30 — the blocking keys,
-// and whatever storage has to grow.
+// reuses, so pairing 600 movies with 30 and deciding every pair the join
+// enumerates allocates hardly more than pairing 60 with 30 — the blocking
+// keys, and whatever storage has to grow. And once a Pairing has retained
+// them, a second Pair over the same lists derives nothing of any element.
 func TestPairingAllocsDoNotScale(t *testing.T) {
 	o := oracle.MovieOracle(oracle.SetGenreTitleYear)
 	bs := movies(30)
+	decideAll := func(p *oracle.Pairing, na int) {
+		for i := 0; i < na; i++ {
+			for _, j := range p.Candidates(i) {
+				if _, err := p.Decide(i, j); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
 	allocs := func(as []*pxml.Node) float64 {
 		return testing.AllocsPerRun(20, func() {
 			p := o.Pair(as, bs)
-			for i := range as {
-				for j := range bs {
-					if !p.Blocked(i, j) {
-						if _, err := p.Decide(i, j); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			}
+			decideAll(p, len(as))
 			p.Release()
 		})
 	}
@@ -53,6 +55,21 @@ func TestPairingAllocsDoNotScale(t *testing.T) {
 	if large > small+8 {
 		t.Fatalf("pairing 600 movies with 30 allocates %v times, 60 with 30 %v times", large, small)
 	}
+
+	as := movies(600)
+	p := o.Pair(as, bs)
+	decideAll(p, len(as))
+	if keys, inputs := p.Derived(); keys != len(as)+len(bs) || inputs == 0 {
+		t.Fatalf("a first Pair derived the keys of %d elements and the inputs of %d", keys, inputs)
+	}
+	p.Retain(func(int) bool { return true })
+	p.Release()
+	p = o.Pair(as, bs)
+	decideAll(p, len(as))
+	if keys, inputs := p.Derived(); keys != 0 || inputs != 0 {
+		t.Fatalf("a second Pair derived the keys of %d elements and the inputs of %d", keys, inputs)
+	}
+	p.Release()
 }
 
 // TestWarmDecideDoesNotAllocate: Oracle.Decide on two movies — the path a

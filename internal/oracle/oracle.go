@@ -102,17 +102,25 @@ func (e *ConflictError) Error() string {
 // Oracle evaluates rules over element pairs. Decide, Pair and Reconcile are
 // safe for concurrent use (different databases integrate concurrently)
 // provided the installed rules, estimators and reconcilers are pure
-// functions of their inputs; the call counters are atomic. A Pairing is
-// not: it belongs to one integrateChildren call and one goroutine.
+// functions of their inputs; the call counters are atomic, and the table
+// of derived keys and inputs (see Pairing.Retain) is behind a lock. A
+// Pairing is not: it belongs to one integrateChildren call and one
+// goroutine.
 type Oracle struct {
 	rules       []Rule
 	builtins    []*builtin // builtins[r] is rules[r] when built in this package, else nil
+	keyRules    []int      // the rules that may have blocking keys: KeyField and those built elsewhere
 	prior       float64
 	estimators  map[string]Estimator
 	reconcilers map[string]Reconciler
 	strict      bool
 	calls       atomic.Int64
 	undecided   atomic.Int64
+
+	// mu guards table, the entries the last Pairing.Retain kept by node,
+	// and spare, the map the next Retain fills and swaps in.
+	mu           sync.Mutex
+	table, spare map[*pxml.Node]*entry
 }
 
 // Option configures an Oracle.
@@ -168,85 +176,206 @@ func New(rules []Rule, opts ...Option) *Oracle {
 	o.builtins = make([]*builtin, len(o.rules))
 	for r, rule := range o.rules {
 		o.builtins[r], _ = rule.(*builtin)
+		if bi := o.builtins[r]; bi == nil || bi.kind == keyField {
+			o.keyRules = append(o.keyRules, r)
+		}
 	}
 	return o
 }
 
 // Pairing decides the pairs of two lists of elements — the certain
-// children of two elements being integrated — by their indices. It derives
-// the blocking keys of every element up front and the built-in rules'
-// inputs (see builtin) of an element when its first pair is decided; a
-// KeyField rule's input is the key itself. Nothing in it outlives the
-// call, so nothing needs invalidating; Release pools its storage.
+// children of two elements being integrated — by their indices. Of every
+// element it needs the blocking keys up front, and the built-in rules'
+// inputs (see builtin) when its first pair is decided; a KeyField rule's
+// input is the key itself. Both are pure functions of (rule, element), so
+// the Oracle keeps them by node in a table: what Pair finds there it does
+// not derive again, and Retain replaces the table by what the call's
+// surviving elements need. A changed rule set is a new Oracle, with an
+// empty table. Release pools the Pairing's own storage.
 type Pairing struct {
 	o *Oracle
-	// elems lists the first list's na elements and then the second's. For
-	// the k-th, keys[r][k] is its key under o.rules[r] (nil where none has
-	// one), in[k*len(o.rules)+r] its input for that rule, and ready[k]
-	// reports the inputs derived.
-	elems  []*pxml.Node
-	na     int
-	keys   [][]string
-	in     []input
-	ready  []bool
-	titles strsim.TitleBuf
+	// elems lists the first list's na elements and then the second's; ents[k]
+	// is what is known of the k-th, from the table or derived in this call
+	// (own[k]) into the pooled storage below.
+	elems []*pxml.Node
+	na    int
+	ents  []*entry
+	own   []bool
+	// keyed lists the rules some element has a key under; join is the one
+	// the second list is bucketed by (-1 for none, and under Strict): its
+	// elements with key k are buckets[bucketOf[k]], those without keyless.
+	keyed    []int
+	join     int
+	bucketOf map[string]int
+	buckets  [][]int
+	keyless  []int
+	cand     []int
+	kept     []int
+
+	fresh         []entry // capacity len(elems): own entries never move
+	keys          []string
+	ins           []input
+	titles        strsim.TitleBuf
+	derivedKeys   int
+	derivedInputs int
 }
 
-var pairings = sync.Pool{New: func() any { return new(Pairing) }}
+// entry is what a Pairing knows of one element: keys[r] is its key under
+// rules[r] (nil where none has one) and in[r] its input for that rule (nil
+// until derived). An entry in the Oracle's table is never written again.
+type entry struct {
+	keys []string
+	in   []input
+}
 
-// Pair prepares to decide the pairs of two lists of elements and derives
-// every rule's blocking key for every element. A pair it reports blocked is
-// one Decide answers CannotMatch: a rule's keys differ, so it decides
-// cannot-match (the BlockKey contract), which prevails over the other rules
-// — except under Strict, where a must-match from another rule makes the
-// pair a ConflictError, so nothing is blocked.
+var pairings = sync.Pool{New: func() any { return &Pairing{bucketOf: map[string]int{}} }}
+
+// Pair prepares to decide the pairs of two lists of elements: it takes every
+// element's entry from the Oracle's table or derives its blocking keys, and
+// buckets the second list by the first rule any of its elements has a key
+// under. A pair it reports blocked is one Decide answers CannotMatch: a
+// rule's keys differ, so it decides cannot-match (the BlockKey contract),
+// which prevails over the other rules — except under Strict, where a
+// must-match from another rule makes the pair a ConflictError, so nothing is
+// blocked.
 func (o *Oracle) Pair(as, bs []*pxml.Node) *Pairing {
 	p := pairings.Get().(*Pairing)
 	p.o, p.na, p.elems = o, len(as), append(append(p.elems, as...), bs...)
 	n := len(p.elems)
-	p.in, p.ready = slices.Grow(p.in, n*len(o.rules))[:n*len(o.rules)], slices.Grow(p.ready, n)[:n]
-	for _, rule := range o.rules {
-		p.keys = append(p.keys, p.blockKeys(rule))
+	p.ents, p.own = slices.Grow(p.ents, n)[:n], slices.Grow(p.own, n)[:n]
+	p.fresh = slices.Grow(p.fresh, n)
+	o.mu.Lock()
+	for k, e := range p.elems {
+		p.ents[k] = o.table[e]
 	}
+	o.mu.Unlock()
+	for k, e := range p.elems {
+		if p.ents[k] == nil {
+			p.ents[k], p.own[k] = p.newEntry(p.deriveKeys(e)), true
+			p.derivedKeys++
+		}
+	}
+	p.bucket()
 	return p
 }
 
-// Release clears the Pairing — the inputs of the elements it prepared only —
-// and keeps its storage for another Pair; p must not be used after.
-func (p *Pairing) Release() {
-	n := len(p.o.rules)
-	for k, ok := range p.ready {
-		if ok {
-			clear(p.in[k*n : (k+1)*n])
-		}
-	}
-	clear(p.ready)
-	clear(p.keys)
-	clear(p.elems)
-	*p = Pairing{elems: p.elems[:0], keys: p.keys[:0], in: p.in[:0], ready: p.ready[:0], titles: p.titles.Reset()}
-	pairings.Put(p)
+// newEntry returns an entry of the call's own storage holding keys.
+func (p *Pairing) newEntry(keys []string) *entry {
+	p.fresh = append(p.fresh, entry{keys: keys})
+	return &p.fresh[len(p.fresh)-1]
 }
 
-// blockKeys lists the rule's key of every element, or returns nil when it
-// has none for any of them.
-func (p *Pairing) blockKeys(r Rule) []string {
+// deriveKeys returns e's key under every rule, in the pooled storage, or nil
+// when it has none.
+func (p *Pairing) deriveKeys(e *pxml.Node) []string {
 	var keys []string
-	for k, e := range p.elems {
-		if key := r.BlockKey(e); key != "" {
+	for _, r := range p.o.keyRules {
+		if k := p.o.rules[r].BlockKey(e); k != "" {
 			if keys == nil {
-				keys = make([]string, len(p.elems))
+				lo := len(p.keys)
+				p.keys = slices.Grow(p.keys, len(p.o.rules))[:lo+len(p.o.rules)]
+				keys = p.keys[lo:len(p.keys):len(p.keys)]
 			}
-			keys[k] = key
+			keys[r] = k
 		}
 	}
 	return keys
 }
 
+func (p *Pairing) key(k, r int) string {
+	if ks := p.ents[k].keys; ks != nil {
+		return ks[r]
+	}
+	return ""
+}
+
+// bucket notes the keyed rules and buckets the second list by the first of
+// them a second-list element has a key under.
+func (p *Pairing) bucket() {
+	p.join = -1
+	for _, r := range p.o.keyRules {
+		// The last element with a key is in the second list if any there is.
+		k := len(p.elems) - 1
+		for k >= 0 && p.key(k, r) == "" {
+			k--
+		}
+		if k < 0 {
+			continue
+		}
+		p.keyed = append(p.keyed, r)
+		if p.join < 0 && k >= p.na && !p.o.strict {
+			p.join = r
+		}
+	}
+	if p.join < 0 {
+		return
+	}
+	for j := range len(p.elems) - p.na {
+		key := p.key(p.na+j, p.join)
+		if key == "" {
+			p.keyless = append(p.keyless, j)
+			continue
+		}
+		b, ok := p.bucketOf[key]
+		if !ok {
+			b = len(p.buckets)
+			p.bucketOf[key] = b
+			if b < cap(p.buckets) {
+				p.buckets = p.buckets[:b+1]
+				p.buckets[b] = p.buckets[b][:0]
+			} else {
+				p.buckets = append(p.buckets, nil)
+			}
+		}
+		p.buckets[b] = append(p.buckets[b], j)
+	}
+}
+
+// Candidates lists, ascending, the indices j of the second list whose pair
+// with the i-th element of the first is not blocked. It enumerates only the
+// j the bucketing leaves — same key, or no key — so a call costs what it
+// returns, not the length of the second list. The slice is valid until the
+// next call.
+func (p *Pairing) Candidates(i int) []int {
+	p.cand = p.cand[:0]
+	key := ""
+	if p.join >= 0 {
+		key = p.key(i, p.join)
+	}
+	if key == "" {
+		for j := range len(p.elems) - p.na {
+			if !p.Blocked(i, j) {
+				p.cand = append(p.cand, j)
+			}
+		}
+		return p.cand
+	}
+	var same []int
+	if b, ok := p.bucketOf[key]; ok {
+		same = p.buckets[b]
+	}
+	for x, y := 0, 0; x < len(same) || y < len(p.keyless); {
+		var j int
+		if y == len(p.keyless) || x < len(same) && same[x] < p.keyless[y] {
+			j, x = same[x], x+1
+		} else {
+			j, y = p.keyless[y], y+1
+		}
+		if !p.Blocked(i, j) {
+			p.cand = append(p.cand, j)
+		}
+	}
+	return p.cand
+}
+
 // Blocked reports whether the i-th element of the first list and the j-th
 // of the second cannot match: outside Strict, a rule's keys for both differ.
 func (p *Pairing) Blocked(i, j int) bool {
-	for _, ks := range p.keys {
-		if ks != nil && !p.o.strict && ks[i] != "" && ks[p.na+j] != "" && ks[i] != ks[p.na+j] {
+	if p.o.strict {
+		return false
+	}
+	for _, r := range p.keyed {
+		if ka, kb := p.key(i, r), p.key(p.na+j, r); ka != "" && kb != "" && ka != kb {
 			return true
 		}
 	}
@@ -260,30 +389,117 @@ func (p *Pairing) Decide(i, j int) (Verdict, error) {
 }
 
 // inputs returns the built-in rules' inputs for the k-th element, deriving
-// them the first time.
+// them the first time; a table entry without them is copied into the call's
+// own storage first.
 func (p *Pairing) inputs(k int) []input {
+	ent := p.ents[k]
+	if ent.in != nil {
+		return ent.in
+	}
+	if !p.own[k] {
+		ent = p.newEntry(ent.keys)
+		p.ents[k], p.own[k] = ent, true
+	}
+	p.derivedInputs++
 	n := len(p.o.rules)
-	in := p.in[k*n : (k+1)*n]
-	if !p.ready[k] {
-		p.ready[k] = true
-		e := p.elems[k]
-		for r, bi := range p.o.builtins {
-			// A rule reads only elements with its tag (one without a tag reads
-			// none); an empty input stays unwritten, its slot holds one already.
-			switch {
-			case bi == nil || bi.elemTag != e.Tag():
-			case bi.kind == keyField: // its input is its key, derived already
-				if ks := p.keys[r]; ks != nil && ks[k] != "" {
-					in[r] = input{ok: true, text: ks[k]}
-				}
-			default:
-				if v, buf := bi.prepare(e, p.titles); v.ok {
-					in[r], p.titles = v, buf
-				}
+	p.ins = slices.Grow(p.ins, n)
+	in := p.ins[len(p.ins) : len(p.ins)+n : len(p.ins)+n]
+	p.ins = p.ins[:len(p.ins)+n]
+	e := p.elems[k]
+	for r, bi := range p.o.builtins {
+		// A rule reads only elements with its tag (one without a tag reads
+		// none); an empty input stays unwritten, its slot holds one already.
+		switch {
+		case bi == nil || bi.elemTag != e.Tag():
+		case bi.kind == keyField: // its input is its key, derived already
+			if key := p.key(k, r); key != "" {
+				in[r] = input{ok: true, text: key}
+			}
+		default:
+			if v, buf := bi.prepare(e, p.titles); v.ok {
+				in[r], p.titles = v, buf
 			}
 		}
 	}
+	ent.in = in
 	return in
+}
+
+// Derived reports how many elements this Pairing derived the keys, and the
+// inputs, of rather than finding them in the Oracle's table.
+func (p *Pairing) Derived() (keys, inputs int) { return p.derivedKeys, p.derivedInputs }
+
+// Retain replaces the Oracle's table by the entries of the elements kept
+// reports — k indexing the first list and then the second — so that the
+// next Pair over them derives nothing. The caller keeps the elements that
+// survive into its result by pointer; an element it drops, and every other
+// entry the table held, is forgotten, so the table holds what the current
+// document can still hand a Pairing and nothing that is gone. Entries this
+// call derived are copied out of its pooled storage first.
+func (p *Pairing) Retain(kept func(k int) bool) {
+	nk, ni := 0, 0
+	for k := range p.elems {
+		if kept(k) {
+			p.kept = append(p.kept, k)
+			if p.own[k] {
+				nk += len(p.ents[k].keys)
+				ni += len(p.ents[k].in)
+			}
+		}
+	}
+	keys, ins := make([]string, 0, nk), make([]input, 0, ni)
+	var titles strsim.TitleBuf
+	for _, k := range p.kept {
+		if !p.own[k] {
+			continue
+		}
+		ent := p.ents[k]
+		lo, ilo := len(keys), len(ins)
+		keys, ins = append(keys, ent.keys...), append(ins, ent.in...)
+		for r, bi := range p.o.builtins {
+			if bi != nil && bi.kind == title && ilo < len(ins) && ins[ilo+r].ok {
+				ins[ilo+r].title, titles = titles.Append(ins[ilo+r].title)
+			}
+		}
+		p.ents[k] = &entry{keys: clip(keys[lo:]), in: clip(ins[ilo:])}
+	}
+	o := p.o
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.spare == nil {
+		o.spare = make(map[*pxml.Node]*entry, len(p.kept))
+	}
+	clear(o.spare)
+	for _, k := range p.kept {
+		o.spare[p.elems[k]] = p.ents[k]
+	}
+	o.table, o.spare = o.spare, o.table
+}
+
+// clip returns s without spare capacity, nil when empty.
+func clip[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[:len(s):len(s)]
+}
+
+// Release clears the Pairing and keeps its storage for another Pair; p must
+// not be used after.
+func (p *Pairing) Release() {
+	clear(p.elems)
+	clear(p.ents)
+	clear(p.own)
+	clear(p.fresh)
+	clear(p.keys)
+	clear(p.ins)
+	clear(p.bucketOf)
+	*p = Pairing{
+		elems: p.elems[:0], ents: p.ents[:0], own: p.own[:0], keyed: p.keyed[:0],
+		bucketOf: p.bucketOf, buckets: p.buckets[:0], keyless: p.keyless[:0], cand: p.cand[:0], kept: p.kept[:0],
+		fresh: p.fresh[:0], keys: p.keys[:0], ins: p.ins[:0], titles: p.titles.Reset(),
+	}
+	pairings.Put(p)
 }
 
 // Rules returns the names of the installed rules, in application order.

@@ -269,3 +269,160 @@ func (t *Tree) Summary() *Summary { return t.root.Summary() }
 // (in the sense of Equal) have equal digests, so the digest identifies the
 // document content — the key the result cache and index invalidation use.
 func (t *Tree) Digest() uint64 { return t.root.digest }
+
+// DeriveSummary gives n, an element built mostly of base's children, the
+// summary base's implies, without merging the children they share: from[i]
+// is the position among base's children of n's i-th child, -1 for a new one
+// (a position whose child is not n's, or is claimed twice, counts as new).
+// The sums — Kinds and each tag's Count and Inner — are base's, less the
+// children base lost and plus those n gained; Worlds is divided and
+// multiplied by theirs exactly; the Bloom fingerprint is the OR of the
+// children's column, whose shared entries are copied from base's. A maximum
+// cannot be taken back: when a lost child held a tag's MaxWorlds or the
+// Depth maximum, and no gained one reaches it, every child is merged as
+// Summary would. It returns how many child summaries it merged and whether
+// that was all of them. It does nothing when n has a summary already, base
+// has none, or from does not fit; n's is then computed on first use.
+func DeriveSummary(n, base *Node, from []int) (merged int, full bool) {
+	bs := base.summary.Load()
+	if n.kind != KindElem || base.kind != KindElem || n.tag != base.tag || bs == nil || len(from) != len(n.kids) || n.summary.Load() != nil {
+		return 0, false
+	}
+	kept := make([]bool, len(base.kids))
+	blooms := make([]Bloom, len(n.kids))
+	var gained, lost []*Summary
+	for i, k := range n.kids {
+		if b := from[i]; b >= 0 && b < len(base.kids) && base.kids[b] == k && !kept[b] {
+			kept[b] = true
+			if bs.KidBlooms != nil {
+				blooms[i] = bs.KidBlooms[b]
+			} else {
+				blooms[i] = computeSummary(k).TextBloom
+			}
+		} else {
+			s := computeSummary(k)
+			gained = append(gained, s)
+			blooms[i] = s.TextBloom
+		}
+	}
+	for b, ok := range kept {
+		if !ok {
+			lost = append(lost, computeSummary(base.kids[b]))
+		}
+	}
+	s, ok := derive(n, bs, len(base.kids) > 0, lost, gained)
+	if !ok {
+		computeSummary(n)
+		return len(n.kids), true
+	}
+	if len(blooms) > 1 {
+		s.KidBlooms = blooms
+	}
+	if n.text != "" {
+		s.TextBloom = TextBloomBits(n.text)
+	}
+	for _, b := range blooms {
+		s.TextBloom = s.TextBloom.Or(b)
+	}
+	n.summary.Store(s)
+	return len(lost) + len(gained), false
+}
+
+// derive is DeriveSummary's arithmetic, the fingerprints aside: base's
+// summary bs (of an element with children when inner) less the lost
+// children's, plus the gained ones'. It reports false when a lost child held
+// a maximum that no gained child reaches.
+func derive(n *Node, bs *Summary, inner bool, lost, gained []*Summary) (*Summary, bool) {
+	s := &Summary{Kinds: bs.Kinds, Depth: bs.Depth}
+	for _, k := range lost {
+		for i, c := range k.Kinds {
+			s.Kinds[i] -= c
+		}
+	}
+	depth := 0 // the children's deepest, among the gained
+	for _, k := range gained {
+		for i, c := range k.Kinds {
+			s.Kinds[i] += c
+		}
+		depth = max(depth, k.Depth)
+	}
+	for _, k := range lost {
+		if k.Depth+1 == bs.Depth && depth+1 < bs.Depth {
+			return nil, false
+		}
+	}
+	s.Depth = max(bs.Depth, depth+1)
+
+	// Children are independent: the count is the product of theirs.
+	s.Worlds = bs.Worlds
+	num, den := bigOne, bigOne
+	for _, k := range gained {
+		if !k.OneWorld() {
+			num = new(big.Int).Mul(num, k.Worlds)
+		}
+	}
+	for _, k := range lost {
+		if !k.OneWorld() {
+			den = new(big.Int).Mul(den, k.Worlds)
+		}
+	}
+	if num != bigOne || den != bigOne {
+		w := new(big.Int).Mul(bs.Worlds, num)
+		w.Quo(w, den)
+		if s.Worlds = w; w.Cmp(bigOne) == 0 {
+			s.Worlds = bigOne
+		}
+	}
+
+	// The tags: n's own occurrence spans all its worlds, the most any
+	// element of its tag below it can; the others' maxima must be found
+	// again among the gained children when a lost one held one.
+	var buf [32]TagStat
+	out := append(buf[:0], bs.Tags.stats...)
+	type tie struct {
+		tag string
+		max *big.Int
+	}
+	var ties []tie
+	for _, k := range lost {
+		for _, st := range k.Tags.stats {
+			i, _ := findTag(out, st.Tag)
+			out[i].Count -= st.Count
+			out[i].Inner -= st.Inner
+			if st.Tag != n.tag && st.MaxWorlds.Cmp(bigOne) != 0 && st.MaxWorlds.Cmp(out[i].MaxWorlds) == 0 {
+				ties = append(ties, tie{st.Tag, st.MaxWorlds})
+			}
+		}
+	}
+	for _, k := range gained {
+		for _, st := range k.Tags.stats {
+			i, ok := findTag(out, st.Tag)
+			if !ok {
+				out = slices.Insert(out, i, st)
+			} else {
+				out[i].Count += st.Count
+				out[i].Inner += st.Inner
+				if st.MaxWorlds.Cmp(out[i].MaxWorlds) > 0 {
+					out[i].MaxWorlds = st.MaxWorlds
+				}
+			}
+			ties = slices.DeleteFunc(ties, func(t tie) bool { return t.tag == st.Tag && st.MaxWorlds.Cmp(t.max) >= 0 })
+		}
+	}
+	out = slices.DeleteFunc(out, func(st TagStat) bool { return st.Count == 0 })
+	for _, t := range ties {
+		if _, ok := findTag(out, t.tag); ok {
+			return nil, false
+		}
+	}
+	i, _ := findTag(out, n.tag)
+	out[i].MaxWorlds = s.Worlds
+	switch {
+	case inner && len(n.kids) == 0:
+		out[i].Inner--
+	case !inner && len(n.kids) > 0:
+		out[i].Inner++
+	}
+	s.Tags = TagSet{stats: slices.Clone(out)}
+	return s, true
+}

@@ -7,6 +7,7 @@ package pxmltest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/pxml"
 )
@@ -105,6 +106,32 @@ func StatsWalkMismatch(tr *pxml.Tree) string {
 	}
 	return fmt.Sprintf("one walk gives %+v; the separate walks %d logical, %d physical, %d choice points, depth %d, %s worlds",
 		st, tr.NodeCount(), tr.PhysicalNodeCount(), tr.ChoicePoints(), depth(tr.Root()), tr.WorldCount())
+}
+
+// SummaryDiff describes the first field in which two summaries differ —
+// world count, node kinds, depth, fingerprint, the children's fingerprints
+// or a tag's aggregates — and returns "" when they agree on all.
+func SummaryDiff(a, b *pxml.Summary) string {
+	switch {
+	case a.Worlds.Cmp(b.Worlds) != 0 || a.OneWorld() != b.OneWorld():
+		return fmt.Sprintf("worlds %s, %s", a.Worlds, b.Worlds)
+	case a.Kinds != b.Kinds:
+		return fmt.Sprintf("kinds %v, %v", a.Kinds, b.Kinds)
+	case a.Depth != b.Depth:
+		return fmt.Sprintf("depth %d, %d", a.Depth, b.Depth)
+	case a.TextBloom != b.TextBloom:
+		return "text fingerprints differ"
+	case !slices.Equal(a.KidBlooms, b.KidBlooms) || (a.KidBlooms == nil) != (b.KidBlooms == nil):
+		return "children's fingerprints differ"
+	case a.Tags.Len() != b.Tags.Len():
+		return fmt.Sprintf("tags %v, %v", a.Tags.Tags(), b.Tags.Tags())
+	}
+	for i, sa := range a.Tags.Stats() {
+		if sb := b.Tags.Stats()[i]; sa.Tag != sb.Tag || sa.Count != sb.Count || sa.Inner != sb.Inner || sa.MaxWorlds.Cmp(sb.MaxWorlds) != 0 {
+			return fmt.Sprintf("tag %s: %d/%d/%s, %s: %d/%d/%s", sa.Tag, sa.Count, sa.Inner, sa.MaxWorlds, sb.Tag, sb.Count, sb.Inner, sb.MaxWorlds)
+		}
+	}
+	return ""
 }
 
 // GenConfig bounds the shape of randomly generated documents.

@@ -329,6 +329,14 @@ func (b TitleBuf) Prepare(s string) (Title, TitleBuf) {
 	return Title{norm: n, toks: b.toks[tlo:len(b.toks):len(b.toks)]}, b
 }
 
+// Append copies a prepared title to the end of the buffer, and returns the
+// copy and the buffer grown by it.
+func (b TitleBuf) Append(t Title) (Title, TitleBuf) {
+	lo, tlo := len(b.runes), len(b.toks)
+	b.runes, b.toks = append(b.runes, t.norm...), append(b.toks, t.toks...)
+	return Title{norm: b.runes[lo:len(b.runes):len(b.runes)], toks: b.toks[tlo:len(b.toks):len(b.toks)]}, b
+}
+
 // TitleSpace is stack room for preparing two titles of up to 64 runes and 16
 // distinct tokens each without allocating; a longer title spills.
 type TitleSpace struct {
