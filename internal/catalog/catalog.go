@@ -4,7 +4,7 @@
 // prototype leaned on MonetDB/XQuery for exactly this). A Catalog owns a
 // data directory of named databases:
 //
-//	<data>/<name>/state/          snapshot written by compaction (store v5)
+//	<data>/<name>/state/          snapshot written by compaction (store v6)
 //	<data>/<name>/wal/seg-*.log   per-database write-ahead op log
 //	<data>/<name>/snapshots/<n>/  user-named snapshots (/save, /load)
 //

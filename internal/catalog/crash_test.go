@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,7 +21,10 @@ import (
 // Construction: op 1 (integrate A) establishes the pre-state; op 2
 // (integrate B) appends one more frame. For every cut point inside op 2's
 // frame the on-disk state is cloned, the segment truncated to the cut,
-// and the catalog reopened.
+// and the catalog reopened. The v4/ subtests cut the log this build
+// writes; the cut=N subtests cut the same two ops as the build before
+// record version 4 logged them (testdata/v3crash/plain): the log such a
+// build leaves when it dies mid-append and this build opens it.
 func TestCrashRecoveryEveryByteOffset(t *testing.T) {
 	base := t.TempDir()
 	data := filepath.Join(base, "data")
@@ -60,7 +64,29 @@ func TestCrashRecoveryEveryByteOffset(t *testing.T) {
 	// No clean shutdown: the live catalog is abandoned, only the fsynced
 	// bytes exist. (Closing it here would compact and change the disk.)
 
-	runEveryByteCut(t, data, sizePre, sizePost, preTree, postTree)
+	t.Run("v4", func(t *testing.T) { runEveryByteCut(t, data, sizePre, sizePost, preTree, postTree) })
+	runCommittedCut(t, "plain", preTree, postTree)
+}
+
+// runCommittedCut runs runEveryByteCutSeg over a copy of
+// testdata/v3crash/<name>, a data directory the build before record
+// version 4 wrote (see testdata/README.md), cutting inside the last frame
+// of database x's log. Every cut recovers pre, the full frame post, and
+// this build's next append lands after the earlier build's records.
+func runCommittedCut(t *testing.T, name string, pre, post *pxml.Tree) {
+	t.Helper()
+	data := filepath.Join(t.TempDir(), "data")
+	copyDir(t, filepath.Join("testdata", "v3crash", name), data)
+	segRel := filepath.Join("x", walDirName, segName(1))
+	seg, err := os.ReadFile(filepath.Join(data, segRel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := 0
+	for off := 0; off+frameHeaderLen <= len(seg); off += frameHeaderLen + int(binary.LittleEndian.Uint32(seg[off:])) {
+		last = off
+	}
+	runEveryByteCutSeg(t, data, segRel, int64(last), int64(len(seg)), pre, post)
 }
 
 // runEveryByteCut clones data, truncates the segment to every offset in
@@ -119,7 +145,9 @@ func runEveryByteCutSeg(t *testing.T, data, segRel string, sizePre, sizePost int
 // killed, continued by this build with op 2, a replace whose string-table
 // delta builds on the table recovery rebuilt from the earlier records.
 // Every cut inside op 2's frame must recover to the state the earlier
-// build committed; the full frame, to the post state.
+// build committed; the full frame, to the post state. The v4/ subtests
+// cut op 2 as this build writes it; the cut=N subtests, op 2 as the build
+// before record version 4 wrote it (testdata/v3crash/mixed).
 func TestCrashRecoveryMixedEncodingEveryByteOffset(t *testing.T) {
 	base := t.TempDir()
 	data := filepath.Join(base, "data")
@@ -165,15 +193,19 @@ func TestCrashRecoveryMixedEncodingEveryByteOffset(t *testing.T) {
 	if postInfo.Size() <= preInfo.Size() {
 		t.Fatalf("op 2 wrote no bytes? %d -> %d", preInfo.Size(), postInfo.Size())
 	}
-	runEveryByteCut(t, data, preInfo.Size(), postInfo.Size(), preTree, postTree)
+	t.Run("v4", func(t *testing.T) { runEveryByteCut(t, data, preInfo.Size(), postInfo.Size(), preTree, postTree) })
+	runCommittedCut(t, "mixed", preTree, postTree)
 }
 
 // TestCrashRecoveryCompactedV5EveryByteOffset reruns the crash-safety
-// property over the current on-disk generation: op 1 is compacted into a
-// v5 snapshot (strtab frame + shared-arena document, read on reopen),
-// and op 2 lands as a strtab-bearing v3 record in the surviving log.
-// Every cut inside op 2's frame must recover the loaded snapshot
-// state exactly; the full frame, the post-op state.
+// property over a compacted database: op 1 is compacted into a snapshot
+// (strtab frame + shared-arena document, read on reopen), and op 2 lands
+// as a strtab-bearing record in the surviving log. Every cut inside op
+// 2's frame must recover the loaded snapshot state exactly; the full
+// frame, the post-op state. The cut=N subtests cut the v5 snapshot and
+// version 3 log the build before store v6 wrote
+// (testdata/v3crash/compacted); the v6/ subtests, the v6 snapshot and
+// version 4 log this build writes.
 func TestCrashRecoveryCompactedV5EveryByteOffset(t *testing.T) {
 	base := t.TempDir()
 	data := filepath.Join(base, "data")
@@ -238,5 +270,6 @@ func TestCrashRecoveryCompactedV5EveryByteOffset(t *testing.T) {
 	if segRel == "" || sizePost <= sizePre {
 		t.Fatalf("op 2 wrote no bytes (before %v, after %v)", before, sizes())
 	}
-	runEveryByteCutSeg(t, data, segRel, sizePre, sizePost, preTree, postTree)
+	t.Run("v6", func(t *testing.T) { runEveryByteCutSeg(t, data, segRel, sizePre, sizePost, preTree, postTree) })
+	runCommittedCut(t, "compacted", preTree, postTree)
 }

@@ -209,7 +209,7 @@ func TestIndexedReadEqualsScan(t *testing.T) {
 			}
 			dir := t.TempDir()
 			opts := testOptions()
-			opts.SegmentBytes = int64(150 + rng.Intn(700))
+			opts.SegmentBytes = int64(70 + rng.Intn(300))
 			cat, err := Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)

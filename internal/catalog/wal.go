@@ -7,7 +7,7 @@
 //
 //	segment file  wal/seg-<first-seq, 16 hex digits>.log
 //	record frame  [4B payload length][4B CRC-32C of payload][payload]
-//	payload       binary record, version 3 (see walrecord.go)
+//	payload       binary record, version 4 (3 still read; see walrecord.go)
 //
 // A record is committed iff its full frame is on disk and the CRC
 // matches. The last segment may end in a torn frame (the write the crash
@@ -71,6 +71,10 @@ const (
 	// DefaultSegmentBytes rotates segments at 4 MiB, keeping individual
 	// files small enough that compaction reclaims space promptly.
 	DefaultSegmentBytes = 4 << 20
+
+	// maxKeptFrame bounds the frame buffer an append keeps for the next:
+	// one grown by a whole-document record is dropped, not held.
+	maxKeptFrame = 1 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -161,6 +165,8 @@ type wal struct {
 	index   []segEntry
 	tabMark codec.TabMark
 	ship    ShipStats
+	// frame is the buffer every append encodes its frame into, reused.
+	frame []byte
 }
 
 func segName(start uint64) string {
@@ -277,7 +283,7 @@ func recoverWAL(dir string, segLimit int64, after uint64, snapEpoch uint64, fn f
 	}
 	// Reopen the last segment for appending (replaySegment truncated any
 	// torn tail already). The append-side table resumes from the
-	// segment's committed deltas, so the next v3 record's base matches
+	// segment's committed deltas, so the next record's base matches
 	// what a future recovery will have replayed.
 	for _, s := range replayTab.Strings() {
 		w.tab.Intern(s)
@@ -295,11 +301,12 @@ func recoverWAL(dir string, segLimit int64, after uint64, snapEpoch uint64, fn f
 // record with sequence > after. It verifies the sequence numbering is
 // dense starting at start and that epochs never regress (epochSeen is
 // the running high-water mark, carried across segments by the caller).
-// For the last segment a bad frame is treated as the torn tail and
-// truncated away; anywhere else it is corruption. A CRC-valid frame whose
-// payload is not a version 3 record, or is one of a removed op kind
-// (errRemovedOp), is corruption in every segment: it was committed, so
-// truncating it would drop an acknowledged op. It returns the number of
+// For the last segment a short or CRC-failing frame is treated as the
+// torn tail and truncated away; anywhere else it is corruption. A
+// CRC-valid frame whose payload does not decode — another layout, a
+// removed op kind (errRemovedOp), a damaged body — is corruption in every
+// segment: it was committed, so truncating it would drop an acknowledged
+// op. It returns the number of
 // committed records and the (post-truncation) file size, and leaves the
 // segment's index (see wal.index) in *index.
 func replaySegment(path string, start uint64, isLast bool, after uint64, snapEpoch uint64, epochSeen *uint64, tab *codec.StrTab, index *[]segEntry, fn func(WALRecord) error) (records uint64, size int64, err error) {
@@ -337,19 +344,12 @@ func replaySegment(path string, start uint64, isLast bool, after uint64, snapEpo
 		if crc32.Checksum(payload, crcTable) != sum {
 			return torn("checksum mismatch")
 		}
-		if err := checkRecordHeader(payload); err != nil {
-			return 0, 0, fmt.Errorf("%w: %v at offset %d of %s", ErrCorrupt, err, off, filepath.Base(path))
-		}
-		// A torn record commits nothing to tab (DecodeWALRecordShared
-		// applies the delta only after a full decode), so the reseeded
-		// append table always matches what this replay accepted.
+		// The frame is committed: a payload this build cannot decode is
+		// corruption, never a torn tail to cut.
 		before := tab.Mark()
 		e, err := DecodeWALRecordShared(payload, tab)
-		if errors.Is(err, errRemovedOp) {
-			return 0, 0, fmt.Errorf("%w: %w at offset %d of %s", ErrCorrupt, err, off, filepath.Base(path))
-		}
 		if err != nil {
-			return torn("undecodable record")
+			return 0, 0, fmt.Errorf("%w: %w at offset %d of %s", ErrCorrupt, err, off, filepath.Base(path))
 		}
 		*index = append(*index, segEntry{int64(off), before})
 		if e.Seq != seq {
@@ -430,18 +430,20 @@ func (w *wal) append(op core.Op) (uint64, error) {
 	// its pre-record length: the delta the failed record carried never
 	// became durable, so the next record's base must not account for it.
 	prevTabLen := w.tab.Len()
-	payload, err := EncodeWALRecordShared(rec, &w.tab)
+	frame, err := appendWALRecord(append(w.frame[:0], make([]byte, frameHeaderLen)...), &rec, &w.tab)
 	if err != nil {
 		return 0, err
 	}
+	if cap(frame) <= maxKeptFrame {
+		w.frame = frame
+	}
+	payload := frame[frameHeaderLen:]
 	if len(payload) > maxRecordBytes {
 		w.tab.Truncate(prevTabLen)
 		return 0, fmt.Errorf("catalog: op record of %d bytes exceeds the %d byte limit", len(payload), maxRecordBytes)
 	}
-	frame := make([]byte, frameHeaderLen+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	copy(frame[frameHeaderLen:], payload)
 	if _, err := w.f.Write(frame); err != nil {
 		// Claw the partial frame back so the in-memory offset stays true;
 		// if even that fails recovery will truncate the torn tail.

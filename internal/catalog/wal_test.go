@@ -218,21 +218,35 @@ func TestWALBehindSnapshotRepairSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestRecoverRefusesUnreadableRecord: a committed (CRC-valid) frame in a
-// layout this build does not read — a JSON record, an older or a newer
-// binary version — stops recovery with ErrCorrupt naming the segment,
-// the offset and the version. It is never mistaken for a torn tail: the
-// segment keeps every byte.
+// TestRecoverRefusesUnreadableRecord: a committed (CRC-valid) frame this
+// build cannot decode — a JSON record, an older or a newer binary
+// version, a readable header over a corrupted body, a version 4 record
+// over an arena revision this build does not know — stops recovery with
+// ErrCorrupt naming the segment, the offset and the cause. It is never
+// mistaken for a torn tail: the segment keeps every byte.
 func TestRecoverRefusesUnreadableRecord(t *testing.T) {
-	v3, err := EncodeWALRecord(WALRecord{Seq: 3, Op: testOp(2)})
+	rec, err := EncodeWALRecord(WALRecord{Seq: 3, Op: testOp(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	withVersion := func(v byte) []byte {
-		p := append([]byte(nil), v3...)
+		p := append([]byte(nil), rec...)
 		p[1] = v
 		return p
 	}
+	header := func(v byte) []byte {
+		return []byte{walBinaryMarker, v, 3, 0} // seq 3, epoch 0
+	}
+	// A version 3 header, an empty strtab delta and an op kind no build
+	// ever wrote.
+	badBody := append(header(walRecordVersion), 0, 0, 99)
+	// A version 4 replace whose tree claims arena revision 9.
+	var tab codec.SharedStrings
+	tree := mustTree(t, abA).AppendBinaryShared(nil, &tab)
+	tree[0] = 9
+	arena9 := tab.AppendDelta(header(walRecordCompact), 0)
+	arena9 = append(arena9, opKindCodes[core.OpReplace], treeReprArenaShared)
+	arena9 = codec.AppendBytes(arena9, tree)
 	for _, tc := range []struct {
 		name, want string
 		payload    []byte
@@ -240,6 +254,8 @@ func TestRecoverRefusesUnreadableRecord(t *testing.T) {
 		{"json", "byte 0x7b", []byte(`{"seq":3,"op":{"kind":"normalize"}}`)},
 		{"version-2", "version 2", withVersion(2)},
 		{"version-9", "version 9", withVersion(9)},
+		{"corrupt-body", "unknown op kind", badBody},
+		{"arena-9", "binary document version 9", arena9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

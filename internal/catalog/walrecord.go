@@ -1,19 +1,24 @@
 // Binary write-ahead-log record encoding. The outer frame — [4B length]
 // [4B CRC-32C][payload] — is decided by wal.go; this file owns the
-// payload, the one record layout this build writes and reads:
+// payload:
 //
-//	[0x00] [version 1B = 3] [uvarint seq] [uvarint epoch] [strtab delta] [op]
+//	[0x00] [version 1B = 4] [uvarint seq] [uvarint epoch] [strtab delta] [op]
 //	op    = [kind 1B] kind-specific fields
 //	tree  = [repr 1B = 3] [uvarint length][shared-table arena body]
+//	stats = [uvarint count] [uvarint fields] [count × fields uvarints]
 //
 // The strtab delta extends the segment-cumulative string table (a delta
 // based at 0 restarts it), and a tree's tag/text indices resolve against
 // that table, so repeated tags across a segment's records are spelled
-// once. Rare history blobs (OpLoad integrations/events, per-source stats)
-// stay JSON inside a length-prefixed field; they are not on any hot path.
-// A payload with another first byte or version is a layout this build
-// does not read: decoding refuses it, and recovery reports it as
-// corruption instead of truncating it as a torn write.
+// once. Version 4, the layout this build writes, carries arena revision 3
+// trees and an integrate's per-source stats as uvarint counters in
+// statsCounters' order (the fields count is omitted when count is 0).
+// Version 3, which earlier builds wrote and this build still reads,
+// carries arena revision 2 trees and the stats as a JSON blob. The OpLoad
+// history blobs stay JSON in both; they are not on any hot path. A
+// payload with another first byte or version is a layout this build does
+// not read: decoding refuses it, and recovery reports it as corruption
+// instead of truncating it as a torn write.
 package catalog
 
 import (
@@ -24,17 +29,21 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/integrate"
 	"repro/internal/pxml"
 )
 
 const (
 	// walBinaryMarker is the first payload byte of a record.
 	walBinaryMarker = 0x00
-	// walRecordVersion is the record layout revision, the second byte.
+	// walRecordVersion is the record layout with a JSON stats blob (the
+	// second byte, 3), which this build reads and no longer writes.
 	walRecordVersion = 3
+	// walRecordCompact is the layout this build writes (4).
+	walRecordCompact = 4
 	// treeReprArenaShared tags every tree field: a shared-table arena body
-	// (pxml.BinaryVersionShared) whose string indices resolve against the
-	// record's cumulative strtab.
+	// (pxml.BinaryVersionShared or BinaryVersionCompact) whose string
+	// indices resolve against the record's cumulative strtab.
 	treeReprArenaShared = 3
 )
 
@@ -81,17 +90,36 @@ func EncodeWALRecord(rec WALRecord) ([]byte, error) {
 // length. The caller owns tab's lifecycle — reset it at segment
 // boundaries so every segment's deltas rebuild the table from zero.
 func EncodeWALRecordShared(rec WALRecord, tab *codec.SharedStrings) ([]byte, error) {
+	return appendWALRecord(nil, &rec, tab)
+}
+
+// appendWALRecord appends rec's payload to dst in one pass: the op is
+// encoded in place, then the strtab delta its trees grew is hoisted in
+// front of it.
+func appendWALRecord(dst []byte, rec *WALRecord, tab *codec.SharedStrings) ([]byte, error) {
 	base := tab.Len()
-	body, err := encodeOpBody(nil, &rec, tab)
+	dst = append(dst, walBinaryMarker, walRecordCompact)
+	dst = codec.AppendUvarint(dst, rec.Seq)
+	dst = codec.AppendUvarint(dst, rec.Epoch)
+	at := len(dst)
+	dst, err := encodeOpBody(dst, rec, tab)
 	if err != nil {
 		tab.Truncate(base)
 		return nil, err
 	}
-	dst := []byte{walBinaryMarker, walRecordVersion}
-	dst = codec.AppendUvarint(dst, rec.Seq)
-	dst = codec.AppendUvarint(dst, rec.Epoch)
-	dst = tab.AppendDelta(dst, base)
-	return append(dst, body...), nil
+	end := len(dst)
+	return hoist(tab.AppendDelta(dst, base), at, end), nil
+}
+
+// hoist moves dst[from:] in front of dst[at:from], in place: how a field
+// known only once the bytes it precedes are written (a strtab delta, a
+// tree's length) gets in front of them without a second buffer.
+func hoist(dst []byte, at, from int) []byte {
+	n := len(dst) - from
+	dst = append(dst, dst[from:]...) // park the field past the end
+	copy(dst[at+n:], dst[at:from])
+	copy(dst[at:], dst[from+n:])
+	return dst[:from+n]
 }
 
 // encodeOpBody appends the op kind byte and kind-specific fields; trees
@@ -109,9 +137,7 @@ func encodeOpBody(dst []byte, rec *WALRecord, tab *codec.SharedStrings) ([]byte,
 		if dst, err = appendSources(dst, op.SourceTrees, tab); err != nil {
 			return nil, err
 		}
-		if dst, err = appendStatsBlob(dst, op); err != nil {
-			return nil, err
-		}
+		dst = appendStats(dst, op.Stats)
 	case core.OpFeedback:
 		dst = codec.AppendString(dst, op.Query)
 		dst = codec.AppendString(dst, op.Value)
@@ -147,20 +173,59 @@ func encodeOpBody(dst []byte, rec *WALRecord, tab *codec.SharedStrings) ([]byte,
 	return dst, nil
 }
 
-// appendStatsBlob appends the op's recorded integration stats as a
-// length-prefixed JSON blob (cold field, one per record — not worth a
-// bespoke binary layout).
-func appendStatsBlob(dst []byte, op *core.Op) ([]byte, error) {
-	if len(op.Stats) == 0 {
-		return codec.AppendBytes(dst, nil), nil
-	}
-	blob, err := json.Marshal(op.Stats)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: encoding integration stats: %w", err)
-	}
-	return codec.AppendBytes(dst, blob), nil
+// statsCounters lists every integrate.Stats counter in the fixed order a
+// version 4 record writes them.
+func statsCounters(s *integrate.Stats) [13]*int {
+	return [...]*int{&s.OracleCalls, &s.MustPairs, &s.CannotPairs, &s.UndecidedPairs,
+		&s.Components, &s.LargestComponent, &s.MatchingsEnumerated, &s.MatchingsPruned,
+		&s.PossibilitiesBuilt, &s.IncompatibleMerges, &s.TruncatedComponents,
+		&s.ValueConflicts, &s.SplicedChildren}
 }
 
+// appendStats appends an integrate's per-source stats, version 4: the
+// entry count, the counters per entry, then every counter as a uvarint.
+func appendStats(dst []byte, stats []integrate.Stats) []byte {
+	dst = codec.AppendUvarint(dst, uint64(len(stats)))
+	if len(stats) == 0 {
+		return dst
+	}
+	dst = codec.AppendUvarint(dst, uint64(len(statsCounters(&stats[0]))))
+	for i := range stats {
+		for _, c := range statsCounters(&stats[i]) {
+			dst = codec.AppendUvarint(dst, uint64(*c))
+		}
+	}
+	return dst
+}
+
+// readStats reads what appendStats wrote. A record with more counters
+// per entry than this build knows keeps the known ones, in order.
+func readStats(r *codec.Reader, op *core.Op) error {
+	n := r.Uvarint()
+	if n == 0 || r.Err() != nil {
+		return r.Err()
+	}
+	fields := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	// Every counter costs at least one byte.
+	if fields == 0 || n > uint64(r.Len())/fields {
+		return fmt.Errorf("%w: implausible stats of %d × %d counters", codec.ErrInvalid, n, fields)
+	}
+	op.Stats = make([]integrate.Stats, n)
+	for i := range op.Stats {
+		counters := statsCounters(&op.Stats[i])
+		for j := uint64(0); j < fields; j++ {
+			if v := r.Uvarint(); j < uint64(len(counters)) {
+				*counters[j] = int(v)
+			}
+		}
+	}
+	return r.Err()
+}
+
+// readStatsBlob reads a version 3 record's JSON stats blob.
 func readStatsBlob(r *codec.Reader, op *core.Op) error {
 	blob := r.Bytes()
 	if err := r.Err(); err != nil {
@@ -214,7 +279,10 @@ func appendTree(dst []byte, t *pxml.Tree, tab *codec.SharedStrings) ([]byte, err
 		return nil, fmt.Errorf("op carries no document")
 	}
 	dst = append(dst, treeReprArenaShared)
-	return codec.AppendBytes(dst, t.AppendBinaryShared(nil, tab)), nil
+	at := len(dst)
+	dst = t.AppendBinaryShared(dst, tab)
+	end := len(dst)
+	return hoist(codec.AppendUvarint(dst, uint64(end-at)), at, end), nil
 }
 
 // readTree reads one tree field. strs is the record's cumulative string
@@ -232,16 +300,16 @@ func readTree(r *codec.Reader, strs []string) (*pxml.Tree, error) {
 }
 
 // checkRecordHeader accepts a payload that starts with the record marker
-// and version. Anything else — a JSON record ('{'), an older binary
+// and version 3 or 4. Anything else — a JSON record ('{'), an older binary
 // version, a newer one — is a layout this build does not read.
 func checkRecordHeader(payload []byte) error {
 	switch {
 	case len(payload) < 2:
 		return fmt.Errorf("%w: record payload of %d byte(s)", codec.ErrInvalid, len(payload))
 	case payload[0] != walBinaryMarker:
-		return fmt.Errorf("%w: record starts with byte %#x, not a version %d record", codec.ErrInvalid, payload[0], walRecordVersion)
-	case payload[1] != walRecordVersion:
-		return fmt.Errorf("%w: unsupported record version %d (want %d)", codec.ErrInvalid, payload[1], walRecordVersion)
+		return fmt.Errorf("%w: record starts with byte %#x, not a version %d record", codec.ErrInvalid, payload[0], walRecordCompact)
+	case payload[1] != walRecordVersion && payload[1] != walRecordCompact:
+		return fmt.Errorf("%w: unsupported record version %d (want %d or %d)", codec.ErrInvalid, payload[1], walRecordVersion, walRecordCompact)
 	}
 	return nil
 }
@@ -332,7 +400,11 @@ func DecodeWALRecordShared(payload []byte, tab *codec.StrTab) (WALRecord, error)
 		if op.SourceTrees, err = readSources(r, strs, rec.Seq); err != nil {
 			return WALRecord{}, err
 		}
-		if err := readStatsBlob(r, op); err != nil {
+		read := readStats
+		if payload[1] == walRecordVersion {
+			read = readStatsBlob
+		}
+		if err := read(r, op); err != nil {
 			return WALRecord{}, err
 		}
 	case core.OpFeedback:

@@ -1,11 +1,14 @@
 package catalog
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/big"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -64,7 +67,7 @@ func TestWALRecordBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seq %d: encode: %v", rec.Seq, err)
 		}
-		if payload[0] != walBinaryMarker || payload[1] != walRecordVersion {
+		if payload[0] != walBinaryMarker || payload[1] != walRecordCompact {
 			t.Fatalf("seq %d: header %#x %#x", rec.Seq, payload[0], payload[1])
 		}
 		got, err := DecodeWALRecord(payload)
@@ -126,7 +129,7 @@ func TestWALRecordSharedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seq %d: encode shared: %v", rec.Seq, err)
 		}
-		if payload[0] != walBinaryMarker || payload[1] != walRecordVersion {
+		if payload[0] != walBinaryMarker || payload[1] != walRecordCompact {
 			t.Fatalf("seq %d: header %#x %#x", rec.Seq, payload[0], payload[1])
 		}
 		payloads = append(payloads, payload)
@@ -348,6 +351,20 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		f.Add(payload)
 	}
 	f.Add([]byte{walBinaryMarker, walRecordVersion})
+	// Version 3 records as an earlier build wrote them: every payload of
+	// the committed data directory's logs.
+	for _, seg := range []string{"book", "people"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "datadir", seg, walDirName, segName(1)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for len(data) >= frameHeaderLen {
+			n := frameHeaderLen + int(binary.LittleEndian.Uint32(data))
+			f.Add(data[frameHeaderLen:n])
+			data = data[n:]
+		}
+	}
+	f.Add([]byte{walBinaryMarker, walRecordCompact})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeWALRecord(data)
 		if err != nil {
@@ -425,6 +442,47 @@ func TestWALRecordQueueRoundTrip(t *testing.T) {
 			!strings.Contains(err.Error(), "async ingest queue, removed") {
 			t.Fatalf("kind %d: decode = %v, want errRemovedOp naming %q", code, err, want)
 		}
+	}
+}
+
+// TestWALRecordBinaryStats: a version 4 record carries every
+// integrate.Stats counter, each entry of a batch's list, bit for bit; and
+// a record that carries more counters per entry than this build knows (a
+// later build's) keeps the ones it knows, in order.
+func TestWALRecordBinaryStats(t *testing.T) {
+	var full integrate.Stats
+	v := reflect.ValueOf(&full).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(1000*i + 7))
+	}
+	if n := len(statsCounters(&full)); n != v.NumField() {
+		t.Fatalf("statsCounters lists %d counters, integrate.Stats has %d", n, v.NumField())
+	}
+	sources := []*pxml.Tree{mustTree(t, abA), mustTree(t, abB)}
+	rec := WALRecord{Seq: 9, Op: core.Op{Kind: core.OpBatch, SourceTrees: sources, Stats: []integrate.Stats{full, {}}}}
+	payload, err := EncodeWALRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeWALRecord(payload)
+	if err != nil || !reflect.DeepEqual(got.Op.Stats, rec.Op.Stats) {
+		t.Fatalf("stats %+v read back as %+v (err %v)", rec.Op.Stats, got.Op.Stats, err)
+	}
+
+	var tab codec.SharedStrings
+	body := []byte{opKindCodes[core.OpIntegrate]}
+	if body, err = appendSources(body, sources[:1], &tab); err != nil {
+		t.Fatal(err)
+	}
+	body = codec.AppendUvarint(body, 1)
+	body = codec.AppendUvarint(body, uint64(v.NumField()+2))
+	for i := 0; i < v.NumField()+2; i++ {
+		body = codec.AppendUvarint(body, uint64(1000*i+7))
+	}
+	p := []byte{walBinaryMarker, walRecordCompact, 9, 0}
+	p = append(tab.AppendDelta(p, 0), body...)
+	if got, err = DecodeWALRecord(p); err != nil || len(got.Op.Stats) != 1 || got.Op.Stats[0] != full {
+		t.Fatalf("two counters more: stats %+v (err %v), want %+v", got.Op.Stats, err, full)
 	}
 }
 

@@ -107,8 +107,8 @@ func TestServeReplicaOf(t *testing.T) {
 	if err != nil || sr.WAL.SegmentLimitBytes != 65536 || sr.WAL.CompactEvery != 5 {
 		t.Fatalf("stats knobs %+v (err %v)", sr.WAL, err)
 	}
-	// The format observability: the one snapshot format on disk.
-	if sr.WAL.StoreFormat != 5 {
+	// The format observability: the snapshot format this build writes.
+	if sr.WAL.StoreFormat != 6 {
 		t.Fatalf("stats format fields %+v", sr.WAL)
 	}
 

@@ -48,9 +48,8 @@ const (
 	// at a frame boundary.
 	KindEnd byte = 'E'
 	// KindStrTab is an interned-string-table delta (strtab.go): the
-	// shared dictionary that store v5 documents, WAL v3 records, and
-	// compressed replication pages resolve their varint string refs
-	// against.
+	// shared dictionary that store documents, WAL records and
+	// replication pages resolve their varint string refs against.
 	KindStrTab byte = 'I'
 )
 

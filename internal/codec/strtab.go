@@ -96,6 +96,9 @@ type TabMark struct {
 // Extend returns the mark of the table grown by entries. Every entry is
 // summed behind its length, so where one entry ends counts too.
 func (m TabMark) Extend(entries []string) TabMark {
+	if len(entries) == 0 {
+		return m // before n, which escapes to the heap
+	}
 	var n [binary.MaxVarintLen64]byte
 	for _, s := range entries {
 		m.Sum = crc32.Update(m.Sum, crcTable, n[:binary.PutUvarint(n[:], uint64(len(s)))])

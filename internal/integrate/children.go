@@ -3,6 +3,7 @@ package integrate
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/dtd"
@@ -66,7 +67,7 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 		return nil, firstErr
 	}
 
-	comps := it.components(edges, len(certA))
+	comps := it.components(edges, len(certA), len(certB))
 	compA, compB := inComponent(comps, len(certA), len(certB))
 
 	// DTD budgets: for each tag with a bounded maximum under the parent,
@@ -86,7 +87,8 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 	// component failed first.
 	choices := make([]*pxml.Node, len(comps))
 	for ci, c := range comps {
-		choice, err := it.buildChoice(c, certA, certB, budget[ci])
+		tags, allowed := budget.of(ci)
+		choice, err := it.buildChoice(c, certA, certB, tags, allowed)
 		if err != nil {
 			firstErr = cmp.Or(firstErr, err)
 		}
@@ -223,75 +225,50 @@ type component struct {
 // when factorization is disabled for the ablation experiment). Components
 // are ordered by their smallest A index; edge lists preserve discovery
 // order, so the whole construction is deterministic.
-func (it *integrator) components(edges []edge, nA int) []component {
+func (it *integrator) components(edges []edge, nA, nB int) []component {
 	if len(edges) == 0 {
 		return nil
 	}
+	var out []component
 	if it.cfg.DisableComponentFactorization {
-		c := component{edges: edges}
-		seenA, seenB := map[int]bool{}, map[int]bool{}
-		for _, e := range edges {
-			if !seenA[e.i] {
-				seenA[e.i] = true
-				c.aIdx = append(c.aIdx, e.i)
-			}
-			if !seenB[e.j] {
-				seenB[e.j] = true
-				c.bIdx = append(c.bIdx, e.j)
-			}
-		}
-		slices.Sort(c.aIdx)
-		slices.Sort(c.bIdx)
-		it.noteComponent(c)
-		return []component{c}
-	}
-	// Union-find over node ids: A nodes are i, B nodes are nA+j.
-	parent := map[int]int{}
-	var find func(v int) int
-	find = func(v int) int {
-		p, ok := parent[v]
-		if !ok || p == v {
+		out = []component{{edges: edges}}
+	} else {
+		// Union-find over node ids (A nodes are i, B nodes are nA+j), then
+		// at[root] = 1 + the position of the root's component.
+		parent, at := make([]int, nA+nB), make([]int, nA+nB)
+		for v := range parent {
 			parent[v] = v
+		}
+		find := func(v int) int {
+			for parent[v] != v {
+				parent[v] = parent[parent[v]]
+				v = parent[v]
+			}
 			return v
 		}
-		r := find(p)
-		parent[v] = r
-		return r
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	for _, e := range edges {
-		union(e.i, nA+e.j)
-	}
-	group := map[int]*component{}
-	var order []int
-	for _, e := range edges {
-		r := find(e.i)
-		c, ok := group[r]
-		if !ok {
-			c = &component{}
-			group[r] = c
-			order = append(order, r)
+		for _, e := range edges {
+			parent[find(e.i)] = find(nA + e.j)
 		}
-		c.edges = append(c.edges, e)
+		for _, e := range edges {
+			r := find(e.i)
+			if at[r] == 0 {
+				out = append(out, component{})
+				at[r] = len(out)
+			}
+			c := &out[at[r]-1]
+			c.edges = append(c.edges, e)
+		}
 	}
-	out := make([]component, 0, len(order))
-	for _, r := range order {
-		c := group[r]
-		seenA, seenB := map[int]bool{}, map[int]bool{}
+	for k := range out {
+		c := &out[k]
 		for _, e := range c.edges {
-			if !seenA[e.i] {
-				seenA[e.i] = true
-				c.aIdx = append(c.aIdx, e.i)
-			}
-			if !seenB[e.j] {
-				seenB[e.j] = true
-				c.bIdx = append(c.bIdx, e.j)
-			}
+			c.aIdx = append(c.aIdx, e.i)
+			c.bIdx = append(c.bIdx, e.j)
 		}
 		slices.Sort(c.aIdx)
 		slices.Sort(c.bIdx)
+		c.aIdx, c.bIdx = slices.Compact(c.aIdx), slices.Compact(c.bIdx)
 		it.noteComponent(*c)
-		out = append(out, *c)
 	}
 	return out
 }
@@ -301,30 +278,52 @@ func (it *integrator) noteComponent(c component) {
 	it.stats.LargestComponent = max(it.stats.LargestComponent, len(c.edges))
 }
 
+// unconstrained marks a budget entry that constrains nothing.
+const unconstrained = math.MaxInt
+
+// budgets is what tagBudgets computes: the tags whose maximum occurrence
+// under the parent is bounded, in child order, and per component and tag
+// how many items of that tag its matchings may keep.
+type budgets struct {
+	tags    []string
+	allowed []int // component ci's entries are allowed[ci*len(tags):][:len(tags)]
+}
+
+// of returns the bounded tags and component ci's budget, one entry per
+// tag (nil: none).
+func (b *budgets) of(ci int) ([]string, []int) {
+	if b == nil {
+		return nil, nil
+	}
+	k := len(b.tags)
+	return b.tags, b.allowed[ci*k : (ci+1)*k]
+}
+
 // tagBudgets computes, for every tag whose maximum occurrence under the
 // parent is bounded, how many component items of that tag are still
 // admissible: Max(tag) − certain singles − best-case contribution of the
-// other members. The result maps component index and tag to the allowed
-// item count for that component; absent entries mean unconstrained. It
-// returns ErrIncompatible when even the best case exceeds a bound, which
-// happens e.g. when two unmatchable phones meet a one-phone schema.
+// other members. A component is constrained only on the tags of its A
+// members; nil means no budget at all. It returns ErrIncompatible, naming
+// the first such tag in child order, when even the best case exceeds a
+// bound, which happens e.g. when two unmatchable phones meet a one-phone
+// schema.
 func (it *integrator) tagBudgets(x, y *pxml.Node, certA, certB []*pxml.Node, uncA, uncB []int,
-	comps []component, compA, compB []int) (map[int]map[string]int, error) {
+	comps []component, compA, compB []int) (*budgets, error) {
 	if it.cfg.Schema == nil {
 		return nil, nil
 	}
 	// Bounded tags among all prospective children: the schema is asked once
 	// per distinct tag, bounded or not.
 	parentTag := x.Tag()
-	bounded := map[string]int{}
-	var asked []string
+	var asked, tags []string
+	var bound []int
 	noteTag := func(tag string) {
 		if slices.Contains(asked, tag) {
 			return
 		}
 		asked = append(asked, tag)
 		if max := it.cfg.Schema.MaxOccurs(parentTag, tag); max != dtd.Unbounded {
-			bounded[tag] = max
+			tags, bound = append(tags, tag), append(bound, max)
 		}
 	}
 	for _, xa := range certA {
@@ -333,29 +332,10 @@ func (it *integrator) tagBudgets(x, y *pxml.Node, certA, certB []*pxml.Node, unc
 	for _, yb := range certB {
 		noteTag(yb.Tag())
 	}
-	if len(bounded) == 0 {
+	if len(tags) == 0 {
 		return nil, nil
 	}
-	tagsOfComp := make([]map[string]bool, len(comps))
-	for ci, c := range comps {
-		tagsOfComp[ci] = map[string]bool{}
-		for _, i := range c.aIdx {
-			tagsOfComp[ci][certA[i].Tag()] = true
-		}
-	}
-	// Fixed contributions per tag: certain singles plus the best-case
-	// (minimum) counts of preserved uncertain choice points.
-	fixed := map[string]int{}
-	for i, xa := range certA {
-		if compA[i] < 0 {
-			fixed[xa.Tag()]++
-		}
-	}
-	for j, yb := range certB {
-		if compB[j] < 0 {
-			fixed[yb.Tag()]++
-		}
-	}
+	k := len(tags)
 	uncs := make([]*pxml.Node, 0, len(uncA)+len(uncB))
 	for _, u := range uncA {
 		uncs = append(uncs, x.Child(u))
@@ -363,119 +343,117 @@ func (it *integrator) tagBudgets(x, y *pxml.Node, certA, certB []*pxml.Node, unc
 	for _, u := range uncB {
 		uncs = append(uncs, y.Child(u))
 	}
-	for _, unc := range uncs {
-		best := map[string]int{}
-		first := true
-		for _, poss := range unc.Children() {
-			local := map[string]int{}
-			for _, el := range poss.Children() {
-				local[el.Tag()]++
-			}
-			if first {
-				best = local
-				first = false
-				continue
-			}
-			for tag := range best {
-				if local[tag] < best[tag] {
-					best[tag] = local[tag]
-				}
-			}
-			for tag := range local {
-				if _, ok := best[tag]; !ok {
-					best[tag] = 0
-				}
+	// Fixed contributions per tag: certain singles plus the best-case
+	// (minimum) counts of preserved uncertain choice points.
+	fixed := make([]int, k)
+	for t, tag := range tags {
+		for i, xa := range certA {
+			if compA[i] < 0 && xa.Tag() == tag {
+				fixed[t]++
 			}
 		}
-		for tag, n := range best {
-			fixed[tag] += n
+		for j, yb := range certB {
+			if compB[j] < 0 && yb.Tag() == tag {
+				fixed[t]++
+			}
+		}
+		for _, unc := range uncs {
+			best := unconstrained
+			for _, poss := range unc.Children() {
+				best = min(best, countTag(poss.Children(), tag))
+			}
+			fixed[t] += best
 		}
 	}
-	// Minimum items each component can produce per tag (maximal matching).
-	minItems := make([]map[string]int, len(comps))
+	// Minimum items each component can produce per tag (members less a
+	// maximum matching), and their sum over all components.
+	minItems, sum := make([]int, len(comps)*k), make([]int, k)
 	for ci, c := range comps {
-		minItems[ci] = componentMinItems(c, certA, certB)
+		for t, tag := range tags {
+			minItems[ci*k+t] = members(c, tag, certA, certB) - maxMatchingSize(c, tag, certA)
+			sum[t] += minItems[ci*k+t]
+		}
 	}
 	// Feasibility: even the best case must respect every bound.
-	for tag, max := range bounded {
-		total := fixed[tag]
-		for ci := range comps {
-			total += minItems[ci][tag]
-		}
-		if total > max {
+	for t, tag := range tags {
+		if total := fixed[t] + sum[t]; total > bound[t] {
 			return nil, fmt.Errorf("%w: element <%s> would keep %d <%s> children in every world, schema allows %d",
-				ErrIncompatible, parentTag, total, tag, max)
+				ErrIncompatible, parentTag, total, tag, bound[t])
 		}
 	}
-	budgets := make(map[int]map[string]int)
-	for ci := range comps {
-		for tag := range tagsOfComp[ci] {
-			max, ok := bounded[tag]
-			if !ok {
-				continue
+	b := &budgets{tags: tags, allowed: make([]int, len(comps)*k)}
+	for ci, c := range comps {
+		for t, tag := range tags {
+			b.allowed[ci*k+t] = unconstrained
+			if slices.ContainsFunc(c.aIdx, func(i int) bool { return certA[i].Tag() == tag }) {
+				b.allowed[ci*k+t] = bound[t] - fixed[t] - (sum[t] - minItems[ci*k+t])
 			}
-			allowed := max - fixed[tag]
-			for cj := range comps {
-				if cj == ci {
-					continue
-				}
-				allowed -= minItems[cj][tag]
-			}
-			if budgets[ci] == nil {
-				budgets[ci] = map[string]int{}
-			}
-			budgets[ci][tag] = allowed
 		}
 	}
-	return budgets, nil
+	return b, nil
 }
 
-// componentMinItems returns the minimum number of resulting items per tag a
-// component can produce: members minus the maximum matching size among
-// edges of that tag.
-func componentMinItems(c component, certA, certB []*pxml.Node) map[string]int {
-	counts := map[string]int{}
+// countTag counts the elements of the given tag.
+func countTag(elems []*pxml.Node, tag string) int {
+	n := 0
+	for _, el := range elems {
+		if el.Tag() == tag {
+			n++
+		}
+	}
+	return n
+}
+
+// members counts the component's members of the given tag, on both sides.
+// Less the maximum matching size among edges of that tag, it is the
+// minimum number of items of that tag the component can produce.
+func members(c component, tag string, certA, certB []*pxml.Node) int {
+	n := 0
 	for _, i := range c.aIdx {
-		counts[certA[i].Tag()]++
+		if certA[i].Tag() == tag {
+			n++
+		}
 	}
 	for _, j := range c.bIdx {
-		counts[certB[j].Tag()]++
+		if certB[j].Tag() == tag {
+			n++
+		}
 	}
-	for tag := range counts {
-		counts[tag] -= maxMatchingSize(c, tag, certA)
-	}
-	return counts
+	return n
 }
 
 // maxMatchingSize computes the maximum bipartite matching among the
 // component's edges whose endpoints have the given tag, via augmenting
-// paths (components are small).
+// paths (components are small). B members are addressed by their
+// position in c.bIdx.
 func maxMatchingSize(c component, tag string, certA []*pxml.Node) int {
-	adj := map[int][]int{}
-	for _, e := range c.edges {
-		if certA[e.i].Tag() != tag {
-			continue
-		}
-		adj[e.i] = append(adj[e.i], e.j)
-	}
-	matchB := map[int]int{} // B index -> A index
-	var try func(i int, seen map[int]bool) bool
-	try = func(i int, seen map[int]bool) bool {
-		for _, j := range adj[i] {
-			if seen[j] {
+	matchB := make([]int, len(c.bIdx)) // B position -> A index + 1, 0 when free
+	seen := make([]bool, len(c.bIdx))
+	var try func(i int) bool
+	try = func(i int) bool {
+		for _, e := range c.edges {
+			if e.i != i {
 				continue
 			}
-			seen[j] = true
-			if prev, ok := matchB[j]; !ok || try(prev, seen) {
-				matchB[j] = i
+			b, _ := slices.BinarySearch(c.bIdx, e.j)
+			if seen[b] {
+				continue
+			}
+			seen[b] = true
+			if matchB[b] == 0 || try(matchB[b]-1) {
+				matchB[b] = i + 1
 				return true
 			}
 		}
 		return false
 	}
 	size := 0
-	for i := range adj {
-		if try(i, map[int]bool{}) {
+	for _, i := range c.aIdx {
+		if certA[i].Tag() != tag {
+			continue
+		}
+		clear(seen)
+		if try(i) {
 			size++
 		}
 	}

@@ -15,8 +15,8 @@ type matching struct {
 // buildChoice turns one candidate component into a probability node whose
 // alternatives are the component's consistent matchings (expanded over
 // value-conflict variants of merged pairs), weighted and normalized.
-// budget caps the per-tag item counts (nil = unconstrained).
-func (it *integrator) buildChoice(c component, certA, certB []*pxml.Node, budget map[string]int) (*pxml.Node, error) {
+// budget caps the item counts of each of tags (nil = unconstrained).
+func (it *integrator) buildChoice(c component, certA, certB []*pxml.Node, tags []string, budget []int) (*pxml.Node, error) {
 	matchings, truncated, err := it.enumerateMatchings(c)
 	if err != nil {
 		return nil, err
@@ -31,7 +31,7 @@ func (it *integrator) buildChoice(c component, certA, certB []*pxml.Node, budget
 	var kept []matching
 	anyDTDPruned := false
 	for _, m := range matchings {
-		if it.violatesBudget(c, m, certA, certB, budget) {
+		if violatesBudget(c, m, certA, certB, tags, budget) {
 			it.stats.MatchingsPruned++
 			anyDTDPruned = true
 			continue
@@ -163,23 +163,17 @@ func componentTag(c component, certA []*pxml.Node) string {
 
 // violatesBudget reports whether the matching's item counts exceed the
 // component's per-tag budget.
-func (it *integrator) violatesBudget(c component, m matching, certA, certB []*pxml.Node, budget map[string]int) bool {
-	if budget == nil {
-		return false
-	}
-	matchedPerTag := map[string]int{}
-	for _, ei := range m.chosen {
-		matchedPerTag[certA[c.edges[ei].i].Tag()]++
-	}
-	countPerTag := map[string]int{}
-	for _, i := range c.aIdx {
-		countPerTag[certA[i].Tag()]++
-	}
-	for _, j := range c.bIdx {
-		countPerTag[certB[j].Tag()]++
-	}
-	for tag, allowed := range budget {
-		items := countPerTag[tag] - matchedPerTag[tag]
+func violatesBudget(c component, m matching, certA, certB []*pxml.Node, tags []string, budget []int) bool {
+	for t, allowed := range budget {
+		if allowed == unconstrained {
+			continue
+		}
+		items := members(c, tags[t], certA, certB)
+		for _, ei := range m.chosen {
+			if certA[c.edges[ei].i].Tag() == tags[t] {
+				items--
+			}
+		}
 		if items > allowed {
 			return true
 		}

@@ -1,23 +1,29 @@
 // Flat arena binary encoding of probabilistic documents — the payload
-// format store v4 snapshots, binary WAL records and binary replication
+// format store snapshots, binary WAL records and binary replication
 // frames all carry. Where the XML codec rebuilds a tree node by node
 // (re-interning each through the Builder), the arena form writes the
 // physical DAG once in dependency order and reads it back into a single
 // contiguous allocation:
 //
 //	[version 1B]
-//	[string table: uvarint count, length-prefixed entries]
+//	[string table: uvarint count, length-prefixed entries] (revision 1 only)
 //	[uvarint node count]
 //	[node records, children strictly before parents]
 //	[root digest, 8B little endian]
 //
 // A node record is [kind 1B][kind fields][uvarint child count][child
-// indices as uvarints]. Elem fields are the tag and text as string-table
-// indices; poss fields are the 8-byte probability bits. Child indices
-// always point at earlier records, so the encoding is acyclic by
-// construction and physical sharing survives the round trip exactly.
-// The trailing digest is the structural digest (Tree.Digest) of the
-// encoded document, verified on decode.
+// references as uvarints]. Elem fields are the tag and text as string-table
+// indices; poss fields are the 8-byte probability bits. Revisions 1 and 2
+// reference a child by its record index. Revision 3, the compact layout,
+// references it by its distance back from the parent's record (siblings
+// sit just before their parent, so most distances fit one byte), and writes
+// a possibility of probability exactly 1 — every certain child of an
+// element — as its own record kind, recCertainPoss, with no probability
+// bytes; any other probability keeps its 8 bytes, so every float
+// round-trips bit for bit. Children always precede their parents, so the
+// encoding is acyclic by construction and physical sharing survives the
+// round trip exactly. The trailing digest is the structural digest
+// (Tree.Digest) of the encoded document, verified on decode.
 //
 // DecodeArena accepts arbitrary bytes safely: every declared count is
 // capped against the input remaining, node records are re-validated
@@ -43,10 +49,20 @@ const BinaryVersion = 1
 
 // BinaryVersionShared is the shared-table revision: the payload carries
 // no string table of its own — elem tag/text fields are indices into an
-// external table (a codec strtab) supplied at decode time. Store v5
-// documents and WAL v3 records use it so repeated tags across documents
-// and ops are spelled once per table, not once per payload.
+// external table (a codec strtab) supplied at decode time, so repeated
+// tags across documents and ops are spelled once per table, not once per
+// payload. Store v5 documents and WAL v3 records hold it; this build reads
+// it and writes BinaryVersionCompact instead.
 const BinaryVersionShared = 2
+
+// BinaryVersionCompact is the shared-table revision AppendBinaryShared
+// writes (store v6 documents, WAL v4 records): revision 2 with child
+// references counted back from the parent and recCertainPoss records.
+const BinaryVersionCompact = 3
+
+// recCertainPoss is the revision-3 record kind of a possibility whose
+// probability is exactly 1; it carries no probability field.
+const recCertainPoss = 3
 
 // Arena decode counters for /stats: total decodes, how many ran in
 // zero-copy mode, and how many were shared-table payloads.
@@ -137,20 +153,28 @@ func (a *arenaIndex) release() {
 }
 
 // appendArenaBody writes the node records, interning strings through
-// intern.
-func appendArenaBody(dst []byte, a *arenaIndex, intern func(string) uint64) []byte {
-	for _, n := range a.order {
-		dst = append(dst, byte(n.kind))
-		switch n.kind {
-		case KindElem:
+// intern; compact selects the revision-3 records.
+func appendArenaBody(dst []byte, a *arenaIndex, intern func(string) uint64, compact bool) []byte {
+	for i, n := range a.order {
+		kind := byte(n.kind)
+		if compact && n.kind == KindPoss && n.prob == 1 {
+			kind = recCertainPoss
+		}
+		dst = append(dst, kind)
+		switch kind {
+		case byte(KindElem):
 			dst = codec.AppendUvarint(dst, intern(n.tag))
 			dst = codec.AppendUvarint(dst, intern(n.text))
-		case KindPoss:
+		case byte(KindPoss):
 			dst = codec.AppendFloat64(dst, n.prob)
 		}
 		dst = codec.AppendUvarint(dst, uint64(len(n.kids)))
 		for _, k := range n.kids {
-			dst = codec.AppendUvarint(dst, a.index[k])
+			ref := a.index[k]
+			if compact {
+				ref = uint64(i) - ref
+			}
+			dst = codec.AppendUvarint(dst, ref)
 		}
 	}
 	return dst
@@ -177,7 +201,7 @@ func (t *Tree) AppendBinary(dst []byte) []byte {
 	var strings codec.StringTable
 	a := t.arenaOrder()
 	defer a.release()
-	body := appendArenaBody(nil, a, strings.Intern)
+	body := appendArenaBody(nil, a, strings.Intern, false)
 	dst = append(dst, BinaryVersion)
 	dst = strings.AppendTo(dst)
 	dst = codec.AppendUvarint(dst, uint64(len(a.order)))
@@ -185,16 +209,21 @@ func (t *Tree) AppendBinary(dst []byte) []byte {
 	return codec.AppendUint64(dst, t.Digest())
 }
 
-// AppendBinaryShared appends the document in shared-table arena form:
-// tag/text strings are interned into tab and the payload carries only
-// their indices. A decoder needs tab's entries (shipped separately as a
-// strtab delta) to resolve them.
+// AppendBinaryShared appends the document in shared-table arena form,
+// revision 3 (BinaryVersionCompact): tag/text strings are interned into
+// tab and the payload carries only their indices. A decoder needs tab's
+// entries (shipped separately as a strtab delta) to resolve them.
 func (t *Tree) AppendBinaryShared(dst []byte, tab *codec.SharedStrings) []byte {
+	return t.appendShared(dst, tab, BinaryVersionCompact)
+}
+
+// appendShared writes the shared-table revision v (2 or 3).
+func (t *Tree) appendShared(dst []byte, tab *codec.SharedStrings, v byte) []byte {
 	a := t.arenaOrder()
 	defer a.release()
-	dst = append(dst, BinaryVersionShared)
+	dst = append(dst, v)
 	dst = codec.AppendUvarint(dst, uint64(len(a.order)))
-	dst = appendArenaBody(dst, a, tab.Intern)
+	dst = appendArenaBody(dst, a, tab.Intern, v == BinaryVersionCompact)
 	return codec.AppendUint64(dst, t.Digest())
 }
 
@@ -209,17 +238,19 @@ func DecodeArena(data []byte) (*Tree, error) {
 }
 
 // DecodeArenaWith decodes a self-contained (BinaryVersion) or
-// shared-table (BinaryVersionShared) arena payload under opts. It keeps
-// every safety property of DecodeArena; the opts only change where
-// strings come from and add the manifest's logical-count check.
+// shared-table (BinaryVersionShared, BinaryVersionCompact) arena payload
+// under opts. It keeps every safety property of DecodeArena; the opts
+// only change where strings come from and add the manifest's
+// logical-count check.
 func DecodeArenaWith(data []byte, opts DecodeArenaOptions) (*Tree, error) {
 	r := codec.NewReader(data)
 	v := r.Byte()
-	if r.Err() == nil && v != BinaryVersion && v != BinaryVersionShared {
-		return nil, fmt.Errorf("pxml: unsupported binary document version %d (want %d or %d)", v, BinaryVersion, BinaryVersionShared)
+	if r.Err() == nil && (v < BinaryVersion || v > BinaryVersionCompact) {
+		return nil, fmt.Errorf("pxml: unsupported binary document version %d (want %d to %d)", v, BinaryVersion, BinaryVersionCompact)
 	}
+	compact := v == BinaryVersionCompact
 	var strs []string
-	if v == BinaryVersionShared {
+	if v != BinaryVersion {
 		strs = opts.Strings
 	} else if opts.ZeroCopy {
 		strs = r.StringTableView()
@@ -247,9 +278,11 @@ func DecodeArenaWith(data []byte, opts DecodeArenaOptions) (*Tree, error) {
 	for i := uint64(0); i < count; i++ {
 		n := &arena[i]
 		n.kind = Kind(r.Byte())
-		switch n.kind {
-		case KindProb:
-		case KindPoss:
+		switch {
+		case compact && n.kind == recCertainPoss:
+			n.kind, n.prob = KindPoss, 1
+		case n.kind == KindProb:
+		case n.kind == KindPoss:
 			p := r.Float64()
 			if r.Err() == nil {
 				if math.IsNaN(p) || p <= 0 || p > 1+ProbEpsilon {
@@ -260,7 +293,7 @@ func DecodeArenaWith(data []byte, opts DecodeArenaOptions) (*Tree, error) {
 				}
 				n.prob = p
 			}
-		case KindElem:
+		case n.kind == KindElem:
 			tag := r.Uvarint()
 			text := r.Uvarint()
 			if r.Err() == nil {
@@ -299,6 +332,9 @@ func DecodeArenaWith(data []byte, opts DecodeArenaOptions) (*Tree, error) {
 			k := r.Uvarint()
 			if err := r.Err(); err != nil {
 				return nil, err
+			}
+			if compact {
+				k = i - k // a distance of 0 or past the first record wraps to k >= i
 			}
 			if k >= i {
 				return nil, fmt.Errorf("%w: node %d references child %d out of order", codec.ErrInvalid, i, k)
@@ -378,7 +414,7 @@ func DecodeArenaWith(data []byte, opts DecodeArenaOptions) (*Tree, error) {
 	if opts.ZeroCopy {
 		arenaZeroCopy.Add(1)
 	}
-	if v == BinaryVersionShared {
+	if v != BinaryVersion {
 		arenaShared.Add(1)
 	}
 	return t, nil

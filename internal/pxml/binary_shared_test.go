@@ -92,19 +92,3 @@ func TestDecodeArenaZeroCopyMatchesCopying(t *testing.T) {
 		t.Fatal("zero-copy and copying decodes differ")
 	}
 }
-
-func FuzzDecodeArenaShared(f *testing.F) {
-	var tab codec.SharedStrings
-	f.Add(binaryFixture().AppendBinaryShared(nil, &tab))
-	f.Add(CertainTree(NewLeaf("a", "x")).AppendBinaryShared(nil, &tab))
-	strs := tab.Strings()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeArenaWith(data, DecodeArenaOptions{Strings: strs})
-		if err != nil {
-			return
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("decoded tree fails validation: %v", err)
-		}
-	})
-}

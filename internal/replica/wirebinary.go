@@ -192,7 +192,7 @@ func appendSnapshotHeader(payload *SnapshotPayload) ([]byte, error) {
 
 // EncodeSnapshotShared streams payload to w, its Tree as a
 // shared-dictionary arena with the string table in a separate I frame —
-// the same split as store v5, so the tree body deduplicates repeated
+// the same split as store v6, so the tree body deduplicates repeated
 // tags and text against one dictionary.
 func EncodeSnapshotShared(w io.Writer, payload *SnapshotPayload) error {
 	tree := payload.Tree
@@ -212,7 +212,7 @@ func EncodeSnapshotShared(w io.Writer, payload *SnapshotPayload) error {
 	if err := fw.Write(codec.KindStrTab, codec.StrTabVersion, tab.AppendDelta(nil, 0)); err != nil {
 		return err
 	}
-	if err := fw.Write(codec.KindTree, pxml.BinaryVersionShared, body); err != nil {
+	if err := fw.Write(codec.KindTree, pxml.BinaryVersionCompact, body); err != nil {
 		return err
 	}
 	return fw.Write(codec.KindEnd, wireVersion, codec.AppendUvarint(nil, 3))

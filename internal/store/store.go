@@ -39,12 +39,14 @@ import (
 )
 
 const (
-	// FormatVersion identifies the snapshot layout, the only one written
-	// and read: a strtab frame (the document's interned strings) followed
-	// by a shared-table arena frame whose tag/text fields are indices into
-	// it. Load maps the file and decodes without copying strings. A
-	// manifest naming any other version refuses to load.
-	FormatVersion = 5
+	// FormatVersion identifies the snapshot layout Save writes: a strtab
+	// frame (the document's interned strings) followed by a shared-table
+	// arena frame, revision 3, whose tag/text fields are indices into it.
+	// Load reads the file whole and decodes without copying strings. It
+	// also reads formatV5, the same frames around an arena of revision 2;
+	// a manifest naming any other version refuses to load.
+	FormatVersion = 6
+	formatV5      = 5
 
 	manifestFile = "manifest.json"
 )
@@ -170,7 +172,7 @@ func SaveWith(dir string, tree *pxml.Tree, schema *dtd.Schema, opts SaveOptions)
 	var tab codec.SharedStrings
 	body := tree.AppendBinaryShared(nil, &tab)
 	doc := codec.AppendFrame(nil, codec.KindStrTab, codec.StrTabVersion, tab.AppendDelta(nil, 0))
-	doc = codec.AppendFrame(doc, codec.KindDocument, pxml.BinaryVersionShared, body)
+	doc = codec.AppendFrame(doc, codec.KindDocument, pxml.BinaryVersionCompact, body)
 	sum := sha256.Sum256(doc)
 	m := Manifest{
 		FormatVersion:  FormatVersion,
@@ -250,8 +252,8 @@ func Load(dir string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("store: unsupported format version %d (want %d)", m.FormatVersion, FormatVersion)
+	if m.FormatVersion != FormatVersion && m.FormatVersion != formatV5 {
+		return nil, fmt.Errorf("store: unsupported format version %d (want %d or %d)", m.FormatVersion, formatV5, FormatVersion)
 	}
 	if n := len(m.RemovedQueue); n > 0 {
 		return nil, fmt.Errorf("store: manifest holds %d pending ticket(s) of the async ingest queue, which this build removed", n)

@@ -203,13 +203,26 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 }
 
 // TestFormatLadderCompat walks the snapshot format versions: Load reads
-// the one Save writes, and refuses every other rung, older or newer, by
-// naming its version — without touching the directory.
+// the one Save writes (v6) and v5, which an earlier build wrote (the
+// compacted snapshot of the catalog's committed data directory), and
+// refuses every other rung, older or newer, by naming its version —
+// without touching the directory.
 func TestFormatLadderCompat(t *testing.T) {
 	tree := pxmltest.Fig2Tree()
-	for _, version := range []int{1, 2, 3, 4, store.FormatVersion, store.FormatVersion + 1} {
+	for _, version := range []int{1, 2, 3, 4, 5, store.FormatVersion, store.FormatVersion + 1} {
 		dir := t.TempDir()
-		if version == store.FormatVersion {
+		switch version {
+		case 5:
+			v5, err := store.Load(filepath.Join("..", "catalog", "testdata", "datadir", "book", "state"))
+			if err != nil {
+				t.Fatalf("v5: Load: %v", err)
+			}
+			if v5.Manifest.FormatVersion != 5 || v5.Tree.NodeCount() != v5.Manifest.LogicalNodes {
+				t.Fatalf("v5: loaded manifest v%d, %d logical nodes", v5.Manifest.FormatVersion, v5.Tree.NodeCount())
+			}
+			tree = v5.Tree // saved again below, as v6
+			continue
+		case store.FormatVersion:
 			if _, err := store.Save(dir, tree, nil, ""); err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +230,7 @@ func TestFormatLadderCompat(t *testing.T) {
 			if err != nil {
 				t.Fatalf("v%d: Load: %v", version, err)
 			}
-			if snap.Manifest.FormatVersion != version || !pxml.Equal(snap.Tree.Root(), tree.Root()) {
+			if snap.Manifest.FormatVersion != version || !pxml.Equal(snap.Tree.Root(), tree.Root()) || snap.Tree.Digest() != tree.Digest() {
 				t.Fatalf("v%d: loaded manifest v%d, tree equal %v", version, snap.Manifest.FormatVersion, pxml.Equal(snap.Tree.Root(), tree.Root()))
 			}
 			continue
