@@ -255,45 +255,44 @@ func TestBinaryNearOneProbabilityClamped(t *testing.T) {
 	}
 }
 
-// FuzzDecodeArena: arbitrary bytes decode, under every revision, to an
-// error or to a valid document that round-trips through the
-// self-contained and the compact layout alike. The seeds hold revision 1,
-// 2 and 3 payloads; the shared ones resolve against one table.
+// FuzzDecodeArena: arbitrary bytes decode, as a self-contained payload,
+// to an error or to a valid document that round-trips through the
+// self-contained and the compact layout alike.
 func FuzzDecodeArena(f *testing.F) {
 	f.Add(binaryFixture().AppendBinary(nil))
 	f.Add(CertainTree(NewLeaf("a", "x")).AppendBinary(nil))
 	f.Add(MustTree(NewProb(NewPoss(1))).AppendBinary(nil))
 	f.Add([]byte{BinaryVersion, 0, 1, byte(KindProb), 1, 0})
 	f.Add([]byte{})
-	var tab codec.SharedStrings
-	for _, tr := range []*Tree{binaryFixture(), CertainTree(NewLeaf("a", "x"))} {
-		f.Add(tr.appendShared(nil, &tab, BinaryVersionShared))
-		f.Add(tr.AppendBinaryShared(nil, &tab))
-	}
-	strs := tab.Strings()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeArenaWith(data, DecodeArenaOptions{Strings: strs})
+		tr, err := DecodeArena(data)
 		if err != nil {
 			return
 		}
-		// Anything accepted must be a valid document that round-trips.
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("decoded tree invalid: %v", err)
-		}
-		again, err := DecodeArena(tr.AppendBinary(nil))
-		if err != nil {
-			t.Fatalf("re-encode failed to decode: %v", err)
-		}
-		if !Equal(tr.Root(), again.Root()) {
-			t.Fatal("re-encode round trip not Equal")
-		}
-		var fresh codec.SharedStrings
-		compact, err := DecodeArenaWith(tr.AppendBinaryShared(nil, &fresh), DecodeArenaOptions{Strings: fresh.Strings()})
-		if err != nil || compact.Digest() != tr.Digest() || !Equal(tr.Root(), compact.Root()) {
-			t.Fatalf("compact round trip: %v", err)
-		}
-		if math.IsNaN(tr.Root().Prob()) {
-			t.Fatal("NaN probability survived")
-		}
+		checkDecodedArena(t, tr)
 	})
+}
+
+// checkDecodedArena holds what every accepted payload must give: a valid
+// document that round-trips, with no NaN probability.
+func checkDecodedArena(t *testing.T, tr *Tree) {
+	t.Helper()
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("decoded tree invalid: %v", err)
+	}
+	again, err := DecodeArena(tr.AppendBinary(nil))
+	if err != nil {
+		t.Fatalf("re-encode failed to decode: %v", err)
+	}
+	if !Equal(tr.Root(), again.Root()) {
+		t.Fatal("re-encode round trip not Equal")
+	}
+	var fresh codec.SharedStrings
+	compact, err := DecodeArenaWith(tr.AppendBinaryShared(nil, &fresh), DecodeArenaOptions{Strings: fresh.Strings()})
+	if err != nil || compact.Digest() != tr.Digest() || !Equal(tr.Root(), compact.Root()) {
+		t.Fatalf("compact round trip: %v", err)
+	}
+	if math.IsNaN(tr.Root().Prob()) {
+		t.Fatal("NaN probability survived")
+	}
 }
