@@ -13,8 +13,8 @@ import (
 )
 
 // TestNewHTTPHandler drives the public HTTP surface end to end: open a
-// catalog, serve it, load a source and integrate a second one into the
-// default database over the wire, query.
+// catalog, serve it, create a database, load a source and integrate a
+// second one into it over the wire, query.
 func TestNewHTTPHandler(t *testing.T) {
 	cat, err := imprecise.OpenCatalog(t.TempDir(), imprecise.CatalogOptions{
 		Config:  imprecise.Config{Schema: imprecise.MustParseDTD(qsDTD)},
@@ -27,22 +27,27 @@ func TestNewHTTPHandler(t *testing.T) {
 	ts := httptest.NewServer(imprecise.NewCatalogHTTPHandler(cat, imprecise.ServerOptions{}))
 	defer ts.Close()
 
-	for _, step := range []struct{ path, body string }{
-		{"/integrate?mode=replace", qsBookA},
-		{"/integrate", qsBookB},
+	for _, step := range []struct{ method, path, body string }{
+		{"PUT", "/dbs/default", ""},
+		{"POST", "/dbs/default/integrate?mode=replace", qsBookA},
+		{"POST", "/dbs/default/integrate", qsBookB},
 	} {
-		resp, err := http.Post(ts.URL+step.path, "application/xml", strings.NewReader(step.body))
+		req, err := http.NewRequest(step.method, ts.URL+step.path, strings.NewReader(step.body))
 		if err != nil {
-			t.Fatalf("POST %s: %v", step.path, err)
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", step.method, step.path, err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: status %d, body %s", step.path, resp.StatusCode, body)
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("%s %s: status %d, body %s", step.method, step.path, resp.StatusCode, body)
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/query?q=" + url.QueryEscape(`//person/tel`))
+	resp, err := http.Get(ts.URL + "/dbs/default/query?q=" + url.QueryEscape(`//person/tel`))
 	if err != nil {
 		t.Fatalf("GET /query: %v", err)
 	}

@@ -353,13 +353,13 @@ func OpenCatalog(dir string, opts CatalogOptions) (*Catalog, error) {
 }
 
 // NewCatalogHTTPHandler exposes a catalog over the JSON-over-HTTP API of
-// the `imprecise serve` command: every per-database verb under
-// /dbs/{name}/…, catalog management on /dbs, and the root routes
-// (/integrate, /query, /feedback, /stats, …) aliased to the catalog's
-// default database. A catalog handler is also a replication primary: it
-// ships its write-ahead logs under /dbs/{name}/wal and serves bootstrap
-// snapshots for replicas. The handler is safe for concurrent requests;
-// see README.md for the endpoint reference.
+// the `imprecise serve` command: every per-database verb (/integrate,
+// /query, /feedback, /stats, …) under /dbs/{name}/…, and catalog
+// management on /dbs, where PUT /dbs/{name} creates a database. A catalog
+// handler is also a replication primary: it ships its write-ahead logs
+// under /dbs/{name}/wal and serves bootstrap snapshots for replicas. The
+// handler is safe for concurrent requests; see README.md for the endpoint
+// reference.
 func NewCatalogHTTPHandler(c *Catalog, opts ServerOptions) http.Handler {
 	return server.NewCatalog(c, opts).Handler()
 }

@@ -36,7 +36,8 @@ const (
 	stateDirName     = "state"
 	snapshotsDirName = "snapshots"
 
-	// DefaultName is the database legacy single-database clients land on.
+	// DefaultName names the snapshot SaveNamed and LoadNamed use when
+	// given no name.
 	DefaultName = "default"
 	// DefaultCompactEvery triggers compaction after this many journaled
 	// ops since the last snapshot.
@@ -522,22 +523,6 @@ func (c *Catalog) Get(name string) (*DB, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	return db, nil
-}
-
-// Default returns the catalog's default database, creating it on first
-// use — the landing spot for legacy single-database clients.
-func (c *Catalog) Default() (*DB, error) {
-	c.mu.Lock()
-	if db, ok := c.dbs[DefaultName]; ok {
-		c.mu.Unlock()
-		return db, nil
-	}
-	c.mu.Unlock()
-	db, err := c.Create(DefaultName)
-	if errors.Is(err, ErrExists) {
-		return c.Get(DefaultName)
-	}
-	return db, err
 }
 
 // Names returns the database names, sorted.

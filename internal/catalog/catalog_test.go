@@ -247,15 +247,6 @@ func TestCatalogCreateGetDropSemantics(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(cat.Dir(), "a")); !os.IsNotExist(err) {
 		t.Fatalf("dropped directory survives: %v", err)
 	}
-	// Default materializes on demand and is stable.
-	d1, err := cat.Default()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := cat.Default()
-	if err != nil || d1 != d2 {
-		t.Fatalf("Default not stable: %v", err)
-	}
 }
 
 func TestDataDirSingleProcessLock(t *testing.T) {

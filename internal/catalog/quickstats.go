@@ -38,6 +38,9 @@ type QuickStat struct {
 	// decoding it.
 	WALSegments int   `json:"wal_segments"`
 	WALBytes    int64 `json:"wal_bytes"`
+	// Unloadable says why this build cannot load the snapshot ("" when
+	// it can): opening the catalog would refuse it.
+	Unloadable string `json:"unloadable,omitempty"`
 }
 
 // QuickStats reads the manifest-level stats of every database under a
@@ -65,6 +68,9 @@ func QuickStats(dir string) ([]QuickStat, error) {
 		case err == nil:
 			qs.HasSnapshot = true
 			qs.FormatVersion = m.FormatVersion
+			if err := store.CheckFormat(m.FormatVersion); err != nil {
+				qs.Unloadable = err.Error()
+			}
 			qs.LogicalNodes = m.LogicalNodes
 			qs.Worlds = m.Worlds
 			qs.SnapshotSeq = m.LogSeq

@@ -420,7 +420,7 @@ func runServe(args []string, w io.Writer) error {
 		return errors.New("serve: -query-budget must be >= 0")
 	}
 	if *dataDir == "" {
-		return errors.New("serve: -data is required (the durable catalog directory; the root routes serve its default database)")
+		return errors.New("serve: -data is required (the durable catalog directory whose databases it serves under /dbs/{name})")
 	}
 	cfg := core.Config{
 		Schema: schema,
@@ -639,6 +639,9 @@ func quickList(dataDir string, w io.Writer) error {
 		fmt.Fprintf(w, "%-20s %6d nodes  %8s worlds  %3d integrations  %3d feedback  snapshot seq %d (v%d)  wal %d bytes\n",
 			qs.Name, qs.LogicalNodes, qs.Worlds, qs.Integrations,
 			qs.Feedback, qs.SnapshotSeq, qs.FormatVersion, qs.WALBytes)
+		if qs.Unloadable != "" {
+			fmt.Fprintf(w, "%-20s UNLOADABLE: %s\n", "", qs.Unloadable)
+		}
 	}
 	return nil
 }
@@ -659,6 +662,9 @@ func quickStats(dataDir, name string, w io.Writer) error {
 		fmt.Fprintf(w, "feedback events: %d\n", qs.Feedback)
 		fmt.Fprintf(w, "snapshot:        seq %d, format v%d, epoch %d, saved %s\n",
 			qs.SnapshotSeq, qs.FormatVersion, qs.Epoch, qs.SavedAt.Format(time.RFC3339))
+		if qs.Unloadable != "" {
+			fmt.Fprintf(w, "UNLOADABLE:      %s\n", qs.Unloadable)
+		}
 	}
 	fmt.Fprintf(w, "wal:             %d segment(s), %d bytes past snapshot\n", qs.WALSegments, qs.WALBytes)
 	fmt.Fprintln(w, "(manifest-only view; pass -full for live recovery numbers)")

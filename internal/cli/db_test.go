@@ -1,7 +1,9 @@
 package cli
 
 import (
+	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
@@ -167,6 +169,44 @@ func TestDBQuickListManifestOnly(t *testing.T) {
 	sb.Reset()
 	if err := Run([]string{"db", "-data", data, "-full", "list"}, &sb); err == nil {
 		t.Fatal("-full list accepted a corrupt document payload")
+	}
+}
+
+// TestDBQuickListFlagsUnloadableFormat: the manifest-only listing names a
+// snapshot whose format version this build cannot load — v4 and v7 — and
+// leaves the loadable v5 and v6 unflagged.
+func TestDBQuickListFlagsUnloadableFormat(t *testing.T) {
+	data := t.TempDir()
+	for v := 4; v <= 7; v++ {
+		state := filepath.Join(data, fmt.Sprintf("v%d", v), "state")
+		if err := os.MkdirAll(state, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		manifest := fmt.Sprintf(`{"format_version":%d,"worlds":"1"}`, v)
+		if err := os.WriteFile(filepath.Join(state, "manifest.json"), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := catalog.QuickStats(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := map[string]bool{}
+	for _, qs := range stats {
+		flagged[qs.Name] = qs.Unloadable != ""
+	}
+	if want := map[string]bool{"v4": true, "v5": false, "v6": false, "v7": true}; !maps.Equal(flagged, want) {
+		t.Fatalf("unloadable = %v, want %v", flagged, want)
+	}
+	out := runCLI(t, "db", "-data", data, "list")
+	if n := strings.Count(out, "UNLOADABLE"); n != 2 || !strings.Contains(out, "version 4") || !strings.Contains(out, "version 7") {
+		t.Fatalf("quick list flags %d snapshot(s), want v4 and v7:\n%s", n, out)
+	}
+	if out := runCLI(t, "db", "-data", data, "stats", "v7"); !strings.Contains(out, "UNLOADABLE") {
+		t.Fatalf("quick stats of a v7 snapshot does not flag it:\n%s", out)
+	}
+	if out := runCLI(t, "db", "-data", data, "stats", "v6"); strings.Contains(out, "UNLOADABLE") {
+		t.Fatalf("quick stats flags a loadable v6 snapshot:\n%s", out)
 	}
 }
 

@@ -86,7 +86,15 @@ func TestServeReplicaOf(t *testing.T) {
 		}
 		return data
 	}
-	post(primaryURL, "/dbs", "application/json", `{"name":"movies"}`, http.StatusCreated)
+	req, err := http.NewRequest("PUT", primaryURL+"/dbs/movies", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT /dbs/movies: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
+	}
 	post(primaryURL, "/dbs/movies/integrate", "application/xml",
 		`<addressbook><person><nm>John</nm><tel>1111</tel></person></addressbook>`, http.StatusOK)
 

@@ -15,8 +15,8 @@ import (
 )
 
 // TestServeEndToEnd boots `imprecise serve -data` on an ephemeral port,
-// drives the root routes of the default database (integrate, query,
-// feedback, save), and shuts it down by closing the listener.
+// creates a database and drives its routes (integrate, query, feedback,
+// save), and shuts it down by closing the listener.
 func TestServeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	lnCh := make(chan net.Listener, 1)
@@ -87,10 +87,19 @@ func TestServeEndToEnd(t *testing.T) {
 
 	get("/healthz", http.StatusOK)
 
-	// Empty default database: replace with source A, merge source B.
-	post("/integrate?mode=replace", "application/xml",
+	// Empty new database: replace with source A, merge source B.
+	req, err := http.NewRequest("PUT", base+"/dbs/default", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT /dbs/default: %v %v", resp, err)
+	}
+	resp.Body.Close()
+	post("/dbs/default/integrate?mode=replace", "application/xml",
 		`<addressbook><person><nm>John</nm><tel>1111</tel></person></addressbook>`, http.StatusOK)
-	data := post("/integrate", "application/xml",
+	data := post("/dbs/default/integrate", "application/xml",
 		`<addressbook><person><nm>John</nm><tel>2222</tel></person></addressbook>`, http.StatusOK)
 	var ir struct {
 		Worlds string `json:"worlds"`
@@ -99,7 +108,7 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("integrate response %s (err %v)", data, err)
 	}
 
-	data = get("/query?explain=1&q="+url.QueryEscape(`//person/tel`), http.StatusOK)
+	data = get("/dbs/default/query?explain=1&q="+url.QueryEscape(`//person/tel`), http.StatusOK)
 	var qr struct {
 		Answers []struct {
 			Value string  `json:"value"`
@@ -113,9 +122,9 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("query response %s (err %v), want 2 exact answers with a plan", data, err)
 	}
 
-	post("/feedback", "application/json",
+	post("/dbs/default/feedback", "application/json",
 		`{"query":"//person/tel","value":"2222","correct":false}`, http.StatusOK)
-	post("/save", "application/json", `{"name":"s1"}`, http.StatusOK)
+	post("/dbs/default/save", "application/json", `{"name":"s1"}`, http.StatusOK)
 
 	ln.Close()
 	select {

@@ -51,9 +51,6 @@ type Event struct {
 type Options struct {
 	// LocalWorldLimit bounds anchor-subtree enumeration for rejections.
 	LocalWorldLimit int
-	// GlobalWorldLimit bounds whole-document enumeration for
-	// confirmations.
-	GlobalWorldLimit int
 	// Now supplies timestamps (for tests); nil means time.Now.
 	Now func() time.Time
 }
@@ -79,7 +76,7 @@ func (s *Session) History() []Event { return s.history }
 
 // Apply processes one judgment on a query answer and updates the
 // document. Rejections use exact factorized conditioning; confirmations
-// require world enumeration within Options.GlobalWorldLimit.
+// require world enumeration within query.ConditionPresent's default limit.
 func (s *Session) Apply(q *query.Query, value string, j Judgment) (Event, error) {
 	return s.ApplyAt(q, value, j, time.Time{})
 }
@@ -98,7 +95,7 @@ func (s *Session) ApplyAt(q *query.Query, value string, j Judgment, when time.Ti
 	case Incorrect:
 		nt, p, err = query.ConditionAbsent(s.tree, q, value, s.opts.LocalWorldLimit)
 	case Correct:
-		nt, p, err = query.ConditionPresent(s.tree, q, value, s.opts.GlobalWorldLimit)
+		nt, p, err = query.ConditionPresent(s.tree, q, value, 0)
 	default:
 		return Event{}, fmt.Errorf("feedback: unknown judgment %d", j)
 	}

@@ -1,7 +1,6 @@
 package integrate_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -41,22 +40,10 @@ var sameTitle = oracle.NewRule("same-title", func(a, b *pxml.Node) oracle.Verdic
 	return oracle.Verdict{}
 })
 
-// TestStrictOracleSeesBlockedPairs: under Strict a must/cannot conflict is
-// an error, not a verdict, so a pair the year keys rule out must still
-// reach the conflicting rule.
-func TestStrictOracleSeesBlockedPairs(t *testing.T) {
-	rules := []oracle.Rule{oracle.YearRule(), sameTitle}
-	_, _, err := integrate.Integrate(mustDecode(t, jaws1975), mustDecode(t, jaws1978),
-		integrate.Config{Oracle: oracle.New(rules, oracle.Strict())})
-	var conflict *oracle.ConflictError
-	if !errors.As(err, &conflict) {
-		t.Fatalf("strict integration of a year/title conflict: err = %v, want a *oracle.ConflictError", err)
-	}
-}
-
-// TestBlockedPairIsNotAnOracleCall: without Strict the same conflict
-// resolves to cannot-match; with keys the pair is never put to the Oracle,
-// without them it is, and the results are the same document.
+// TestBlockedPairIsNotAnOracleCall: the year rule's cannot-match and the
+// title rule's must-match on the two Jaws resolve to cannot-match; with
+// keys the pair is never put to the Oracle, without them it is, and the
+// results are the same document.
 func TestBlockedPairIsNotAnOracleCall(t *testing.T) {
 	rules := []oracle.Rule{oracle.YearRule(), sameTitle}
 	blocked, stB, err := integrate.Integrate(mustDecode(t, jaws1975), mustDecode(t, jaws1978),
@@ -127,11 +114,10 @@ func joinDiff(o *oracle.Oracle, as, bs []*pxml.Node) string {
 // meet movies merged and left uncertain by earlier ones — integrating with
 // the stock rules and with the same rules stripped of their keys gives the
 // same document. The pairs blocking skips are all cannot-match, so the
-// other pair counters agree too. It holds for the movie rules, under
-// Strict (which blocks nothing), with two KeyField rules and with rules
-// wrapped in a type of another package; and the pairs the Pairing's join
-// enumerates are, in order, those the nested loop over every pair leaves
-// unblocked.
+// other pair counters agree too. It holds for the movie rules, with two
+// KeyField rules and with rules wrapped in a type of another package; and
+// the pairs the Pairing's join enumerates are, in order, those the nested
+// loop over every pair leaves unblocked.
 func TestBlockedEqualsUnblocked(t *testing.T) {
 	schema := datagen.MovieDTD()
 	est := oracle.WithEstimator("movie", oracle.TitleEstimator())
@@ -147,7 +133,6 @@ func TestBlockedEqualsUnblocked(t *testing.T) {
 		opts  []oracle.Option
 	}{
 		{"movie", movie, []oracle.Option{est}},
-		{"strict", movie, []oracle.Option{oracle.Strict()}},
 		{"two keys", twoKeys, []oracle.Option{est}},
 		{"wrapped", wrapped, []oracle.Option{est}},
 	}

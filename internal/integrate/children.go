@@ -34,11 +34,8 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 	// rules out costs nothing and is never put to the Oracle. Every other
 	// pair is decided when it is met, from inputs prepared once per element
 	// (and kept in the Oracle's table across calls, see Retain below), and
-	// becomes an edge unless the verdict is cannot-match. Under oracle.Strict
-	// the first error in (i, j) order is returned, once every pair is
-	// decided and counted.
+	// becomes an edge unless the verdict is cannot-match.
 	var edges []edge
-	var firstErr error
 	pairing := it.cfg.Oracle.Pair(certA, certB)
 	defer pairing.Release()
 	calls := it.stats.OracleCalls
@@ -50,21 +47,13 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 			if root {
 				it.work.pairs++
 			}
-			v, err := it.decide(pairing, i, j)
-			if err != nil {
-				firstErr = cmp.Or(firstErr, err)
-				continue
-			}
-			if v.Decision != oracle.CannotMatch {
+			if v := it.decide(pairing, i, j); v.Decision != oracle.CannotMatch {
 				edges = append(edges, edge{i: i, j: j, p: v.P, must: v.Decision == oracle.MustMatch})
 			}
 		}
 	}
 	if root {
 		it.work.calls = it.stats.OracleCalls - calls
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	comps := it.components(edges, len(certA), len(certB))
@@ -85,6 +74,7 @@ func (it *integrator) integrateChildren(x, y *pxml.Node) ([]*pxml.Node, error) {
 	// lowest failing one is returned: a caller may absorb that error as an
 	// incompatible merge, and the counters must not depend on which
 	// component failed first.
+	var firstErr error
 	choices := make([]*pxml.Node, len(comps))
 	for ci, c := range comps {
 		tags, allowed := budget.of(ci)

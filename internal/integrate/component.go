@@ -66,7 +66,6 @@ func (it *integrator) buildChoice(c component, certA, certB []*pxml.Node, tags [
 	var poss []possibility
 	total := 0.0
 	anyIncompatible := false
-	maxAlts := it.cfg.maxAlternatives()
 	for _, m := range kept {
 		matchedA := map[int]int{} // A index -> B index
 		usedB := map[int]bool{}
@@ -109,9 +108,9 @@ func (it *integrator) buildChoice(c component, certA, certB []*pxml.Node, tags [
 		var expand func(si int, w float64) error
 		expand = func(si int, w float64) error {
 			if si == len(slots) {
-				if len(poss)+1 > maxAlts {
+				if len(poss)+1 > maxAlternatives {
 					return fmt.Errorf("%w: more than %d alternatives in the <%s> group",
-						ErrExplosion, maxAlts, componentTag(c, certA))
+						ErrExplosion, maxAlternatives, componentTag(c, certA))
 				}
 				cp := make([]*pxml.Node, len(elems))
 				copy(cp, elems)

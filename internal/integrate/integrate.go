@@ -66,10 +66,6 @@ type Config struct {
 	// MaxMatchingsPerComponent bounds the matchings enumerated for one
 	// candidate component. Zero means the default (200000).
 	MaxMatchingsPerComponent int
-	// MaxAlternativesPerChoice bounds the possibility count of one choice
-	// point after value-conflict expansion. Zero means the default
-	// (1000000).
-	MaxAlternativesPerChoice int
 	// TruncateOnExplosion keeps the matchings enumerated so far (plus
 	// renormalization) instead of failing when a budget is exceeded.
 	TruncateOnExplosion bool
@@ -97,8 +93,10 @@ func NewMemo(maxEntries int) *Memo { return &Memo{} }
 func (m *Memo) Purge() {}
 
 const (
-	defaultMaxMatchings    = 200000
-	defaultMaxAlternatives = 1000000
+	defaultMaxMatchings = 200000
+	// maxAlternatives bounds the possibility count of one choice point
+	// after value-conflict expansion.
+	maxAlternatives = 1000000
 )
 
 func (c Config) maxMatchings() int {
@@ -106,13 +104,6 @@ func (c Config) maxMatchings() int {
 		return c.MaxMatchingsPerComponent
 	}
 	return defaultMaxMatchings
-}
-
-func (c Config) maxAlternatives() int {
-	if c.MaxAlternativesPerChoice > 0 {
-		return c.MaxAlternativesPerChoice
-	}
-	return defaultMaxAlternatives
 }
 
 func (c Config) weightA() float64 {
@@ -295,13 +286,9 @@ type integrator struct {
 	merges map[pair]mergeResult
 }
 
-// decide returns the verdict on pair (i, j) of p and accounts for it. An
-// error (a rule conflict under oracle.Strict) is returned, not counted.
-func (it *integrator) decide(p *oracle.Pairing, i, j int) (oracle.Verdict, error) {
-	v, err := p.Decide(i, j)
-	if err != nil {
-		return v, err
-	}
+// decide returns the verdict on pair (i, j) of p and accounts for it.
+func (it *integrator) decide(p *oracle.Pairing, i, j int) oracle.Verdict {
+	v := p.Decide(i, j)
 	it.stats.OracleCalls++
 	switch v.Decision {
 	case oracle.MustMatch:
@@ -311,7 +298,7 @@ func (it *integrator) decide(p *oracle.Pairing, i, j int) (oracle.Verdict, error
 	default:
 		it.stats.UndecidedPairs++
 	}
-	return v, nil
+	return v
 }
 
 // mergePair integrates two elements that are assumed to refer to the same

@@ -86,19 +86,6 @@ type Estimator func(a, b *pxml.Node) float64
 // mutually exclusive possibilities (the default behaviour).
 type Reconciler func(a, b string) (value string, ok bool)
 
-// ConflictError reports two rules making opposite absolute decisions about
-// the same pair.
-type ConflictError struct {
-	TagA, TagB string
-	MustRule   string
-	CannotRule string
-}
-
-func (e *ConflictError) Error() string {
-	return fmt.Sprintf("oracle: conflicting decisions on <%s>/<%s> pair: %q says must-match, %q says cannot-match",
-		e.TagA, e.TagB, e.MustRule, e.CannotRule)
-}
-
 // Oracle evaluates rules over element pairs. Decide, Pair and Reconcile are
 // safe for concurrent use (different databases integrate concurrently)
 // provided the installed rules, estimators and reconcilers are pure
@@ -110,10 +97,8 @@ type Oracle struct {
 	rules       []Rule
 	builtins    []*builtin // builtins[r] is rules[r] when built in this package, else nil
 	keyRules    []int      // the rules that may have blocking keys: KeyField and those built elsewhere
-	prior       float64
 	estimators  map[string]Estimator
 	reconcilers map[string]Reconciler
-	strict      bool
 	calls       atomic.Int64
 	undecided   atomic.Int64
 
@@ -126,27 +111,12 @@ type Oracle struct {
 // Option configures an Oracle.
 type Option func(*Oracle)
 
-// WithPrior sets the default match probability for undecided pairs
-// (default 0.5). It must lie strictly between 0 and 1.
-func WithPrior(p float64) Option {
-	if p <= 0 || p >= 1 {
-		panic(fmt.Sprintf("oracle: prior %g must be in (0,1)", p))
-	}
-	return func(o *Oracle) { o.prior = p }
-}
-
 // WithEstimator installs a probability estimator for undecided pairs of
 // elements with the given tag. Estimates are clamped into
 // [ProbFloor, 1-ProbFloor] so an estimator cannot silently make absolute
 // decisions.
 func WithEstimator(tag string, e Estimator) Option {
 	return func(o *Oracle) { o.estimators[tag] = e }
-}
-
-// Strict makes rule conflicts an error instead of resolving them in favor
-// of CannotMatch.
-func Strict() Option {
-	return func(o *Oracle) { o.strict = true }
 }
 
 // WithReconciler installs a value reconciler for matched leaves with the
@@ -159,6 +129,10 @@ func WithReconciler(tag string, r Reconciler) Option {
 // ProbFloor bounds Unknown estimates away from the absolute decisions.
 const ProbFloor = 0.01
 
+// prior is the match probability of an undecided pair whose tag has no
+// estimator.
+const prior = 0.5
+
 // New builds an Oracle with the given rules, applied in order. The paper's
 // generic rule "two deep-equal elements refer to the same rwo" is always
 // present; the other generic rule ("no two siblings in one source refer to
@@ -166,7 +140,6 @@ const ProbFloor = 0.01
 func New(rules []Rule, opts ...Option) *Oracle {
 	o := &Oracle{
 		rules:       append([]Rule{DeepEqual()}, rules...),
-		prior:       0.5,
 		estimators:  make(map[string]Estimator),
 		reconcilers: make(map[string]Reconciler),
 	}
@@ -202,8 +175,8 @@ type Pairing struct {
 	ents  []*entry
 	own   []bool
 	// keyed lists the rules some element has a key under; join is the one
-	// the second list is bucketed by (-1 for none, and under Strict): its
-	// elements with key k are buckets[bucketOf[k]], those without keyless.
+	// the second list is bucketed by (-1 for none): its elements with key
+	// k are buckets[bucketOf[k]], those without keyless.
 	keyed    []int
 	join     int
 	bucketOf map[string]int
@@ -235,9 +208,7 @@ var pairings = sync.Pool{New: func() any { return &Pairing{bucketOf: map[string]
 // buckets the second list by the first rule any of its elements has a key
 // under. A pair it reports blocked is one Decide answers CannotMatch: a
 // rule's keys differ, so it decides cannot-match (the BlockKey contract),
-// which prevails over the other rules — except under Strict, where a
-// must-match from another rule makes the pair a ConflictError, so nothing is
-// blocked.
+// which prevails over the other rules.
 func (o *Oracle) Pair(as, bs []*pxml.Node) *Pairing {
 	p := pairings.Get().(*Pairing)
 	p.o, p.na, p.elems = o, len(as), append(append(p.elems, as...), bs...)
@@ -303,7 +274,7 @@ func (p *Pairing) bucket() {
 			continue
 		}
 		p.keyed = append(p.keyed, r)
-		if p.join < 0 && k >= p.na && !p.o.strict {
+		if p.join < 0 && k >= p.na {
 			p.join = r
 		}
 	}
@@ -369,11 +340,8 @@ func (p *Pairing) Candidates(i int) []int {
 }
 
 // Blocked reports whether the i-th element of the first list and the j-th
-// of the second cannot match: outside Strict, a rule's keys for both differ.
+// of the second cannot match: a rule's keys for both differ.
 func (p *Pairing) Blocked(i, j int) bool {
-	if p.o.strict {
-		return false
-	}
 	for _, r := range p.keyed {
 		if ka, kb := p.key(i, r), p.key(p.na+j, r); ka != "" && kb != "" && ka != kb {
 			return true
@@ -384,7 +352,7 @@ func (p *Pairing) Blocked(i, j int) bool {
 
 // Decide is Oracle.Decide on the i-th element of the first list and the
 // j-th of the second, the built-in rules comparing the two's inputs.
-func (p *Pairing) Decide(i, j int) (Verdict, error) {
+func (p *Pairing) Decide(i, j int) Verdict {
 	return p.o.decide(p.elems[i], p.elems[p.na+j], p.inputs(i), p.inputs(p.na+j))
 }
 
@@ -512,13 +480,16 @@ func (o *Oracle) Rules() []string {
 }
 
 // Decide runs every rule on the pair and combines their verdicts. All rules
-// are consulted (not just the first decisive one) so that conflicts are
-// detected. With multiple agreeing decisive rules the first one is
-// reported.
-func (o *Oracle) Decide(a, b *pxml.Node) (Verdict, error) { return o.decide(a, b, nil, nil) }
+// are consulted (not just the first decisive one): a must-match and a
+// cannot-match on one pair resolve to cannot-match. With multiple agreeing
+// decisive rules the first one is reported. An undecided pair gets the
+// prior 0.5, or the estimate of the estimator installed for its tag. The
+// error is always nil: rule conflicts resolve, they do not fail. The
+// second result is kept for benchmark/trace.go, which takes two.
+func (o *Oracle) Decide(a, b *pxml.Node) (Verdict, error) { return o.decide(a, b, nil, nil), nil }
 
 // decide is Decide, the built-in rules comparing the inputs ia, ib if given.
-func (o *Oracle) decide(a, b *pxml.Node, ia, ib []input) (Verdict, error) {
+func (o *Oracle) decide(a, b *pxml.Node, ia, ib []input) Verdict {
 	o.calls.Add(1)
 	var must, cannot string
 	for r, rule := range o.rules {
@@ -541,26 +512,19 @@ func (o *Oracle) decide(a, b *pxml.Node, ia, ib []input) (Verdict, error) {
 	}
 	switch {
 	case must != "" && cannot != "":
-		if o.strict {
-			return Verdict{}, &ConflictError{TagA: a.Tag(), TagB: b.Tag(), MustRule: must, CannotRule: cannot}
-		}
-		// Default resolution: a cannot-match is the safer absolute
-		// decision (it keeps both elements rather than fabricating a
-		// merge).
-		return Verdict{Decision: CannotMatch, P: 0, Rule: cannot + " (overrides " + must + ")"}, nil
+		// A cannot-match is the safer absolute decision: it keeps both
+		// elements rather than fabricating a merge.
+		return Verdict{Decision: CannotMatch, P: 0, Rule: cannot + " (overrides " + must + ")"}
 	case must != "":
-		return Verdict{Decision: MustMatch, P: 1, Rule: must}, nil
+		return Verdict{Decision: MustMatch, P: 1, Rule: must}
 	case cannot != "":
-		return Verdict{Decision: CannotMatch, P: 0, Rule: cannot}, nil
+		return Verdict{Decision: CannotMatch, P: 0, Rule: cannot}
 	}
 	o.undecided.Add(1)
-	p := o.prior
-	rule := "prior"
 	if est, ok := o.estimators[a.Tag()]; ok {
-		p = clamp(est(a, b))
-		rule = "estimator"
+		return Verdict{Decision: Unknown, P: clamp(est(a, b)), Rule: "estimator"}
 	}
-	return Verdict{Decision: Unknown, P: p, Rule: rule}, nil
+	return Verdict{Decision: Unknown, P: prior, Rule: "prior"}
 }
 
 func nameOf(r Rule, v Verdict) string {

@@ -38,15 +38,15 @@ func TestDeepEqualRuleIsAlwaysPresent(t *testing.T) {
 }
 
 func TestUnknownUsesPrior(t *testing.T) {
-	o := oracle.New(nil, oracle.WithPrior(0.3))
+	o := oracle.New(nil)
 	a := elem(t, `<movie><title>Jaws</title></movie>`)
 	b := elem(t, `<movie><title>Jaws 2</title></movie>`)
 	v, err := o.Decide(a, b)
 	if err != nil {
 		t.Fatalf("Decide: %v", err)
 	}
-	if v.Decision != oracle.Unknown || v.P != 0.3 {
-		t.Fatalf("verdict = %+v, want unknown at prior 0.3", v)
+	if v.Decision != oracle.Unknown || v.P != 0.5 || v.Rule != "prior" {
+		t.Fatalf("verdict = %+v, want unknown at prior 0.5", v)
 	}
 	if o.Calls() != 1 || o.Undecided() != 1 {
 		t.Fatalf("stats calls=%d undecided=%d", o.Calls(), o.Undecided())
@@ -54,19 +54,6 @@ func TestUnknownUsesPrior(t *testing.T) {
 	o.ResetStats()
 	if o.Calls() != 0 || o.Undecided() != 0 {
 		t.Fatalf("stats not reset")
-	}
-}
-
-func TestWithPriorPanicsOutOfRange(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("WithPrior(%v) should panic", p)
-				}
-			}()
-			oracle.WithPrior(p)
-		}()
 	}
 }
 
@@ -200,34 +187,13 @@ func TestConflictDefaultResolvesToCannot(t *testing.T) {
 	o := oracle.New([]oracle.Rule{always, never})
 	v, err := o.Decide(elem(t, `<x>1</x>`), elem(t, `<x>2</x>`))
 	if err != nil {
-		t.Fatalf("non-strict conflict should not error: %v", err)
+		t.Fatalf("a conflict should not error: %v", err)
 	}
 	if v.Decision != oracle.CannotMatch {
 		t.Fatalf("conflict resolution = %+v, want cannot-match", v)
 	}
 	if !strings.Contains(v.Rule, "overrides") {
 		t.Fatalf("conflict rule label = %q", v.Rule)
-	}
-}
-
-func TestConflictStrictErrors(t *testing.T) {
-	always := oracle.NewRule("always-must", func(a, b *pxml.Node) oracle.Verdict {
-		return oracle.Verdict{Decision: oracle.MustMatch, P: 1}
-	})
-	never := oracle.NewRule("always-cannot", func(a, b *pxml.Node) oracle.Verdict {
-		return oracle.Verdict{Decision: oracle.CannotMatch}
-	})
-	o := oracle.New([]oracle.Rule{always, never}, oracle.Strict())
-	_, err := o.Decide(elem(t, `<x>1</x>`), elem(t, `<x>2</x>`))
-	if err == nil {
-		t.Fatalf("strict conflict should error")
-	}
-	ce, ok := err.(*oracle.ConflictError)
-	if !ok {
-		t.Fatalf("error type %T", err)
-	}
-	if ce.MustRule != "always-must" || ce.CannotRule != "always-cannot" {
-		t.Fatalf("conflict = %+v", ce)
 	}
 }
 
@@ -365,9 +331,6 @@ func TestBlockSkipsOnlyCannotMatchPairs(t *testing.T) {
 	if blocked != 1 || !p.Blocked(0, 1) {
 		t.Fatalf("%d pairs blocked, want only the 1975/1978 pair", blocked)
 	}
-	if n := blockedPairs(oracle.MovieOracle(oracle.SetGenreTitleYear, oracle.Strict()).Pair(as, bs), len(as), len(bs)); n != 0 {
-		t.Fatalf("a strict oracle must put every pair to every rule, yet it blocks %d", n)
-	}
 	if n := blockedPairs(o.Pair(as[1:], bs), len(as)-1, len(bs)); n != 0 {
 		t.Fatalf("no element of the first list has a key, yet %d pairs are blocked", n)
 	}
@@ -461,10 +424,10 @@ func TestPairingsAcrossGoroutines(t *testing.T) {
 				p := o.Pair(as, bs)
 				for i, a := range as {
 					for j, b := range bs {
-						got, err1 := p.Decide(i, j)
-						want, err2 := o.Decide(a, b)
-						if got != want || err1 != nil || err2 != nil {
-							t.Errorf("goroutine %d pair %d/%d: Pairing %+v (%v), Decide %+v (%v)", g, i, j, got, err1, want, err2)
+						got := p.Decide(i, j)
+						want, err := o.Decide(a, b)
+						if got != want || err != nil {
+							t.Errorf("goroutine %d pair %d/%d: Pairing %+v, Decide %+v (%v)", g, i, j, got, want, err)
 							return
 						}
 					}

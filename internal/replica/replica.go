@@ -31,8 +31,10 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -58,8 +60,6 @@ type Options struct {
 	// PollWait is the long-poll wait requested from the primary per WAL
 	// fetch (0 means 10s).
 	PollWait time.Duration
-	// BatchLimit caps records per WAL fetch (0 means the server default).
-	BatchLimit int
 	// MembershipEvery is the primary database-set poll interval (0 means
 	// 3s).
 	MembershipEvery time.Duration
@@ -237,8 +237,10 @@ func (r *Replica) Close() error {
 	return r.cat.Close()
 }
 
-// Status snapshots the replica's replication state, databases in the
-// catalog's sorted name order.
+// Status snapshots the replica's replication state: one row per database
+// the primary lists, sorted by name, whether or not its bootstrap has
+// succeeded yet — a database whose bootstrap keeps failing shows up with
+// its last error.
 func (r *Replica) Status() Status {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -250,10 +252,8 @@ func (r *Replica) Status() Status {
 		LastError:   r.lastErr,
 		Databases:   []DBStatus{},
 	}
-	for _, name := range r.cat.Names() {
-		if t, ok := r.tailers[name]; ok {
-			st.Databases = append(st.Databases, t.st)
-		}
+	for _, name := range slices.Sorted(maps.Keys(r.tailers)) {
+		st.Databases = append(st.Databases, r.tailers[name].st)
 	}
 	return st
 }
@@ -620,9 +620,6 @@ func (r *Replica) fetchWAL(t *tailer, since, epoch uint64) (*WALPage, error) {
 		"since": {strconv.FormatUint(since, 10)},
 		"wait":  {strconv.FormatInt(r.opts.PollWait.Milliseconds(), 10)},
 		"epoch": {strconv.FormatUint(epoch, 10)},
-	}
-	if r.opts.BatchLimit > 0 {
-		q.Set("limit", strconv.Itoa(r.opts.BatchLimit))
 	}
 	if t.tab.Len() > 0 {
 		q.Set("tab", t.tab.Mark().String())

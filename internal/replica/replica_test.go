@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
 	"net/url"
 	"slices"
 	"strconv"
@@ -234,6 +235,62 @@ func TestReplicationMembership(t *testing.T) {
 			t.Fatalf("membership did not converge: a err %v, b err %v", errA, errB)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestReplicationStatusListsFailingBootstrap: a database whose bootstrap
+// keeps failing — its snapshot stream is cut short — is listed in the
+// follower's status, at position 0 with the failure as its last error,
+// though it never comes to exist locally.
+func TestReplicationStatusListsFailingBootstrap(t *testing.T) {
+	cat, ts := startPrimary(t)
+	pdb, err := cat.Create("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pdb.Core().IntegrateXMLString(abA); err != nil {
+		t.Fatal(err)
+	}
+	target, err := url.Parse(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/dbs/x/snapshot" {
+			proxy.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		proxy.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+		w.Write(body[:len(body)/2])
+	}))
+	defer front.Close()
+
+	rep, err := replica.Open(t.TempDir(), fastOptions(front.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := rep.Status()
+		if len(st.Databases) == 1 && st.Databases[0].LastError != "" {
+			d := st.Databases[0]
+			if d.Name != "x" || d.LastApplied != 0 || d.SnapshotsInstalled != 0 {
+				t.Fatalf("status row %+v, want x at 0 with no snapshot", d)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("status never listed the failing database: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, err := rep.Catalog().Get("x"); err == nil {
+		t.Fatal("a cut-short snapshot was installed")
 	}
 }
 

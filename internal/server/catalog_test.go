@@ -39,17 +39,14 @@ func TestCatalogCreateListDrop(t *testing.T) {
 	ts, _ := newCatalogServer(t, t.TempDir())
 
 	var created server.CreateDBResponse
-	doJSON(t, "POST", ts.URL+"/dbs", "application/json",
-		strings.NewReader(`{"name":"movies"}`), http.StatusCreated, &created)
+	doJSON(t, "PUT", ts.URL+"/dbs/movies", "", nil, http.StatusCreated, &created)
 	if created.Name != "movies" {
 		t.Fatalf("create = %+v", created)
 	}
-	// PUT form, duplicate, and invalid names.
+	// A second database, a duplicate, and an invalid name.
 	doJSON(t, "PUT", ts.URL+"/dbs/books", "", nil, http.StatusCreated, nil)
-	doJSON(t, "POST", ts.URL+"/dbs", "application/json",
-		strings.NewReader(`{"name":"movies"}`), http.StatusConflict, nil)
-	doJSON(t, "POST", ts.URL+"/dbs", "application/json",
-		strings.NewReader(`{"name":"../evil"}`), http.StatusBadRequest, nil)
+	doJSON(t, "PUT", ts.URL+"/dbs/movies", "", nil, http.StatusConflict, nil)
+	doJSON(t, "PUT", ts.URL+"/dbs/.evil", "", nil, http.StatusBadRequest, nil)
 
 	var list server.DBListResponse
 	doJSON(t, "GET", ts.URL+"/dbs", "", nil, http.StatusOK, &list)
@@ -63,6 +60,40 @@ func TestCatalogCreateListDrop(t *testing.T) {
 	doJSON(t, "DELETE", ts.URL+"/dbs/books", "", nil, http.StatusOK, nil)
 	doJSON(t, "DELETE", ts.URL+"/dbs/books", "", nil, http.StatusNotFound, nil)
 	doJSON(t, "GET", ts.URL+"/dbs/books/stats", "", nil, http.StatusNotFound, nil)
+}
+
+// TestRouteTableRootPathsCreateNothing: a per-database verb answers only
+// under /dbs/{name}, and only PUT /dbs/{name} creates a database. Each
+// verb at its root path is a 404 that leaves the catalog empty and writes
+// no database directory, and POST /dbs is not a route.
+func TestRouteTableRootPathsCreateNothing(t *testing.T) {
+	dir := t.TempDir()
+	ts, cat := newCatalogServer(t, dir)
+	for _, v := range []struct{ method, path, body string }{
+		{"POST", "/integrate", bookA},
+		{"POST", "/integrate/batch", `{"sources":["<addressbook/>"]}`},
+		{"GET", "/query?q=%2F%2Fperson", ""},
+		{"POST", "/feedback", `{"query":"//person/tel","value":"1111","correct":true}`},
+		{"GET", "/stats", ""},
+		{"GET", "/worlds", ""},
+		{"GET", "/export", ""},
+		{"POST", "/save", `{"name":"s"}`},
+		{"POST", "/load", `{"name":"s"}`},
+		{"GET", "/wal?since=0", ""},
+		{"GET", "/snapshot", ""},
+	} {
+		doJSON(t, v.method, ts.URL+v.path, "", strings.NewReader(v.body), http.StatusNotFound, nil)
+	}
+	doJSON(t, "POST", ts.URL+"/dbs", "application/json",
+		strings.NewReader(`{"name":"movies"}`), http.StatusMethodNotAllowed, nil)
+	if names := cat.Names(); len(names) != 0 {
+		t.Fatalf("catalog names = %v, want none", names)
+	}
+	for _, name := range []string{catalog.DefaultName, "movies"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s/ written: %v", name, err)
+		}
+	}
 }
 
 func TestCatalogPerDatabaseVerbs(t *testing.T) {
@@ -108,29 +139,6 @@ func TestCatalogPerDatabaseVerbs(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/dbs/y/stats", "", nil, http.StatusOK, &sty)
 	if sty.Integrations != 0 || sty.Worlds != "1" {
 		t.Fatalf("y stats = %+v", sty)
-	}
-}
-
-// TestCatalogLegacyAliasAndDefault drives the legacy routes against a
-// catalog server: they operate on the auto-created default database.
-func TestCatalogLegacyAliasAndDefault(t *testing.T) {
-	ts, cat := newCatalogServer(t, t.TempDir())
-	var ir server.IntegrateResponse
-	doJSON(t, "POST", ts.URL+"/integrate", "application/xml",
-		strings.NewReader(bookA), http.StatusOK, &ir)
-	var st server.StatsResponse
-	doJSON(t, "GET", ts.URL+"/stats", "", nil, http.StatusOK, &st)
-	if st.Database != catalog.DefaultName || st.Integrations != 1 || st.WAL == nil {
-		t.Fatalf("legacy alias stats = %+v", st)
-	}
-	// The same database is visible under its /dbs address.
-	var st2 server.StatsResponse
-	doJSON(t, "GET", ts.URL+"/dbs/default/stats", "", nil, http.StatusOK, &st2)
-	if st2.Integrations != 1 {
-		t.Fatalf("default stats via /dbs = %+v", st2)
-	}
-	if names := cat.Names(); len(names) != 1 || names[0] != catalog.DefaultName {
-		t.Fatalf("catalog names = %v", names)
 	}
 }
 
@@ -251,15 +259,16 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// TestLegacySaveLoadRejectsPaths pins the path constraint on the root
-// routes too: absolute paths and traversal are 400s.
+// TestLegacySaveLoadRejectsPaths pins the path constraint on the
+// snapshot names of /save and /load: absolute paths, traversal and the
+// dot names are 400s.
 func TestLegacySaveLoadRejectsPaths(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for _, bad := range []string{`../evil`, `/etc/passwd`, `a/b`, `a\b`, `..`, `.`} {
 		body := fmt.Sprintf(`{"name":%q}`, bad)
-		doJSON(t, "POST", ts.URL+"/save", "application/json",
+		doJSON(t, "POST", ts.URL+"/dbs/default/save", "application/json",
 			strings.NewReader(body), http.StatusBadRequest, nil)
-		doJSON(t, "POST", ts.URL+"/load", "application/json",
+		doJSON(t, "POST", ts.URL+"/dbs/default/load", "application/json",
 			strings.NewReader(body), http.StatusBadRequest, nil)
 	}
 }

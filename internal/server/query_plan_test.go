@@ -17,14 +17,14 @@ func TestQueryMethodParameter(t *testing.T) {
 	q := url.QueryEscape(`//person[nm="John"]/tel`)
 
 	var auto server.QueryResponse
-	doJSON(t, "GET", ts.URL+"/query?q="+q, "", nil, http.StatusOK, &auto)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+q, "", nil, http.StatusOK, &auto)
 	if auto.Method == "" || auto.Method == "auto" {
 		t.Fatalf("auto query reports method %q, want the resolved strategy", auto.Method)
 	}
 
 	for _, m := range []string{"auto", "exact", "enumerate", "sample"} {
 		var resp server.QueryResponse
-		doJSON(t, "GET", ts.URL+"/query?q="+q+"&method="+m, "", nil, http.StatusOK, &resp)
+		doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+q+"&method="+m, "", nil, http.StatusOK, &resp)
 		if len(resp.Answers) != len(auto.Answers) {
 			t.Fatalf("method %s: %d answers, auto had %d", m, len(resp.Answers), len(auto.Answers))
 		}
@@ -42,13 +42,13 @@ func TestQueryExplainParameter(t *testing.T) {
 	q := url.QueryEscape(`//person[nm="John"]/tel`)
 
 	var plain server.QueryResponse
-	doJSON(t, "GET", ts.URL+"/query?q="+q, "", nil, http.StatusOK, &plain)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+q, "", nil, http.StatusOK, &plain)
 	if plain.Plan != nil {
 		t.Fatalf("plan attached without explain=1")
 	}
 
 	var explained server.QueryResponse
-	doJSON(t, "GET", ts.URL+"/query?q="+q+"&explain=1", "", nil, http.StatusOK, &explained)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+q+"&explain=1", "", nil, http.StatusOK, &explained)
 	if explained.Plan == nil {
 		t.Fatal("explain=1 returned no plan")
 	}
@@ -61,7 +61,7 @@ func TestQueryExplainParameter(t *testing.T) {
 
 	// The second identical query must be served from the result cache.
 	var cached server.QueryResponse
-	doJSON(t, "GET", ts.URL+"/query?q="+q+"&explain=1", "", nil, http.StatusOK, &cached)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+q+"&explain=1", "", nil, http.StatusOK, &cached)
 	if cached.Plan == nil || !cached.Plan.CacheHit {
 		t.Fatalf("repeat query not served from the result cache: %+v", cached.Plan)
 	}
@@ -81,7 +81,7 @@ func TestQueryParameterValidation(t *testing.T) {
 		var apiErr struct {
 			Error string `json:"error"`
 		}
-		doJSON(t, "GET", ts.URL+"/query?q="+q+bad, "", nil, http.StatusBadRequest, &apiErr)
+		doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+q+bad, "", nil, http.StatusBadRequest, &apiErr)
 		if apiErr.Error == "" {
 			t.Fatalf("parameter %q: empty error body", bad)
 		}
@@ -95,11 +95,11 @@ func TestStatsIndexAndResultCache(t *testing.T) {
 	integrateB(t, ts)
 	q := url.QueryEscape(`//person[nm="John"]/tel`)
 	var qr server.QueryResponse
-	doJSON(t, "GET", ts.URL+"/query?q="+q, "", nil, http.StatusOK, &qr)
-	doJSON(t, "GET", ts.URL+"/query?q="+q, "", nil, http.StatusOK, &qr)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+q, "", nil, http.StatusOK, &qr)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+q, "", nil, http.StatusOK, &qr)
 
 	var st server.StatsResponse
-	doJSON(t, "GET", ts.URL+"/stats", "", nil, http.StatusOK, &st)
+	doJSON(t, "GET", ts.URL+"/dbs/default/stats", "", nil, http.StatusOK, &st)
 	// Open built one index, the integrate swap another.
 	if st.Index.Builds < 2 {
 		t.Fatalf("index builds = %d, want >= 2", st.Index.Builds)

@@ -45,14 +45,14 @@ func TestQueryParameters(t *testing.T) {
 	} {
 		if tc.wantErr != "" {
 			var resp struct{ Error string }
-			doJSON(t, "GET", ts.URL+"/query?"+tc.query, "", nil, http.StatusBadRequest, &resp)
+			doJSON(t, "GET", ts.URL+"/dbs/default/query?"+tc.query, "", nil, http.StatusBadRequest, &resp)
 			if resp.Error != tc.wantErr {
 				t.Errorf("%s: error %q, want %q", tc.query, resp.Error, tc.wantErr)
 			}
 			continue
 		}
 		var resp server.QueryResponse
-		doJSON(t, "GET", ts.URL+"/query?"+tc.query, "", nil, http.StatusOK, &resp)
+		doJSON(t, "GET", ts.URL+"/dbs/default/query?"+tc.query, "", nil, http.StatusOK, &resp)
 		if len(resp.Answers) == 0 {
 			t.Errorf("%s: no answers", tc.query)
 		}
@@ -67,7 +67,7 @@ func TestQueryClientDisconnect(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest("GET", "/query?q="+url.QueryEscape(`//person/tel`), nil).WithContext(ctx)
+	req := httptest.NewRequest("GET", "/dbs/default/query?q="+url.QueryEscape(`//person/tel`), nil).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != 499 {
@@ -75,7 +75,7 @@ func TestQueryClientDisconnect(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/dbs/default/stats", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status = %d", rec.Code)
 	}
@@ -97,10 +97,10 @@ func TestStatsQuerySection(t *testing.T) {
 	ts, _ := newTestServer(t)
 	integrateB(t, ts)
 	for i := 0; i < 3; i++ {
-		doJSON(t, "GET", ts.URL+"/query?q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, nil)
+		doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, nil)
 	}
 	var stats server.StatsResponse
-	doJSON(t, "GET", ts.URL+"/stats", "", nil, http.StatusOK, &stats)
+	doJSON(t, "GET", ts.URL+"/dbs/default/stats", "", nil, http.StatusOK, &stats)
 	if stats.Query.Started < 3 {
 		t.Fatalf("query.started = %d, want >= 3", stats.Query.Started)
 	}
@@ -113,7 +113,7 @@ func TestStatsQuerySection(t *testing.T) {
 	if enumerated < 1 {
 		t.Fatalf("query.anchors_enumerated = %d after a cold //person/tel, want >= 1", enumerated)
 	}
-	lookup := ts.URL + "/query?explain=1&q=" + url.QueryEscape(`//person[nm="John"]/tel`)
+	lookup := ts.URL + "/dbs/default/query?explain=1&q=" + url.QueryEscape(`//person[nm="John"]/tel`)
 	for i := 0; i < 2; i++ {
 		var resp server.QueryResponse
 		doJSON(t, "GET", lookup, "", nil, http.StatusOK, &resp)
@@ -121,7 +121,7 @@ func TestStatsQuerySection(t *testing.T) {
 			t.Fatalf("plan = %+v, want the reason to count the three <person> anchors", resp.Plan)
 		}
 	}
-	doJSON(t, "GET", ts.URL+"/stats", "", nil, http.StatusOK, &stats)
+	doJSON(t, "GET", ts.URL+"/dbs/default/stats", "", nil, http.StatusOK, &stats)
 	if got := stats.Query.AnchorsEnumerated - enumerated; got != 3 || stats.Query.AnchorsSkipped != 0 {
 		t.Fatalf("query = %+v: the look-up ran once and enumerated 3 anchors, /stats added %d", stats.Query, got)
 	}

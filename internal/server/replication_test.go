@@ -421,7 +421,7 @@ func TestHealthzVerbose(t *testing.T) {
 }
 
 // TestReplicaRejectsMutations: every mutating verb on a replica is 403
-// with the primary's address; reads and the root alias behave.
+// with the primary's address; reads behave, and root paths are 404s.
 func TestReplicaRejectsMutations(t *testing.T) {
 	cat, ts := newPrimaryServer(t, catalog.Options{})
 	db, err := cat.Get("x")
@@ -462,7 +462,6 @@ func TestReplicaRejectsMutations(t *testing.T) {
 		{"POST", "/dbs/x/integrate/batch", `{"sources":["<a/>"]}`},
 		{"POST", "/dbs/x/feedback", `{"query":"//a","value":"v","correct":true}`},
 		{"POST", "/dbs/x/load", `{"name":"s"}`},
-		{"POST", "/dbs", `{"name":"y"}`},
 		{"PUT", "/dbs/y", ""},
 		{"DELETE", "/dbs/x", ""},
 	}
@@ -495,10 +494,10 @@ func TestReplicaRejectsMutations(t *testing.T) {
 	if sr.Database != "x" || sr.WAL == nil || sr.WAL.LastSeq != 1 {
 		t.Fatalf("replica stats %+v", sr)
 	}
-	// The legacy root alias never creates "default" on a replica.
+	// A root path is no route, on a replica too, and creates nothing.
 	getJSON(t, rts.URL+"/query?q=%2F%2Fperson", http.StatusNotFound, nil)
 	if _, err := rep.Catalog().Get(catalog.DefaultName); err == nil {
-		t.Fatal("root alias created the default database on a replica")
+		t.Fatal("a root path created the default database on a replica")
 	}
 }
 

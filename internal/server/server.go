@@ -8,9 +8,9 @@
 //
 // Every server fronts a catalog: a durable multi-database catalog
 // (NewCatalog), or the follower catalog of a read replica (NewReplica).
-// Every database is addressed under /dbs/{name}/…, the catalog can be
-// managed over HTTP, and the root routes below alias to the catalog's
-// "default" database.
+// Every database is addressed under /dbs/{name}/…, and only PUT
+// /dbs/{name} creates one: a request to a database that does not exist
+// answers 404 and changes nothing.
 //
 // A catalog server is a replication primary: it ships its write-ahead
 // logs under GET /dbs/{name}/wal (long-poll framed op stream), serves
@@ -21,7 +21,8 @@
 // over its own catalog; the official follower client still refuses to
 // sync off a replica, keeping replication trees rooted at primaries.
 //
-// Endpoints (all responses are JSON; errors use {"error": "…"}):
+// Per-database endpoints, each under /dbs/{name} (all responses are
+// JSON; errors use {"error": "…"}):
 //
 //	POST /integrate?mode=merge|replace  XML body -> integration stats
 //	POST /integrate/batch               {"sources":["<xml>…",…]} -> per-source stats
@@ -33,28 +34,28 @@
 //	POST /feedback                      {"query","value","correct"} -> event
 //	GET  /stats                         document, cache, WAL/compaction
 //	                                    and server statistics
-//	GET  /worlds?max=N                  enumerated possible worlds
+//	GET  /worlds?max=N                  enumerated possible worlds (at
+//	                                    most DefaultMaxWorlds)
 //	GET  /export                        the document as probabilistic XML
 //	POST /save                          {"name","comment"} -> manifest of
 //	                                    the database's named snapshot
 //	POST /load                          {"name"} -> manifest
-//	GET  /healthz                       liveness probe; ?verbose=1 adds a
-//	                                    readiness report (per-db log
-//	                                    positions, replication lag)
-//	GET  /replication                   role + per-database replication
-//	                                    positions / follower lag
 //	GET  /wal?since=&limit=&wait=       committed op-log page (long-poll
 //	                                    when wait>0; 410 when compacted
 //	                                    past since)
 //	GET  /snapshot                      full-state bootstrap payload
 //
-// Catalog management:
+// Catalog and node endpoints:
 //
 //	GET    /dbs                         list databases + durability stats
-//	POST   /dbs                         {"name"} -> create (201)
 //	PUT    /dbs/{name}                  create (201)
 //	DELETE /dbs/{name}                  drop (irreversible)
-//	ANY    /dbs/{name}/<verb>           every per-database verb above
+//	GET    /healthz                     liveness probe; ?verbose=1 adds a
+//	                                    readiness report (per-db log
+//	                                    positions, replication lag)
+//	GET    /replication                 role + per-database replication
+//	                                    positions / follower lag
+//	POST   /promote, /stepdown          failover (see promote.go)
 package server
 
 import (
@@ -97,8 +98,6 @@ const DefaultMaxWorlds = 1000
 type Options struct {
 	// MaxBodyBytes bounds request bodies (0 means DefaultMaxBodyBytes).
 	MaxBodyBytes int64
-	// MaxWorlds bounds /worlds enumeration (0 means DefaultMaxWorlds).
-	MaxWorlds int
 	// Logger receives one line per request; nil disables logging.
 	Logger *log.Logger
 }
@@ -139,9 +138,8 @@ type Server struct {
 }
 
 // NewCatalog builds a Server over a durable multi-database catalog. Each
-// database is addressed under /dbs/{name}/…; the root routes alias to the
-// catalog's default database. The catalog carries all integration
-// knowledge (schema, rules); the server only translates HTTP.
+// database is addressed under /dbs/{name}/…. The catalog carries all
+// integration knowledge (schema, rules); the server only translates HTTP.
 func NewCatalog(cat *catalog.Catalog, opts Options) *Server {
 	return newServer(cat, nil, opts)
 }
@@ -158,48 +156,41 @@ func newServer(cat *catalog.Catalog, rep *replica.Replica, opts Options) *Server
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if opts.MaxWorlds <= 0 {
-		opts.MaxWorlds = DefaultMaxWorlds
-	}
 	s := &Server{cat: cat, rep: rep, opts: opts, mux: http.NewServeMux()}
 	if rep != nil {
 		s.readOnly = true
 		s.primary = rep.Primary()
 	}
-	// Every per-database verb is registered twice: at the root (alias of
-	// the default database) and under /dbs/{name}. Mutating verbs are
-	// guarded: a replica rejects them with 403 + primary.
+	// The per-database verbs. Mutating verbs are guarded: a replica
+	// rejects them with 403 + primary.
 	verbs := []struct {
 		pattern  string
 		h        func(http.ResponseWriter, *http.Request, *catalog.DB)
 		mutating bool
 	}{
-		{"POST /integrate", s.handleIntegrate, true},
-		{"POST /integrate/batch", s.handleIntegrateBatch, true},
-		{"GET /query", s.handleQuery, false},
-		{"POST /feedback", s.handleFeedback, true},
-		{"GET /stats", s.handleStats, false},
-		{"GET /worlds", s.handleWorlds, false},
-		{"GET /export", s.handleExport, false},
-		// /save writes a server-side snapshot file without touching the
+		{"POST /dbs/{name}/integrate", s.handleIntegrate, true},
+		{"POST /dbs/{name}/integrate/batch", s.handleIntegrateBatch, true},
+		{"GET /dbs/{name}/query", s.handleQuery, false},
+		{"POST /dbs/{name}/feedback", s.handleFeedback, true},
+		{"GET /dbs/{name}/stats", s.handleStats, false},
+		{"GET /dbs/{name}/worlds", s.handleWorlds, false},
+		{"GET /dbs/{name}/export", s.handleExport, false},
+		// save writes a server-side snapshot file without touching the
 		// database — legal on a replica (local backups of replicated
-		// state); /load swaps the document and is a mutation.
-		{"POST /save", s.handleSave, false},
-		{"POST /load", s.handleLoad, true},
-		{"GET /wal", s.handleWAL, false},
-		{"GET /snapshot", s.handleSnapshot, false},
+		// state); load swaps the document and is a mutation.
+		{"POST /dbs/{name}/save", s.handleSave, false},
+		{"POST /dbs/{name}/load", s.handleLoad, true},
+		{"GET /dbs/{name}/wal", s.handleWAL, false},
+		{"GET /dbs/{name}/snapshot", s.handleSnapshot, false},
 	}
 	for _, v := range verbs {
 		h := v.h
 		if v.mutating {
 			h = s.guardMutation(h)
 		}
-		method, path, _ := strings.Cut(v.pattern, " ")
-		s.mux.HandleFunc(v.pattern, s.withDefault(h))
-		s.mux.HandleFunc(method+" /dbs/{name}"+path, s.withNamed(h))
+		s.mux.HandleFunc(v.pattern, s.withNamed(h))
 	}
 	s.mux.HandleFunc("GET /dbs", s.handleListDBs)
-	s.mux.HandleFunc("POST /dbs", s.handleCreateDB)
 	s.mux.HandleFunc("PUT /dbs/{name}", s.handleCreateDB)
 	s.mux.HandleFunc("DELETE /dbs/{name}", s.handleDropDB)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -243,29 +234,6 @@ func (s *Server) isPromoted() bool {
 	s.roleMu.RLock()
 	defer s.roleMu.RUnlock()
 	return s.promoted
-}
-
-// withDefault routes a root request to the catalog's default database.
-// A replica never creates the default database — its set is whatever the
-// primary ships — so there the alias resolves strictly.
-func (s *Server) withDefault(h func(http.ResponseWriter, *http.Request, *catalog.DB)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var (
-			db  *catalog.DB
-			err error
-		)
-		if s.isReadOnly() {
-			db, err = s.cat.Get(catalog.DefaultName)
-			if err != nil {
-				writeError(w, http.StatusNotFound, "db %q is not replicated here (address replicated databases under /dbs/{name})", catalog.DefaultName)
-				return
-			}
-		} else if db, err = s.cat.Default(); err != nil {
-			writeError(w, http.StatusInternalServerError, "default database: %v", err)
-			return
-		}
-		h(w, r, db)
-	}
 }
 
 // withNamed routes a /dbs/{name}/… request to the named catalog database.
@@ -877,9 +845,7 @@ func (s *Server) handleWorlds(w http.ResponseWriter, r *http.Request, db *catalo
 		writeError(w, http.StatusBadRequest, "worlds: max must be positive")
 		return
 	}
-	if max > s.opts.MaxWorlds {
-		max = s.opts.MaxWorlds
-	}
+	max = min(max, DefaultMaxWorlds)
 	tr := db.Core().Tree()
 	resp := WorldsResponse{Total: tr.WorldCount().String(), List: []World{}}
 	worlds.Enumerate(tr, func(wd worlds.World) bool {
@@ -1000,11 +966,6 @@ type DBListResponse struct {
 	Databases []DBInfo `json:"databases"`
 }
 
-// CreateDBRequest names the database POST /dbs creates.
-type CreateDBRequest struct {
-	Name string `json:"name"`
-}
-
 // CreateDBResponse reports a created database.
 type CreateDBResponse struct {
 	Name string `json:"name"`
@@ -1037,16 +998,7 @@ func (s *Server) handleCreateDB(w http.ResponseWriter, r *http.Request) {
 		s.writeReadOnly(w, "create db")
 		return
 	}
-	// PUT /dbs/{name} carries the name in the path; POST /dbs in the body.
 	name := r.PathValue("name")
-	if name == "" {
-		var req CreateDBRequest
-		if err := readJSON(r, &req); err != nil {
-			writeError(w, statusForBodyError(err, http.StatusBadRequest), "create db: bad request body: %v", err)
-			return
-		}
-		name = req.Name
-	}
 	if _, err := s.cat.Create(name); err != nil {
 		writeError(w, catalogErrStatus(err), "create db: %v", err)
 		return

@@ -35,7 +35,8 @@ const bookB = `<addressbook><person><nm>John</nm><tel>2222</tel></person></addre
 func boolPtr(b bool) *bool { return &b }
 
 // newTestServer starts an httptest server over a fresh catalog whose
-// default database holds bookA, and returns that database's core.
+// database "default" holds bookA, and returns that database's core. Its
+// verbs answer under /dbs/default.
 func newTestServer(t *testing.T) (*httptest.Server, *core.Database) {
 	t.Helper()
 	return serveDoc(t, mustDecode(t, bookA), core.Config{Schema: personDTD}, server.Options{})
@@ -50,9 +51,9 @@ func serveDoc(t *testing.T, doc *pxml.Tree, cfg core.Config, opts server.Options
 	return ts, db
 }
 
-// defaultDBHandler opens a catalog in a temp dir, replaces its default
-// database's document with doc, and returns the catalog's handler and
-// that database's core.
+// defaultDBHandler opens a catalog in a temp dir, creates the database
+// "default" holding doc, and returns the catalog's handler and that
+// database's core.
 func defaultDBHandler(t *testing.T, doc *pxml.Tree, cfg core.Config, opts server.Options) (http.Handler, *core.Database) {
 	t.Helper()
 	cat, err := catalog.Open(t.TempDir(), catalog.Options{Config: cfg, CompactEvery: -1})
@@ -60,9 +61,9 @@ func defaultDBHandler(t *testing.T, doc *pxml.Tree, cfg core.Config, opts server
 		t.Fatalf("catalog.Open: %v", err)
 	}
 	t.Cleanup(func() { cat.Close() })
-	db, err := cat.Default()
+	db, err := cat.Create("default")
 	if err != nil {
-		t.Fatalf("default database: %v", err)
+		t.Fatalf("create default: %v", err)
 	}
 	if err := db.Core().ReplaceTree(doc); err != nil {
 		t.Fatalf("ReplaceTree: %v", err)
@@ -111,7 +112,7 @@ func doJSON(t *testing.T, method, rawURL, contentType string, body io.Reader, wa
 func integrateB(t *testing.T, ts *httptest.Server) server.IntegrateResponse {
 	t.Helper()
 	var resp server.IntegrateResponse
-	doJSON(t, "POST", ts.URL+"/integrate", "application/xml", strings.NewReader(bookB), http.StatusOK, &resp)
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate", "application/xml", strings.NewReader(bookB), http.StatusOK, &resp)
 	return resp
 }
 
@@ -133,7 +134,7 @@ func TestIntegrateReplace(t *testing.T) {
 	ts, db := newTestServer(t)
 	integrateB(t, ts)
 	var resp server.IntegrateResponse
-	doJSON(t, "POST", ts.URL+"/integrate?mode=replace", "application/xml",
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate?mode=replace", "application/xml",
 		strings.NewReader(bookA), http.StatusOK, &resp)
 	if resp.Worlds != "1" {
 		t.Fatalf("worlds after replace = %s, want 1", resp.Worlds)
@@ -145,11 +146,11 @@ func TestIntegrateReplace(t *testing.T) {
 
 func TestIntegrateErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/integrate", "application/xml",
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate", "application/xml",
 		strings.NewReader(`broken<`), http.StatusUnprocessableEntity, nil)
-	doJSON(t, "POST", ts.URL+"/integrate", "application/xml",
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate", "application/xml",
 		strings.NewReader(`<catalog/>`), http.StatusUnprocessableEntity, nil)
-	doJSON(t, "POST", ts.URL+"/integrate?mode=sideways", "application/xml",
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate?mode=sideways", "application/xml",
 		strings.NewReader(bookB), http.StatusBadRequest, nil)
 }
 
@@ -160,7 +161,7 @@ func TestIntegrateErrors(t *testing.T) {
 func TestIntegrateDeepBody(t *testing.T) {
 	ts, _ := newTestServer(t)
 	deep := strings.Repeat("<a>", server.DefaultMaxBodyBytes/3)
-	doJSON(t, "POST", ts.URL+"/integrate", "application/xml",
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate", "application/xml",
 		strings.NewReader(deep), http.StatusUnprocessableEntity, nil)
 	if resp := integrateB(t, ts); resp.Worlds != "3" {
 		t.Fatalf("worlds after the refused body = %s, want 3", resp.Worlds)
@@ -181,7 +182,7 @@ func TestIntegrateBatch(t *testing.T) {
 	ts, db := newTestServer(t)
 	const bookC = `<addressbook><person><nm>Mary</nm><tel>3333</tel></person></addressbook>`
 	var resp server.BatchIntegrateResponse
-	doJSON(t, "POST", ts.URL+"/integrate/batch", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate/batch", "application/json",
 		batchBody(t, bookB, bookC), http.StatusOK, &resp)
 	if resp.Integrated != 2 || len(resp.Sources) != 2 {
 		t.Fatalf("batch response = %+v, want 2 sources", resp)
@@ -201,16 +202,16 @@ func TestIntegrateBatchErrors(t *testing.T) {
 	ts, db := newTestServer(t)
 	before := db.Tree()
 	// Empty source list.
-	doJSON(t, "POST", ts.URL+"/integrate/batch", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate/batch", "application/json",
 		batchBody(t), http.StatusBadRequest, nil)
 	// Unknown fields are rejected.
-	doJSON(t, "POST", ts.URL+"/integrate/batch", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate/batch", "application/json",
 		strings.NewReader(`{"source": ["x"]}`), http.StatusBadRequest, nil)
 	// A malformed source fails the whole batch atomically.
-	doJSON(t, "POST", ts.URL+"/integrate/batch", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate/batch", "application/json",
 		batchBody(t, bookB, `broken<`), http.StatusUnprocessableEntity, nil)
 	// A root-tag mismatch mid-batch fails it atomically too.
-	doJSON(t, "POST", ts.URL+"/integrate/batch", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate/batch", "application/json",
 		batchBody(t, bookB, `<catalog/>`), http.StatusUnprocessableEntity, nil)
 	if db.Tree() != before || db.IntegrationCount() != 0 {
 		t.Fatalf("failed batches must leave the database untouched")
@@ -221,14 +222,14 @@ func TestQuery(t *testing.T) {
 	ts, _ := newTestServer(t)
 	integrateB(t, ts)
 	var resp server.QueryResponse
-	doJSON(t, "GET", ts.URL+"/query?q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &resp)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &resp)
 	if len(resp.Answers) != 2 {
 		t.Fatalf("answers = %+v, want 2", resp.Answers)
 	}
 	if resp.Method == "" {
 		t.Fatalf("missing evaluation method")
 	}
-	doJSON(t, "GET", ts.URL+"/query?top=1&q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &resp)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?top=1&q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &resp)
 	if len(resp.Answers) != 1 {
 		t.Fatalf("top=1 answers = %+v", resp.Answers)
 	}
@@ -236,14 +237,14 @@ func TestQuery(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
-	doJSON(t, "GET", ts.URL+"/query", "", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/query?q="+url.QueryEscape(`not a query`), "", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query", "", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+url.QueryEscape(`not a query`), "", nil, http.StatusBadRequest, nil)
 	// A parse error is never cached: the same bad query answers 400 again.
 	for i := 0; i < 2; i++ {
-		doJSON(t, "GET", ts.URL+"/query?q="+url.QueryEscape(`//movie[`), "", nil, http.StatusBadRequest, nil)
+		doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+url.QueryEscape(`//movie[`), "", nil, http.StatusBadRequest, nil)
 	}
-	doJSON(t, "GET", ts.URL+"/query?top=x&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/query?seed=x&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?top=x&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?seed=x&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
 }
 
 // TestQuerySeedParameter checks the per-request sampler seed is accepted —
@@ -254,7 +255,7 @@ func TestQuerySeedParameter(t *testing.T) {
 	integrateB(t, ts)
 	for _, seed := range []string{"0", "1", "-3"} {
 		var resp server.QueryResponse
-		doJSON(t, "GET", ts.URL+"/query?seed="+seed+"&q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &resp)
+		doJSON(t, "GET", ts.URL+"/dbs/default/query?seed="+seed+"&q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &resp)
 		if len(resp.Answers) != 2 {
 			t.Fatalf("seed=%s: answers = %+v, want 2", seed, resp.Answers)
 		}
@@ -266,7 +267,7 @@ func TestFeedback(t *testing.T) {
 	integrateB(t, ts)
 	body, _ := json.Marshal(server.FeedbackRequest{Query: `//person/tel`, Value: "2222", Correct: boolPtr(false)})
 	var resp server.FeedbackResponse
-	doJSON(t, "POST", ts.URL+"/feedback", "application/json", strings.NewReader(string(body)), http.StatusOK, &resp)
+	doJSON(t, "POST", ts.URL+"/dbs/default/feedback", "application/json", strings.NewReader(string(body)), http.StatusOK, &resp)
 	if resp.WorldsAfter != "1" {
 		t.Fatalf("worlds after feedback = %s, want 1", resp.WorldsAfter)
 	}
@@ -275,7 +276,7 @@ func TestFeedback(t *testing.T) {
 	}
 	// The rejected answer is gone.
 	var qr server.QueryResponse
-	doJSON(t, "GET", ts.URL+"/query?q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &qr)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &qr)
 	if len(qr.Answers) != 1 || qr.Answers[0].Value != "1111" {
 		t.Fatalf("answers after feedback = %+v", qr.Answers)
 	}
@@ -283,14 +284,14 @@ func TestFeedback(t *testing.T) {
 
 func TestFeedbackErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/feedback", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/feedback", "application/json",
 		strings.NewReader(`{`), http.StatusBadRequest, nil)
-	doJSON(t, "POST", ts.URL+"/feedback", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/feedback", "application/json",
 		strings.NewReader(`{"query":"//a"}`), http.StatusBadRequest, nil)
-	doJSON(t, "POST", ts.URL+"/feedback", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/feedback", "application/json",
 		strings.NewReader(`{"query":"//a","value":"x","typo":true}`), http.StatusBadRequest, nil)
 	// Omitting "correct" must not silently count as a judgment.
-	doJSON(t, "POST", ts.URL+"/feedback", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/feedback", "application/json",
 		strings.NewReader(`{"query":"//a","value":"x"}`), http.StatusBadRequest, nil)
 }
 
@@ -312,12 +313,12 @@ func TestFeedbackSkipsAnchorsThatCannotYieldTheValue(t *testing.T) {
 
 	body, _ := json.Marshal(server.FeedbackRequest{Query: `//movie[genre]/director`, Value: "Mann, Michael", Correct: boolPtr(false)})
 	var resp server.FeedbackResponse
-	doJSON(t, "POST", ts.URL+"/feedback", "application/json", strings.NewReader(string(body)), http.StatusOK, &resp)
+	doJSON(t, "POST", ts.URL+"/dbs/default/feedback", "application/json", strings.NewReader(string(body)), http.StatusOK, &resp)
 	if resp.PriorP != 0.5 || resp.WorldsBefore != "512" || resp.WorldsAfter != "256" {
 		t.Fatalf("feedback = %+v, want prior 0.5 and 512 → 256 worlds", resp)
 	}
 	var qr server.QueryResponse
-	doJSON(t, "GET", ts.URL+"/query?q="+url.QueryEscape(`//movie[title="Heat"]/director`), "", nil, http.StatusOK, &qr)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+url.QueryEscape(`//movie[title="Heat"]/director`), "", nil, http.StatusOK, &qr)
 	if len(qr.Answers) != 1 || qr.Answers[0].Value != "Michael Mann" {
 		t.Fatalf("answers after feedback = %+v", qr.Answers)
 	}
@@ -336,20 +337,20 @@ func TestFeedbackDeepQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doJSON(t, "POST", ts.URL+"/feedback", "application/json", strings.NewReader(string(body)), http.StatusUnprocessableEntity, nil)
+	doJSON(t, "POST", ts.URL+"/dbs/default/feedback", "application/json", strings.NewReader(string(body)), http.StatusUnprocessableEntity, nil)
 	tooDeep := `//person[` + strings.Repeat("(", query.MaxNesting) + "tel" + strings.Repeat(")", query.MaxNesting) + "]/nm"
-	doJSON(t, "GET", ts.URL+"/query?q="+url.QueryEscape(tooDeep), "", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/dbs/default/query?q="+url.QueryEscape(tooDeep), "", nil, http.StatusBadRequest, nil)
 	doJSON(t, "GET", ts.URL+"/healthz", "", nil, http.StatusOK, nil)
 }
 
 func TestStats(t *testing.T) {
 	ts, _ := newTestServer(t)
 	integrateB(t, ts)
-	q := ts.URL + "/query?q=" + url.QueryEscape(`//person/nm`)
+	q := ts.URL + "/dbs/default/query?q=" + url.QueryEscape(`//person/nm`)
 	doJSON(t, "GET", q, "", nil, http.StatusOK, nil)
 	doJSON(t, "GET", q, "", nil, http.StatusOK, nil)
 	var resp server.StatsResponse
-	doJSON(t, "GET", ts.URL+"/stats", "", nil, http.StatusOK, &resp)
+	doJSON(t, "GET", ts.URL+"/dbs/default/stats", "", nil, http.StatusOK, &resp)
 	if resp.Worlds != "3" || resp.Certain {
 		t.Fatalf("stats = %+v", resp)
 	}
@@ -365,7 +366,7 @@ func TestWorlds(t *testing.T) {
 	ts, _ := newTestServer(t)
 	integrateB(t, ts)
 	var resp server.WorldsResponse
-	doJSON(t, "GET", ts.URL+"/worlds?max=2", "", nil, http.StatusOK, &resp)
+	doJSON(t, "GET", ts.URL+"/dbs/default/worlds?max=2", "", nil, http.StatusOK, &resp)
 	if resp.Total != "3" || resp.Shown != 2 || len(resp.List) != 2 {
 		t.Fatalf("worlds = %+v", resp)
 	}
@@ -374,15 +375,15 @@ func TestWorlds(t *testing.T) {
 			t.Fatalf("bad world %+v", w)
 		}
 	}
-	doJSON(t, "GET", ts.URL+"/worlds?max=x", "", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/worlds?max=0", "", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/worlds?max=-3", "", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/dbs/default/worlds?max=x", "", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/dbs/default/worlds?max=0", "", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/dbs/default/worlds?max=-3", "", nil, http.StatusBadRequest, nil)
 }
 
 func TestExport(t *testing.T) {
 	ts, db := newTestServer(t)
 	integrateB(t, ts)
-	resp, err := http.Get(ts.URL + "/export")
+	resp, err := http.Get(ts.URL + "/dbs/default/export")
 	if err != nil {
 		t.Fatalf("GET /export: %v", err)
 	}
@@ -403,7 +404,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	ts, db := newTestServer(t)
 	integrateB(t, ts)
 	var saved server.SnapshotResponse
-	doJSON(t, "POST", ts.URL+"/save", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/save", "application/json",
 		strings.NewReader(`{"name":"exp1","comment":"after B"}`), http.StatusOK, &saved)
 	if saved.Worlds != "3" || saved.Name != "exp1" || !saved.HasSchema {
 		t.Fatalf("save response = %+v", saved)
@@ -411,12 +412,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 	// Mutate past the snapshot, then restore it.
 	body, _ := json.Marshal(server.FeedbackRequest{Query: `//person/tel`, Value: "2222", Correct: boolPtr(false)})
-	doJSON(t, "POST", ts.URL+"/feedback", "application/json", strings.NewReader(string(body)), http.StatusOK, nil)
+	doJSON(t, "POST", ts.URL+"/dbs/default/feedback", "application/json", strings.NewReader(string(body)), http.StatusOK, nil)
 	if db.WorldCount().Cmp(big.NewInt(1)) != 0 {
 		t.Fatalf("feedback did not condition the database")
 	}
 	var loaded server.SnapshotResponse
-	doJSON(t, "POST", ts.URL+"/load", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/load", "application/json",
 		strings.NewReader(`{"name":"exp1"}`), http.StatusOK, &loaded)
 	if loaded.Worlds != "3" {
 		t.Fatalf("load response = %+v", loaded)
@@ -428,9 +429,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveLoadErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/save", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/save", "application/json",
 		strings.NewReader(`{"name":"../evil"}`), http.StatusBadRequest, nil)
-	doJSON(t, "POST", ts.URL+"/load", "application/json",
+	doJSON(t, "POST", ts.URL+"/dbs/default/load", "application/json",
 		strings.NewReader(`{"name":"never-saved"}`), http.StatusNotFound, nil)
 }
 
@@ -445,7 +446,7 @@ func TestHealthz(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/integrate")
+	resp, err := http.Get(ts.URL + "/dbs/default/integrate")
 	if err != nil {
 		t.Fatalf("GET /integrate: %v", err)
 	}
@@ -458,7 +459,7 @@ func TestMethodNotAllowed(t *testing.T) {
 func TestBodyLimit(t *testing.T) {
 	ts, _ := serveDoc(t, mustDecode(t, bookA), core.Config{}, server.Options{MaxBodyBytes: 64})
 	big := `<addressbook>` + strings.Repeat(`<person><nm>X</nm></person>`, 100) + `</addressbook>`
-	doJSON(t, "POST", ts.URL+"/integrate", "application/xml",
+	doJSON(t, "POST", ts.URL+"/dbs/default/integrate", "application/xml",
 		strings.NewReader(big), http.StatusRequestEntityTooLarge, nil)
 }
 
@@ -482,7 +483,7 @@ func TestConcurrentQueriesDuringIntegration(t *testing.T) {
 			if i%2 == 1 {
 				src = fmt.Sprintf(`<addressbook><person><nm>P%d</nm><tel>%d</tel></person></addressbook>`, i, 5000+i)
 			}
-			resp, err := http.Post(ts.URL+"/integrate", "application/xml", strings.NewReader(src))
+			resp, err := http.Post(ts.URL+"/dbs/default/integrate", "application/xml", strings.NewReader(src))
 			if err != nil {
 				errs <- fmt.Errorf("integrate: %v", err)
 				return
@@ -503,7 +504,7 @@ func TestConcurrentQueriesDuringIntegration(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			body, _ := json.Marshal(server.FeedbackRequest{Query: `//person/tel`, Value: "2222", Correct: boolPtr(false)})
-			resp, err := http.Post(ts.URL+"/feedback", "application/json", strings.NewReader(string(body)))
+			resp, err := http.Post(ts.URL+"/dbs/default/feedback", "application/json", strings.NewReader(string(body)))
 			if err != nil {
 				errs <- fmt.Errorf("feedback: %v", err)
 				return
@@ -519,9 +520,9 @@ func TestConcurrentQueriesDuringIntegration(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < queriesPerReader; i++ {
-				u := ts.URL + "/query?q=" + url.QueryEscape(`//person/nm`)
+				u := ts.URL + "/dbs/default/query?q=" + url.QueryEscape(`//person/nm`)
 				if i%5 == 0 {
-					u = ts.URL + "/stats"
+					u = ts.URL + "/dbs/default/stats"
 				}
 				resp, err := http.Get(u)
 				if err != nil {

@@ -246,14 +246,24 @@ func ReadManifest(dir string) (Manifest, error) {
 	return m, nil
 }
 
+// CheckFormat reports why this build cannot load a snapshot of format
+// version v, or nil if it can: Load refuses exactly the versions it
+// names.
+func CheckFormat(v int) error {
+	if v != FormatVersion && v != formatV5 {
+		return fmt.Errorf("store: unsupported format version %d (want %d or %d)", v, formatV5, FormatVersion)
+	}
+	return nil
+}
+
 // Load reads a snapshot back, verifying the checksum and format version.
 func Load(dir string) (*Snapshot, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	if m.FormatVersion != FormatVersion && m.FormatVersion != formatV5 {
-		return nil, fmt.Errorf("store: unsupported format version %d (want %d or %d)", m.FormatVersion, formatV5, FormatVersion)
+	if err := CheckFormat(m.FormatVersion); err != nil {
+		return nil, err
 	}
 	if n := len(m.RemovedQueue); n > 0 {
 		return nil, fmt.Errorf("store: manifest holds %d pending ticket(s) of the async ingest queue, which this build removed", n)
