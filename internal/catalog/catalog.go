@@ -419,28 +419,31 @@ func (d *DB) Stats() DBStats {
 
 // SaveNamed persists the database's current state as a user-named
 // snapshot under <db>/snapshots/<snapName>, rejecting names that would
-// escape it.
-func (d *DB) SaveNamed(snapName, comment string) (store.Manifest, error) {
+// escape it, and returns the name it saved under: snapName, or DefaultName
+// when that is empty.
+func (d *DB) SaveNamed(snapName, comment string) (string, store.Manifest, error) {
 	if snapName == "" {
 		snapName = DefaultName
 	}
 	if err := validateName(snapName); err != nil {
-		return store.Manifest{}, err
+		return snapName, store.Manifest{}, err
 	}
-	return d.core.SaveSnapshot(filepath.Join(d.dir, snapshotsDirName, snapName), comment)
+	m, err := d.core.SaveSnapshot(filepath.Join(d.dir, snapshotsDirName, snapName), comment)
+	return snapName, m, err
 }
 
 // LoadNamed restores a snapshot previously written by SaveNamed. The
 // restore itself is journaled (an OpLoad record), so it survives a crash
-// like any other mutation.
-func (d *DB) LoadNamed(snapName string) (*store.Snapshot, error) {
+// like any other mutation. It returns the name it loaded, as SaveNamed does.
+func (d *DB) LoadNamed(snapName string) (string, *store.Snapshot, error) {
 	if snapName == "" {
 		snapName = DefaultName
 	}
 	if err := validateName(snapName); err != nil {
-		return nil, err
+		return snapName, nil, err
 	}
-	return d.core.LoadSnapshot(filepath.Join(d.dir, snapshotsDirName, snapName))
+	snap, err := d.core.LoadSnapshot(filepath.Join(d.dir, snapshotsDirName, snapName))
+	return snapName, snap, err
 }
 
 // Create makes a new, empty database. Its initial document is pinned to

@@ -281,21 +281,21 @@ func TestNamedSnapshotsConstrained(t *testing.T) {
 	if _, err := db.Core().IntegrateXMLString(abA); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.SaveNamed("exp1", "before"); err != nil {
+	if _, _, err := db.SaveNamed("exp1", "before"); err != nil {
 		t.Fatalf("SaveNamed: %v", err)
 	}
 	for _, bad := range []string{"../escape", "/etc/passwd", `a\b`, ".."} {
-		if _, err := db.SaveNamed(bad, ""); !errors.Is(err, ErrBadName) {
+		if _, _, err := db.SaveNamed(bad, ""); !errors.Is(err, ErrBadName) {
 			t.Fatalf("SaveNamed(%q): %v, want ErrBadName", bad, err)
 		}
-		if _, err := db.LoadNamed(bad); !errors.Is(err, ErrBadName) {
+		if _, _, err := db.LoadNamed(bad); !errors.Is(err, ErrBadName) {
 			t.Fatalf("LoadNamed(%q): %v, want ErrBadName", bad, err)
 		}
 	}
 	if _, err := db.Core().IntegrateXMLString(abB); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := db.LoadNamed("exp1")
+	_, snap, err := db.LoadNamed("exp1")
 	if err != nil {
 		t.Fatalf("LoadNamed: %v", err)
 	}

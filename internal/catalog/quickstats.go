@@ -24,7 +24,8 @@ import (
 type QuickStat struct {
 	Name string `json:"name"`
 	// HasSnapshot is false for a directory with no manifest yet (created
-	// but never compacted); the manifest-derived fields are then zero.
+	// but never compacted); the manifest-derived fields are then zero, and
+	// so they are for a manifest that cannot be read (FormatVersion 0).
 	HasSnapshot   bool      `json:"has_snapshot"`
 	FormatVersion int       `json:"format_version,omitempty"`
 	LogicalNodes  int64     `json:"logical_nodes"`
@@ -39,16 +40,18 @@ type QuickStat struct {
 	WALSegments int   `json:"wal_segments"`
 	WALBytes    int64 `json:"wal_bytes"`
 	// Unloadable says why this build cannot load the snapshot ("" when
-	// it can): opening the catalog would refuse it.
+	// it can): its format, or a manifest that cannot be read. Opening the
+	// catalog would refuse it.
 	Unloadable string `json:"unloadable,omitempty"`
 }
 
 // QuickStats reads the manifest-level stats of every database under a
 // catalog data directory without opening the catalog: no lock, no
 // document decode, no WAL replay. The directory need not exist (an
-// empty listing results), but a present-and-unreadable manifest is an
-// error — silence there would hide corruption from the one command
-// meant to see it.
+// empty listing results). A present-and-unreadable manifest is reported
+// in its database's row, as Unloadable: silence would hide corruption
+// from the one command meant to see it, and an error would hide every
+// other database with it.
 func QuickStats(dir string) ([]QuickStat, error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -62,38 +65,9 @@ func QuickStats(dir string) ([]QuickStat, error) {
 		if !e.IsDir() || validateName(e.Name()) != nil {
 			continue
 		}
-		qs := QuickStat{Name: e.Name()}
-		m, err := store.ReadManifest(filepath.Join(dir, e.Name(), stateDirName))
-		switch {
-		case err == nil:
-			qs.HasSnapshot = true
-			qs.FormatVersion = m.FormatVersion
-			if err := store.CheckFormat(m.FormatVersion); err != nil {
-				qs.Unloadable = err.Error()
-			}
-			qs.LogicalNodes = m.LogicalNodes
-			qs.Worlds = m.Worlds
-			qs.SnapshotSeq = m.LogSeq
-			qs.Epoch = m.Epoch
-			qs.SavedAt = m.SavedAt
-			qs.Integrations = len(m.Integrations)
-			qs.Feedback = len(m.Feedback)
-		case errors.Is(err, fs.ErrNotExist):
-			// Created but never compacted: only the log exists.
-		default:
-			return nil, fmt.Errorf("catalog: %s: %w", e.Name(), err)
-		}
-		segs, err := os.ReadDir(filepath.Join(dir, e.Name(), walDirName))
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("catalog: %s: %w", e.Name(), err)
-		}
-		for _, s := range segs {
-			info, err := s.Info()
-			if err != nil {
-				return nil, fmt.Errorf("catalog: %s: %w", e.Name(), err)
-			}
-			qs.WALSegments++
-			qs.WALBytes += info.Size()
+		qs, err := quickStat(dir, e.Name())
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, qs)
 	}
@@ -101,23 +75,54 @@ func QuickStats(dir string) ([]QuickStat, error) {
 	return out, nil
 }
 
-// ReadQuickStat reads one database's manifest-only stats; ErrNotFound
-// if no such directory exists under dir.
+// quickStat reads the manifest-level stats of the database directory
+// dir/name.
+func quickStat(dir, name string) (QuickStat, error) {
+	qs := QuickStat{Name: name}
+	m, err := store.ReadManifest(filepath.Join(dir, name, stateDirName))
+	switch {
+	case err == nil:
+		qs.HasSnapshot = true
+		qs.FormatVersion = m.FormatVersion
+		if err := store.CheckFormat(m.FormatVersion); err != nil {
+			qs.Unloadable = err.Error()
+		}
+		qs.LogicalNodes = m.LogicalNodes
+		qs.Worlds = m.Worlds
+		qs.SnapshotSeq = m.LogSeq
+		qs.Epoch = m.Epoch
+		qs.SavedAt = m.SavedAt
+		qs.Integrations = len(m.Integrations)
+		qs.Feedback = len(m.Feedback)
+	case errors.Is(err, fs.ErrNotExist):
+		// Created but never compacted: only the log exists.
+	default:
+		qs.HasSnapshot = true
+		qs.Unloadable = err.Error()
+	}
+	segs, err := os.ReadDir(filepath.Join(dir, name, walDirName))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return QuickStat{}, fmt.Errorf("catalog: %s: %w", name, err)
+	}
+	for _, s := range segs {
+		info, err := s.Info()
+		if err != nil {
+			return QuickStat{}, fmt.Errorf("catalog: %s: %w", name, err)
+		}
+		qs.WALSegments++
+		qs.WALBytes += info.Size()
+	}
+	return qs, nil
+}
+
+// ReadQuickStat reads one database's manifest-only stats, and no other
+// database's; ErrNotFound if no such directory exists under dir.
 func ReadQuickStat(dir, name string) (QuickStat, error) {
 	if err := validateName(name); err != nil {
 		return QuickStat{}, err
 	}
-	if _, err := os.Stat(filepath.Join(dir, name)); errors.Is(err, fs.ErrNotExist) {
+	if fi, err := os.Stat(filepath.Join(dir, name)); errors.Is(err, fs.ErrNotExist) || err == nil && !fi.IsDir() {
 		return QuickStat{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	all, err := QuickStats(dir)
-	if err != nil {
-		return QuickStat{}, err
-	}
-	for _, qs := range all {
-		if qs.Name == name {
-			return qs, nil
-		}
-	}
-	return QuickStat{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+	return quickStat(dir, name)
 }

@@ -631,14 +631,18 @@ func quickList(dataDir string, w io.Writer) error {
 		return nil
 	}
 	for _, qs := range stats {
-		if !qs.HasSnapshot {
+		switch {
+		case !qs.HasSnapshot:
 			fmt.Fprintf(w, "%-20s (no snapshot yet)  wal %d segment(s), %d bytes\n",
 				qs.Name, qs.WALSegments, qs.WALBytes)
-			continue
+		case qs.FormatVersion == 0:
+			fmt.Fprintf(w, "%-20s (manifest unreadable)  wal %d segment(s), %d bytes\n",
+				qs.Name, qs.WALSegments, qs.WALBytes)
+		default:
+			fmt.Fprintf(w, "%-20s %6d nodes  %8s worlds  %3d integrations  %3d feedback  snapshot seq %d (v%d)  wal %d bytes\n",
+				qs.Name, qs.LogicalNodes, qs.Worlds, qs.Integrations,
+				qs.Feedback, qs.SnapshotSeq, qs.FormatVersion, qs.WALBytes)
 		}
-		fmt.Fprintf(w, "%-20s %6d nodes  %8s worlds  %3d integrations  %3d feedback  snapshot seq %d (v%d)  wal %d bytes\n",
-			qs.Name, qs.LogicalNodes, qs.Worlds, qs.Integrations,
-			qs.Feedback, qs.SnapshotSeq, qs.FormatVersion, qs.WALBytes)
 		if qs.Unloadable != "" {
 			fmt.Fprintf(w, "%-20s UNLOADABLE: %s\n", "", qs.Unloadable)
 		}
@@ -653,18 +657,21 @@ func quickStats(dataDir, name string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "database:        %s\n", qs.Name)
-	if !qs.HasSnapshot {
+	switch {
+	case !qs.HasSnapshot:
 		fmt.Fprintln(w, "snapshot:        (none yet)")
-	} else {
+	case qs.FormatVersion == 0:
+		fmt.Fprintln(w, "snapshot:        (manifest unreadable)")
+	default:
 		fmt.Fprintf(w, "logical nodes:   %d\n", qs.LogicalNodes)
 		fmt.Fprintf(w, "possible worlds: %s\n", qs.Worlds)
 		fmt.Fprintf(w, "integrations:    %d\n", qs.Integrations)
 		fmt.Fprintf(w, "feedback events: %d\n", qs.Feedback)
 		fmt.Fprintf(w, "snapshot:        seq %d, format v%d, epoch %d, saved %s\n",
 			qs.SnapshotSeq, qs.FormatVersion, qs.Epoch, qs.SavedAt.Format(time.RFC3339))
-		if qs.Unloadable != "" {
-			fmt.Fprintf(w, "UNLOADABLE:      %s\n", qs.Unloadable)
-		}
+	}
+	if qs.Unloadable != "" {
+		fmt.Fprintf(w, "UNLOADABLE:      %s\n", qs.Unloadable)
 	}
 	fmt.Fprintf(w, "wal:             %d segment(s), %d bytes past snapshot\n", qs.WALSegments, qs.WALBytes)
 	fmt.Fprintln(w, "(manifest-only view; pass -full for live recovery numbers)")

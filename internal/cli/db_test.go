@@ -210,6 +210,36 @@ func TestDBQuickListFlagsUnloadableFormat(t *testing.T) {
 	}
 }
 
+// TestDBQuickListSurvivesUnreadableManifest: one database whose manifest
+// cannot be read is flagged in its own row, and hides none of the others.
+func TestDBQuickListSurvivesUnreadableManifest(t *testing.T) {
+	data := t.TempDir()
+	for name, manifest := range map[string]string{
+		"good": `{"format_version":6,"worlds":"12","logical_nodes":345}`,
+		"bad":  `{not json`,
+	} {
+		state := filepath.Join(data, name, "state")
+		if err := os.MkdirAll(state, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(state, "manifest.json"), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := runCLI(t, "db", "-data", data, "list")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[0], "bad ") || !strings.Contains(lines[1], "UNLOADABLE") ||
+		!strings.HasPrefix(lines[2], "good ") || !strings.Contains(lines[2], "345 nodes") || !strings.Contains(lines[2], "12 worlds") {
+		t.Fatalf("quick list:\n%s", out)
+	}
+	if out := runCLI(t, "db", "-data", data, "stats", "good"); !strings.Contains(out, "logical nodes:   345") || strings.Contains(out, "UNLOADABLE") {
+		t.Fatalf("quick stats of good:\n%s", out)
+	}
+	if out := runCLI(t, "db", "-data", data, "stats", "bad"); !strings.Contains(out, "UNLOADABLE") {
+		t.Fatalf("quick stats of bad does not flag it:\n%s", out)
+	}
+}
+
 func copyAll(t *testing.T, src, dst string) {
 	t.Helper()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {

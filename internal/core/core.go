@@ -49,7 +49,7 @@ type Config struct {
 	// Rules are the Oracle's knowledge rules (the generic deep-equal rule
 	// is always added).
 	Rules []oracle.Rule
-	// OracleOptions tune the Oracle (prior, estimators, strictness).
+	// OracleOptions tune the Oracle (estimators, reconcilers).
 	OracleOptions []oracle.Option
 	// Integration tunes the integration engine. Its Oracle and Schema
 	// fields are overwritten from this Config.

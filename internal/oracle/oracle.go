@@ -376,9 +376,13 @@ func (p *Pairing) inputs(k int) []input {
 	e := p.elems[k]
 	for r, bi := range p.o.builtins {
 		// A rule reads only elements with its tag (one without a tag reads
-		// none); an empty input stays unwritten, its slot holds one already.
+		// none, but for deepEqual, which reads every element); an empty
+		// input stays unwritten, its slot holds one already.
 		switch {
-		case bi == nil || bi.elemTag != e.Tag():
+		case bi == nil:
+		case bi.kind == deepEqual:
+			in[r], _ = bi.prepare(e, p.titles)
+		case bi.elemTag != e.Tag():
 		case bi.kind == keyField: // its input is its key, derived already
 			if key := p.key(k, r); key != "" {
 				in[r] = input{ok: true, text: key}

@@ -43,8 +43,9 @@ const (
 type builtin struct {
 	kind           kind
 	name           string
-	elemTag, field string  // the tag the rule reads, and its field child's
-	threshold      float64 // similarity, title, nameEquivalence: below it is cannot-match
+	elemTag, field string           // the tag the rule reads, and its field child's
+	threshold      float64          // similarity, nameEquivalence: below it is cannot-match
+	cut            strsim.Threshold // title: below it is cannot-match
 	sim            func(a, b string) float64
 	fn             func(a, b *pxml.Node) Verdict // custom
 }
@@ -52,6 +53,7 @@ type builtin struct {
 // input is what a builtin rule reads of one element.
 type input struct {
 	ok    bool         // the rule reads the element (tag, leaf, key, certain field)
+	shape uint32       // deepEqual: the element's shape digest, cut to fit beside ok
 	text  string       // the leaf or field text, or the key
 	title strsim.Title // title: the field text, prepared
 }
@@ -68,12 +70,18 @@ func (r *builtin) BlockKey(e *pxml.Node) string {
 
 // Apply prepares titles on the stack: compareTitles, unlike compare, hands
 // nothing to a function it does not know, which would move them to the heap.
+// It prepares no shape digest: a digest walks a whole subtree to spare the
+// walks of the pairs to come, and a single pair's walk stops at its first
+// difference.
 func (r *builtin) Apply(a, b *pxml.Node) Verdict {
-	if r.kind == title {
+	switch r.kind {
+	case title:
 		var space strsim.TitleSpace
 		pa, buf := r.prepare(a, space.Buf())
 		pb, _ := r.prepare(b, buf)
 		return r.compareTitles(&pa, &pb)
+	case deepEqual:
+		return r.compare(a, b, &input{}, &input{})
 	}
 	pa, _ := r.prepare(a, strsim.TitleBuf{})
 	pb, _ := r.prepare(b, strsim.TitleBuf{})
@@ -82,8 +90,10 @@ func (r *builtin) Apply(a, b *pxml.Node) Verdict {
 
 func (r *builtin) prepare(e *pxml.Node, buf strsim.TitleBuf) (input, strsim.TitleBuf) {
 	switch r.kind {
-	case custom, deepEqual:
-		return input{}, buf // they read the elements whole
+	case custom:
+		return input{}, buf // it reads the elements whole
+	case deepEqual:
+		return input{ok: true, shape: uint32(pxml.ShapeDigest(e))}, buf
 	case exactLeaf, nameEquivalence:
 		return input{ok: e.Tag() == r.elemTag && isLeafish(e), text: e.Text()}, buf
 	case keyField:
@@ -107,7 +117,9 @@ func (r *builtin) compare(x, y *pxml.Node, a, b *input) Verdict {
 	case custom:
 		return r.fn(x, y)
 	case deepEqual:
-		if pxml.Hash(x) == pxml.Hash(y) || pxml.DeepEqualElems(x, y) {
+		// Equal digests settle the pair without a walk, and so do unequal
+		// shape digests: deep-equal elements have equal ones.
+		if pxml.Hash(x) == pxml.Hash(y) || !(a.ok && b.ok && a.shape != b.shape) && pxml.DeepEqualElems(x, y) {
 			return decide(MustMatch, r.name)
 		}
 	case exactLeaf:
@@ -141,7 +153,7 @@ func (r *builtin) compare(x, y *pxml.Node, a, b *input) Verdict {
 }
 
 func (r *builtin) compareTitles(a, b *input) Verdict {
-	if a.ok && b.ok && a.title.Below(b.title, r.threshold) {
+	if a.ok && b.ok && a.title.Below(b.title, r.cut) {
 		return decide(CannotMatch, r.name)
 	}
 	return abstain()
@@ -152,7 +164,9 @@ func (r *builtin) compareTitles(a, b *input) Verdict {
 // settle it without a walk (structurally equal subtrees are deep-equal, up
 // to the digest's collision odds); unequal ones still need it, because deep
 // equality ignores how certain children are grouped into trivial choice
-// points and the digest does not.
+// points and the digest does not. A Pairing prepares each element's shape
+// digest (see pxml.ShapeDigest), which ignores that grouping: unequal shape
+// digests settle the pair too, and only equal ones are walked.
 func DeepEqual() Rule { return &builtin{kind: deepEqual, name: "deep-equal"} }
 
 // ExactLeaf implements "no typos occur in <tag>" rules — the paper's genre
@@ -224,7 +238,7 @@ const TitleThreshold = 0.55
 // TitleThreshold, asked only whether a pair falls below it.
 func TitleRule() Rule {
 	return &builtin{kind: title, name: fmt.Sprintf("similarity(movie/title<%.2g)", TitleThreshold),
-		elemTag: "movie", field: "title", threshold: TitleThreshold}
+		elemTag: "movie", field: "title", cut: strsim.NewThreshold(TitleThreshold)}
 }
 
 // YearRule is the paper's "movies of different years cannot match".

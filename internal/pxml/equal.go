@@ -135,6 +135,44 @@ func (it *deepIter) next() *Node {
 	return nil
 }
 
+// ShapeDigest hashes what DeepEqualElems compares of an element, except the
+// probabilities: its tag and text, and for each node deepIter yields, its
+// shape — an element's shape digest, or a genuine choice point's
+// alternative count and each alternative's element count and elements'
+// shape digests. It is consistent with DeepEqualElems: deep-equal elements
+// have equal shape digests, so unequal ones settle "not deep-equal" without
+// a walk, while equal ones settle nothing. Probabilities stay out because
+// DeepEqualElems compares them within ProbEpsilon, which a hash cannot. A
+// node that is not an element is deep-equal to itself only, and its shape
+// digest is its digest.
+func ShapeDigest(e *Node) uint64 {
+	if e == nil || e.kind != KindElem {
+		return Hash(e)
+	}
+	h := fnvByte(fnvString(fnvByte(fnvString(fnvOffset, e.tag), 0), e.text), 0)
+	it := deepIter{elem: e}
+	for c := it.next(); c != nil; c = it.next() {
+		switch c.kind {
+		case KindElem:
+			h = fnvWord(h, ShapeDigest(c))
+		case KindProb:
+			h = fnvWord(fnvByte(h, byte(KindProb)), uint64(len(c.kids)))
+			for _, alt := range c.kids {
+				h = fnvWord(h, uint64(len(alt.kids)))
+				for _, k := range alt.kids {
+					h = fnvWord(h, ShapeDigest(k))
+				}
+			}
+		default: // deepEqualAny compares it by Equal, which implies equal digests
+			h = fnvWord(fnvByte(h, byte(c.kind)), c.digest)
+		}
+	}
+	return h
+}
+
+// fnvWord mixes a 64-bit word into an FNV-1a state in one step.
+func fnvWord(h, w uint64) uint64 { return (h ^ w) * fnvPrime }
+
 // Hash returns the node's structural digest, consistent with Equal: equal
 // subtrees have equal digests. It is set at construction, so Hash is a field
 // read.

@@ -181,6 +181,31 @@ func TestCatalogSaveLoadConstrained(t *testing.T) {
 	}
 }
 
+// TestSaveWithoutNameRepliesWithWrittenName: a /save without a name writes
+// the catalog's default snapshot, and its reply names the directory that
+// was written; /load without a name reads it back under the same name.
+func TestSaveWithoutNameRepliesWithWrittenName(t *testing.T) {
+	dir := t.TempDir()
+	ts, _ := newCatalogServer(t, dir)
+	doJSON(t, "PUT", ts.URL+"/dbs/x", "", nil, http.StatusCreated, nil)
+	doJSON(t, "POST", ts.URL+"/dbs/x/integrate", "application/xml",
+		strings.NewReader(bookA), http.StatusOK, nil)
+
+	var saved, loaded server.SnapshotResponse
+	doJSON(t, "POST", ts.URL+"/dbs/x/save", "application/json", strings.NewReader(`{}`), http.StatusOK, &saved)
+	entries, err := os.ReadDir(filepath.Join(dir, "x", "snapshots"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("snapshots written: %v, %v", entries, err)
+	}
+	if saved.Name == "" || saved.Name != entries[0].Name() {
+		t.Fatalf("save replied with name %q, wrote %q", saved.Name, entries[0].Name())
+	}
+	doJSON(t, "POST", ts.URL+"/dbs/x/load", "application/json", strings.NewReader(`{}`), http.StatusOK, &loaded)
+	if loaded.Name != saved.Name {
+		t.Fatalf("load replied with name %q, save with %q", loaded.Name, saved.Name)
+	}
+}
+
 // TestCatalogKillRestartOverHTTP is the acceptance scenario end to end:
 // mutate a named database over HTTP, kill without shutdown, reopen the
 // catalog and serve it again — /dbs/{name}/stats reports the identical

@@ -910,20 +910,12 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, db *catalog.
 	}
 	// The database saves under its own snapshots/ directory; the catalog
 	// validates the name.
-	m, err := db.SaveNamed(req.Name, req.Comment)
+	name, m, err := db.SaveNamed(req.Name, req.Comment)
 	if err != nil {
 		writeError(w, catalogErrStatus(err), "save: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, manifestResponse(orDefault(req.Name), m))
-}
-
-// orDefault mirrors the snapshot-name defaulting of the catalog.
-func orDefault(name string) string {
-	if name == "" {
-		return catalog.DefaultName
-	}
-	return name
+	writeJSON(w, http.StatusOK, manifestResponse(name, m))
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, db *catalog.DB) {
@@ -932,7 +924,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, db *catalog.
 		writeError(w, statusForBodyError(err, http.StatusBadRequest), "load: bad request body: %v", err)
 		return
 	}
-	snap, err := db.LoadNamed(req.Name)
+	name, snap, err := db.LoadNamed(req.Name)
 	if err != nil {
 		status := http.StatusInternalServerError
 		switch {
@@ -946,7 +938,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, db *catalog.
 		writeError(w, status, "load: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, manifestResponse(orDefault(req.Name), snap.Manifest))
+	writeJSON(w, http.StatusOK, manifestResponse(name, snap.Manifest))
 }
 
 // --- catalog management ---

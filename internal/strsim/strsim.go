@@ -5,7 +5,9 @@
 package strsim
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -29,25 +31,49 @@ func Normalize(s string) string {
 func normalizeInto(dst []rune, s string) []rune {
 	start := len(dst)
 	for _, r := range s {
-		switch {
-		case 'a' <= r && r <= 'z' || '0' <= r && r <= '9':
-		case 'A' <= r && r <= 'Z':
-			r += 'a' - 'A'
-		case r >= utf8.RuneSelf && (unicode.IsLetter(r) || unicode.IsDigit(r)):
-			r = unicode.ToLower(r)
-		default:
-			if n := len(dst); n > start && dst[n-1] != ' ' {
-				dst = append(dst, ' ')
-			}
-			continue
+		if r := normalRune(r); r != 0 {
+			dst = append(dst, r)
+		} else if n := len(dst); n > start && dst[n-1] != ' ' {
+			dst = append(dst, ' ')
 		}
-		dst = append(dst, r)
 	}
 	if n := len(dst); n > start && dst[n-1] == ' ' {
 		dst = dst[:n-1]
 	}
 	return dst
 }
+
+// normalRune returns r as the normal form has it, lower-cased, or 0 for a
+// rune the normal form turns into a space. The ASCII case is a table
+// look-up, so that the call inlines into the loops over a title.
+func normalRune(r rune) rune {
+	if r < utf8.RuneSelf {
+		return lowerASCII[r]
+	}
+	return foreignRune(r)
+}
+
+// foreignRune is normalRune past ASCII.
+func foreignRune(r rune) rune {
+	if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		return unicode.ToLower(r)
+	}
+	return 0
+}
+
+// lowerASCII maps the ASCII letters and digits to their normal form, and
+// every other ASCII rune to 0.
+var lowerASCII = func() (a [utf8.RuneSelf]rune) {
+	for r := range a {
+		switch {
+		case 'a' <= r && r <= 'z' || '0' <= r && r <= '9':
+			a[r] = rune(r)
+		case 'A' <= r && r <= 'Z':
+			a[r] = rune(r) + 'a' - 'A'
+		}
+	}
+	return a
+}()
 
 // Tokens splits a string into normalized word tokens.
 func Tokens(s string) []string {
@@ -94,6 +120,11 @@ func editDistance(ra, rb []rune, limit int) int {
 			return d
 		}
 	}
+	return editKernel(ra, rb, limit)
+}
+
+// editKernel is editDistance past its lower bounds, for len(ra) >= len(rb) > 0.
+func editKernel(ra, rb []rune, limit int) int {
 	if d, ok := myers(ra, rb); ok {
 		return d
 	}
@@ -298,76 +329,136 @@ func TokenJaccard(a, b string) float64 {
 }
 
 // Title is a string prepared for the title measures: its normal form and
-// the spans of its distinct tokens. A caller comparing many titles with
-// many others prepares each once (see TitleBuf) and compares with Below.
+// its signature. A caller comparing many titles with many others prepares
+// each once (see TitleBuf) and compares with Below. The zero Title is not
+// prepared.
 type Title struct {
 	norm []rune
-	toks []span
+	// sig is what Below reads of the title besides its runes, in words:
+	// sig[:laneWords] counts the runes by symbol, a byte per lane (see
+	// Prepare); sig[maskWord] has one bit set per distinct token, chosen by
+	// the token's hash, so titles whose masks are disjoint share no token;
+	// and each word from tokWord on is the span lo<<32 | hi of one distinct
+	// token norm[lo:hi], in order of first occurrence.
+	sig []uint64
 }
 
-// span is one token of a normalized rune string: n[lo:hi].
-type span struct{ lo, hi int32 }
+const (
+	laneWords = 5
+	maskWord  = laneWords
+	tokWord   = maskWord + 1
+)
 
 // TitleBuf holds prepared titles in two pointer-free arenas, of runes and of
-// token spans. A Title stays valid when the arenas grow, until the buffer is
-// Reset. The zero TitleBuf is empty and ready.
+// signature words. A Title stays valid when the arenas grow, until the
+// buffer is Reset. The zero TitleBuf is empty and ready.
 type TitleBuf struct {
 	runes []rune
-	toks  []span
+	sigs  []uint64
 }
 
 // Reset empties the buffer, keeping its storage; its titles become invalid.
-func (b TitleBuf) Reset() TitleBuf { return TitleBuf{runes: b.runes[:0], toks: b.toks[:0]} }
+func (b TitleBuf) Reset() TitleBuf { return TitleBuf{runes: b.runes[:0], sigs: b.sigs[:0]} }
 
-// Prepare normalizes and tokenizes s at the end of the buffer, and returns
-// the prepared title and the buffer grown by it.
+// Prepare normalizes and signs s at the end of the buffer, in one pass over
+// s, and returns the prepared title and the buffer grown by it. Lane
+// alphabet[r] counts an ASCII rune r of the normal form, lane 0 every other
+// rune. A title of 128 runes or more has no bag: a lane may have wrapped,
+// so lane 0 is set to 128, whose top bit shared reads. A token whose mask
+// bit is not set yet is new without a look at the tokens before it.
 func (b TitleBuf) Prepare(s string) (Title, TitleBuf) {
-	lo, tlo := len(b.runes), len(b.toks)
-	b.runes = normalizeInto(b.runes, s)
-	n := b.runes[lo:len(b.runes):len(b.runes)]
-	b.toks = distinctTokens(n, b.toks)
-	return Title{norm: n, toks: b.toks[tlo:len(b.toks):len(b.toks)]}, b
+	lo, slo := len(b.runes), len(b.sigs)
+	b.sigs = append(b.sigs, make([]uint64, tokWord)...)
+	var lanes [64]uint8
+	var mask uint64
+	h, tok := uint64(0), lo // the hash and start of the current token
+	addToken := func() {
+		bit := uint64(1) << (h * tokenMix >> 58)
+		if mask&bit != 0 {
+			for _, w := range b.sigs[slo+tokWord:] {
+				if slices.Equal(b.runes[lo+int(w>>32):lo+int(uint32(w))], b.runes[tok:]) {
+					return
+				}
+			}
+		}
+		mask |= bit
+		b.sigs = append(b.sigs, uint64(tok-lo)<<32|uint64(len(b.runes)-lo))
+	}
+	for _, r := range s {
+		if r = normalRune(r); r == 0 {
+			if len(b.runes) == tok {
+				continue
+			}
+			addToken()
+			r, h, tok = ' ', 0, len(b.runes)+1
+		} else {
+			h = bits.RotateLeft64(h, 7) ^ uint64(r)
+		}
+		b.runes = append(b.runes, r)
+		l := uint8(0) // lane 0 past ASCII
+		if r < utf8.RuneSelf {
+			l = alphabet[r]
+		}
+		lanes[l&63]++
+	}
+	if len(b.runes) > tok {
+		addToken()
+	} else if len(b.runes) > lo { // a space no token follows
+		b.runes = b.runes[:len(b.runes)-1]
+		lanes[alphabet[' ']]--
+	}
+	if len(b.runes)-lo >= 128 {
+		lanes[0] = 128 // a lane may have wrapped: no bag
+	}
+	sig := b.sigs[slo:len(b.sigs):len(b.sigs)]
+	for w := range laneWords {
+		sig[w] = binary.LittleEndian.Uint64(lanes[8*w:])
+	}
+	sig[maskWord] = mask
+	return Title{norm: b.runes[lo:len(b.runes):len(b.runes)], sig: sig}, b
 }
 
 // Append copies a prepared title to the end of the buffer, and returns the
 // copy and the buffer grown by it.
 func (b TitleBuf) Append(t Title) (Title, TitleBuf) {
-	lo, tlo := len(b.runes), len(b.toks)
-	b.runes, b.toks = append(b.runes, t.norm...), append(b.toks, t.toks...)
-	return Title{norm: b.runes[lo:len(b.runes):len(b.runes)], toks: b.toks[tlo:len(b.toks):len(b.toks)]}, b
+	lo, slo := len(b.runes), len(b.sigs)
+	b.runes, b.sigs = append(b.runes, t.norm...), append(b.sigs, t.sig...)
+	return Title{norm: b.runes[lo:len(b.runes):len(b.runes)], sig: b.sigs[slo:len(b.sigs):len(b.sigs)]}, b
 }
 
 // TitleSpace is stack room for preparing two titles of up to 64 runes and 16
 // distinct tokens each without allocating; a longer title spills.
 type TitleSpace struct {
 	runes [128]rune
-	toks  [32]span
+	sigs  [2 * (tokWord + 16)]uint64
 }
 
 // Buf returns an empty TitleBuf over the space.
-func (s *TitleSpace) Buf() TitleBuf { return TitleBuf{runes: s.runes[:0], toks: s.toks[:0]} }
+func (s *TitleSpace) Buf() TitleBuf { return TitleBuf{runes: s.runes[:0], sigs: s.sigs[:0]} }
 
-// distinctTokens appends the spans of n's distinct tokens, in order of first
-// occurrence, to dst; a token is compared with those it appended only.
-func distinctTokens(n []rune, dst []span) []span {
-	first := len(dst)
-	for lo := 0; lo < len(n); {
-		hi := lo
-		for hi < len(n) && n[hi] != ' ' {
-			hi++
-		}
-		seen := false
-		for _, s := range dst[first:] {
-			if seen = slices.Equal(n[s.lo:s.hi], n[lo:hi]); seen {
-				break
-			}
-		}
-		if !seen {
-			dst = append(dst, span{int32(lo), int32(hi)})
-		}
-		lo = hi + 1
+// tokenMix spreads a token's rotate-and-xor hash over the top bits, which
+// choose its mask bit.
+const tokenMix = 0x9e3779b97f4a7c15
+
+// shared returns how many runes two titles share as bags of symbols, the
+// sum over the lanes of the smaller count, or -1 when either has no bag (a
+// lane's top bit is set). Each word holds eight lanes of at most 127, so
+// (x|0x80…)−y borrows within no lane and leaves a lane's top bit set where
+// x ≥ y; the minima are then summed in 16-bit lanes.
+func shared(a, b []uint64) int {
+	const top, low = 0x8080808080808080, 0x00ff00ff00ff00ff
+	var sum, all uint64
+	for w := range laneWords {
+		x, y := a[w], b[w]
+		all |= x | y
+		ge := ((x | top) - y) & top >> 7 * 0xff // 0xff in the lanes where x >= y
+		m := y&ge | x&^ge
+		sum += m&low + m>>8&low
 	}
-	return dst
+	if all&top != 0 {
+		return -1
+	}
+	return int(sum * 0x0001000100010001 >> 48)
 }
 
 // jaccard is the Jaccard similarity of the token sets of two prepared
@@ -378,16 +469,17 @@ func jaccard(a, b Title) float64 {
 	if len(a.norm) == 0 && len(b.norm) == 0 {
 		return 1
 	}
+	ta, tb := a.sig[tokWord:], b.sig[tokWord:]
 	inter := 0
-	for _, x := range a.toks {
-		for _, y := range b.toks {
-			if slices.Equal(a.norm[x.lo:x.hi], b.norm[y.lo:y.hi]) {
+	for _, x := range ta {
+		for _, y := range tb {
+			if slices.Equal(a.norm[x>>32:uint32(x)], b.norm[y>>32:uint32(y)]) {
 				inter++
 				break
 			}
 		}
 	}
-	return float64(inter) / float64(len(a.toks)+len(b.toks)-inter)
+	return float64(inter) / float64(len(ta)+len(tb)-inter)
 }
 
 // TitleSim is the combined title similarity used by the Oracle's title
@@ -414,22 +506,74 @@ func TitleBelow(a, b string, threshold float64) bool {
 	var space TitleSpace
 	ta, buf := space.Buf().Prepare(a)
 	tb, _ := buf.Prepare(b)
-	return ta.Below(tb, threshold)
+	return ta.Below(tb, Threshold{value: threshold})
 }
 
-// Below reports TitleSim(a, b) < threshold for the strings t and u were
-// prepared from, without computing the similarity: the edit distance is
-// pursued only as far as the largest one that still reaches the threshold,
-// and the token sets are compared only when it is out of reach.
-func (t Title) Below(u Title, threshold float64) bool {
+// Threshold is a similarity threshold as Below takes it. NewThreshold gives
+// it a cut table, built once: the largest edit distance at which two titles
+// still reach it, by the longer one's rune count. Without one (as
+// TitleBelow passes it) the cut is computed per pair.
+type Threshold struct {
+	value float64
+	cuts  *[256]int16 // cuts[m] is maxDistance(m, value), for 0 < m < 256
+}
+
+// NewThreshold returns the threshold v with its cut table.
+func NewThreshold(v float64) Threshold {
+	cuts := new([256]int16)
+	for m := 1; m < len(cuts); m++ {
+		cuts[m] = int16(maxDistance(m, v))
+	}
+	return Threshold{value: v, cuts: cuts}
+}
+
+func (th Threshold) cut(m int) int {
+	if th.cuts != nil && m < len(th.cuts) {
+		return int(th.cuts[m])
+	}
+	return maxDistance(m, th.value)
+}
+
+// Below reports TitleSim(a, b) < th for the strings t and u were prepared
+// from, without computing the similarity. The edit similarity reaches th
+// only within the cut, and a difference in length or in the bags of runes
+// beyond it rules that out in O(1); the token similarity is 0 when the
+// token masks are disjoint. Only a pair neither settles is pursued: the edit
+// distance as far as the cut, then the token sets.
+func (t Title) Below(u Title, th Threshold) bool {
 	na, nb := t.norm, u.norm
 	if slices.Equal(na, nb) {
-		return 1 < threshold
+		return 1 < th.value
 	}
-	if cut := maxDistance(max(len(na), len(nb)), threshold); editDistance(na, nb, cut) <= cut {
+	if t.within(u, th.cut(max(len(na), len(nb)))) {
 		return false
 	}
-	return jaccard(t, u) < threshold
+	if t.sig[maskWord]&u.sig[maskWord] == 0 {
+		return 0 < th.value // the titles differ, so at least one has a token
+	}
+	return jaccard(t, u) < th.value
+}
+
+// within reports whether the edit distance of t and u is at most cut. The
+// length difference and the bag distance (the longer length less the runes
+// the two share) are lower bounds of it; past them it is editDistance's
+// kernel, or editDistance itself where the lanes are no bag.
+func (t Title) within(u Title, cut int) bool {
+	ra, rb := t.norm, u.norm
+	if len(ra) < len(rb) {
+		ra, rb = rb, ra
+	}
+	if len(ra)-len(rb) > cut {
+		return false
+	}
+	s := shared(t.sig, u.sig)
+	if s < 0 {
+		return editDistance(ra, rb, cut) <= cut
+	}
+	if len(ra)-s > cut {
+		return false
+	}
+	return len(rb) == 0 || editKernel(ra, rb, cut) <= cut
 }
 
 // NameKey canonicalizes a person name so that convention variants collide:

@@ -15,6 +15,15 @@ import (
 // pair or none is below.
 var belowThresholds = []float64{0, 0.3, 0.5, 0.55, 0.6, 0.75, 0.9, 1, 1.1}
 
+// cutTables holds each of belowThresholds with its cut table.
+var cutTables = func() map[float64]strsim.Threshold {
+	m := map[float64]strsim.Threshold{}
+	for _, th := range belowThresholds {
+		m[th] = strsim.NewThreshold(th)
+	}
+	return m
+}()
+
 var (
 	titleWords = []string{"jaws", "alien", "aliens", "the", "thing", "mission", "impossible", "die", "hard",
 		"with", "a", "vengeance", "ii", "2", "3", "heat", "solaris", "été", "indien", "über", "ǆungla", "漢字", "İstanbul", "l"}
@@ -87,12 +96,31 @@ func variant(rng *rand.Rand, s string) string {
 	}
 }
 
+// checkBelow holds TitleBelow, and Below on the titles prepared and on
+// their copies by TitleBuf.Append, with the threshold's cut table, to
+// TitleSim at every threshold.
 func checkBelow(t testing.TB, a, b string, thresholds ...float64) {
 	t.Helper()
 	sim := strsim.TitleSim(a, b)
+	var prepared, copied strsim.TitleBuf
+	ta, prepared := prepared.Prepare(a)
+	tb, _ := prepared.Prepare(b)
+	// Copy b first, so that the copies sit at other offsets than the originals.
+	cb, copied := copied.Append(tb)
+	ca, _ := copied.Append(ta)
 	for _, th := range thresholds {
 		if got := strsim.TitleBelow(a, b, th); got != (sim < th) {
 			t.Fatalf("TitleBelow(%q, %q, %v) = %v, but TitleSim = %v", a, b, th, got, sim)
+		}
+		cut, ok := cutTables[th]
+		if !ok {
+			cut = strsim.NewThreshold(th)
+		}
+		if got := ta.Below(tb, cut); got != (sim < th) {
+			t.Fatalf("Below(%q, %q, %v) = %v, but TitleSim = %v", a, b, th, got, sim)
+		}
+		if got := ca.Below(cb, cut); got != (sim < th) {
+			t.Fatalf("Below on copies of %q, %q at %v = %v, but TitleSim = %v", a, b, th, got, sim)
 		}
 	}
 }
@@ -181,6 +209,11 @@ func FuzzTitleBelow(f *testing.F) {
 	f.Add("", "!!!", 0.0)
 	f.Add("L'été", "\xff\xfe", math.NaN())
 	f.Add(strings.Repeat("long title ", 9), strings.Repeat("lang title ", 9), 0.9)
+	f.Add("Über Straße: Ça ira", "uber strasse ca ira", 0.55)                          // not ASCII
+	f.Add(strings.Repeat("abcdefgh ", 8), strings.Repeat("abcdefgh ", 7)+"abcd", 0.55) // over 64 runes
+	f.Add(strings.Repeat("title words ", 22), strings.Repeat("title word ", 24), 0.55) // over 255 runes
+	f.Add(strings.Repeat("a", 130)+" b", strings.Repeat("a", 129)+" c", 0.55)          // a rune more than 127 times
+	f.Add("dare lion", "read loin", 0.55)                                              // the same letters, no token shared
 	f.Fuzz(func(t *testing.T, a, b string, threshold float64) {
 		checkBelow(t, a, b, threshold)
 	})
@@ -204,6 +237,7 @@ func BenchmarkTitleRule(b *testing.B) {
 	})
 	b.Run("Prepared", func(b *testing.B) {
 		var buf strsim.TitleBuf
+		threshold := strsim.NewThreshold(0.55)
 		prepared := make([]strsim.Title, len(titles))
 		for i, t := range titles {
 			prepared[i], buf = buf.Prepare(t)
@@ -211,7 +245,7 @@ func BenchmarkTitleRule(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sink = prepared[i%len(titles)].Below(prepared[(i/len(titles))%len(titles)], 0.55)
+			sink = prepared[i%len(titles)].Below(prepared[(i/len(titles))%len(titles)], threshold)
 		}
 	})
 	_ = sink
