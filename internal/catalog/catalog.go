@@ -217,7 +217,7 @@ func (c *Catalog) openDB(name string, seedEpoch uint64) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		cdb.RestoreHistories(snap.Manifest.Integrations, snap.Manifest.Feedback)
+		cdb.RestoreHistories(int(snap.Manifest.Integrations), snap.Manifest.Feedback)
 		after = snap.Manifest.LogSeq
 		snapEpoch = snap.Manifest.Epoch
 	} else {

@@ -51,3 +51,55 @@ func TestRecoverCommittedDataDir(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedDataDirCounts pins the integration and feedback counts a
+// recovery of testdata/datadir yields: the lengths of the histories the
+// build before integration counts recovered from the same bytes. The book
+// manifest holds a per-source list of three entries, which reads as a
+// count of 3; its log tail then replaces the document (count 0),
+// integrates once and records one judgment. A compaction rewrites each
+// manifest with a plain number, and a second recovery reads it back.
+func TestCommittedDataDirCounts(t *testing.T) {
+	type counts struct{ integrations, feedback int }
+	manifest := map[string]counts{"book": {3, 1}, "people": {0, 0}}
+	recovered := map[string]counts{"book": {1, 1}, "people": {1, 0}}
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "datadir"), dir)
+	qs, err := QuickStats(dir)
+	if err != nil || len(qs) != len(manifest) {
+		t.Fatalf("quick stats %+v, %v", qs, err)
+	}
+	for _, q := range qs {
+		if got := (counts{q.Integrations, q.Feedback}); got != manifest[q.Name] {
+			t.Errorf("%s manifest: %+v, want %+v", q.Name, got, manifest[q.Name])
+		}
+	}
+	for round := 0; round < 2; round++ {
+		cat, err := Open(dir, testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range recovered {
+			db, err := cat.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := (counts{db.Core().IntegrationCount(), db.Core().FeedbackCount()}); got != want {
+				t.Errorf("round %d, %s: recovered %+v, want %+v", round, name, got, want)
+			}
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, name, stateDirName, "manifest.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &fields); err != nil || string(fields["integrations"]) != fmt.Sprint(want.integrations) {
+				t.Errorf("round %d, %s: compacted manifest holds integrations %s (err %v), want the number %d",
+					round, name, fields["integrations"], err, want.integrations)
+			}
+		}
+		cat.Close()
+	}
+}

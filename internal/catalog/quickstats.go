@@ -92,7 +92,7 @@ func quickStat(dir, name string) (QuickStat, error) {
 		qs.SnapshotSeq = m.LogSeq
 		qs.Epoch = m.Epoch
 		qs.SavedAt = m.SavedAt
-		qs.Integrations = len(m.Integrations)
+		qs.Integrations = int(m.Integrations)
 		qs.Feedback = len(m.Feedback)
 	case errors.Is(err, fs.ErrNotExist):
 		// Created but never compacted: only the log exists.

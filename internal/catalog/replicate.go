@@ -20,7 +20,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/dtd"
 	"repro/internal/feedback"
-	"repro/internal/integrate"
 	"repro/internal/pxml"
 	"repro/internal/store"
 )
@@ -145,8 +144,8 @@ func (d *DB) ApplyReplicated(rec WALRecord) (bool, error) {
 }
 
 // BootstrapSnapshot is the state a follower installs to (re)join a
-// primary: the document as of a primary log position, plus the schema and
-// session histories that position reflects.
+// primary: the document as of a primary log position, plus the schema,
+// integration count and feedback history that position reflects.
 type BootstrapSnapshot struct {
 	// Seq is the primary log sequence the tree corresponds to; tailing
 	// resumes at Seq+1.
@@ -156,7 +155,7 @@ type BootstrapSnapshot struct {
 	Epoch        uint64
 	Tree         *pxml.Tree
 	Schema       *dtd.Schema
-	Integrations []integrate.Stats
+	Integrations int
 	Feedback     []feedback.Event
 	// Comment is stored in the snapshot manifest ("" gets a default).
 	Comment string

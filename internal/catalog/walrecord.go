@@ -11,14 +11,14 @@
 // based at 0 restarts it), and a tree's tag/text indices resolve against
 // that table, so repeated tags across a segment's records are spelled
 // once. Version 4, the layout this build writes, carries arena revision 3
-// trees and an integrate's per-source stats as uvarint counters in
-// statsCounters' order (the fields count is omitted when count is 0).
-// Version 3, which earlier builds wrote and this build still reads,
-// carries arena revision 2 trees and the stats as a JSON blob. The OpLoad
-// history blobs stay JSON in both; they are not on any hot path. A
-// payload with another first byte or version is a layout this build does
-// not read: decoding refuses it, and recovery reports it as corruption
-// instead of truncating it as a torn write.
+// trees; version 3, which earlier builds wrote and this build still reads,
+// carries arena revision 2 trees and the stats as a JSON blob. Replay
+// recomputes an integrate's stats, so this build writes a stats count of
+// 0, and checks, then skips, the counters an older record carries. An
+// OpLoad carries the integration count (store.Count) and the feedback
+// history as JSON blobs. A payload with another first byte or version is
+// a layout this build does not read: decoding refuses it, and recovery
+// reports it as corruption instead of truncating it as a torn write.
 package catalog
 
 import (
@@ -31,6 +31,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/integrate"
 	"repro/internal/pxml"
+	"repro/internal/store"
 )
 
 const (
@@ -137,7 +138,7 @@ func encodeOpBody(dst []byte, rec *WALRecord, tab *codec.SharedStrings) ([]byte,
 		if dst, err = appendSources(dst, op.SourceTrees, tab); err != nil {
 			return nil, err
 		}
-		dst = appendStats(dst, op.Stats)
+		dst = codec.AppendUvarint(dst, 0) // stats count (see readStats)
 	case core.OpFeedback:
 		dst = codec.AppendString(dst, op.Query)
 		dst = codec.AppendString(dst, op.Value)
@@ -158,49 +159,21 @@ func encodeOpBody(dst []byte, rec *WALRecord, tab *codec.SharedStrings) ([]byte,
 		}
 		if op.Kind == core.OpLoad {
 			dst = codec.AppendString(dst, op.Schema)
-			ints, err := json.Marshal(op.Integrations)
-			if err != nil {
-				return nil, err
-			}
 			evs, err := json.Marshal(op.Events)
 			if err != nil {
 				return nil, err
 			}
-			dst = codec.AppendBytes(dst, ints)
+			dst = codec.AppendBytes(dst, store.Count(op.Integrations).Blob())
 			dst = codec.AppendBytes(dst, evs)
 		}
 	}
 	return dst, nil
 }
 
-// statsCounters lists every integrate.Stats counter in the fixed order a
-// version 4 record writes them.
-func statsCounters(s *integrate.Stats) [13]*int {
-	return [...]*int{&s.OracleCalls, &s.MustPairs, &s.CannotPairs, &s.UndecidedPairs,
-		&s.Components, &s.LargestComponent, &s.MatchingsEnumerated, &s.MatchingsPruned,
-		&s.PossibilitiesBuilt, &s.IncompatibleMerges, &s.TruncatedComponents,
-		&s.ValueConflicts, &s.SplicedChildren}
-}
-
-// appendStats appends an integrate's per-source stats, version 4: the
-// entry count, the counters per entry, then every counter as a uvarint.
-func appendStats(dst []byte, stats []integrate.Stats) []byte {
-	dst = codec.AppendUvarint(dst, uint64(len(stats)))
-	if len(stats) == 0 {
-		return dst
-	}
-	dst = codec.AppendUvarint(dst, uint64(len(statsCounters(&stats[0]))))
-	for i := range stats {
-		for _, c := range statsCounters(&stats[i]) {
-			dst = codec.AppendUvarint(dst, uint64(*c))
-		}
-	}
-	return dst
-}
-
-// readStats reads what appendStats wrote. A record with more counters
-// per entry than this build knows keeps the known ones, in order.
-func readStats(r *codec.Reader, op *core.Op) error {
+// readStats checks and skips a version 4 record's stats: the entry count
+// and, unless it is 0, the counters per entry, then every counter as a
+// uvarint.
+func readStats(r *codec.Reader) error {
 	n := r.Uvarint()
 	if n == 0 || r.Err() != nil {
 		return r.Err()
@@ -213,28 +186,20 @@ func readStats(r *codec.Reader, op *core.Op) error {
 	if fields == 0 || n > uint64(r.Len())/fields {
 		return fmt.Errorf("%w: implausible stats of %d × %d counters", codec.ErrInvalid, n, fields)
 	}
-	op.Stats = make([]integrate.Stats, n)
-	for i := range op.Stats {
-		counters := statsCounters(&op.Stats[i])
-		for j := uint64(0); j < fields; j++ {
-			if v := r.Uvarint(); j < uint64(len(counters)) {
-				*counters[j] = int(v)
-			}
-		}
+	for i := n * fields; i > 0; i-- {
+		r.Uvarint()
 	}
 	return r.Err()
 }
 
-// readStatsBlob reads a version 3 record's JSON stats blob.
-func readStatsBlob(r *codec.Reader, op *core.Op) error {
+// readStatsBlob checks and skips a version 3 record's JSON stats blob.
+func readStatsBlob(r *codec.Reader) error {
 	blob := r.Bytes()
-	if err := r.Err(); err != nil {
+	if err := r.Err(); err != nil || len(blob) == 0 {
 		return err
 	}
-	if len(blob) == 0 {
-		return nil
-	}
-	if err := json.Unmarshal(blob, &op.Stats); err != nil {
+	var stats []integrate.Stats
+	if err := json.Unmarshal(blob, &stats); err != nil {
 		return fmt.Errorf("%w: bad integration stats: %v", codec.ErrInvalid, err)
 	}
 	return nil
@@ -404,7 +369,7 @@ func DecodeWALRecordShared(payload []byte, tab *codec.StrTab) (WALRecord, error)
 		if payload[1] == walRecordVersion {
 			read = readStatsBlob
 		}
-		if err := read(r, op); err != nil {
+		if err := read(r); err != nil {
 			return WALRecord{}, err
 		}
 	case core.OpFeedback:
@@ -432,10 +397,8 @@ func DecodeWALRecordShared(payload []byte, tab *codec.StrTab) (WALRecord, error)
 			if err := r.Err(); err != nil {
 				return WALRecord{}, err
 			}
-			if len(ints) > 0 {
-				if err := json.Unmarshal(ints, &op.Integrations); err != nil {
-					return WALRecord{}, fmt.Errorf("%w: bad integrations history: %v", codec.ErrInvalid, err)
-				}
+			if op.Integrations, err = store.ParseCount(ints); err != nil {
+				return WALRecord{}, fmt.Errorf("%w: bad integrations: %v", codec.ErrInvalid, err)
 			}
 			if len(evs) > 0 {
 				if err := json.Unmarshal(evs, &op.Events); err != nil {

@@ -2,13 +2,12 @@ package catalog
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
+	"math"
 	"math/big"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/feedback"
-	"repro/internal/integrate"
 	"repro/internal/pxml"
 	"repro/internal/xmlcodec"
 )
@@ -31,21 +29,20 @@ func mustTree(t *testing.T, xml string) *pxml.Tree {
 	return tree
 }
 
-// sampleRecords builds one record per op kind, plus an integrate record
-// carrying its recorded stats.
+// sampleRecords builds one record per op kind, plus a second integrate
+// record and an epoch change.
 func sampleRecords(t *testing.T) []WALRecord {
 	t.Helper()
 	when := time.Date(2026, 8, 8, 12, 30, 45, 123456789, time.FixedZone("X", 3600))
 	return []WALRecord{
 		{Seq: 1, Epoch: 0, Op: core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{mustTree(t, abA)}}},
-		{Seq: 2, Epoch: 1, Op: core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{mustTree(t, abC)},
-			Stats: []integrate.Stats{{OracleCalls: 7, UndecidedPairs: 3, SplicedChildren: 2}}}},
+		{Seq: 2, Epoch: 1, Op: core.Op{Kind: core.OpIntegrate, SourceTrees: []*pxml.Tree{mustTree(t, abC)}}},
 		{Seq: 3, Epoch: 1, Op: core.Op{Kind: core.OpBatch, SourceTrees: []*pxml.Tree{mustTree(t, abA), mustTree(t, abB)}}},
 		{Seq: 4, Epoch: 2, Op: core.Op{Kind: core.OpFeedback, Query: "//person/tel", Value: "1111", Correct: true, When: when}},
 		{Seq: 5, Epoch: 2, Op: core.Op{Kind: core.OpNormalize}},
 		{Seq: 6, Epoch: 2, Op: core.Op{Kind: core.OpReplace, TreeValue: mustTree(t, abB)}},
 		{Seq: 7, Epoch: 3, Op: core.Op{Kind: core.OpLoad, TreeValue: mustTree(t, abC), Schema: "<!ELEMENT addressbook (person*)>",
-			Integrations: []integrate.Stats{{OracleCalls: 4, Components: 1}},
+			Integrations: 4,
 			Events:       []feedback.Event{{Query: "//q", Value: "v", PriorP: 0.5, WorldsBefore: big.NewInt(4), WorldsAfter: big.NewInt(2), When: when}}}},
 	}
 }
@@ -89,9 +86,6 @@ func TestWALRecordBinaryRoundTrip(t *testing.T) {
 				t.Fatalf("seq %d: tree %d differs after round trip", rec.Seq, i)
 			}
 		}
-		if fmt.Sprint(got.Op.Stats) != fmt.Sprint(rec.Op.Stats) {
-			t.Fatalf("seq %d: stats %+v round-tripped to %+v", rec.Seq, rec.Op.Stats, got.Op.Stats)
-		}
 		switch rec.Op.Kind {
 		case core.OpFeedback:
 			if got.Op.Query != rec.Op.Query || got.Op.Value != rec.Op.Value || got.Op.Correct != rec.Op.Correct {
@@ -104,11 +98,11 @@ func TestWALRecordBinaryRoundTrip(t *testing.T) {
 			if got.Op.Schema != rec.Op.Schema {
 				t.Fatalf("seq %d: schema %q", rec.Seq, got.Op.Schema)
 			}
-			if len(got.Op.Integrations) != len(rec.Op.Integrations) || len(got.Op.Events) != len(rec.Op.Events) {
-				t.Fatalf("seq %d: histories = %d/%d", rec.Seq, len(got.Op.Integrations), len(got.Op.Events))
+			if got.Op.Integrations != rec.Op.Integrations || len(got.Op.Events) != len(rec.Op.Events) {
+				t.Fatalf("seq %d: integrations %d, %d events", rec.Seq, got.Op.Integrations, len(got.Op.Events))
 			}
-			if got.Op.Integrations[0].OracleCalls != 4 || got.Op.Events[0].WorldsBefore.Cmp(big.NewInt(4)) != 0 {
-				t.Fatalf("seq %d: history contents = %+v %+v", rec.Seq, got.Op.Integrations[0], got.Op.Events[0])
+			if got.Op.Events[0].WorldsBefore.Cmp(big.NewInt(4)) != 0 {
+				t.Fatalf("seq %d: event = %+v", rec.Seq, got.Op.Events[0])
 			}
 		}
 	}
@@ -347,8 +341,13 @@ func FuzzDecodeWALRecord(f *testing.F) {
 			f.Add(payload) // the second is based mid-table
 		}
 	}
-	if payload, err := EncodeWALRecord(WALRecord{Seq: 3, Epoch: 1, Op: core.Op{Kind: core.OpBatch, SourceTrees: []*pxml.Tree{tree, tree}}}); err == nil {
-		f.Add(payload)
+	for _, rec := range []WALRecord{
+		{Seq: 3, Epoch: 1, Op: core.Op{Kind: core.OpBatch, SourceTrees: []*pxml.Tree{tree, tree}}},
+		{Seq: 4, Epoch: 1, Op: core.Op{Kind: core.OpLoad, TreeValue: tree, Integrations: 12}},
+	} {
+		if payload, err := EncodeWALRecord(rec); err == nil {
+			f.Add(payload)
+		}
 	}
 	f.Add([]byte{walBinaryMarker, walRecordVersion})
 	// Version 3 records as an earlier build wrote them: every payload of
@@ -378,6 +377,16 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		if got.Op.TreeValue != nil {
 			if err := got.Op.TreeValue.Validate(); err != nil {
 				t.Fatalf("accepted record carries invalid tree: %v", err)
+			}
+		}
+		if got.Op.Kind == core.OpLoad {
+			// Whatever form the count came in, it re-encodes as itself.
+			again, err := EncodeWALRecord(got)
+			if err != nil {
+				t.Fatalf("accepted load record does not re-encode: %v", err)
+			}
+			if back, err := DecodeWALRecord(again); err != nil || back.Op.Integrations != got.Op.Integrations || got.Op.Integrations < 0 {
+				t.Fatalf("integration count %d re-read as %d (err %v)", got.Op.Integrations, back.Op.Integrations, err)
 			}
 		}
 	})
@@ -413,14 +422,13 @@ func queueRecord(t *testing.T, seq uint64, code byte) []byte {
 	return append(p, body...)
 }
 
-// TestWALRecordQueueRoundTrip: the stats blob on an integrate record
-// survives the record format, while a record of either removed queue
-// kind — enqueue and apply-queued — fails to decode with errRemovedOp
-// naming its sequence and kind, not as an unknown op kind code.
+// TestWALRecordQueueRoundTrip: an integrate record survives the record
+// format, while a record of either removed queue kind — enqueue and
+// apply-queued — fails to decode with errRemovedOp naming its sequence and
+// kind, not as an unknown op kind code.
 func TestWALRecordQueueRoundTrip(t *testing.T) {
-	stats := []integrate.Stats{{OracleCalls: 7, UndecidedPairs: 3, SplicedChildren: 2}}
 	rec := WALRecord{Seq: 14, Epoch: 3, Op: core.Op{Kind: core.OpIntegrate,
-		SourceTrees: []*pxml.Tree{mustTree(t, abA)}, Stats: stats}}
+		SourceTrees: []*pxml.Tree{mustTree(t, abA)}}}
 	payload, err := EncodeWALRecord(rec)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -433,9 +441,6 @@ func TestWALRecordQueueRoundTrip(t *testing.T) {
 		!pxml.Equal(got.Op.SourceTrees[0].Root(), rec.Op.SourceTrees[0].Root()) {
 		t.Fatalf("round trip = %+v", got)
 	}
-	if len(got.Op.Stats) != 1 || got.Op.Stats[0] != stats[0] {
-		t.Fatalf("stats %+v round-tripped to %+v", stats, got.Op.Stats)
-	}
 	for code, want := range map[byte]string{7: "record 5 is an enqueue record", 8: "record 5 is an apply-queued record"} {
 		_, err := DecodeWALRecord(queueRecord(t, 5, code))
 		if !errors.Is(err, errRemovedOp) || !strings.Contains(err.Error(), want) ||
@@ -445,85 +450,151 @@ func TestWALRecordQueueRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALRecordBinaryStats: a version 4 record carries every
-// integrate.Stats counter, each entry of a batch's list, bit for bit; and
-// a record that carries more counters per entry than this build knows (a
-// later build's) keeps the ones it knows, in order.
-func TestWALRecordBinaryStats(t *testing.T) {
-	var full integrate.Stats
-	v := reflect.ValueOf(&full).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetInt(int64(1000*i + 7))
-	}
-	if n := len(statsCounters(&full)); n != v.NumField() {
-		t.Fatalf("statsCounters lists %d counters, integrate.Stats has %d", n, v.NumField())
-	}
-	sources := []*pxml.Tree{mustTree(t, abA), mustTree(t, abB)}
-	rec := WALRecord{Seq: 9, Op: core.Op{Kind: core.OpBatch, SourceTrees: sources, Stats: []integrate.Stats{full, {}}}}
-	payload, err := EncodeWALRecord(rec)
+// v4IntegrateRecord hand-builds a version 4 integrate record of abA whose
+// stats section is stats, the bytes after the source.
+func v4IntegrateRecord(t *testing.T, stats []byte) []byte {
+	t.Helper()
+	var tab codec.SharedStrings
+	body, err := appendSources([]byte{opKindCodes[core.OpIntegrate]}, []*pxml.Tree{mustTree(t, abA)}, &tab)
 	if err != nil {
 		t.Fatal(err)
-	}
-	got, err := DecodeWALRecord(payload)
-	if err != nil || !reflect.DeepEqual(got.Op.Stats, rec.Op.Stats) {
-		t.Fatalf("stats %+v read back as %+v (err %v)", rec.Op.Stats, got.Op.Stats, err)
-	}
-
-	var tab codec.SharedStrings
-	body := []byte{opKindCodes[core.OpIntegrate]}
-	if body, err = appendSources(body, sources[:1], &tab); err != nil {
-		t.Fatal(err)
-	}
-	body = codec.AppendUvarint(body, 1)
-	body = codec.AppendUvarint(body, uint64(v.NumField()+2))
-	for i := 0; i < v.NumField()+2; i++ {
-		body = codec.AppendUvarint(body, uint64(1000*i+7))
 	}
 	p := []byte{walBinaryMarker, walRecordCompact, 9, 0}
 	p = append(tab.AppendDelta(p, 0), body...)
-	if got, err = DecodeWALRecord(p); err != nil || len(got.Op.Stats) != 1 || got.Op.Stats[0] != full {
-		t.Fatalf("two counters more: stats %+v (err %v), want %+v", got.Op.Stats, err, full)
-	}
+	return append(p, stats...)
 }
 
-// TestWALRecordRetiredStatsFields: logs written while integration had a
-// cross-call memo carry VerdictMemoHits and MergeMemoHits in their stats
-// blobs. A hand-built integrate record with those keys still decodes,
-// the keys ignored and every kept counter intact. And new records keep
-// the size of the old: they write every counter, then the two retired
-// keys as zeros.
-func TestWALRecordRetiredStatsFields(t *testing.T) {
-	const blob = `[{"OracleCalls":7,"UndecidedPairs":4,"VerdictMemoHits":3,"MergeMemoHits":1,"SplicedChildren":2}]`
-	want := integrate.Stats{OracleCalls: 7, UndecidedPairs: 4, SplicedChildren: 2}
-	layout := `[{"OracleCalls":7,"MustPairs":0,"CannotPairs":0,"UndecidedPairs":4,"Components":0,"LargestComponent":0,` +
-		`"MatchingsEnumerated":0,"MatchingsPruned":0,"PossibilitiesBuilt":0,"IncompatibleMerges":0,"TruncatedComponents":0,` +
-		`"ValueConflicts":0,"SplicedChildren":2,"VerdictMemoHits":0,"MergeMemoHits":0}]`
-	if got, err := json.Marshal([]integrate.Stats{want}); err != nil || string(got) != layout {
-		t.Fatalf("stats blob %s, %v; want %s", got, err, layout)
-	}
-
-	var tab codec.SharedStrings
-	source, err := appendTree(nil, mustTree(t, abA), &tab)
+// TestWALRecordBinaryStats: a version 4 record this build writes ends its
+// integrate op with a stats count of 0, and nothing follows. Records an
+// earlier build wrote with counters — two entries of the 13 it knew, or
+// of two counters more — still decode to their source, the counters
+// skipped; a record whose counters are cut short or implausible is
+// refused.
+func TestWALRecordBinaryStats(t *testing.T) {
+	sources := []*pxml.Tree{mustTree(t, abA), mustTree(t, abB)}
+	payload, err := EncodeWALRecord(WALRecord{Seq: 9, Op: core.Op{Kind: core.OpBatch, SourceTrees: sources}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte{walBinaryMarker, walRecordVersion}
-	payload = codec.AppendUvarint(payload, 31)
-	payload = codec.AppendUvarint(payload, 2)
-	payload = tab.AppendDelta(payload, 0)
-	payload = append(payload, opKindCodes[core.OpIntegrate])
-	payload = codec.AppendUvarint(payload, 1)
-	payload = append(payload, source...)
-	payload = codec.AppendBytes(payload, []byte(blob))
+	if payload[len(payload)-1] != 0 {
+		t.Fatalf("record ends in %#x, not a stats count of 0", payload[len(payload)-1])
+	}
+	if got, err := DecodeWALRecord(payload); err != nil || len(got.Op.SourceTrees) != 2 {
+		t.Fatalf("batch read back as %+v (err %v)", got.Op, err)
+	}
 
-	got, err := DecodeWALRecord(payload)
+	counters := func(entries, fields int) []byte {
+		b := codec.AppendUvarint(nil, uint64(entries))
+		b = codec.AppendUvarint(b, uint64(fields))
+		for i := 0; i < entries*fields; i++ {
+			b = codec.AppendUvarint(b, uint64(1000*i+7))
+		}
+		return b
+	}
+	for _, fields := range []int{13, 15} {
+		got, err := DecodeWALRecord(v4IntegrateRecord(t, counters(2, fields)))
+		if err != nil || len(got.Op.SourceTrees) != 1 || !pxml.Equal(got.Op.SourceTrees[0].Root(), mustTree(t, abA).Root()) {
+			t.Fatalf("%d counters per entry: %+v (err %v)", fields, got.Op, err)
+		}
+	}
+	full := counters(2, 13)
+	for name, stats := range map[string][]byte{
+		"cut":         full[:len(full)-1],
+		"no fields":   {1, 0},
+		"implausible": {200, 13, 1},
+		"count cut":   {},
+		"trailing":    append(counters(1, 13), 0),
+	} {
+		if _, err := DecodeWALRecord(v4IntegrateRecord(t, stats)); err == nil {
+			t.Errorf("%s stats decoded", name)
+		}
+	}
+}
+
+// TestWALRecordRetiredStatsFields: a version 3 record carries its stats
+// as a JSON blob, and logs written while integration had a cross-call memo
+// carry VerdictMemoHits and MergeMemoHits in it. A hand-built record with
+// those keys still decodes to its source, the stats skipped; a blob whose
+// counters are not integers, or that is no list, is refused as before.
+func TestWALRecordRetiredStatsFields(t *testing.T) {
+	v3 := func(blob string) []byte {
+		var tab codec.SharedStrings
+		source, err := appendTree(nil, mustTree(t, abA), &tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := []byte{walBinaryMarker, walRecordVersion}
+		payload = codec.AppendUvarint(payload, 31)
+		payload = codec.AppendUvarint(payload, 2)
+		payload = tab.AppendDelta(payload, 0)
+		payload = append(payload, opKindCodes[core.OpIntegrate])
+		payload = codec.AppendUvarint(payload, 1)
+		payload = append(payload, source...)
+		return codec.AppendBytes(payload, []byte(blob))
+	}
+	got, err := DecodeWALRecord(v3(`[{"OracleCalls":7,"UndecidedPairs":4,"VerdictMemoHits":3,"MergeMemoHits":1,"SplicedChildren":2}]`))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Seq != 31 || got.Op.Kind != core.OpIntegrate || len(got.Op.Stats) != 1 || got.Op.Stats[0] != want {
-		t.Fatalf("decoded %+v, stats %+v; want stats %+v", got, got.Op.Stats, want)
+	if got.Seq != 31 || got.Op.Kind != core.OpIntegrate {
+		t.Fatalf("decoded %+v", got)
 	}
 	if trees := opTrees(got.Op); len(trees) != 1 || !pxml.Equal(trees[0].Root(), mustTree(t, abA).Root()) {
 		t.Fatal("source did not survive")
+	}
+	for _, blob := range []string{`[{"OracleCalls":1.5}]`, `[{"MustPairs":"x"}]`, `{"OracleCalls":1}`, `[`} {
+		if _, err := DecodeWALRecord(v3(blob)); !errors.Is(err, codec.ErrInvalid) {
+			t.Errorf("stats blob %s: decode = %v, want codec.ErrInvalid", blob, err)
+		}
+	}
+}
+
+// TestWALRecordIntegrationCount: an OpLoad record carries the integration
+// count as a JSON blob. This build writes it as a number, and as no bytes
+// at all for 0, which every earlier build reads as an empty history; it
+// reads a number as itself and the per-source list earlier builds wrote as
+// its length. A negative number, a fraction, one past math.MaxInt or a
+// string is refused as codec.ErrInvalid.
+func TestWALRecordIntegrationCount(t *testing.T) {
+	tree := mustTree(t, abB)
+	load := func(ints []byte) []byte {
+		var tab codec.SharedStrings
+		body, err := appendTree([]byte{opKindCodes[core.OpLoad]}, tree, &tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = codec.AppendString(body, "")
+		body = codec.AppendBytes(body, ints)
+		body = codec.AppendBytes(body, []byte("null")) // no feedback events
+		p := []byte{walBinaryMarker, walRecordCompact, 5, 0}
+		return append(tab.AppendDelta(p, 0), body...)
+	}
+	for _, n := range []int{0, 1, 256, math.MaxInt} {
+		rec := WALRecord{Seq: 5, Op: core.Op{Kind: core.OpLoad, TreeValue: tree, Integrations: n}}
+		payload, err := EncodeWALRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := load([]byte(strconv.Itoa(n)))
+		if n == 0 {
+			want = load(nil)
+		}
+		if string(payload) != string(want) {
+			t.Fatalf("count %d encoded as %x, want %x", n, payload, want)
+		}
+		if got, err := DecodeWALRecord(payload); err != nil || got.Op.Integrations != n {
+			t.Fatalf("count %d read back as %d (err %v)", n, got.Op.Integrations, err)
+		}
+	}
+	legacy := `[{"OracleCalls":3,"MustPairs":1,"VerdictMemoHits":0},{"OracleCalls":0},{}]`
+	for blob, want := range map[string]int{legacy: 3, "[]": 0, "null": 0, " 7 ": 7, "": 0} {
+		if got, err := DecodeWALRecord(load([]byte(blob))); err != nil || got.Op.Integrations != want {
+			t.Errorf("integrations %q read as %d (err %v), want %d", blob, got.Op.Integrations, err, want)
+		}
+	}
+	for _, blob := range []string{"-1", "1.5", "1e3", "9223372036854775808", `"3"`, "{}", "true", "[", "3 4"} {
+		if _, err := DecodeWALRecord(load([]byte(blob))); !errors.Is(err, codec.ErrInvalid) || !strings.Contains(err.Error(), "integrations") {
+			t.Errorf("integrations %q: decode = %v, want codec.ErrInvalid naming integrations", blob, err)
+		}
 	}
 }

@@ -36,7 +36,7 @@ func TestIntegrateBatchMatchesSequentialFold(t *testing.T) {
 	if !pxml.Equal(result.Root(), batched.Tree().Root()) {
 		t.Fatalf("returned tree is not the installed tree")
 	}
-	if got := len(batched.IntegrationHistory()); got != 2 {
+	if got := batched.IntegrationCount(); got != 2 {
 		t.Fatalf("history length = %d, want 2", got)
 	}
 
@@ -72,7 +72,7 @@ func TestIntegrateBatchIsAtomic(t *testing.T) {
 	if db.Tree() != before {
 		t.Fatalf("failed batch must not touch the document")
 	}
-	if got := len(db.IntegrationHistory()); got != 0 {
+	if got := db.IntegrationCount(); got != 0 {
 		t.Fatalf("failed batch recorded %d history entries", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestIntegrateBatchXMLRejectsMalformedBeforeIntegrating(t *testing.T) {
 	if err == nil {
 		t.Fatalf("malformed source should fail the batch")
 	}
-	if db.Tree() != before || len(db.IntegrationHistory()) != 0 {
+	if db.Tree() != before || db.IntegrationCount() != 0 {
 		t.Fatalf("failed batch must not touch the database")
 	}
 	if _, _, err := db.IntegrateBatch(nil); err == nil {

@@ -78,7 +78,7 @@ func TestConcurrentReadsDuringMutation(t *testing.T) {
 					}
 				case 4:
 					db.IsCertain()
-					db.IntegrationHistory()
+					db.IntegrationCount()
 					db.FeedbackHistory()
 				}
 			}
@@ -112,8 +112,8 @@ func TestConcurrentIntegrations(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := len(db.IntegrationHistory()); got != writers {
-		t.Fatalf("integration history = %d, want %d", got, writers)
+	if got := db.IntegrationCount(); got != writers {
+		t.Fatalf("integration count = %d, want %d", got, writers)
 	}
 	// Every writer's person must be present in the final document.
 	for g := 0; g < writers; g++ {
@@ -240,7 +240,7 @@ func TestReplaceTree(t *testing.T) {
 	if err := db.ReplaceTree(nt); err != nil {
 		t.Fatalf("ReplaceTree: %v", err)
 	}
-	if !db.IsCertain() || len(db.IntegrationHistory()) != 0 {
+	if !db.IsCertain() || db.IntegrationCount() != 0 {
 		t.Fatalf("replace did not reset state")
 	}
 	if err := db.ReplaceTree(nil); err == nil {

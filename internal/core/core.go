@@ -12,7 +12,7 @@
 // mutate, the single commit. Under the writer mutex, mutate reads the
 // settled tree, runs the step, warms the successor's summary (which the
 // query planner reads), journals the op, and then — in one critical
-// section of the read lock — swaps the tree, updates the histories,
+// section of the read lock — swaps the tree, updates the counts,
 // advances the applied sequence and purges the result cache. Readers
 // (Query, Stats, ExportXML, …) snapshot the current tree under the read
 // lock and then work entirely on that immutable snapshot without holding
@@ -70,11 +70,14 @@ type Database struct {
 	writeMu sync.Mutex
 	// mu guards the snapshot fields below. Readers hold it only long
 	// enough to copy pointers; never during tree traversal.
-	mu           sync.RWMutex
-	tree         *pxml.Tree
-	schema       *dtd.Schema
-	integrations []integrate.Stats
-	// events are the feedback events applied since the last integration.
+	mu     sync.RWMutex
+	tree   *pxml.Tree
+	schema *dtd.Schema
+	// integrations counts the sources integrated since the last replace
+	// or load (which installs the count its snapshot carried).
+	integrations int
+	// events are the feedback events applied since the last integrate,
+	// normalize or replace; a load installs its snapshot's events instead.
 	events []feedback.Event
 	// warms / warmLast / warmTotal count and time the summary warm of
 	// every published tree (the initial document's included) for /stats.
@@ -215,7 +218,7 @@ func (db *Database) IntegrateTree(other *pxml.Tree) (*integrate.Stats, error) {
 // integration produced (a later writer may have swapped in a newer tree
 // by the time Tree() is called).
 func (db *Database) IntegrateTreeResult(other *pxml.Tree) (*pxml.Tree, *integrate.Stats, error) {
-	statsList, res, err := db.integrateSources([]*pxml.Tree{other}, nil)
+	statsList, res, err := db.IntegrateBatch([]*pxml.Tree{other})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -240,22 +243,8 @@ func (db *Database) integrationConfig() integrate.Config {
 // error names the failing source. On success the per-source integration
 // statistics and the resulting tree are returned.
 func (db *Database) IntegrateBatch(sources []*pxml.Tree) ([]integrate.Stats, *pxml.Tree, error) {
-	return db.integrateSources(sources, nil)
-}
-
-// integrateSources is the shared integrate/batch mutation. When recorded
-// is non-nil (journal replay, replicated apply), it must hold one Stats
-// per source: the engine's recomputed tree is installed — integration is
-// deterministic, so it is pxml.Equal to the original — but the RECORDED
-// stats go into the history and the journal, because a log written by an
-// older version carries counters its own engine computed (a cross-call memo
-// made them depend on history), which a replay must reproduce as recorded.
-func (db *Database) integrateSources(sources []*pxml.Tree, recorded []integrate.Stats) ([]integrate.Stats, *pxml.Tree, error) {
 	if len(sources) == 0 {
 		return nil, nil, errors.New("core: empty integration batch")
-	}
-	if recorded != nil && len(recorded) != len(sources) {
-		return nil, nil, fmt.Errorf("core: %d recorded stats for %d sources", len(recorded), len(sources))
 	}
 	var (
 		statsList []integrate.Stats
@@ -277,17 +266,14 @@ func (db *Database) integrateSources(sources []*pxml.Tree, recorded []integrate.
 			cur = next
 			statsList = append(statsList, *stats)
 		}
-		if recorded != nil {
-			statsList = append([]integrate.Stats(nil), recorded...)
-		}
 		res = cur
-		op := Op{Kind: OpIntegrate, SourceTrees: sources, Stats: statsList}
+		op := Op{Kind: OpIntegrate, SourceTrees: sources}
 		if len(sources) > 1 {
 			op.Kind = OpBatch
 		}
 		return op, cur, func() {
 			db.events = nil
-			db.integrations = append(db.integrations, statsList...)
+			db.integrations += len(sources)
 		}, nil
 	})
 	if err != nil {
@@ -326,19 +312,12 @@ func (db *Database) IntegrateXMLString(src string) (*integrate.Stats, error) {
 	return db.IntegrateXML(strings.NewReader(src))
 }
 
-// IntegrationHistory returns the statistics of every integration run.
-func (db *Database) IntegrationHistory() []integrate.Stats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return append([]integrate.Stats(nil), db.integrations...)
-}
-
-// IntegrationCount returns the number of integration runs without
-// copying the history (for cheap stats polling).
+// IntegrationCount returns the number of sources integrated since the
+// last replace, plus the count the last load installed.
 func (db *Database) IntegrationCount() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.integrations)
+	return db.integrations
 }
 
 // Query evaluates a query with the database's default options, returning
@@ -521,7 +500,8 @@ func (db *Database) feedbackAt(querySrc, value string, correct bool, when time.T
 }
 
 // FeedbackHistory returns the feedback events applied since the last
-// integration. Like the other read accessors it never blocks behind an
+// integrate, normalize or replace; a load installs its snapshot's events
+// instead. Like the other read accessors it never blocks behind an
 // in-flight mutation.
 func (db *Database) FeedbackHistory() []feedback.Event {
 	db.mu.RLock()
@@ -529,8 +509,8 @@ func (db *Database) FeedbackHistory() []feedback.Event {
 	return append([]feedback.Event(nil), db.events...)
 }
 
-// FeedbackCount returns the number of feedback events since the last
-// integration without copying the history.
+// FeedbackCount returns the length of FeedbackHistory without copying
+// it.
 func (db *Database) FeedbackCount() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -566,8 +546,8 @@ func (db *Database) Normalize() (before, after int64, err error) {
 }
 
 // ReplaceTree swaps the entire document for a new one, discarding the
-// feedback and integration histories. It backs the server's
-// replace-mode integrate and snapshot loading.
+// feedback history and zeroing the integration count. It backs the
+// server's replace-mode integrate and snapshot loading.
 func (db *Database) ReplaceTree(t *pxml.Tree) error {
 	if t == nil {
 		return errors.New("core: nil document")
@@ -576,14 +556,14 @@ func (db *Database) ReplaceTree(t *pxml.Tree) error {
 		return fmt.Errorf("core: invalid document: %w", err)
 	}
 	return db.mutate(func(*pxml.Tree) (Op, *pxml.Tree, func(), error) {
-		return Op{Kind: OpReplace, TreeValue: t}, t, func() { db.events, db.integrations = nil, nil }, nil
+		return Op{Kind: OpReplace, TreeValue: t}, t, func() { db.events, db.integrations = nil, 0 }, nil
 	})
 }
 
-// SaveSnapshot persists the current document, schema and session
-// histories into dir via the store package, returning the written
-// manifest. The snapshot records the journal position it reflects, so a
-// catalog recovery replays only the log tail beyond it.
+// SaveSnapshot persists the current document, schema and counts into dir
+// via the store package, returning the written manifest. The snapshot
+// records the journal position it reflects, so a catalog recovery
+// replays only the log tail beyond it.
 func (db *Database) SaveSnapshot(dir, comment string) (store.Manifest, error) {
 	v := db.View()
 	return store.SaveWith(dir, v.Tree, v.Schema, store.SaveOptions{
@@ -596,29 +576,29 @@ func (db *Database) SaveSnapshot(dir, comment string) (store.Manifest, error) {
 
 // LoadSnapshot replaces the database content with a snapshot read from
 // dir. A schema stored in the snapshot replaces the current schema; a
-// snapshot without one keeps it. Histories persisted in the snapshot
-// manifest are restored, so stats counters survive a save/load cycle.
+// snapshot without one keeps it. The counts persisted in the manifest are
+// restored, so stats counters survive a save/load cycle.
 func (db *Database) LoadSnapshot(dir string) (*store.Snapshot, error) {
 	snap, err := store.Load(dir)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.installSnapshot(snap.Tree, snap.Schema, snap.Manifest.Integrations, snap.Manifest.Feedback); err != nil {
+	if err := db.installSnapshot(snap.Tree, snap.Schema, int(snap.Manifest.Integrations), snap.Manifest.Feedback); err != nil {
 		return nil, err
 	}
 	return snap, nil
 }
 
-// installSnapshot swaps in a snapshot's document, schema and histories as
+// installSnapshot swaps in a snapshot's document, schema and counts as
 // one journaled mutation (shared by LoadSnapshot and OpLoad replay).
-func (db *Database) installSnapshot(t *pxml.Tree, schema *dtd.Schema, ints []integrate.Stats, evs []feedback.Event) error {
+func (db *Database) installSnapshot(t *pxml.Tree, schema *dtd.Schema, ints int, evs []feedback.Event) error {
 	op := Op{Kind: OpLoad, TreeValue: t, Integrations: ints, Events: evs}
 	if schema != nil {
 		op.Schema = schema.String()
 	}
 	return db.mutate(func(*pxml.Tree) (Op, *pxml.Tree, func(), error) {
 		return op, t, func() {
-			db.integrations = append([]integrate.Stats(nil), ints...)
+			db.integrations = ints
 			db.events = append([]feedback.Event(nil), evs...)
 			if schema != nil {
 				db.schema = schema

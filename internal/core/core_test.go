@@ -48,8 +48,8 @@ func TestEndToEndLifecycle(t *testing.T) {
 	if got := db.WorldCount(); got.Cmp(big.NewInt(3)) != 0 {
 		t.Fatalf("worlds = %s, want 3 (Figure 2)", got)
 	}
-	if len(db.IntegrationHistory()) != 1 {
-		t.Fatalf("history = %d", len(db.IntegrationHistory()))
+	if db.IntegrationCount() != 1 {
+		t.Fatalf("history = %d", db.IntegrationCount())
 	}
 
 	res, err := db.Query(`//person/tel`)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dtd"
 	"repro/internal/feedback"
-	"repro/internal/integrate"
 	"repro/internal/pxml"
 )
 
@@ -32,7 +31,7 @@ const (
 	// OpReplace swaps the whole document for TreeValue.
 	OpReplace OpKind = "replace"
 	// OpLoad installs a snapshot: TreeValue, optional Schema, and the
-	// histories the snapshot carried.
+	// integration count and feedback history the snapshot carried.
 	OpLoad OpKind = "load"
 )
 
@@ -55,17 +54,10 @@ type Op struct {
 	// TreeValue and Schema are the installed document (replace/load).
 	TreeValue *pxml.Tree
 	Schema    string
-	// Integrations and Events restore the histories a loaded snapshot
-	// carried.
-	Integrations []integrate.Stats
+	// Integrations and Events restore the integration count and feedback
+	// history a loaded snapshot carried.
+	Integrations int
 	Events       []feedback.Event
-	// Stats records the per-source integration statistics of an
-	// integrate/batch op as they were at commit time.
-	// Replay installs these instead of its own recomputed counters: the
-	// tree recomputation is deterministic, and the history must be the
-	// original one exactly, even for a log whose engine counted
-	// differently (older versions had a cross-call memo).
-	Stats []integrate.Stats
 }
 
 // Journal receives one record per committed mutation and assigns it a
@@ -113,24 +105,17 @@ func (db *Database) SetJournal(j Journal, seq uint64) {
 
 // ApplyOp re-executes one journaled mutation — the replay half of crash
 // recovery. It dispatches to the same mutating paths that produced the
-// record, so replaying a log prefix reproduces the exact tree and
-// histories (integration and feedback engines are deterministic). Callers
-// replay with no journal attached, then attach it at the recovered
-// sequence.
+// record, so replaying a log prefix reproduces the exact tree, integration
+// count and feedback history (integration and feedback engines are
+// deterministic). Callers replay with no journal attached, then attach it
+// at the recovered sequence.
 func (db *Database) ApplyOp(op Op) error {
 	switch op.Kind {
 	case OpIntegrate, OpBatch:
-		trees := op.SourceTrees
-		if len(trees) == 0 {
+		if len(op.SourceTrees) == 0 {
 			return errors.New("core: replay: op has no sources")
 		}
-		// Recorded stats (when the log carries them) are installed in
-		// place of the recomputed counters; see integrateSources.
-		recorded := op.Stats
-		if len(recorded) != len(trees) {
-			recorded = nil
-		}
-		_, _, err := db.integrateSources(trees, recorded)
+		_, _, err := db.IntegrateBatch(op.SourceTrees)
 		return err
 	case OpFeedback:
 		_, err := db.feedbackAt(op.Query, op.Value, op.Correct, op.When)
@@ -162,12 +147,12 @@ func (db *Database) ApplyOp(op Op) error {
 }
 
 // SnapshotView is a consistent cut of everything a durable snapshot must
-// capture: the document, its schema, the session histories, and the
-// journal sequence of the last mutation the tree reflects.
+// capture: the document, its schema, the integration count, the feedback
+// history, and the journal sequence of the last mutation the tree reflects.
 type SnapshotView struct {
 	Tree         *pxml.Tree
 	Schema       *dtd.Schema
-	Integrations []integrate.Stats
+	Integrations int
 	Events       []feedback.Event
 	// Seq is the journal sequence the tree corresponds to; a recovery
 	// from this snapshot replays only records with a higher sequence.
@@ -183,7 +168,7 @@ func (db *Database) View() SnapshotView {
 	return SnapshotView{
 		Tree:         db.tree,
 		Schema:       db.schema,
-		Integrations: append([]integrate.Stats(nil), db.integrations...),
+		Integrations: db.integrations,
 		Events:       append([]feedback.Event(nil), db.events...),
 		Seq:          db.appliedSeq,
 	}
@@ -191,7 +176,7 @@ func (db *Database) View() SnapshotView {
 
 // AppliedSeq returns the journal sequence of the last mutation the
 // current tree reflects — an O(1) read for health and replication
-// reporting (View copies the histories too; this does not).
+// reporting (View copies the feedback history too; this does not).
 func (db *Database) AppliedSeq() uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -209,14 +194,15 @@ func (db *Database) TreeSeq() (*pxml.Tree, uint64) {
 	return db.tree, db.appliedSeq
 }
 
-// RestoreHistories installs previously persisted session histories (from
-// a snapshot manifest), so stats counters survive a restart. It is called
-// during recovery, before the write-ahead tail is replayed.
-func (db *Database) RestoreHistories(ints []integrate.Stats, evs []feedback.Event) {
+// RestoreHistories installs a previously persisted integration count and
+// feedback history (from a snapshot manifest), so stats counters survive a
+// restart. It is called during recovery, before the write-ahead tail is
+// replayed.
+func (db *Database) RestoreHistories(ints int, evs []feedback.Event) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	db.mu.Lock()
-	db.integrations = append([]integrate.Stats(nil), ints...)
+	db.integrations = ints
 	db.events = append([]feedback.Event(nil), evs...)
 	db.mu.Unlock()
 }

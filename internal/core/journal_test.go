@@ -102,9 +102,8 @@ func TestJournalReplayReproducesState(t *testing.T) {
 	if len(a) != 1 || len(b) != 1 || !a[0].When.Equal(b[0].When) || a[0].PriorP != b[0].PriorP {
 		t.Fatalf("replayed feedback history differs: %+v vs %+v", a, b)
 	}
-	ia, ib := db.IntegrationHistory(), replica.IntegrationHistory()
-	if len(ia) != len(ib) || ia[0] != ib[0] {
-		t.Fatalf("replayed integration history differs: %+v vs %+v", ia, ib)
+	if ia, ib := db.IntegrationCount(), replica.IntegrationCount(); ia != 1 || ib != ia {
+		t.Fatalf("replayed integration count %d, live %d", ib, ia)
 	}
 }
 
@@ -112,7 +111,7 @@ func TestJournalReplayReproducesState(t *testing.T) {
 // writer lock guards: racing integrate, reject-feedback and normalize
 // writers commit to the journal in exactly the order they apply in memory,
 // so replaying the journal in sequence order into a fresh database
-// reproduces the live one — tree, integration history and feedback
+// reproduces the live one — tree, integration count and feedback
 // history alike.
 func TestConcurrentWritersJournalInApplyOrder(t *testing.T) {
 	db, j := openJournaled(t)
@@ -172,8 +171,8 @@ func TestConcurrentWritersJournalInApplyOrder(t *testing.T) {
 	if !pxml.Equal(replayed.Tree().Root(), db.Tree().Root()) {
 		t.Fatal("journal replayed in seq order does not reproduce the live tree")
 	}
-	if a, b := fmt.Sprint(db.IntegrationHistory()), fmt.Sprint(replayed.IntegrationHistory()); a != b {
-		t.Fatalf("integration history: live %s, replayed %s", a, b)
+	if a, b := db.IntegrationCount(), replayed.IntegrationCount(); a != b {
+		t.Fatalf("integration count: live %d, replayed %d", a, b)
 	}
 	live, rep := db.FeedbackHistory(), replayed.FeedbackHistory()
 	if len(live) != len(rep) {
@@ -257,7 +256,7 @@ func TestJournalFailureAbortsMutation(t *testing.T) {
 			}
 			state := func() string {
 				return fmt.Sprintf("tree %p schema %p integrations %v feedback %v seq %d builds %d",
-					db.Tree(), db.Schema(), db.IntegrationHistory(), db.FeedbackHistory(), db.AppliedSeq(), db.IndexStats().Builds)
+					db.Tree(), db.Schema(), db.IntegrationCount(), db.FeedbackHistory(), db.AppliedSeq(), db.IndexStats().Builds)
 			}
 			before := state()
 

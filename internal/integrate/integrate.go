@@ -23,7 +23,6 @@
 package integrate
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -146,19 +145,6 @@ type Stats struct {
 	// summary is not merged into the parent's again. What remains per
 	// spliced child is a map-free pass or two and one table look-up.
 	SplicedChildren int
-}
-
-// MarshalJSON writes every field, then the retired VerdictMemoHits and
-// MergeMemoHits as zeros: the keys journals, snapshot manifests and
-// replication pages have always carried, so a record keeps the size every
-// log offset is computed from. Decoding needs no counterpart: the retired
-// keys are unknown, and ignored.
-func (s Stats) MarshalJSON() ([]byte, error) {
-	type fields Stats // every field of Stats, without this method
-	return json.Marshal(struct {
-		fields
-		VerdictMemoHits, MergeMemoHits int
-	}{fields: fields(s)})
 }
 
 // Merge folds another run's counters into s — summing, with

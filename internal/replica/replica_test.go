@@ -88,8 +88,8 @@ func assertConverged(t *testing.T, primary, follower *core.Database) {
 	if string(pfb) != string(ffb) {
 		t.Fatalf("feedback histories differ:\nprimary  %s\nfollower %s", pfb, ffb)
 	}
-	if len(primary.IntegrationHistory()) != len(follower.IntegrationHistory()) {
-		t.Fatal("integration history lengths differ")
+	if primary.IntegrationCount() != follower.IntegrationCount() {
+		t.Fatalf("integration counts differ: primary %d, follower %d", primary.IntegrationCount(), follower.IntegrationCount())
 	}
 }
 

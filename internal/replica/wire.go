@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/feedback"
-	"repro/internal/integrate"
 	"repro/internal/pxml"
 )
 
@@ -39,7 +38,7 @@ type WALPage struct {
 
 // SnapshotPayload is GET /dbs/{name}/snapshot — the full state a follower
 // bootstraps from, mirroring the store snapshot format field for field
-// (document, schema as DTD text, manifest histories, log position):
+// (document, schema as DTD text, manifest counts, log position):
 // installing it on the follower goes straight through store.SaveWith. It
 // travels as a wal2 frame stream (wirebinary.go).
 type SnapshotPayload struct {
@@ -58,8 +57,9 @@ type SnapshotPayload struct {
 	Tree *pxml.Tree
 	// Schema is the DTD knowledge ("" when none).
 	Schema string
-	// Integrations and Feedback are the session histories at Seq.
-	Integrations []integrate.Stats
+	// Integrations and Feedback are the integration count and feedback
+	// history at Seq.
+	Integrations int
 	Feedback     []feedback.Event
 }
 

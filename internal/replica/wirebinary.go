@@ -16,7 +16,8 @@
 // Snapshot stream:
 //
 //	S frame  header: database, format_version, seq, epoch, digest,
-//	         schema, histories (JSON blobs; not hot)
+//	         schema, integration count and feedback history (JSON
+//	         blobs, the count empty when 0; see store.Count)
 //	I frame  the string table the document's varint refs resolve against
 //	T frame  the document as a pxml arena payload
 //	E frame  trailer: frame count
@@ -30,6 +31,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/codec"
 	"repro/internal/pxml"
+	"repro/internal/store"
 )
 
 // ContentType is the media type of the replication wire. A follower
@@ -177,15 +179,11 @@ func appendSnapshotHeader(payload *SnapshotPayload) ([]byte, error) {
 	hdr = codec.AppendUvarint(hdr, payload.Epoch)
 	hdr = codec.AppendString(hdr, payload.Digest)
 	hdr = codec.AppendString(hdr, payload.Schema)
-	ints, err := marshalHistory(payload.Integrations)
+	evs, err := json.Marshal(payload.Feedback)
 	if err != nil {
 		return nil, err
 	}
-	evs, err := marshalHistory(payload.Feedback)
-	if err != nil {
-		return nil, err
-	}
-	hdr = codec.AppendBytes(hdr, ints)
+	hdr = codec.AppendBytes(hdr, store.Count(payload.Integrations).Blob())
 	hdr = codec.AppendBytes(hdr, evs)
 	return hdr, nil
 }
@@ -218,13 +216,8 @@ func EncodeSnapshotShared(w io.Writer, payload *SnapshotPayload) error {
 	return fw.Write(codec.KindEnd, wireVersion, codec.AppendUvarint(nil, 3))
 }
 
-// marshalHistory renders a history slice as a JSON blob field ("" for
-// empty — histories are cold data, not worth a binary layout).
-func marshalHistory(v any) ([]byte, error) {
-	return json.Marshal(v)
-}
-
-// unmarshalHistory fills a history slice from its JSON blob field.
+// unmarshalHistory fills a history slice from its JSON blob field (cold
+// data, not worth a binary layout).
 func unmarshalHistory(data []byte, v any) error {
 	if len(data) == 0 {
 		return nil
@@ -263,8 +256,8 @@ func DecodeSnapshot(r io.Reader) (*SnapshotPayload, error) {
 	if err := hr.Finish(); err != nil {
 		return nil, fmt.Errorf("replica: snapshot header: %w", err)
 	}
-	if err := unmarshalHistory(ints, &payload.Integrations); err != nil {
-		return nil, fmt.Errorf("replica: snapshot integrations: %w", err)
+	if payload.Integrations, err = store.ParseCount(ints); err != nil {
+		return nil, fmt.Errorf("%w: snapshot integrations: %v", codec.ErrInvalid, err)
 	}
 	if err := unmarshalHistory(evs, &payload.Feedback); err != nil {
 		return nil, fmt.Errorf("replica: snapshot feedback: %w", err)

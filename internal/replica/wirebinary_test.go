@@ -3,14 +3,17 @@ package replica_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"log"
+	"math"
 	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +24,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/feedback"
-	"repro/internal/integrate"
 	"repro/internal/pxml"
 	"repro/internal/replica"
 	"repro/internal/server"
@@ -252,7 +254,7 @@ func FuzzDecodeWALPage(f *testing.F) {
 	}
 	var snap bytes.Buffer
 	tree := mustDecode(f, abC)
-	if err := replica.EncodeSnapshotShared(&snap, &replica.SnapshotPayload{Database: "x", Seq: 1, Digest: replica.DigestString(tree), Tree: tree}); err != nil {
+	if err := replica.EncodeSnapshotShared(&snap, &replica.SnapshotPayload{Database: "x", Seq: 1, Digest: replica.DigestString(tree), Tree: tree, Integrations: 5}); err != nil {
 		f.Fatal(err)
 	}
 	tail := newTailPage(f)
@@ -269,7 +271,16 @@ func FuzzDecodeWALPage(f *testing.F) {
 		if seeded {
 			tab.Apply(0, tail.carried)
 		}
-		replica.DecodeSnapshot(bytes.NewReader(data))
+		if snap, err := replica.DecodeSnapshot(bytes.NewReader(data)); err == nil {
+			// Whatever form the count came in, it re-encodes as itself.
+			var again bytes.Buffer
+			if err := replica.EncodeSnapshotShared(&again, snap); err != nil {
+				t.Fatalf("accepted snapshot does not re-encode: %v", err)
+			}
+			if back, err := replica.DecodeSnapshot(&again); err != nil || back.Integrations != snap.Integrations || snap.Integrations < 0 {
+				t.Fatalf("integration count %d re-read as %+v (err %v)", snap.Integrations, back, err)
+			}
+		}
 		if _, err := replica.DecodeWALPageFrom(bytes.NewReader(data), &tab); err != nil {
 			return
 		}
@@ -406,8 +417,8 @@ func TestWALPageTrailerMismatch(t *testing.T) {
 }
 
 // TestSnapshotSharedRoundTrip sends a full bootstrap payload — document
-// as dictionary I frame + shared-index arena, schema, histories — through
-// the snapshot stream and back.
+// as dictionary I frame + shared-index arena, schema, integration count,
+// feedback history — through the snapshot stream and back.
 func TestSnapshotSharedRoundTrip(t *testing.T) {
 	tree := mustDecode(t, abC)
 	when := time.Date(2026, 8, 8, 9, 0, 0, 0, time.UTC)
@@ -419,7 +430,7 @@ func TestSnapshotSharedRoundTrip(t *testing.T) {
 		Digest:        replica.DigestString(tree),
 		Tree:          tree,
 		Schema:        "<!ELEMENT addressbook (person*)>",
-		Integrations:  []integrate.Stats{{OracleCalls: 3, Components: 1}},
+		Integrations:  3,
 		Feedback: []feedback.Event{{Query: "//q", Value: "v", PriorP: 0.5,
 			WorldsBefore: big.NewInt(4), WorldsAfter: big.NewInt(2), When: when}},
 	}
@@ -441,8 +452,8 @@ func TestSnapshotSharedRoundTrip(t *testing.T) {
 	if replica.DigestString(got.Tree) != payload.Digest {
 		t.Fatal("decoded document digest mismatch")
 	}
-	if len(got.Integrations) != 1 || got.Integrations[0].OracleCalls != 3 {
-		t.Fatalf("integrations = %+v", got.Integrations)
+	if got.Integrations != 3 {
+		t.Fatalf("integrations = %d", got.Integrations)
 	}
 	if len(got.Feedback) != 1 || got.Feedback[0].WorldsBefore.Cmp(big.NewInt(4)) != 0 ||
 		!got.Feedback[0].When.Equal(when) {
@@ -489,6 +500,67 @@ func TestSnapshotPendingBlob(t *testing.T) {
 	_, err = replica.DecodeSnapshot(bytes.NewReader(withPending([]byte(queued))))
 	if err == nil || !strings.Contains(err.Error(), `"x"`) || !strings.Contains(err.Error(), "2 pending ticket(s)") {
 		t.Fatalf("non-empty pending blob: %v, want a refusal naming \"x\" and 2 tickets", err)
+	}
+}
+
+// TestSnapshotIntegrationCount: the S header carries the integration count
+// as a JSON blob. This build writes a number, and no bytes at all for 0,
+// which every earlier build reads as an empty history; it reads a number
+// as itself and the per-source list earlier primaries sent as its length.
+// A negative number, a fraction, one past math.MaxInt or a string is
+// refused as codec.ErrInvalid, naming the field.
+func TestSnapshotIntegrationCount(t *testing.T) {
+	tree := mustDecode(t, abA)
+	digest := replica.DigestString(tree)
+	var buf bytes.Buffer
+	if err := replica.EncodeSnapshotShared(&buf, &replica.SnapshotPayload{Database: "x", FormatVersion: 5, Seq: 1, Epoch: 1, Digest: digest, Tree: tree}); err != nil {
+		t.Fatal(err)
+	}
+	hdr, rest, err := codec.ParseFrame(buf.Bytes())
+	if err != nil || hdr.Kind != codec.KindSnapshotHeader {
+		t.Fatalf("first frame %q: %v", hdr.Kind, err)
+	}
+	stream := func(ints []byte) []byte {
+		p := codec.AppendString(nil, "x")
+		p = codec.AppendUvarint(p, 5)
+		p = codec.AppendUvarint(p, 1)
+		p = codec.AppendUvarint(p, 1)
+		p = codec.AppendString(p, digest)
+		p = codec.AppendString(p, "")
+		p = codec.AppendBytes(p, ints)
+		p = codec.AppendBytes(p, []byte("null")) // no feedback events
+		return append(codec.AppendFrame(nil, hdr.Kind, hdr.Version, p), rest...)
+	}
+	for _, n := range []int{0, 1, 300, math.MaxInt} {
+		var buf bytes.Buffer
+		err := replica.EncodeSnapshotShared(&buf, &replica.SnapshotPayload{Database: "x", FormatVersion: 5, Seq: 1, Epoch: 1,
+			Digest: digest, Tree: tree, Integrations: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := stream([]byte(strconv.Itoa(n)))
+		if n == 0 {
+			want = stream(nil)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("count %d: stream differs from a header holding %q", n, strconv.Itoa(n))
+		}
+		if got, err := replica.DecodeSnapshot(&buf); err != nil || got.Integrations != n {
+			t.Fatalf("count %d read back as %+v (err %v)", n, got, err)
+		}
+	}
+	legacy := `[{"OracleCalls":3,"Components":1,"VerdictMemoHits":0,"MergeMemoHits":0},{"OracleCalls":1}]`
+	for blob, want := range map[string]int{legacy: 2, "[]": 0, "null": 0, "": 0, "42": 42} {
+		got, err := replica.DecodeSnapshot(bytes.NewReader(stream([]byte(blob))))
+		if err != nil || got.Integrations != want || !pxml.Equal(got.Tree.Root(), tree.Root()) {
+			t.Errorf("integrations %q read as %+v (err %v), want %d", blob, got, err, want)
+		}
+	}
+	for _, blob := range []string{"-1", "2.5", "1e2", "9223372036854775808", `"2"`, "{}", "false"} {
+		_, err := replica.DecodeSnapshot(bytes.NewReader(stream([]byte(blob))))
+		if !errors.Is(err, codec.ErrInvalid) || !strings.Contains(err.Error(), "integrations") {
+			t.Errorf("integrations %q: decode = %v, want codec.ErrInvalid naming integrations", blob, err)
+		}
 	}
 }
 

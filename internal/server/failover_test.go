@@ -77,7 +77,7 @@ func TestFailoverPromoteAtEveryOpBoundary(t *testing.T) {
 				}
 			}
 			wantTree := pdb.Core().Tree()
-			wantIntegrations := len(pdb.Core().IntegrationHistory())
+			wantIntegrations := pdb.Core().IntegrationCount()
 			wantFeedback := len(pdb.Core().FeedbackHistory())
 
 			rep, err := replica.Open(t.TempDir(), fastReplicaOptions(ts.URL))
@@ -126,8 +126,8 @@ func TestFailoverPromoteAtEveryOpBoundary(t *testing.T) {
 			if ftree.WorldCount().Cmp(wantTree.WorldCount()) != 0 {
 				t.Fatalf("world counts differ: primary %s, promoted %s", wantTree.WorldCount(), ftree.WorldCount())
 			}
-			if got := len(fdb.Core().IntegrationHistory()); got != wantIntegrations {
-				t.Fatalf("integration history: %d entries, want %d", got, wantIntegrations)
+			if got := fdb.Core().IntegrationCount(); got != wantIntegrations {
+				t.Fatalf("integration count %d, want %d", got, wantIntegrations)
 			}
 			if got := len(fdb.Core().FeedbackHistory()); got != wantFeedback {
 				t.Fatalf("feedback history: %d entries, want %d", got, wantFeedback)

@@ -335,8 +335,8 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if payload.Digest != replica.DigestString(tree) {
 		t.Fatalf("snapshot digest %s does not match its tree", payload.Digest)
 	}
-	if len(payload.Integrations) != 2 {
-		t.Fatalf("snapshot carries %d integrations, want 2", len(payload.Integrations))
+	if payload.Integrations != 2 {
+		t.Fatalf("snapshot carries %d integrations, want 2", payload.Integrations)
 	}
 }
 

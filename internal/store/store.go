@@ -14,8 +14,8 @@
 // manifest pointing at the previous (still present) files: Load returns
 // the stale-but-consistent old snapshot instead of ErrCorrupt. The
 // manifest also carries the write-ahead-log sequence number the snapshot
-// corresponds to and the session histories (integration statistics,
-// feedback events), so a restart resumes with intact /stats counters.
+// corresponds to, the integration count and the feedback events, so a
+// restart resumes with intact /stats counters.
 package store
 
 import (
@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -34,7 +35,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/dtd"
 	"repro/internal/feedback"
-	"repro/internal/integrate"
 	"repro/internal/pxml"
 )
 
@@ -74,7 +74,7 @@ type Manifest struct {
 	LogicalNodes int64  `json:"logical_nodes"`
 	Worlds       string `json:"worlds"`
 	HasSchema    bool   `json:"has_schema"`
-	// Comment is free-form (e.g. the integration history).
+	// Comment is free-form.
 	Comment string `json:"comment,omitempty"`
 	// LogSeq is the write-ahead-log sequence number this snapshot
 	// reflects: recovery replays only log entries with a higher sequence.
@@ -83,15 +83,63 @@ type Manifest struct {
 	// recovery resumes at the highest of this and the last write-ahead-log
 	// record's epoch.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Integrations and Feedback persist the session histories, so stats
-	// counters survive a save/load round trip or a crash recovery.
-	Integrations []integrate.Stats `json:"integrations,omitempty"`
-	Feedback     []feedback.Event  `json:"feedback,omitempty"`
+	// Integrations and Feedback persist the integration count and the
+	// feedback history, so stats counters survive a save/load round trip
+	// or a crash recovery.
+	Integrations Count            `json:"integrations,omitempty"`
+	Feedback     []feedback.Event `json:"feedback,omitempty"`
 	// RemovedQueue is read, never written: the accepted-but-unapplied
 	// sources of the async ingest queue, which earlier builds persisted
 	// under "pending". The queue was removed, so a snapshot holding any
 	// refuses to load rather than drop acknowledged sources.
 	RemovedQueue []json.RawMessage `json:"pending,omitempty"`
+}
+
+// Count is a database's integration count as it is persisted: a JSON
+// number, absent when 0. The per-source list earlier builds wrote in its
+// place reads as its length, and null as 0; anything else (a negative
+// number, a fraction, one past math.MaxInt, a string) is refused.
+type Count int
+
+// UnmarshalJSON reads a number or a legacy list.
+func (c *Count) UnmarshalJSON(b []byte) error {
+	switch {
+	case string(b) == "null":
+		*c = 0
+	case b[0] == '[':
+		var list []json.RawMessage
+		if err := json.Unmarshal(b, &list); err != nil {
+			return err
+		}
+		*c = Count(len(list))
+	default:
+		n, err := strconv.Atoi(string(b))
+		if err != nil || n < 0 {
+			return fmt.Errorf("integration count %.40s is not a non-negative integer", b)
+		}
+		*c = Count(n)
+	}
+	return nil
+}
+
+// Blob renders c for a length-prefixed field: its JSON number, or
+// nothing for 0.
+func (c Count) Blob() []byte {
+	if c == 0 {
+		return nil
+	}
+	return strconv.AppendInt(nil, int64(c), 10)
+}
+
+// ParseCount reads what Blob wrote, or a legacy list; empty reads as 0.
+func ParseCount(blob []byte) (int, error) {
+	var c Count
+	if len(blob) > 0 {
+		if err := json.Unmarshal(blob, &c); err != nil {
+			return 0, err
+		}
+	}
+	return int(c), nil
 }
 
 // Snapshot is the in-memory form of a stored database.
@@ -113,8 +161,8 @@ type SaveOptions struct {
 	LogSeq uint64
 	// Epoch records the cluster epoch in force at save time.
 	Epoch uint64
-	// Integrations and Feedback are the session histories to persist.
-	Integrations []integrate.Stats
+	// Integrations and Feedback are the counts to persist.
+	Integrations int
 	Feedback     []feedback.Event
 }
 
@@ -186,7 +234,7 @@ func SaveWith(dir string, tree *pxml.Tree, schema *dtd.Schema, opts SaveOptions)
 		Comment:        opts.Comment,
 		LogSeq:         opts.LogSeq,
 		Epoch:          opts.Epoch,
-		Integrations:   opts.Integrations,
+		Integrations:   Count(opts.Integrations),
 		Feedback:       opts.Feedback,
 	}
 	if err := writeAtomic(filepath.Join(dir, m.DocumentFile), doc); err != nil {

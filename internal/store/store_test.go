@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"os"
@@ -15,7 +16,6 @@ import (
 
 	"repro/internal/dtd"
 	"repro/internal/feedback"
-	"repro/internal/integrate"
 	"repro/internal/pxml"
 	"repro/internal/pxmltest"
 	"repro/internal/store"
@@ -332,10 +332,9 @@ func TestTornSaveLoadsStale(t *testing.T) {
 }
 
 // TestHistoriesRoundTrip persists the session state the manifest
-// carries: log position, integration statistics and feedback events.
+// carries: log position, integration count and feedback events.
 func TestHistoriesRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	ints := []integrate.Stats{{OracleCalls: 7, MustPairs: 2, UndecidedPairs: 1}}
 	evs := []feedback.Event{{
 		Query:        `//person/tel`,
 		Value:        "2222",
@@ -348,7 +347,7 @@ func TestHistoriesRoundTrip(t *testing.T) {
 	_, err := store.SaveWith(dir, pxmltest.Fig2Tree(), nil, store.SaveOptions{
 		Comment:      "with state",
 		LogSeq:       42,
-		Integrations: ints,
+		Integrations: 7,
 		Feedback:     evs,
 	})
 	if err != nil {
@@ -362,8 +361,8 @@ func TestHistoriesRoundTrip(t *testing.T) {
 	if m.LogSeq != 42 {
 		t.Fatalf("LogSeq = %d", m.LogSeq)
 	}
-	if len(m.Integrations) != 1 || m.Integrations[0] != ints[0] {
-		t.Fatalf("integrations = %+v", m.Integrations)
+	if m.Integrations != 7 {
+		t.Fatalf("integrations = %d", m.Integrations)
 	}
 	if len(m.Feedback) != 1 {
 		t.Fatalf("feedback = %+v", m.Feedback)
@@ -401,6 +400,71 @@ func TestBinaryDocumentTamper(t *testing.T) {
 		}
 		if _, err := store.Load(dir); err == nil {
 			t.Fatalf("byte flip at %d loaded successfully", i)
+		}
+	}
+}
+
+// TestManifestIntegrationCount: a manifest carries the integration count
+// as a JSON number, and leaves the field out for 0, which every earlier
+// build reads as an empty history. It reads a number as itself, the
+// per-source list earlier builds wrote as its length, and an absent field
+// or null as 0. A negative number, a fraction, one past math.MaxInt or a
+// string is a bad manifest.
+func TestManifestIntegrationCount(t *testing.T) {
+	dir := t.TempDir()
+	for _, n := range []int{0, 1, 256, math.MaxInt} {
+		if _, err := store.SaveWith(dir, pxmltest.Fig2Tree(), nil, store.SaveOptions{Integrations: n}); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		field := fmt.Sprintf(`"integrations": %d`, n)
+		if has := strings.Contains(string(raw), `"integrations"`); has != (n != 0) || n != 0 && !strings.Contains(string(raw), field) {
+			t.Fatalf("count %d written as:\n%s", n, raw)
+		}
+		if m, err := store.ReadManifest(dir); err != nil || int(m.Integrations) != n {
+			t.Fatalf("count %d read back as %d (err %v)", n, m.Integrations, err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// withCount rewrites the manifest's integrations field, or drops it
+	// when value is empty.
+	withCount := func(value string) {
+		t.Helper()
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		delete(m, "integrations")
+		if value != "" {
+			m["integrations"] = json.RawMessage(value)
+		}
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := `[{"OracleCalls":3,"MustPairs":1,"VerdictMemoHits":0,"MergeMemoHits":0},{"OracleCalls":0},{}]`
+	for value, want := range map[string]int{legacy: 3, "[]": 0, "null": 0, "": 0, "12": 12} {
+		withCount(value)
+		snap, err := store.Load(dir)
+		if err != nil || int(snap.Manifest.Integrations) != want {
+			t.Errorf("integrations %q loaded as %+v (err %v), want %d", value, snap, err, want)
+		}
+	}
+	for _, value := range []string{"-1", "1.5", "2e1", "9223372036854775808", `"3"`, "{}", "true"} {
+		withCount(value)
+		_, err := store.Load(dir)
+		if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "bad manifest") || !strings.Contains(err.Error(), "integration") {
+			t.Errorf("integrations %q: Load = %v, want a bad manifest naming the integration count", value, err)
 		}
 	}
 }
